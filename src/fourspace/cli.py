@@ -119,7 +119,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_verify(args):
-    field = PrimeField(args.prime)
+    field = _parse_field(f"prime:{args.prime}")
     bounds = _bounds(args, field)
     mismatches = run_sweep(
         field, bounds, args.trials, args.seed, report=print

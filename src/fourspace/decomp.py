@@ -20,6 +20,7 @@ total dimension vector, so no phantom solution can slip through).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .catalog import build, declared_dim, enumerate_descriptors
@@ -41,6 +42,9 @@ _GRAM_CACHE = {}
 
 
 def _gram_solver(field, bounds):
+    # lambdas congruent in the field name one tube: coerce them so that
+    # enumeration drops the duplicates and the cache sees one key
+    bounds = replace(bounds, lambdas=tuple(field.coerce(lam) for lam in bounds.lambdas))
     key = (field, bounds)
     hit = _GRAM_CACHE.get(key)
     if hit is not None:

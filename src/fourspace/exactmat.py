@@ -2,8 +2,10 @@
 
 Scalars are plain Python values (fractions.Fraction over the rationals,
 canonical int residues in [0, p) over a prime field); a field object owns
-the arithmetic.  No floating point anywhere.  Matrices are immutable and
-zero-row / zero-column shapes are first-class, so cor(1x0) = 1 works.
+the arithmetic, the numpy dtype of its arrays and Gaussian elimination
+(``field.echelon``), from which rank, null space and inverse all follow.
+No floating point anywhere.  Matrices are immutable and zero-row /
+zero-column shapes are first-class, so cor(1x0) = 1 works.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ class Rationals:
 
     zero = Fraction(0)
     one = Fraction(1)
+    dtype = object
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -75,6 +78,33 @@ class Rationals:
     def spec(self):
         return "rationals"
 
+    def echelon(self, rows, reduced=False):
+        """Gauss-Jordan elimination of equal-length rows of Fractions (or int zeros).
+
+        Returns (pivot columns, echelon rows): each pivot row is scaled to a
+        leading 1 and cleared below its pivot, and above it too if reduced.
+        """
+        rows = [list(r) for r in rows]
+        m = len(rows)
+        n = len(rows[0]) if m else 0
+        pivots = []
+        for c in range(n):
+            r = len(pivots)
+            if r == m:
+                break
+            piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+            if piv is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            pv = rows[r][c]
+            rr = rows[r] = [x / pv for x in rows[r]]
+            for i in range(0 if reduced else r + 1, m):
+                f = rows[i][c]
+                if f and i != r:
+                    rows[i] = [a - f * b for a, b in zip(rows[i], rr)]
+            pivots.append(c)
+        return pivots, rows
+
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -101,6 +131,8 @@ def _is_prime(p):
 class PrimeField:
     """GF(p) for prime p; scalars are canonical ints in [0, p)."""
 
+    dtype = np.int64
+
     def __init__(self, p):
         if not isinstance(p, int) or not 2 <= p <= 2**31 - 1:
             raise ValueError(f"prime field characteristic out of range: {p}")
@@ -113,6 +145,8 @@ class PrimeField:
     def coerce(self, x):
         if isinstance(x, int):
             return x % self.p
+        if isinstance(x, np.integer):
+            return int(x) % self.p
         if isinstance(x, Fraction):
             return x.numerator % self.p * self.inv(x.denominator % self.p) % self.p
         if isinstance(x, float):
@@ -148,6 +182,39 @@ class PrimeField:
 
     def spec(self):
         return {"prime": self.p}
+
+    def echelon(self, rows, reduced=False):
+        """Gauss-Jordan elimination mod p of a 2-D integer array or non-empty rows.
+
+        Returns (pivot columns, echelon rows as an int64 array); pivot rows
+        are scaled to a leading 1 and cleared below their pivot, and above
+        it too if reduced.  Residues stay in [0, p) and p <= 2^31 - 1, so
+        every product stays below 2^62 < 2^63 and int64 arithmetic is exact.
+        """
+        p = self.p
+        a = np.asarray(rows, dtype=np.int64) % p
+        m, n = a.shape
+        pivots = []
+        for c in range(n):
+            r = len(pivots)
+            if r == m:
+                break
+            nz = np.nonzero(a[r:, c])[0]
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                a[[r, i]] = a[[i, r]]
+            a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+            if reduced:
+                others = np.nonzero(a[:, c])[0]
+                others = others[others != r]
+            else:
+                others = r + 1 + np.nonzero(a[r + 1 :, c])[0]
+            if others.size:
+                a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % p
+            pivots.append(c)
+        return pivots, a
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -307,9 +374,7 @@ class ExactMatrix:
     def rank(self):
         if self.rows == 0 or self.cols == 0:
             return 0
-        if isinstance(self.field, PrimeField):
-            return _rank_prime(self._to_numpy(), self.field.p)
-        return _rank_rational([list(r) for r in self.data])
+        return len(self.field.echelon(self.data)[0])
 
     def corank(self):
         """rows - rank: the dimension of the left null space."""
@@ -321,17 +386,11 @@ class ExactMatrix:
         Returns a list of length-cols tuples of field scalars, one per free
         column of the reduced row echelon form, in ascending column order.
         """
+        f = self.field
         n = self.cols
         if n == 0:
             return []
-        if self.rows == 0:
-            rref, pivots = [], []
-        elif isinstance(self.field, PrimeField):
-            arr, pivots = _rref_prime(self._to_numpy(), self.field.p)
-            rref = arr.tolist()
-        else:
-            rref, pivots = _rref_rational([list(r) for r in self.data])
-        f = self.field
+        pivots, rref = f.echelon(self.data, reduced=True) if self.rows else ([], [])
         pivot_set = set(pivots)
         basis = []
         for free in range(n):
@@ -350,23 +409,13 @@ class ExactMatrix:
             raise DimensionMismatch(f"invert: {self.rows}x{self.cols} is not square")
         n = self.rows
         f = self.field
-        aug = hstack([self, identity(f, n)]) if n else self
         if n == 0:
             return self
-        if isinstance(f, PrimeField):
-            arr, pivots = _rref_prime(aug._to_numpy(), f.p)
-            if pivots != list(range(n)):
-                raise ZeroDivisionError("matrix is singular")
-            data = tuple(tuple(int(x) for x in row[n:]) for row in arr.tolist())
-        else:
-            rref, pivots = _rref_rational([list(r) for r in aug.data])
-            if pivots != list(range(n)):
-                raise ZeroDivisionError("matrix is singular")
-            data = tuple(tuple(row[n:]) for row in rref)
+        pivots, rref = f.echelon(hstack([self, identity(f, n)]).data, reduced=True)
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        data = tuple(tuple(f.coerce(x) for x in row[n:]) for row in rref)
         return ExactMatrix._raw(f, n, n, data)
-
-    def _to_numpy(self):
-        return np.array(self.data, dtype=np.int64)
 
 
 def _dot(ra, rb, zero, add, mul):
@@ -512,103 +561,3 @@ def random_invertible(field, n, rng):
         a = random_matrix(field, n, n, rng)
         if a.rank() == n:
             return a
-
-
-# -- elimination ----------------------------------------------------------
-#
-# GF(p) elimination runs on int64 numpy arrays: residues stay in [0, p) and
-# p <= 2^31 - 1, so products stay below 2^63 and arithmetic is exact.
-
-
-def _rank_prime(a, p):
-    a = a % p
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = a[r, c:] * inv % p
-        below = np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            rows = r + 1 + below
-            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
-        r += 1
-    return r
-
-
-def _rref_prime(a, p):
-    a = a % p
-    m, n = a.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def _rank_rational(rows):
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(r + 1, m):
-            f = rows[i][c]
-            if f:
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - f * b for a, b in zip(ri, rr)]
-        r += 1
-    return r
-
-
-def _rref_rational(rows):
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - f * b for a, b in zip(ri, rr)]
-        pivots.append(c)
-        r += 1
-    return rows, pivots

@@ -2,8 +2,8 @@
 
 Each `criterion_*` function is self-contained and raises AssertionError on
 failure.  They run as ordinary pytest tests below, and
-``python3 tests/test_acceptance.py`` (or scripts/acceptance_report.py)
-prints one PASS/FAIL line per criterion.
+``python3 tests/test_acceptance.py`` prints one PASS/FAIL line per
+criterion, without pytest.
 """
 
 import contextlib

@@ -171,3 +171,38 @@ def test_bad_lambda_flag(capsys, tmp_path):
     code, _, err = run(capsys, "homdim", path, "--all", "--max-n", "0",
                        "--max-l", "0", "--lambda", "x")
     assert code != 0 and err.startswith("error: parse-error:")
+
+
+# -- error paths ---------------------------------------------------------------
+
+ERROR_CASES = [
+    ("invalid-params", ["catalog", "R(1,0)"]),
+    ("invalid-params", ["catalog", "X(1,0)"]),
+    ("parse-error", ["catalog", "P(0,0)", "--field", "prime:6"]),
+    ("parse-error", ["catalog", "P(0,0)", "--field", "reals"]),
+    ("parse-error", ["homdim", "{module}"]),
+    ("parse-error", ["homdim", "{bad_json}", "I(0,0)"]),
+    ("parse-error", ["homdim", "{bad_record}", "I(0,0)"]),
+    ("parse-error", ["homdim", "{module}", "--all", "--lambda", "x"]),
+    ("io-error", ["homdim", "/nonexistent/m.json", "I(0,0)"]),
+    ("incomplete-candidates",
+     ["decompose", "{module}", "--max-n", "1", "--max-l", "1", "--lambda", "5"]),
+    ("parse-error", ["verify", "--prime", "4"]),
+]
+
+
+@pytest.mark.parametrize("code, argv", ERROR_CASES, ids=[" ".join(a) for _, a in ERROR_CASES])
+def test_error_is_one_coded_line(capsys, tmp_path, code, argv):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{broken")
+    bad_record = tmp_path / "record.json"
+    bad_record.write_text(json.dumps({"field_spec": "rationals"}))
+    paths = {
+        "module": write_module(tmp_path, cat.build(cat.R(1, GF.coerce(2)), GF)),
+        "bad_json": str(bad_json),
+        "bad_record": str(bad_record),
+    }
+    status, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert status != 0
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith(f"error: {code}:")

@@ -111,6 +111,12 @@ def test_degenerate_candidate_set_raises_ambiguous(monkeypatch):
         decomp._GRAM_CACHE.clear()
 
 
+def test_lambdas_congruent_mod_p_name_one_tube():
+    # 32005 = 2 in GF(32003): one tube, not two identical candidate rows
+    bounds = EnumerationBounds(1, 1, (2, 32005))
+    assert decompose(cat.build(cat.P(1, 0), GF), bounds) == {cat.P(1, 0): 1}
+
+
 # -- isomorphism --------------------------------------------------------------
 
 

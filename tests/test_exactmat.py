@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fourspace import catalog as cat
 from fourspace.exactmat import (
     QQ,
     DimensionMismatch,
@@ -25,6 +26,9 @@ from fourspace.exactmat import (
     vstack,
     zeros,
 )
+from fourspace.homdim import coeff_matrix
+from fourspace.modules import LambdaModule
+from fourspace.oracle import hom_system
 
 GF = PrimeField(32003)
 
@@ -208,3 +212,85 @@ def test_submatrix_bounds(field):
     assert m.submatrix(1, 3, 1, 3) == identity(field, 2)
     with pytest.raises(DimensionMismatch):
         m.submatrix(0, 4, 0, 3)
+
+
+# -- cross-check against an independent reference eliminator ----------------
+#
+# field.echelon backs both hom routes (coefficient-matrix corank and oracle
+# nullity), so verify alone cannot see a bug in it.  The reference below is
+# a deliberately naive Gauss-Jordan on Python ints (mod p) or Fractions: no
+# numpy, nothing shared with the package.
+
+
+def reference_rref(rows, p=None):
+    """(pivot columns, reduced row echelon form); p=None means QQ."""
+    if p is None:
+        a = [[Fraction(x) for x in row] for row in rows]
+    else:
+        a = [[int(x) % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        hits = [i for i in range(r, len(a)) if a[i][c] != 0]
+        if not hits:
+            continue
+        a[r], a[hits[0]] = a[hits[0]], a[r]
+        if p is None:
+            a[r] = [x / a[r][c] for x in a[r]]
+        else:
+            s = pow(a[r][c], p - 2, p)
+            a[r] = [x * s % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                if p is not None:
+                    a[i] = [x % p for x in a[i]]
+        pivots.append(c)
+    return pivots, a
+
+
+REFERENCE_FIELDS = [QQ, PrimeField(2), GF, PrimeField(2**31 - 1)]
+
+
+def _plain(rows):
+    return [[x if isinstance(x, Fraction) else int(x) for x in row] for row in rows]
+
+
+def _reference_inputs(field, rng):
+    """Random and structured matrices over field, none of them empty."""
+    out = []
+    for _ in range(12):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        out.append(random_matrix(field, m, n, rng))
+        # mostly zeros, so rank deficiency and pivot gaps are common
+        sparse = [[field.coerce(rng.choice([0, 0, 0, 1, -1, rng.randint(-9, 9)]))
+                   for _ in range(n)] for _ in range(m)]
+        out.append(mat(field, sparse))
+    dims = (3, 2, 1, 2, 2)
+    module = LambdaModule(*(random_matrix(field, dims[0], k, rng) for k in dims[1:]))
+    descs = [cat.P(1, 0), cat.P(2, 3), cat.I(1, 2), cat.I(2, 0), cat.R(0, 3, cat.INF),
+             cat.R(1, 2, 0)]
+    if field != PrimeField(2):  # GF(2) has no homogeneous lambda
+        descs.append(cat.R(2, field.coerce(3)))
+    for d in descs:
+        out.append(coeff_matrix(module, d))
+        out.append(hom_system(module, cat.build(d, field)).matrix)
+    small = LambdaModule(*(random_matrix(field, 2, k, rng) for k in (1, 2, 1, 1)))
+    out.append(hom_system(small, module).matrix)
+    return [a for a in out if a.rows and a.cols]
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
+def test_echelon_matches_reference_eliminator(field, rng):
+    p = field.p if isinstance(field, PrimeField) else None
+    for a in _reference_inputs(field, rng):
+        want_pivots, want_rref = reference_rref(a.data, p)
+        pivots, rref = field.echelon(a.data, reduced=True)
+        assert pivots == want_pivots
+        assert _plain(rref) == want_rref
+        pivots, ech = field.echelon(a.data)
+        assert pivots == want_pivots
+        # forward elimination is row-equivalent to the input
+        assert reference_rref(_plain(ech), p) == (want_pivots, want_rref)
+        assert a.rank() == len(want_pivots)

@@ -147,3 +147,24 @@ def test_euler_form_exact_on_injectives(field, rng):
     for j in range(5):
         x = cat.build(cat.I(0, j), field)
         assert hom_oracle(m, x) == euler_form(dim_vector(m), dim_vector(x))
+
+
+def test_system_matches_entrywise_relations(field, rng):
+    # row (t, i, j) of the system is entry (i, j) of F_0 L_M - L_X F_t
+    for _ in range(5):
+        m = random_module(field, rng, max_dim=3)
+        x = random_module(field, rng, max_dim=3)
+        sys_ = hom_system(m, x)
+        n, d, off = dim_vector(m), dim_vector(x), sys_.offsets
+        want = []
+        for t in range(1, 5):
+            lm, lx = m.mats()[t - 1], x.mats()[t - 1]
+            for i in range(d[0]):
+                for j in range(n[t]):
+                    row = [field.zero] * off[5]
+                    for k in range(n[0]):
+                        row[off[0] + i * n[0] + k] = lm[k, j]
+                    for k in range(d[t]):
+                        row[off[t] + k * n[t] + j] = field.neg(lx[i, k])
+                    want.append(tuple(row))
+        assert sys_.matrix.data == tuple(want)
