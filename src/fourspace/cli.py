@@ -184,6 +184,7 @@ _ERROR_CODES = (
     (IncompleteCandidates, "incomplete-candidates"),
     (AmbiguousSolution, "ambiguous-solution"),
     (FieldMismatch, "field-mismatch"),
+    (MemoryError, "too-large"),
 )
 
 

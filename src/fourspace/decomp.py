@@ -21,7 +21,7 @@ total dimension vector, so no phantom solution can slip through).
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
+from functools import lru_cache
 
 from .catalog import build, declared_dim, enumerate_descriptors
 from .exactmat import QQ, ExactMatrix
@@ -37,27 +37,21 @@ class AmbiguousSolution(ValueError):
     """The Gram system is singular on the candidate set."""
 
 
-# (field, bounds) -> (candidates, inverse of G^T over the rationals)
-_GRAM_CACHE = {}
-
-
 def _gram_solver(field, bounds):
     # lambdas congruent in the field name one tube: coerce them so that
     # enumeration drops the duplicates and the cache sees one key
-    bounds = replace(bounds, lambdas=tuple(field.coerce(lam) for lam in bounds.lambdas))
-    key = (field, bounds)
-    hit = _GRAM_CACHE.get(key)
-    if hit is not None:
-        return hit
+    lambdas = tuple(field.coerce(lam) for lam in bounds.lambdas)
+    return _gram(field, replace(bounds, lambdas=lambdas))
+
+
+@lru_cache(maxsize=8)
+def _gram(field, bounds):
+    """(candidates, Gram rows, inverse of G^T over the rationals)."""
     cands = enumerate_descriptors(bounds)
     built = [build(d, field) for d in cands]
     rows = [hom_vector(m, cands) for m in built]
     # system reads mu^T G = h, i.e. G^T mu = h
-    gt = ExactMatrix(
-        QQ,
-        [[Fraction(rows[y][x]) for y in range(len(cands))] for x in range(len(cands))],
-        shape=(len(cands), len(cands)),
-    )
+    gt = ExactMatrix(QQ, list(zip(*rows)), shape=(len(cands), len(cands)))
     try:
         inv = gt.invert()
     except ZeroDivisionError:
@@ -65,7 +59,6 @@ def _gram_solver(field, bounds):
             f"Gram system singular on {len(cands)} candidates; "
             "enlarge or reorder the bounds"
         ) from None
-    _GRAM_CACHE[key] = (cands, rows, inv)
     return cands, rows, inv
 
 
@@ -78,8 +71,8 @@ def decompose(M, bounds):
     """
     cands, gram_rows, inv = _gram_solver(M.field, bounds)
     h = hom_vector(M, cands)
-    hcol = ExactMatrix(QQ, [[Fraction(v)] for v in h], shape=(len(h), 1))
-    mu = [(inv @ hcol)[i, 0] for i in range(len(cands))]
+    hcol = ExactMatrix(QQ, [[v] for v in h], shape=(len(h), 1))
+    mu = (inv @ hcol).entries_rowmajor()
 
     good = all(m.denominator == 1 and m >= 0 for m in mu)
     if good:

@@ -1,11 +1,14 @@
 """Exact fields and matrices: construction, block assembly, rank/corank.
 
 Scalars are plain Python values (fractions.Fraction over the rationals,
-canonical int residues in [0, p) over a prime field); a field object owns
-the arithmetic, the numpy dtype of its arrays and Gaussian elimination
-(``field.echelon``), from which rank, null space and inverse all follow.
-No floating point anywhere.  Matrices are immutable and zero-row /
-zero-column shapes are first-class, so cor(1x0) = 1 works.
+canonical int residues in [0, p) over a prime field).  A field object owns
+the arithmetic and the numpy dtype of its arrays (``object`` holding
+Fractions, or int64 residues), and ``field.reduce`` brings an array
+expression back to canonical form.  Every matrix is one read-only 2-D
+array of that dtype, so zero-row / zero-column shapes are first-class and
+cor(1x0) = 1 works.  One Gaussian elimination routine, ``field.echelon``,
+serves both fields; rank, null space and inverse all follow from it.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -28,7 +31,46 @@ def _check_same_field(f, g):
         raise FieldMismatch(f"mixed fields: {f} vs {g}")
 
 
-class Rationals:
+class _Field:
+    """What both fields share: elimination on one array of self.dtype."""
+
+    def echelon(self, a, reduced=False):
+        """Gauss-Jordan elimination of a 2-D array of canonical entries.
+
+        Returns (pivot columns, echelon array): each pivot row is scaled to
+        a leading 1 and cleared below its pivot, and above it too if
+        reduced.  The input is copied, never written.  Over GF(p) residues
+        stay in [0, p) and p <= 2^31 - 1, so every product and difference
+        below stays within 2^62 < 2^63 and int64 arithmetic is exact.
+        """
+        a = np.array(a, dtype=self.dtype)
+        m, n = a.shape
+        pivots = []
+        for c in range(n):
+            r = len(pivots)
+            if r == m:
+                break
+            nz = np.nonzero(a[r:, c])[0]
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                a[[r, i]] = a[[i, r]]
+            a[r, c:] = self.reduce(a[r, c:] * self.inv(a.item(r, c)))
+            if reduced:
+                others = np.nonzero(a[:, c])[0]
+                others = others[others != r]
+            else:
+                others = r + 1 + np.nonzero(a[r + 1 :, c])[0]
+            if others.size:
+                a[others, c:] = self.reduce(
+                    a[others, c:] - np.outer(a[others, c], a[r, c:])
+                )
+            pivots.append(c)
+        return pivots, a
+
+
+class Rationals(_Field):
     """The field of rational numbers; scalars are fractions.Fraction."""
 
     zero = Fraction(0)
@@ -43,6 +85,9 @@ class Rationals:
         if isinstance(x, float):
             raise TypeError("floating point is not allowed; use Fraction or int")
         return Fraction(x)
+
+    def reduce(self, a):
+        return a
 
     def add(self, a, b):
         return a + b
@@ -78,33 +123,6 @@ class Rationals:
     def spec(self):
         return "rationals"
 
-    def echelon(self, rows, reduced=False):
-        """Gauss-Jordan elimination of equal-length rows of Fractions (or int zeros).
-
-        Returns (pivot columns, echelon rows): each pivot row is scaled to a
-        leading 1 and cleared below its pivot, and above it too if reduced.
-        """
-        rows = [list(r) for r in rows]
-        m = len(rows)
-        n = len(rows[0]) if m else 0
-        pivots = []
-        for c in range(n):
-            r = len(pivots)
-            if r == m:
-                break
-            piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            pv = rows[r][c]
-            rr = rows[r] = [x / pv for x in rows[r]]
-            for i in range(0 if reduced else r + 1, m):
-                f = rows[i][c]
-                if f and i != r:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rr)]
-            pivots.append(c)
-        return pivots, rows
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -128,7 +146,7 @@ def _is_prime(p):
     return True
 
 
-class PrimeField:
+class PrimeField(_Field):
     """GF(p) for prime p; scalars are canonical ints in [0, p)."""
 
     dtype = np.int64
@@ -152,6 +170,9 @@ class PrimeField:
         if isinstance(x, float):
             raise TypeError("floating point is not allowed; use int residues")
         raise TypeError(f"cannot coerce {type(x).__name__} into GF({self.p})")
+
+    def reduce(self, a):
+        return a % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -183,39 +204,6 @@ class PrimeField:
     def spec(self):
         return {"prime": self.p}
 
-    def echelon(self, rows, reduced=False):
-        """Gauss-Jordan elimination mod p of a 2-D integer array or non-empty rows.
-
-        Returns (pivot columns, echelon rows as an int64 array); pivot rows
-        are scaled to a leading 1 and cleared below their pivot, and above
-        it too if reduced.  Residues stay in [0, p) and p <= 2^31 - 1, so
-        every product stays below 2^62 < 2^63 and int64 arithmetic is exact.
-        """
-        p = self.p
-        a = np.asarray(rows, dtype=np.int64) % p
-        m, n = a.shape
-        pivots = []
-        for c in range(n):
-            r = len(pivots)
-            if r == m:
-                break
-            nz = np.nonzero(a[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                a[[r, i]] = a[[i, r]]
-            a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
-            if reduced:
-                others = np.nonzero(a[:, c])[0]
-                others = others[others != r]
-            else:
-                others = r + 1 + np.nonzero(a[r + 1 :, c])[0]
-            if others.size:
-                a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % p
-            pivots.append(c)
-        return pivots, a
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -238,77 +226,79 @@ def field_from_spec(spec):
     raise ValueError(f"unrecognized field spec: {spec!r}")
 
 
+def _from_rows(field, rows, shape):
+    # rows of canonical scalars; shape keeps empty dimensions
+    return np.array(rows, dtype=field.dtype).reshape(shape)
+
+
 class ExactMatrix:
     """Immutable m x n matrix over an exact field.
 
-    Entries are stored as a tuple of row tuples of field scalars; the
-    (rows, cols) shape is kept explicitly so that empty matrices retain
-    their dimensions.
+    data is one read-only 2-D numpy array of field.dtype holding canonical
+    scalars; rows and cols are its shape, so empty matrices retain their
+    dimensions.  Indexing and row-major listing return plain Python
+    scalars.
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "data")
 
     def __init__(self, field, entries, shape=None):
         entries = [list(r) for r in entries]
         if shape is None:
-            rows = len(entries)
-            cols = len(entries[0]) if rows else 0
-        else:
-            rows, cols = shape
+            shape = (len(entries), len(entries[0]) if entries else 0)
+        rows, cols = shape
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise DimensionMismatch(f"entries do not form a {rows}x{cols} grid")
+        data = _from_rows(field, [[field.coerce(x) for x in r] for r in entries], shape)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(
-            self, "data", tuple(tuple(field.coerce(x) for x in r) for r in entries)
-        )
+        object.__setattr__(self, "data", data)
+        data.flags.writeable = False
 
     @classmethod
-    def _raw(cls, field, rows, cols, data):
-        # internal: data is already a tuple of canonical row tuples
+    def _raw(cls, field, data):
+        # internal: data is a 2-D array of canonical field.dtype scalars
         m = object.__new__(cls)
         object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "data", data)
+        data.flags.writeable = False
         return m
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
+
+    @property
+    def rows(self):
+        return self.data.shape[0]
+
+    @property
+    def cols(self):
+        return self.data.shape[1]
 
     # -- value semantics -------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        return self.field == other.field and np.array_equal(self.data, other.data)
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.data))
+        return hash((self.field, self.data.shape, tuple(self.entries_rowmajor())))
 
     def __repr__(self):
         if self.rows * self.cols <= 16:
-            body = ", ".join("[" + " ".join(map(str, r)) + "]" for r in self.data)
+            body = ", ".join(
+                "[" + " ".join(map(str, r)) + "]" for r in self.data.tolist()
+            )
             return f"ExactMatrix({self.rows}x{self.cols} over {self.field}: {body})"
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field})"
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
+        return self.data.item(*ij)
 
     # -- structure -------------------------------------------------------
 
     def transpose(self):
-        data = tuple(
-            tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)
-        )
-        return ExactMatrix._raw(self.field, self.cols, self.rows, data)
+        return ExactMatrix._raw(self.field, self.data.T)
 
     def submatrix(self, r0, r1, c0, c1):
         """Rows [r0, r1) and columns [c0, c1), bounds checked."""
@@ -316,11 +306,10 @@ class ExactMatrix:
             raise DimensionMismatch(
                 f"submatrix [{r0}:{r1}, {c0}:{c1}] out of range for {self.rows}x{self.cols}"
             )
-        data = tuple(r[c0:c1] for r in self.data[r0:r1])
-        return ExactMatrix._raw(self.field, r1 - r0, c1 - c0, data)
+        return ExactMatrix._raw(self.field, self.data[r0:r1, c0:c1])
 
     def entries_rowmajor(self):
-        return [x for r in self.data for x in r]
+        return self.data.ravel().tolist()
 
     # -- arithmetic ------------------------------------------------------
 
@@ -330,26 +319,17 @@ class ExactMatrix:
             raise DimensionMismatch(
                 f"add: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
-        add = self.field.add
-        data = tuple(
-            tuple(add(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.data, other.data)
-        )
-        return ExactMatrix._raw(self.field, self.rows, self.cols, data)
+        return ExactMatrix._raw(self.field, self.field.reduce(self.data + other.data))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        neg = self.field.neg
-        data = tuple(tuple(neg(x) for x in r) for r in self.data)
-        return ExactMatrix._raw(self.field, self.rows, self.cols, data)
+        return ExactMatrix._raw(self.field, self.field.reduce(-self.data))
 
     def scale(self, c):
         c = self.field.coerce(c)
-        mul = self.field.mul
-        data = tuple(tuple(mul(c, x) for x in r) for r in self.data)
-        return ExactMatrix._raw(self.field, self.rows, self.cols, data)
+        return ExactMatrix._raw(self.field, self.field.reduce(c * self.data))
 
     def __matmul__(self, other):
         _check_same_field(self.field, other.field)
@@ -357,23 +337,17 @@ class ExactMatrix:
             raise DimensionMismatch(
                 f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
+        # Python scalars, skipping zero products: sparse Fraction products
+        # (the Gram inverse) run far faster than a dense object-dtype a @ b
         f = self.field
         zero, add, mul = f.zero, f.add, f.mul
-        ot = other.transpose().data
-        data = tuple(
-            tuple(
-                _dot(ra, rb, zero, add, mul)
-                for rb in ot
-            )
-            for ra in self.data
-        )
-        return ExactMatrix._raw(f, self.rows, other.cols, data)
+        ot = other.data.T.tolist()
+        rows = [[_dot(ra, rb, zero, add, mul) for rb in ot] for ra in self.data.tolist()]
+        return ExactMatrix._raw(f, _from_rows(f, rows, (self.rows, other.cols)))
 
     # -- rank / kernels --------------------------------------------------
 
     def rank(self):
-        if self.rows == 0 or self.cols == 0:
-            return 0
         return len(self.field.echelon(self.data)[0])
 
     def corank(self):
@@ -388,9 +362,8 @@ class ExactMatrix:
         """
         f = self.field
         n = self.cols
-        if n == 0:
-            return []
-        pivots, rref = f.echelon(self.data, reduced=True) if self.rows else ([], [])
+        pivots, rref = f.echelon(self.data, reduced=True)
+        rref = rref.tolist()
         pivot_set = set(pivots)
         basis = []
         for free in range(n):
@@ -399,7 +372,7 @@ class ExactMatrix:
             v = [f.zero] * n
             v[free] = f.one
             for i, pc in enumerate(pivots):
-                v[pc] = f.neg(f.coerce(rref[i][free]))
+                v[pc] = f.neg(rref[i][free])
             basis.append(tuple(v))
         return basis
 
@@ -409,13 +382,10 @@ class ExactMatrix:
             raise DimensionMismatch(f"invert: {self.rows}x{self.cols} is not square")
         n = self.rows
         f = self.field
-        if n == 0:
-            return self
         pivots, rref = f.echelon(hstack([self, identity(f, n)]).data, reduced=True)
         if pivots != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        data = tuple(tuple(f.coerce(x) for x in row[n:]) for row in rref)
-        return ExactMatrix._raw(f, n, n, data)
+        return ExactMatrix._raw(f, rref[:, n:])
 
 
 def _dot(ra, rb, zero, add, mul):
@@ -434,41 +404,31 @@ def mat(field, rows, shape=None):
     return ExactMatrix(field, rows, shape)
 
 
+def _zero_array(field, m, n):
+    return np.full((m, n), field.zero, dtype=field.dtype)
+
+
 def zeros(field, m, n):
-    z = field.zero
-    return ExactMatrix._raw(field, m, n, tuple((z,) * n for _ in range(m)))
+    return ExactMatrix._raw(field, _zero_array(field, m, n))
 
 
 def identity(field, n):
-    z, o = field.zero, field.one
-    return ExactMatrix._raw(
-        field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-    )
+    a = _zero_array(field, n, n)
+    np.fill_diagonal(a, field.one)
+    return ExactMatrix._raw(field, a)
 
 
 def anti_identity(field, n):
     """Exchange matrix: ones on the anti-diagonal."""
-    z, o = field.zero, field.one
-    return ExactMatrix._raw(
-        field,
-        n,
-        n,
-        tuple(tuple(o if i + j == n - 1 else z for j in range(n)) for i in range(n)),
-    )
+    return ExactMatrix._raw(field, identity(field, n).data[::-1])
 
 
 def jordan(field, n, lam):
     """Upper-triangular n x n Jordan block with eigenvalue lam."""
-    lam = field.coerce(lam)
-    z, o = field.zero, field.one
-    rows = []
-    for i in range(n):
-        r = [z] * n
-        r[i] = lam
-        if i + 1 < n:
-            r[i + 1] = o
-        rows.append(tuple(r))
-    return ExactMatrix._raw(field, n, n, tuple(rows))
+    a = _zero_array(field, n, n)
+    np.fill_diagonal(a, field.coerce(lam))
+    np.fill_diagonal(a[:, 1:], field.one)
+    return ExactMatrix._raw(field, a)
 
 
 def pi_drop_last(field, n):
@@ -491,11 +451,7 @@ def hstack(blocks):
         _check_same_field(f, b.field)
         if b.rows != m:
             raise DimensionMismatch(f"hstack block {i}: expected {m} rows, got {b.rows}")
-    cols = sum(b.cols for b in blocks)
-    data = tuple(
-        tuple(x for b in blocks for x in b.data[i]) for i in range(m)
-    )
-    return ExactMatrix._raw(f, m, cols, data)
+    return ExactMatrix._raw(f, np.hstack([b.data for b in blocks]))
 
 
 def vstack(blocks):
@@ -508,9 +464,7 @@ def vstack(blocks):
         _check_same_field(f, b.field)
         if b.cols != n:
             raise DimensionMismatch(f"vstack block {i}: expected {n} cols, got {b.cols}")
-    rows = sum(b.rows for b in blocks)
-    data = tuple(r for b in blocks for r in b.data)
-    return ExactMatrix._raw(f, rows, n, data)
+    return ExactMatrix._raw(f, np.vstack([b.data for b in blocks]))
 
 
 def block_grid(grid):
@@ -551,9 +505,8 @@ def direct_sum(w1, w2):
 
 
 def random_matrix(field, m, n, rng):
-    return ExactMatrix._raw(
-        field, m, n, tuple(tuple(field.rand(rng) for _ in range(n)) for _ in range(m))
-    )
+    rows = [[field.rand(rng) for _ in range(n)] for _ in range(m)]
+    return ExactMatrix._raw(field, _from_rows(field, rows, (m, n)))
 
 
 def random_invertible(field, n, rng):

@@ -36,7 +36,7 @@ from .catalog import (
     InvalidParams,
     canonical_form,
 )
-from .exactmat import block_grid, hstack, zeros
+from .exactmat import ExactMatrix, _zero_array, hstack
 from .modules import PERM_IDENTITY, perm_inverse, permute_vertices
 
 # Cell grammar: None is a zero block; (letter, coeff) is coeff * letter with
@@ -320,24 +320,25 @@ def _assemble(module, raw, param, lam):
                     f"inconsistent block widths in column {ccol}"
                 )
     n0 = module.n0
-    grid = []
-    for r in range(total_r):
-        grid_row = []
-        for ccol in range(total_c):
-            cell = cells[r][ccol]
-            if cell is None:
-                grid_row.append(zeros(field, n0, widths[ccol] or 0))
-                continue
-            letter, coeff = cell
-            base = mats[_LETTER_INDEX[letter]]
-            if coeff == 1:
-                grid_row.append(base)
-            elif coeff == -1:
-                grid_row.append(-base)
-            else:  # "-lam"
-                grid_row.append(base.scale(field.neg(lam)))
-        grid.append(grid_row)
-    return block_grid(grid)
+    col0 = [0]
+    for w in widths:
+        col0.append(col0[-1] + (w or 0))
+
+    def block(letter, coeff):
+        base = mats[_LETTER_INDEX[letter]]
+        if coeff == 1:
+            return base.data
+        if coeff == -1:
+            return (-base).data
+        return base.scale(field.neg(lam)).data  # "-lam"
+
+    blocks = {cell: block(*cell) for row in cells for cell in row if cell is not None}
+    out = _zero_array(field, total_r * n0, col0[-1])
+    for r, row in enumerate(cells):
+        for ccol, cell in enumerate(row):
+            if cell is not None:
+                out[r * n0 : (r + 1) * n0, col0[ccol] : col0[ccol + 1]] = blocks[cell]
+    return ExactMatrix._raw(field, out)
 
 
 def coeff_matrix(M, desc):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactmat import ExactMatrix, _check_same_field
+from .exactmat import ExactMatrix, _check_same_field, _zero_array
 from .modules import dim_vector
 
 
@@ -53,10 +53,6 @@ def _block_layout(M, X):
     return n, m, tuple(offsets)
 
 
-def _array(field, a):
-    return np.array(a.data, dtype=field.dtype).reshape(a.rows, a.cols)
-
-
 def _kron(a, b):
     # np.kron, at a fifth of its call overhead on the tiny operands here
     (p, q), (r, s) = a.shape, b.shape
@@ -64,19 +60,19 @@ def _kron(a, b):
 
 
 def _system(M, X):
-    """The relation system as one array of field.dtype, and the offsets."""
+    """The relation system as one canonical array of field.dtype, and the offsets."""
     _check_same_field(M.field, X.field)
     field = M.field
     n, m, offsets = _block_layout(M, X)
-    system = np.zeros((m[0] * sum(n[1:]), offsets[5]), dtype=field.dtype)
+    system = _zero_array(field, m[0] * sum(n[1:]), offsets[5])
     r = 0
     for t, (lm, lx) in enumerate(zip(M.mats(), X.mats()), start=1):
         rows = slice(r, r + m[0] * n[t])
         system[rows, offsets[0] : offsets[1]] = _kron(
-            np.eye(m[0], dtype=np.int64), _array(field, lm).T
+            np.eye(m[0], dtype=np.int64), lm.data.T
         )
-        system[rows, offsets[t] : offsets[t + 1]] = -_kron(
-            _array(field, lx), np.eye(n[t], dtype=np.int64)
+        system[rows, offsets[t] : offsets[t + 1]] = field.reduce(
+            -_kron(lx.data, np.eye(n[t], dtype=np.int64))
         )
         r = rows.stop
     return system, offsets
@@ -86,7 +82,7 @@ def hom_system(M, X):
     """Assemble the full relation system as an ExactMatrix (for inspection)."""
     system, offsets = _system(M, X)
     return HomSystem(
-        matrix=ExactMatrix(M.field, system.tolist(), shape=system.shape),
+        matrix=ExactMatrix._raw(M.field, system),
         offsets=offsets,
         source_dim=dim_vector(M),
         target_dim=dim_vector(X),
@@ -102,19 +98,15 @@ def hom_oracle(M, X):
 def hom_basis(M, X):
     """Basis of Hom(M, X), each element a 5-tuple (F_0, ..., F_4)."""
     system = hom_system(M, X)
-    n = system.source_dim
-    m = system.target_dim
+    n, m, off = system.source_dim, system.target_dim, system.offsets
     field = M.field
     out = []
     for vec in system.matrix.nullspace():
-        mats = []
-        for v in range(5):
-            lo = system.offsets[v]
-            entries = [
-                [vec[lo + i * n[v] + j] for j in range(n[v])] for i in range(m[v])
-            ]
-            mats.append(ExactMatrix(field, entries, shape=(m[v], n[v])))
-        out.append(tuple(mats))
+        vec = np.array(vec, dtype=field.dtype)
+        out.append(tuple(
+            ExactMatrix._raw(field, vec[off[v] : off[v + 1]].reshape(m[v], n[v]))
+            for v in range(5)
+        ))
     return out
 
 

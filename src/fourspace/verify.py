@@ -17,13 +17,21 @@ always include one homogeneous summand when the bounds provide lambdas.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 
 from .catalog import R, build, declared_dim, enumerate_descriptors
 from .exactmat import random_invertible
 from .homdim import hom_dim
-from .modules import base_change, module_direct_sum, random_module, zero_module
+from .modules import (
+    LambdaModule,
+    base_change,
+    module_direct_sum,
+    module_to_record,
+    random_module,
+    zero_module,
+)
 from .oracle import hom_oracle
 
 
@@ -34,6 +42,7 @@ class Mismatch:
     formula: int
     oracle: int
     module_dim: tuple
+    module: LambdaModule  # the trial module, to replay the mismatch
 
 
 def structured_module(field, bounds, rng, max_dim=6):
@@ -85,12 +94,13 @@ def run_sweep(field, bounds, trials, seed, max_dim=6, report=None):
             a = hom_dim(M, d)
             b = hom_oracle(M, build(d, field))
             if a != b:
-                miss = Mismatch(trial, d.label(), a, b, M.dim_vector())
+                miss = Mismatch(trial, d.label(), a, b, M.dim_vector(), M)
                 out.append(miss)
                 if report is not None:
+                    record = json.dumps(module_to_record(miss.module), separators=(",", ":"))
                     report(
                         f"mismatch trial={miss.trial} desc={miss.descriptor} "
                         f"formula={miss.formula} oracle={miss.oracle} "
-                        f"dim={list(miss.module_dim)}"
+                        f"dim={list(miss.module_dim)} module={record}"
                     )
     return out

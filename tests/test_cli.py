@@ -1,12 +1,14 @@
 import json
+import re
 
 import pytest
 
 from fourspace import catalog as cat
 from fourspace.cli import main
 from fourspace.exactmat import PrimeField
-from fourspace.homdim import CASE_SPECS
+from fourspace.homdim import CASE_SPECS, hom_dim
 from fourspace.modules import module_direct_sum, module_from_record, module_to_record
+from fourspace.oracle import hom_oracle
 
 GF = PrimeField(32003)
 
@@ -161,6 +163,27 @@ def test_verify_catches_misplaced_block(capsys, monkeypatch):
     assert "mismatch" in out
 
 
+def test_verify_mismatch_line_replays(capsys, monkeypatch):
+    # the R_EVEN sign flip of acceptance criterion 9
+    head = [list(row) for row in CASE_SPECS["R_EVEN"]["head"]]
+    letter, coeff = head[0][0]
+    head[0][0] = (letter, -coeff)
+    monkeypatch.setitem(CASE_SPECS, "R_EVEN", dict(CASE_SPECS["R_EVEN"], head=head))
+    code, out, _ = run(capsys, "verify", "--trials", "4", "--max-n", "2",
+                       "--max-l", "2", "--seed", "0")
+    assert code != 0
+    line = next(x for x in out.splitlines() if x.startswith("mismatch"))
+    found = re.fullmatch(r"mismatch trial=\d+ desc=(\S+) formula=(\d+) oracle=(\d+) "
+                         r"dim=\[[\d, ]*\] module=(\{.*\})", line)
+    assert found, line
+    label, formula, oracle, record = found.groups()
+    module = module_from_record(json.loads(record))
+    desc = cat.parse_descriptor(label, module.field)
+    assert hom_dim(module, desc) == int(formula)
+    assert hom_oracle(module, cat.build(desc, module.field)) == int(oracle)
+    assert formula != oracle
+
+
 def test_bad_field_spec(capsys):
     code, _, err = run(capsys, "catalog", "P(0,0)", "--field", "prime:6")
     assert code != 0 and err.startswith("error: parse-error:")
@@ -188,6 +211,8 @@ ERROR_CASES = [
     ("incomplete-candidates",
      ["decompose", "{module}", "--max-n", "1", "--max-l", "1", "--lambda", "5"]),
     ("parse-error", ["verify", "--prime", "4"]),
+    # the first allocation (an n x n identity) fails at once
+    ("too-large", ["catalog", "P(100000000,0)"]),
 ]
 
 

@@ -11,7 +11,7 @@ from fourspace.decomp import (
     decompose,
     is_isomorphic,
 )
-from fourspace.exactmat import QQ, PrimeField, random_invertible
+from fourspace.exactmat import QQ, ExactMatrix, PrimeField, random_invertible
 from fourspace.modules import (
     LambdaModule,
     base_change,
@@ -103,12 +103,38 @@ def test_too_small_bounds_raise_incomplete():
 def test_degenerate_candidate_set_raises_ambiguous(monkeypatch):
     dup = enumerate_descriptors(BOUNDS)
     monkeypatch.setattr(decomp, "enumerate_descriptors", lambda b: dup + dup[:1])
-    decomp._GRAM_CACHE.clear()
+    decomp._gram.cache_clear()
     try:
         with pytest.raises(AmbiguousSolution):
             decompose(cat.build(cat.P(1, 0), GF), BOUNDS)
     finally:
-        decomp._GRAM_CACHE.clear()
+        decomp._gram.cache_clear()
+
+
+def test_warm_decompose_multiplies_once(monkeypatch):
+    bounds = EnumerationBounds(1, 1, (2,))
+    m = cat.build(cat.P(1, 0), GF)
+    decompose(m, bounds)  # builds and caches the Gram inverse
+    calls = []
+    matmul = ExactMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counting)
+    assert decompose(m, bounds) == {cat.P(1, 0): 1}
+    assert len(calls) == 1
+
+
+def test_gram_cache_is_bounded():
+    decomp._gram.cache_clear()
+    try:
+        for k in range(2, 11):
+            decompose(zero_module(GF), EnumerationBounds(0, 0, (k,)))
+        assert decomp._gram.cache_info().currsize == 8
+    finally:
+        decomp._gram.cache_clear()
 
 
 def test_lambdas_congruent_mod_p_name_one_tube():

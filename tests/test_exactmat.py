@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from fourspace.exactmat import (
 )
 from fourspace.homdim import coeff_matrix
 from fourspace.modules import LambdaModule
-from fourspace.oracle import hom_system
+from fourspace.oracle import hom_basis, hom_system
 
 GF = PrimeField(32003)
 
@@ -212,6 +213,65 @@ def test_submatrix_bounds(field):
     assert m.submatrix(1, 3, 1, 3) == identity(field, 2)
     with pytest.raises(DimensionMismatch):
         m.submatrix(0, 4, 0, 3)
+
+
+# -- storage: one read-only canonical array per matrix ------------------------
+
+
+def test_every_matrix_is_one_read_only_canonical_array(field, rng):
+    a, b = random_matrix(field, 3, 4, rng), random_matrix(field, 3, 4, rng)
+    u = random_invertible(field, 3, rng)
+    module = LambdaModule(*(random_matrix(field, 2, k, rng) for k in (1, 2, 0, 2)))
+    made = {
+        "mat": (mat(field, [[1, -2], [Fraction(1, 3), 4]]), (2, 2)),
+        "mat 0x3": (mat(field, [], shape=(0, 3)), (0, 3)),
+        "mat 2x0": (mat(field, [[], []], shape=(2, 0)), (2, 0)),
+        "zeros 0x3": (zeros(field, 0, 3), (0, 3)),
+        "zeros 2x0": (zeros(field, 2, 0), (2, 0)),
+        "identity": (identity(field, 3), (3, 3)),
+        "identity 0": (identity(field, 0), (0, 0)),
+        "anti_identity": (anti_identity(field, 3), (3, 3)),
+        "jordan": (jordan(field, 3, -1), (3, 3)),
+        "pi_drop_last": (pi_drop_last(field, 2), (2, 3)),
+        "pi_drop_first": (pi_drop_first(field, 0), (0, 1)),
+        "random_matrix 0x2": (random_matrix(field, 0, 2, rng), (0, 2)),
+        "random_matrix 2x0": (random_matrix(field, 2, 0, rng), (2, 0)),
+        "hstack": (hstack([a, b]), (3, 8)),
+        "hstack 0-row": (hstack([zeros(field, 0, 2), zeros(field, 0, 1)]), (0, 3)),
+        "vstack": (vstack([a, b]), (6, 4)),
+        "vstack 0-col": (vstack([zeros(field, 2, 0), zeros(field, 1, 0)]), (3, 0)),
+        "block_grid": (block_grid([[a, b], [b, a]]), (6, 8)),
+        "direct_sum": (direct_sum(a, zeros(field, 0, 2)), (3, 6)),
+        "transpose": (a.transpose(), (4, 3)),
+        "submatrix": (a.submatrix(1, 3, 0, 2), (2, 2)),
+        "submatrix 0-row": (a.submatrix(1, 1, 0, 4), (0, 4)),
+        "add": (a + b, (3, 4)),
+        "sub": (a - b, (3, 4)),
+        "neg": (-a, (3, 4)),
+        "scale": (a.scale(-3), (3, 4)),
+        "matmul": (u @ a, (3, 4)),
+        "matmul 2x0 @ 0x3": (zeros(field, 2, 0) @ zeros(field, 0, 3), (2, 3)),
+        "matmul to 3x0": (a @ zeros(field, 4, 0), (3, 0)),
+        "invert": (u.invert(), (3, 3)),
+        "invert 0x0": (identity(field, 0).invert(), (0, 0)),
+        "coeff_matrix": (coeff_matrix(module, cat.R(2, field.coerce(3))), (8, 10)),
+        "hom_system": (hom_system(module, cat.build(cat.P(1, 0), field)).matrix, (15, 11)),
+        "hom_basis": (hom_basis(module, module)[0][2], (2, 2)),
+    }
+    for name, (m, shape) in made.items():
+        data = m.data
+        assert isinstance(data, np.ndarray) and data.dtype == field.dtype, name
+        assert data.shape == (m.rows, m.cols) == shape, name
+        assert not data.flags.writeable, name
+        if isinstance(field, PrimeField):
+            assert ((data >= 0) & (data < field.p)).all(), name
+        else:
+            assert all(isinstance(x, Fraction) for x in data.flat), name
+        # scalars handed out are plain Python values
+        scalar = int if isinstance(field, PrimeField) else Fraction
+        assert all(type(x) is scalar for x in m.entries_rowmajor()), name
+        if m.rows and m.cols:
+            assert type(m[m.rows - 1, m.cols - 1]) is scalar, name
 
 
 # -- cross-check against an independent reference eliminator ----------------

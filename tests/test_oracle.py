@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fourspace import catalog as cat
-from fourspace.exactmat import QQ, FieldMismatch, PrimeField, random_invertible
+from fourspace.exactmat import QQ, FieldMismatch, PrimeField, mat, random_invertible
 from fourspace.modules import (
     all_permutations,
     base_change,
@@ -167,4 +167,4 @@ def test_system_matches_entrywise_relations(field, rng):
                     for k in range(d[t]):
                         row[off[t] + k * n[t] + j] = field.neg(lx[i, k])
                     want.append(tuple(row))
-        assert sys_.matrix.data == tuple(want)
+        assert sys_.matrix == mat(field, want, shape=(len(want), off[5]))
