@@ -28,7 +28,7 @@ from .catalog import (
 )
 from .decomp import AmbiguousSolution, IncompleteCandidates, decompose
 from .exactmat import QQ, FieldMismatch, PrimeField
-from .homdim import hom_dim
+from .homdim import hom_vector
 from .modules import dim_vector, module_from_record, module_to_record
 from .oracle import hom_oracle
 from .verify import run_sweep
@@ -101,11 +101,11 @@ def _cmd_homdim(args):
         descs = [parse_descriptor(s, field) for s in args.descriptors]
     else:
         raise CliError("parse-error", "give descriptor arguments or --all")
-    for d in descs:
-        if args.oracle:
-            value = hom_oracle(module, build(d, field))
-        else:
-            value = hom_dim(module, d)
+    if args.oracle:
+        values = (hom_oracle(module, build(d, field)) for d in descs)
+    else:
+        values = hom_vector(module, descs)
+    for d, value in zip(descs, values):
         print(f"{d.label()}\t{value}")
     return 0
 

@@ -89,6 +89,10 @@ class Rationals(_Field):
     def reduce(self, a):
         return a
 
+    def dot(self, a, b):
+        """a @ b for 2-D arrays of canonical entries."""
+        return a @ b
+
     def add(self, a, b):
         return a + b
 
@@ -173,6 +177,16 @@ class PrimeField(_Field):
 
     def reduce(self, a):
         return a % self.p
+
+    def dot(self, a, b):
+        """a @ b for 2-D arrays of canonical residues, reduced.
+
+        int64 holds the sum of a.shape[1] products below p^2 only while it
+        stays under 2^63; past that the product runs on Python ints.
+        """
+        if a.shape[1] * (self.p - 1) ** 2 < 2**63:
+            return (a @ b) % self.p
+        return (a.astype(object) @ b.astype(object) % self.p).astype(np.int64)
 
     def add(self, a, b):
         return (a + b) % self.p

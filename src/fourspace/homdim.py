@@ -22,11 +22,40 @@ Vertex-j targets with j > 1 and the exceptional tube arrangements reduce
 to the j = 1 / (s, lam) = (0, 0) representative by permuting the slots of
 M (hom(M, permute(X, sigma)) = hom(permute(M, sigma^-1), X)), so only
 eight block patterns exist, tabulated in CASE_SPECS.
+
+hom_dim(M, X) answers one target: it assembles N and takes its corank.
+
+hom_vector(M, Xs) answers many, using the staircase the way SOLVEBLOK
+(de Boor & Weiss, "SOLVEBLOK: a package for solving almost block diagonal
+linear systems", ACM TOMS 6(1), 1980) does.  The matrix with k copies is a
+leading block of the one with k + 1, so descriptors sharing (case key,
+sigma, lam) differ only in k and share one pass.  Per group, M is
+permuted once and the head, rep and W arrays are cut once from a small
+window matrix (head, at most two copies, the cap), assembled by the same
+cell writer and block-width check as N.  The pass runs a transfer
+recursion up to the largest k asked for.  Its state is (z, S) for the
+left kernel K_k = {y : y N_k = 0}: z counts the kernel vectors whose tail
+(the last e block rows, which the next copy's W reaches) is zero, and S
+is an echelon basis of the tails of K_k.  Then dim K_k = z + rank S, and
+one step takes the left kernel of [[S W], [rep]] and splits it the same
+way.  "M3" subtracts rank(S W_cap) for the trailing cap.  "M1" runs the
+recursion on N^T, which stacks like "M2", and uses
+cor(N) = rows(N) - cols(N) + dim K(N^T).  Each step eliminates a matrix of
+about one copy's size, where N has `reps` copies.
+
+hom_dim keeps the one-matrix corank.  Through the recursion, a single
+target costs a window assembly and a pass of small eliminations, which is
+slower than one corank on the small matrices that formula-vs-oracle sweeps
+check target by target.  The tests also use hom_dim as the reference that
+hom_vector must match.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .catalog import (
     FAMILY_POSTPROJECTIVE,
@@ -273,15 +302,12 @@ def case_spec(desc):
 _LETTER_INDEX = {"A": 0, "B": 1, "C": 2, "D": 3}
 
 
-def _assemble(module, raw, param, lam):
-    """Stack head / rep / overlap patterns into the concrete matrix."""
-    field = module.field
-    mats = module.mats()
+def _layout(raw, reps):
+    """Cell grid of the case matrix with `reps` copies of the rep pattern."""
     head, rep, overlap = raw["head"], raw["rep"], raw["overlap"]
     a, b = len(head), len(head[0])
     c, d = len(rep), len(rep[0])
     e = len(overlap)
-    reps = raw["reps"](param)
     kind = raw["kind"]
     total_r = a + reps * c
     total_c = b + reps * d + (e if kind == "M3" else 0)
@@ -305,11 +331,20 @@ def _assemble(module, raw, param, lam):
             place(overlap, r0 - e, c0)
     if kind == "M3":
         place(overlap, total_r - e, b + reps * d)
+    return cells
 
-    widths = [None] * total_c
-    for r in range(total_r):
-        for ccol in range(total_c):
-            cell = cells[r][ccol]
+
+def _write(module, cells, lam):
+    """(array, column offsets) of a cell grid over the letters of module.
+
+    Every block row is n_0 high; a block column is as wide as its letters,
+    which must agree.
+    """
+    field = module.field
+    mats = module.mats()
+    widths = [None] * len(cells[0])
+    for row in cells:
+        for ccol, cell in enumerate(row):
             if cell is None:
                 continue
             w = mats[_LETTER_INDEX[cell[0]]].cols
@@ -333,12 +368,34 @@ def _assemble(module, raw, param, lam):
         return base.scale(field.neg(lam)).data  # "-lam"
 
     blocks = {cell: block(*cell) for row in cells for cell in row if cell is not None}
-    out = _zero_array(field, total_r * n0, col0[-1])
+    out = _zero_array(field, len(cells) * n0, col0[-1])
     for r, row in enumerate(cells):
         for ccol, cell in enumerate(row):
             if cell is not None:
                 out[r * n0 : (r + 1) * n0, col0[ccol] : col0[ccol + 1]] = blocks[cell]
-    return ExactMatrix._raw(field, out)
+    return out, col0
+
+
+def _case(field, desc):
+    """(case key, sigma, parameter, lam in field) for a matrix-route desc."""
+    if _is_closed_form(desc):
+        raise InvalidParams(
+            f"{desc.label()} has a closed-form dimension; no coefficient matrix"
+        )
+    rep_desc, sigma = canonical_form(desc)
+    key, param, lam = _resolve_case(rep_desc)
+    if lam is not None:
+        lam = field.coerce(lam)
+        if key == "R_EVEN" and rep_desc.family == FAMILY_REGULAR_HOMOGENEOUS:
+            if lam == field.zero or lam == field.one:
+                raise InvalidParams(
+                    f"{desc.label()}: lam reduces to {lam} in {field}"
+                )
+    return key, sigma, param, lam
+
+
+def _unpermute(M, sigma):
+    return M if sigma == PERM_IDENTITY else permute_vertices(M, perm_inverse(sigma))
 
 
 def coeff_matrix(M, desc):
@@ -347,22 +404,10 @@ def coeff_matrix(M, desc):
     Raises InvalidParams for the closed-form targets P(0,0), I(0,0) and
     I(0,i); hom_dim covers those directly.
     """
-    if _is_closed_form(desc):
-        raise InvalidParams(
-            f"{desc.label()} has a closed-form dimension; no coefficient matrix"
-        )
-    rep_desc, sigma = canonical_form(desc)
-    if sigma != PERM_IDENTITY:
-        M = permute_vertices(M, perm_inverse(sigma))
-    key, param, lam = _resolve_case(rep_desc)
-    if lam is not None:
-        lam = M.field.coerce(lam)
-        if key == "R_EVEN" and rep_desc.family == FAMILY_REGULAR_HOMOGENEOUS:
-            if lam == M.field.zero or lam == M.field.one:
-                raise InvalidParams(
-                    f"{desc.label()}: lam reduces to {lam} in {M.field}"
-                )
-    return _assemble(M, CASE_SPECS[key], param, lam)
+    key, sigma, param, lam = _case(M.field, desc)
+    raw = CASE_SPECS[key]
+    data, _ = _write(_unpermute(M, sigma), _layout(raw, raw["reps"](param)), lam)
+    return ExactMatrix._raw(M.field, data)
 
 
 def hom_dim(M, desc):
@@ -375,6 +420,96 @@ def hom_dim(M, desc):
     return coeff_matrix(M, desc).corank()
 
 
+def _fold(field, x, t):
+    """Left kernel of x, split at its last t rows (the tail).
+
+    Returns (z, s): z is the dimension of the kernel vectors whose tail is
+    zero, s an echelon basis of the tails of all kernel vectors.  One
+    elimination of [x | E], E the identity on the tail rows, gives both:
+    its row space is {(y x, y_tail)}, so the echelon rows past the pivots
+    of x span {(0, y_tail) : y x = 0}, and rows without a pivot count z.
+    """
+    m, n = x.shape
+    aug = _zero_array(field, m, n + t)
+    aug[:, :n] = x
+    np.fill_diagonal(aug[m - t :, n:], field.one)
+    pivots, ech = field.echelon(aug)
+    return m - len(pivots), ech[bisect_left(pivots, n) : len(pivots), n:]
+
+
+def _staircase_coranks(M, raw, lam, wanted):
+    """{reps: corank of the case matrix with reps copies} for reps in wanted.
+
+    One transfer recursion from the head to max(wanted) copies; the state
+    (z, s) is _fold's split of the left kernel of the matrix so far, whose
+    last e block rows meet the next copy's columns through W.
+    """
+    field = M.field
+    kind = raw["kind"]
+    top = max(wanted)
+    # head, two copies and the cap already meet every block-column width
+    # constraint that more copies repeat
+    win = min(top, 2)
+    data, col0 = _write(M, _layout(raw, win), lam)
+    a, b = len(raw["head"]), len(raw["head"][0])
+    c, d = len(raw["rep"]), len(raw["rep"][0])
+    e = len(raw["overlap"])
+    row0 = [i * M.n0 for i in range(a + win * c + 1)]
+    if kind == "M1":
+        # N^T stacks like "M2": W above each copy, in the last e block
+        # columns of N's previous segment
+        data, row0, col0 = data.T, col0, row0
+        a, b, c, d = b, a, d, c
+
+    def block(r0, r1, c0, c1):
+        return data[row0[r0] : row0[r1], col0[c0] : col0[c1]]
+
+    head = block(0, a, 0, b)
+    z, s = _fold(field, head, row0[a] - row0[a - e])
+    rows, cols = head.shape
+    out = {}
+    for k in range(top + 1):
+        if k:
+            # copy k reads as copy min(k, win) of the window: W sits in the
+            # previous segment's last e block rows, rep in its own rows
+            r, q = a + (min(k, win) - 1) * c, b + (min(k, win) - 1) * d
+            rep = block(r, r + c, q, q + d)
+            x = np.vstack([field.dot(s, block(r - e, r, q, q + d)), rep])
+            dz, s = _fold(field, x, row0[r + c] - row0[r + c - e])
+            z += dz
+            rows += rep.shape[0]
+            cols += rep.shape[1]
+        if k not in wanted:
+            continue
+        cor = z + len(s)
+        if kind == "M3":
+            r, q = a + win * c, b + win * d
+            cor -= len(field.echelon(field.dot(s, block(r - e, r, q, q + e)))[0])
+        if kind == "M1":
+            # cor(N) = rows(N) - rank(N^T) = cols(N^T) - rows(N^T) + dim K(N^T)
+            cor += cols - rows
+        out[k] = cor
+    return out
+
+
 def hom_vector(M, descs):
-    """Elementwise hom_dim against a descriptor list, order preserved."""
-    return [hom_dim(M, d) for d in descs]
+    """[hom_dim(M, d) for d in descs], one transfer recursion per case.
+
+    Descriptors sharing (case key, sigma, lam) share one staircase, so one
+    pass up to their largest parameter answers all of them.
+    """
+    out = [None] * len(descs)
+    groups = {}
+    for i, d in enumerate(descs):
+        if _is_closed_form(d):
+            out[i] = hom_dim(M, d)
+            continue
+        key, sigma, param, lam = _case(M.field, d)
+        groups.setdefault((key, sigma, lam), []).append((i, param))
+    for (key, sigma, lam), members in groups.items():
+        raw = CASE_SPECS[key]
+        reps = [raw["reps"](param) for _, param in members]
+        values = _staircase_coranks(_unpermute(M, sigma), raw, lam, set(reps))
+        for (i, _), r in zip(members, reps):
+            out[i] = values[r]
+    return out

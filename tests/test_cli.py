@@ -1,13 +1,19 @@
 import json
+import random
 import re
 
 import pytest
 
 from fourspace import catalog as cat
 from fourspace.cli import main
-from fourspace.exactmat import PrimeField
+from fourspace.exactmat import PrimeField, random_invertible
 from fourspace.homdim import CASE_SPECS, hom_dim
-from fourspace.modules import module_direct_sum, module_from_record, module_to_record
+from fourspace.modules import (
+    base_change,
+    module_direct_sum,
+    module_from_record,
+    module_to_record,
+)
 from fourspace.oracle import hom_oracle
 
 GF = PrimeField(32003)
@@ -87,6 +93,21 @@ def test_homdim_all_agrees_with_oracle_mode(capsys, tmp_path):
     assert code_a == code_b == 0
     assert out_a == out_b
     assert len(out_a.splitlines()) == 33
+
+
+def test_homdim_all_matches_hom_dim_on_disguised_sum(capsys, tmp_path):
+    rng = random.Random(6)
+    m = cat.build(cat.R(2, GF.coerce(5)), GF)
+    for desc in (cat.P(2, 1), cat.I(1, 3)):
+        m = module_direct_sum(m, cat.build(desc, GF))
+    u = random_invertible(GF, m.n0, rng)
+    m = base_change(m, u, [random_invertible(GF, x.cols, rng) for x in m.mats()])
+    path = write_module(tmp_path, m)
+    code, out, _ = run(capsys, "homdim", path, "--all", "--max-n", "6", "--max-l", "4",
+                       "--lambda", "2", "--lambda", "5")
+    descs = cat.enumerate_descriptors(cat.EnumerationBounds(6, 4, (2, 5)))
+    assert code == 0
+    assert out.splitlines() == [f"{d.label()}\t{hom_dim(m, d)}" for d in descs]
 
 
 def test_homdim_requires_descriptors(capsys, tmp_path):

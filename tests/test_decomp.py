@@ -4,7 +4,7 @@ import pytest
 
 from fourspace import catalog as cat
 from fourspace import decomp
-from fourspace.catalog import EnumerationBounds, enumerate_descriptors
+from fourspace.catalog import EnumerationBounds, InvalidParams, enumerate_descriptors
 from fourspace.decomp import (
     AmbiguousSolution,
     IncompleteCandidates,
@@ -141,6 +141,14 @@ def test_lambdas_congruent_mod_p_name_one_tube():
     # 32005 = 2 in GF(32003): one tube, not two identical candidate rows
     bounds = EnumerationBounds(1, 1, (2, 32005))
     assert decompose(cat.build(cat.P(1, 0), GF), bounds) == {cat.P(1, 0): 1}
+
+
+@pytest.mark.parametrize("lam", [0, 1, 32004])
+def test_bounds_lambda_reducing_to_zero_or_one_is_named(lam):
+    # 32004 = 1 in GF(32003)
+    bounds = EnumerationBounds(1, 1, (2, lam))
+    with pytest.raises(InvalidParams, match=f"lambda {lam} reduces to"):
+        decompose(cat.build(cat.P(1, 0), GF), bounds)
 
 
 # -- isomorphism --------------------------------------------------------------

@@ -354,3 +354,14 @@ def test_echelon_matches_reference_eliminator(field, rng):
         # forward elimination is row-equivalent to the input
         assert reference_rref(_plain(ech), p) == (want_pivots, want_rref)
         assert a.rank() == len(want_pivots)
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
+def test_field_dot_matches_python_products(field, rng):
+    # ExactMatrix @ multiplies in Python scalars, so it cannot overflow;
+    # over GF(2^31 - 1) two products already pass 2^63
+    for m, k, n in ((3, 4, 5), (1, 2, 1), (0, 3, 2), (4, 16, 3)):
+        a, b = random_matrix(field, m, k, rng), random_matrix(field, k, n, rng)
+        got = field.dot(a.data, b.data)
+        assert got.dtype == field.dtype and got.shape == (m, n)
+        assert _plain(got) == _plain((a @ b).data)

@@ -3,12 +3,23 @@ import random
 import pytest
 
 from fourspace import catalog as cat
+from fourspace import homdim
 from fourspace.catalog import EnumerationBounds, InvalidParams, enumerate_descriptors
-from fourspace.exactmat import QQ, PrimeField, block_grid, hstack, mat, zeros
+from fourspace.exactmat import (
+    QQ,
+    PrimeField,
+    block_grid,
+    hstack,
+    mat,
+    random_invertible,
+    random_matrix,
+    zeros,
+)
 from fourspace.homdim import CASE_SPECS, case_spec, coeff_matrix, hom_dim, hom_vector
 from fourspace.modules import (
     PERM_CYCLE,
     LambdaModule,
+    base_change,
     dim_vector,
     module_direct_sum,
     perm_inverse,
@@ -178,6 +189,8 @@ def test_lambda_reducing_to_special_value_rejected(rng):
     desc = cat.IndecDescriptor(cat.FAMILY_REGULAR_HOMOGENEOUS, (1, 8))
     with pytest.raises(InvalidParams):
         hom_dim(m, desc)
+    with pytest.raises(InvalidParams):
+        hom_vector(m, [cat.P(1, 0), desc])
 
 
 # -- hom_vector -------------------------------------------------------------------------
@@ -188,6 +201,70 @@ def test_hom_vector_empty_and_order(field, rng):
     assert hom_vector(m, []) == []
     n = dim_vector(m)
     assert hom_vector(m, [cat.I(0, 0), cat.I(0, 1)]) == [n[0], n[1]]
+
+
+# one descriptor per case key and sigma sample, each at >= 3 copies of the
+# rep pattern, so the transfer recursion runs past its two-copy window
+DEEP_DESCS = [
+    cat.P(4, 0), cat.P(7, 1), cat.P(7, 3), cat.P(6, 1), cat.P(6, 4),
+    cat.I(4, 0), cat.I(7, 1), cat.I(7, 2), cat.I(8, 1), cat.I(8, 3),
+    cat.R(0, 8, 0), cat.R(1, 8, cat.INF), cat.R(0, 7, 0), cat.R(1, 7, 1),
+]
+
+HOM_VECTOR_FIELDS = {"GF32003": GF, "GF2": PrimeField(2), "GF3": PrimeField(3), "QQ": QQ}
+
+
+def _tubes(field):
+    lams = [lam for lam in map(field.coerce, (2, 5)) if lam not in (field.zero, field.one)]
+    return [cat.R(l, lam) for lam in dict.fromkeys(lams) for l in (1, 4)]
+
+
+def _disguised(field, picks, rng):
+    m = cat.build(picks[0], field)
+    for desc in picks[1:]:
+        m = module_direct_sum(m, cat.build(desc, field))
+    u = random_invertible(field, m.n0, rng)
+    return base_change(m, u, [random_invertible(field, x.cols, rng) for x in m.mats()])
+
+
+def test_deep_descriptors_cover_every_case():
+    cases = {homdim._resolve_case(cat.canonical_form(d)[0])[0] for d in DEEP_DESCS}
+    assert cases == set(CASE_SPECS)
+    assert all(case_spec(d).reps >= 3 for d in DEEP_DESCS)
+
+
+@pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
+def test_hom_vector_matches_hom_dim_and_oracle(field):
+    rng = random.Random(0x4E)
+    tubes = _tubes(field)
+    descs = DEEP_DESCS + tubes
+    # a tube summand when the field has one; over GF(2) an exceptional one
+    held = tubes[0] if tubes else cat.R(0, 2, 0)
+    modules = [
+        LambdaModule(*(random_matrix(field, dims[0], n, rng) for n in dims[1:]))
+        for dims in ((4, 2, 1, 2, 3), (3, 1, 2, 1, 1))
+    ] + [_disguised(field, [held, cat.P(1, 0), cat.I(0, 2)], rng)]
+    for m in modules:
+        got = hom_vector(m, descs)
+        assert got == [hom_dim(m, d) for d in descs]
+        assert got == [hom_oracle(m, cat.build(d, field)) for d in descs]
+
+
+def test_hom_vector_shuffled_with_duplicates(field, rng):
+    lams = (field.coerce(2), field.coerce(5))
+    descs = enumerate_descriptors(EnumerationBounds(6, 4, lams))
+    descs = descs + rng.sample(descs, 20) + [cat.P(0, 0), cat.I(0, 3), cat.I(0, 0)]
+    rng.shuffle(descs)
+    for m in (random_module(field, rng, max_dim=3),
+              _disguised(field, [cat.R(2, lams[0]), cat.P(2, 1)], rng)):
+        assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
+
+
+def test_hom_vector_at_benchmark_size():
+    rng = random.Random(24)
+    descs = enumerate_descriptors(EnumerationBounds(24, 12, (GF.coerce(2), GF.coerce(5))))
+    m = LambdaModule(*(random_matrix(GF, 8, n, rng) for n in (4, 4, 4, 4)))
+    assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
 
 
 def test_hom_vector_additive(field, rng):
@@ -228,8 +305,23 @@ def _flip_cell(monkeypatch, case, part, i, j):
     monkeypatch.setitem(CASE_SPECS, case, mutated)
 
 
-@pytest.mark.parametrize("case,part,i,j", CYCLE_MUTATIONS)
-def test_sign_flip_on_cycle_blocks_is_caught(case, part, i, j, monkeypatch):
+# Both routes read CASE_SPECS at call time, so an edit to the table must
+# reach hom_vector's recursion as surely as hom_dim's one matrix.  On the
+# hom_dim route a mutation case keeps its bare id.
+ROUTES = {
+    "hom_dim": lambda m, descs: [hom_dim(m, d) for d in descs],
+    "hom_vector": hom_vector,
+}
+
+CYCLE_CASES = [
+    pytest.param(*mut, route, id="-".join(map(str, mut)) + suffix)
+    for route, suffix in (("hom_dim", ""), ("hom_vector", "-hom_vector"))
+    for mut in CYCLE_MUTATIONS
+]
+
+
+@pytest.mark.parametrize("case,part,i,j,route", CYCLE_CASES)
+def test_sign_flip_on_cycle_blocks_is_caught(case, part, i, j, route, monkeypatch):
     lam = GF.coerce(2)
     rng = random.Random(11)
     m = module_direct_sum(cat.build(cat.R(2, lam), GF),
@@ -237,11 +329,12 @@ def test_sign_flip_on_cycle_blocks_is_caught(case, part, i, j, monkeypatch):
     probes = [cat.R(l, lam) for l in (1, 2, 3)]
     truth = [hom_oracle(m, cat.build(p, GF)) for p in probes]
     _flip_cell(monkeypatch, case, part, i, j)
-    mutated = [hom_dim(m, p) for p in probes]
+    mutated = ROUTES[route](m, probes)
     assert mutated != truth
 
 
-def test_sign_flip_on_bridge_blocks_is_invisible(monkeypatch):
+@pytest.mark.parametrize("route", ROUTES)
+def test_sign_flip_on_bridge_blocks_is_invisible(route, monkeypatch):
     # the lone A block of the tube case hangs off a leaf column: flipping
     # it rescales away, so agreement must survive (this pins the analysis
     # that motivates the structured verify trials)
@@ -250,4 +343,22 @@ def test_sign_flip_on_bridge_blocks_is_invisible(monkeypatch):
     probe = cat.R(2, GF.coerce(2))
     truth = [hom_oracle(m, cat.build(probe, GF)) for m in mods]
     _flip_cell(monkeypatch, "R_EVEN", "head", 1, 3)
-    assert [hom_dim(m, probe) for m in mods] == truth
+    assert [ROUTES[route](m, [probe])[0] for m in mods] == truth
+
+
+def test_inconsistent_block_width_raises_on_both_routes(monkeypatch):
+    # the rep's D cell becomes an A: its block column also holds the
+    # overlap's D, and A and D differ in width in the tagged module
+    rep = [list(row) for row in CASE_SPECS["P0"]["rep"]]
+    assert rep[0][1] == ("D", -1)
+    rep[0][1] = ("A", -1)
+    monkeypatch.setitem(CASE_SPECS, "P0", dict(CASE_SPECS["P0"], rep=rep))
+    m = tagged_module()
+    # P(1, 0) has no copy of rep; P(4, 0) has three
+    assert hom_vector(m, [cat.P(1, 0)]) == [coeff_matrix(m, cat.P(1, 0)).corank()]
+    with pytest.raises(AssertionError) as by_matrix:
+        coeff_matrix(m, cat.P(4, 0))
+    with pytest.raises(AssertionError) as by_vector:
+        hom_vector(m, [cat.P(1, 0), cat.P(4, 0)])
+    assert str(by_vector.value) == str(by_matrix.value)
+    assert "inconsistent block widths" in str(by_matrix.value)
