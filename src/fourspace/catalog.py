@@ -389,8 +389,11 @@ class EnumerationBounds:
     max_n bounds the printed first parameter of P(n, j) / I(n, j); max_l
     bounds the tube depth l, so exceptional rows R(s, 2l-1, lam) and
     R(s, 2l, lam) appear for l <= max_l; lambdas supplies the homogeneous
-    parameters (values reducing to 0 or 1 are skipped — those points live
-    in the exceptional rows).
+    parameters.  Enumeration skips only values equal to 0 or 1 (those
+    points live in the exceptional rows) and repeats; it knows no field,
+    so a value that merely reduces to 0 or 1 in the working field is kept
+    and fails there: EnumerationBounds(1, 1, (4,)) yields R(1,4), which is
+    InvalidParams over GF(3).  decompose rejects such bounds up front.
     """
 
     max_n: int

@@ -7,8 +7,10 @@ Fractions, or int64 residues), and ``field.reduce`` brings an array
 expression back to canonical form.  Every matrix is one read-only 2-D
 array of that dtype, so zero-row / zero-column shapes are first-class and
 cor(1x0) = 1 works.  One Gaussian elimination routine, ``field.echelon``,
-serves both fields; rank, null space and inverse all follow from it.  No
-floating point anywhere.
+serves both fields; rank, null space and inverse all follow from it.
+Each field has one matrix product, ``field.dot``, and ``ExactMatrix @``
+calls it: int64 residues over GF(p), a zero-skipping Python product of
+Fractions over QQ.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -90,17 +92,20 @@ class Rationals(_Field):
         return a
 
     def dot(self, a, b):
-        """a @ b for 2-D arrays of canonical entries."""
-        return a @ b
+        """a @ b for 2-D arrays of Fractions, skipping zero products.
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
+        Fraction arithmetic is Python code either way, and numpy's dense
+        object-dtype a @ b multiplies every pair: on the 82 x 82 Gram
+        inverse of decomp (347 nonzeros) times a column it took 19 ms
+        against 2 ms, and times the 82 x 82 Gram about 2 s against 0.1 s.
+        """
+        zero = self.zero
+        bt = b.T.tolist()
+        rows = [
+            [sum((x * y for x, y in zip(ra, cb) if x and y), zero) for cb in bt]
+            for ra in a.tolist()
+        ]
+        return _from_rows(self, rows, (a.shape[0], b.shape[1]))
 
     def neg(self, a):
         return -a
@@ -187,15 +192,6 @@ class PrimeField(_Field):
         if a.shape[1] * (self.p - 1) ** 2 < 2**63:
             return (a @ b) % self.p
         return (a.astype(object) @ b.astype(object) % self.p).astype(np.int64)
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
 
     def neg(self, a):
         return -a % self.p
@@ -351,13 +347,7 @@ class ExactMatrix:
             raise DimensionMismatch(
                 f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        # Python scalars, skipping zero products: sparse Fraction products
-        # (the Gram inverse) run far faster than a dense object-dtype a @ b
-        f = self.field
-        zero, add, mul = f.zero, f.add, f.mul
-        ot = other.data.T.tolist()
-        rows = [[_dot(ra, rb, zero, add, mul) for rb in ot] for ra in self.data.tolist()]
-        return ExactMatrix._raw(f, _from_rows(f, rows, (self.rows, other.cols)))
+        return ExactMatrix._raw(self.field, self.field.dot(self.data, other.data))
 
     # -- rank / kernels --------------------------------------------------
 
@@ -400,14 +390,6 @@ class ExactMatrix:
         if pivots != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
         return ExactMatrix._raw(f, rref[:, n:])
-
-
-def _dot(ra, rb, zero, add, mul):
-    acc = zero
-    for a, b in zip(ra, rb):
-        if a and b:
-            acc = add(acc, mul(a, b))
-    return acc
 
 
 # -- constructors ---------------------------------------------------------

@@ -53,14 +53,12 @@ hom_vector must match.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import (
     FAMILY_POSTPROJECTIVE,
     FAMILY_PREINJECTIVE,
-    FAMILY_REGULAR_EXCEPTIONAL,
     FAMILY_REGULAR_HOMOGENEOUS,
     InvalidParams,
     canonical_form,
@@ -71,14 +69,6 @@ from .modules import PERM_IDENTITY, perm_inverse, permute_vertices
 # Cell grammar: None is a zero block; (letter, coeff) is coeff * letter with
 # coeff 1, -1 or "-lam".  Kept as plain nested lists so tests can patch a
 # single cell and watch the oracle cross-check catch it.
-
-
-def _interleave(pairs, prefix=(), suffix=()):
-    out = list(prefix)
-    for p in pairs:
-        out.extend(p)
-    out.extend(suffix)
-    return out
 
 
 CASE_SPECS = {
@@ -99,9 +89,6 @@ CASE_SPECS = {
             [None, ("D", 1)],
         ],
         "reps": lambda n: n - 1,
-        "var_order": lambda n: _interleave(
-            ((n + 1 - k, n + 1 + k) for k in range(1, n + 1)), prefix=(n + 1,)
-        ),
     },
     # P(2n+1, 1)
     "P_ODD": {
@@ -116,9 +103,6 @@ CASE_SPECS = {
         ],
         "overlap": [[("A", -1)]],
         "reps": lambda n: n,
-        "var_order": lambda n: _interleave(
-            ((k, n + 1 + k) for k in range(1, n + 2))
-        ),
     },
     # P(2n, 1)
     "P_EVEN": {
@@ -130,9 +114,6 @@ CASE_SPECS = {
         ],
         "overlap": [[("D", -1)]],
         "reps": lambda n: n,
-        "var_order": lambda n: _interleave(
-            ((k, n + 1 + k) for k in range(1, n + 1)), suffix=(n + 1,)
-        ),
     },
     # I(n, 0), n >= 1
     "I0": {
@@ -151,9 +132,6 @@ CASE_SPECS = {
             [None, ("C", 1)],
         ],
         "reps": lambda n: n - 1,
-        "var_order": lambda n: _interleave(
-            ((n + 1 + k, n + 1 - k) for k in range(1, n + 1)), prefix=(n + 1,)
-        ),
     },
     # I(2n+1, 1)
     "I_ODD": {
@@ -165,9 +143,6 @@ CASE_SPECS = {
         ],
         "overlap": [[("C", -1)]],
         "reps": lambda n: n,
-        "var_order": lambda n: _interleave(
-            ((n + 1 - k, 2 * n + 1 - k) for k in range(n)), suffix=(1,)
-        ),
     },
     # I(2n, 1), n >= 1
     "I_EVEN": {
@@ -182,7 +157,6 @@ CASE_SPECS = {
         ],
         "overlap": [[("A", -1)]],
         "reps": lambda n: n - 1,
-        "var_order": lambda n: _interleave(((k, n + k) for k in range(1, n + 1))),
     },
     # R(l, lam); the even exceptional rows reuse it with lam := 0
     "R_EVEN": {
@@ -197,9 +171,6 @@ CASE_SPECS = {
         ],
         "overlap": [[("D", -1)]],
         "reps": lambda l: l - 1,
-        "var_order": lambda l: _interleave(
-            ((l + 1 - k, 2 * l + 1 - k) for k in range(1, l + 1))
-        ),
     },
     # R(0, 2l-1, 0)
     "R_ODD": {
@@ -211,42 +182,8 @@ CASE_SPECS = {
         ],
         "overlap": [[("B", -1)]],
         "reps": lambda l: l - 1,
-        "var_order": lambda l: _interleave(
-            ((k, l + k) for k in range(1, l)), prefix=(l,)
-        ),
     },
 }
-
-
-@dataclass(frozen=True)
-class CoeffSpec:
-    """Resolved block recipe for one (case, parameter) pair.
-
-    head / rep / overlap hold the symbolic cell patterns, reps the copy
-    count, kind the stacking scheme, var_order the y-variable labels of
-    the block rows in the order the assembled matrix writes them.
-    """
-
-    kind: str
-    head: tuple
-    rep: tuple
-    overlap: tuple
-    reps: int
-    var_order: tuple
-
-    @property
-    def block_rows(self):
-        return len(self.head) + self.reps * len(self.rep)
-
-    @property
-    def block_cols(self):
-        cols = len(self.head[0]) + self.reps * len(self.rep[0])
-        if self.kind == "M3":
-            cols += len(self.overlap[0])
-        return cols
-
-
-_CLOSED_FORM_LABELS = ("P(0,0)", "I(0,0)", "I(0,1)", "I(0,2)", "I(0,3)", "I(0,4)")
 
 
 def _is_closed_form(desc):
@@ -255,48 +192,6 @@ def _is_closed_form(desc):
     if desc.family == FAMILY_PREINJECTIVE:
         return desc.params[0] == 0
     return False
-
-
-def _resolve_case(rep_desc):
-    """(case key, parameter, lam) for a representative descriptor."""
-    fam, params = rep_desc.family, rep_desc.params
-    if fam == FAMILY_POSTPROJECTIVE:
-        n, j = params
-        if j == 0:
-            return "P0", n, None
-        return ("P_ODD", n // 2, None) if n % 2 else ("P_EVEN", n // 2, None)
-    if fam == FAMILY_PREINJECTIVE:
-        n, j = params
-        if j == 0:
-            return "I0", n, None
-        return ("I_ODD", n // 2, None) if n % 2 else ("I_EVEN", n // 2, None)
-    if fam == FAMILY_REGULAR_HOMOGENEOUS:
-        l, lam = params
-        return "R_EVEN", l, lam
-    s, m, lam = params
-    if m % 2 == 0:
-        return "R_EVEN", m // 2, 0
-    return "R_ODD", (m + 1) // 2, None
-
-
-def case_spec(desc):
-    """Symbolic CoeffSpec for desc's representative case."""
-    if _is_closed_form(desc):
-        raise InvalidParams(
-            f"{desc.label()} has a closed-form dimension; no coefficient matrix"
-        )
-    rep_desc, _ = canonical_form(desc)
-    key, param, _ = _resolve_case(rep_desc)
-    raw = CASE_SPECS[key]
-    freeze = lambda pat: tuple(tuple(row) for row in pat)
-    return CoeffSpec(
-        kind=raw["kind"],
-        head=freeze(raw["head"]),
-        rep=freeze(raw["rep"]),
-        overlap=freeze(raw["overlap"]),
-        reps=raw["reps"](param),
-        var_order=tuple(raw["var_order"](param)),
-    )
 
 
 _LETTER_INDEX = {"A": 0, "B": 1, "C": 2, "D": 3}
@@ -377,21 +272,38 @@ def _write(module, cells, lam):
 
 
 def _case(field, desc):
-    """(case key, sigma, parameter, lam in field) for a matrix-route desc."""
+    """(case key, sigma, parameter, lam in field) for a matrix-route desc.
+
+    sigma carries desc to its representative (vertex 1, or tube (0, 0)),
+    whose family and parity pick one of the eight patterns.
+    """
     if _is_closed_form(desc):
         raise InvalidParams(
             f"{desc.label()} has a closed-form dimension; no coefficient matrix"
         )
     rep_desc, sigma = canonical_form(desc)
-    key, param, lam = _resolve_case(rep_desc)
-    if lam is not None:
+    fam, params = rep_desc.family, rep_desc.params
+    if fam == FAMILY_POSTPROJECTIVE:
+        n, j = params
+        if j == 0:
+            return "P0", sigma, n, None
+        return ("P_ODD" if n % 2 else "P_EVEN"), sigma, n // 2, None
+    if fam == FAMILY_PREINJECTIVE:
+        n, j = params
+        if j == 0:
+            return "I0", sigma, n, None
+        return ("I_ODD" if n % 2 else "I_EVEN"), sigma, n // 2, None
+    if fam == FAMILY_REGULAR_HOMOGENEOUS:
+        l, lam = params
         lam = field.coerce(lam)
-        if key == "R_EVEN" and rep_desc.family == FAMILY_REGULAR_HOMOGENEOUS:
-            if lam == field.zero or lam == field.one:
-                raise InvalidParams(
-                    f"{desc.label()}: lam reduces to {lam} in {field}"
-                )
-    return key, sigma, param, lam
+        if lam == field.zero or lam == field.one:
+            raise InvalidParams(f"{desc.label()}: lam reduces to {lam} in {field}")
+        return "R_EVEN", sigma, l, lam
+    # exceptional tube: even m reuses R_EVEN with lam := 0
+    _, m, _ = params
+    if m % 2 == 0:
+        return "R_EVEN", sigma, m // 2, field.zero
+    return "R_ODD", sigma, (m + 1) // 2, None
 
 
 def _unpermute(M, sigma):
@@ -412,11 +324,10 @@ def coeff_matrix(M, desc):
 
 def hom_dim(M, desc):
     """dim Hom(M, X_desc), by closed form or corank of the case matrix."""
-    if desc.family == FAMILY_POSTPROJECTIVE and desc.params == (0, 0):
-        return hstack(M.mats()).corank()
-    if desc.family == FAMILY_PREINJECTIVE and desc.params[0] == 0:
-        j = desc.params[1]
-        return M.dim_vector()[j]
+    if _is_closed_form(desc):
+        if desc.family == FAMILY_POSTPROJECTIVE:  # P(0,0)
+            return hstack(M.mats()).corank()
+        return M.dim_vector()[desc.params[1]]  # I(0,j)
     return coeff_matrix(M, desc).corank()
 
 

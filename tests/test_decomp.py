@@ -11,7 +11,7 @@ from fourspace.decomp import (
     decompose,
     is_isomorphic,
 )
-from fourspace.exactmat import QQ, ExactMatrix, PrimeField, random_invertible
+from fourspace.exactmat import QQ, ExactMatrix, PrimeField, identity, random_invertible
 from fourspace.modules import (
     LambdaModule,
     base_change,
@@ -135,6 +135,20 @@ def test_gram_cache_is_bounded():
         assert decomp._gram.cache_info().currsize == 8
     finally:
         decomp._gram.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "field, bounds",
+    [(GF, BOUNDS), (QQ, EnumerationBounds(1, 1, (2,)))],
+    ids=["GF32003", "QQ"],
+)
+def test_gram_inverse_is_integral(field, bounds):
+    # G is block triangular with unimodular diagonal blocks, so its
+    # inverse has integer entries
+    cands, rows, inv = decomp._gram_solver(field, bounds)
+    gt = ExactMatrix(QQ, list(zip(*rows)), shape=(len(cands), len(cands)))
+    assert all(x.denominator == 1 for x in inv.entries_rowmajor())
+    assert gt @ inv == identity(QQ, len(cands))
 
 
 def test_lambdas_congruent_mod_p_name_one_tube():

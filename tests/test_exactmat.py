@@ -356,12 +356,31 @@ def test_echelon_matches_reference_eliminator(field, rng):
         assert a.rank() == len(want_pivots)
 
 
+def reference_product(a, b, p=None):
+    """a @ b by the schoolbook sum on Python ints mod p, or Fractions if p is None."""
+    (m, k), n = a.shape, b.shape[1]
+    a, b = _plain(a), _plain(b)
+    out = [[sum((a[i][t] * b[t][j] for t in range(k)), 0) for j in range(n)]
+           for i in range(m)]
+    return [[Fraction(x) if p is None else x % p for x in row] for row in out]
+
+
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
 def test_field_dot_matches_python_products(field, rng):
-    # ExactMatrix @ multiplies in Python scalars, so it cannot overflow;
-    # over GF(2^31 - 1) two products already pass 2^63
-    for m, k, n in ((3, 4, 5), (1, 2, 1), (0, 3, 2), (4, 16, 3)):
-        a, b = random_matrix(field, m, k, rng), random_matrix(field, k, n, rng)
+    # over GF(2^31 - 1) two products already pass 2^63, so int64 alone
+    # would overflow; catalog letters are mostly zero, which QQ skips
+    p = field.p if isinstance(field, PrimeField) else None
+    pairs = []
+    for m, k, n in ((3, 4, 5), (1, 2, 1), (0, 3, 2), (3, 0, 2), (4, 16, 3)):
+        pairs.append((random_matrix(field, m, k, rng), random_matrix(field, k, n, rng)))
+    for x in cat.build(cat.P(4, 0), field).mats():
+        pairs.append((x.transpose(), x))
+        pairs.append((random_matrix(field, 2, x.rows, rng), x))
+    for a, b in pairs:
+        want = reference_product(a.data, b.data, p)
         got = field.dot(a.data, b.data)
-        assert got.dtype == field.dtype and got.shape == (m, n)
-        assert _plain(got) == _plain((a @ b).data)
+        assert got.dtype == field.dtype and got.shape == (a.rows, b.cols)
+        assert _plain(got) == want
+        assert (a @ b).data.tolist() == want
+        if p is None:
+            assert all(isinstance(x, Fraction) for x in got.ravel())

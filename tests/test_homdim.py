@@ -15,7 +15,7 @@ from fourspace.exactmat import (
     random_matrix,
     zeros,
 )
-from fourspace.homdim import CASE_SPECS, case_spec, coeff_matrix, hom_dim, hom_vector
+from fourspace.homdim import CASE_SPECS, coeff_matrix, hom_dim, hom_vector
 from fourspace.modules import (
     PERM_CYCLE,
     LambdaModule,
@@ -114,26 +114,23 @@ def test_representative_single_letter_cases(rng):
 # -- structural invariants of the case table ---------------------------------------
 
 
-CASE_REPRESENTATIVES = [
-    cat.P(3, 0), cat.P(5, 1), cat.P(4, 1), cat.I(3, 0), cat.I(5, 1),
-    cat.I(4, 1), cat.R(3, GF.coerce(2)), cat.R(0, 6, 0), cat.R(0, 5, 0),
-]
-
-
-@pytest.mark.parametrize("desc", CASE_REPRESENTATIVES, ids=lambda d: d.label())
-def test_var_order_is_a_permutation_of_block_rows(desc):
-    spec = case_spec(desc)
-    assert len(spec.var_order) == spec.block_rows
-    assert sorted(spec.var_order) == list(range(1, spec.block_rows + 1))
-
-
 def test_block_row_counts_match_family_formulas():
-    assert case_spec(cat.P(3, 0)).block_rows == 2 * 3 + 1
-    assert case_spec(cat.P(5, 1)).block_rows == 2 * 2 + 2   # 5 = 2n+1
-    assert case_spec(cat.P(4, 1)).block_rows == 2 * 2 + 1   # 4 = 2n
-    assert case_spec(cat.I(3, 0)).block_rows == 2 * 3 + 1
-    assert case_spec(cat.R(3, GF.coerce(2))).block_rows == 2 * 3
-    assert case_spec(cat.R(0, 5, 0)).block_rows == 5
+    m = tagged_module()
+    want = {
+        cat.P(3, 0): 2 * 3 + 1,
+        cat.P(5, 1): 2 * 2 + 2,   # 5 = 2n+1
+        cat.P(4, 1): 2 * 2 + 1,   # 4 = 2n
+        cat.I(3, 0): 2 * 3 + 1,
+        cat.I(5, 1): 2 * 2 + 1,   # 5 = 2n+1
+        cat.I(4, 1): 2 * 2,       # 4 = 2n
+        cat.R(3, GF101.coerce(2)): 2 * 3,
+        cat.R(0, 6, 0): 6,
+        cat.R(0, 5, 0): 5,
+    }
+    for desc, block_rows in want.items():
+        n = coeff_matrix(m, desc)
+        assert n.rows % m.n0 == 0
+        assert n.rows // m.n0 == block_rows, desc.label()
 
 
 STAIRCASE_STEPS = [
@@ -228,9 +225,9 @@ def _disguised(field, picks, rng):
 
 
 def test_deep_descriptors_cover_every_case():
-    cases = {homdim._resolve_case(cat.canonical_form(d)[0])[0] for d in DEEP_DESCS}
-    assert cases == set(CASE_SPECS)
-    assert all(case_spec(d).reps >= 3 for d in DEEP_DESCS)
+    cases = [homdim._case(GF, d) for d in DEEP_DESCS]
+    assert {key for key, _, _, _ in cases} == set(CASE_SPECS)
+    assert all(CASE_SPECS[key]["reps"](param) >= 3 for key, _, param, _ in cases)
 
 
 @pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
