@@ -4,8 +4,9 @@ A module is a quintuple of vector spaces (V_0; V_1..V_4) with linear maps
 A, B, C, D : V_i -> V_0, stored as exact matrices over the rationals or a
 prime field.  The package provides
 
-- :mod:`fourspace.exactmat` -- exact linear algebra (Gauss-Jordan on one
-  array per matrix: Fractions over Q, int64 residues over GF(p)),
+- :mod:`fourspace.exactmat` -- exact linear algebra on one array per
+  matrix (Fractions over Q, int64 residues over GF(p)); elimination runs on
+  int64 residues over GF(p) and fraction-free on Python ints over Q,
 - :mod:`fourspace.modules` -- the module datatype and its symmetries,
 - :mod:`fourspace.catalog` -- every indecomposable, by descriptor,
 - :mod:`fourspace.homdim` -- hom dimensions via reduced coefficient matrices,

@@ -6,15 +6,19 @@ the arithmetic and the numpy dtype of its arrays (``object`` holding
 Fractions, or int64 residues), and ``field.reduce`` brings an array
 expression back to canonical form.  Every matrix is one read-only 2-D
 array of that dtype, so zero-row / zero-column shapes are first-class and
-cor(1x0) = 1 works.  One Gaussian elimination routine, ``field.echelon``,
-serves both fields; rank, null space and inverse all follow from it.
-Each field has one matrix product, ``field.dot``, and ``ExactMatrix @``
-calls it: int64 residues over GF(p), a zero-skipping Python product of
-Fractions over QQ.  No floating point anywhere.
+cor(1x0) = 1 works.  One Gaussian elimination loop, ``field.echelon``,
+serves both fields; rank, null space and inverse all follow from it.  It
+runs on int64 residues over GF(p), and over QQ fraction-free on primitive
+rows of Python ints: one gcd pass per updated row instead of a gcd in
+every Fraction operation, and only the reduced form is turned back into
+Fractions.  Each field has one matrix product, ``field.dot``, and
+``ExactMatrix @`` calls it: int64 residues over GF(p), a zero-skipping
+Python product over QQ.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -33,19 +37,35 @@ def _check_same_field(f, g):
         raise FieldMismatch(f"mixed fields: {f} vs {g}")
 
 
+def _primitive(x):
+    # each row of an integer array over the gcd of its entries
+    g = np.gcd.reduce(x, axis=1)
+    g[g == 0] = 1
+    return x // g[:, None]
+
+
 class _Field:
     """What both fields share: elimination on one array of self.dtype."""
 
     def echelon(self, a, reduced=False):
-        """Gauss-Jordan elimination of a 2-D array of canonical entries.
+        """Gaussian elimination of a 2-D array of field scalars.
 
-        Returns (pivot columns, echelon array): each pivot row is scaled to
-        a leading 1 and cleared below its pivot, and above it too if
-        reduced.  The input is copied, never written.  Over GF(p) residues
-        stay in [0, p) and p <= 2^31 - 1, so every product and difference
-        below stays within 2^62 < 2^63 and int64 arithmetic is exact.
+        Returns (pivot columns, echelon array): each pivot column is
+        cleared below its pivot, and above it too if reduced.  The input is
+        copied, never written.  This loop finds the pivots for both fields;
+        each field's _start (working copy), _clear (one pivot's row
+        operations) and _finish hold the arithmetic.
+
+        Over GF(p) each pivot row is scaled to a leading 1.  Residues stay
+        in [0, p) and p <= 2^31 - 1, so every product and difference below
+        stays within 2^62 < 2^63 and int64 arithmetic is exact.
+
+        Over QQ the elimination is fraction-free on primitive rows of
+        Python ints (Rationals._clear).  Forward elimination returns those
+        integer rows; reduced=True divides each row by its pivot, which
+        gives the reduced row echelon form in Fractions.
         """
-        a = np.array(a, dtype=self.dtype)
+        a = self._start(a)
         m, n = a.shape
         pivots = []
         for c in range(n):
@@ -58,18 +78,14 @@ class _Field:
             i = r + int(nz[0])
             if i != r:
                 a[[r, i]] = a[[i, r]]
-            a[r, c:] = self.reduce(a[r, c:] * self.inv(a.item(r, c)))
             if reduced:
                 others = np.nonzero(a[:, c])[0]
                 others = others[others != r]
             else:
                 others = r + 1 + np.nonzero(a[r + 1 :, c])[0]
-            if others.size:
-                a[others, c:] = self.reduce(
-                    a[others, c:] - np.outer(a[others, c], a[r, c:])
-                )
+            self._clear(a, r, c, others, reduced)
             pivots.append(c)
-        return pivots, a
+        return pivots, self._finish(a, pivots, reduced)
 
 
 class Rationals(_Field):
@@ -91,13 +107,54 @@ class Rationals(_Field):
     def reduce(self, a):
         return a
 
-    def dot(self, a, b):
-        """a @ b for 2-D arrays of Fractions, skipping zero products.
+    def _start(self, a):
+        # each row times the lcm of its denominators, made primitive: the
+        # same row space, so the same pivots and rank
+        a = np.asarray(a, dtype=object)
+        rows = []
+        for row in a.tolist():
+            den = math.lcm(*[x.denominator for x in row])
+            rows.append([x.numerator * (den // x.denominator) for x in row])
+        return _primitive(np.array(rows, dtype=object).reshape(a.shape))
 
-        Fraction arithmetic is Python code either way, and numpy's dense
-        object-dtype a @ b multiplies every pair: on the 82 x 82 Gram
-        inverse of decomp (347 nonzeros) times a column it took 19 ms
-        against 2 ms, and times the 82 x 82 Gram about 2 s against 0.1 s.
+    def _clear(self, a, r, c, others, reduced):
+        """Clear column c in the rows `others` with the pivot row r.
+
+        Each such row becomes p * row - f * pivot_row over the gcd of its
+        entries, with p the pivot and f the row's entry in column c.  Each
+        row stays a multiple of its Bareiss row (Bareiss, Math. Comp. 22,
+        1968), whose entries are minors of the input, and is primitive,
+        so it is never larger: entries grow no faster than minors.  Unlike
+        Bareiss's exact division by the previous pivot, this leaves the
+        rows without an entry in column c untouched, so sparse matrices
+        stay cheap.  Rows above the pivot change over the full row: their
+        own pivots scale too.
+        """
+        if others.size:
+            lo = 0 if reduced else c
+            x = a.item(r, c) * a[others, lo:] - np.outer(a[others, c], a[r, lo:])
+            a[others, lo:] = _primitive(x)
+
+    def _finish(self, a, pivots, reduced):
+        # forward: primitive integer rows as they stand; reduced: each row
+        # over its pivot, so leading 1s and canonical Fractions
+        if not reduced:
+            return a
+        out = np.full(a.shape, self.zero, dtype=object)
+        for i, c in enumerate(pivots):
+            p = a.item(i, c)
+            out[i] = [Fraction(x, p) if x else self.zero for x in a[i].tolist()]
+        return out
+
+    def dot(self, a, b):
+        """a @ b for 2-D arrays of rationals, skipping zero products.
+
+        The entries are Fractions, or the Python ints of forward echelon
+        rows; the product holds Fractions.  The arithmetic is Python code
+        either way, and numpy's dense object-dtype a @ b multiplies every
+        pair: on the 82 x 82 Gram inverse of decomp (347 nonzeros) times a
+        column it took 19 ms against 2 ms, and times the 82 x 82 Gram
+        about 2 s against 0.1 s.
         """
         zero = self.zero
         bt = b.T.tolist()
@@ -109,11 +166,6 @@ class Rationals(_Field):
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
 
     def parse(self, s):
         """Parse "5", "-3" or "2/7"."""
@@ -182,6 +234,21 @@ class PrimeField(_Field):
 
     def reduce(self, a):
         return a % self.p
+
+    def _start(self, a):
+        return np.array(a, dtype=np.int64)
+
+    def _clear(self, a, r, c, others, reduced):
+        # scale the pivot row to a leading 1, then clear column c in the
+        # rows `others`
+        a[r, c:] = self.reduce(a[r, c:] * self.inv(a.item(r, c)))
+        if others.size:
+            a[others, c:] = self.reduce(
+                a[others, c:] - np.outer(a[others, c], a[r, c:])
+            )
+
+    def _finish(self, a, pivots, reduced):
+        return a
 
     def dot(self, a, b):
         """a @ b for 2-D arrays of canonical residues, reduced.

@@ -36,10 +36,13 @@ cell writer and block-width check as N.  The pass runs a transfer
 recursion up to the largest k asked for.  Its state is (z, S) for the
 left kernel K_k = {y : y N_k = 0}: z counts the kernel vectors whose tail
 (the last e block rows, which the next copy's W reaches) is zero, and S
-is an echelon basis of the tails of K_k.  Then dim K_k = z + rank S, and
-one step takes the left kernel of [[S W], [rep]] and splits it the same
-way.  "M3" subtracts rank(S W_cap) for the trailing cap.  "M1" runs the
-recursion on N^T, which stacks like "M2", and uses
+is an echelon basis of the tails of K_k.  Over QQ its rows are primitive
+integer rows, as field.echelon returns them, so the entries of S stay no
+larger than minors of one step's matrix instead of growing from step to
+step.  Then dim K_k = z + rank S, and one step takes the left kernel of
+[[S W], [rep]] and splits it the same way.  "M3" subtracts rank(S W_cap)
+for the trailing cap.  "M1" runs the recursion on N^T, which stacks like
+"M2", and uses
 cor(N) = rows(N) - cols(N) + dim K(N^T).  Each step eliminates a matrix of
 about one copy's size, where N has `reps` copies.
 
@@ -335,10 +338,11 @@ def _fold(field, x, t):
     """Left kernel of x, split at its last t rows (the tail).
 
     Returns (z, s): z is the dimension of the kernel vectors whose tail is
-    zero, s an echelon basis of the tails of all kernel vectors.  One
-    elimination of [x | E], E the identity on the tail rows, gives both:
-    its row space is {(y x, y_tail)}, so the echelon rows past the pivots
-    of x span {(0, y_tail) : y x = 0}, and rows without a pivot count z.
+    zero, s an echelon basis of the tails of all kernel vectors (primitive
+    integer rows over QQ).  One elimination of [x | E], E the identity on
+    the tail rows, gives both: its row space is {(y x, y_tail)}, so the
+    echelon rows past the pivots of x span {(0, y_tail) : y x = 0}, and
+    rows without a pivot count z.
     """
     m, n = x.shape
     aug = _zero_array(field, m, n + t)

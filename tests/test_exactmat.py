@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from fourspace.exactmat import (
     zeros,
 )
 from fourspace.homdim import coeff_matrix
-from fourspace.modules import LambdaModule
+from fourspace.modules import LambdaModule, base_change, module_direct_sum
 from fourspace.oracle import hom_basis, hom_system
 
 GF = PrimeField(32003)
@@ -338,7 +339,37 @@ def _reference_inputs(field, rng):
         out.append(hom_system(module, cat.build(d, field)).matrix)
     small = LambdaModule(*(random_matrix(field, 2, k, rng) for k in (1, 2, 1, 1)))
     out.append(hom_system(small, module).matrix)
+    if field == QQ:
+        out += _rational_inputs(module, rng)
     return [a for a in out if a.rows and a.cols]
+
+
+def _rational_inputs(module, rng):
+    """QQ matrices for the fraction-free kernel: mixed denominators, large
+    integers, zero rows and full row rank."""
+    lam = Fraction(7, 3)
+    tube = cat.R(2, lam)
+    out = [coeff_matrix(module, tube), hom_system(module, cat.build(tube, QQ)).matrix]
+
+    def fractions(m, n):
+        return mat(QQ, [[Fraction(rng.randint(-9, 9), rng.choice((2, 3, 7, 12797)))
+                         for _ in range(n)] for _ in range(m)])
+
+    for _ in range(6):
+        out.append(fractions(rng.randint(1, 7), rng.randint(1, 7)))
+    # a disguised sum: base change spreads its letters into large integers
+    m = cat.build(cat.R(1, lam), QQ)
+    for d in (cat.P(1, 0), cat.I(1, 0)):
+        m = module_direct_sum(m, cat.build(d, QQ))
+    m = base_change(m, random_invertible(QQ, m.n0, rng),
+                    [random_invertible(QQ, x.cols, rng) for x in m.mats()])
+    out += m.mats()
+    out.append(hstack(m.mats()))
+    zero_row = zeros(QQ, 1, 5)
+    out.append(vstack([fractions(2, 5), zero_row, fractions(2, 5), zero_row]))
+    out.append(zeros(QQ, 3, 4))
+    out.append(hstack([random_invertible(QQ, 4, rng), fractions(4, 3)]))
+    return out
 
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
@@ -354,6 +385,20 @@ def test_echelon_matches_reference_eliminator(field, rng):
         # forward elimination is row-equivalent to the input
         assert reference_rref(_plain(ech), p) == (want_pivots, want_rref)
         assert a.rank() == len(want_pivots)
+
+
+def test_qq_forward_rows_are_primitive_integer_rows(rng):
+    for a in _reference_inputs(QQ, rng):
+        pivots, ech = QQ.echelon(a.data)
+        rank = len(pivots)
+        rows = ech.tolist()
+        assert all(type(x) is int for row in rows for x in row)
+        assert all(math.gcd(*row) == 1 for row in rows[:rank])
+        assert not any(x for row in rows[rank:] for x in row)
+        # the pivot rows span the input's row space: the input has their
+        # rank, and stacking it under them adds none
+        assert len(reference_rref(a.data)[0]) == rank
+        assert len(reference_rref(rows[:rank] + _plain(a.data))[0]) == rank
 
 
 def reference_product(a, b, p=None):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -261,6 +262,26 @@ def test_hom_vector_at_benchmark_size():
     rng = random.Random(24)
     descs = enumerate_descriptors(EnumerationBounds(24, 12, (GF.coerce(2), GF.coerce(5))))
     m = LambdaModule(*(random_matrix(GF, 8, n, rng) for n in (4, 4, 4, 4)))
+    assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
+
+
+def test_hom_vector_deep_qq_staircases(rng):
+    # every case at its deepest parameter, over QQ with a fractional lam;
+    # if the kernel let the integer rows of S grow from step to step of the
+    # recursion, this would run for minutes instead of about a second
+    lam = Fraction(7, 3)
+    deepest = {}
+    for d in enumerate_descriptors(EnumerationBounds(24, 12, (lam,))):
+        if homdim._is_closed_form(d):
+            continue
+        key, _, param, _ = homdim._case(QQ, d)
+        reps = CASE_SPECS[key]["reps"](param)
+        if reps > deepest.get(key, (-1, None))[0]:
+            deepest[key] = (reps, d)
+    assert set(deepest) == set(CASE_SPECS)
+    m = _disguised(QQ, [cat.R(1, lam), cat.P(1, 0), cat.I(1, 0)], rng)
+    assert dim_vector(m) == (8, 4, 4, 4, 4)
+    descs = [d for _, d in deepest.values()]
     assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
 
 
