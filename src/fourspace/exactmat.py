@@ -13,7 +13,11 @@ rows of Python ints: one gcd pass per updated row instead of a gcd in
 every Fraction operation, and only the reduced form is turned back into
 Fractions.  Each field has one matrix product, ``field.dot``, and
 ``ExactMatrix @`` calls it: int64 residues over GF(p), a zero-skipping
-Python product over QQ.  No floating point anywhere.
+Python product over QQ.  ``field.integral`` scales arrays by one nonzero
+scalar into the form elimination runs on (Python ints over QQ, the
+residues themselves over GF(p)), and ``field.intdot`` multiplies in that
+form, so a caller that needs only ranks and kernels keeps its products
+in integers.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -164,6 +168,35 @@ class Rationals(_Field):
         ]
         return _from_rows(self, rows, (a.shape[0], b.shape[1]))
 
+    def integral(self, arrays):
+        """(arrays times scale, scale): the one scale is the lcm of every
+        denominator in them, and the products are Python ints.
+
+        One nonzero scalar leaves ranks and kernels alone, so an
+        elimination can run on these integer arrays instead of Fractions.
+        """
+        scale = math.lcm(1, *(x.denominator for a in arrays for x in a.flat))
+        out = [
+            _from_rows(
+                self,
+                [[x.numerator * (scale // x.denominator) for x in row] for row in a.tolist()],
+                a.shape,
+            )
+            for a in arrays
+        ]
+        return out, scale
+
+    def intdot(self, a, b):
+        """a @ b for 2-D arrays of Python ints, left in Python ints.
+
+        These are the arrays of integral and the forward echelon rows made
+        from them.  numpy's dense object product multiplies every pair, but
+        on ints that is cheaper than dot's zero-skipping Python sum: 18 us
+        against 134 us for a 6 x 6 times a 6 x 18 (2-vCPU virtual machine,
+        numpy 2.4).
+        """
+        return a @ b
+
     def neg(self, a):
         return -a
 
@@ -250,6 +283,10 @@ class PrimeField(_Field):
     def _finish(self, a, pivots, reduced):
         return a
 
+    def integral(self, arrays):
+        """(arrays, 1): residues are already the form echelon and dot use."""
+        return arrays, self.one
+
     def dot(self, a, b):
         """a @ b for 2-D arrays of canonical residues, reduced.
 
@@ -259,6 +296,8 @@ class PrimeField(_Field):
         if a.shape[1] * (self.p - 1) ** 2 < 2**63:
             return (a @ b) % self.p
         return (a.astype(object) @ b.astype(object) % self.p).astype(np.int64)
+
+    intdot = dot
 
     def neg(self, a):
         return -a % self.p

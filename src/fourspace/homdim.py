@@ -36,21 +36,26 @@ cell writer and block-width check as N.  The pass runs a transfer
 recursion up to the largest k asked for.  Its state is (z, S) for the
 left kernel K_k = {y : y N_k = 0}: z counts the kernel vectors whose tail
 (the last e block rows, which the next copy's W reaches) is zero, and S
-is an echelon basis of the tails of K_k.  Over QQ its rows are primitive
-integer rows, as field.echelon returns them, so the entries of S stay no
-larger than minors of one step's matrix instead of growing from step to
-step.  Then dim K_k = z + rank S, and one step takes the left kernel of
-[[S W], [rep]] and splits it the same way.  "M3" subtracts rank(S W_cap)
-for the trailing cap.  "M1" runs the recursion on N^T, which stacks like
-"M2", and uses
-cor(N) = rows(N) - cols(N) + dim K(N^T).  Each step eliminates a matrix of
-about one copy's size, where N has `reps` copies.
+is a basis of the tails of K_k.  Then dim K_k = z + rank S, and one step
+takes the left kernel of [[S W], [rep]] and splits it the same way.
+Every copy holds the same rep, W and tail size, so the reduced echelon
+basis B of [rep | E] (E the identity on the tail rows) is eliminated once
+per group.  A step reduces only the rank S rows [S W | 0] against B, with
+one product, and eliminates that residual: at most e block rows, where
+the whole step had rank S plus a copy's rows.  The rows of B and of the
+residual have distinct pivots, so those whose pivot lies in the tail
+columns form the next S.  Over QQ the window is written integral (the
+letters times one common denominator and the coefficients 1 and -lam
+times another: a nonzero multiple, which changes no kernel) and B is
+held as integer rows with one common pivot value, so S, S W and every
+product stay Python ints.  Each elimination makes its rows primitive,
+and S stays as small deep in the staircase as after its first steps
+instead of growing from step to step.  "M3" subtracts rank(S W_cap) for
+the trailing cap.  "M1" runs the recursion on N^T, which stacks like
+"M2", and uses cor(N) = rows(N) - cols(N) + dim K(N^T).
 
-hom_dim keeps the one-matrix corank.  Through the recursion, a single
-target costs a window assembly and a pass of small eliminations, which is
-slower than one corank on the small matrices that formula-vs-oracle sweeps
-check target by target.  The tests also use hom_dim as the reference that
-hom_vector must match.
+hom_dim keeps the one-matrix corank, the reference the tests hold
+hom_vector to.
 """
 
 from __future__ import annotations
@@ -232,20 +237,22 @@ def _layout(raw, reps):
     return cells
 
 
-def _write(module, cells, lam):
+def _write(module, cells, lam, integral=False):
     """(array, column offsets) of a cell grid over the letters of module.
 
     Every block row is n_0 high; a block column is as wide as its letters,
-    which must agree.
+    which must agree.  integral=True writes a nonzero multiple of the grid
+    in the form field.integral gives: Python ints over QQ, the same
+    residues over GF(p).
     """
     field = module.field
-    mats = module.mats()
+    mats = [x.data for x in module.mats()]
     widths = [None] * len(cells[0])
     for row in cells:
         for ccol, cell in enumerate(row):
             if cell is None:
                 continue
-            w = mats[_LETTER_INDEX[cell[0]]].cols
+            w = mats[_LETTER_INDEX[cell[0]]].shape[1]
             if widths[ccol] is None:
                 widths[ccol] = w
             elif widths[ccol] != w:
@@ -257,16 +264,28 @@ def _write(module, cells, lam):
     for w in widths:
         col0.append(col0[-1] + (w or 0))
 
+    one = field.one
+    neg_lam = one if lam is None else field.neg(lam)
+    shape = (len(cells) * n0, col0[-1])
+    if integral:
+        # every block is one coefficient times one letter: a scale for the
+        # letters and one for the coefficients 1 and -lam scale them all
+        mats, _ = field.integral(mats)
+        (coeffs,), _ = field.integral([np.array([[one, neg_lam]], dtype=field.dtype)])
+        one, neg_lam = coeffs.ravel().tolist()
+        out = np.zeros(shape, dtype=field.dtype)
+    else:
+        out = _zero_array(field, *shape)
+
     def block(letter, coeff):
         base = mats[_LETTER_INDEX[letter]]
-        if coeff == 1:
-            return base.data
-        if coeff == -1:
-            return (-base).data
-        return base.scale(field.neg(lam)).data  # "-lam"
+        if coeff == "-lam":
+            return field.reduce(neg_lam * base)
+        if one != 1:
+            base = field.reduce(one * base)
+        return base if coeff == 1 else field.neg(base)
 
     blocks = {cell: block(*cell) for row in cells for cell in row if cell is not None}
-    out = _zero_array(field, len(cells) * n0, col0[-1])
     for r, row in enumerate(cells):
         for ccol, cell in enumerate(row):
             if cell is not None:
@@ -334,21 +353,28 @@ def hom_dim(M, desc):
     return coeff_matrix(M, desc).corank()
 
 
+def _augment(x, t):
+    """[x | E], E the identity on the last t rows of x, in x's dtype."""
+    m, n = x.shape
+    aug = np.zeros((m, n + t), dtype=x.dtype)
+    aug[:, :n] = x
+    np.fill_diagonal(aug[m - t :, n:], 1)
+    return aug
+
+
 def _fold(field, x, t):
     """Left kernel of x, split at its last t rows (the tail).
 
     Returns (z, s): z is the dimension of the kernel vectors whose tail is
-    zero, s an echelon basis of the tails of all kernel vectors (primitive
-    integer rows over QQ).  One elimination of [x | E], E the identity on
-    the tail rows, gives both: its row space is {(y x, y_tail)}, so the
-    echelon rows past the pivots of x span {(0, y_tail) : y x = 0}, and
-    rows without a pivot count z.
+    zero, s an echelon basis of the tails of all kernel vectors.  One
+    elimination of [x | E], E the identity on the tail rows, gives both:
+    its row space is {(y x, y_tail)}, so the echelon rows past the pivots
+    of x span {(0, y_tail) : y x = 0}, and rows without a pivot count z.
+    The head of the staircase is folded this way; each copy after it
+    reuses one reduced basis of [rep | E] (see _staircase_coranks).
     """
     m, n = x.shape
-    aug = _zero_array(field, m, n + t)
-    aug[:, :n] = x
-    np.fill_diagonal(aug[m - t :, n:], field.one)
-    pivots, ech = field.echelon(aug)
+    pivots, ech = field.echelon(_augment(x, t))
     return m - len(pivots), ech[bisect_left(pivots, n) : len(pivots), n:]
 
 
@@ -358,6 +384,17 @@ def _staircase_coranks(M, raw, lam, wanted):
     One transfer recursion from the head to max(wanted) copies; the state
     (z, s) is _fold's split of the left kernel of the matrix so far, whose
     last e block rows meet the next copy's columns through W.
+
+    Every copy holds the same rep block R, overlap W and tail size t, so
+    the reduced basis B of [R | E] (pivot columns P, pivot value L) is
+    eliminated once.  A step adds the rows [s W | 0] to the rows of B.
+    Reduced against B they are s times WB = L [W | 0] - [W | 0][:, P] B,
+    which vanishes in the columns P; one elimination of that product,
+    len(s) rows, gives the rank the step adds beyond rank B.  The rows of
+    B and of that elimination have distinct pivots, so those whose pivot
+    lies in the tail columns form the next s.  The window is written
+    integral (field.integral), so over QQ s, W and every product are
+    Python ints.
     """
     field = M.field
     kind = raw["kind"]
@@ -365,7 +402,7 @@ def _staircase_coranks(M, raw, lam, wanted):
     # head, two copies and the cap already meet every block-column width
     # constraint that more copies repeat
     win = min(top, 2)
-    data, col0 = _write(M, _layout(raw, win), lam)
+    data, col0 = _write(M, _layout(raw, win), lam, integral=True)
     a, b = len(raw["head"]), len(raw["head"][0])
     c, d = len(raw["rep"]), len(raw["rep"][0])
     e = len(raw["overlap"])
@@ -382,24 +419,38 @@ def _staircase_coranks(M, raw, lam, wanted):
     head = block(0, a, 0, b)
     z, s = _fold(field, head, row0[a] - row0[a - e])
     rows, cols = head.shape
+    if top:
+        # every copy reads as copy 1 of the window: W in the head's last e
+        # block rows, R in its own rows
+        rep = block(a, a + c, b, b + d)
+        m, n = rep.shape
+        t = row0[a + c] - row0[a + c - e]
+        pivots, rref = field.echelon(_augment(rep, t), reduced=True)
+        (basis,), lead = field.integral([rref[: len(pivots)]])
+        w = np.zeros((t, n + t), dtype=data.dtype)
+        w[:, :n] = block(a - e, a, b, b + d)
+        wb = field.reduce(lead * w - field.intdot(w[:, pivots], basis))
+        basis_tails = basis[bisect_left(pivots, n) :, n:]
+        # wb is zero in the columns P, and maybe in more: eliminate the rest
+        keep = np.flatnonzero((wb != 0).any(axis=0))
+        wb, lo = wb[:, keep], bisect_left(keep, n)
     out = {}
     for k in range(top + 1):
         if k:
-            # copy k reads as copy min(k, win) of the window: W sits in the
-            # previous segment's last e block rows, rep in its own rows
-            r, q = a + (min(k, win) - 1) * c, b + (min(k, win) - 1) * d
-            rep = block(r, r + c, q, q + d)
-            x = np.vstack([field.dot(s, block(r - e, r, q, q + d)), rep])
-            dz, s = _fold(field, x, row0[r + c] - row0[r + c - e])
-            z += dz
-            rows += rep.shape[0]
-            cols += rep.shape[1]
+            res_pivots, res = field.echelon(field.intdot(s, wb))
+            z += len(s) + m - len(pivots) - len(res_pivots)
+            found = res[bisect_left(res_pivots, lo) : len(res_pivots), lo:]
+            tails = np.zeros((len(found), t), dtype=data.dtype)
+            tails[:, keep[lo:] - n] = found
+            s = np.vstack([basis_tails, tails])
+            rows += m
+            cols += n
         if k not in wanted:
             continue
         cor = z + len(s)
         if kind == "M3":
             r, q = a + win * c, b + win * d
-            cor -= len(field.echelon(field.dot(s, block(r - e, r, q, q + e)))[0])
+            cor -= len(field.echelon(field.intdot(s, block(r - e, r, q, q + e)))[0])
         if kind == "M1":
             # cor(N) = rows(N) - rank(N^T) = cols(N^T) - rows(N^T) + dim K(N^T)
             cor += cols - rows

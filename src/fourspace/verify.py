@@ -1,7 +1,8 @@
 """Randomized formula-vs-oracle agreement sweep.
 
-Draws random modules and checks hom_dim against hom_oracle on every
-in-bounds descriptor.  This is the package's self-test: the structured
+Draws random modules and checks hom_vector, the route the CLI's homdim and
+decompose answer through, against hom_oracle on every in-bounds
+descriptor.  This is the package's self-test: the structured
 coefficient matrices were derived independently of the brute-force
 system, so agreement on random inputs certifies both.
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from .catalog import R, build, declared_dim, enumerate_descriptors
 from .exactmat import random_invertible
-from .homdim import hom_dim
+from .homdim import hom_vector
 from .modules import (
     LambdaModule,
     base_change,
@@ -84,15 +85,15 @@ def run_sweep(field, bounds, trials, seed, max_dim=6, report=None):
     """List of Mismatch records (empty = all agree) over `trials` modules."""
     rng = random.Random(seed)
     descs = enumerate_descriptors(bounds)
+    targets = [build(d, field) for d in descs]
     out = []
     for trial in range(trials):
         if trial % 2:
             M = structured_module(field, bounds, rng, max_dim=max_dim)
         else:
             M = random_module(field, rng, max_dim=max_dim)
-        for d in descs:
-            a = hom_dim(M, d)
-            b = hom_oracle(M, build(d, field))
+        for d, target, a in zip(descs, targets, hom_vector(M, descs)):
+            b = hom_oracle(M, target)
             if a != b:
                 miss = Mismatch(trial, d.label(), a, b, M.dim_vector(), M)
                 out.append(miss)

@@ -7,7 +7,7 @@ import pytest
 from fourspace import catalog as cat
 from fourspace.cli import main
 from fourspace.exactmat import PrimeField, random_invertible
-from fourspace.homdim import CASE_SPECS, hom_dim
+from fourspace.homdim import CASE_SPECS, hom_dim, hom_vector
 from fourspace.modules import (
     base_change,
     module_direct_sum,
@@ -200,7 +200,7 @@ def test_verify_mismatch_line_replays(capsys, monkeypatch):
     label, formula, oracle, record = found.groups()
     module = module_from_record(json.loads(record))
     desc = cat.parse_descriptor(label, module.field)
-    assert hom_dim(module, desc) == int(formula)
+    assert hom_vector(module, [desc]) == [int(formula)]
     assert hom_oracle(module, cat.build(desc, module.field)) == int(oracle)
     assert formula != oracle
 

@@ -429,3 +429,32 @@ def test_field_dot_matches_python_products(field, rng):
         assert (a @ b).data.tolist() == want
         if p is None:
             assert all(isinstance(x, Fraction) for x in got.ravel())
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
+def test_integral_and_intdot_stay_in_the_elimination_form(field, rng):
+    # integral: one nonzero scale for all arrays, Python ints over QQ and
+    # the residues themselves over GF(p); intdot: their exact product in
+    # that form, never Fractions
+    p = field.p if isinstance(field, PrimeField) else None
+
+    def entry():
+        return field.coerce(Fraction(rng.randint(-9, 9), rng.choice((1, 3, 7, 12797))))
+
+    arrays = [mat(field, [[entry() for _ in range(n)] for _ in range(m)], (m, n)).data
+              for m, n in ((3, 4), (4, 5), (0, 3), (3, 0))]
+    scaled, scale = field.integral(arrays)
+    assert field.coerce(scale) != field.zero
+    for x, y in zip(arrays, scaled):
+        assert y.shape == x.shape and y.dtype == field.dtype
+        assert ExactMatrix(field, y.tolist(), y.shape) == ExactMatrix._raw(field, x).scale(scale)
+        if p is None:
+            assert all(type(v) is int for v in y.flat)
+        else:
+            assert y is x
+    for a, b in ((scaled[0], scaled[1]), (scaled[2], scaled[0]), (scaled[3], scaled[2])):
+        got = field.intdot(a, b)
+        assert got.dtype == field.dtype and got.shape == (a.shape[0], b.shape[1])
+        assert _plain(got) == reference_product(a, b, p)
+        if p is None:
+            assert all(type(v) is int for v in got.flat)

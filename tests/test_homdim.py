@@ -209,12 +209,21 @@ DEEP_DESCS = [
     cat.R(0, 8, 0), cat.R(1, 8, cat.INF), cat.R(0, 7, 0), cat.R(1, 7, 1),
 ]
 
+# one descriptor per case key at 1 and at 2 copies of the rep pattern: a
+# pass that ends after copy 1 of the window, and one whose copies 1 and 2
+# share the basis B of a copy
+SHALLOW_DESCS = [
+    cat.P(2, 0), cat.P(3, 0), cat.P(3, 1), cat.P(5, 2), cat.P(2, 1), cat.P(4, 3),
+    cat.I(2, 0), cat.I(3, 0), cat.I(3, 1), cat.I(5, 4), cat.I(4, 1), cat.I(6, 2),
+    cat.R(0, 4, 0), cat.R(1, 6, 1), cat.R(0, 3, 0), cat.R(1, 5, cat.INF),
+]
+
 HOM_VECTOR_FIELDS = {"GF32003": GF, "GF2": PrimeField(2), "GF3": PrimeField(3), "QQ": QQ}
 
 
-def _tubes(field):
+def _tubes(field, depths=(1, 4)):
     lams = [lam for lam in map(field.coerce, (2, 5)) if lam not in (field.zero, field.one)]
-    return [cat.R(l, lam) for lam in dict.fromkeys(lams) for l in (1, 4)]
+    return [cat.R(l, lam) for lam in dict.fromkeys(lams) for l in depths]
 
 
 def _disguised(field, picks, rng):
@@ -231,11 +240,19 @@ def test_deep_descriptors_cover_every_case():
     assert all(CASE_SPECS[key]["reps"](param) >= 3 for key, _, param, _ in cases)
 
 
+def test_shallow_descriptors_cover_every_case():
+    reps = {(key, CASE_SPECS[key]["reps"](param))
+            for key, _, param, _ in (homdim._case(GF, d) for d in SHALLOW_DESCS)}
+    assert reps == {(key, k) for key in CASE_SPECS for k in (1, 2)}
+
+
 @pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
 def test_hom_vector_matches_hom_dim_and_oracle(field):
     rng = random.Random(0x4E)
     tubes = _tubes(field)
-    descs = DEEP_DESCS + tubes
+    deep = DEEP_DESCS + tubes
+    shallow = SHALLOW_DESCS + _tubes(field, (2, 3))
+    descs = deep + shallow
     # a tube summand when the field has one; over GF(2) an exceptional one
     held = tubes[0] if tubes else cat.R(0, 2, 0)
     modules = [
@@ -246,6 +263,47 @@ def test_hom_vector_matches_hom_dim_and_oracle(field):
         got = hom_vector(m, descs)
         assert got == [hom_dim(m, d) for d in descs]
         assert got == [hom_oracle(m, cat.build(d, field)) for d in descs]
+        # alone, a shallow descriptor's pass stops after one or two copies
+        assert [hom_vector(m, [d])[0] for d in shallow] == got[len(deep):]
+
+
+# for each kind, one GF(32003) descriptor at two depths k of the staircase;
+# its letters are narrower than n_0, so the "M1" tail is too
+COUNTED_DESCS = {
+    "M1": (cat.P(20, 1), cat.P(24, 1)),
+    "M2": (cat.I(21, 1), cat.I(25, 1)),
+    "M3": (cat.P(21, 1), cat.P(25, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", COUNTED_DESCS)
+def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, monkeypatch):
+    # one pass of depth k runs k + O(1) eliminations: the head's, the basis
+    # B's, the "M3" cap's and one per copy.  Only the head and B may have
+    # more rows than e * n_0, e the overlap's block rows: a copy's
+    # elimination has the rows of S, not those of S and of the copy.
+    rng = random.Random(7)
+    m = LambdaModule(*(random_matrix(GF, 8, 4, rng) for _ in range(4)))
+    rows = []
+    echelon = GF.echelon
+
+    def counted(a, reduced=False):
+        rows.append(a.shape[0])
+        return echelon(a, reduced)
+
+    monkeypatch.setattr(GF, "echelon", counted)
+    overhead = set()
+    for desc in COUNTED_DESCS[kind]:
+        key, _, param, _ = homdim._case(GF, desc)
+        spec = CASE_SPECS[key]
+        assert spec["kind"] == kind
+        rows.clear()
+        got = hom_vector(m, [desc])
+        counts = list(rows)
+        assert got == [hom_dim(m, desc)]
+        overhead.add(len(counts) - spec["reps"](param))
+        assert sum(r > len(spec["overlap"]) * m.n0 for r in counts) <= 2, counts
+    assert len(overhead) == 1 and 0 <= overhead.pop() <= 3
 
 
 def test_hom_vector_shuffled_with_duplicates(field, rng):
@@ -265,10 +323,31 @@ def test_hom_vector_at_benchmark_size():
     assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
 
 
-def test_hom_vector_deep_qq_staircases(rng):
-    # every case at its deepest parameter, over QQ with a fractional lam;
-    # if the kernel let the integer rows of S grow from step to step of the
-    # recursion, this would run for minutes instead of about a second
+# Bit length that no entry of an elimination input reaches in the deep QQ
+# test below.  Its letters have entries of about 10 bits; a step of the
+# recursion eliminates S times a product fixed per group, and S holds
+# minors of one copy, which reached 170 bits there at every depth.
+QQ_ENTRY_BITS = 512
+
+
+def _entry_bits(a):
+    return max((max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+                for x in a.flat), default=0)
+
+
+def test_hom_vector_deep_qq_staircases(rng, monkeypatch):
+    # every case at its deepest parameter, over QQ with a fractional lam.
+    # If the integer rows of S grew from step to step of the recursion (a
+    # kernel without its gcd, say), the run would take minutes; the bound
+    # on every elimination's input fails it within a few steps instead
+    echelon = QQ.echelon
+
+    def bounded(a, reduced=False):
+        bits = _entry_bits(a)
+        assert bits <= QQ_ENTRY_BITS, f"echelon input with a {bits}-bit entry"
+        return echelon(a, reduced)
+
+    monkeypatch.setattr(QQ, "echelon", bounded)
     lam = Fraction(7, 3)
     deepest = {}
     for d in enumerate_descriptors(EnumerationBounds(24, 12, (lam,))):
