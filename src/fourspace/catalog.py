@@ -255,6 +255,15 @@ def _lam_key(lam):
     return "inf" if lam is INF else int(lam)
 
 
+def tube_lambda(field, lam):
+    """lam coerced into field; InvalidParams if it reduces to 0 or 1 there
+    (8 in GF(7)), the points of the exceptional tubes R(s, m, lam)."""
+    value = field.coerce(lam)
+    if value == field.zero or value == field.one:
+        raise InvalidParams(f"lambda {lam} reduces to {value} in {field}; no homogeneous tube")
+    return value
+
+
 def build(desc, field):
     """Assemble the catalog module for desc over the given field."""
     fam, params = desc.family, desc.params
@@ -274,14 +283,7 @@ def build(desc, field):
         return LambdaModule(*_rotate_slots(slots, j - 1))
     if fam == FAMILY_REGULAR_HOMOGENEOUS:
         l, lam = params
-        lam = field.coerce(lam)
-        if lam == field.zero or lam == field.one:
-            raise InvalidParams(
-                f"R({l},{lam}): lam reduces to {lam} in {field}; "
-                f"use the exceptional row R(s,{2 * l},{lam})"
-            )
-        e1, e2, e3, e4 = _r_even_blocks(field, l, lam)
-        return LambdaModule(e1, e2, e3, e4)
+        return LambdaModule(*_r_even_blocks(field, l, tube_lambda(field, lam)))
     if fam == FAMILY_REGULAR_EXCEPTIONAL:
         s, m, lam = params
         if m % 2 == 0:
@@ -391,9 +393,9 @@ class EnumerationBounds:
     R(s, 2l, lam) appear for l <= max_l; lambdas supplies the homogeneous
     parameters.  Enumeration skips only values equal to 0 or 1 (those
     points live in the exceptional rows) and repeats; it knows no field,
-    so a value that merely reduces to 0 or 1 in the working field is kept
-    and fails there: EnumerationBounds(1, 1, (4,)) yields R(1,4), which is
-    InvalidParams over GF(3).  decompose rejects such bounds up front.
+    so EnumerationBounds(1, 1, (4,)) yields R(1,4), though 4 reduces to 1
+    in GF(3).  tube_lambda(field, lam) decides that: decompose rejects
+    such bounds through it up front, and the CLI skips such lambdas.
     """
 
     max_n: int

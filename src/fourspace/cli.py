@@ -25,6 +25,7 @@ from .catalog import (
     build,
     enumerate_descriptors,
     parse_descriptor,
+    tube_lambda,
 )
 from .decomp import AmbiguousSolution, IncompleteCandidates, decompose
 from .exactmat import QQ, FieldMismatch, PrimeField
@@ -68,17 +69,22 @@ def _load_module(path):
         raise CliError("parse-error", f"{path}: {exc}") from None
 
 
+def _nonnegative(args, *names):
+    for name in names:
+        if getattr(args, name) < 0:
+            raise CliError("parse-error", f"--{name.replace('_', '-')} must be >= 0")
+
+
 def _bounds(args, field):
+    _nonnegative(args, "max_n", "max_l")
     lams = []
     for text in args.lambdas if args.lambdas is not None else DEFAULT_LAMBDAS:
         try:
-            lam = field.coerce(field.parse(text))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            lams.append(tube_lambda(field, field.parse(text)))
+        except InvalidParams:
+            continue  # exceptional rows are enumerated unconditionally
+        except (ValueError, ZeroDivisionError) as exc:
             raise CliError("parse-error", f"bad lambda {text!r}: {exc}") from None
-        if lam == field.zero or lam == field.one:
-            # exceptional rows are enumerated unconditionally
-            continue
-        lams.append(lam)
     return EnumerationBounds(args.max_n, args.max_l, tuple(lams))
 
 
@@ -119,6 +125,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_verify(args):
+    _nonnegative(args, "trials")
     field = _parse_field(f"prime:{args.prime}")
     bounds = _bounds(args, field)
     mismatches = run_sweep(

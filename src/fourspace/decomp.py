@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import lru_cache
 
-from .catalog import InvalidParams, build, declared_dim, enumerate_descriptors
+from .catalog import build, declared_dim, enumerate_descriptors, tube_lambda
 from .exactmat import QQ, ExactMatrix
 from .homdim import hom_vector
 from .modules import dim_vector
@@ -40,13 +40,7 @@ class AmbiguousSolution(ValueError):
 def _gram_solver(field, bounds):
     # lambdas congruent in the field name one tube: coerce them so that
     # enumeration drops the duplicates and the cache sees one key
-    lambdas = tuple(field.coerce(lam) for lam in bounds.lambdas)
-    for raw, lam in zip(bounds.lambdas, lambdas):
-        if lam == field.zero or lam == field.one:
-            raise InvalidParams(
-                f"bounds lambda {raw} reduces to {lam} in {field}; "
-                "no homogeneous tube sits there"
-            )
+    lambdas = tuple(tube_lambda(field, lam) for lam in bounds.lambdas)
     return _gram(field, replace(bounds, lambdas=lambdas))
 
 

@@ -58,7 +58,8 @@ class _Field:
         cleared below its pivot, and above it too if reduced.  The input is
         copied, never written.  This loop finds the pivots for both fields;
         each field's _start (working copy), _clear (one pivot's row
-        operations) and _finish hold the arithmetic.
+        operations) and _finish hold the arithmetic.  Row operations keep a
+        zero column zero, so the loop visits only the input's nonzero ones.
 
         Over GF(p) each pivot row is scaled to a leading 1.  Residues stay
         in [0, p) and p <= 2^31 - 1, so every product and difference below
@@ -70,9 +71,9 @@ class _Field:
         gives the reduced row echelon form in Fractions.
         """
         a = self._start(a)
-        m, n = a.shape
+        m = a.shape[0]
         pivots = []
-        for c in range(n):
+        for c in np.flatnonzero((a != 0).any(axis=0)).tolist():
             r = len(pivots)
             if r == m:
                 break
@@ -112,14 +113,10 @@ class Rationals(_Field):
         return a
 
     def _start(self, a):
-        # each row times the lcm of its denominators, made primitive: the
-        # same row space, so the same pivots and rank
-        a = np.asarray(a, dtype=object)
-        rows = []
-        for row in a.tolist():
-            den = math.lcm(*[x.denominator for x in row])
-            rows.append([x.numerator * (den // x.denominator) for x in row])
-        return _primitive(np.array(rows, dtype=object).reshape(a.shape))
+        # integer rows of the same row space, each made primitive: the same
+        # pivots and rank
+        (x,), _ = self.integral([np.asarray(a, dtype=object)])
+        return _primitive(x)
 
     def _clear(self, a, r, c, others, reduced):
         """Clear column c in the rows `others` with the pivot row r.
@@ -151,14 +148,14 @@ class Rationals(_Field):
         return out
 
     def dot(self, a, b):
-        """a @ b for 2-D arrays of rationals, skipping zero products.
+        """a @ b for 2-D arrays of Fractions, skipping zero products.
 
-        The entries are Fractions, or the Python ints of forward echelon
-        rows; the product holds Fractions.  The arithmetic is Python code
-        either way, and numpy's dense object-dtype a @ b multiplies every
-        pair: on the 82 x 82 Gram inverse of decomp (347 nonzeros) times a
-        column it took 19 ms against 2 ms, and times the 82 x 82 Gram
-        about 2 s against 0.1 s.
+        The product holds Fractions; integer arrays in the elimination form
+        multiply through intdot instead.  The arithmetic is Python code,
+        and numpy's dense object-dtype a @ b multiplies every pair: on the
+        82 x 82 Gram inverse of decomp (347 nonzeros) times a column it took
+        19 ms against 2 ms, and times the 82 x 82 Gram about 2 s against
+        0.1 s.
         """
         zero = self.zero
         bt = b.T.tolist()

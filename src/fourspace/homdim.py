@@ -70,6 +70,7 @@ from .catalog import (
     FAMILY_REGULAR_HOMOGENEOUS,
     InvalidParams,
     canonical_form,
+    tube_lambda,
 )
 from .exactmat import ExactMatrix, _zero_array, hstack
 from .modules import PERM_IDENTITY, perm_inverse, permute_vertices
@@ -317,10 +318,7 @@ def _case(field, desc):
         return ("I_ODD" if n % 2 else "I_EVEN"), sigma, n // 2, None
     if fam == FAMILY_REGULAR_HOMOGENEOUS:
         l, lam = params
-        lam = field.coerce(lam)
-        if lam == field.zero or lam == field.one:
-            raise InvalidParams(f"{desc.label()}: lam reduces to {lam} in {field}")
-        return "R_EVEN", sigma, l, lam
+        return "R_EVEN", sigma, l, tube_lambda(field, lam)
     # exceptional tube: even m reuses R_EVEN with lam := 0
     _, m, _ = params
     if m % 2 == 0:
@@ -389,12 +387,12 @@ def _staircase_coranks(M, raw, lam, wanted):
     the reduced basis B of [R | E] (pivot columns P, pivot value L) is
     eliminated once.  A step adds the rows [s W | 0] to the rows of B.
     Reduced against B they are s times WB = L [W | 0] - [W | 0][:, P] B,
-    which vanishes in the columns P; one elimination of that product,
-    len(s) rows, gives the rank the step adds beyond rank B.  The rows of
-    B and of that elimination have distinct pivots, so those whose pivot
-    lies in the tail columns form the next s.  The window is written
-    integral (field.integral), so over QQ s, W and every product are
-    Python ints.
+    which vanishes in the columns P (echelon skips zero columns); one
+    elimination of that product, len(s) rows, gives the rank the step adds
+    beyond rank B.  The rows of B and of that elimination have distinct
+    pivots, so those whose pivot lies in the tail columns form the next s.
+    The window is written integral (field.integral), so over QQ s, W and
+    every product are Python ints.
     """
     field = M.field
     kind = raw["kind"]
@@ -431,18 +429,12 @@ def _staircase_coranks(M, raw, lam, wanted):
         w[:, :n] = block(a - e, a, b, b + d)
         wb = field.reduce(lead * w - field.intdot(w[:, pivots], basis))
         basis_tails = basis[bisect_left(pivots, n) :, n:]
-        # wb is zero in the columns P, and maybe in more: eliminate the rest
-        keep = np.flatnonzero((wb != 0).any(axis=0))
-        wb, lo = wb[:, keep], bisect_left(keep, n)
     out = {}
     for k in range(top + 1):
         if k:
             res_pivots, res = field.echelon(field.intdot(s, wb))
             z += len(s) + m - len(pivots) - len(res_pivots)
-            found = res[bisect_left(res_pivots, lo) : len(res_pivots), lo:]
-            tails = np.zeros((len(found), t), dtype=data.dtype)
-            tails[:, keep[lo:] - n] = found
-            s = np.vstack([basis_tails, tails])
+            s = np.vstack([basis_tails, res[bisect_left(res_pivots, n) : len(res_pivots), n:]])
             rows += m
             cols += n
         if k not in wanted:

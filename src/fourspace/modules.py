@@ -180,7 +180,10 @@ def matrix_from_record(field, rec, slot=""):
         raise ValueError(
             f"matrix record {slot}: {len(entries)} entries for a {rows}x{cols} matrix"
         )
-    vals = [field.parse(str(x)) for x in entries]
+    try:
+        vals = [field.parse(str(x)) for x in entries]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"matrix record {slot}: zero denominator: {exc}") from None
     grid = [vals[i * cols : (i + 1) * cols] for i in range(rows)]
     return ExactMatrix(field, grid, shape=(rows, cols))
 

@@ -35,6 +35,9 @@ from .modules import (
 )
 from .oracle import hom_oracle
 
+# largest dimension at every vertex of a trial module
+MAX_DIM = 6
+
 
 @dataclass(frozen=True)
 class Mismatch:
@@ -46,9 +49,9 @@ class Mismatch:
     module: LambdaModule  # the trial module, to replay the mismatch
 
 
-def structured_module(field, bounds, rng, max_dim=6):
+def structured_module(field, bounds, rng):
     """Random direct sum of in-bounds catalog modules, base-changed."""
-    budget = [max_dim] * 5
+    budget = [MAX_DIM] * 5
     picks = []
 
     def fits(desc):
@@ -81,7 +84,7 @@ def structured_module(field, bounds, rng, max_dim=6):
     return base_change(m, u, vs)
 
 
-def run_sweep(field, bounds, trials, seed, max_dim=6, report=None):
+def run_sweep(field, bounds, trials, seed, report=None):
     """List of Mismatch records (empty = all agree) over `trials` modules."""
     rng = random.Random(seed)
     descs = enumerate_descriptors(bounds)
@@ -89,9 +92,9 @@ def run_sweep(field, bounds, trials, seed, max_dim=6, report=None):
     out = []
     for trial in range(trials):
         if trial % 2:
-            M = structured_module(field, bounds, rng, max_dim=max_dim)
+            M = structured_module(field, bounds, rng)
         else:
-            M = random_module(field, rng, max_dim=max_dim)
+            M = random_module(field, rng, max_dim=MAX_DIM)
         for d, target, a in zip(descs, targets, hom_vector(M, descs)):
             b = hom_oracle(M, target)
             if a != b:

@@ -54,7 +54,7 @@ def _master_modules():
     mods = []
     for trial in range(20):
         if trial % 2:
-            mods.append(structured_module(GF, MASTER_BOUNDS, rng, max_dim=6))
+            mods.append(structured_module(GF, MASTER_BOUNDS, rng))
         else:
             mods.append(random_module(GF, rng, max_dim=6))
     return mods

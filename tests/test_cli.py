@@ -6,7 +6,7 @@ import pytest
 
 from fourspace import catalog as cat
 from fourspace.cli import main
-from fourspace.exactmat import PrimeField, random_invertible
+from fourspace.exactmat import QQ, PrimeField, random_invertible
 from fourspace.homdim import CASE_SPECS, hom_dim, hom_vector
 from fourspace.modules import (
     base_change,
@@ -227,11 +227,16 @@ ERROR_CASES = [
     ("parse-error", ["homdim", "{module}"]),
     ("parse-error", ["homdim", "{bad_json}", "I(0,0)"]),
     ("parse-error", ["homdim", "{bad_record}", "I(0,0)"]),
+    ("parse-error", ["homdim", "{zero_denominator}", "I(0,0)"]),
+    ("parse-error", ["decompose", "{zero_denominator}"]),
     ("parse-error", ["homdim", "{module}", "--all", "--lambda", "x"]),
     ("io-error", ["homdim", "/nonexistent/m.json", "I(0,0)"]),
     ("incomplete-candidates",
      ["decompose", "{module}", "--max-n", "1", "--max-l", "1", "--lambda", "5"]),
     ("parse-error", ["verify", "--prime", "4"]),
+    ("parse-error", ["verify", "--trials", "-1"]),
+    ("parse-error", ["decompose", "{module}", "--max-n", "-1"]),
+    ("parse-error", ["homdim", "{module}", "--all", "--max-l", "-1"]),
     # the first allocation (an n x n identity) fails at once
     ("too-large", ["catalog", "P(100000000,0)"]),
 ]
@@ -243,10 +248,15 @@ def test_error_is_one_coded_line(capsys, tmp_path, code, argv):
     bad_json.write_text("{broken")
     bad_record = tmp_path / "record.json"
     bad_record.write_text(json.dumps({"field_spec": "rationals"}))
+    record = module_to_record(cat.build(cat.P(1, 0), QQ))
+    record["A"]["entries"][0] = "1/0"
+    zero_denominator = tmp_path / "zero.json"
+    zero_denominator.write_text(json.dumps(record))
     paths = {
         "module": write_module(tmp_path, cat.build(cat.R(1, GF.coerce(2)), GF)),
         "bad_json": str(bad_json),
         "bad_record": str(bad_record),
+        "zero_denominator": str(zero_denominator),
     }
     status, _, err = run(capsys, *(a.format(**paths) for a in argv))
     assert status != 0

@@ -339,6 +339,9 @@ def _reference_inputs(field, rng):
         out.append(hom_system(module, cat.build(d, field)).matrix)
     small = LambdaModule(*(random_matrix(field, 2, k, rng) for k in (1, 2, 1, 1)))
     out.append(hom_system(small, module).matrix)
+    # leading, interleaved and trailing all-zero columns
+    out.append(hstack([zeros(field, 4, 2), random_matrix(field, 4, 2, rng), zeros(field, 4, 1),
+                       random_matrix(field, 4, 3, rng), zeros(field, 4, 2)]))
     if field == QQ:
         out += _rational_inputs(module, rng)
     return [a for a in out if a.rows and a.cols]

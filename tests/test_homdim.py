@@ -6,6 +6,7 @@ import pytest
 from fourspace import catalog as cat
 from fourspace import homdim
 from fourspace.catalog import EnumerationBounds, InvalidParams, enumerate_descriptors
+from fourspace.decomp import decompose
 from fourspace.exactmat import (
     QQ,
     PrimeField,
@@ -185,10 +186,12 @@ def test_lambda_reducing_to_special_value_rejected(rng):
     f7 = PrimeField(7)
     m = random_module(f7, rng, max_dim=2)
     desc = cat.IndecDescriptor(cat.FAMILY_REGULAR_HOMOGENEOUS, (1, 8))
-    with pytest.raises(InvalidParams):
-        hom_dim(m, desc)
-    with pytest.raises(InvalidParams):
-        hom_vector(m, [cat.P(1, 0), desc])
+    calls = (lambda: cat.build(desc, f7), lambda: hom_dim(m, desc),
+             lambda: hom_vector(m, [cat.P(1, 0), desc]),
+             lambda: decompose(m, EnumerationBounds(1, 1, (8,))))
+    for call in calls:
+        with pytest.raises(InvalidParams, match="lambda 8 reduces to 1"):
+            call()
 
 
 # -- hom_vector -------------------------------------------------------------------------
