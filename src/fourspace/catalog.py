@@ -128,7 +128,10 @@ def parse_descriptor(text, field):
         if name == "I" and len(args) == 2:
             return I(int(args[0]), int(args[1]))
         if name == "R" and len(args) == 2:
-            return R(int(args[0]), field.coerce(field.parse(args[1])))
+            # R points a lam typed as 0 or 1 to the exceptional rows;
+            # tube_lambda names one that only reduces to 0 or 1 as typed
+            lam = int(args[1]) if args[1] in ("0", "1") else tube_lambda(field, args[1])
+            return R(int(args[0]), lam)
         if name == "R" and len(args) == 3:
             lam = INF if args[2] == "inf" else int(args[2])
             return R(int(args[0]), int(args[1]), lam)
@@ -256,9 +259,10 @@ def _lam_key(lam):
 
 
 def tube_lambda(field, lam):
-    """lam coerced into field; InvalidParams if it reduces to 0 or 1 there
-    (8 in GF(7)), the points of the exceptional tubes R(s, m, lam)."""
-    value = field.coerce(lam)
+    """lam coerced into field, or parsed there if it is the typed text;
+    InvalidParams, naming lam as given, if it reduces to 0 or 1 there (8 in
+    GF(7)), the points of the exceptional tubes R(s, m, lam)."""
+    value = field.parse(lam) if isinstance(lam, str) else field.coerce(lam)
     if value == field.zero or value == field.one:
         raise InvalidParams(f"lambda {lam} reduces to {value} in {field}; no homogeneous tube")
     return value
@@ -395,12 +399,19 @@ class EnumerationBounds:
     points live in the exceptional rows) and repeats; it knows no field,
     so EnumerationBounds(1, 1, (4,)) yields R(1,4), though 4 reduces to 1
     in GF(3).  tube_lambda(field, lam) decides that: decompose rejects
-    such bounds through it up front, and the CLI skips such lambdas.
+    such bounds through it up front, and the CLI skips such lambdas.  A
+    negative max_n or max_l raises InvalidParams.
     """
 
     max_n: int
     max_l: int
     lambdas: tuple = ()
+
+    def __post_init__(self):
+        if self.max_n < 0 or self.max_l < 0:
+            raise InvalidParams(
+                f"bounds need max_n >= 0 and max_l >= 0, got {self.max_n} and {self.max_l}"
+            )
 
 
 def enumerate_descriptors(bounds):

@@ -80,7 +80,7 @@ def _bounds(args, field):
     lams = []
     for text in args.lambdas if args.lambdas is not None else DEFAULT_LAMBDAS:
         try:
-            lams.append(tube_lambda(field, field.parse(text)))
+            lams.append(tube_lambda(field, text))
         except InvalidParams:
             continue  # exceptional rows are enumerated unconditionally
         except (ValueError, ZeroDivisionError) as exc:

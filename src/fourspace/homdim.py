@@ -33,7 +33,7 @@ sigma, lam) differ only in k and share one pass.  Per group, M is
 permuted once and the head, rep and W arrays are cut once from a small
 window matrix (head, at most two copies, the cap), assembled by the same
 cell writer and block-width check as N.  The pass runs a transfer
-recursion up to the largest k asked for.  Its state is (z, S) for the
+recursion towards the largest k asked for.  Its state is (z, S) for the
 left kernel K_k = {y : y N_k = 0}: z counts the kernel vectors whose tail
 (the last e block rows, which the next copy's W reaches) is zero, and S
 is a basis of the tails of K_k.  Then dim K_k = z + rank S, and one step
@@ -50,7 +50,11 @@ times another: a nonzero multiple, which changes no kernel) and B is
 held as integer rows with one common pivot value, so S, S W and every
 product stay Python ints.  Each elimination makes its rows primitive,
 and S stays as small deep in the staircase as after its first steps
-instead of growing from step to step.  "M3" subtracts rank(S W_cap) for
+instead of growing from step to step.  A step depends on span(S) alone,
+so the pass stops at the first step that returns the span it was given
+and extrapolates: every later copy adds the same to z and keeps S.  When
+the head pattern is the rep pattern, the head is one more copy from the
+empty state, and B already folds it.  "M3" subtracts rank(S W_cap) for
 the trailing cap.  "M1" runs the recursion on N^T, which stacks like
 "M2", and uses cor(N) = rows(N) - cols(N) + dim K(N^T).
 
@@ -368,20 +372,32 @@ def _fold(field, x, t):
     elimination of [x | E], E the identity on the tail rows, gives both:
     its row space is {(y x, y_tail)}, so the echelon rows past the pivots
     of x span {(0, y_tail) : y x = 0}, and rows without a pivot count z.
-    The head of the staircase is folded this way; each copy after it
-    reuses one reduced basis of [rep | E] (see _staircase_coranks).
+    The head of the staircase is folded this way, unless it is a copy of
+    the rep pattern; each copy reuses one reduced basis of [rep | E] (see
+    _staircase_coranks).
     """
     m, n = x.shape
     pivots, ech = field.echelon(_augment(x, t))
     return m - len(pivots), ech[bisect_left(pivots, n) : len(pivots), n:]
 
 
+def _same_span(field, s, s_next):
+    """Whether the echelon bases s and s_next span one row space.
+
+    The rows of each are independent, so equal lengths and a rank of that
+    length for the two stacked decide it exactly.  Comparing the arrays
+    would not: a forward echelon form is not canonical, so one span has
+    many.
+    """
+    return len(s) == len(s_next) and len(field.echelon(np.vstack([s, s_next]))[0]) == len(s)
+
+
 def _staircase_coranks(M, raw, lam, wanted):
     """{reps: corank of the case matrix with reps copies} for reps in wanted.
 
-    One transfer recursion from the head to max(wanted) copies; the state
-    (z, s) is _fold's split of the left kernel of the matrix so far, whose
-    last e block rows meet the next copy's columns through W.
+    One transfer recursion from the head towards max(wanted) copies; the
+    state (z, s) is _fold's split of the left kernel of the matrix so far,
+    whose last e block rows meet the next copy's columns through W.
 
     Every copy holds the same rep block R, overlap W and tail size t, so
     the reduced basis B of [R | E] (pivot columns P, pivot value L) is
@@ -393,6 +409,16 @@ def _staircase_coranks(M, raw, lam, wanted):
     pivots, so those whose pivot lies in the tail columns form the next s.
     The window is written integral (field.integral), so over QQ s, W and
     every product are Python ints.
+
+    A step is a function of span(s) alone: it adds
+    len(s) + rows(R) - rank B - rank(s WB) to z and maps the span to the
+    next one.  So once a step returns the span it was given (_same_span),
+    every later copy adds the same to z and keeps the span, and with it
+    the "M3" cap's rank: the recursion stops there, and the deeper coranks
+    follow by adding that step's increase per copy.  When the head
+    pattern is the rep pattern (P_ODD, R_EVEN), the head is one more copy
+    from the empty state, and its fold is B's own: z = rows(R) - rank B
+    and s the tails of B.
     """
     field = M.field
     kind = raw["kind"]
@@ -414,31 +440,7 @@ def _staircase_coranks(M, raw, lam, wanted):
     def block(r0, r1, c0, c1):
         return data[row0[r0] : row0[r1], col0[c0] : col0[c1]]
 
-    head = block(0, a, 0, b)
-    z, s = _fold(field, head, row0[a] - row0[a - e])
-    rows, cols = head.shape
-    if top:
-        # every copy reads as copy 1 of the window: W in the head's last e
-        # block rows, R in its own rows
-        rep = block(a, a + c, b, b + d)
-        m, n = rep.shape
-        t = row0[a + c] - row0[a + c - e]
-        pivots, rref = field.echelon(_augment(rep, t), reduced=True)
-        (basis,), lead = field.integral([rref[: len(pivots)]])
-        w = np.zeros((t, n + t), dtype=data.dtype)
-        w[:, :n] = block(a - e, a, b, b + d)
-        wb = field.reduce(lead * w - field.intdot(w[:, pivots], basis))
-        basis_tails = basis[bisect_left(pivots, n) :, n:]
-    out = {}
-    for k in range(top + 1):
-        if k:
-            res_pivots, res = field.echelon(field.intdot(s, wb))
-            z += len(s) + m - len(pivots) - len(res_pivots)
-            s = np.vstack([basis_tails, res[bisect_left(res_pivots, n) : len(res_pivots), n:]])
-            rows += m
-            cols += n
-        if k not in wanted:
-            continue
+    def corank(z, s, rows, cols):
         cor = z + len(s)
         if kind == "M3":
             r, q = a + win * c, b + win * d
@@ -446,7 +448,43 @@ def _staircase_coranks(M, raw, lam, wanted):
         if kind == "M1":
             # cor(N) = rows(N) - rank(N^T) = cols(N^T) - rows(N^T) + dim K(N^T)
             cor += cols - rows
-        out[k] = cor
+        return cor
+
+    head = block(0, a, 0, b)
+    rows, cols = head.shape
+    if not top:
+        return {0: corank(*_fold(field, head, row0[a] - row0[a - e]), rows, cols)}
+    # every copy reads as copy 1 of the window: W in the head's last e
+    # block rows, R in its own rows
+    rep = block(a, a + c, b, b + d)
+    m, n = rep.shape
+    t = row0[a + c] - row0[a + c - e]
+    pivots, rref = field.echelon(_augment(rep, t), reduced=True)
+    (basis,), lead = field.integral([rref[: len(pivots)]])
+    w = np.zeros((t, n + t), dtype=data.dtype)
+    w[:, :n] = block(a - e, a, b, b + d)
+    wb = field.reduce(lead * w - field.intdot(w[:, pivots], basis))
+    basis_tails = basis[bisect_left(pivots, n) :, n:]
+    if raw["head"] == raw["rep"]:
+        z, s = m - len(pivots), basis_tails
+    else:
+        z, s = _fold(field, head, row0[a] - row0[a - e])
+    out = {0: corank(z, s, rows, cols)} if 0 in wanted else {}
+    for k in range(1, top + 1):
+        res_pivots, res = field.echelon(field.intdot(s, wb))
+        dz = len(s) + m - len(pivots) - len(res_pivots)
+        s_next = np.vstack([basis_tails, res[bisect_left(res_pivots, n) : len(res_pivots), n:]])
+        z, rows, cols = z + dz, rows + m, cols + n
+        if k < top and _same_span(field, s, s_next):
+            # fixed point: each further copy adds dz, and "M1" its
+            # cols - rows, to the corank
+            cor = corank(z, s_next, rows, cols)
+            per_copy = dz + (n - m if kind == "M1" else 0)
+            out.update((j, cor + (j - k) * per_copy) for j in wanted if j >= k)
+            return out
+        s = s_next
+        if k in wanted:
+            out[k] = corank(z, s, rows, cols)
     return out
 
 

@@ -22,7 +22,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .catalog import R, build, declared_dim, enumerate_descriptors
+from .catalog import InvalidParams, R, build, declared_dim, enumerate_descriptors
 from .exactmat import random_invertible
 from .homdim import hom_vector
 from .modules import (
@@ -85,7 +85,13 @@ def structured_module(field, bounds, rng):
 
 
 def run_sweep(field, bounds, trials, seed, report=None):
-    """List of Mismatch records (empty = all agree) over `trials` modules."""
+    """List of Mismatch records (empty = all agree) over `trials` modules.
+
+    A negative trial count raises InvalidParams: it would check nothing and
+    still read as "all agree".
+    """
+    if trials < 0:
+        raise InvalidParams(f"trials must be >= 0, got {trials}")
     rng = random.Random(seed)
     descs = enumerate_descriptors(bounds)
     targets = [build(d, field) for d in descs]

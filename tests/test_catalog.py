@@ -138,6 +138,16 @@ def test_lambda_zero_message_points_to_exceptional_row():
         cat.R(1, 0)
 
 
+def test_parse_names_the_typed_lambda():
+    # 8 and -6 reduce to 1 in GF(7); the message names what was typed
+    for text in ("8", "-6"):
+        with pytest.raises(InvalidParams, match=rf"lambda {text} reduces to 1 in GF\(7\)"):
+            parse_descriptor(f"R(1,{text})", PrimeField(7))
+    with pytest.raises(InvalidParams, match=r"R\(s,2,1\)"):
+        parse_descriptor("R(1,1)", PrimeField(7))
+    assert parse_descriptor("R(2,9)", PrimeField(7)) == cat.R(2, 2)
+
+
 # -- enumeration ------------------------------------------------------------------
 
 
@@ -165,6 +175,12 @@ def test_enumerate_counts_and_order():
     i_params = [d.params[0] for d in descs if d.family == "I"]
     assert p_params == sorted(p_params)
     assert i_params == sorted(i_params, reverse=True)
+
+
+@pytest.mark.parametrize("max_n, max_l", [(-1, 0), (0, -1), (-1, -1)])
+def test_negative_bounds_rejected(max_n, max_l):
+    with pytest.raises(InvalidParams, match="max_n >= 0 and max_l >= 0"):
+        EnumerationBounds(max_n, max_l, ())
 
 
 def test_enumerate_skips_special_lambdas_and_duplicates():

@@ -222,6 +222,7 @@ def test_bad_lambda_flag(capsys, tmp_path):
 ERROR_CASES = [
     ("invalid-params", ["catalog", "R(1,0)"]),
     ("invalid-params", ["catalog", "X(1,0)"]),
+    ("invalid-params", ["catalog", "R(1,8)", "--field", "prime:7"]),
     ("parse-error", ["catalog", "P(0,0)", "--field", "prime:6"]),
     ("parse-error", ["catalog", "P(0,0)", "--field", "reals"]),
     ("parse-error", ["homdim", "{module}"]),
@@ -240,6 +241,13 @@ ERROR_CASES = [
     # the first allocation (an n x n identity) fails at once
     ("too-large", ["catalog", "P(100000000,0)"]),
 ]
+
+
+# what the line must name, where the code alone does not pin it
+ERROR_DETAILS = {
+    # the lam as typed and the field it reduces in, not the residue 1
+    "catalog R(1,8) --field prime:7": "lambda 8 reduces to 1 in GF(7)",
+}
 
 
 @pytest.mark.parametrize("code, argv", ERROR_CASES, ids=[" ".join(a) for _, a in ERROR_CASES])
@@ -262,3 +270,4 @@ def test_error_is_one_coded_line(capsys, tmp_path, code, argv):
     assert status != 0
     assert len(err.splitlines()) == 1 and err.endswith("\n")
     assert err.startswith(f"error: {code}:")
+    assert ERROR_DETAILS.get(" ".join(argv), "") in err

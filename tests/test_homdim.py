@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fourspace import catalog as cat
@@ -20,6 +21,7 @@ from fourspace.exactmat import (
 from fourspace.homdim import CASE_SPECS, coeff_matrix, hom_dim, hom_vector
 from fourspace.modules import (
     PERM_CYCLE,
+    PERM_IDENTITY,
     LambdaModule,
     base_change,
     dim_vector,
@@ -281,10 +283,11 @@ COUNTED_DESCS = {
 
 @pytest.mark.parametrize("kind", COUNTED_DESCS)
 def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, monkeypatch):
-    # one pass of depth k runs k + O(1) eliminations: the head's, the basis
-    # B's, the "M3" cap's and one per copy.  Only the head and B may have
-    # more rows than e * n_0, e the overlap's block rows: a copy's
-    # elimination has the rows of S, not those of S and of the copy.
+    # a copy's elimination has the rows of S, not those of S and of the
+    # copy (the span check stacks S twice): only the head and the basis B
+    # have more rows than e * n_0 here, e the overlap's block rows.  And
+    # copies stop costing eliminations once span(S) repeats, so both
+    # depths run the same number of them.
     rng = random.Random(7)
     m = LambdaModule(*(random_matrix(GF, 8, 4, rng) for _ in range(4)))
     rows = []
@@ -295,7 +298,7 @@ def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, monkeypatch):
         return echelon(a, reduced)
 
     monkeypatch.setattr(GF, "echelon", counted)
-    overhead = set()
+    eliminations = set()
     for desc in COUNTED_DESCS[kind]:
         key, _, param, _ = homdim._case(GF, desc)
         spec = CASE_SPECS[key]
@@ -304,9 +307,56 @@ def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, monkeypatch):
         got = hom_vector(m, [desc])
         counts = list(rows)
         assert got == [hom_dim(m, desc)]
-        overhead.add(len(counts) - spec["reps"](param))
+        eliminations.add(len(counts))
         assert sum(r > len(spec["overlap"]) * m.n0 for r in counts) <= 2, counts
-    assert len(overhead) == 1 and 0 <= overhead.pop() <= 3
+    assert len(eliminations) == 1, eliminations
+
+
+@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+def test_same_span_is_exact(field):
+    s = np.array([[1, 0, 2], [0, 1, 3]], dtype=field.dtype)
+    # the same rows in another order, another echelon basis of their span
+    # (first row plus second) and that basis scaled: one span, so the
+    # recursion's fixed point
+    for other in ([[0, 1, 3], [1, 0, 2]], [[1, 1, 5], [0, 1, 3]], [[2, 2, 10], [0, 5, 15]]):
+        assert homdim._same_span(field, s, np.array(other, dtype=field.dtype))
+    # as many rows, another span; and a subspace
+    assert not homdim._same_span(field, s, np.array([[1, 0, 2], [0, 1, 4]], dtype=field.dtype))
+    assert not homdim._same_span(field, s, s[:1])
+    empty = s[:0]
+    assert homdim._same_span(field, empty, empty)
+
+
+# (field, summands, bounds): a deep summand keeps span(S) moving for several
+# copies; QQ takes smaller ones, as hom_dim's one matrix is slow there
+LATE_FIXED_POINTS = {
+    "GF32003": (GF, (cat.R(5, 2), cat.P(7, 1)), (16, 7)),
+    "QQ": (QQ, (cat.R(3, 2), cat.P(3, 1)), (10, 5)),
+}
+
+
+@pytest.mark.parametrize("field, picks, bounds", LATE_FIXED_POINTS.values(), ids=LATE_FIXED_POINTS)
+def test_hom_vector_extrapolates_past_a_late_fixed_point(field, picks, bounds, monkeypatch):
+    rng = random.Random(5)
+    m = _disguised(field, picks, rng)
+    # one staircase per case at every depth: the representatives (sigma the
+    # identity) of the in-bounds descriptors
+    descs = [d for d in enumerate_descriptors(EnumerationBounds(*bounds, (field.coerce(2),)))
+             if not homdim._is_closed_form(d) and homdim._case(field, d)[1] == PERM_IDENTITY]
+    groups = {(key, lam) for key, _, _, lam in (homdim._case(field, d) for d in descs)}
+    checks = []
+    same_span = homdim._same_span
+
+    def spied(*args):
+        checks.append(same_span(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(homdim, "_same_span", spied)
+    assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
+    # every staircase stopped inside the bounds, after as many copies as it
+    # took checks; some only after several
+    depths = [len(run) + 1 for run in "".join(".T"[c] for c in checks).split("T")[:-1]]
+    assert len(depths) == len(groups) and max(depths) >= 4, depths
 
 
 def test_hom_vector_shuffled_with_duplicates(field, rng):
