@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import (
@@ -199,7 +200,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError as exc:
+        # the reader left early: point stdout at devnull so that the flush
+        # at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: io-error: stdout: {exc}", file=sys.stderr)
+        return 1
     except CliError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1

@@ -152,10 +152,12 @@ class Rationals(_Field):
 
         The product holds Fractions; integer arrays in the elimination form
         multiply through intdot instead.  The arithmetic is Python code,
-        and numpy's dense object-dtype a @ b multiplies every pair: on the
-        82 x 82 Gram inverse of decomp (347 nonzeros) times a column it took
-        19 ms against 2 ms, and times the 82 x 82 Gram about 2 s against
-        0.1 s.
+        and numpy's dense object-dtype a @ b multiplies every pair.  Its
+        caller is base_change (U X V on sparse catalog blocks): building
+        the 12 disguised (6, 3, 3, 3, 3) inputs of perfbench's
+        decompose-qq took a median of 0.054 s with this loop against
+        0.067 s with the dense product (16 alternating runs, 2-vCPU
+        virtual machine, numpy 2.4).
         """
         zero = self.zero
         bt = b.T.tolist()

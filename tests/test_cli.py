@@ -1,6 +1,10 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +222,25 @@ def test_bad_lambda_flag(capsys, tmp_path):
 
 
 # -- error paths ---------------------------------------------------------------
+
+
+def test_closed_stdout_is_one_io_error_line():
+    # like `fourspace catalog 'P(40,0)' | head -1`: the ~150 kB record
+    # overflows the pipe, so a write meets the closed reader
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fourspace.cli", "catalog", "P(40,0)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) != 0
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: io-error:")
+
 
 ERROR_CASES = [
     ("invalid-params", ["catalog", "R(1,0)"]),

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,8 @@ from fourspace.decomp import (
     decompose,
     is_isomorphic,
 )
-from fourspace.exactmat import QQ, ExactMatrix, PrimeField, identity, random_invertible
+from fourspace.exactmat import QQ, FieldMismatch, PrimeField, random_invertible
+from fourspace.homdim import hom_vector
 from fourspace.modules import (
     LambdaModule,
     base_change,
@@ -111,20 +113,33 @@ def test_degenerate_candidate_set_raises_ambiguous(monkeypatch):
         decomp._gram.cache_clear()
 
 
-def test_warm_decompose_multiplies_once(monkeypatch):
+def test_decompose_calls_hom_vector_once_and_builds_nothing(monkeypatch):
+    # the Gram is a closed form over descriptors: a cold decompose builds
+    # no candidate, and every decompose asks hom_vector for h alone
     bounds = EnumerationBounds(1, 1, (2,))
     m = cat.build(cat.P(1, 0), GF)
-    decompose(m, bounds)  # builds and caches the Gram inverse
-    calls = []
-    matmul = ExactMatrix.__matmul__
+    builds, hom_calls = [], []
+    build, vector = cat.build, decomp.hom_vector
 
-    def counting(self, other):
-        calls.append(other)
-        return matmul(self, other)
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
 
-    monkeypatch.setattr(ExactMatrix, "__matmul__", counting)
-    assert decompose(m, bounds) == {cat.P(1, 0): 1}
-    assert len(calls) == 1
+    def counting_vector(*args):
+        hom_calls.append(args)
+        return vector(*args)
+
+    assert not hasattr(decomp, "build")
+    monkeypatch.setattr(cat, "build", counting_build)
+    monkeypatch.setattr(decomp, "hom_vector", counting_vector)
+    decomp._gram.cache_clear()
+    try:
+        assert decompose(m, bounds) == {cat.P(1, 0): 1}
+        assert (len(builds), len(hom_calls)) == (0, 1)
+        assert decompose(m, bounds) == {cat.P(1, 0): 1}
+        assert (len(builds), len(hom_calls)) == (0, 2)
+    finally:
+        decomp._gram.cache_clear()
 
 
 def test_gram_cache_is_bounded():
@@ -143,12 +158,32 @@ def test_gram_cache_is_bounded():
     ids=["GF32003", "QQ"],
 )
 def test_gram_inverse_is_integral(field, bounds):
-    # G is block triangular with unimodular diagonal blocks, so its
-    # inverse has integer entries
+    # G is block triangular with unimodular diagonal blocks, so the inverse
+    # of G^T is held as Python ints and G^T inv = I holds in integers
     cands, rows, inv = decomp._gram_solver(field, bounds)
-    gt = ExactMatrix(QQ, list(zip(*rows)), shape=(len(cands), len(cands)))
-    assert all(x.denominator == 1 for x in inv.entries_rowmajor())
-    assert gt @ inv == identity(QQ, len(cands))
+    n = len(cands)
+    assert all(type(v) is int for r in inv for v in r)
+    product = [[sum(rows[k][i] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "field, bounds",
+    [
+        (PrimeField(2), EnumerationBounds(3, 3, ())),
+        (PrimeField(3), EnumerationBounds(3, 3, (2,))),
+        (GF, EnumerationBounds(3, 3, (2, 5))),
+        (QQ, EnumerationBounds(2, 2, (2, Fraction(7, 3)))),
+    ],
+    ids=["GF2", "GF3", "GF32003", "QQ"],
+)
+def test_closed_form_gram_equals_hom_vector_on_built_candidates(field, bounds):
+    # a third route to the same numbers: tube combinatorics and the Euler
+    # form against staircases run on the built catalog modules
+    cands, rows, _ = decomp._gram_solver(field, bounds)
+    computed = [hom_vector(cat.build(y, field), cands) for y in cands]
+    for y, row, want in zip(cands, rows, computed):
+        assert row == want, y
 
 
 def test_lambdas_congruent_mod_p_name_one_tube():
@@ -185,6 +220,14 @@ def test_distinct_vertices_not_isomorphic():
     a = cat.build(cat.P(0, 1), GF)
     b = cat.build(cat.P(0, 2), GF)
     assert not is_isomorphic(a, b, BOUNDS)
+
+
+def test_isomorphism_across_fields_raises():
+    bounds = EnumerationBounds(1, 1, (2,))
+    a = cat.build(cat.R(1, 2), QQ)
+    b = cat.build(cat.R(1, 2), PrimeField(5))
+    with pytest.raises(FieldMismatch):
+        is_isomorphic(a, b, bounds)
 
 
 def test_same_dim_vector_but_different_modules():
