@@ -6,7 +6,7 @@ prime field.  The package provides
 
 - :mod:`fourspace.exactmat` -- exact linear algebra on one array per
   matrix (Fractions over Q, int64 residues over GF(p)); elimination runs on
-  int64 residues over GF(p) and fraction-free on Python ints over Q,
+  list rows of Python ints: residues over GF(p), fraction-free over Q,
 - :mod:`fourspace.modules` -- the module datatype and its symmetries,
 - :mod:`fourspace.catalog` -- every indecomposable, by descriptor,
 - :mod:`fourspace.homdim` -- hom dimensions via reduced coefficient matrices,

@@ -8,16 +8,16 @@ expression back to canonical form.  Every matrix is one read-only 2-D
 array of that dtype, so zero-row / zero-column shapes are first-class and
 cor(1x0) = 1 works.  One Gaussian elimination loop, ``field.echelon``,
 serves both fields; rank, null space and inverse all follow from it.  It
-runs on int64 residues over GF(p), and over QQ fraction-free on primitive
-rows of Python ints: one gcd pass per updated row instead of a gcd in
-every Fraction operation, and only the reduced form is turned back into
-Fractions.  Each field has one matrix product, ``field.dot``, and
-``ExactMatrix @`` calls it: int64 residues over GF(p), a zero-skipping
-Python product over QQ.  ``field.integral`` scales arrays by one nonzero
-scalar into the form elimination runs on (Python ints over QQ, the
-residues themselves over GF(p)), and ``field.intdot`` multiplies in that
-form, so a caller that needs only ranks and kernels keeps its products
-in integers.  No floating point anywhere.
+runs on a list of Python-int rows, so a pivot costs only the entries it
+changes: residues over GF(p), and over QQ fraction-free primitive rows,
+one gcd pass per updated row, with Fractions only in the reduced form.
+Each field has one matrix product, ``field.dot``, and ``ExactMatrix @``
+calls it: int64 residues over GF(p), a zero-skipping Python product over
+QQ.  ``field.integral`` scales arrays by one nonzero scalar into the form
+elimination runs on (Python ints over QQ, the residues themselves over
+GF(p)), and ``field.intdot`` multiplies in that form, so a caller that
+needs only ranks and kernels keeps its products in integers.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -41,56 +41,50 @@ def _check_same_field(f, g):
         raise FieldMismatch(f"mixed fields: {f} vs {g}")
 
 
-def _primitive(x):
-    # each row of an integer array over the gcd of its entries
-    g = np.gcd.reduce(x, axis=1)
-    g[g == 0] = 1
-    return x // g[:, None]
+def _primitive(row):
+    # a row of Python ints over the gcd of its entries
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 class _Field:
-    """What both fields share: elimination on one array of self.dtype."""
+    """What both fields share: elimination, on list rows, of one array."""
 
     def echelon(self, a, reduced=False):
         """Gaussian elimination of a 2-D array of field scalars.
 
-        Returns (pivot columns, echelon array): each pivot column is
-        cleared below its pivot, and above it too if reduced.  The input is
-        copied, never written.  This loop finds the pivots for both fields;
-        each field's _start (working copy), _clear (one pivot's row
-        operations) and _finish hold the arithmetic.  Row operations keep a
-        zero column zero, so the loop visits only the input's nonzero ones.
+        Returns (pivot columns, echelon array of self.dtype and a's shape):
+        each pivot column is cleared below its pivot, and above it too if
+        reduced.  The input is copied, never written.  This loop finds the
+        pivots for both fields on list rows of Python ints; each field's
+        _start (that working copy), _clear (one pivot's row operations on
+        the rows with an entry in its column) and _finish hold the arithmetic.
 
-        Over GF(p) each pivot row is scaled to a leading 1.  Residues stay
-        in [0, p) and p <= 2^31 - 1, so every product and difference below
-        stays within 2^62 < 2^63 and int64 arithmetic is exact.
+        Over GF(p) each pivot row is scaled to a leading 1, and the other
+        rows change only in the columns where the pivot row is nonzero.
 
         Over QQ the elimination is fraction-free on primitive rows of
         Python ints (Rationals._clear).  Forward elimination returns those
         integer rows; reduced=True divides each row by its pivot, which
         gives the reduced row echelon form in Fractions.
         """
-        a = self._start(a)
-        m = a.shape[0]
+        rows = self._start(a)
+        m, n = a.shape
         pivots = []
-        for c in np.flatnonzero((a != 0).any(axis=0)).tolist():
+        for c in range(n):
             r = len(pivots)
-            if r == m:
-                break
-            nz = np.nonzero(a[r:, c])[0]
-            if nz.size == 0:
+            hits = [i for i in range(r, m) if rows[i][c]]
+            if not hits:
                 continue
-            i = r + int(nz[0])
-            if i != r:
-                a[[r, i]] = a[[i, r]]
+            i = hits[0]
+            rows[r], rows[i] = rows[i], rows[r]
+            # the row moved to i had no entry in column c
+            targets = [rows[k] for k in hits[1:]]
             if reduced:
-                others = np.nonzero(a[:, c])[0]
-                others = others[others != r]
-            else:
-                others = r + 1 + np.nonzero(a[r + 1 :, c])[0]
-            self._clear(a, r, c, others, reduced)
+                targets += [row for row in rows[:r] if row[c]]
+            self._clear(rows[r], c, targets, reduced)
             pivots.append(c)
-        return pivots, self._finish(a, pivots, reduced)
+        return pivots, _from_rows(self, self._finish(rows, pivots, reduced), a.shape)
 
 
 class Rationals(_Field):
@@ -113,15 +107,14 @@ class Rationals(_Field):
         return a
 
     def _start(self, a):
-        # integer rows of the same row space, each made primitive: the same
-        # pivots and rank
+        # primitive integer rows of the same row space: the same pivots, rank
         (x,), _ = self.integral([np.asarray(a, dtype=object)])
-        return _primitive(x)
+        return [_primitive(row) for row in x.tolist()]
 
-    def _clear(self, a, r, c, others, reduced):
-        """Clear column c in the rows `others` with the pivot row r.
+    def _clear(self, pivot_row, c, target_rows, reduced):
+        """Clear column c in target_rows, in place, with pivot_row.
 
-        Each such row becomes p * row - f * pivot_row over the gcd of its
+        Each target row becomes p * row - f * pivot_row over the gcd of its
         entries, with p the pivot and f the row's entry in column c.  Each
         row stays a multiple of its Bareiss row (Bareiss, Math. Comp. 22,
         1968), whose entries are minors of the input, and is primitive,
@@ -131,21 +124,20 @@ class Rationals(_Field):
         stay cheap.  Rows above the pivot change over the full row: their
         own pivots scale too.
         """
-        if others.size:
-            lo = 0 if reduced else c
-            x = a.item(r, c) * a[others, lo:] - np.outer(a[others, c], a[r, lo:])
-            a[others, lo:] = _primitive(x)
+        lo = 0 if reduced else c
+        p = pivot_row[c]
+        tail = pivot_row[lo:]
+        for row in target_rows:
+            f = row[c]
+            row[lo:] = _primitive([p * x - f * y for x, y in zip(row[lo:], tail)])
 
-    def _finish(self, a, pivots, reduced):
-        # forward: primitive integer rows as they stand; reduced: each row
-        # over its pivot, so leading 1s and canonical Fractions
-        if not reduced:
-            return a
-        out = np.full(a.shape, self.zero, dtype=object)
-        for i, c in enumerate(pivots):
-            p = a.item(i, c)
-            out[i] = [Fraction(x, p) if x else self.zero for x in a[i].tolist()]
-        return out
+    def _finish(self, rows, pivots, reduced):
+        # forward: the primitive integer rows; reduced: each row over its
+        # pivot (1 for the zero rows past the rank), so canonical Fractions
+        if reduced:
+            leads = [row[c] for row, c in zip(rows, pivots)] + [1] * (len(rows) - len(pivots))
+            rows = [[Fraction(x, p) if x else self.zero for x in r] for r, p in zip(rows, leads)]
+        return rows
 
     def dot(self, a, b):
         """a @ b for 2-D arrays of Fractions, skipping zero products.
@@ -240,7 +232,11 @@ def _is_prime(p):
 
 
 class PrimeField(_Field):
-    """GF(p) for prime p; scalars are canonical ints in [0, p)."""
+    """GF(p) for prime p; scalars are canonical ints in [0, p).
+
+    p <= 2^31 - 1, so a product of two int64 residues stays below 2^62:
+    exact in what reduce takes (scale, +, -) and in dot while its sums fit.
+    """
 
     dtype = np.int64
 
@@ -268,19 +264,23 @@ class PrimeField(_Field):
         return a % self.p
 
     def _start(self, a):
-        return np.array(a, dtype=np.int64)
+        return np.asarray(a, dtype=np.int64).tolist()
 
-    def _clear(self, a, r, c, others, reduced):
-        # scale the pivot row to a leading 1, then clear column c in the
-        # rows `others`
-        a[r, c:] = self.reduce(a[r, c:] * self.inv(a.item(r, c)))
-        if others.size:
-            a[others, c:] = self.reduce(
-                a[others, c:] - np.outer(a[others, c], a[r, c:])
-            )
+    def _clear(self, pivot_row, c, target_rows, reduced):
+        # scale the pivot row to a leading 1; each target row changes only
+        # where the pivot row is nonzero
+        p = self.p
+        s = self.inv(pivot_row[c])
+        nonzero = [(j, x * s % p) for j, x in enumerate(pivot_row[c:], c) if x]
+        for j, x in nonzero:
+            pivot_row[j] = x
+        for row in target_rows:
+            f = row[c]
+            for j, x in nonzero:
+                row[j] = (row[j] - f * x) % p
 
-    def _finish(self, a, pivots, reduced):
-        return a
+    def _finish(self, rows, pivots, reduced):
+        return rows
 
     def integral(self, arrays):
         """(arrays, 1): residues are already the form echelon and dot use."""

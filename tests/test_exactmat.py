@@ -280,7 +280,8 @@ def test_every_matrix_is_one_read_only_canonical_array(field, rng):
 # field.echelon backs both hom routes (coefficient-matrix corank and oracle
 # nullity), so verify alone cannot see a bug in it.  The reference below is
 # a deliberately naive Gauss-Jordan on Python ints (mod p) or Fractions: no
-# numpy, nothing shared with the package.
+# numpy, nothing shared with the package.  It skips only zero factors, so the
+# ~100-row inputs below stay affordable.
 
 
 def reference_rref(rows, p=None):
@@ -297,14 +298,14 @@ def reference_rref(rows, p=None):
             continue
         a[r], a[hits[0]] = a[hits[0]], a[r]
         if p is None:
-            a[r] = [x / a[r][c] for x in a[r]]
+            a[r] = [x / a[r][c] if x else x for x in a[r]]
         else:
             s = pow(a[r][c], p - 2, p)
             a[r] = [x * s % p for x in a[r]]
         for i in range(len(a)):
-            if i != r:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
                 if p is not None:
                     a[i] = [x % p for x in a[i]]
         pivots.append(c)
@@ -330,10 +331,10 @@ def _reference_inputs(field, rng):
         out.append(mat(field, sparse))
     dims = (3, 2, 1, 2, 2)
     module = LambdaModule(*(random_matrix(field, dims[0], k, rng) for k in dims[1:]))
+    # GF(2) has no homogeneous lambda
+    tubes = [] if field == PrimeField(2) else [field.coerce(3)]
     descs = [cat.P(1, 0), cat.P(2, 3), cat.I(1, 2), cat.I(2, 0), cat.R(0, 3, cat.INF),
-             cat.R(1, 2, 0)]
-    if field != PrimeField(2):  # GF(2) has no homogeneous lambda
-        descs.append(cat.R(2, field.coerce(3)))
+             cat.R(1, 2, 0)] + [cat.R(2, lam) for lam in tubes]
     for d in descs:
         out.append(coeff_matrix(module, d))
         out.append(hom_system(module, cat.build(d, field)).matrix)
@@ -344,6 +345,12 @@ def _reference_inputs(field, rng):
                        random_matrix(field, 4, 3, rng), zeros(field, 4, 2)]))
     if field == QQ:
         out += _rational_inputs(module, rng)
+    # verify-sweep scale: sparse systems of ~50-100 rows whose pivot rows
+    # fill in to up to 60 nonzeros, with non-pivot columns between the
+    # pivots; GF(p) updates only the pivot row's nonzero columns
+    big = LambdaModule(*(random_matrix(field, 6, 6, rng) for _ in range(4)))
+    for d in [cat.P(4, 0), cat.I(4, 1), cat.R(1, 4, 0)] + [cat.R(4, lam) for lam in tubes]:
+        out.append(hom_system(cat.build(d, field), big).matrix)
     return [a for a in out if a.rows and a.cols]
 
 
@@ -402,6 +409,20 @@ def test_qq_forward_rows_are_primitive_integer_rows(rng):
         # rank, and stacking it under them adds none
         assert len(reference_rref(a.data)[0]) == rank
         assert len(reference_rref(rows[:rank] + _plain(a.data))[0]) == rank
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+def test_echelon_leaves_a_writable_input_alone(field, rng):
+    # homdim hands echelon writable arrays (_augment, intdot)
+    inputs = [zeros(field, 0, 3), zeros(field, 3, 0), zeros(field, 3, 4),
+              random_invertible(field, 4, rng), random_matrix(field, 3, 5, rng)]
+    for m in inputs:
+        a = np.array(m.data)
+        for reduced in (False, True):
+            _, ech = field.echelon(a, reduced)
+            assert np.array_equal(a, m.data)
+            assert ech.dtype == field.dtype and ech.shape == a.shape
+            assert not np.shares_memory(ech, a)
 
 
 def reference_product(a, b, p=None):
