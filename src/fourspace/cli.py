@@ -28,7 +28,7 @@ from .catalog import (
     parse_descriptor,
     tube_lambda,
 )
-from .decomp import AmbiguousSolution, IncompleteCandidates, decompose
+from .decomp import IncompleteCandidates, decompose
 from .exactmat import QQ, FieldMismatch, PrimeField
 from .homdim import hom_vector
 from .modules import dim_vector, module_from_record, module_to_record
@@ -190,7 +190,6 @@ def build_parser():
 _ERROR_CODES = (
     (InvalidParams, "invalid-params"),
     (IncompleteCandidates, "incomplete-candidates"),
-    (AmbiguousSolution, "ambiguous-solution"),
     (FieldMismatch, "field-mismatch"),
     (MemoryError, "too-large"),
 )

@@ -1,60 +1,63 @@
-"""Direct-summand multiplicities from hom-dimension vectors.
+"""Direct-summand multiplicities by Auslander's defect formula.
 
-dim Hom(-, X) is additive in the first argument, so the multiplicities
-mu_Y of M = (+) mu_Y * Y over a candidate list Y_1, ..., Y_r satisfy
+For a catalog module C with AR sequence 0 -> tau C -> E -> C -> 0, the
+multiplicity of C as a summand of any module M is
 
-    sum_Y mu_Y * [Y, X] = [M, X]   for every test target X.
+    mu_C(M) = [M, C] - [M, E] + [M, tau C],     [M, X] = dim Hom(M, X),
 
-Taking X over the same candidate list gives a square integer system with
-Gram matrix G[Y][X] = [Y, X] = dim Hom(Y, X).  Between two catalog
-indecomposables that number is a closed form in their descriptors, so no
-candidate is built.  With e = <dim Y, dim X> (modules.euler_form), which
-is dim Hom(Y, X) - dim Ext^1(Y, X):
+or [M, C] - [M, rad C] for a projective C (End(C)/rad = k, as every
+catalog lam is a point of the field).  In the catalog's indexing, with
+R(0, lam) = R(s, 0, lam) = 0, m >= 1 and j in 1..4:
 
-    P -> P, I -> I            max(e, 0): the components are directing, so
-                              Hom and Ext^1 are never both nonzero
-    P -> R, P -> I, R -> I    e: Ext^1(Y, X) = D Hom(X, tau Y) = 0
-    R -> P, I -> P, I -> R    0
-    R -> R, different tubes   0
-    R(l, lam) -> R(l', lam)   min(l, l')
-    R(s, m, lam) -> R(t, n, lam), rank-2 exceptional tube:
-                              #{k in 1..min(m, n) : s + m - k = t mod 2}
+    C             tau C           E
+    P(0, 0)       projective      rad = 0
+    P(0, j)       projective      rad = P(0, 0)
+    P(m, 0)       P(m-1, 0)       P(m-1, 1) + ... + P(m-1, 4)
+    P(m, j)       P(m-1, j)       P(m, 0)
+    I(m, 0)       I(m+1, 0)       I(m+1, 1) + ... + I(m+1, 4)
+    I(m, j)       I(m+1, j)       I(m, 0)
+    R(l, lam)     R(l, lam)       R(l+1, lam) + R(l-1, lam)
+    R(s, m, lam)  R(1-s, m, lam)  R(1-s, m+1, lam) + R(s, m-1, lam)
 
-References: Ringel, "Tame algebras and integral quadratic forms", LNM
-1099 (1984), for tubes and directing components; Gelfand & Ponomarev,
-"Problems of linear algebra and classification of quadruples of
-subspaces" (1970), for the catalog; Auslander, Reiten & Smalo,
-"Representation Theory of Artin Algebras" (1995), for the Ext formula on
-a hereditary algebra.
+The terms reach one step past the bounds: I(max_n+1, .), R(max_l+1, lam)
+and R(., 2*max_l+1, lam).  decompose asks hom_vector for all of them in
+one call.  mu_C(M) counts C whatever else M holds, so
+sum_C mu_C * dim C = dim M over the candidates holds exactly when no
+summand lies outside them (an unlisted lam, a point of degree > 1, a
+module past the bounds).  The residual h - sum_Y mu_Y * [Y, .] on the
+candidates, with [Y, X] in closed form, is zero whenever hom_vector is
+right: a second certificate, and the text of IncompleteCandidates.
 
-The candidate ordering (postprojectives ascending, regulars by tube depth,
-preinjectives descending) makes G block triangular with unimodular
-diagonal blocks, so G^T has an integer inverse.  It is computed once per
-(field, bounds) and kept as Python ints; each decompose is one hom_vector
-call and one integer product mu = inv h.  The answer is accepted only if
-mu is non-negative, reproduces h exactly and sums to dim M.
+With e = <dim Y, dim X> = [Y, X] - dim Ext^1(Y, X) (modules.euler_form):
+max(e, 0) inside the directing P and I components; e for P -> R, P -> I
+and R -> I, where Ext^1(Y, X) = D Hom(X, tau Y) = 0; 0 backwards and
+between tubes; min(l, l') inside a homogeneous tube; and
+#{k in 1..min(m, n) : s + m - k = t mod 2} for R(s, m) -> R(t, n) in a
+rank-2 exceptional tube.
 
-Homogeneous tube parameters are never guessed: a summand R(l, lam) with
-lam missing from bounds.lambdas surfaces as IncompleteCandidates, never
-as a silently wrong answer (the preinjective targets I(0, v) pin the
-total dimension vector, so no phantom solution can slip through).
+References: Auslander, "Representation theory of finite dimensional
+algebras", Contemp. Math. 13 (1982), for the defect formula; Ringel,
+"Tame algebras and integral quadratic forms", LNM 1099 (1984), for the
+AR quiver of D~4 and its tubes.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache
 
 from .catalog import (
     FAMILY_POSTPROJECTIVE,
     FAMILY_PREINJECTIVE,
     FAMILY_REGULAR_EXCEPTIONAL,
     FAMILY_REGULAR_HOMOGENEOUS,
+    I,
+    P,
+    R,
     declared_dim,
     enumerate_descriptors,
     tube_lambda,
 )
-from .exactmat import QQ, ExactMatrix, FieldMismatch
+from .exactmat import FieldMismatch
 from .homdim import hom_vector
 from .modules import dim_vector, euler_form
 
@@ -64,7 +67,7 @@ class IncompleteCandidates(ValueError):
 
 
 class AmbiguousSolution(ValueError):
-    """The Gram system is singular on the candidate set."""
+    """Kept as a public name; decompose no longer raises it."""
 
 
 # postprojectives map only forward to regulars and preinjectives, and
@@ -95,51 +98,46 @@ def _hom(y, x):
     return sum((s + m - k - t) % 2 == 0 for k in range(1, min(m, n) + 1))
 
 
-def _gram_solver(field, bounds):
-    # lambdas congruent in the field name one tube: coerce them so that
-    # enumeration drops the duplicates and the cache sees one key
-    lambdas = tuple(tube_lambda(field, lam) for lam in bounds.lambdas)
-    return _gram(field, replace(bounds, lambdas=lambdas))
-
-
-@lru_cache(maxsize=8)
-def _gram(field, bounds):
-    """(candidates, Gram rows, inverse of G^T as rows of Python ints).
-
-    field enters only the cache key: the candidates carry its canonical
-    lambdas, and the closed form is the same over every field.
-    """
-    cands = enumerate_descriptors(bounds)
-    rows = [[_hom(y, x) for x in cands] for y in cands]
-    # system reads mu^T G = h, i.e. G^T mu = h
-    gt = ExactMatrix(QQ, list(zip(*rows)), shape=(len(cands), len(cands)))
-    try:
-        inv = gt.invert()
-    except ZeroDivisionError:
-        raise AmbiguousSolution(
-            f"Gram system singular on {len(cands)} candidates; "
-            "enlarge or reorder the bounds"
-        ) from None
-    return cands, rows, [[int(v) for v in r] for r in inv.data.tolist()]
+def _defect(c):
+    """[(sign, D), ...] with mu_C(M) = sum sign * [M, D]: the AR table above."""
+    fam, params = c.family, c.params
+    if fam == FAMILY_POSTPROJECTIVE and params[0] == 0:
+        return [(1, c), (-1, P(0, 0))] if params[1] else [(1, c)]
+    if fam == FAMILY_POSTPROJECTIVE:
+        m, j = params
+        tau, middle = P(m - 1, j), [P(m, 0)] if j else [P(m - 1, k) for k in range(1, 5)]
+    elif fam == FAMILY_PREINJECTIVE:
+        m, j = params
+        tau, middle = I(m + 1, j), [I(m, 0)] if j else [I(m + 1, k) for k in range(1, 5)]
+    elif fam == FAMILY_REGULAR_HOMOGENEOUS:
+        l, lam = params
+        tau, middle = c, [R(l + 1, lam)] + ([R(l - 1, lam)] if l > 1 else [])
+    else:
+        s, m, lam = params
+        tau = R(1 - s, m, lam)
+        middle = [R(1 - s, m + 1, lam)] + ([R(s, m - 1, lam)] if m > 1 else [])
+    return [(1, c), (1, tau)] + [(-1, e) for e in middle]
 
 
 def decompose(M, bounds):
-    """Multiplicity dict {descriptor: mu} with M isomorphic to the sum.
+    """Multiplicity dict {descriptor: mu} with M isomorphic to the sum,
+    in candidate order.
 
     Raises IncompleteCandidates when the bounds miss a summand (wrong
-    dimension cap or an unlisted homogeneous lam), AmbiguousSolution when
-    the Gram system is singular.
+    dimension cap or an unlisted homogeneous lam).
     """
-    cands, gram_rows, inv = _gram_solver(M.field, bounds)
-    h = hom_vector(M, cands)
-    mu = [sum(a * b for a, b in zip(r, h) if a) for r in inv]
-    picked = {y: m for y, m in enumerate(mu) if m > 0}
-    residual = [
-        h[x] - sum(m * gram_rows[y][x] for y, m in picked.items())
-        for x in range(len(cands))
-    ]
+    # lambdas congruent in the field name one tube: coerce them so that
+    # enumeration drops the duplicates
+    lambdas = tuple(tube_lambda(M.field, lam) for lam in bounds.lambdas)
+    cands = enumerate_descriptors(replace(bounds, lambdas=lambdas))
+    defects = [_defect(c) for c in cands]
+    targets = list(dict.fromkeys(d for terms in defects for _, d in terms))
+    h = dict(zip(targets, hom_vector(M, targets)))
+    mu = [sum(sign * h[d] for sign, d in terms) for terms in defects]
+    picked = {c: m for c, m in zip(cands, mu) if m > 0}
+    residual = [h[x] - sum(m * _hom(y, x) for y, m in picked.items()) for x in cands]
     total = tuple(
-        sum(m * declared_dim(cands[y])[v] for y, m in picked.items()) for v in range(5)
+        sum(m * declared_dim(y)[v] for y, m in picked.items()) for v in range(5)
     )
     if min(mu, default=0) < 0 or any(residual) or total != dim_vector(M):
         raise IncompleteCandidates(
@@ -147,7 +145,7 @@ def decompose(M, bounds):
             "(missing summand, typically an unlisted homogeneous lam); "
             f"residual hom vector {residual}"
         )
-    return {cands[y]: m for y, m in picked.items()}
+    return picked
 
 
 def is_isomorphic(M, N, bounds):

@@ -257,6 +257,8 @@ ERROR_CASES = [
     ("io-error", ["homdim", "/nonexistent/m.json", "I(0,0)"]),
     ("incomplete-candidates",
      ["decompose", "{module}", "--max-n", "1", "--max-l", "1", "--lambda", "5"]),
+    # I(3,1) + I(2,1) has the hom vector of I(2,0) on every target in bounds
+    ("incomplete-candidates", ["decompose", "{past_bounds}", "--max-n", "2", "--max-l", "1"]),
     ("parse-error", ["verify", "--prime", "4"]),
     ("parse-error", ["verify", "--trials", "-1"]),
     ("parse-error", ["decompose", "{module}", "--max-n", "-1"]),
@@ -288,6 +290,8 @@ def test_error_is_one_coded_line(capsys, tmp_path, code, argv):
         "bad_json": str(bad_json),
         "bad_record": str(bad_record),
         "zero_denominator": str(zero_denominator),
+        "past_bounds": write_module(tmp_path, module_direct_sum(
+            cat.build(cat.I(3, 1), QQ), cat.build(cat.I(2, 1), QQ)), "past.json"),
     }
     status, _, err = run(capsys, *(a.format(**paths) for a in argv))
     assert status != 0

@@ -5,13 +5,13 @@ import pytest
 
 from fourspace import catalog as cat
 from fourspace import decomp
-from fourspace.catalog import EnumerationBounds, InvalidParams, enumerate_descriptors
-from fourspace.decomp import (
-    AmbiguousSolution,
-    IncompleteCandidates,
-    decompose,
-    is_isomorphic,
+from fourspace.catalog import (
+    EnumerationBounds,
+    InvalidParams,
+    enumerate_descriptors,
+    tube_lambda,
 )
+from fourspace.decomp import IncompleteCandidates, decompose, is_isomorphic
 from fourspace.exactmat import QQ, FieldMismatch, PrimeField, random_invertible
 from fourspace.homdim import hom_vector
 from fourspace.modules import (
@@ -23,6 +23,11 @@ from fourspace.modules import (
 
 GF = PrimeField(32003)
 BOUNDS = EnumerationBounds(2, 2, (GF.coerce(2), GF.coerce(5)))
+
+
+def candidates(field, bounds):
+    lambdas = tuple(tube_lambda(field, lam) for lam in bounds.lambdas)
+    return enumerate_descriptors(EnumerationBounds(bounds.max_n, bounds.max_l, lambdas))
 
 
 def assemble(field, picks, rng=None):
@@ -102,20 +107,9 @@ def test_too_small_bounds_raise_incomplete():
         decompose(m, BOUNDS)
 
 
-def test_degenerate_candidate_set_raises_ambiguous(monkeypatch):
-    dup = enumerate_descriptors(BOUNDS)
-    monkeypatch.setattr(decomp, "enumerate_descriptors", lambda b: dup + dup[:1])
-    decomp._gram.cache_clear()
-    try:
-        with pytest.raises(AmbiguousSolution):
-            decompose(cat.build(cat.P(1, 0), GF), BOUNDS)
-    finally:
-        decomp._gram.cache_clear()
-
-
 def test_decompose_calls_hom_vector_once_and_builds_nothing(monkeypatch):
-    # the Gram is a closed form over descriptors: a cold decompose builds
-    # no candidate, and every decompose asks hom_vector for h alone
+    # the defect terms and the residual's [Y, X] are descriptors and closed
+    # forms: decompose builds no candidate and asks hom_vector once
     bounds = EnumerationBounds(1, 1, (2,))
     m = cat.build(cat.P(1, 0), GF)
     builds, hom_calls = [], []
@@ -132,39 +126,10 @@ def test_decompose_calls_hom_vector_once_and_builds_nothing(monkeypatch):
     assert not hasattr(decomp, "build")
     monkeypatch.setattr(cat, "build", counting_build)
     monkeypatch.setattr(decomp, "hom_vector", counting_vector)
-    decomp._gram.cache_clear()
-    try:
-        assert decompose(m, bounds) == {cat.P(1, 0): 1}
-        assert (len(builds), len(hom_calls)) == (0, 1)
-        assert decompose(m, bounds) == {cat.P(1, 0): 1}
-        assert (len(builds), len(hom_calls)) == (0, 2)
-    finally:
-        decomp._gram.cache_clear()
-
-
-def test_gram_cache_is_bounded():
-    decomp._gram.cache_clear()
-    try:
-        for k in range(2, 11):
-            decompose(zero_module(GF), EnumerationBounds(0, 0, (k,)))
-        assert decomp._gram.cache_info().currsize == 8
-    finally:
-        decomp._gram.cache_clear()
-
-
-@pytest.mark.parametrize(
-    "field, bounds",
-    [(GF, BOUNDS), (QQ, EnumerationBounds(1, 1, (2,)))],
-    ids=["GF32003", "QQ"],
-)
-def test_gram_inverse_is_integral(field, bounds):
-    # G is block triangular with unimodular diagonal blocks, so the inverse
-    # of G^T is held as Python ints and G^T inv = I holds in integers
-    cands, rows, inv = decomp._gram_solver(field, bounds)
-    n = len(cands)
-    assert all(type(v) is int for r in inv for v in r)
-    product = [[sum(rows[k][i] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+    assert decompose(m, bounds) == {cat.P(1, 0): 1}
+    assert (len(builds), len(hom_calls)) == (0, 1)
+    assert decompose(m, bounds) == {cat.P(1, 0): 1}
+    assert (len(builds), len(hom_calls)) == (0, 2)
 
 
 @pytest.mark.parametrize(
@@ -180,10 +145,54 @@ def test_gram_inverse_is_integral(field, bounds):
 def test_closed_form_gram_equals_hom_vector_on_built_candidates(field, bounds):
     # a third route to the same numbers: tube combinatorics and the Euler
     # form against staircases run on the built catalog modules
-    cands, rows, _ = decomp._gram_solver(field, bounds)
-    computed = [hom_vector(cat.build(y, field), cands) for y in cands]
-    for y, row, want in zip(cands, rows, computed):
-        assert row == want, y
+    cands = candidates(field, bounds)
+    for y in cands:
+        row = [decomp._hom(y, x) for x in cands]
+        assert row == hom_vector(cat.build(y, field), cands), y
+
+
+def defect_targets(cands):
+    return list(dict.fromkeys(d for c in cands for _, d in decomp._defect(c)))
+
+
+def test_defect_is_delta_on_closed_form_pairs():
+    # Auslander's defect formula: mu_C(X) = [X, C] - [X, E] + [X, tau C]
+    # counts C in X, so on indecomposables it is the Kronecker delta
+    cands = enumerate_descriptors(EnumerationBounds(6, 6, (2, 5)))
+    for c in cands:
+        terms = decomp._defect(c)
+        for x in cands:
+            assert sum(sign * decomp._hom(x, d) for sign, d in terms) == (c == x), (c, x)
+
+
+def test_defect_terms_reach_one_step_past_the_bounds():
+    cands = enumerate_descriptors(EnumerationBounds(3, 3, (2, 5)))
+    extra = [d for d in defect_targets(cands) if d not in cands]
+    assert len(cands) + len(extra) == 95
+    assert set(extra) == {cat.I(4, j) for j in range(5)} | {cat.R(4, 2), cat.R(4, 5)} | {
+        cat.R(s, 7, lam) for s in (0, 1) for lam in (0, 1, cat.INF)
+    }
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), GF, QQ], ids=["GF3", "GF32003", "QQ"])
+def test_defect_is_delta_on_built_modules(field):
+    cands = candidates(field, EnumerationBounds(3, 3, (2, 5)))
+    targets = defect_targets(cands)
+    for x in cands:
+        h = dict(zip(targets, hom_vector(cat.build(x, field), targets)))
+        mu = [sum(sign * h[d] for sign, d in decomp._defect(c)) for c in cands]
+        assert mu == [int(c == x) for c in cands], x
+
+
+@pytest.mark.parametrize("field", [GF, QQ], ids=["GF32003", "QQ"])
+def test_preinjective_one_past_the_bounds_raises_incomplete(field):
+    # I(n+1, j) + I(n, j) and I(n, 0) have equal hom vectors on every
+    # in-bounds target; only the terms past the bounds tell them apart
+    for n in (1, 2, 3):
+        for j in (1, 2, 3, 4):
+            m = module_direct_sum(cat.build(cat.I(n + 1, j), field), cat.build(cat.I(n, j), field))
+            with pytest.raises(IncompleteCandidates, match="residual hom vector"):
+                decompose(m, EnumerationBounds(n, 1, (2, 5)))
 
 
 def test_lambdas_congruent_mod_p_name_one_tube():
@@ -228,6 +237,14 @@ def test_isomorphism_across_fields_raises():
     b = cat.build(cat.R(1, 2), PrimeField(5))
     with pytest.raises(FieldMismatch):
         is_isomorphic(a, b, bounds)
+
+
+def test_preinjective_past_the_bounds_is_not_isomorphic_to_i_n0():
+    a = module_direct_sum(cat.build(cat.I(2, 4), GF), cat.build(cat.I(1, 4), GF))
+    b = cat.build(cat.I(1, 0), GF)
+    assert a.dim_vector() == b.dim_vector()
+    with pytest.raises(IncompleteCandidates):
+        is_isomorphic(a, b, EnumerationBounds(1, 1, (2, 5)))
 
 
 def test_same_dim_vector_but_different_modules():
