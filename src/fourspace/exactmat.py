@@ -6,11 +6,14 @@ the arithmetic and the numpy dtype of its arrays (``object`` holding
 Fractions, or int64 residues), and ``field.reduce`` brings an array
 expression back to canonical form.  Every matrix is one read-only 2-D
 array of that dtype, so zero-row / zero-column shapes are first-class and
-cor(1x0) = 1 works.  One Gaussian elimination loop, ``field.echelon``,
-serves both fields; rank, null space and inverse all follow from it.  It
-runs on a list of Python-int rows, so a pivot costs only the entries it
-changes: residues over GF(p), and over QQ fraction-free primitive rows,
-one gcd pass per updated row, with Fractions only in the reduced form.
+cor(1x0) = 1 works.  One Gaussian elimination loop serves both fields,
+with two exits: ``field.echelon`` returns the pivots and the echelon
+array, from which null space and inverse follow, and ``field.rank``
+returns the pivot count alone and builds no array, for callers that need
+nothing else.  The loop runs on a list of Python-int rows, so a pivot
+costs only the entries it changes: residues over GF(p), and over QQ
+fraction-free primitive rows, one gcd pass per updated row, with
+Fractions only in the reduced form.
 Each field has one matrix product, ``field.dot``, and ``ExactMatrix @``
 calls it: int64 residues over GF(p), a zero-skipping Python product over
 QQ.  ``field.integral`` scales arrays by one nonzero scalar into the form
@@ -50,24 +53,8 @@ def _primitive(row):
 class _Field:
     """What both fields share: elimination, on list rows, of one array."""
 
-    def echelon(self, a, reduced=False):
-        """Gaussian elimination of a 2-D array of field scalars.
-
-        Returns (pivot columns, echelon array of self.dtype and a's shape):
-        each pivot column is cleared below its pivot, and above it too if
-        reduced.  The input is copied, never written.  This loop finds the
-        pivots for both fields on list rows of Python ints; each field's
-        _start (that working copy), _clear (one pivot's row operations on
-        the rows with an entry in its column) and _finish hold the arithmetic.
-
-        Over GF(p) each pivot row is scaled to a leading 1, and the other
-        rows change only in the columns where the pivot row is nonzero.
-
-        Over QQ the elimination is fraction-free on primitive rows of
-        Python ints (Rationals._clear).  Forward elimination returns those
-        integer rows; reduced=True divides each row by its pivot, which
-        gives the reduced row echelon form in Fractions.
-        """
+    def _eliminate(self, a, reduced):
+        """The one pivot loop: (pivot columns, working rows), see echelon."""
         rows = self._start(a)
         m, n = a.shape
         pivots = []
@@ -84,7 +71,36 @@ class _Field:
                 targets += [row for row in rows[:r] if row[c]]
             self._clear(rows[r], c, targets, reduced)
             pivots.append(c)
+        return pivots, rows
+
+    def echelon(self, a, reduced=False):
+        """Gaussian elimination of a 2-D array of field scalars.
+
+        Returns (pivot columns, echelon array of self.dtype and a's shape):
+        each pivot column is cleared below its pivot, and above it too if
+        reduced.  The input is copied, never written.  One loop
+        (_eliminate) finds the pivots for both fields on list rows of
+        Python ints; each field's _start (that working copy), _clear (one
+        pivot's row operations on the rows with an entry in its column)
+        and _finish hold the arithmetic.  echelon and rank are its two
+        exits: echelon finishes the rows and builds the array, rank counts
+        the pivots and builds nothing.
+
+        Over GF(p) each pivot row is scaled to a leading 1, and the other
+        rows change only in the columns where the pivot row is nonzero.
+
+        Over QQ the elimination is fraction-free on primitive rows of
+        Python ints (Rationals._clear).  Forward elimination returns those
+        integer rows; reduced=True divides each row by its pivot, which
+        gives the reduced row echelon form in Fractions.
+        """
+        pivots, rows = self._eliminate(a, reduced)
         return pivots, _from_rows(self, self._finish(rows, pivots, reduced), a.shape)
+
+    def rank(self, a):
+        """The rank of a 2-D array of field scalars: the pivot count of the
+        forward loop, with no _finish and no array built.  a is not written."""
+        return len(self._eliminate(a, False)[0])
 
 
 class Rationals(_Field):
@@ -457,7 +473,7 @@ class ExactMatrix:
     # -- rank / kernels --------------------------------------------------
 
     def rank(self):
-        return len(self.field.echelon(self.data)[0])
+        return self.field.rank(self.data)
 
     def corank(self):
         """rows - rank: the dimension of the left null space."""

@@ -389,7 +389,7 @@ def _same_span(field, s, s_next):
     would not: a forward echelon form is not canonical, so one span has
     many.
     """
-    return len(s) == len(s_next) and len(field.echelon(np.vstack([s, s_next]))[0]) == len(s)
+    return len(s) == len(s_next) and field.rank(np.vstack([s, s_next])) == len(s)
 
 
 def _staircase_coranks(M, raw, lam, wanted):
@@ -444,7 +444,7 @@ def _staircase_coranks(M, raw, lam, wanted):
         cor = z + len(s)
         if kind == "M3":
             r, q = a + win * c, b + win * d
-            cor -= len(field.echelon(field.intdot(s, block(r - e, r, q, q + e)))[0])
+            cor -= field.rank(field.intdot(s, block(r - e, r, q, q + e)))
         if kind == "M1":
             # cor(N) = rows(N) - rank(N^T) = cols(N^T) - rows(N^T) + dim K(N^T)
             cor += cols - rows

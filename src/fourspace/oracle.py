@@ -17,6 +17,14 @@ so relation t (L = A, B, C, D for t = 1..4) is the block row
 the second block in the columns of F_t.  This is asymptotically the slow
 route (the unknown count is sum of m_v * n_v) and exists as the
 independent reference for the structured formulas in homdim.
+
+hom_oracle takes the rank of that system (field.rank: the shared
+elimination loop, no echelon array built) with the F_0 columns moved
+last.  Each F_t block is nonzero only in the m_0 * n_t rows of its own
+relation, so its pivots clear within those rows; F_0 meets every
+relation, and eliminating it first would fill in all of them.  Rank
+ignores column order, so the answer is the plain system's nullity, and
+hom_system, its offsets and hom_basis keep the F_0-first layout above.
 """
 
 from __future__ import annotations
@@ -90,9 +98,15 @@ def hom_system(M, X):
 
 
 def hom_oracle(M, X):
-    """dim Hom(M, X) as the nullity of the assembled system."""
+    """dim Hom(M, X) as the nullity of the assembled system.
+
+    The rank is taken with the columns in the order F_1, .., F_4, F_0:
+    each F_t column meets only relation t and F_0 meets all four, so
+    eliminating F_0 last keeps fill-in within each relation.  Rank ignores
+    column order; _system, hom_system and its offsets keep F_0 first.
+    """
     system, offsets = _system(M, X)
-    return offsets[5] - len(M.field.echelon(system)[0])
+    return offsets[5] - M.field.rank(np.roll(system, -offsets[1], axis=1))
 
 
 def hom_basis(M, X):

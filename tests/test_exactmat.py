@@ -394,6 +394,7 @@ def test_echelon_matches_reference_eliminator(field, rng):
         assert pivots == want_pivots
         # forward elimination is row-equivalent to the input
         assert reference_rref(_plain(ech), p) == (want_pivots, want_rref)
+        assert field.rank(a.data) == len(want_pivots)
         assert a.rank() == len(want_pivots)
 
 
@@ -413,7 +414,7 @@ def test_qq_forward_rows_are_primitive_integer_rows(rng):
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
 def test_echelon_leaves_a_writable_input_alone(field, rng):
-    # homdim hands echelon writable arrays (_augment, intdot)
+    # homdim hands echelon and rank writable arrays (_augment, intdot)
     inputs = [zeros(field, 0, 3), zeros(field, 3, 0), zeros(field, 3, 4),
               random_invertible(field, 4, rng), random_matrix(field, 3, 5, rng)]
     for m in inputs:
@@ -423,6 +424,8 @@ def test_echelon_leaves_a_writable_input_alone(field, rng):
             assert np.array_equal(a, m.data)
             assert ech.dtype == field.dtype and ech.shape == a.shape
             assert not np.shares_memory(ech, a)
+        field.rank(a)
+        assert np.array_equal(a, m.data)
 
 
 def reference_product(a, b, p=None):

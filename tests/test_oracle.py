@@ -1,10 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from fourspace import catalog as cat
-from fourspace.exactmat import QQ, FieldMismatch, PrimeField, mat, random_invertible
+from fourspace.exactmat import (
+    QQ,
+    FieldMismatch,
+    PrimeField,
+    mat,
+    random_invertible,
+    random_matrix,
+)
 from fourspace.modules import (
+    LambdaModule,
     all_permutations,
     base_change,
     dim_vector,
@@ -66,11 +75,42 @@ def test_unknown_count_invariant(field, rng):
     assert sys_.matrix.rows == dim_vector(x)[0] * sum(dim_vector(m)[1:])
 
 
-def test_nullity_equals_oracle(field, rng):
-    m = random_module(field, rng, max_dim=2)
-    x = random_module(field, rng, max_dim=2)
-    sys_ = hom_system(m, x)
-    assert hom_oracle(m, x) == sys_.matrix.cols - sys_.matrix.rank()
+def _low_rank_module(field, rng, max_dim):
+    # every map factors through a smaller space, so each has a kernel
+    n0 = rng.randint(1, max_dim)
+    mats = []
+    for _ in range(4):
+        nt = rng.randint(1, max_dim)
+        k = rng.randint(0, nt - 1)
+        mats.append(random_matrix(field, n0, k, rng) @ random_matrix(field, k, nt, rng))
+    return LambdaModule(*mats)
+
+
+def _oracle_targets(field):
+    # both tube families; GF(2) has no homogeneous tube
+    lams = {QQ: [Fraction(7, 3)], GF: [GF.coerce(2)]}.get(field, [])
+    return (
+        [cat.P(n, j) for n in (0, 1) for j in range(5)]
+        + [cat.I(n, j) for n in (0, 1) for j in range(5)]
+        + [cat.R(l, lam) for l in (1, 2) for lam in lams]
+        + [cat.R(s, mm, lam) for s in (0, 1) for mm in (1, 2) for lam in (0, 1, cat.INF)]
+    )
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), GF], ids=["QQ", "GF2", "GF32003"])
+def test_nullity_equals_oracle(fld, rng):
+    # hom_oracle eliminates its columns in another order than hom_system's
+    # F_0-first layout; the nullity must be that of the layout as built
+    sources = [random_module(fld, rng, max_dim=4) for _ in range(6)]
+    sources += [_low_rank_module(fld, rng, 4) for _ in range(6)]
+    targets = [random_module(fld, rng, max_dim=4) for _ in range(6)]
+    targets += [cat.build(d, fld) for d in _oracle_targets(fld)]
+    for i, x in enumerate(targets):
+        for m in (sources[i % len(sources)], sources[(i + 5) % len(sources)]):
+            sys_ = hom_system(m, x)
+            n, d = dim_vector(m), dim_vector(x)
+            assert sys_.offsets[:2] == (0, d[0] * n[0])
+            assert hom_oracle(m, x) == sys_.matrix.cols - sys_.matrix.rank()
 
 
 # -- basis ---------------------------------------------------------------------
