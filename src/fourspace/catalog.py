@@ -5,8 +5,10 @@ preinjectives I(n, j) (j the vertex, 0 the center), regular homogeneous
 modules R(l, lam) with lam outside {0, 1}, and regular exceptional modules
 R(s, m, lam) with s in {0, 1} and lam in {0, 1, inf}.  Every constructor
 assembles its quadruple from identity / zero / exchange / Jordan /
-projection blocks; subspace-vertex members (j = 1..4) of the P/I families
-are slot rotations of the j = 1 member.
+projection blocks.  canonical_form names the one placement: each
+subspace-vertex member (j = 1..4) of the P/I families, and each exceptional
+row, is a representative (the j = 1 member, R(0, m, 0)) with its slots
+permuted by a vertex permutation sigma, and build permutes that way.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .exactmat import (
     vstack,
     zeros,
 )
-from .modules import PERM_CYCLE, PERM_IDENTITY, LambdaModule, perm_compose
+from .modules import PERM_CYCLE, PERM_IDENTITY, LambdaModule, perm_compose, permute_vertices
 
 
 class InvalidParams(ValueError):
@@ -145,12 +147,6 @@ def parse_descriptor(text, field):
 # -- construction -----------------------------------------------------------
 
 
-def _rotate_slots(slots, k):
-    # one step sends (A, B, C, D) to (D, A, B, C): slot i moves to slot i+1
-    k %= 4
-    return tuple(slots[(j - k) % 4] for j in range(4))
-
-
 def _p0_slots(field, n):
     i_n, ai = identity(field, n), anti_identity(field, n)
     return (
@@ -232,18 +228,9 @@ def _r_odd_blocks(field, l):
     )
 
 
-# slot arrangement per (s, lam) row; shared by the even and odd tables
-_EXCEPTIONAL_ARRANGEMENT = {
-    (0, 0): (0, 1, 2, 3),
-    (1, 0): (1, 0, 3, 2),
-    (0, 1): (1, 3, 0, 2),
-    (1, 1): (0, 2, 1, 3),
-    (0, "inf"): (1, 0, 2, 3),
-    (1, "inf"): (0, 1, 3, 2),
-}
-
-# permutation sigma with build(R(s,m,lam)) == permute_vertices(build(R(0,m,0)), sigma);
-# identical for the even and odd rows of each (s, lam)
+# sigma with build(R(s, m, lam)) == permute_vertices(build(R(0, m, 0)), sigma),
+# the same for the even and odd rows of each (s, lam): the one table that
+# places the exceptional rows, read by canonical_form and so by build
 _EXCEPTIONAL_SIGMA = {
     (0, 0): PERM_IDENTITY,
     (1, 0): (2, 1, 4, 3),
@@ -269,38 +256,42 @@ def tube_lambda(field, lam):
 
 
 def build(desc, field):
-    """Assemble the catalog module for desc over the given field."""
-    fam, params = desc.family, desc.params
+    """Assemble the catalog module for desc over the given field: the slots
+    of its representative, permuted by canonical_form's sigma."""
+    rep, sigma = canonical_form(desc)
+    fam, params = rep.family, rep.params
     if fam == FAMILY_POSTPROJECTIVE:
         n, j = params
         if j == 0:
-            return LambdaModule(*_p0_slots(field, n))
-        half, odd = divmod(n, 2)
-        slots = _p_odd_slots(field, half) if odd else _p_even_slots(field, half)
-        return LambdaModule(*_rotate_slots(slots, j - 1))
-    if fam == FAMILY_PREINJECTIVE:
+            slots = _p0_slots(field, n)
+        else:
+            slots = (_p_odd_slots if n % 2 else _p_even_slots)(field, n // 2)
+    elif fam == FAMILY_PREINJECTIVE:
         n, j = params
         if j == 0:
-            return LambdaModule(*_i0_slots(field, n))
-        half, odd = divmod(n, 2)
-        slots = _i_odd_slots(field, half) if odd else _i_even_slots(field, half)
-        return LambdaModule(*_rotate_slots(slots, j - 1))
-    if fam == FAMILY_REGULAR_HOMOGENEOUS:
-        l, lam = params
-        return LambdaModule(*_r_even_blocks(field, l, tube_lambda(field, lam)))
-    if fam == FAMILY_REGULAR_EXCEPTIONAL:
-        s, m, lam = params
-        if m % 2 == 0:
-            blocks = _r_even_blocks(field, m // 2, field.zero)
+            slots = _i0_slots(field, n)
         else:
-            blocks = _r_odd_blocks(field, (m + 1) // 2)
-        arrangement = _EXCEPTIONAL_ARRANGEMENT[(s, _lam_key(lam))]
-        return LambdaModule(*(blocks[k] for k in arrangement))
-    raise InvalidParams(f"unknown family {fam!r}")
+            slots = (_i_odd_slots if n % 2 else _i_even_slots)(field, n // 2)
+    elif fam == FAMILY_REGULAR_HOMOGENEOUS:
+        l, lam = params
+        slots = _r_even_blocks(field, l, tube_lambda(field, lam))
+    else:
+        _, m, _ = params
+        if m % 2 == 0:
+            slots = _r_even_blocks(field, m // 2, field.zero)
+        else:
+            slots = _r_odd_blocks(field, (m + 1) // 2)
+    return permute_vertices(LambdaModule(*slots), sigma)
 
 
 def canonical_form(desc):
-    """(representative descriptor, sigma) with build(desc) = permute(build(rep), sigma)."""
+    """(representative descriptor, sigma) with build(desc) = permute(build(rep), sigma).
+
+    The representative of a P/I member at vertex j >= 1 is its vertex-1
+    member, and sigma the 4-cycle applied j - 1 times; that of an
+    exceptional row R(s, m, lam) is R(0, m, 0), with sigma from
+    _EXCEPTIONAL_SIGMA.  Every other module is its own representative.
+    """
     fam, params = desc.family, desc.params
     if fam in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE):
         n, j = params
@@ -313,8 +304,10 @@ def canonical_form(desc):
         return rep, sigma
     if fam == FAMILY_REGULAR_HOMOGENEOUS:
         return desc, PERM_IDENTITY
-    s, m, lam = params
-    return R(0, m, 0), _EXCEPTIONAL_SIGMA[(s, _lam_key(lam))]
+    if fam == FAMILY_REGULAR_EXCEPTIONAL:
+        s, m, lam = params
+        return R(0, m, 0), _EXCEPTIONAL_SIGMA[(s, _lam_key(lam))]
+    raise InvalidParams(f"unknown family {fam!r}")
 
 
 # -- declared dimension vectors ----------------------------------------------

@@ -14,13 +14,13 @@ nothing else.  The loop runs on a list of Python-int rows, so a pivot
 costs only the entries it changes: residues over GF(p), and over QQ
 fraction-free primitive rows, one gcd pass per updated row, with
 Fractions only in the reduced form.
-Each field has one matrix product, ``field.dot``, and ``ExactMatrix @``
-calls it: int64 residues over GF(p), a zero-skipping Python product over
-QQ.  ``field.integral`` scales arrays by one nonzero scalar into the form
+``field.integral`` scales arrays by one nonzero scalar into the form
 elimination runs on (Python ints over QQ, the residues themselves over
 GF(p)), and ``field.intdot`` multiplies in that form, so a caller that
-needs only ranks and kernels keeps its products in integers.  No floating
-point anywhere.
+needs only ranks and kernels keeps its products in integers.  Each field
+has one matrix product, ``field.dot``, and ``ExactMatrix @`` calls it:
+int64 residues over GF(p); over QQ, intdot of the integral form, divided
+by the square of its scale.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -156,23 +156,11 @@ class Rationals(_Field):
         return rows
 
     def dot(self, a, b):
-        """a @ b for 2-D arrays of Fractions, skipping zero products.
-
-        The product holds Fractions; integer arrays in the elimination form
-        multiply through intdot instead.  The arithmetic is Python code,
-        and numpy's dense object-dtype a @ b multiplies every pair.  Its
-        caller is base_change (U X V on sparse catalog blocks): building
-        the 12 disguised (6, 3, 3, 3, 3) inputs of perfbench's
-        decompose-qq took a median of 0.054 s with this loop against
-        0.067 s with the dense product (16 alternating runs, 2-vCPU
-        virtual machine, numpy 2.4).
-        """
-        zero = self.zero
-        bt = b.T.tolist()
-        rows = [
-            [sum((x * y for x, y in zip(ra, cb) if x and y), zero) for cb in bt]
-            for ra in a.tolist()
-        ]
+        """a @ b for 2-D arrays of Fractions: the intdot of their integral
+        form, over the square of its scale."""
+        (x, y), s = self.integral([a, b])
+        d = s * s
+        rows = [[Fraction(v, d) for v in row] for row in self.intdot(x, y).tolist()]
         return _from_rows(self, rows, (a.shape[0], b.shape[1]))
 
     def integral(self, arrays):
@@ -197,15 +185,12 @@ class Rationals(_Field):
         """a @ b for 2-D arrays of Python ints, left in Python ints.
 
         These are the arrays of integral and the forward echelon rows made
-        from them.  numpy's dense object product multiplies every pair, but
-        on ints that is cheaper than dot's zero-skipping Python sum: 18 us
-        against 134 us for a 6 x 6 times a 6 x 18 (2-vCPU virtual machine,
-        numpy 2.4).
+        from them; dot multiplies Fractions this way too.  numpy's dense
+        object product multiplies every pair, which on ints is cheaper than
+        a zero-skipping Python sum: 18 us against 134 us for a 6 x 6 times
+        a 6 x 18 (2-vCPU virtual machine, numpy 2.4).
         """
         return a @ b
-
-    def neg(self, a):
-        return -a
 
     def parse(self, s):
         """Parse "5", "-3" or "2/7"."""
@@ -313,9 +298,6 @@ class PrimeField(_Field):
         return (a.astype(object) @ b.astype(object) % self.p).astype(np.int64)
 
     intdot = dot
-
-    def neg(self, a):
-        return -a % self.p
 
     def inv(self, a):
         a %= self.p
@@ -497,7 +479,7 @@ class ExactMatrix:
             v = [f.zero] * n
             v[free] = f.one
             for i, pc in enumerate(pivots):
-                v[pc] = f.neg(rref[i][free])
+                v[pc] = f.reduce(-rref[i][free])
             basis.append(tuple(v))
         return basis
 
@@ -626,8 +608,18 @@ def random_matrix(field, m, n, rng):
     return ExactMatrix._raw(field, _from_rows(field, rows, (m, n)))
 
 
+# a uniform GF(2) matrix is singular with probability below 0.711, so 100
+# singular draws in a row (< 1.5e-15) point to a rank that under-counts
+_INVERTIBLE_DRAWS = 100
+
+
 def random_invertible(field, n, rng):
-    while True:
+    """The first of at most _INVERTIBLE_DRAWS random n x n matrices of full
+    rank; ArithmeticError if none is."""
+    for _ in range(_INVERTIBLE_DRAWS):
         a = random_matrix(field, n, n, rng)
         if a.rank() == n:
             return a
+    raise ArithmeticError(
+        f"no invertible {n}x{n} matrix over {field} in {_INVERTIBLE_DRAWS} random draws"
+    )

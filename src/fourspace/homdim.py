@@ -270,7 +270,7 @@ def _write(module, cells, lam, integral=False):
         col0.append(col0[-1] + (w or 0))
 
     one = field.one
-    neg_lam = one if lam is None else field.neg(lam)
+    neg_lam = one if lam is None else field.reduce(-lam)
     shape = (len(cells) * n0, col0[-1])
     if integral:
         # every block is one coefficient times one letter: a scale for the
@@ -288,7 +288,7 @@ def _write(module, cells, lam, integral=False):
             return field.reduce(neg_lam * base)
         if one != 1:
             base = field.reduce(one * base)
-        return base if coeff == 1 else field.neg(base)
+        return base if coeff == 1 else field.reduce(-base)
 
     blocks = {cell: block(*cell) for row in cells for cell in row if cell is not None}
     for r, row in enumerate(cells):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -440,11 +441,21 @@ def reference_product(a, b, p=None):
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
 def test_field_dot_matches_python_products(field, rng):
     # over GF(2^31 - 1) two products already pass 2^63, so int64 alone
-    # would overflow; catalog letters are mostly zero, which QQ skips
+    # would overflow; random_matrix draws integers, so over QQ only the
+    # entries of mixed denominators give the product a scale s other than
+    # 1, where dividing by s instead of s * s shows
     p = field.p if isinstance(field, PrimeField) else None
+
+    def fractions(m, n):
+        return mat(field, [[Fraction(rng.randint(-9, 9), rng.choice((3, 7, 12797)))
+                            for _ in range(n)] for _ in range(m)], (m, n))
+
     pairs = []
     for m, k, n in ((3, 4, 5), (1, 2, 1), (0, 3, 2), (3, 0, 2), (4, 16, 3)):
         pairs.append((random_matrix(field, m, k, rng), random_matrix(field, k, n, rng)))
+        pairs.append((fractions(m, k), fractions(k, n)))
+    pairs.append((mat(field, [[Fraction(1, 3), Fraction(2, 7)]]),
+                  mat(field, [[Fraction(5, 12797)], [Fraction(-1, 3)]])))
     for x in cat.build(cat.P(4, 0), field).mats():
         pairs.append((x.transpose(), x))
         pairs.append((random_matrix(field, 2, x.rows, rng), x))
@@ -456,6 +467,17 @@ def test_field_dot_matches_python_products(field, rng):
         assert (a @ b).data.tolist() == want
         if p is None:
             assert all(isinstance(x, Fraction) for x in got.ravel())
+
+
+def test_random_invertible_raises_when_rank_under_counts(field, rng, monkeypatch):
+    # a kernel whose rank never reaches n must fail after a bounded number
+    # of draws, not loop for ever
+    calls = []
+    monkeypatch.setattr(type(field), "rank", lambda self, a: calls.append(a.shape) or 0)
+    with pytest.raises(ArithmeticError, match=re.escape(f"3x3 matrix over {field!r}")):
+        random_invertible(field, 3, rng)
+    assert 0 < len(calls) <= 100
+    assert random_invertible(field, 0, rng) == zeros(field, 0, 0)
 
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)

@@ -205,6 +205,6 @@ def test_system_matches_entrywise_relations(field, rng):
                     for k in range(n[0]):
                         row[off[0] + i * n[0] + k] = lm[k, j]
                     for k in range(d[t]):
-                        row[off[t] + k * n[t] + j] = field.neg(lx[i, k])
+                        row[off[t] + k * n[t] + j] = field.reduce(-lx[i, k])
                     want.append(tuple(row))
         assert sys_.matrix == mat(field, want, shape=(len(want), off[5]))
