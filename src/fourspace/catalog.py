@@ -24,7 +24,7 @@ from .exactmat import (
     vstack,
     zeros,
 )
-from .modules import PERM_CYCLE, PERM_IDENTITY, LambdaModule, perm_compose, permute_vertices
+from .modules import PERM_CYCLE, PERM_IDENTITY, LambdaModule, perm_compose, permute_slots
 
 
 class InvalidParams(ValueError):
@@ -281,7 +281,7 @@ def build(desc, field):
             slots = _r_even_blocks(field, m // 2, field.zero)
         else:
             slots = _r_odd_blocks(field, (m + 1) // 2)
-    return permute_vertices(LambdaModule(*slots), sigma)
+    return LambdaModule(*permute_slots(slots, sigma))
 
 
 def canonical_form(desc):

@@ -12,15 +12,19 @@ array, from which null space and inverse follow, and ``field.rank``
 returns the pivot count alone and builds no array, for callers that need
 nothing else.  The loop runs on a list of Python-int rows, so a pivot
 costs only the entries it changes: residues over GF(p), and over QQ
-fraction-free primitive rows, one gcd pass per updated row, with
-Fractions only in the reduced form.
+fraction-free primitive rows, one gcd pass per updated row.  QQ input
+that holds Python ints is taken as it is; an array with a Fraction in it
+is scaled to ints first.  Fractions come back only in the reduced form,
+which serves nullspace and invert alone.
 ``field.integral`` scales arrays by one nonzero scalar into the form
 elimination runs on (Python ints over QQ, the residues themselves over
-GF(p)), and ``field.intdot`` multiplies in that form, so a caller that
-needs only ranks and kernels keeps its products in integers.  Each field
-has one matrix product, ``field.dot``, and ``ExactMatrix @`` calls it:
-int64 residues over GF(p); over QQ, intdot of the integral form, divided
-by the square of its scale.  No floating point anywhere.
+GF(p)), ``field.intdot`` multiplies in that form, and
+``field.primitive`` divides such an array by one common factor, so a
+caller that needs only ranks and kernels keeps its products in small
+integers.  Each field has one matrix product, ``field.dot``, and
+``ExactMatrix @`` calls it: int64 residues over GF(p); over QQ, intdot
+of the integral form, divided by the square of its scale.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -90,9 +94,11 @@ class _Field:
         rows change only in the columns where the pivot row is nonzero.
 
         Over QQ the elimination is fraction-free on primitive rows of
-        Python ints (Rationals._clear).  Forward elimination returns those
-        integer rows; reduced=True divides each row by its pivot, which
-        gives the reduced row echelon form in Fractions.
+        Python ints (Rationals._clear): an array of Python ints as it is,
+        one holding a Fraction times the lcm of its denominators.  Forward
+        elimination returns those integer rows; reduced=True divides each
+        row by its pivot, which gives the reduced row echelon form in
+        Fractions.
         """
         pivots, rows = self._eliminate(a, reduced)
         return pivots, _from_rows(self, self._finish(rows, pivots, reduced), a.shape)
@@ -123,9 +129,14 @@ class Rationals(_Field):
         return a
 
     def _start(self, a):
-        # primitive integer rows of the same row space: the same pivots, rank
-        (x,), _ = self.integral([np.asarray(a, dtype=object)])
-        return [_primitive(row) for row in x.tolist()]
+        # primitive integer rows of the same row space: the same pivots and
+        # rank.  Python-int rows are taken as they are; a Fraction anywhere
+        # makes math.gcd raise, and integral scales the array first
+        try:
+            return [_primitive(row) for row in a.tolist()]
+        except TypeError:
+            (x,), _ = self.integral([a])
+            return [_primitive(row) for row in x.tolist()]
 
     def _clear(self, pivot_row, c, target_rows, reduced):
         """Clear column c in target_rows, in place, with pivot_row.
@@ -180,6 +191,16 @@ class Rationals(_Field):
             for a in arrays
         ]
         return out, scale
+
+    def primitive(self, a):
+        """a over the gcd of all its entries, for an array of Python ints.
+
+        One nonzero scale for the whole array, so a linear map keeps its
+        kernels and the spans of its products; rows scaled each by their
+        own gcd would not.
+        """
+        g = math.gcd(*a.flat)
+        return a // g if g > 1 else a
 
     def intdot(self, a, b):
         """a @ b for 2-D arrays of Python ints, left in Python ints.
@@ -298,6 +319,10 @@ class PrimeField(_Field):
         return (a.astype(object) @ b.astype(object) % self.p).astype(np.int64)
 
     intdot = dot
+
+    def primitive(self, a):
+        """a itself: residues need no common scale to stay small."""
+        return a
 
     def inv(self, a):
         a %= self.p

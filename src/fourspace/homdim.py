@@ -38,19 +38,23 @@ left kernel K_k = {y : y N_k = 0}: z counts the kernel vectors whose tail
 (the last e block rows, which the next copy's W reaches) is zero, and S
 is a basis of the tails of K_k.  Then dim K_k = z + rank S, and one step
 takes the left kernel of [[S W], [rep]] and splits it the same way.
-Every copy holds the same rep, W and tail size, so the reduced echelon
-basis B of [rep | E] (E the identity on the tail rows) is eliminated once
-per group.  A step reduces only the rank S rows [S W | 0] against B, with
-one product, and eliminates that residual: at most e block rows, where
-the whole step had rank S plus a copy's rows.  The rows of B and of the
-residual have distinct pivots, so those whose pivot lies in the tail
-columns form the next S.  Over QQ the window is written integral (the
-letters times one common denominator and the coefficients 1 and -lam
-times another: a nonzero multiple, which changes no kernel) and B is
-held as integer rows with one common pivot value, so S, S W and every
-product stay Python ints.  Each elimination makes its rows primitive,
-and S stays as small deep in the staircase as after its first steps
-instead of growing from step to step.  A step depends on span(S) alone,
+Every copy holds the same rep, W and tail size, so the forward echelon
+basis B of [rep | E] (E the identity on the tail rows) is eliminated
+once per group, and [W | 0] is reduced against B once: each row of B,
+in pivot order, clears its pivot column from all rows of W together.
+That makes the reduction one linear map WB, zero in every pivot column of
+B.  A step multiplies only the rank S rows by WB, one product, and
+eliminates that residual: at most e block rows, where the whole step had
+rank S plus a copy's rows.  The rows of B and of the residual have
+distinct pivots, so those whose pivot lies in the tail columns form the
+next S.  Over QQ the window is written integral (the letters times one
+common denominator and the coefficients 1 and -lam times another: a
+nonzero multiple, which changes no kernel), so B, WB, S and every
+product stay Python ints from the cell writer to the last rank, with no
+reduced form and no Fraction.  WB is kept over the gcd of all its
+entries, each elimination makes its rows primitive, and S stays as small
+deep in the staircase as after its first steps instead of growing from
+step to step.  A step depends on span(S) alone,
 so the pass stops at the first step that returns the span it was given
 and extrapolates: every later copy adds the same to z and keeps S.  When
 the head pattern is the rep pattern, the head is one more copy from the
@@ -373,12 +377,29 @@ def _fold(field, x, t):
     its row space is {(y x, y_tail)}, so the echelon rows past the pivots
     of x span {(0, y_tail) : y x = 0}, and rows without a pivot count z.
     The head of the staircase is folded this way, unless it is a copy of
-    the rep pattern; each copy reuses one reduced basis of [rep | E] (see
+    the rep pattern; each copy reuses one forward basis of [rep | E] (see
     _staircase_coranks).
     """
     m, n = x.shape
     pivots, ech = field.echelon(_augment(x, t))
     return m - len(pivots), ech[bisect_left(pivots, n) : len(pivots), n:]
+
+
+def _reduce_rows(field, w, pivots, basis):
+    """w reduced against the forward echelon rows basis: one linear map.
+
+    Each basis row B_i, in pivot order, clears its pivot column c_i from
+    every row of w at once: w := B_i[c_i] w - w[:, c_i] B_i, over QQ
+    then divided by the gcd of all its entries (field.primitive).  B_i is
+    zero left of c_i, so the columns already cleared stay zero, and w ends
+    up zero in every pivot column.  Every row of w is scaled alike, so the
+    result is c w - X B for one nonzero scalar c.
+    """
+    for c, row in zip(pivots, basis):
+        # every pivot is 1 over GF(p), and then w needs no scaling
+        scaled = w if row[c] == 1 else row[c] * w
+        w = field.primitive(field.reduce(scaled - w[:, c, None] * row))
+    return w
 
 
 def _same_span(field, s, s_next):
@@ -400,15 +421,21 @@ def _staircase_coranks(M, raw, lam, wanted):
     whose last e block rows meet the next copy's columns through W.
 
     Every copy holds the same rep block R, overlap W and tail size t, so
-    the reduced basis B of [R | E] (pivot columns P, pivot value L) is
-    eliminated once.  A step adds the rows [s W | 0] to the rows of B.
-    Reduced against B they are s times WB = L [W | 0] - [W | 0][:, P] B,
-    which vanishes in the columns P (echelon skips zero columns); one
-    elimination of that product, len(s) rows, gives the rank the step adds
-    beyond rank B.  The rows of B and of that elimination have distinct
-    pivots, so those whose pivot lies in the tail columns form the next s.
-    The window is written integral (field.integral), so over QQ s, W and
-    every product are Python ints.
+    the forward echelon basis B of [R | E] (pivot columns P) is
+    eliminated once, and _reduce_rows turns [W | 0] into
+    WB = c [W | 0] - X B, zero in every column of P, for one nonzero
+    scalar c.  A step adds the rows [s W | 0] to the rows of B.  Reduced
+    against B they are s WB / c, which vanishes in the columns P (echelon
+    skips zero columns); one elimination of that product, len(s) rows,
+    gives the rank the step adds beyond rank B.  The rows of B and of that
+    elimination have distinct pivots, so those whose pivot lies in the
+    tail columns form the next s.  That needs every row of B in WB, those
+    with a pivot in the tail columns too, or the residual could take a
+    pivot of B again; and one c for all rows, since rows scaled each by
+    their own factor (a diagonal D) would give s D WB, whose span is not
+    that of s WB.  The window is written integral (field.integral), so
+    over QQ B, s, WB and every product are Python ints, and no
+    elimination builds Fractions.
 
     A step is a function of span(s) alone: it adds
     len(s) + rows(R) - rank B - rank(s WB) to z and maps the span to the
@@ -459,11 +486,11 @@ def _staircase_coranks(M, raw, lam, wanted):
     rep = block(a, a + c, b, b + d)
     m, n = rep.shape
     t = row0[a + c] - row0[a + c - e]
-    pivots, rref = field.echelon(_augment(rep, t), reduced=True)
-    (basis,), lead = field.integral([rref[: len(pivots)]])
+    pivots, ech = field.echelon(_augment(rep, t))
+    basis = ech[: len(pivots)]
     w = np.zeros((t, n + t), dtype=data.dtype)
     w[:, :n] = block(a - e, a, b, b + d)
-    wb = field.reduce(lead * w - field.intdot(w[:, pivots], basis))
+    wb = _reduce_rows(field, w, pivots, basis)
     basis_tails = basis[bisect_left(pivots, n) :, n:]
     if raw["head"] == raw["rep"]:
         z, s = m - len(pivots), basis_tails

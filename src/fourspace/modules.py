@@ -103,13 +103,17 @@ def all_permutations():
     return [tuple(p) for p in permutations((1, 2, 3, 4))]
 
 
-def permute_vertices(m, sigma):
+def permute_slots(slots, sigma):
+    """The four slots (A, B, C, D) relocated by sigma, as a tuple."""
     sigma = check_permutation(sigma)
-    slots = m.mats()
     out = [None] * 4
     for i in range(4):
         out[sigma[i] - 1] = slots[i]
-    return LambdaModule(*out)
+    return tuple(out)
+
+
+def permute_vertices(m, sigma):
+    return LambdaModule(*permute_slots(m.mats(), sigma))
 
 
 def zero_module(field):

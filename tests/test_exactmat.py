@@ -413,6 +413,52 @@ def test_qq_forward_rows_are_primitive_integer_rows(rng):
         assert len(reference_rref(rows[:rank] + _plain(a.data))[0]) == rank
 
 
+def _int_inputs(rng):
+    """QQ arrays of Python ints: entries past 2^63, rows with a common
+    factor, zero rows, and empty shapes."""
+    out = [np.empty((0, 4), dtype=object), np.empty((3, 0), dtype=object),
+           np.zeros((3, 4), dtype=object)]
+    for m, n in ((4, 6), (6, 4), (5, 5), (1, 7)):
+        rows = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-2**80, 2**80)))
+                 for _ in range(n)] for _ in range(m)]
+        rows[0] = [6 * x for x in rows[0]]
+        rows.append([2**70 * x for x in rows[-1]])
+        rows.insert(1, [0] * n)
+        out.append(np.array(rows, dtype=object))
+    return out
+
+
+def _as_fractions(a):
+    return np.array([[Fraction(x) for x in row] for row in a.tolist()],
+                    dtype=object).reshape(a.shape)
+
+
+def _results(a):
+    """Every exit of the QQ kernel on a, with the type of each entry."""
+    out = [QQ.rank(a)]
+    for reduced in (False, True):
+        pivots, ech = QQ.echelon(a, reduced)
+        out.append((pivots, ech.shape, [(x, type(x)) for x in ech.flat]))
+    return out
+
+
+def test_qq_takes_int_rows_as_their_fractions(rng):
+    # Python-int rows skip integral and go straight to the primitive rows;
+    # the same values held as Fractions must give the same pivots, forward
+    # rows, reduced form and rank.  An array that mixes ints and Fractions
+    # must still be scaled as a whole
+    for a in _int_inputs(rng):
+        assert all(type(x) is int for x in a.flat)
+        assert _results(a) == _results(_as_fractions(a))
+        if a.size:
+            # one entry over 3 in the last row, one integral Fraction in
+            # the first
+            mixed = a.copy()
+            mixed[-1, -1] = Fraction(2 * a[-1, -1] + 1, 3)
+            mixed[0, 0] = Fraction(a[0, 0])
+            assert _results(mixed) == _results(_as_fractions(mixed))
+
+
 @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
 def test_echelon_leaves_a_writable_input_alone(field, rng):
     # homdim hands echelon and rank writable arrays (_augment, intdot)

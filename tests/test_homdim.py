@@ -10,6 +10,7 @@ from fourspace.catalog import EnumerationBounds, InvalidParams, enumerate_descri
 from fourspace.decomp import decompose
 from fourspace.exactmat import (
     QQ,
+    ExactMatrix,
     PrimeField,
     block_grid,
     hstack,
@@ -231,12 +232,12 @@ def _tubes(field, depths=(1, 4)):
     return [cat.R(l, lam) for lam in dict.fromkeys(lams) for l in depths]
 
 
-def _disguised(field, picks, rng):
+def _disguised(field, picks, rng, invertible=random_invertible):
     m = cat.build(picks[0], field)
     for desc in picks[1:]:
         m = module_direct_sum(m, cat.build(desc, field))
-    u = random_invertible(field, m.n0, rng)
-    return base_change(m, u, [random_invertible(field, x.cols, rng) for x in m.mats()])
+    u = invertible(field, m.n0, rng)
+    return base_change(m, u, [invertible(field, x.cols, rng) for x in m.mats()])
 
 
 def test_deep_descriptors_cover_every_case():
@@ -310,6 +311,51 @@ def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, monkeypatch):
         eliminations.add(len(counts))
         assert sum(r > len(spec["overlap"]) * m.n0 for r in counts) <= 2, counts
     assert len(eliminations) == 1, eliminations
+
+
+@pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
+def test_reduce_rows_is_one_map_onto_the_free_columns(field):
+    # W reduced against the forward basis B of [R | E] must vanish in every
+    # pivot column of B, those in the tail included, and be one nonzero
+    # multiple c of the canonical residual W - W[:, P] rref(B): one c for
+    # all rows, or S (W reduced) would span another space than S W does
+    rng = random.Random(11)
+    nonzero = 0
+    for m, n, t in ((6, 4, 3), (7, 3, 5), (5, 4, 2), (8, 8, 4)):
+        rep = np.array(random_matrix(field, m, n, rng).data)
+        rep[:, rng.randrange(n)] = field.zero
+        (rep, w), _ = field.integral([rep, random_matrix(field, t, n, rng).data])
+        pivots, ech = field.echelon(homdim._augment(rep, t))
+        basis = ech[: len(pivots)]
+        # a dependent row of R leaves B a pivot in the tail columns
+        assert pivots[-1] >= n
+        w = np.hstack([w, np.zeros((t, t), dtype=field.dtype)])
+        wb = mat(field, homdim._reduce_rows(field, w, pivots, basis).tolist(), w.shape)
+        _, rref = field.echelon(basis, reduced=True)
+        w = mat(field, w.tolist(), w.shape)
+        lead = ExactMatrix._raw(field, w.data[:, pivots])
+        want = w - lead @ mat(field, rref.tolist())
+        assert not any(wb[i, c] for i in range(t) for c in pivots)
+        # wb = c * want with c != 0: both zero, or proportional as vectors
+        flat = [wb.entries_rowmajor(), want.entries_rowmajor()]
+        assert any(flat[0]) == any(flat[1]) and mat(field, flat).rank() <= 1
+        nonzero += any(flat[1])
+    assert nonzero
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3)], ids=repr)
+def test_hom_vector_clears_the_tail_pivots_of_a_copy(field):
+    # [rep | E] has pivots in its tail columns when a copy's rows are
+    # dependent; W reduced against B must be cleared there too, or a
+    # step's residual can take one of B's pivots and count a rank twice.
+    # Over small fields some of these sums meet that: with the tail pivot
+    # rows left out, 7 of these 40 modules got a wrong answer
+    descs = [cat.P(4, 3), cat.P(6, 2), cat.I(8, 3), cat.P(8, 4)]
+    for seed in range(10):
+        rng = random.Random(seed)
+        for picks in ([cat.I(1, 0), cat.P(2, 1)], [cat.P(1, 0), cat.I(2, 3)]):
+            m = _disguised(field, picks, rng)
+            assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
 
 
 @pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
@@ -411,10 +457,43 @@ def test_hom_vector_deep_qq_staircases(rng, monkeypatch):
         if reps > deepest.get(key, (-1, None))[0]:
             deepest[key] = (reps, d)
     assert set(deepest) == set(CASE_SPECS)
-    m = _disguised(QQ, [cat.R(1, lam), cat.P(1, 0), cat.I(1, 0)], rng)
-    assert dim_vector(m) == (8, 4, 4, 4, 4)
     descs = [d for _, d in deepest.values()]
+    # one sum behind an integer base change, and behind one whose columns
+    # lie over 7 and 12797 in turn, so its letters hold Fractions of mixed
+    # denominators
+    picks = [cat.R(1, lam), cat.P(1, 0), cat.I(1, 0)]
+    modules = [_disguised(QQ, picks, rng), _disguised(QQ, picks, rng, _over_denominators)]
+    denominators = {x.denominator for y in modules[1].mats() for x in y.data.flat}
+    assert all(any(q % p == 0 for q in denominators) for p in (7, 12797))
+    for m in modules:
+        assert dim_vector(m) == (8, 4, 4, 4, 4)
+        assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
+
+
+def _over_denominators(field, n, rng):
+    """A random invertible n x n matrix over QQ whose columns lie over 7
+    and 12797 in turn."""
+    d = [[Fraction(1, (7, 12797)[j % 2]) if i == j else 0 for j in range(n)] for i in range(n)]
+    return random_invertible(field, n, rng) @ mat(field, d, (n, n))
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+def test_hom_vector_eliminates_forward_only(field, monkeypatch):
+    # the staircase reduces S W against the forward basis of a copy, so no
+    # elimination of hom_vector asks for the reduced form
+    calls = []
+    echelon = field.echelon
+
+    def spied(a, reduced=False):
+        calls.append(reduced)
+        return echelon(a, reduced)
+
+    monkeypatch.setattr(field, "echelon", spied)
+    lams = (field.coerce(2), field.coerce(Fraction(7, 3)))
+    m = _disguised(field, [cat.R(2, lams[1]), cat.P(2, 1), cat.I(2, 0)], random.Random(3))
+    descs = enumerate_descriptors(EnumerationBounds(6, 3, lams))
     assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
+    assert calls and not any(calls)
 
 
 def test_hom_vector_additive(field, rng):
