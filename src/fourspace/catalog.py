@@ -8,7 +8,10 @@ assembles its quadruple from identity / zero / exchange / Jordan /
 projection blocks.  canonical_form names the one placement: each
 subspace-vertex member (j = 1..4) of the P/I families, and each exceptional
 row, is a representative (the j = 1 member, R(0, m, 0)) with its slots
-permuted by a vertex permutation sigma, and build permutes that way.
+permuted by a vertex permutation sigma.  case is the one dispatch on
+family, parity, size and lam: it names the representative's pattern by
+one of eight keys.  build reads the slot builder of that key, and homdim
+the staircase of that key.
 """
 
 from __future__ import annotations
@@ -255,33 +258,50 @@ def tube_lambda(field, lam):
     return value
 
 
-def build(desc, field):
-    """Assemble the catalog module for desc over the given field: the slots
-    of its representative, permuted by canonical_form's sigma."""
+_SLOTS = {
+    "P0": _p0_slots,
+    "P_ODD": _p_odd_slots,
+    "P_EVEN": _p_even_slots,
+    "I0": _i0_slots,
+    "I_ODD": _i_odd_slots,
+    "I_EVEN": _i_even_slots,
+    "R_EVEN": _r_even_blocks,
+    "R_ODD": _r_odd_blocks,
+}
+
+
+def case(desc, field):
+    """(key, sigma, size, lam): the one choice of pattern for desc.
+
+    sigma carries desc to its canonical_form representative, whose family
+    and parity pick one of eight keys, each naming one slot builder here
+    and one staircase pattern in homdim.CASE_SPECS.  size is the builder's
+    block size, lam the tube parameter in field (0 for the even exceptional
+    rows, which are R_EVEN at lam = 0), None where the pattern has none.
+    """
     rep, sigma = canonical_form(desc)
     fam, params = rep.family, rep.params
-    if fam == FAMILY_POSTPROJECTIVE:
+    if fam in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE):
+        # keys "P0", "P_ODD", "P_EVEN" and their "I" twins
         n, j = params
         if j == 0:
-            slots = _p0_slots(field, n)
-        else:
-            slots = (_p_odd_slots if n % 2 else _p_even_slots)(field, n // 2)
-    elif fam == FAMILY_PREINJECTIVE:
-        n, j = params
-        if j == 0:
-            slots = _i0_slots(field, n)
-        else:
-            slots = (_i_odd_slots if n % 2 else _i_even_slots)(field, n // 2)
-    elif fam == FAMILY_REGULAR_HOMOGENEOUS:
+            return f"{fam}0", sigma, n, None
+        return f"{fam}_{'ODD' if n % 2 else 'EVEN'}", sigma, n // 2, None
+    if fam == FAMILY_REGULAR_HOMOGENEOUS:
         l, lam = params
-        slots = _r_even_blocks(field, l, tube_lambda(field, lam))
-    else:
-        _, m, _ = params
-        if m % 2 == 0:
-            slots = _r_even_blocks(field, m // 2, field.zero)
-        else:
-            slots = _r_odd_blocks(field, (m + 1) // 2)
-    return LambdaModule(*permute_slots(slots, sigma))
+        return "R_EVEN", sigma, l, tube_lambda(field, lam)
+    _, m, _ = params
+    if m % 2 == 0:
+        return "R_EVEN", sigma, m // 2, field.zero
+    return "R_ODD", sigma, (m + 1) // 2, None
+
+
+def build(desc, field):
+    """Assemble the catalog module for desc over the given field: the slots
+    of case's key, permuted by its sigma."""
+    key, sigma, size, lam = case(desc, field)
+    args = (field, size) if lam is None else (field, size, lam)
+    return LambdaModule(*permute_slots(_SLOTS[key](*args), sigma))
 
 
 def canonical_form(desc):

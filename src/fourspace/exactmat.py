@@ -117,10 +117,13 @@ class Rationals(_Field):
     dtype = object
 
     def coerce(self, x):
+        # numpy integers, bare or as a Fraction's parts, wrap at 2^63:
+        # every numerator and denominator is made a Python int
         if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+            n, d = x.numerator, x.denominator
+            return x if type(n) is int and type(d) is int else Fraction(int(n), int(d))
+        if isinstance(x, (int, np.integer)):
+            return Fraction(int(x))
         if isinstance(x, float):
             raise TypeError("floating point is not allowed; use Fraction or int")
         return Fraction(x)
@@ -619,13 +622,10 @@ def block_grid(grid):
 def direct_sum(w1, w2):
     """Block diagonal [[W1, 0], [0, W2]]."""
     _check_same_field(w1.field, w2.field)
-    f = w1.field
-    return block_grid(
-        [
-            [w1, zeros(f, w1.rows, w2.cols)],
-            [zeros(f, w2.rows, w1.cols), w2],
-        ]
-    )
+    out = _zero_array(w1.field, w1.rows + w2.rows, w1.cols + w2.cols)
+    out[: w1.rows, : w1.cols] = w1.data
+    out[w1.rows :, w1.cols :] = w2.data
+    return ExactMatrix._raw(w1.field, out)
 
 
 def random_matrix(field, m, n, rng):

@@ -10,18 +10,19 @@ then the corank of N.  Three special targets skip N entirely:
 
 Every N follows one stacking scheme: a head block pattern in the top-left
 corner, `reps` copies of a repeating pattern marching down the diagonal,
-and a small overlap block W stitching neighbouring copies together.  The
-three schemes differ only in where W sits relative to a copy:
+and a small overlap block W above each copy, in the last rows of the one
+before it.  The two kinds differ only at the end:
 
-    kind "M1": W left of each copy, in its first rows;
-    kind "M2": W above each copy, in the previous copy's last rows;
-    kind "M3": as "M2", plus one trailing W capping the last rows in
-               fresh columns appended on the right.
+    kind "M2": nothing follows the last copy;
+    kind "M3": one trailing W caps the last rows, in fresh columns
+               appended on the right.
 
 Vertex-j targets with j > 1 and the exceptional tube arrangements reduce
 to the j = 1 / (s, lam) = (0, 0) representative by permuting the slots of
 M (hom(M, permute(X, sigma)) = hom(permute(M, sigma^-1), X)), so only
-eight block patterns exist, tabulated in CASE_SPECS.
+eight block patterns exist, tabulated in CASE_SPECS under the keys
+catalog.case picks: the one dispatch on family, parity and size, which
+build reads too.
 
 hom_dim(M, X) answers one target: it assembles N and takes its corank.
 
@@ -59,8 +60,7 @@ so the pass stops at the first step that returns the span it was given
 and extrapolates: every later copy adds the same to z and keeps S.  When
 the head pattern is the rep pattern, the head is one more copy from the
 empty state, and B already folds it.  "M3" subtracts rank(S W_cap) for
-the trailing cap.  "M1" runs the recursion on N^T, which stacks like
-"M2", and uses cor(N) = rows(N) - cols(N) + dim K(N^T).
+the trailing cap.
 
 hom_dim keeps the one-matrix corank, the reference the tests hold
 hom_vector to.
@@ -72,14 +72,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .catalog import (
-    FAMILY_POSTPROJECTIVE,
-    FAMILY_PREINJECTIVE,
-    FAMILY_REGULAR_HOMOGENEOUS,
-    InvalidParams,
-    canonical_form,
-    tube_lambda,
-)
+from .catalog import FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE, InvalidParams, case
 from .exactmat import ExactMatrix, _zero_array, hstack
 from .modules import PERM_IDENTITY, perm_inverse, permute_vertices
 
@@ -123,13 +116,13 @@ CASE_SPECS = {
     },
     # P(2n, 1)
     "P_EVEN": {
-        "kind": "M1",
-        "head": [[("B", 1), ("C", 1), ("D", 1)]],
+        "kind": "M3",
+        "head": [[("B", 1), ("C", 1)]],
         "rep": [
-            [("C", 1), ("A", 1), None, None],
-            [("C", -1), None, ("B", 1), ("D", 1)],
+            [("D", -1), ("C", 1), ("A", 1), None],
+            [None, ("C", -1), None, ("B", 1)],
         ],
-        "overlap": [[("D", -1)]],
+        "overlap": [[("D", 1)]],
         "reps": lambda n: n,
     },
     # I(n, 0), n >= 1
@@ -215,16 +208,18 @@ _LETTER_INDEX = {"A": 0, "B": 1, "C": 2, "D": 3}
 
 
 def _layout(raw, reps):
-    """Cell grid of the case matrix with `reps` copies of the rep pattern."""
+    """Cell grid of the case matrix with `reps` copies of the rep pattern.
+
+    Copy k sits right of and below copy k - 1 (the head for k = 1), and W
+    above it, in the e rows that end where the copy starts.  "M3" places
+    one more W where copy reps + 1 would start, in e fresh columns.
+    """
     head, rep, overlap = raw["head"], raw["rep"], raw["overlap"]
     a, b = len(head), len(head[0])
     c, d = len(rep), len(rep[0])
     e = len(overlap)
-    kind = raw["kind"]
-    total_r = a + reps * c
-    total_c = b + reps * d + (e if kind == "M3" else 0)
-
-    cells = [[None] * total_c for _ in range(total_r)]
+    caps = 1 if raw["kind"] == "M3" else 0
+    cells = [[None] * (b + reps * d + caps * e) for _ in range(a + reps * c)]
 
     def place(pattern, r0, c0):
         for i, row in enumerate(pattern):
@@ -233,16 +228,10 @@ def _layout(raw, reps):
                     cells[r0 + i][c0 + j] = cell
 
     place(head, 0, 0)
-    for k in range(1, reps + 1):
-        r0 = a + (k - 1) * c
-        c0 = b + (k - 1) * d
-        place(rep, r0, c0)
-        if kind == "M1":
-            place(overlap, r0, c0 - e)
-        else:
-            place(overlap, r0 - e, c0)
-    if kind == "M3":
-        place(overlap, total_r - e, b + reps * d)
+    for k in range(reps):
+        place(rep, a + k * c, b + k * d)
+    for k in range(reps + caps):
+        place(overlap, a + k * c - e, b + k * d)
     return cells
 
 
@@ -303,35 +292,13 @@ def _write(module, cells, lam, integral=False):
 
 
 def _case(field, desc):
-    """(case key, sigma, parameter, lam in field) for a matrix-route desc.
-
-    sigma carries desc to its representative (vertex 1, or tube (0, 0)),
-    whose family and parity pick one of the eight patterns.
-    """
+    """catalog.case of a matrix-route desc: (case key, sigma, parameter,
+    lam in field); InvalidParams for the closed-form targets."""
     if _is_closed_form(desc):
         raise InvalidParams(
             f"{desc.label()} has a closed-form dimension; no coefficient matrix"
         )
-    rep_desc, sigma = canonical_form(desc)
-    fam, params = rep_desc.family, rep_desc.params
-    if fam == FAMILY_POSTPROJECTIVE:
-        n, j = params
-        if j == 0:
-            return "P0", sigma, n, None
-        return ("P_ODD" if n % 2 else "P_EVEN"), sigma, n // 2, None
-    if fam == FAMILY_PREINJECTIVE:
-        n, j = params
-        if j == 0:
-            return "I0", sigma, n, None
-        return ("I_ODD" if n % 2 else "I_EVEN"), sigma, n // 2, None
-    if fam == FAMILY_REGULAR_HOMOGENEOUS:
-        l, lam = params
-        return "R_EVEN", sigma, l, tube_lambda(field, lam)
-    # exceptional tube: even m reuses R_EVEN with lam := 0
-    _, m, _ = params
-    if m % 2 == 0:
-        return "R_EVEN", sigma, m // 2, field.zero
-    return "R_ODD", sigma, (m + 1) // 2, None
+    return case(desc, field)
 
 
 def _unpermute(M, sigma):
@@ -442,13 +409,13 @@ def _staircase_coranks(M, raw, lam, wanted):
     next one.  So once a step returns the span it was given (_same_span),
     every later copy adds the same to z and keeps the span, and with it
     the "M3" cap's rank: the recursion stops there, and the deeper coranks
-    follow by adding that step's increase per copy.  When the head
-    pattern is the rep pattern (P_ODD, R_EVEN), the head is one more copy
-    from the empty state, and its fold is B's own: z = rows(R) - rank B
-    and s the tails of B.
+    follow by adding that step's increase per copy.  The corank after k
+    copies is z + rank s, less rank(s W_cap) for "M3", whose cap columns
+    meet only the tail rows.  When the head pattern is the rep pattern
+    (P_ODD, R_EVEN), the head is one more copy from the empty state, and
+    its fold is B's own: z = rows(R) - rank B and s the tails of B.
     """
     field = M.field
-    kind = raw["kind"]
     top = max(wanted)
     # head, two copies and the cap already meet every block-column width
     # constraint that more copies repeat
@@ -457,35 +424,25 @@ def _staircase_coranks(M, raw, lam, wanted):
     a, b = len(raw["head"]), len(raw["head"][0])
     c, d = len(raw["rep"]), len(raw["rep"][0])
     e = len(raw["overlap"])
-    row0 = [i * M.n0 for i in range(a + win * c + 1)]
-    if kind == "M1":
-        # N^T stacks like "M2": W above each copy, in the last e block
-        # columns of N's previous segment
-        data, row0, col0 = data.T, col0, row0
-        a, b, c, d = b, a, d, c
+    n0 = M.n0
+    t = e * n0
 
     def block(r0, r1, c0, c1):
-        return data[row0[r0] : row0[r1], col0[c0] : col0[c1]]
+        return data[r0 * n0 : r1 * n0, col0[c0] : col0[c1]]
 
-    def corank(z, s, rows, cols):
-        cor = z + len(s)
-        if kind == "M3":
-            r, q = a + win * c, b + win * d
-            cor -= field.rank(field.intdot(s, block(r - e, r, q, q + e)))
-        if kind == "M1":
-            # cor(N) = rows(N) - rank(N^T) = cols(N^T) - rows(N^T) + dim K(N^T)
-            cor += cols - rows
-        return cor
+    r, q = a + win * c, b + win * d
+    cap = block(r - e, r, q, q + e) if raw["kind"] == "M3" else None
+
+    def corank(z, s):
+        return z + len(s) - (0 if cap is None else field.rank(field.intdot(s, cap)))
 
     head = block(0, a, 0, b)
-    rows, cols = head.shape
     if not top:
-        return {0: corank(*_fold(field, head, row0[a] - row0[a - e]), rows, cols)}
+        return {0: corank(*_fold(field, head, t))}
     # every copy reads as copy 1 of the window: W in the head's last e
     # block rows, R in its own rows
     rep = block(a, a + c, b, b + d)
     m, n = rep.shape
-    t = row0[a + c] - row0[a + c - e]
     pivots, ech = field.echelon(_augment(rep, t))
     basis = ech[: len(pivots)]
     w = np.zeros((t, n + t), dtype=data.dtype)
@@ -495,23 +452,21 @@ def _staircase_coranks(M, raw, lam, wanted):
     if raw["head"] == raw["rep"]:
         z, s = m - len(pivots), basis_tails
     else:
-        z, s = _fold(field, head, row0[a] - row0[a - e])
-    out = {0: corank(z, s, rows, cols)} if 0 in wanted else {}
+        z, s = _fold(field, head, t)
+    out = {0: corank(z, s)} if 0 in wanted else {}
     for k in range(1, top + 1):
         res_pivots, res = field.echelon(field.intdot(s, wb))
         dz = len(s) + m - len(pivots) - len(res_pivots)
         s_next = np.vstack([basis_tails, res[bisect_left(res_pivots, n) : len(res_pivots), n:]])
-        z, rows, cols = z + dz, rows + m, cols + n
+        z += dz
         if k < top and _same_span(field, s, s_next):
-            # fixed point: each further copy adds dz, and "M1" its
-            # cols - rows, to the corank
-            cor = corank(z, s_next, rows, cols)
-            per_copy = dz + (n - m if kind == "M1" else 0)
-            out.update((j, cor + (j - k) * per_copy) for j in wanted if j >= k)
+            # fixed point: each further copy adds dz to the corank
+            cor = corank(z, s_next)
+            out.update((j, cor + (j - k) * dz) for j in wanted if j >= k)
             return out
         s = s_next
         if k in wanted:
-            out[k] = corank(z, s, rows, cols)
+            out[k] = corank(z, s)
     return out
 
 

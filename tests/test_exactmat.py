@@ -62,6 +62,18 @@ def test_rational_rejects_floats():
         QQ.parse("1e3")
 
 
+def test_rational_numpy_integers_do_not_wrap():
+    # numpy int64 entries, bare or inside a Fraction, become Python ints
+    # before any product: 2^80 does not fit an int64
+    a = mat(QQ, np.array([[2**40, 3], [5, 2**40]]))
+    assert (a @ a)[0, 0] == 2**80 + 15
+    assert a.rank() == 2
+    for x in (np.int64(7), Fraction(np.int64(7), np.int64(3))):
+        v = QQ.coerce(x)
+        assert type(v.numerator) is int and type(v.denominator) is int
+    assert QQ.coerce(Fraction(np.int64(14), np.int64(6))) == Fraction(7, 3)
+
+
 def test_prime_field_validation():
     for bad in (0, 1, 4, 9, 2**31):
         with pytest.raises(ValueError):

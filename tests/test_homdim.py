@@ -80,6 +80,22 @@ def test_golden_five_by_twelve_blocks():
     assert big.submatrix(0, small.rows, 0, small.cols) == small
 
 
+def test_golden_even_vertex_postprojective_blocks():
+    # P(4, 1): a head, two copies, each with W above it, and the cap W
+    m = tagged_module()
+    a, b, c, d = m.mats()
+    z = lambda w: zeros(GF101, 2, w)
+    za, zb, zc, zd = z(1), z(2), z(1), z(2)
+    want = block_grid([
+        [b,  c,  d,  zc, za, zb, zd, zc, za, zb, zd],
+        [zb, zc, -d, c,  a,  zb, zd, zc, za, zb, zd],
+        [zb, zc, zd, -c, za, b,  d,  zc, za, zb, zd],
+        [zb, zc, zd, zc, za, zb, -d, c,  a,  zb, zd],
+        [zb, zc, zd, zc, za, zb, zd, -c, za, b,  d ],
+    ])
+    assert coeff_matrix(m, cat.P(4, 1)) == want
+
+
 def test_smallest_vertex_postprojective_is_a_concatenation():
     m = tagged_module()
     _, b, c, d = m.mats()
@@ -273,17 +289,17 @@ def test_hom_vector_matches_hom_dim_and_oracle(field):
         assert [hom_vector(m, [d])[0] for d in shallow] == got[len(deep):]
 
 
-# for each kind, one GF(32003) descriptor at two depths k of the staircase;
-# its letters are narrower than n_0, so the "M1" tail is too
+# for each kind, GF(32003) descriptors at two depths k of the staircase;
+# P(2n, 1) is the "M3" case whose head is narrower than its copies
 COUNTED_DESCS = {
-    "M1": (cat.P(20, 1), cat.P(24, 1)),
-    "M2": (cat.I(21, 1), cat.I(25, 1)),
-    "M3": (cat.P(21, 1), cat.P(25, 1)),
+    "M2": ("M2", (cat.I(21, 1), cat.I(25, 1))),
+    "M3": ("M3", (cat.P(21, 1), cat.P(25, 1))),
+    "M3-P_EVEN": ("M3", (cat.P(20, 1), cat.P(24, 1))),
 }
 
 
-@pytest.mark.parametrize("kind", COUNTED_DESCS)
-def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, monkeypatch):
+@pytest.mark.parametrize("kind, descs", COUNTED_DESCS.values(), ids=COUNTED_DESCS)
+def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, descs, monkeypatch):
     # a copy's elimination has the rows of S, not those of S and of the
     # copy (the span check stacks S twice): only the head and the basis B
     # have more rows than e * n_0 here, e the overlap's block rows.  And
@@ -300,7 +316,7 @@ def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, monkeypatch):
 
     monkeypatch.setattr(GF, "echelon", counted)
     eliminations = set()
-    for desc in COUNTED_DESCS[kind]:
+    for desc in descs:
         key, _, param, _ = homdim._case(GF, desc)
         spec = CASE_SPECS[key]
         assert spec["kind"] == kind
