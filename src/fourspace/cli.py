@@ -7,9 +7,9 @@ Subcommands:
     verify     randomized formula-vs-oracle agreement sweep
 
 Module files are JSON: {"field_spec": "rationals" | {"prime": p},
-"A": {"rows", "cols", "entries": [...]}, ..., "D": {...}} with entries as
-strings ("numerator/denominator" over the rationals, decimal residues
-over a prime field).  Every error path prints a single line
+"A": {"rows": int, "cols": int, "entries": [...]}, ..., "D": {...}} with
+entries as strings ("numerator/denominator" over the rationals, decimal
+residues over a prime field).  Every error path prints a single line
 "error: <code>: <message>" to stderr and exits nonzero.
 """
 
@@ -102,6 +102,8 @@ def _cmd_catalog(args):
 def _cmd_homdim(args):
     module = _load_module(args.module_file)
     field = module.field
+    if args.all and args.descriptors:
+        raise CliError("parse-error", "give descriptor arguments or --all, not both")
     if args.all:
         descs = enumerate_descriptors(_bounds(args, field))
     elif args.descriptors:

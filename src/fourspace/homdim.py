@@ -32,35 +32,38 @@ linear systems", ACM TOMS 6(1), 1980) does.  The matrix with k copies is a
 leading block of the one with k + 1, so descriptors sharing (case key,
 sigma, lam) differ only in k and share one pass.  Per group, M is
 permuted once and the head, rep and W arrays are cut once from a small
-window matrix (head, at most two copies, the cap), assembled by the same
-cell writer and block-width check as N.  The pass runs a transfer
-recursion towards the largest k asked for.  Its state is (z, S) for the
-left kernel K_k = {y : y N_k = 0}: z counts the kernel vectors whose tail
-(the last e block rows, which the next copy's W reaches) is zero, and S
-is a basis of the tails of K_k.  Then dim K_k = z + rank S, and one step
-takes the left kernel of [[S W], [rep]] and splits it the same way.
-Every copy holds the same rep, W and tail size, so the forward echelon
-basis B of [rep | E] (E the identity on the tail rows) is eliminated
-once per group, and [W | 0] is reduced against B once: each row of B,
-in pivot order, clears its pivot column from all rows of W together.
-That makes the reduction one linear map WB, zero in every pivot column of
-B.  A step multiplies only the rank S rows by WB, one product, and
-eliminates that residual: at most e block rows, where the whole step had
-rank S plus a copy's rows.  The rows of B and of the residual have
-distinct pivots, so those whose pivot lies in the tail columns form the
-next S.  Over QQ the window is written integral (the letters times one
-common denominator and the coefficients 1 and -lam times another: a
-nonzero multiple, which changes no kernel), so B, WB, S and every
-product stay Python ints from the cell writer to the last rank, with no
-reduced form and no Fraction.  WB is kept over the gcd of all its
-entries, each elimination makes its rows primitive, and S stays as small
-deep in the staircase as after its first steps instead of growing from
-step to step.  A step depends on span(S) alone,
-so the pass stops at the first step that returns the span it was given
-and extrapolates: every later copy adds the same to z and keeps S.  When
-the head pattern is the rep pattern, the head is one more copy from the
-empty state, and B already folds it.  "M3" subtracts rank(S W_cap) for
-the trailing cap.
+window matrix (the head and one copy), assembled by the same cell writer
+and block-width check as N.  The pass runs a transfer recursion towards
+the largest k asked for.  The next copy reads a vector y of the left
+kernel K_k = {y : y N_k = 0} only through its image y_tail W, y_tail the
+last e block rows of y.  So the state is (z, S): z counts the kernel
+vectors whose image is zero, and S is an echelon basis of the images, as
+wide as W's letters.  Then dim K_k = z + rank S, and one step takes the
+left kernel of [[S 0], [R]] (S in the columns of W) and splits it the
+same way.  Every copy holds the same rep R and W, so the forward echelon
+basis B of [R | E] (E is W on the tail rows of R, zero above) is
+eliminated once per group by the same fold as the head, and [I 0], the
+map that puts an image in W's columns, is reduced against B once: each
+row of B, in pivot order, clears its pivot column from all rows of [I 0]
+together.  That makes the reduction one linear map IB, zero in every
+pivot column of B.  A step multiplies only the rank S rows by IB, one
+product, and eliminates that residual, where the whole step had rank S
+plus a copy's rows.  The rows of B and of the residual have distinct
+pivots, so those whose pivot lies in the image columns form the next S.
+Over QQ the window is written integral (the letters times one common
+denominator and the coefficients 1 and -lam times another: a nonzero
+multiple, which changes no kernel), so B, IB, S and every product stay
+Python ints from the cell writer to the last rank, with no reduced form
+and no Fraction.  IB is kept over the gcd of all its entries, each
+elimination makes its rows primitive, and S stays as small deep in the
+staircase as after its first steps instead of growing from step to
+step.  A step depends on span(S) alone, so the pass stops at the first
+step that returns the span it was given and extrapolates: every later
+copy adds the same to z and keeps S.  When the head pattern is the rep
+pattern, the head is one more copy from the empty state, and B already
+folds it.  The "M3" cap is one more W on the last tail rows, so it asks
+exactly y_tail W = 0: a capped staircase's corank is z, an uncapped
+one's z + rank S.
 
 hom_dim keeps the one-matrix corank, the reference the tests hold
 hom_vector to.
@@ -326,30 +329,33 @@ def hom_dim(M, desc):
     return coeff_matrix(M, desc).corank()
 
 
-def _augment(x, t):
-    """[x | E], E the identity on the last t rows of x, in x's dtype."""
+def _augment(x, w):
+    """[x | E], E zero but for w on the last rows of x, in x's dtype."""
     m, n = x.shape
-    aug = np.zeros((m, n + t), dtype=x.dtype)
+    t, k = w.shape
+    aug = np.zeros((m, n + k), dtype=x.dtype)
     aug[:, :n] = x
-    np.fill_diagonal(aug[m - t :, n:], 1)
+    aug[m - t :, n:] = w
     return aug
 
 
-def _fold(field, x, t):
-    """Left kernel of x, split at its last t rows (the tail).
+def _fold(field, x, w):
+    """Left kernel of x, split by the image y_tail w of each kernel vector y.
 
-    Returns (z, s): z is the dimension of the kernel vectors whose tail is
-    zero, s an echelon basis of the tails of all kernel vectors.  One
-    elimination of [x | E], E the identity on the tail rows, gives both:
-    its row space is {(y x, y_tail)}, so the echelon rows past the pivots
-    of x span {(0, y_tail) : y x = 0}, and rows without a pivot count z.
-    The head of the staircase is folded this way, unless it is a copy of
-    the rep pattern; each copy reuses one forward basis of [rep | E] (see
+    y_tail is y on the last rows of x, as many as w has.  Returns (z,
+    images, pivots, basis): z is the dimension of the kernel vectors whose
+    image is zero, images an echelon basis of all images, and (pivots,
+    basis) the forward echelon basis of [x | E], E the w on the tail rows,
+    that both are read from.  Its row space is {(y x, y_tail w)}, so the
+    rows past the pivots of x span {(0, y_tail w) : y x = 0}, and rows
+    without a pivot count z.  The head of the staircase and its rep
+    pattern are folded this way; each copy reuses the rep's basis (see
     _staircase_coranks).
     """
     m, n = x.shape
-    pivots, ech = field.echelon(_augment(x, t))
-    return m - len(pivots), ech[bisect_left(pivots, n) : len(pivots), n:]
+    pivots, ech = field.echelon(_augment(x, w))
+    basis = ech[: len(pivots)]
+    return m - len(pivots), basis[bisect_left(pivots, n) :, n:], pivots, basis
 
 
 def _reduce_rows(field, w, pivots, basis):
@@ -384,80 +390,73 @@ def _staircase_coranks(M, raw, lam, wanted):
     """{reps: corank of the case matrix with reps copies} for reps in wanted.
 
     One transfer recursion from the head towards max(wanted) copies; the
-    state (z, s) is _fold's split of the left kernel of the matrix so far,
-    whose last e block rows meet the next copy's columns through W.
+    state (z, s) is _fold's split of the left kernel of the matrix so far
+    by y_tail W, y_tail the last e block rows, which the next copy's
+    columns meet through W.
 
-    Every copy holds the same rep block R, overlap W and tail size t, so
-    the forward echelon basis B of [R | E] (pivot columns P) is
-    eliminated once, and _reduce_rows turns [W | 0] into
-    WB = c [W | 0] - X B, zero in every column of P, for one nonzero
-    scalar c.  A step adds the rows [s W | 0] to the rows of B.  Reduced
-    against B they are s WB / c, which vanishes in the columns P (echelon
-    skips zero columns); one elimination of that product, len(s) rows,
-    gives the rank the step adds beyond rank B.  The rows of B and of that
-    elimination have distinct pivots, so those whose pivot lies in the
-    tail columns form the next s.  That needs every row of B in WB, those
-    with a pivot in the tail columns too, or the residual could take a
-    pivot of B again; and one c for all rows, since rows scaled each by
-    their own factor (a diagonal D) would give s D WB, whose span is not
-    that of s WB.  The window is written integral (field.integral), so
-    over QQ B, s, WB and every product are Python ints, and no
-    elimination builds Fractions.
+    Every copy holds the same rep block R and overlap W, so the forward
+    echelon basis B of [R | E] (pivot columns P) is _fold's, eliminated
+    once, and _reduce_rows turns [I 0], the map placing an image in W's
+    columns of the copy, into IB = c [I 0] - X B, zero in every column of
+    P, for one nonzero scalar c.  A step adds the rows [s 0 | 0] to the
+    rows of B.  Reduced against B they are s IB / c, which vanishes in the
+    columns P (echelon skips zero columns); one elimination of that
+    product, len(s) rows, gives the rank the step adds beyond rank B.  The
+    rows of B and of that elimination have distinct pivots, so those whose
+    pivot lies in the image columns form the next s.  That needs every row
+    of B in IB, those with a pivot in the image columns too, or the
+    residual could take a pivot of B again; and one c for all rows, since
+    rows scaled each by their own factor (a diagonal D) would give s D IB,
+    whose span is not that of s IB.  The window is written integral
+    (field.integral), so over QQ B, s, IB and every product are Python
+    ints, and no elimination builds Fractions.
 
     A step is a function of span(s) alone: it adds
-    len(s) + rows(R) - rank B - rank(s WB) to z and maps the span to the
+    len(s) + rows(R) - rank B - rank(s IB) to z and maps the span to the
     next one.  So once a step returns the span it was given (_same_span),
-    every later copy adds the same to z and keeps the span, and with it
-    the "M3" cap's rank: the recursion stops there, and the deeper coranks
-    follow by adding that step's increase per copy.  The corank after k
-    copies is z + rank s, less rank(s W_cap) for "M3", whose cap columns
-    meet only the tail rows.  When the head pattern is the rep pattern
-    (P_ODD, R_EVEN), the head is one more copy from the empty state, and
-    its fold is B's own: z = rows(R) - rank B and s the tails of B.
+    every later copy adds the same to z and keeps the span: the recursion
+    stops there, and the deeper coranks follow by adding that step's
+    increase per copy.  The corank after k copies is z + rank s; "M3"'s
+    trailing cap is one more W on the tail rows, which asks for image 0,
+    so its corank is z.  When the head pattern is the rep pattern (P_ODD,
+    R_EVEN), the head is one more copy from the empty state, and its fold
+    is B's own.
     """
     field = M.field
     top = max(wanted)
-    # head, two copies and the cap already meet every block-column width
-    # constraint that more copies repeat
-    win = min(top, 2)
-    data, col0 = _write(M, _layout(raw, win), lam, integral=True)
+    # the head and one copy already meet every block-column width
+    # constraint that more copies repeat; with no copy, the window is N
+    data, col0 = _write(M, _layout(raw, min(top, 1)), lam, integral=True)
+    if not top:
+        return {0: len(data) - field.rank(data)}
     a, b = len(raw["head"]), len(raw["head"][0])
     c, d = len(raw["rep"]), len(raw["rep"][0])
-    e = len(raw["overlap"])
+    e, f = len(raw["overlap"]), len(raw["overlap"][0])
     n0 = M.n0
-    t = e * n0
 
     def block(r0, r1, c0, c1):
         return data[r0 * n0 : r1 * n0, col0[c0] : col0[c1]]
 
-    r, q = a + win * c, b + win * d
-    cap = block(r - e, r, q, q + e) if raw["kind"] == "M3" else None
-
     def corank(z, s):
-        return z + len(s) - (0 if cap is None else field.rank(field.intdot(s, cap)))
+        return z if raw["kind"] == "M3" else z + len(s)
 
-    head = block(0, a, 0, b)
-    if not top:
-        return {0: corank(*_fold(field, head, t))}
-    # every copy reads as copy 1 of the window: W in the head's last e
-    # block rows, R in its own rows
+    # copy 1 of the window: W in the head's last e block rows, R in its own
+    w = block(a - e, a, b, b + f)
     rep = block(a, a + c, b, b + d)
-    m, n = rep.shape
-    pivots, ech = field.echelon(_augment(rep, t))
-    basis = ech[: len(pivots)]
-    w = np.zeros((t, n + t), dtype=data.dtype)
-    w[:, :n] = block(a - e, a, b, b + d)
-    wb = _reduce_rows(field, w, pivots, basis)
-    basis_tails = basis[bisect_left(pivots, n) :, n:]
+    rep_z, images, pivots, basis = _fold(field, rep, w)
     if raw["head"] == raw["rep"]:
-        z, s = m - len(pivots), basis_tails
+        z, s = rep_z, images
     else:
-        z, s = _fold(field, head, t)
+        z, s, _, _ = _fold(field, block(0, a, 0, b), w)
+    n = rep.shape[1]
+    # [I 0]: W's columns are the first of the copy
+    embed = np.eye(w.shape[1], n + w.shape[1], dtype=data.dtype)
+    ib = _reduce_rows(field, embed, pivots, basis)
     out = {0: corank(z, s)} if 0 in wanted else {}
     for k in range(1, top + 1):
-        res_pivots, res = field.echelon(field.intdot(s, wb))
-        dz = len(s) + m - len(pivots) - len(res_pivots)
-        s_next = np.vstack([basis_tails, res[bisect_left(res_pivots, n) : len(res_pivots), n:]])
+        res_pivots, res = field.echelon(field.intdot(s, ib))
+        dz = len(s) + rep_z - len(res_pivots)
+        s_next = np.vstack([images, res[bisect_left(res_pivots, n) : len(res_pivots), n:]])
         z += dz
         if k < top and _same_span(field, s, s_next):
             # fixed point: each further copy adds dz to the corank

@@ -174,10 +174,16 @@ def matrix_to_record(m):
 
 def matrix_from_record(field, rec, slot=""):
     try:
-        rows, cols = int(rec["rows"]), int(rec["cols"])
-        entries = rec["entries"]
+        rows, cols, entries = rec["rows"], rec["cols"], rec["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"matrix record {slot or '?'}: missing {exc}") from None
+    # JSON integers and a JSON array, as matrix_to_record writes them: a
+    # float, bool or string would otherwise be read as some other shape
+    for key, value in (("rows", rows), ("cols", cols)):
+        if type(value) is not int:
+            raise ValueError(f"matrix record {slot}: {key} {value!r} is not an integer")
+    if type(entries) is not list:
+        raise ValueError(f"matrix record {slot}: entries are a {type(entries).__name__}, not an array")
     if rows < 0 or cols < 0:
         raise ValueError(f"matrix record {slot}: negative shape {rows}x{cols}")
     if len(entries) != rows * cols:

@@ -251,6 +251,8 @@ ERROR_CASES = [
     ("parse-error", ["homdim", "{module}"]),
     ("parse-error", ["homdim", "{bad_json}", "I(0,0)"]),
     ("parse-error", ["homdim", "{bad_record}", "I(0,0)"]),
+    ("parse-error", ["homdim", "{loose_record}", "I(0,0)"]),
+    ("parse-error", ["homdim", "{module}", "R(1,3)", "--all"]),
     ("parse-error", ["homdim", "{zero_denominator}", "I(0,0)"]),
     ("parse-error", ["decompose", "{zero_denominator}"]),
     ("parse-error", ["homdim", "{module}", "--all", "--lambda", "x"]),
@@ -272,6 +274,9 @@ ERROR_CASES = [
 ERROR_DETAILS = {
     # the lam as typed and the field it reduces in, not the residue 1
     "catalog R(1,8) --field prime:7": "lambda 8 reduces to 1 in GF(7)",
+    "homdim {loose_record} I(0,0)": "matrix record A: rows 3.9 is not an integer",
+    # the descriptors are not dropped for the sweep
+    "homdim {module} R(1,3) --all": "give descriptor arguments or --all, not both",
 }
 
 
@@ -285,11 +290,17 @@ def test_error_is_one_coded_line(capsys, tmp_path, code, argv):
     record["A"]["entries"][0] = "1/0"
     zero_denominator = tmp_path / "zero.json"
     zero_denominator.write_text(json.dumps(record))
+    # "rows": 3.9 would be read as 3 rows
+    record = module_to_record(cat.build(cat.P(1, 0), QQ))
+    record["A"]["rows"] += 0.9
+    loose_record = tmp_path / "loose.json"
+    loose_record.write_text(json.dumps(record))
     paths = {
         "module": write_module(tmp_path, cat.build(cat.R(1, GF.coerce(2)), GF)),
         "bad_json": str(bad_json),
         "bad_record": str(bad_record),
         "zero_denominator": str(zero_denominator),
+        "loose_record": str(loose_record),
         "past_bounds": write_module(tmp_path, module_direct_sum(
             cat.build(cat.I(3, 1), QQ), cat.build(cat.I(2, 1), QQ)), "past.json"),
     }

@@ -224,7 +224,7 @@ def test_hom_vector_empty_and_order(field, rng):
 
 
 # one descriptor per case key and sigma sample, each at >= 3 copies of the
-# rep pattern, so the transfer recursion runs past its two-copy window
+# rep pattern, so the transfer recursion runs well past its one-copy window
 DEEP_DESCS = [
     cat.P(4, 0), cat.P(7, 1), cat.P(7, 3), cat.P(6, 1), cat.P(6, 4),
     cat.I(4, 0), cat.I(7, 1), cat.I(7, 2), cat.I(8, 1), cat.I(8, 3),
@@ -232,7 +232,7 @@ DEEP_DESCS = [
 ]
 
 # one descriptor per case key at 1 and at 2 copies of the rep pattern: a
-# pass that ends after copy 1 of the window, and one whose copies 1 and 2
+# pass that ends after the window's one copy, and one whose copies 1 and 2
 # share the basis B of a copy
 SHALLOW_DESCS = [
     cat.P(2, 0), cat.P(3, 0), cat.P(3, 1), cat.P(5, 2), cat.P(2, 1), cat.P(4, 3),
@@ -304,14 +304,18 @@ def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, descs, monkeypa
     # copy (the span check stacks S twice): only the head and the basis B
     # have more rows than e * n_0 here, e the overlap's block rows.  And
     # copies stop costing eliminations once span(S) repeats, so both
-    # depths run the same number of them.
+    # depths run the same number of them.  The state is y_tail W, not
+    # y_tail: no elimination is wider than the head or a copy plus the
+    # columns of W, 20 for these letters, where the tail made it 24.
     rng = random.Random(7)
     m = LambdaModule(*(random_matrix(GF, 8, 4, rng) for _ in range(4)))
     rows = []
+    cols = []
     echelon = GF.echelon
 
     def counted(a, reduced=False):
         rows.append(a.shape[0])
+        cols.append(a.shape[1])
         return echelon(a, reduced)
 
     monkeypatch.setattr(GF, "echelon", counted)
@@ -321,11 +325,15 @@ def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, descs, monkeypa
         spec = CASE_SPECS[key]
         assert spec["kind"] == kind
         rows.clear()
+        cols.clear()
         got = hom_vector(m, [desc])
         counts = list(rows)
         assert got == [hom_dim(m, desc)]
         eliminations.add(len(counts))
         assert sum(r > len(spec["overlap"]) * m.n0 for r in counts) <= 2, counts
+        # every letter is 4 columns wide
+        limit = 4 * (max(len(spec["head"][0]), len(spec["rep"][0])) + len(spec["overlap"][0]))
+        assert limit == 20 and max(cols) <= limit, cols
     assert len(eliminations) == 1, eliminations
 
 
@@ -341,7 +349,7 @@ def test_reduce_rows_is_one_map_onto_the_free_columns(field):
         rep = np.array(random_matrix(field, m, n, rng).data)
         rep[:, rng.randrange(n)] = field.zero
         (rep, w), _ = field.integral([rep, random_matrix(field, t, n, rng).data])
-        pivots, ech = field.echelon(homdim._augment(rep, t))
+        pivots, ech = field.echelon(homdim._augment(rep, np.eye(t, dtype=field.dtype)))
         basis = ech[: len(pivots)]
         # a dependent row of R leaves B a pivot in the tail columns
         assert pivots[-1] >= n
@@ -393,7 +401,7 @@ def test_same_span_is_exact(field):
 # copies; QQ takes smaller ones, as hom_dim's one matrix is slow there
 LATE_FIXED_POINTS = {
     "GF32003": (GF, (cat.R(5, 2), cat.P(7, 1)), (16, 7)),
-    "QQ": (QQ, (cat.R(3, 2), cat.P(3, 1)), (10, 5)),
+    "QQ": (QQ, (cat.R(3, 2), cat.P(5, 1)), (10, 5)),
 }
 
 

@@ -163,6 +163,27 @@ def test_record_rejects_missing_key():
         module_from_record(rec)
 
 
+# a record value of the wrong JSON type: a float or bool shape would be
+# truncated or counted as 1, and a string of entries split into characters
+LOOSE_RECORDS = {
+    "float-rows": ("rows", 2.9, "rows 2.9 is not an integer"),
+    "bool-rows": ("rows", True, "rows True is not an integer"),
+    "string-cols": ("cols", "1", "cols '1' is not an integer"),
+    "string-entries": ("entries", "1234", "entries are a str, not an array"),
+}
+
+
+@pytest.mark.parametrize("key, value, message", LOOSE_RECORDS.values(), ids=LOOSE_RECORDS)
+def test_record_rejects_loose_types(key, value, message):
+    rec = module_to_record(zero_module(QQ))
+    rec["B"] = {"rows": 2, "cols": 2, "entries": ["1", "2", "3", "4"]}
+    rec["A"] = rec["C"] = rec["D"] = {"rows": 2, "cols": 0, "entries": []}
+    assert module_from_record(rec).B.rows == 2
+    rec["B"] = dict(rec["B"], **{key: value})
+    with pytest.raises(ValueError, match=f"matrix record B: {message}"):
+        module_from_record(rec)
+
+
 def test_record_rational_entries_canonicalized():
     rec = module_to_record(zero_module(QQ))
     rec["A"] = {"rows": 1, "cols": 1, "entries": ["2/4"]}
