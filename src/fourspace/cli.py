@@ -9,8 +9,9 @@ Subcommands:
 Module files are JSON: {"field_spec": "rationals" | {"prime": p},
 "A": {"rows": int, "cols": int, "entries": [...]}, ..., "D": {...}} with
 entries as strings ("numerator/denominator" over the rationals, decimal
-residues over a prime field).  Every error path prints a single line
-"error: <code>: <message>" to stderr and exits nonzero.
+residues over a prime field).  Every error path, usage errors included,
+prints a single line "error: <code>: <message>" to stderr and exits
+nonzero.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .catalog import (
     tube_lambda,
 )
 from .decomp import IncompleteCandidates, decompose
-from .exactmat import QQ, FieldMismatch, PrimeField
+from .exactmat import FieldMismatch, field_from_spec
 from .homdim import hom_vector
 from .modules import dim_vector, module_from_record, module_to_record
 from .oracle import hom_oracle
@@ -45,15 +46,24 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_field(spec):
-    if spec == "rationals":
-        return QQ
-    if spec.startswith("prime:"):
-        try:
-            return PrimeField(int(spec[len("prime:"):]))
-        except ValueError as exc:
-            raise CliError("parse-error", f"bad field {spec!r}: {exc}") from None
-    raise CliError("parse-error", f"bad field {spec!r}: want rationals or prime:p")
+def _field(spec):
+    """field_from_spec(spec); a spec it rejects is a parse-error."""
+    try:
+        return field_from_spec(spec)
+    except ValueError as exc:
+        raise CliError("parse-error", f"bad field: {exc}") from None
+
+
+def _parse_field(text):
+    """The field of a --field value: rationals or prime:p."""
+    if not text.startswith("prime:"):
+        return _field(text)
+    p = text[len("prime:"):]
+    try:
+        p = int(p)
+    except ValueError:
+        pass  # PrimeField names the p that is not an integer
+    return _field({"prime": p})
 
 
 def _load_module(path):
@@ -129,7 +139,7 @@ def _cmd_decompose(args):
 
 def _cmd_verify(args):
     _nonnegative(args, "trials")
-    field = _parse_field(f"prime:{args.prime}")
+    field = _field({"prime": args.prime})
     bounds = _bounds(args, field)
     mismatches = run_sweep(
         field, bounds, args.trials, args.seed, report=print
@@ -151,8 +161,16 @@ def _add_bounds_flags(sub):
                      help="homogeneous tube parameter, repeatable (default 2 and 5)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are parse-error lines too;
+    add_subparsers makes its subparsers of the same class."""
+
+    def error(self, message):
+        raise CliError("parse-error", message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fourspace",
         description="Exact Hom computations for four subspace quiver representations.",
     )
@@ -198,9 +216,9 @@ _ERROR_CODES = (
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # --help still prints and exits 0: parse_args raises SystemExit
+        args = build_parser().parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status

@@ -266,7 +266,11 @@ class PrimeField(_Field):
     dtype = np.int64
 
     def __init__(self, p):
-        if not isinstance(p, int) or not 2 <= p <= 2**31 - 1:
+        # type, not isinstance: a JSON true is a bool, which isinstance
+        # counts as an int; a "7" or 7.0 is no characteristic either
+        if type(p) is not int:
+            raise ValueError(f"prime field characteristic is not an integer: {p!r}")
+        if not 2 <= p <= 2**31 - 1:
             raise ValueError(f"prime field characteristic out of range: {p}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")

@@ -30,10 +30,11 @@ hom_vector(M, Xs) answers many, using the staircase the way SOLVEBLOK
 (de Boor & Weiss, "SOLVEBLOK: a package for solving almost block diagonal
 linear systems", ACM TOMS 6(1), 1980) does.  The matrix with k copies is a
 leading block of the one with k + 1, so descriptors sharing (case key,
-sigma, lam) differ only in k and share one pass.  Per group, M is
-permuted once and the head, rep and W arrays are cut once from a small
-window matrix (the head and one copy), assembled by the same cell writer
-and block-width check as N.  The pass runs a transfer recursion towards
+sigma, lam) differ only in k and share one pass.  M's letters are
+converted once per call (field.integral), permuted per group, and the
+head, rep and W arrays are cut once per group from a small window matrix
+(the head and one copy), assembled by the same cell writer and
+block-width check as N.  The pass runs a transfer recursion towards
 the largest k asked for.  The next copy reads a vector y of the left
 kernel K_k = {y : y N_k = 0} only through its image y_tail W, y_tail the
 last e block rows of y.  So the state is (z, S): z counts the kernel
@@ -51,7 +52,7 @@ product, and eliminates that residual, where the whole step had rank S
 plus a copy's rows.  The rows of B and of the residual have distinct
 pivots, so those whose pivot lies in the image columns form the next S.
 Over QQ the window is written integral (the letters times one common
-denominator and the coefficients 1 and -lam times another: a nonzero
+denominator and the coefficients 1, -1 and -lam times another: a nonzero
 multiple, which changes no kernel), so B, IB, S and every product stay
 Python ints from the cell writer to the last rank, with no reduced form
 and no Fraction.  IB is kept over the gcd of all its entries, each
@@ -76,8 +77,8 @@ from bisect import bisect_left
 import numpy as np
 
 from .catalog import FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE, InvalidParams, case
-from .exactmat import ExactMatrix, _zero_array, hstack
-from .modules import PERM_IDENTITY, perm_inverse, permute_vertices
+from .exactmat import ExactMatrix, hstack
+from .modules import perm_inverse, permute_slots
 
 # Cell grammar: None is a zero block; (letter, coeff) is coeff * letter with
 # coeff 1, -1 or "-lam".  Kept as plain nested lists so tests can patch a
@@ -238,74 +239,49 @@ def _layout(raw, reps):
     return cells
 
 
-def _write(module, cells, lam, integral=False):
-    """(array, column offsets) of a cell grid over the letters of module.
+def _write(field, letters, cells, lam, integral=False):
+    """(array, column offsets) of a cell grid over the four letter arrays.
 
     Every block row is n_0 high; a block column is as wide as its letters,
-    which must agree.  integral=True writes a nonzero multiple of the grid
-    in the form field.integral gives: Python ints over QQ, the same
-    residues over GF(p).
+    which must agree.  The coefficients 1, -1 and -lam resolve once into a
+    scalar table, so each distinct cell is one scalar times one letter.
+    integral=True takes letters already in the form field.integral gives
+    and puts the table through field.integral too: a nonzero multiple of
+    the grid, in Python ints over QQ, the same residues over GF(p).
     """
-    field = module.field
-    mats = [x.data for x in module.mats()]
     widths = [None] * len(cells[0])
     for row in cells:
         for ccol, cell in enumerate(row):
             if cell is None:
                 continue
-            w = mats[_LETTER_INDEX[cell[0]]].shape[1]
+            w = letters[_LETTER_INDEX[cell[0]]].shape[1]
             if widths[ccol] is None:
                 widths[ccol] = w
             elif widths[ccol] != w:
                 raise AssertionError(
                     f"inconsistent block widths in column {ccol}"
                 )
-    n0 = module.n0
+    n0 = letters[0].shape[0]
     col0 = [0]
     for w in widths:
         col0.append(col0[-1] + (w or 0))
 
     one = field.one
-    neg_lam = one if lam is None else field.reduce(-lam)
-    shape = (len(cells) * n0, col0[-1])
+    coeffs = [one, field.reduce(-one), one if lam is None else field.reduce(-lam)]
     if integral:
-        # every block is one coefficient times one letter: a scale for the
-        # letters and one for the coefficients 1 and -lam scale them all
-        mats, _ = field.integral(mats)
-        (coeffs,), _ = field.integral([np.array([[one, neg_lam]], dtype=field.dtype)])
-        one, neg_lam = coeffs.ravel().tolist()
-        out = np.zeros(shape, dtype=field.dtype)
-    else:
-        out = _zero_array(field, *shape)
-
-    def block(letter, coeff):
-        base = mats[_LETTER_INDEX[letter]]
-        if coeff == "-lam":
-            return field.reduce(neg_lam * base)
-        if one != 1:
-            base = field.reduce(one * base)
-        return base if coeff == 1 else field.reduce(-base)
-
-    blocks = {cell: block(*cell) for row in cells for cell in row if cell is not None}
+        # the letters carry the caller's scale, the table one of its own
+        (table,), _ = field.integral([np.array([coeffs], dtype=field.dtype)])
+        coeffs = table.ravel().tolist()
+    scalar = dict(zip((1, -1, "-lam"), coeffs))
+    blocks = {cell: field.reduce(scalar[cell[1]] * letters[_LETTER_INDEX[cell[0]]])
+              for row in cells for cell in row if cell is not None}
+    zero = 0 if integral else field.zero
+    out = np.full((len(cells) * n0, col0[-1]), zero, dtype=field.dtype)
     for r, row in enumerate(cells):
         for ccol, cell in enumerate(row):
             if cell is not None:
                 out[r * n0 : (r + 1) * n0, col0[ccol] : col0[ccol + 1]] = blocks[cell]
     return out, col0
-
-
-def _case(field, desc):
-    """catalog.case of a matrix-route desc: (case key, sigma, parameter,
-    lam in field); InvalidParams for the closed-form targets."""
-    if _is_closed_form(desc):
-        raise InvalidParams(
-            f"{desc.label()} has a closed-form dimension; no coefficient matrix"
-        )
-    return case(desc, field)
-
-
-def _unpermute(M, sigma):
-    return M if sigma == PERM_IDENTITY else permute_vertices(M, perm_inverse(sigma))
 
 
 def coeff_matrix(M, desc):
@@ -314,9 +290,14 @@ def coeff_matrix(M, desc):
     Raises InvalidParams for the closed-form targets P(0,0), I(0,0) and
     I(0,i); hom_dim covers those directly.
     """
-    key, sigma, param, lam = _case(M.field, desc)
+    if _is_closed_form(desc):
+        raise InvalidParams(
+            f"{desc.label()} has a closed-form dimension; no coefficient matrix"
+        )
+    key, sigma, param, lam = case(desc, M.field)
     raw = CASE_SPECS[key]
-    data, _ = _write(_unpermute(M, sigma), _layout(raw, raw["reps"](param)), lam)
+    letters = permute_slots([x.data for x in M.mats()], perm_inverse(sigma))
+    data, _ = _write(M.field, letters, _layout(raw, raw["reps"](param)), lam)
     return ExactMatrix._raw(M.field, data)
 
 
@@ -339,23 +320,34 @@ def _augment(x, w):
     return aug
 
 
+def _split(field, a, n):
+    """Left kernel of a, split at column n.
+
+    Returns (z, images, pivots, basis): (pivots, basis) is the forward
+    echelon basis of a, z = rows - rank the dimension of {y : y a = 0},
+    and images the rows of basis whose pivot is at or past column n, cut to
+    those columns.  Echelon rows have distinct pivots, so images is an
+    echelon basis of {y a[:, n:] : y a[:, :n] = 0}: the left kernel of the
+    first n columns, seen through the columns from n on.  _fold splits a
+    staircase block this way, and each recursion step its product s IB.
+    """
+    pivots, ech = field.echelon(a)
+    basis = ech[: len(pivots)]
+    return len(a) - len(pivots), basis[bisect_left(pivots, n) :, n:], pivots, basis
+
+
 def _fold(field, x, w):
     """Left kernel of x, split by the image y_tail w of each kernel vector y.
 
-    y_tail is y on the last rows of x, as many as w has.  Returns (z,
-    images, pivots, basis): z is the dimension of the kernel vectors whose
+    y_tail is y on the last rows of x, as many as w has.  _split of [x | E],
+    E the w on the tail rows, at x's width: its row space is
+    {(y x, y_tail w)}, so z is the dimension of the kernel vectors whose
     image is zero, images an echelon basis of all images, and (pivots,
-    basis) the forward echelon basis of [x | E], E the w on the tail rows,
-    that both are read from.  Its row space is {(y x, y_tail w)}, so the
-    rows past the pivots of x span {(0, y_tail w) : y x = 0}, and rows
-    without a pivot count z.  The head of the staircase and its rep
-    pattern are folded this way; each copy reuses the rep's basis (see
-    _staircase_coranks).
+    basis) the forward echelon basis of [x | E] both are read from.  The
+    head of the staircase and its rep pattern are folded this way; each
+    copy reuses the rep's basis (see _staircase_coranks).
     """
-    m, n = x.shape
-    pivots, ech = field.echelon(_augment(x, w))
-    basis = ech[: len(pivots)]
-    return m - len(pivots), basis[bisect_left(pivots, n) :, n:], pivots, basis
+    return _split(field, _augment(x, w), x.shape[1])
 
 
 def _reduce_rows(field, w, pivots, basis):
@@ -386,13 +378,14 @@ def _same_span(field, s, s_next):
     return len(s) == len(s_next) and field.rank(np.vstack([s, s_next])) == len(s)
 
 
-def _staircase_coranks(M, raw, lam, wanted):
+def _staircase_coranks(field, letters, raw, lam, wanted):
     """{reps: corank of the case matrix with reps copies} for reps in wanted.
 
-    One transfer recursion from the head towards max(wanted) copies; the
-    state (z, s) is _fold's split of the left kernel of the matrix so far
-    by y_tail W, y_tail the last e block rows, which the next copy's
-    columns meet through W.
+    letters are the four letter arrays of M, already permuted and in the
+    form field.integral gives.  One transfer recursion from the head
+    towards max(wanted) copies; the state (z, s) is _fold's split of the
+    left kernel of the matrix so far by y_tail W, y_tail the last e block
+    rows, which the next copy's columns meet through W.
 
     Every copy holds the same rep block R and overlap W, so the forward
     echelon basis B of [R | E] (pivot columns P) is _fold's, eliminated
@@ -400,15 +393,15 @@ def _staircase_coranks(M, raw, lam, wanted):
     columns of the copy, into IB = c [I 0] - X B, zero in every column of
     P, for one nonzero scalar c.  A step adds the rows [s 0 | 0] to the
     rows of B.  Reduced against B they are s IB / c, which vanishes in the
-    columns P (echelon skips zero columns); one elimination of that
-    product, len(s) rows, gives the rank the step adds beyond rank B.  The
-    rows of B and of that elimination have distinct pivots, so those whose
-    pivot lies in the image columns form the next s.  That needs every row
-    of B in IB, those with a pivot in the image columns too, or the
+    columns P (echelon skips zero columns); _split of that product, len(s)
+    rows, at the copy's width gives the rank the step adds beyond rank B
+    and its images.  The rows of B and of that elimination have distinct
+    pivots, so B's images and those form the next s.  That needs every
+    row of B in IB, those with a pivot in the image columns too, or the
     residual could take a pivot of B again; and one c for all rows, since
     rows scaled each by their own factor (a diagonal D) would give s D IB,
-    whose span is not that of s IB.  The window is written integral
-    (field.integral), so over QQ B, s, IB and every product are Python
+    whose span is not that of s IB.  The letters are integral and the
+    window is written so, so over QQ B, s, IB and every product are Python
     ints, and no elimination builds Fractions.
 
     A step is a function of span(s) alone: it adds
@@ -422,17 +415,16 @@ def _staircase_coranks(M, raw, lam, wanted):
     R_EVEN), the head is one more copy from the empty state, and its fold
     is B's own.
     """
-    field = M.field
     top = max(wanted)
     # the head and one copy already meet every block-column width
     # constraint that more copies repeat; with no copy, the window is N
-    data, col0 = _write(M, _layout(raw, min(top, 1)), lam, integral=True)
+    data, col0 = _write(field, letters, _layout(raw, min(top, 1)), lam, integral=True)
     if not top:
         return {0: len(data) - field.rank(data)}
     a, b = len(raw["head"]), len(raw["head"][0])
     c, d = len(raw["rep"]), len(raw["rep"][0])
     e, f = len(raw["overlap"]), len(raw["overlap"][0])
-    n0 = M.n0
+    n0 = letters[0].shape[0]
 
     def block(r0, r1, c0, c1):
         return data[r0 * n0 : r1 * n0, col0[c0] : col0[c1]]
@@ -454,9 +446,9 @@ def _staircase_coranks(M, raw, lam, wanted):
     ib = _reduce_rows(field, embed, pivots, basis)
     out = {0: corank(z, s)} if 0 in wanted else {}
     for k in range(1, top + 1):
-        res_pivots, res = field.echelon(field.intdot(s, ib))
-        dz = len(s) + rep_z - len(res_pivots)
-        s_next = np.vstack([images, res[bisect_left(res_pivots, n) : len(res_pivots), n:]])
+        res_z, res_images, _, _ = _split(field, field.intdot(s, ib), n)
+        dz = res_z + rep_z
+        s_next = np.vstack([images, res_images])
         z += dz
         if k < top and _same_span(field, s, s_next):
             # fixed point: each further copy adds dz to the corank
@@ -473,20 +465,25 @@ def hom_vector(M, descs):
     """[hom_dim(M, d) for d in descs], one transfer recursion per case.
 
     Descriptors sharing (case key, sigma, lam) share one staircase, so one
-    pass up to their largest parameter answers all of them.
+    pass up to their largest parameter answers all of them.  M's letters
+    are made integral once, and each pass reads them permuted by sigma^-1.
     """
+    field = M.field
     out = [None] * len(descs)
     groups = {}
     for i, d in enumerate(descs):
         if _is_closed_form(d):
             out[i] = hom_dim(M, d)
             continue
-        key, sigma, param, lam = _case(M.field, d)
+        key, sigma, param, lam = case(d, field)
         groups.setdefault((key, sigma, lam), []).append((i, param))
+    letters, _ = field.integral([x.data for x in M.mats()])
     for (key, sigma, lam), members in groups.items():
         raw = CASE_SPECS[key]
         reps = [raw["reps"](param) for _, param in members]
-        values = _staircase_coranks(_unpermute(M, sigma), raw, lam, set(reps))
+        values = _staircase_coranks(
+            field, permute_slots(letters, perm_inverse(sigma)), raw, lam, set(reps)
+        )
         for (i, _), r in zip(members, reps):
             out[i] = values[r]
     return out

@@ -91,12 +91,16 @@ def test_homdim_explicit_descriptors(capsys, tmp_path):
 
 def test_homdim_all_agrees_with_oracle_mode(capsys, tmp_path):
     path = write_module(tmp_path, cat.build(cat.R(1, PrimeField(7).coerce(2)), PrimeField(7)))
-    args = ["homdim", path, "--all", "--max-n", "1", "--max-l", "1", "--lambda", "2"]
+    # 8 reduces to 1 in GF(7), an exceptional value: the sweep drops it
+    args = ["homdim", path, "--all", "--max-n", "1", "--max-l", "1", "--lambda", "2",
+            "--lambda", "8"]
     code_a, out_a, _ = run(capsys, *args)
     code_b, out_b, _ = run(capsys, *args, "--oracle")
     assert code_a == code_b == 0
     assert out_a == out_b
     assert len(out_a.splitlines()) == 33
+    labels = [line.split("\t")[0] for line in out_a.splitlines()]
+    assert [x for x in labels if x.startswith("R(") and x.count(",") == 1] == ["R(1,2)"]
 
 
 def test_homdim_all_matches_hom_dim_on_disguised_sum(capsys, tmp_path):
@@ -221,6 +225,14 @@ def test_bad_lambda_flag(capsys, tmp_path):
     assert code != 0 and err.startswith("error: parse-error:")
 
 
+def test_help_exits_zero(capsys):
+    # usage errors raise inside main; --help is no error and still exits
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fourspace verify")
+
+
 # -- error paths ---------------------------------------------------------------
 
 
@@ -261,8 +273,13 @@ ERROR_CASES = [
      ["decompose", "{module}", "--max-n", "1", "--max-l", "1", "--lambda", "5"]),
     # I(3,1) + I(2,1) has the hom vector of I(2,0) on every target in bounds
     ("incomplete-candidates", ["decompose", "{past_bounds}", "--max-n", "2", "--max-l", "1"]),
+    ("parse-error", ["homdim", "{prime_string}", "I(0,0)"]),
     ("parse-error", ["verify", "--prime", "4"]),
     ("parse-error", ["verify", "--trials", "-1"]),
+    # usage errors: argparse's own messages, on the same one line
+    ("parse-error", ["verify", "--trials", "x"]),
+    ("parse-error", ["homdim"]),
+    ("parse-error", ["frobnicate"]),
     ("parse-error", ["decompose", "{module}", "--max-n", "-1"]),
     ("parse-error", ["homdim", "{module}", "--all", "--max-l", "-1"]),
     # the first allocation (an n x n identity) fails at once
@@ -277,6 +294,8 @@ ERROR_DETAILS = {
     "homdim {loose_record} I(0,0)": "matrix record A: rows 3.9 is not an integer",
     # the descriptors are not dropped for the sweep
     "homdim {module} R(1,3) --all": "give descriptor arguments or --all, not both",
+    # a JSON string is not a characteristic, and 7 is not out of range
+    "homdim {prime_string} I(0,0)": "is not an integer",
 }
 
 
@@ -295,12 +314,17 @@ def test_error_is_one_coded_line(capsys, tmp_path, code, argv):
     record["A"]["rows"] += 0.9
     loose_record = tmp_path / "loose.json"
     loose_record.write_text(json.dumps(record))
+    record = module_to_record(cat.build(cat.P(1, 0), PrimeField(7)))
+    record["field_spec"] = {"prime": "7"}
+    prime_string = tmp_path / "prime_string.json"
+    prime_string.write_text(json.dumps(record))
     paths = {
         "module": write_module(tmp_path, cat.build(cat.R(1, GF.coerce(2)), GF)),
         "bad_json": str(bad_json),
         "bad_record": str(bad_record),
         "zero_denominator": str(zero_denominator),
         "loose_record": str(loose_record),
+        "prime_string": str(prime_string),
         "past_bounds": write_module(tmp_path, module_direct_sum(
             cat.build(cat.I(3, 1), QQ), cat.build(cat.I(2, 1), QQ)), "past.json"),
     }

@@ -78,16 +78,29 @@ def test_prime_field_validation():
     for bad in (0, 1, 4, 9, 2**31):
         with pytest.raises(ValueError):
             PrimeField(bad)
+    # a JSON string, float or bool is no characteristic, though 7 is prime
+    for bad in ("7", 7.0, True):
+        with pytest.raises(ValueError, match=re.escape(f"is not an integer: {bad!r}")):
+            PrimeField(bad)
     f = PrimeField(7)
     assert f.coerce(-1) == 6
     assert f.coerce(Fraction(1, 2)) == 4
     assert f.inv(3) == 5
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+    assert GF.coerce(np.int64(40000)) == 7997
+    for bad in (1.5, "3"):
+        with pytest.raises(TypeError):
+            GF.coerce(bad)
 
 
 def test_field_from_spec_roundtrip():
     assert field_from_spec(QQ.spec()) == QQ
     assert field_from_spec(GF.spec()) == GF
     assert field_from_spec({"prime": 7}) == PrimeField(7)
+    for bad in ("reals", {"prime": 7, "x": 1}):
+        with pytest.raises(ValueError, match="unrecognized field spec"):
+            field_from_spec(bad)
 
 
 # -- construction and shape errors ---------------------------------------
@@ -130,6 +143,11 @@ def test_field_mismatch_detected():
 def test_matmul_shape_check(field):
     with pytest.raises(DimensionMismatch):
         zeros(field, 2, 3) @ zeros(field, 2, 3)
+
+
+def test_ragged_entries_rejected(field):
+    with pytest.raises(DimensionMismatch, match="do not form a 2x2 grid"):
+        ExactMatrix(field, [[1, 2], [3]])
 
 
 # -- special constructors -------------------------------------------------

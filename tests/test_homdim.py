@@ -257,14 +257,14 @@ def _disguised(field, picks, rng, invertible=random_invertible):
 
 
 def test_deep_descriptors_cover_every_case():
-    cases = [homdim._case(GF, d) for d in DEEP_DESCS]
+    cases = [cat.case(d, GF) for d in DEEP_DESCS]
     assert {key for key, _, _, _ in cases} == set(CASE_SPECS)
     assert all(CASE_SPECS[key]["reps"](param) >= 3 for key, _, param, _ in cases)
 
 
 def test_shallow_descriptors_cover_every_case():
     reps = {(key, CASE_SPECS[key]["reps"](param))
-            for key, _, param, _ in (homdim._case(GF, d) for d in SHALLOW_DESCS)}
+            for key, _, param, _ in (cat.case(d, GF) for d in SHALLOW_DESCS)}
     assert reps == {(key, k) for key in CASE_SPECS for k in (1, 2)}
 
 
@@ -321,7 +321,7 @@ def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, descs, monkeypa
     monkeypatch.setattr(GF, "echelon", counted)
     eliminations = set()
     for desc in descs:
-        key, _, param, _ = homdim._case(GF, desc)
+        key, _, param, _ = cat.case(desc, GF)
         spec = CASE_SPECS[key]
         assert spec["kind"] == kind
         rows.clear()
@@ -412,8 +412,8 @@ def test_hom_vector_extrapolates_past_a_late_fixed_point(field, picks, bounds, m
     # one staircase per case at every depth: the representatives (sigma the
     # identity) of the in-bounds descriptors
     descs = [d for d in enumerate_descriptors(EnumerationBounds(*bounds, (field.coerce(2),)))
-             if not homdim._is_closed_form(d) and homdim._case(field, d)[1] == PERM_IDENTITY]
-    groups = {(key, lam) for key, _, _, lam in (homdim._case(field, d) for d in descs)}
+             if not homdim._is_closed_form(d) and cat.case(d, field)[1] == PERM_IDENTITY]
+    groups = {(key, lam) for key, _, _, lam in (cat.case(d, field) for d in descs)}
     checks = []
     same_span = homdim._same_span
 
@@ -476,7 +476,7 @@ def test_hom_vector_deep_qq_staircases(rng, monkeypatch):
     for d in enumerate_descriptors(EnumerationBounds(24, 12, (lam,))):
         if homdim._is_closed_form(d):
             continue
-        key, _, param, _ = homdim._case(QQ, d)
+        key, _, param, _ = cat.case(d, QQ)
         reps = CASE_SPECS[key]["reps"](param)
         if reps > deepest.get(key, (-1, None))[0]:
             deepest[key] = (reps, d)
@@ -518,6 +518,33 @@ def test_hom_vector_eliminates_forward_only(field, monkeypatch):
     descs = enumerate_descriptors(EnumerationBounds(6, 3, lams))
     assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
     assert calls and not any(calls)
+
+
+def test_hom_vector_reads_the_letters_once(monkeypatch):
+    # M's four letters are made integral once per call and every (case,
+    # sigma, lam) group reads them permuted: no group builds a permuted
+    # module or converts the letters again
+    lam = Fraction(7, 3)
+    m = _disguised(QQ, [cat.R(1, lam), cat.P(1, 0), cat.I(1, 0)], random.Random(9),
+                   _over_denominators)
+    descs = [cat.P(3, 2), cat.I(4, 3), cat.R(1, 3, 1), cat.R(2, lam)]
+    sigmas = {cat.case(d, QQ)[1] for d in descs}
+    assert len(sigmas) == len(descs) and PERM_IDENTITY in sigmas
+    want = [hom_dim(m, d) for d in descs]
+    letters = {id(x.data) for x in m.mats()}
+    built = []
+    converted = []
+    integral = QQ.integral
+
+    def spied(arrays):
+        converted.append({id(a) for a in arrays} == letters)
+        return integral(arrays)
+
+    monkeypatch.setattr(LambdaModule, "__post_init__", lambda self: built.append(self))
+    monkeypatch.setattr(QQ, "integral", spied)
+    assert hom_vector(m, descs) == want
+    assert built == []
+    assert converted.count(True) == 1
 
 
 def test_hom_vector_additive(field, rng):

@@ -157,10 +157,11 @@ def test_record_rejects_bad_entry_count():
 
 
 def test_record_rejects_missing_key():
-    rec = module_to_record(zero_module(QQ))
-    del rec["C"]
-    with pytest.raises(ValueError, match="C"):
-        module_from_record(rec)
+    for key in ("C", "field_spec"):
+        rec = module_to_record(zero_module(QQ))
+        del rec[key]
+        with pytest.raises(ValueError, match=key):
+            module_from_record(rec)
 
 
 # a record value of the wrong JSON type: a float or bool shape would be
@@ -170,6 +171,9 @@ LOOSE_RECORDS = {
     "bool-rows": ("rows", True, "rows True is not an integer"),
     "string-cols": ("cols", "1", "cols '1' is not an integer"),
     "string-entries": ("entries", "1234", "entries are a str, not an array"),
+    "negative-rows": ("rows", -2, "negative shape -2x2"),
+    # None: the key is left out
+    "missing-cols": ("cols", None, "missing 'cols'"),
 }
 
 
@@ -179,7 +183,7 @@ def test_record_rejects_loose_types(key, value, message):
     rec["B"] = {"rows": 2, "cols": 2, "entries": ["1", "2", "3", "4"]}
     rec["A"] = rec["C"] = rec["D"] = {"rows": 2, "cols": 0, "entries": []}
     assert module_from_record(rec).B.rows == 2
-    rec["B"] = dict(rec["B"], **{key: value})
+    rec["B"] = {k: v for k, v in dict(rec["B"], **{key: value}).items() if v is not None}
     with pytest.raises(ValueError, match=f"matrix record B: {message}"):
         module_from_record(rec)
 

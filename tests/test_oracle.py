@@ -8,9 +8,11 @@ from fourspace.exactmat import (
     QQ,
     FieldMismatch,
     PrimeField,
+    identity,
     mat,
     random_invertible,
     random_matrix,
+    zeros,
 )
 from fourspace.modules import (
     LambdaModule,
@@ -142,6 +144,10 @@ def test_basis_elements_satisfy_relations(field, rng):
         assert len(basis) == hom_oracle(m, x)
         for f in basis:
             assert check_hom(m, x, f)
+    # F_0 the identity and every F_t zero: F_0 A = A is not 0 F_1
+    p = cat.build(cat.P(1, 0), field)
+    f0 = identity(field, p.n0)
+    assert not check_hom(p, p, [f0] + [zeros(field, y.cols, y.cols) for y in p.mats()])
 
 
 # -- bilinearity and invariance ---------------------------------------------------
