@@ -184,7 +184,8 @@ def build_parser():
 
     p_hom = subs.add_parser("homdim", help="hom dimensions against descriptors")
     p_hom.add_argument("module_file")
-    p_hom.add_argument("descriptors", nargs="*")
+    # not required: --all stands in for the descriptors
+    p_hom.add_argument("descriptors", nargs="*", default=[])
     p_hom.add_argument("--all", action="store_true",
                        help="sweep every descriptor within the bounds flags")
     p_hom.add_argument("--oracle", action="store_true",

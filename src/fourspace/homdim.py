@@ -66,8 +66,21 @@ folds it.  The "M3" cap is one more W on the last tail rows, so it asks
 exactly y_tail W = 0: a capped staircase's corank is z, an uncapped
 one's z + rank S.
 
-hom_dim keeps the one-matrix corank, the reference the tests hold
-hom_vector to.
+Before any pass, hom_vector trades M for an isomorphic copy with sparse
+letters.  dim Hom(M, X) depends on M's isomorphism class alone, and
+U (A, B, C, D) diag(V_1, ..., V_4), U and the V_t invertible, is the
+base change the four-subspace problem is posed under (Gelfand &
+Ponomarev, Colloq. Math. Soc. J. Bolyai 5, 1970).  _sparse_letters
+takes U from a two-way echelon of [A B C D] (forward, then forward again
+on the result read backwards) and each V_t from the same on the
+transpose of letter t.  Both passes eliminate forward only, so over QQ
+the copy is Python ints like the letters it came from.  A disguised
+sum's letters are dense, and its copy keeps about a third of their
+nonzero entries, so the folds and reductions of every group eliminate
+far fewer.
+
+hom_dim keeps the one-matrix corank on M as given, the reference the
+tests hold hom_vector to.
 """
 
 from __future__ import annotations
@@ -358,9 +371,15 @@ def _reduce_rows(field, w, pivots, basis):
     then divided by the gcd of all its entries (field.primitive).  B_i is
     zero left of c_i, so the columns already cleared stay zero, and w ends
     up zero in every pivot column.  Every row of w is scaled alike, so the
-    result is c w - X B for one nonzero scalar c.
+    result is c w - X B for one nonzero scalar c.  A row B_i whose column
+    c_i is already zero in all of w would only scale w by B_i[c_i], which
+    c absorbs, so it is skipped.
     """
     for c, row in zip(pivots, basis):
+        # the builtin any: numpy's .any() costs five times as much on a
+        # column of a few rows, more than the update it saves over GF(p)
+        if not any(w[:, c]):
+            continue
         # every pivot is 1 over GF(p), and then w needs no scaling
         scaled = w if row[c] == 1 else row[c] * w
         w = field.primitive(field.reduce(scaled - w[:, c, None] * row))
@@ -461,12 +480,39 @@ def _staircase_coranks(field, letters, raw, lam, wanted):
     return out
 
 
+def _sparse_letters(field, letters):
+    """The letters U L_t V_t of a module isomorphic to the one of letters.
+
+    letters are in the form field.integral gives.  A two-way echelon is
+    a's forward echelon form, then the forward echelon form of that read
+    backwards (rows and columns reversed), turned back: the second pass
+    clears most entries above the first one's pivots.  Reversing the rows
+    is a row permutation and the column reversal is undone, so it is U a
+    for an invertible U.  The row pass takes the two-way echelon of
+    [A B C D] and cuts it into four letters (U, a base change of the
+    vertex-0 space); the column pass that of each letter's transpose
+    (V_t, one of vertex t).  Hom dimensions depend on the isomorphism
+    class alone, and both passes eliminate forward only, so over QQ the
+    letters stay primitive rows of Python ints, with no Fraction.
+    """
+
+    def two_way(a):
+        _, ech = field.echelon(a)
+        return field.echelon(ech[::-1, ::-1])[1][::-1, ::-1]
+
+    cuts = np.cumsum([x.shape[1] for x in letters])[:-1]
+    rows = np.split(two_way(np.hstack(letters)), cuts, axis=1)
+    # C order: products with the reversed, transposed views cost more
+    return [np.ascontiguousarray(two_way(x.T).T) for x in rows]
+
+
 def hom_vector(M, descs):
     """[hom_dim(M, d) for d in descs], one transfer recursion per case.
 
     Descriptors sharing (case key, sigma, lam) share one staircase, so one
     pass up to their largest parameter answers all of them.  M's letters
-    are made integral once, and each pass reads them permuted by sigma^-1.
+    are made integral and sparse (_sparse_letters) once, and each pass
+    reads them permuted by sigma^-1.
     """
     field = M.field
     out = [None] * len(descs)
@@ -477,7 +523,8 @@ def hom_vector(M, descs):
             continue
         key, sigma, param, lam = case(d, field)
         groups.setdefault((key, sigma, lam), []).append((i, param))
-    letters, _ = field.integral([x.data for x in M.mats()])
+    integral, _ = field.integral([x.data for x in M.mats()])
+    letters = _sparse_letters(field, integral)
     for (key, sigma, lam), members in groups.items():
         raw = CASE_SPECS[key]
         reps = [raw["reps"](param) for _, param in members]

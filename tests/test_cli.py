@@ -296,6 +296,8 @@ ERROR_DETAILS = {
     "homdim {module} R(1,3) --all": "give descriptor arguments or --all, not both",
     # a JSON string is not a characteristic, and 7 is not out of range
     "homdim {prime_string} I(0,0)": "is not an integer",
+    # --all stands in for the descriptors, so the line ends naming the file
+    "homdim": "required: module_file\n",
 }
 
 

@@ -547,6 +547,52 @@ def test_hom_vector_reads_the_letters_once(monkeypatch):
     assert converted.count(True) == 1
 
 
+@pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
+def test_sparse_letters_are_an_isomorphic_module(field):
+    # U L_t V_t has M's dimension vector and M's hom dimensions, also with
+    # n_0 = 0 and with zero-width letters
+    rng = random.Random(0x5A)
+    targets = [cat.P(0, 0), cat.P(1, 0), cat.P(2, 1), cat.I(0, 0), cat.I(1, 2),
+               cat.I(2, 0), cat.R(0, 2, 1), cat.R(1, 3, 0)] + _tubes(field, (1,))
+    modules = [
+        LambdaModule(*(random_matrix(field, dims[0], n, rng) for n in dims[1:]))
+        for dims in ((0, 2, 1, 0, 3), (3, 0, 2, 0, 1), (4, 2, 1, 2, 3), (5, 3, 3, 3, 3))
+    ] + [_disguised(field, picks, rng) for picks in (
+        [cat.P(1, 0), cat.I(2, 1), cat.R(0, 2, 0)],
+        [cat.P(2, 1), cat.I(1, 0), cat.I(0, 3)],
+    )]
+    for m in modules:
+        letters, _ = field.integral([x.data for x in m.mats()])
+        copy = LambdaModule(*(mat(field, x.tolist(), x.shape)
+                              for x in homdim._sparse_letters(field, letters)))
+        assert dim_vector(copy) == dim_vector(m)
+        for d in targets:
+            x = cat.build(d, field)
+            assert hom_oracle(copy, x) == hom_oracle(m, x), (d.label(), dim_vector(m))
+
+
+def test_hom_vector_runs_on_sparse_integer_letters(monkeypatch):
+    # a disguised sum's letters are dense; the staircases read those of a
+    # sparse isomorphic copy, in Python ints
+    m = _disguised(QQ, [cat.R(2, 2), cat.P(2, 1), cat.I(2, 0)], random.Random(3),
+                   _over_denominators)
+    dense = sum(x != 0 for a in m.mats() for x in a.data.flat)
+    seen = []
+    coranks = homdim._staircase_coranks
+
+    def spied(field, letters, *args):
+        seen.append(letters)
+        return coranks(field, letters, *args)
+
+    monkeypatch.setattr(homdim, "_staircase_coranks", spied)
+    descs = enumerate_descriptors(EnumerationBounds(4, 2, (Fraction(2),)))
+    assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
+    assert seen
+    for letters in seen:
+        assert 2 * sum(x != 0 for a in letters for x in a.flat) <= dense
+        assert all(type(x) is int for a in letters for x in a.flat)
+
+
 def test_hom_vector_additive(field, rng):
     descs = [cat.P(1, 0), cat.I(1, 2), cat.R(0, 2, 1), cat.I(0, 0)]
     m = random_module(field, rng, max_dim=3)
