@@ -17,6 +17,7 @@ the staircase of that key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .exactmat import (
     anti_identity,
@@ -231,6 +232,12 @@ def _r_odd_blocks(field, l):
     )
 
 
+# the 4-cycle applied 0, 1, 2 and 3 times: sigma of the vertex-j P/I
+# members, j = 1..4, read by canonical_form
+_CYCLE_POWERS = tuple(
+    accumulate(range(3), lambda sigma, _: perm_compose(PERM_CYCLE, sigma), initial=PERM_IDENTITY)
+)
+
 # sigma with build(R(s, m, lam)) == permute_vertices(build(R(0, m, 0)), sigma),
 # the same for the even and odd rows of each (s, lam): the one table that
 # places the exceptional rows, read by canonical_form and so by build
@@ -317,11 +324,8 @@ def canonical_form(desc):
         n, j = params
         if j == 0:
             return desc, PERM_IDENTITY
-        sigma = PERM_IDENTITY
-        for _ in range(j - 1):
-            sigma = perm_compose(PERM_CYCLE, sigma)
         rep = P(n, 1) if fam == FAMILY_POSTPROJECTIVE else I(n, 1)
-        return rep, sigma
+        return rep, _CYCLE_POWERS[j - 1]
     if fam == FAMILY_REGULAR_HOMOGENEOUS:
         return desc, PERM_IDENTITY
     if fam == FAMILY_REGULAR_EXCEPTIONAL:

@@ -80,15 +80,16 @@ _COMPONENT = {
 }
 
 
-def _hom(y, x):
-    """dim Hom(y, x) for catalog descriptors, in closed form."""
+def _hom(y, x, dim=declared_dim):
+    """dim Hom(y, x) for catalog descriptors, in closed form; dim gives a
+    descriptor's dimension vector (decompose passes its table)."""
     cy, cx = _COMPONENT[y.family], _COMPONENT[x.family]
     if cy > cx:
         return 0
     if cy < cx:
-        return euler_form(declared_dim(y), declared_dim(x))
+        return euler_form(dim(y), dim(x))
     if cy != 1:
-        return max(euler_form(declared_dim(y), declared_dim(x)), 0)
+        return max(euler_form(dim(y), dim(x)), 0)
     if y.family != x.family or y.params[-1] != x.params[-1]:
         return 0  # different tubes
     if y.family == FAMILY_REGULAR_HOMOGENEOUS:
@@ -135,10 +136,9 @@ def decompose(M, bounds):
     h = dict(zip(targets, hom_vector(M, targets)))
     mu = [sum(sign * h[d] for sign, d in terms) for terms in defects]
     picked = {c: m for c, m in zip(cands, mu) if m > 0}
-    residual = [h[x] - sum(m * _hom(y, x) for y, m in picked.items()) for x in cands]
-    total = tuple(
-        sum(m * declared_dim(y)[v] for y, m in picked.items()) for v in range(5)
-    )
+    dim = {c: declared_dim(c) for c in cands}.__getitem__
+    residual = [h[x] - sum(m * _hom(y, x, dim) for y, m in picked.items()) for x in cands]
+    total = tuple(sum(m * dim(y)[v] for y, m in picked.items()) for v in range(5))
     if min(mu, default=0) < 0 or any(residual) or total != dim_vector(M):
         raise IncompleteCandidates(
             "candidate set cannot explain the module within the given bounds "

@@ -18,13 +18,10 @@ is scaled to ints first.  Fractions come back only in the reduced form,
 which serves nullspace and invert alone.
 ``field.integral`` scales arrays by one nonzero scalar into the form
 elimination runs on (Python ints over QQ, the residues themselves over
-GF(p)), ``field.intdot`` multiplies in that form, and
-``field.primitive`` divides such an array by one common factor, so a
-caller that needs only ranks and kernels keeps its products in small
-integers.  Each field has one matrix product, ``field.dot``, and
-``ExactMatrix @`` calls it: int64 residues over GF(p); over QQ, intdot
-of the integral form, divided by the square of its scale.  No floating
-point anywhere.
+GF(p)), and ``field.intdot`` multiplies in that form.  Each field has
+one matrix product, ``field.dot``, and ``ExactMatrix @`` calls it: int64
+residues over GF(p); over QQ, intdot of the integral form, divided by
+the square of its scale.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -195,21 +192,11 @@ class Rationals(_Field):
         ]
         return out, scale
 
-    def primitive(self, a):
-        """a over the gcd of all its entries, for an array of Python ints.
-
-        One nonzero scale for the whole array, so a linear map keeps its
-        kernels and the spans of its products; rows scaled each by their
-        own gcd would not.
-        """
-        g = math.gcd(*a.flat)
-        return a // g if g > 1 else a
-
     def intdot(self, a, b):
         """a @ b for 2-D arrays of Python ints, left in Python ints.
 
-        These are the arrays of integral and the forward echelon rows made
-        from them; dot multiplies Fractions this way too.  numpy's dense
+        These are the arrays of integral; dot multiplies Fractions this
+        way.  numpy's dense
         object product multiplies every pair, which on ints is cheaper than
         a zero-skipping Python sum: 18 us against 134 us for a 6 x 6 times
         a 6 x 18 (2-vCPU virtual machine, numpy 2.4).
@@ -326,10 +313,6 @@ class PrimeField(_Field):
         return (a.astype(object) @ b.astype(object) % self.p).astype(np.int64)
 
     intdot = dot
-
-    def primitive(self, a):
-        """a itself: residues need no common scale to stay small."""
-        return a
 
     def inv(self, a):
         a %= self.p

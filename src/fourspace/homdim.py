@@ -39,32 +39,25 @@ the largest k asked for.  The next copy reads a vector y of the left
 kernel K_k = {y : y N_k = 0} only through its image y_tail W, y_tail the
 last e block rows of y.  So the state is (z, S): z counts the kernel
 vectors whose image is zero, and S is an echelon basis of the images, as
-wide as W's letters.  Then dim K_k = z + rank S, and one step takes the
-left kernel of [[S 0], [R]] (S in the columns of W) and splits it the
-same way.  Every copy holds the same rep R and W, so the forward echelon
-basis B of [R | E] (E is W on the tail rows of R, zero above) is
-eliminated once per group by the same fold as the head, and [I 0], the
-map that puts an image in W's columns, is reduced against B once: each
-row of B, in pivot order, clears its pivot column from all rows of [I 0]
-together.  That makes the reduction one linear map IB, zero in every
-pivot column of B.  A step multiplies only the rank S rows by IB, one
-product, and eliminates that residual, where the whole step had rank S
-plus a copy's rows.  The rows of B and of the residual have distinct
-pivots, so those whose pivot lies in the image columns form the next S.
-Over QQ the window is written integral (the letters times one common
-denominator and the coefficients 1, -1 and -lam times another: a nonzero
-multiple, which changes no kernel), so B, IB, S and every product stay
-Python ints from the cell writer to the last rank, with no reduced form
-and no Fraction.  IB is kept over the gcd of all its entries, each
-elimination makes its rows primitive, and S stays as small deep in the
-staircase as after its first steps instead of growing from step to
-step.  A step depends on span(S) alone, so the pass stops at the first
+wide as W's letters.  Then dim K_k = z + rank S.  Every copy holds the
+same rep R and W, so R is split once per group, its own columns
+eliminated before the g columns it shares with W (SOLVEBLOK's order):
+T, an echelon basis of {u [R_W | E] : u R_own = 0} (E the next W on
+R's tail rows), and rep_z, the vectors u whose u R and u_tail W both
+vanish.  One step is then one small elimination, [[S 0], T] split at
+g: at most 3g rows of 2g columns, no linear map and no product.  Over
+QQ the window is written integral (the letters times one common
+denominator and the coefficients 1, -1 and -lam times another: a
+nonzero multiple, which changes no kernel), so T, S and every
+elimination stay Python ints from the cell writer to the last rank,
+with no reduced form and no Fraction; each elimination divides its rows
+by their gcds, so S stays as small deep in the staircase as after its first
+steps.  A step depends on span(S) alone, so the pass stops at the first
 step that returns the span it was given and extrapolates: every later
 copy adds the same to z and keeps S.  When the head pattern is the rep
-pattern, the head is one more copy from the empty state, and B already
-folds it.  The "M3" cap is one more W on the last tail rows, so it asks
-exactly y_tail W = 0: a capped staircase's corank is z, an uncapped
-one's z + rank S.
+pattern, the head is the step from the empty state.  The "M3" cap is
+one more W on the last tail rows, so it asks exactly y_tail W = 0: a
+capped staircase's corank is z, an uncapped one's z + rank S.
 
 Before any pass, hom_vector trades M for an isomorphic copy with sparse
 letters.  dim Hom(M, X) depends on M's isomorphism class alone, and
@@ -76,8 +69,7 @@ on the result read backwards) and each V_t from the same on the
 transpose of letter t.  Both passes eliminate forward only, so over QQ
 the copy is Python ints like the letters it came from.  A disguised
 sum's letters are dense, and its copy keeps about a third of their
-nonzero entries, so the folds and reductions of every group eliminate
-far fewer.
+nonzero entries, so the folds of every group eliminate far fewer.
 
 hom_dim keeps the one-matrix corank on M as given, the reference the
 tests hold hom_vector to.
@@ -336,17 +328,17 @@ def _augment(x, w):
 def _split(field, a, n):
     """Left kernel of a, split at column n.
 
-    Returns (z, images, pivots, basis): (pivots, basis) is the forward
-    echelon basis of a, z = rows - rank the dimension of {y : y a = 0},
-    and images the rows of basis whose pivot is at or past column n, cut to
-    those columns.  Echelon rows have distinct pivots, so images is an
-    echelon basis of {y a[:, n:] : y a[:, :n] = 0}: the left kernel of the
-    first n columns, seen through the columns from n on.  _fold splits a
-    staircase block this way, and each recursion step its product s IB.
+    Returns (z, images): z = rows - rank, the dimension of
+    {y : y a = 0}, and images the forward echelon rows of a whose pivot is
+    at or past column n, cut to those columns.  Echelon rows have distinct
+    pivots, and those with a pivot left of n are independent there, so
+    images is an echelon basis of {y a[:, n:] : y a[:, :n] = 0}: the left
+    kernel of the first n columns, seen through the columns from n on.
+    _fold and _transfer split a staircase block this way, and each
+    recursion step the stack of its state and the transfer basis.
     """
     pivots, ech = field.echelon(a)
-    basis = ech[: len(pivots)]
-    return len(a) - len(pivots), basis[bisect_left(pivots, n) :, n:], pivots, basis
+    return len(a) - len(pivots), ech[bisect_left(pivots, n) : len(pivots), n:]
 
 
 def _fold(field, x, w):
@@ -355,35 +347,25 @@ def _fold(field, x, w):
     y_tail is y on the last rows of x, as many as w has.  _split of [x | E],
     E the w on the tail rows, at x's width: its row space is
     {(y x, y_tail w)}, so z is the dimension of the kernel vectors whose
-    image is zero, images an echelon basis of all images, and (pivots,
-    basis) the forward echelon basis of [x | E] both are read from.  The
-    head of the staircase and its rep pattern are folded this way; each
-    copy reuses the rep's basis (see _staircase_coranks).
+    image is zero and images an echelon basis of all images.  The head of
+    the staircase is folded this way.
     """
     return _split(field, _augment(x, w), x.shape[1])
 
 
-def _reduce_rows(field, w, pivots, basis):
-    """w reduced against the forward echelon rows basis: one linear map.
+def _transfer(field, rep, w):
+    """(rep_z, T) of a copy's rep block R and the overlap w of the next.
 
-    Each basis row B_i, in pivot order, clears its pivot column c_i from
-    every row of w at once: w := B_i[c_i] w - w[:, c_i] B_i, over QQ
-    then divided by the gcd of all its entries (field.primitive).  B_i is
-    zero left of c_i, so the columns already cleared stay zero, and w ends
-    up zero in every pivot column.  Every row of w is scaled alike, so the
-    result is c w - X B for one nonzero scalar c.  A row B_i whose column
-    c_i is already zero in all of w would only scale w by B_i[c_i], which
-    c absorbs, so it is skipped.
+    W's columns are R's first g, g the width of w, and the rest are the
+    copy's own.  _split of [R_own | R_W | E], E the w on R's tail rows, at
+    R_own's width: T, 2g wide, is an echelon basis of
+    {u [R_W | E] : u R_own = 0}, and rep_z = dim{u : u R = 0, u_tail w = 0}.
+    That needs R_own first and every row past it, those with a pivot in
+    R_W too; then a step eliminates T and the state alone (see
+    _staircase_coranks).
     """
-    for c, row in zip(pivots, basis):
-        # the builtin any: numpy's .any() costs five times as much on a
-        # column of a few rows, more than the update it saves over GF(p)
-        if not any(w[:, c]):
-            continue
-        # every pivot is 1 over GF(p), and then w needs no scaling
-        scaled = w if row[c] == 1 else row[c] * w
-        w = field.primitive(field.reduce(scaled - w[:, c, None] * row))
-    return w
+    g = w.shape[1]
+    return _split(field, _augment(np.hstack([rep[:, g:], rep[:, :g]]), w), rep.shape[1] - g)
 
 
 def _same_span(field, s, s_next):
@@ -406,33 +388,31 @@ def _staircase_coranks(field, letters, raw, lam, wanted):
     left kernel of the matrix so far by y_tail W, y_tail the last e block
     rows, which the next copy's columns meet through W.
 
-    Every copy holds the same rep block R and overlap W, so the forward
-    echelon basis B of [R | E] (pivot columns P) is _fold's, eliminated
-    once, and _reduce_rows turns [I 0], the map placing an image in W's
-    columns of the copy, into IB = c [I 0] - X B, zero in every column of
-    P, for one nonzero scalar c.  A step adds the rows [s 0 | 0] to the
-    rows of B.  Reduced against B they are s IB / c, which vanishes in the
-    columns P (echelon skips zero columns); _split of that product, len(s)
-    rows, at the copy's width gives the rank the step adds beyond rank B
-    and its images.  The rows of B and of that elimination have distinct
-    pivots, so B's images and those form the next s.  That needs every
-    row of B in IB, those with a pivot in the image columns too, or the
-    residual could take a pivot of B again; and one c for all rows, since
-    rows scaled each by their own factor (a diagonal D) would give s D IB,
-    whose span is not that of s IB.  The letters are integral and the
-    window is written so, so over QQ B, s, IB and every product are Python
-    ints, and no elimination builds Fractions.
+    Every copy holds the same rep block R and overlap W, so _transfer
+    splits R once per group, its own columns eliminated before the
+    columns of W it shares with the copy before it (as SOLVEBLOK does):
+    rep_z and the echelon basis T of {u [R_W | E] : u R_own = 0}, E the
+    next W on R's tail rows.  Appending a copy to kernel vectors whose
+    images span s gives the vectors (x, u) with x s + u R_W = 0 and
+    u R_own = 0, whose image is u E.  Those with u [R_W | E] = 0 add
+    rep_z; for the others u [R_W | E] = t T for one t, the rows of T
+    being independent.  So a step is one _split of [[s 0], T] at the
+    width g of W: its z plus rep_z is what the copy adds to z, and its
+    images the next s.  Each step eliminates at most 3g rows of 2g
+    columns, and multiplies nothing.  The letters are integral and the
+    window is written so, so over QQ T and s are Python ints and no
+    elimination builds Fractions; each divides its rows by their gcds, so
+    s stays as small deep in the staircase as after its first steps.
 
-    A step is a function of span(s) alone: it adds
-    len(s) + rows(R) - rank B - rank(s IB) to z and maps the span to the
-    next one.  So once a step returns the span it was given (_same_span),
-    every later copy adds the same to z and keeps the span: the recursion
-    stops there, and the deeper coranks follow by adding that step's
-    increase per copy.  The corank after k copies is z + rank s; "M3"'s
-    trailing cap is one more W on the tail rows, which asks for image 0,
-    so its corank is z.  When the head pattern is the rep pattern (P_ODD,
-    R_EVEN), the head is one more copy from the empty state, and its fold
-    is B's own.
+    A step is a function of span(s) alone: it adds the same to z and maps
+    the span to the next one.  So once a step returns the span it was
+    given (_same_span), every later copy adds the same to z and keeps the
+    span: the recursion stops there, and the deeper coranks follow by
+    adding that step's increase per copy.  The corank after k copies is
+    z + rank s; "M3"'s trailing cap is one more W on the tail rows, which
+    asks for image 0, so its corank is z.  When the head pattern is the
+    rep pattern (P_ODD, R_EVEN), the head is the step from the empty
+    state.
     """
     top = max(wanted)
     # the head and one copy already meet every block-column width
@@ -453,21 +433,21 @@ def _staircase_coranks(field, letters, raw, lam, wanted):
 
     # copy 1 of the window: W in the head's last e block rows, R in its own
     w = block(a - e, a, b, b + f)
-    rep = block(a, a + c, b, b + d)
-    rep_z, images, pivots, basis = _fold(field, rep, w)
+    rep_z, t = _transfer(field, block(a, a + c, b, b + d), w)
+    g = w.shape[1]
+
+    def step(s):
+        # s in W's columns of the copy, zero in those of the next W
+        z, images = _split(field, np.vstack([np.hstack([s, np.zeros_like(s)]), t]), g)
+        return z + rep_z, images
+
     if raw["head"] == raw["rep"]:
-        z, s = rep_z, images
+        z, s = step(t[:0, :g])
     else:
-        z, s, _, _ = _fold(field, block(0, a, 0, b), w)
-    n = rep.shape[1]
-    # [I 0]: W's columns are the first of the copy
-    embed = np.eye(w.shape[1], n + w.shape[1], dtype=data.dtype)
-    ib = _reduce_rows(field, embed, pivots, basis)
+        z, s = _fold(field, block(0, a, 0, b), w)
     out = {0: corank(z, s)} if 0 in wanted else {}
     for k in range(1, top + 1):
-        res_z, res_images, _, _ = _split(field, field.intdot(s, ib), n)
-        dz = res_z + rep_z
-        s_next = np.vstack([images, res_images])
+        dz, s_next = step(s)
         z += dz
         if k < top and _same_span(field, s, s_next):
             # fixed point: each further copy adds dz to the corank
@@ -493,7 +473,7 @@ def _sparse_letters(field, letters):
     vertex-0 space); the column pass that of each letter's transpose
     (V_t, one of vertex t).  Hom dimensions depend on the isomorphism
     class alone, and both passes eliminate forward only, so over QQ the
-    letters stay primitive rows of Python ints, with no Fraction.
+    letters stay rows of Python ints over their gcds, with no Fraction.
     """
 
     def two_way(a):

@@ -10,13 +10,13 @@ from fourspace.catalog import EnumerationBounds, InvalidParams, enumerate_descri
 from fourspace.decomp import decompose
 from fourspace.exactmat import (
     QQ,
-    ExactMatrix,
     PrimeField,
     block_grid,
     hstack,
     mat,
     random_invertible,
     random_matrix,
+    vstack,
     zeros,
 )
 from fourspace.homdim import CASE_SPECS, coeff_matrix, hom_dim, hom_vector
@@ -233,7 +233,7 @@ DEEP_DESCS = [
 
 # one descriptor per case key at 1 and at 2 copies of the rep pattern: a
 # pass that ends after the window's one copy, and one whose copies 1 and 2
-# share the basis B of a copy
+# share the transfer basis T of a copy
 SHALLOW_DESCS = [
     cat.P(2, 0), cat.P(3, 0), cat.P(3, 1), cat.P(5, 2), cat.P(2, 1), cat.P(4, 3),
     cat.I(2, 0), cat.I(3, 0), cat.I(3, 1), cat.I(5, 4), cat.I(4, 1), cat.I(6, 2),
@@ -300,80 +300,83 @@ COUNTED_DESCS = {
 
 @pytest.mark.parametrize("kind, descs", COUNTED_DESCS.values(), ids=COUNTED_DESCS)
 def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, descs, monkeypatch):
-    # a copy's elimination has the rows of S, not those of S and of the
-    # copy (the span check stacks S twice): only the head and the basis B
-    # have more rows than e * n_0 here, e the overlap's block rows.  And
-    # copies stop costing eliminations once span(S) repeats, so both
-    # depths run the same number of them.  The state is y_tail W, not
-    # y_tail: no elimination is wider than the head or a copy plus the
-    # columns of W, 20 for these letters, where the tail made it 24.
+    # a copy's own columns are folded once per group (_transfer), so apart
+    # from that fold and the head's, a step eliminates only the state S
+    # and the transfer basis T: no elimination is wider than the columns
+    # of W and of the next W, 8 for these letters, where a copy's
+    # columns made it 20.  And copies stop costing eliminations once
+    # span(S) repeats, so both depths run the same number of them
     rng = random.Random(7)
     m = LambdaModule(*(random_matrix(GF, 8, 4, rng) for _ in range(4)))
-    rows = []
     cols = []
     echelon = GF.echelon
 
     def counted(a, reduced=False):
-        rows.append(a.shape[0])
         cols.append(a.shape[1])
         return echelon(a, reduced)
 
+    sparse = homdim._sparse_letters
+
+    def uncounted(field, letters):
+        # the two-way echelons of M's letters come before any staircase
+        out = sparse(field, letters)
+        cols.clear()
+        return out
+
     monkeypatch.setattr(GF, "echelon", counted)
+    monkeypatch.setattr(homdim, "_sparse_letters", uncounted)
     eliminations = set()
     for desc in descs:
         key, _, param, _ = cat.case(desc, GF)
         spec = CASE_SPECS[key]
         assert spec["kind"] == kind
-        rows.clear()
-        cols.clear()
         got = hom_vector(m, [desc])
-        counts = list(rows)
+        counts = list(cols)
         assert got == [hom_dim(m, desc)]
         eliminations.add(len(counts))
-        assert sum(r > len(spec["overlap"]) * m.n0 for r in counts) <= 2, counts
         # every letter is 4 columns wide
-        limit = 4 * (max(len(spec["head"][0]), len(spec["rep"][0])) + len(spec["overlap"][0]))
-        assert limit == 20 and max(cols) <= limit, cols
+        limit = 2 * 4 * len(spec["overlap"][0])
+        assert limit == 8 and sum(c > limit for c in counts) <= 2, counts
     assert len(eliminations) == 1, eliminations
 
 
 @pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
-def test_reduce_rows_is_one_map_onto_the_free_columns(field):
-    # W reduced against the forward basis B of [R | E] must vanish in every
-    # pivot column of B, those in the tail included, and be one nonzero
-    # multiple c of the canonical residual W - W[:, P] rref(B): one c for
-    # all rows, or S (W reduced) would span another space than S W does
+def test_transfer_basis_spans_what_meets_the_next_copy(field):
+    # R_W is R's first g columns (W's), R_own the rest, E the W on R's
+    # last rows.  T must span exactly {y [R_W | E] : y R_own = 0} with
+    # independent rows, and rep_z count {y : y R = 0, y_tail W = 0}; both
+    # against the null space of R_own transposed, a reduced elimination
     rng = random.Random(11)
-    nonzero = 0
-    for m, n, t in ((6, 4, 3), (7, 3, 5), (5, 4, 2), (8, 8, 4)):
+    pivots_seen = set()
+    for m, n, g, t in ((6, 5, 2, 3), (7, 4, 3, 5), (5, 6, 2, 2), (8, 8, 4, 4), (4, 3, 3, 2)):
         rep = np.array(random_matrix(field, m, n, rng).data)
         rep[:, rng.randrange(n)] = field.zero
-        (rep, w), _ = field.integral([rep, random_matrix(field, t, n, rng).data])
-        pivots, ech = field.echelon(homdim._augment(rep, np.eye(t, dtype=field.dtype)))
-        basis = ech[: len(pivots)]
-        # a dependent row of R leaves B a pivot in the tail columns
-        assert pivots[-1] >= n
-        w = np.hstack([w, np.zeros((t, t), dtype=field.dtype)])
-        wb = mat(field, homdim._reduce_rows(field, w, pivots, basis).tolist(), w.shape)
-        _, rref = field.echelon(basis, reduced=True)
-        w = mat(field, w.tolist(), w.shape)
-        lead = ExactMatrix._raw(field, w.data[:, pivots])
-        want = w - lead @ mat(field, rref.tolist())
-        assert not any(wb[i, c] for i in range(t) for c in pivots)
-        # wb = c * want with c != 0: both zero, or proportional as vectors
-        flat = [wb.entries_rowmajor(), want.entries_rowmajor()]
-        assert any(flat[0]) == any(flat[1]) and mat(field, flat).rank() <= 1
-        nonzero += any(flat[1])
-    assert nonzero
+        i, j, k = rng.sample(range(m), 3)
+        rep[i] = field.reduce(rep[j] + rep[k])
+        (rep, w), _ = field.integral([rep, random_matrix(field, t, g, rng).data])
+        rep_z, basis = homdim._transfer(field, rep, w)
+        assert basis.shape[1] == 2 * g
+        tail = np.vstack([np.full((m - t, g), field.zero, dtype=field.dtype), w])
+        interface = mat(field, np.hstack([rep[:, :g], tail]).tolist(), (m, 2 * g))
+        own = mat(field, rep[:, g:].tolist(), (m, n - g))
+        kernel = own.transpose().nullspace()
+        images = mat(field, [list(y) for y in kernel], (len(kernel), m)) @ interface
+        got = mat(field, basis.tolist(), basis.shape)
+        assert got.rank() == len(basis) == images.rank()
+        assert vstack([got, images]).rank() == len(basis)
+        assert rep_z == len(kernel) - images.rank()
+        # rows with a pivot in W's columns and rows with one in E's
+        pivots_seen.update(next(c for c, x in enumerate(row) if x) // g for row in basis.tolist())
+    assert pivots_seen == {0, 1}
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3)], ids=repr)
 def test_hom_vector_clears_the_tail_pivots_of_a_copy(field):
-    # [rep | E] has pivots in its tail columns when a copy's rows are
-    # dependent; W reduced against B must be cleared there too, or a
-    # step's residual can take one of B's pivots and count a rank twice.
-    # Over small fields some of these sums meet that: with the tail pivot
-    # rows left out, 7 of these 40 modules got a wrong answer
+    # a copy's transfer basis T has rows with a pivot in W's columns when
+    # its own columns leave some rows free; without them a step loses
+    # the kernel vectors whose images meet those rows and counts too few.
+    # Over small fields these sums meet that: with those rows of T left
+    # out, every one of these 40 modules got a wrong answer
     descs = [cat.P(4, 3), cat.P(6, 2), cat.I(8, 3), cat.P(8, 4)]
     for seed in range(10):
         rng = random.Random(seed)
@@ -448,8 +451,9 @@ def test_hom_vector_at_benchmark_size():
 
 # Bit length that no entry of an elimination input reaches in the deep QQ
 # test below.  Its letters have entries of about 10 bits; a step of the
-# recursion eliminates S times a product fixed per group, and S holds
-# minors of one copy, which reached 170 bits there at every depth.
+# recursion eliminates S stacked on the transfer basis T, fixed per group,
+# and S holds minors of one copy: no input entry passed 69 bits there, at
+# any depth.
 QQ_ENTRY_BITS = 512
 
 
@@ -503,8 +507,8 @@ def _over_denominators(field, n, rng):
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
 def test_hom_vector_eliminates_forward_only(field, monkeypatch):
-    # the staircase reduces S W against the forward basis of a copy, so no
-    # elimination of hom_vector asks for the reduced form
+    # a step eliminates S stacked on the forward transfer basis of a copy,
+    # so no elimination of hom_vector asks for the reduced form
     calls = []
     echelon = field.echelon
 
