@@ -80,16 +80,17 @@ _COMPONENT = {
 }
 
 
-def _hom(y, x, dim=declared_dim):
-    """dim Hom(y, x) for catalog descriptors, in closed form; dim gives a
-    descriptor's dimension vector (decompose passes its table)."""
+def _hom(y, x, dims=None):
+    """dim Hom(y, x) for catalog descriptors, in closed form; dims is
+    (dim y, dim x) when the caller has them (decompose passes its table)."""
     cy, cx = _COMPONENT[y.family], _COMPONENT[x.family]
     if cy > cx:
         return 0
+    dy, dx = dims or (declared_dim(y), declared_dim(x))
     if cy < cx:
-        return euler_form(dim(y), dim(x))
+        return euler_form(dy, dx)
     if cy != 1:
-        return max(euler_form(dim(y), dim(x)), 0)
+        return max(euler_form(dy, dx), 0)
     if y.family != x.family or y.params[-1] != x.params[-1]:
         return 0  # different tubes
     if y.family == FAMILY_REGULAR_HOMOGENEOUS:
@@ -131,21 +132,25 @@ def decompose(M, bounds):
     # enumeration drops the duplicates
     lambdas = tuple(tube_lambda(M.field, lam) for lam in bounds.lambdas)
     cands = enumerate_descriptors(replace(bounds, lambdas=lambdas))
-    defects = [_defect(c) for c in cands]
-    targets = list(dict.fromkeys(d for terms in defects for _, d in terms))
-    h = dict(zip(targets, hom_vector(M, targets)))
-    mu = [sum(sign * h[d] for sign, d in terms) for terms in defects]
-    picked = {c: m for c, m in zip(cands, mu) if m > 0}
-    dim = {c: declared_dim(c) for c in cands}.__getitem__
-    residual = [h[x] - sum(m * _hom(y, x, dim) for y, m in picked.items()) for x in cands]
-    total = tuple(sum(m * dim(y)[v] for y, m in picked.items()) for v in range(5))
+    # descriptors are hashed here alone: candidate i is target i, the terms
+    # past the bounds follow, and each defect is a list of target indices
+    index = {c: i for i, c in enumerate(cands)}
+    defects = [[(sign, index.setdefault(d, len(index))) for sign, d in _defect(c)]
+               for c in cands]
+    h = hom_vector(M, list(index))
+    mu = [sum(sign * h[t] for sign, t in terms) for terms in defects]
+    picked = [(y, m) for y, m in enumerate(mu) if m > 0]
+    dims = [declared_dim(c) for c in cands]
+    residual = [h[x] - sum(m * _hom(cands[y], c, (dims[y], dims[x])) for y, m in picked)
+                for x, c in enumerate(cands)]
+    total = tuple(sum(m * dims[y][v] for y, m in picked) for v in range(5))
     if min(mu, default=0) < 0 or any(residual) or total != dim_vector(M):
         raise IncompleteCandidates(
             "candidate set cannot explain the module within the given bounds "
             "(missing summand, typically an unlisted homogeneous lam); "
             f"residual hom vector {residual}"
         )
-    return picked
+    return {cands[y]: m for y, m in picked}
 
 
 def is_isomorphic(M, N, bounds):

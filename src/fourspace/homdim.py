@@ -31,33 +31,41 @@ hom_vector(M, Xs) answers many, using the staircase the way SOLVEBLOK
 linear systems", ACM TOMS 6(1), 1980) does.  The matrix with k copies is a
 leading block of the one with k + 1, so descriptors sharing (case key,
 sigma, lam) differ only in k and share one pass.  M's letters are
-converted once per call (field.integral), permuted per group, and the
-head, rep and W arrays are cut once per group from a small window matrix
-(the head and one copy), assembled by the same cell writer and
-block-width check as N.  The pass runs a transfer recursion towards
-the largest k asked for.  The next copy reads a vector y of the left
-kernel K_k = {y : y N_k = 0} only through its image y_tail W, y_tail the
-last e block rows of y.  So the state is (z, S): z counts the kernel
-vectors whose image is zero, and S is an echelon basis of the images, as
-wide as W's letters.  Then dim K_k = z + rank S.  Every copy holds the
-same rep R and W, so R is split once per group, its own columns
-eliminated before the g columns it shares with W (SOLVEBLOK's order):
-T, an echelon basis of {u [R_W | E] : u R_own = 0} (E the next W on
-R's tail rows), and rep_z, the vectors u whose u R and u_tail W both
+converted once per call (field.integral) and read by every group through
+its sigma; no group writes a matrix.  The pass runs a transfer recursion
+towards the largest k asked for.  The next copy reads a vector y of the
+left kernel K_k = {y : y N_k = 0} only through its image y_tail W,
+y_tail the last e block rows of y.  So the state is (z, S): z counts the
+kernel vectors whose image is zero, and S is an echelon basis of the
+images, as wide as W's letters.  Then dim K_k = z + rank S.  Every copy
+holds the same rep R and W, so R is split once per group, its own
+columns eliminated before the g columns it shares with W (SOLVEBLOK's
+order): T, an echelon basis of {u [R_W | E] : u R_own = 0} (E the next W
+on R's tail rows), and rep_z, the vectors u whose u R and u_tail W both
 vanish.  One step is then one small elimination, [[S 0], T] split at
-g: at most 3g rows of 2g columns, no linear map and no product.  Over
-QQ the window is written integral (the letters times one common
-denominator and the coefficients 1, -1 and -lam times another: a
-nonzero multiple, which changes no kernel), so T, S and every
-elimination stay Python ints from the cell writer to the last rank,
-with no reduced form and no Fraction; each elimination divides its rows
-by their gcds, so S stays as small deep in the staircase as after its first
-steps.  A step depends on span(S) alone, so the pass stops at the first
-step that returns the span it was given and extrapolates: every later
-copy adds the same to z and keeps S.  When the head pattern is the rep
-pattern, the head is the step from the empty state.  The "M3" cap is
-one more W on the last tail rows, so it asks exactly y_tail W = 0: a
-capped staircase's corank is z, an uncapped one's z + rank S.
+g: at most 3g rows of 2g columns, no linear map and no product.
+
+Most own block columns hold a single cell, +-L in block row i, and ask
+y_i L = 0: y_i = v_i K, K an echelon basis of the left kernel of the
+single-cell letters of row i.  Every group reads the same four letter
+arrays, so one call eliminates each letter set's K once, [L | I] split
+at L's width, and keeps it and its products K L in a cache keyed by M's
+letter slots.  A fold (of R, or of the head with W on its tail rows)
+then eliminates only the grid of blocks scalar * K L over the coupled
+own columns and the columns that meet the next copy, built from the
+cache: the local elimination SOLVEBLOK does per block, done once per
+letter set.  A "-lam" cell stays coupled, since lam may be 0.  Over QQ
+the letters, kernels and the coefficients 1, -1 and -lam are integral (a
+nonzero multiple changes no kernel), so T, S and every elimination stay
+Python ints from the letters to the last rank, with no reduced form and
+no Fraction; each elimination divides its rows by their gcds, so S stays
+as small deep in the staircase as after its first steps.  A step depends
+on span(S) alone, so the pass stops at the first step that returns the
+span it was given and extrapolates: every later copy adds the same to z
+and keeps S.  When the head pattern is the rep pattern, the head is the
+step from the empty state.  The "M3" cap is one more W on the last tail
+rows, so it asks exactly y_tail W = 0: a capped staircase's corank is z,
+an uncapped one's z + rank S.
 
 Before any pass, hom_vector trades M for an isomorphic copy with sparse
 letters.  dim Hom(M, X) depends on M's isomorphism class alone, and
@@ -244,16 +252,23 @@ def _layout(raw, reps):
     return cells
 
 
-def _write(field, letters, cells, lam, integral=False):
-    """(array, column offsets) of a cell grid over the four letter arrays.
+def _coefficients(field, lam, integral=False):
+    """{1, -1, "-lam"} -> the field scalar each cell coefficient stands for.
 
-    Every block row is n_0 high; a block column is as wide as its letters,
-    which must agree.  The coefficients 1, -1 and -lam resolve once into a
-    scalar table, so each distinct cell is one scalar times one letter.
-    integral=True takes letters already in the form field.integral gives
-    and puts the table through field.integral too: a nonzero multiple of
-    the grid, in Python ints over QQ, the same residues over GF(p).
+    integral=True puts the table through field.integral: a nonzero multiple
+    of all three, in Python ints over QQ, the same residues over GF(p).
     """
+    one = field.one
+    coeffs = [one, field.reduce(-one), one if lam is None else field.reduce(-lam)]
+    if integral:
+        (table,), _ = field.integral([np.array([coeffs], dtype=field.dtype)])
+        coeffs = table.ravel().tolist()
+    return dict(zip((1, -1, "-lam"), coeffs))
+
+
+def _widths(letters, cells):
+    """The width of each block column of a cell grid over the four letter
+    arrays, None where the column holds no cell; its letters must agree."""
     widths = [None] * len(cells[0])
     for row in cells:
         for ccol, cell in enumerate(row):
@@ -266,27 +281,27 @@ def _write(field, letters, cells, lam, integral=False):
                 raise AssertionError(
                     f"inconsistent block widths in column {ccol}"
                 )
-    n0 = letters[0].shape[0]
-    col0 = [0]
-    for w in widths:
-        col0.append(col0[-1] + (w or 0))
+    return widths
 
-    one = field.one
-    coeffs = [one, field.reduce(-one), one if lam is None else field.reduce(-lam)]
-    if integral:
-        # the letters carry the caller's scale, the table one of its own
-        (table,), _ = field.integral([np.array([coeffs], dtype=field.dtype)])
-        coeffs = table.ravel().tolist()
-    scalar = dict(zip((1, -1, "-lam"), coeffs))
+
+def _write(field, letters, cells, lam):
+    """The array of a cell grid over the four letter arrays.
+
+    Every block row is n_0 high; a block column is as wide as its letters
+    (_widths).  The coefficients 1, -1 and -lam resolve once into a scalar
+    table, so each distinct cell is one scalar times one letter.
+    """
+    n0 = letters[0].shape[0]
+    col0 = np.cumsum([0] + [w or 0 for w in _widths(letters, cells)])
+    scalar = _coefficients(field, lam)
     blocks = {cell: field.reduce(scalar[cell[1]] * letters[_LETTER_INDEX[cell[0]]])
               for row in cells for cell in row if cell is not None}
-    zero = 0 if integral else field.zero
-    out = np.full((len(cells) * n0, col0[-1]), zero, dtype=field.dtype)
+    out = np.full((len(cells) * n0, col0[-1]), field.zero, dtype=field.dtype)
     for r, row in enumerate(cells):
         for ccol, cell in enumerate(row):
             if cell is not None:
                 out[r * n0 : (r + 1) * n0, col0[ccol] : col0[ccol + 1]] = blocks[cell]
-    return out, col0
+    return out
 
 
 def coeff_matrix(M, desc):
@@ -302,7 +317,7 @@ def coeff_matrix(M, desc):
     key, sigma, param, lam = case(desc, M.field)
     raw = CASE_SPECS[key]
     letters = permute_slots([x.data for x in M.mats()], perm_inverse(sigma))
-    data, _ = _write(M.field, letters, _layout(raw, raw["reps"](param)), lam)
+    data = _write(M.field, letters, _layout(raw, raw["reps"](param)), lam)
     return ExactMatrix._raw(M.field, data)
 
 
@@ -315,16 +330,6 @@ def hom_dim(M, desc):
     return coeff_matrix(M, desc).corank()
 
 
-def _augment(x, w):
-    """[x | E], E zero but for w on the last rows of x, in x's dtype."""
-    m, n = x.shape
-    t, k = w.shape
-    aug = np.zeros((m, n + k), dtype=x.dtype)
-    aug[:, :n] = x
-    aug[m - t :, n:] = w
-    return aug
-
-
 def _split(field, a, n):
     """Left kernel of a, split at column n.
 
@@ -334,38 +339,78 @@ def _split(field, a, n):
     pivots, and those with a pivot left of n are independent there, so
     images is an echelon basis of {y a[:, n:] : y a[:, :n] = 0}: the left
     kernel of the first n columns, seen through the columns from n on.
-    _fold and _transfer split a staircase block this way, and each
-    recursion step the stack of its state and the transfer basis.
+    A letter kernel is the split of [L | I] at L's width (_kernel), a fold
+    that of its folded grid at the coupled columns (_kernel_fold), and a
+    recursion step that of its state stacked on the transfer basis.
     """
     pivots, ech = field.echelon(a)
     return len(a) - len(pivots), ech[bisect_left(pivots, n) : len(pivots), n:]
 
 
-def _fold(field, x, w):
-    """Left kernel of x, split by the image y_tail w of each kernel vector y.
+def _kernel(field, letters, kernels, key):
+    """An echelon basis K of the left kernel of [letters[s] for s in key]:
+    the images of the _split of [L_key | I] at L_key's width.
 
-    y_tail is y on the last rows of x, as many as w has.  _split of [x | E],
-    E the w on the tail rows, at x's width: its row space is
-    {(y x, y_tail w)}, so z is the dimension of the kernel vectors whose
-    image is zero and images an echelon basis of all images.  The head of
-    the staircase is folded this way.
+    kernels is one hom_vector call's cache, keyed by the slots of M's
+    letters.  Every group reads the same four arrays, so a letter set is
+    eliminated once per call, whatever its case and sigma.
     """
-    return _split(field, _augment(x, w), x.shape[1])
+    if key not in kernels:
+        n0 = letters[0].shape[0]
+        stack = np.hstack([letters[s] for s in key] + [np.eye(n0, dtype=field.dtype)])
+        kernels[key] = _split(field, stack, stack.shape[1] - n0)[1]
+    return kernels[key]
 
 
-def _transfer(field, rep, w):
-    """(rep_z, T) of a copy's rep block R and the overlap w of the next.
+def _kernel_fold(field, letters, cells, own, scalar, kernels):
+    """_split of a cell grid's left kernel at its first `own` block columns.
 
-    W's columns are R's first g, g the width of w, and the rest are the
-    copy's own.  _split of [R_own | R_W | E], E the w on R's tail rows, at
-    R_own's width: T, 2g wide, is an echelon basis of
-    {u [R_W | E] : u R_own = 0}, and rep_z = dim{u : u R = 0, u_tail w = 0}.
-    That needs R_own first and every row past it, those with a pivot in
-    R_W too; then a step eliminates T and the state alone (see
-    _staircase_coranks).
+    cells hold (slot of M's letter, coefficient) or None, and scalar maps
+    each coefficient to an integral scalar.  An own column whose only cell
+    is +-L in block row i asks y_i L = 0, so y_i = v_i K, K the _kernel of
+    row i's single-cell letters (the identity if it has none).  A "-lam"
+    cell keeps its column coupled, since lam may be 0.  The folded grid
+    has block rows v_i and block columns the coupled own columns, then the
+    columns from own on; block (i, j) is the scalar times K L_ij, and the
+    products K L and their multiples are cached with the kernels.  y <-> v is one to one, so
+    its _split at the coupled columns has the z of the grid's _split at
+    its own columns, and images of the same span.  The grid is never
+    written: a block column's width is its cells' letters' width.
     """
-    g = w.shape[1]
-    return _split(field, _augment(np.hstack([rep[:, g:], rep[:, :g]]), w), rep.shape[1] - g)
+    n0 = letters[0].shape[0]
+    singles = [set() for _ in cells]
+    coupled = []
+    for j, column in enumerate(zip(*cells)):
+        if j == own:
+            break
+        hits = [i for i, cell in enumerate(column) if cell is not None]
+        if len(hits) == 1 and column[hits[0]][1] != "-lam":
+            singles[hits[0]].add(column[hits[0]][0])
+        else:
+            coupled.append(j)
+    keep = coupled + list(range(own, len(cells[0])))
+    col0 = [0]
+    for j in keep:
+        col0.append(col0[-1] + next((letters[row[j][0]].shape[1] for row in cells if row[j]), 0))
+    keys = [tuple(sorted(x)) for x in singles]
+    row0 = [0]
+    for key in keys:
+        row0.append(row0[-1] + (len(_kernel(field, letters, kernels, key)) if key else n0))
+    out = np.zeros((row0[-1], col0[-1]), dtype=field.dtype)
+    for i, (row, key) in enumerate(zip(cells, keys)):
+        for jj, j in enumerate(keep):
+            if row[j] is None:
+                continue
+            slot, coeff = row[j]
+            c = scalar[coeff]
+            if (key, slot, c) not in kernels:
+                if (key, slot) not in kernels:
+                    x = field.intdot(kernels[key], letters[slot]) if key else letters[slot]
+                    kernels[key, slot] = x
+                x = kernels[key, slot]
+                kernels[key, slot, c] = x if c == 1 else field.reduce(c * x)
+            out[row0[i] : row0[i + 1], col0[jj] : col0[jj + 1]] = kernels[key, slot, c]
+    return _split(field, out, col0[len(coupled)])
 
 
 def _same_span(field, s, s_next):
@@ -379,28 +424,32 @@ def _same_span(field, s, s_next):
     return len(s) == len(s_next) and field.rank(np.vstack([s, s_next])) == len(s)
 
 
-def _staircase_coranks(field, letters, raw, lam, wanted):
+def _staircase_coranks(field, letters, sigma, raw, lam, wanted, kernels):
     """{reps: corank of the case matrix with reps copies} for reps in wanted.
 
-    letters are the four letter arrays of M, already permuted and in the
-    form field.integral gives.  One transfer recursion from the head
-    towards max(wanted) copies; the state (z, s) is _fold's split of the
-    left kernel of the matrix so far by y_tail W, y_tail the last e block
-    rows, which the next copy's columns meet through W.
+    letters are the four letter arrays of M in the form field.integral
+    gives, in M's slot order; the pattern reads letter t of
+    permute_slots(letters, sigma^-1), and kernels is the call's cache of
+    letter kernels (_kernel).  One transfer recursion from the head
+    towards max(wanted) copies; the state (z, s) splits the left kernel of
+    the matrix so far by y_tail W, y_tail the last e block rows, which the
+    next copy's columns meet through W: z counts the kernel vectors whose
+    image is zero and s is an echelon basis of the images.  The head's
+    state is the _kernel_fold of [H | E], E the W on the head's tail rows.
 
-    Every copy holds the same rep block R and overlap W, so _transfer
-    splits R once per group, its own columns eliminated before the
-    columns of W it shares with the copy before it (as SOLVEBLOK does):
-    rep_z and the echelon basis T of {u [R_W | E] : u R_own = 0}, E the
-    next W on R's tail rows.  Appending a copy to kernel vectors whose
-    images span s gives the vectors (x, u) with x s + u R_W = 0 and
-    u R_own = 0, whose image is u E.  Those with u [R_W | E] = 0 add
-    rep_z; for the others u [R_W | E] = t T for one t, the rows of T
-    being independent.  So a step is one _split of [[s 0], T] at the
-    width g of W: its z plus rep_z is what the copy adds to z, and its
-    images the next s.  Each step eliminates at most 3g rows of 2g
-    columns, and multiplies nothing.  The letters are integral and the
-    window is written so, so over QQ T and s are Python ints and no
+    Every copy holds the same rep block R and overlap W, so R is folded
+    once per group, its own columns before the columns of W it shares
+    with the copy before it (as SOLVEBLOK does): the _kernel_fold of
+    [R_own | R_W | E], E the next W on R's tail rows, gives rep_z and the
+    echelon basis T of {u [R_W | E] : u R_own = 0}.  Appending a copy to
+    kernel vectors whose images span s gives the vectors (x, u) with
+    x s + u R_W = 0 and u R_own = 0, whose image is u E.  Those with
+    u [R_W | E] = 0 add rep_z; for the others u [R_W | E] = t T for one
+    t, the rows of T being independent.  So a step is one _split of
+    [[s 0], T] at the width g of W: its z plus rep_z is what the copy adds
+    to z, and its images the next s.  Each step eliminates at most 3g rows
+    of 2g columns, and multiplies nothing.  The letters, kernels and
+    coefficients are integral, so over QQ T and s are Python ints and no
     elimination builds Fractions; each divides its rows by their gcds, so
     s stays as small deep in the staircase as after its first steps.
 
@@ -412,39 +461,44 @@ def _staircase_coranks(field, letters, raw, lam, wanted):
     z + rank s; "M3"'s trailing cap is one more W on the tail rows, which
     asks for image 0, so its corank is z.  When the head pattern is the
     rep pattern (P_ODD, R_EVEN), the head is the step from the empty
-    state.
+    state.  No array is written: the block-width check reads the cells of
+    the head and one copy, which meet every constraint more copies repeat.
     """
     top = max(wanted)
-    # the head and one copy already meet every block-column width
-    # constraint that more copies repeat; with no copy, the window is N
-    data, col0 = _write(field, letters, _layout(raw, min(top, 1)), lam, integral=True)
-    if not top:
-        return {0: len(data) - field.rank(data)}
-    a, b = len(raw["head"]), len(raw["head"][0])
-    c, d = len(raw["rep"]), len(raw["rep"][0])
-    e, f = len(raw["overlap"]), len(raw["overlap"][0])
-    n0 = letters[0].shape[0]
+    inv = perm_inverse(sigma)
+    widths = _widths(permute_slots(letters, inv), _layout(raw, min(top, 1)))
+    slot = permute_slots(range(4), inv)
+    head, rep, overlap = (
+        [[None if x is None else (slot[_LETTER_INDEX[x[0]]], x[1]) for x in row]
+         for row in raw[part]]
+        for part in ("head", "rep", "overlap")
+    )
+    b, e, f = len(head[0]), len(overlap), len(overlap[0])
+    scalar = _coefficients(field, lam, integral=True)
 
-    def block(r0, r1, c0, c1):
-        return data[r0 * n0 : r1 * n0, col0[c0] : col0[c1]]
+    def fold(pattern, own):
+        # W on the pattern's last e block rows, in f fresh block columns
+        tail = len(pattern) - e
+        cells = [row + (overlap[i - tail] if i >= tail else [None] * f)
+                 for i, row in enumerate(pattern)]
+        return _kernel_fold(field, letters, cells, own, scalar, kernels)
 
     def corank(z, s):
         return z if raw["kind"] == "M3" else z + len(s)
-
-    # copy 1 of the window: W in the head's last e block rows, R in its own
-    w = block(a - e, a, b, b + f)
-    rep_z, t = _transfer(field, block(a, a + c, b, b + d), w)
-    g = w.shape[1]
 
     def step(s):
         # s in W's columns of the copy, zero in those of the next W
         z, images = _split(field, np.vstack([np.hstack([s, np.zeros_like(s)]), t]), g)
         return z + rep_z, images
 
-    if raw["head"] == raw["rep"]:
+    if top:
+        # a copy's own columns come first, then the g columns of W
+        rep_z, t = fold([row[f:] + row[:f] for row in rep], len(rep[0]) - f)
+        g = sum(widths[b : b + f])
+    if top and raw["head"] == raw["rep"]:
         z, s = step(t[:0, :g])
     else:
-        z, s = _fold(field, block(0, a, 0, b), w)
+        z, s = fold(head, b)
     out = {0: corank(z, s)} if 0 in wanted else {}
     for k in range(1, top + 1):
         dz, s_next = step(s)
@@ -491,8 +545,9 @@ def hom_vector(M, descs):
 
     Descriptors sharing (case key, sigma, lam) share one staircase, so one
     pass up to their largest parameter answers all of them.  M's letters
-    are made integral and sparse (_sparse_letters) once, and each pass
-    reads them permuted by sigma^-1.
+    are made integral and sparse (_sparse_letters) once, each pass reads
+    them through sigma^-1, and all passes share one cache of letter
+    kernels.
     """
     field = M.field
     out = [None] * len(descs)
@@ -505,12 +560,11 @@ def hom_vector(M, descs):
         groups.setdefault((key, sigma, lam), []).append((i, param))
     integral, _ = field.integral([x.data for x in M.mats()])
     letters = _sparse_letters(field, integral)
+    kernels = {}
     for (key, sigma, lam), members in groups.items():
         raw = CASE_SPECS[key]
         reps = [raw["reps"](param) for _, param in members]
-        values = _staircase_coranks(
-            field, permute_slots(letters, perm_inverse(sigma)), raw, lam, set(reps)
-        )
+        values = _staircase_coranks(field, letters, sigma, raw, lam, set(reps), kernels)
         for (i, _), r in zip(members, reps):
             out[i] = values[r]
     return out

@@ -491,7 +491,7 @@ def test_qq_takes_int_rows_as_their_fractions(rng):
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
 def test_echelon_leaves_a_writable_input_alone(field, rng):
-    # homdim hands echelon and rank writable arrays (_augment, a step's stack)
+    # homdim hands echelon and rank writable arrays (a fold's grid, a step's stack)
     inputs = [zeros(field, 0, 3), zeros(field, 3, 0), zeros(field, 3, 4),
               random_invertible(field, 4, rng), random_matrix(field, 3, 5, rng)]
     for m in inputs:

@@ -224,7 +224,7 @@ def test_hom_vector_empty_and_order(field, rng):
 
 
 # one descriptor per case key and sigma sample, each at >= 3 copies of the
-# rep pattern, so the transfer recursion runs well past its one-copy window
+# rep pattern, so the transfer recursion runs well past its first copy
 DEEP_DESCS = [
     cat.P(4, 0), cat.P(7, 1), cat.P(7, 3), cat.P(6, 1), cat.P(6, 4),
     cat.I(4, 0), cat.I(7, 1), cat.I(7, 2), cat.I(8, 1), cat.I(8, 3),
@@ -232,7 +232,7 @@ DEEP_DESCS = [
 ]
 
 # one descriptor per case key at 1 and at 2 copies of the rep pattern: a
-# pass that ends after the window's one copy, and one whose copies 1 and 2
+# pass that ends after its first copy, and one whose copies 1 and 2
 # share the transfer basis T of a copy
 SHALLOW_DESCS = [
     cat.P(2, 0), cat.P(3, 0), cat.P(3, 1), cat.P(5, 2), cat.P(2, 1), cat.P(4, 3),
@@ -298,21 +298,29 @@ COUNTED_DESCS = {
 }
 
 
+def _kernel_input(a, n0):
+    """Whether an elimination input is [L | I], the split that gives a
+    letter kernel: its last n0 columns are the identity."""
+    return a.shape[1] > n0 and np.array_equal(a[:, a.shape[1] - n0 :], np.eye(n0, dtype=a.dtype))
+
+
 @pytest.mark.parametrize("kind, descs", COUNTED_DESCS.values(), ids=COUNTED_DESCS)
 def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, descs, monkeypatch):
-    # a copy's own columns are folded once per group (_transfer), so apart
-    # from that fold and the head's, a step eliminates only the state S
-    # and the transfer basis T: no elimination is wider than the columns
-    # of W and of the next W, 8 for these letters, where a copy's
-    # columns made it 20.  And copies stop costing eliminations once
-    # span(S) repeats, so both depths run the same number of them
+    # each letter set's left kernel is eliminated once per call, as [L | I]
+    # (n_0 plus the letters' width), and every fold multiplies its grid by
+    # those kernels, so apart from the kernels and the two folds (head and
+    # rep) a step eliminates only the state S and the transfer basis T: no
+    # elimination is wider than the columns of W and of the next W, 8 for
+    # these letters, where a copy's columns made it 20.  And copies stop
+    # costing eliminations once span(S) repeats, so both depths run the
+    # same number of them
     rng = random.Random(7)
     m = LambdaModule(*(random_matrix(GF, 8, 4, rng) for _ in range(4)))
-    cols = []
+    inputs = []
     echelon = GF.echelon
 
     def counted(a, reduced=False):
-        cols.append(a.shape[1])
+        inputs.append(a)
         return echelon(a, reduced)
 
     sparse = homdim._sparse_letters
@@ -320,7 +328,7 @@ def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, descs, monkeypa
     def uncounted(field, letters):
         # the two-way echelons of M's letters come before any staircase
         out = sparse(field, letters)
-        cols.clear()
+        inputs.clear()
         return out
 
     monkeypatch.setattr(GF, "echelon", counted)
@@ -331,42 +339,113 @@ def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, descs, monkeypa
         spec = CASE_SPECS[key]
         assert spec["kind"] == kind
         got = hom_vector(m, [desc])
-        counts = list(cols)
         assert got == [hom_dim(m, desc)]
-        eliminations.add(len(counts))
-        # every letter is 4 columns wide
+        eliminations.add(len(inputs))
+        kernels = [a for a in inputs if _kernel_input(a, 8)]
+        # at most one per letter set, each of one or two 4-wide letters
+        letter_sets = {a[:, :-8].tobytes() for a in kernels}
+        assert kernels and len(letter_sets) == len(kernels)
+        assert all(a.shape[1] - 8 in (4, 8) for a in kernels), [a.shape for a in kernels]
+        counts = [a.shape[1] for a in inputs if not _kernel_input(a, 8)]
         limit = 2 * 4 * len(spec["overlap"][0])
         assert limit == 8 and sum(c > limit for c in counts) <= 2, counts
     assert len(eliminations) == 1, eliminations
 
 
+def test_letter_kernels_are_shared_by_the_whole_call(monkeypatch):
+    # the 106 descriptors of (4, 4, {2, 5}) fall into 32 (case, sigma, lam)
+    # groups, whose folds read the kernels of 10 letter sets: each of the
+    # four letters alone and each pair of them, eliminated once per call
+    rng = random.Random(4)
+    m = LambdaModule(*(random_matrix(GF, 6, 3, rng) for _ in range(4)))
+    descs = enumerate_descriptors(EnumerationBounds(4, 4, (GF.coerce(2), GF.coerce(5))))
+    assert len(descs) == 106
+    want = [hom_dim(m, d) for d in descs]
+    kernels = []
+    echelon = GF.echelon
+
+    def counted(a, reduced=False):
+        if _kernel_input(a, 6):
+            kernels.append(a[:, :-6].tobytes())
+        return echelon(a, reduced)
+
+    groups = []
+    coranks = homdim._staircase_coranks
+
+    def spied(field, letters, *args):
+        groups.append(args[:3])
+        return coranks(field, letters, *args)
+
+    monkeypatch.setattr(GF, "echelon", counted)
+    monkeypatch.setattr(homdim, "_staircase_coranks", spied)
+    assert hom_vector(m, descs) == want
+    assert len(groups) == 32
+    assert len(kernels) == len(set(kernels)) == 10
+
+
+# every rep and head pattern of CASE_SPECS, for the folds below, and a rep
+# whose own column holds a lone "-lam" cell: at lam = 0 it asks nothing
+LONE_LAM = {"rep": [[("B", 1), ("D", "-lam"), ("A", 1), None],
+                    [("B", -1), None, ("A", -1), ("C", 1)]],
+            "overlap": [[("B", 1)]]}
+FOLD_PATTERNS = [(CASE_SPECS[key], part) for key in CASE_SPECS for part in ("rep", "head")]
+FOLD_PATTERNS.append((LONE_LAM, "rep"))
+
+
 @pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
 def test_transfer_basis_spans_what_meets_the_next_copy(field):
-    # R_W is R's first g columns (W's), R_own the rest, E the W on R's
-    # last rows.  T must span exactly {y [R_W | E] : y R_own = 0} with
-    # independent rows, and rep_z count {y : y R = 0, y_tail W = 0}; both
-    # against the null space of R_own transposed, a reduced elimination
+    # a fold of a rep R reorders its block columns as [R_own | R_W | E]
+    # (R_W the columns of W, E the next W on R's last rows) and a head's
+    # as [H | E].  Its images T must span exactly {y G_rest : y G_own = 0}
+    # of that grid G with independent rows, and its z count
+    # {y : y G = 0}; both against the null space of G_own transposed, a
+    # reduced elimination of the grid as the cell writer writes it.  The
+    # letters are random, some of them rank-deficient or zero-width, and
+    # sit in M's slots in a random order
     rng = random.Random(11)
     pivots_seen = set()
-    for m, n, g, t in ((6, 5, 2, 3), (7, 4, 3, 5), (5, 6, 2, 2), (8, 8, 4, 4), (4, 3, 3, 2)):
-        rep = np.array(random_matrix(field, m, n, rng).data)
-        rep[:, rng.randrange(n)] = field.zero
-        i, j, k = rng.sample(range(m), 3)
-        rep[i] = field.reduce(rep[j] + rep[k])
-        (rep, w), _ = field.integral([rep, random_matrix(field, t, g, rng).data])
-        rep_z, basis = homdim._transfer(field, rep, w)
-        assert basis.shape[1] == 2 * g
-        tail = np.vstack([np.full((m - t, g), field.zero, dtype=field.dtype), w])
-        interface = mat(field, np.hstack([rep[:, :g], tail]).tolist(), (m, 2 * g))
-        own = mat(field, rep[:, g:].tolist(), (m, n - g))
-        kernel = own.transpose().nullspace()
-        images = mat(field, [list(y) for y in kernel], (len(kernel), m)) @ interface
-        got = mat(field, basis.tolist(), basis.shape)
-        assert got.rank() == len(basis) == images.rank()
-        assert vstack([got, images]).rank() == len(basis)
-        assert rep_z == len(kernel) - images.rank()
-        # rows with a pivot in W's columns and rows with one in E's
-        pivots_seen.update(next(c for c, x in enumerate(row) if x) // g for row in basis.tolist())
+    for trial in range(6):
+        for spec, part in FOLD_PATTERNS:
+            n0 = rng.randint(1, 5)
+            letters = [random_matrix(field, n0, rng.randint(0, 3), rng).data for _ in range(4)]
+            if trial % 2:
+                # rank-deficient: a repeated column, a zero one, a zero-width letter
+                zero = np.full((n0, 1), field.zero, dtype=field.dtype)
+                letters[0] = np.hstack([letters[0], letters[0][:, :1]])
+                letters[1] = np.hstack([letters[1], zero])
+                letters[rng.randrange(2, 4)] = zero[:, :0]
+            letters, _ = field.integral(letters)
+            slots = rng.sample(range(4), 4)
+            named = [letters[s] for s in slots]
+            lam = rng.choice([field.zero, field.coerce(Fraction(7, 5)), field.coerce(2)])
+            f = len(spec["overlap"][0])
+            pattern = spec[part]
+            if part == "rep":
+                pattern = [row[f:] + row[:f] for row in pattern]
+            own = len(pattern[0]) - (f if part == "rep" else 0)
+            tail = len(pattern) - len(spec["overlap"])
+            cells = [row + (spec["overlap"][i - tail] if i >= tail else [None] * f)
+                     for i, row in enumerate(pattern)]
+            by_slot = [[None if x is None else (slots[homdim._LETTER_INDEX[x[0]]], x[1])
+                        for x in row] for row in cells]
+            scalar = homdim._coefficients(field, lam, integral=True)
+            z, basis = homdim._kernel_fold(field, letters, by_slot, own, scalar, {})
+            grid = homdim._write(field, named, cells, lam)
+            split = sum(w or 0 for w in homdim._widths(named, cells)[:own])
+            rest = mat(field, grid[:, split:].tolist(), (len(grid), grid.shape[1] - split))
+            own_cols = mat(field, grid[:, :split].tolist(), (len(grid), split))
+            kernel = own_cols.transpose().nullspace()
+            images = mat(field, [list(y) for y in kernel], (len(kernel), len(grid))) @ rest
+            got = mat(field, basis.tolist(), basis.shape)
+            assert basis.shape[1] == rest.cols
+            assert got.rank() == len(basis) == images.rank()
+            assert vstack([got, images]).rank() == len(basis)
+            assert z == len(kernel) - images.rank()
+            if part == "rep" and len(basis):
+                # rows with a pivot in W's columns and rows with one in E's
+                g = basis.shape[1] // 2
+                pivots_seen.update(next(c for c, x in enumerate(row) if x) // g
+                                   for row in basis.tolist() if g)
     assert pivots_seen == {0, 1}
 
 
@@ -432,6 +511,29 @@ def test_hom_vector_extrapolates_past_a_late_fixed_point(field, picks, bounds, m
     assert len(depths) == len(groups) and max(depths) >= 4, depths
 
 
+@pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
+def test_hom_vector_on_degenerate_letters(field, monkeypatch):
+    # a zero-width letter has all of k^{n_0} as its left kernel, and with
+    # n_0 in {0, 1} every kernel is all or nothing; the even exceptional
+    # tubes run R_EVEN at lam = 0, where its "-lam" cells vanish
+    rng = random.Random(0xD6)
+    lams = [lam for lam in map(field.coerce, (2, 5)) if lam not in (field.zero, field.one)]
+    descs = enumerate_descriptors(EnumerationBounds(8, 4, tuple(dict.fromkeys(lams))))
+    groups = set()
+    coranks = homdim._staircase_coranks
+
+    def spied(field, letters, sigma, raw, lam, *args):
+        groups.add((raw["head"] == CASE_SPECS["R_EVEN"]["head"], lam == 0))
+        return coranks(field, letters, sigma, raw, lam, *args)
+
+    monkeypatch.setattr(homdim, "_staircase_coranks", spied)
+    for dims in ((0, 2, 1, 0, 3), (1, 0, 1, 1, 0), (1, 1, 1, 1, 1), (3, 2, 0, 1, 2),
+                 (4, 0, 3, 0, 2)):
+        m = LambdaModule(*(random_matrix(field, dims[0], n, rng) for n in dims[1:]))
+        assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs], dims
+    assert (True, True) in groups
+
+
 def test_hom_vector_shuffled_with_duplicates(field, rng):
     lams = (field.coerce(2), field.coerce(5))
     descs = enumerate_descriptors(EnumerationBounds(6, 4, lams))
@@ -450,10 +552,10 @@ def test_hom_vector_at_benchmark_size():
 
 
 # Bit length that no entry of an elimination input reaches in the deep QQ
-# test below.  Its letters have entries of about 10 bits; a step of the
-# recursion eliminates S stacked on the transfer basis T, fixed per group,
-# and S holds minors of one copy: no input entry passed 69 bits there, at
-# any depth.
+# test below.  Its letters have entries of about 10 bits; a fold eliminates
+# products of letter kernels and letters, a step of the recursion S stacked
+# on the transfer basis T, fixed per group, and S holds minors of one copy:
+# no input entry passed 100 bits there, at any depth.
 QQ_ENTRY_BITS = 512
 
 
@@ -507,8 +609,9 @@ def _over_denominators(field, n, rng):
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
 def test_hom_vector_eliminates_forward_only(field, monkeypatch):
-    # a step eliminates S stacked on the forward transfer basis of a copy,
-    # so no elimination of hom_vector asks for the reduced form
+    # the letter kernels and the folds are forward echelon bases, and a
+    # step eliminates S stacked on the transfer basis of a copy, so no
+    # elimination of hom_vector asks for the reduced form
     calls = []
     echelon = field.echelon
 
