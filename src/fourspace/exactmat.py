@@ -10,7 +10,9 @@ cor(1x0) = 1 works.  One Gaussian elimination loop serves both fields,
 with two exits: ``field.echelon`` returns the pivots and the echelon
 array, from which null space and inverse follow, and ``field.rank``
 returns the pivot count alone and builds no array, for callers that need
-nothing else.  The loop runs on a list of Python-int rows, so a pivot
+nothing else.  The loop itself (``_eliminate``) and a pivot's row
+operations (``_clear``) also take working rows as they are, for callers
+that keep them between eliminations.  The loop runs on a list of Python-int rows, so a pivot
 costs only the entries it changes: residues over GF(p), and over QQ
 fraction-free primitive rows, one gcd pass per updated row.  QQ input
 that holds Python ints is taken as it is; an array with a Fraction in it
@@ -54,10 +56,10 @@ def _primitive(row):
 class _Field:
     """What both fields share: elimination, on list rows, of one array."""
 
-    def _eliminate(self, a, reduced):
-        """The one pivot loop: (pivot columns, working rows), see echelon."""
-        rows = self._start(a)
-        m, n = a.shape
+    def _eliminate(self, rows, n, reduced):
+        """The one pivot loop, in place on n-wide working rows (_start's
+        form): their pivot columns, see echelon."""
+        m = len(rows)
         pivots = []
         for c in range(n):
             r = len(pivots)
@@ -72,7 +74,7 @@ class _Field:
                 targets += [row for row in rows[:r] if row[c]]
             self._clear(rows[r], c, targets, reduced)
             pivots.append(c)
-        return pivots, rows
+        return pivots
 
     def echelon(self, a, reduced=False):
         """Gaussian elimination of a 2-D array of field scalars.
@@ -87,8 +89,9 @@ class _Field:
         exits: echelon finishes the rows and builds the array, rank counts
         the pivots and builds nothing.
 
-        Over GF(p) each pivot row is scaled to a leading 1, and the other
-        rows change only in the columns where the pivot row is nonzero.
+        Over GF(p) each pivot row is scaled to a leading 1 (a row that has
+        one is only read), and the other rows change only in the columns
+        where the pivot row is nonzero.
 
         Over QQ the elimination is fraction-free on primitive rows of
         Python ints (Rationals._clear): an array of Python ints as it is,
@@ -97,13 +100,14 @@ class _Field:
         row by its pivot, which gives the reduced row echelon form in
         Fractions.
         """
-        pivots, rows = self._eliminate(a, reduced)
+        rows = self._start(a)
+        pivots = self._eliminate(rows, a.shape[1], reduced)
         return pivots, _from_rows(self, self._finish(rows, pivots, reduced), a.shape)
 
     def rank(self, a):
         """The rank of a 2-D array of field scalars: the pivot count of the
         forward loop, with no _finish and no array built.  a is not written."""
-        return len(self._eliminate(a, False)[0])
+        return len(self._eliminate(self._start(a), a.shape[1], False))
 
 
 class Rationals(_Field):
@@ -283,13 +287,17 @@ class PrimeField(_Field):
         return np.asarray(a, dtype=np.int64).tolist()
 
     def _clear(self, pivot_row, c, target_rows, reduced):
-        # scale the pivot row to a leading 1; each target row changes only
-        # where the pivot row is nonzero
+        # scale the pivot row to a leading 1, unless it has one: then it is
+        # only read.  Each target row changes only where the pivot row is
+        # nonzero
         p = self.p
-        s = self.inv(pivot_row[c])
-        nonzero = [(j, x * s % p) for j, x in enumerate(pivot_row[c:], c) if x]
-        for j, x in nonzero:
-            pivot_row[j] = x
+        if pivot_row[c] == 1:
+            nonzero = [(j, x) for j, x in enumerate(pivot_row[c:], c) if x]
+        else:
+            s = self.inv(pivot_row[c])
+            nonzero = [(j, x * s % p) for j, x in enumerate(pivot_row[c:], c) if x]
+            for j, x in nonzero:
+                pivot_row[j] = x
         for row in target_rows:
             f = row[c]
             for j, x in nonzero:
@@ -318,7 +326,7 @@ class PrimeField(_Field):
         a %= self.p
         if a == 0:
             raise ZeroDivisionError(f"inverse of zero in GF({self.p})")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def parse(self, s):
         return int(s.strip(), 10) % self.p

@@ -30,20 +30,28 @@ hom_vector(M, Xs) answers many, using the staircase the way SOLVEBLOK
 (de Boor & Weiss, "SOLVEBLOK: a package for solving almost block diagonal
 linear systems", ACM TOMS 6(1), 1980) does.  The matrix with k copies is a
 leading block of the one with k + 1, so descriptors sharing (case key,
-sigma, lam) differ only in k and share one pass.  M's letters are
-converted once per call (field.integral) and read by every group through
-its sigma; no group writes a matrix.  The pass runs a transfer recursion
-towards the largest k asked for.  The next copy reads a vector y of the
-left kernel K_k = {y : y N_k = 0} only through its image y_tail W,
-y_tail the last e block rows of y.  So the state is (z, S): z counts the
-kernel vectors whose image is zero, and S is an echelon basis of the
-images, as wide as W's letters.  Then dim K_k = z + rank S.  Every copy
-holds the same rep R and W, so R is split once per group, its own
-columns eliminated before the g columns it shares with W (SOLVEBLOK's
-order): T, an echelon basis of {u [R_W | E] : u R_own = 0} (E the next W
-on R's tail rows), and rep_z, the vectors u whose u R and u_tail W both
-vanish.  One step is then one small elimination, [[S 0], T] split at
-g: at most 3g rows of 2g columns, no linear map and no product.
+sigma, lam) differ only in k and share one pass.  What a pass needs of its
+pattern alone is compiled once per process for each pattern and sigma,
+keyed by the pattern's content (_plan): the cells mapped to M's letter
+slots, the pairs of slots whose widths must agree, the slots that give W's
+width g, and for each fold its kernel keys, kept columns and blocks.  M's
+letters are converted once per call (field.integral), and so is each
+lam's coefficient table; a group checks its letter widths against its
+plan, fills its folds from the call's kernel cache and eliminates, and
+writes no matrix.  The pass runs a transfer recursion towards the largest
+k asked for.  The next copy reads a vector y of the left kernel
+K_k = {y : y N_k = 0} only through its image y_tail W, y_tail the last e
+block rows of y.  So the state is (z, S): z counts the kernel vectors
+whose image is zero, and S is a basis of the images, as wide as W's
+letters.  Then dim K_k = z + rank S.  Every copy holds the same rep R and
+W, so R is split once per group, its own columns eliminated before the g
+columns it shares with W (SOLVEBLOK's order): T, an echelon basis of
+{u [R_W | E] : u R_own = 0} (E the next W on R's tail rows), and rep_z,
+the vectors u whose u R and u_tail W both vanish.  A step is then the
+left kernel of [[S 0], T] split at g, taken against a fixed T: S's rows
+are reduced against T's pivots by the field's own row operation, which
+only reads T, and only what is left of S is eliminated, at most g rows of
+2g columns.  T's rows with a pivot at or past g are images at every step.
 
 Most own block columns hold a single cell, +-L in block row i, and ask
 y_i L = 0: y_i = v_i K, K an echelon basis of the left kernel of the
@@ -85,7 +93,9 @@ tests hold hom_vector to.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
+from typing import NamedTuple
 
 import numpy as np
 
@@ -266,22 +276,38 @@ def _coefficients(field, lam, integral=False):
     return dict(zip((1, -1, "-lam"), coeffs))
 
 
-def _widths(letters, cells):
-    """The width of each block column of a cell grid over the four letter
-    arrays, None where the column holds no cell; its letters must agree."""
-    widths = [None] * len(cells[0])
+def _columns(cells):
+    """(first, pairs) of a cell grid: first[j] the letter of block column
+    j's first cell (None if it holds none), and (j, first[j], letter) for
+    each later cell of column j, in row-major order.  A block column is as
+    wide as its letters, so each pair must name letters of one width."""
+    first = [None] * len(cells[0])
+    pairs = []
     for row in cells:
-        for ccol, cell in enumerate(row):
+        for j, cell in enumerate(row):
             if cell is None:
                 continue
-            w = letters[_LETTER_INDEX[cell[0]]].shape[1]
-            if widths[ccol] is None:
-                widths[ccol] = w
-            elif widths[ccol] != w:
-                raise AssertionError(
-                    f"inconsistent block widths in column {ccol}"
-                )
-    return widths
+            if first[j] is None:
+                first[j] = cell[0]
+            else:
+                pairs.append((j, first[j], cell[0]))
+    return first, pairs
+
+
+def _check_widths(width, pairs):
+    """Raise at the first of _columns' pairs whose letters' widths differ."""
+    for j, x, y in pairs:
+        if width[x] != width[y]:
+            raise AssertionError(f"inconsistent block widths in column {j}")
+
+
+def _widths(letters, cells):
+    """The width of each block column of a cell grid over the four letter
+    arrays, 0 where the column holds no cell; its letters must agree."""
+    first, pairs = _columns(cells)
+    width = {x: letters[i].shape[1] for x, i in _LETTER_INDEX.items()}
+    _check_widths(width, pairs)
+    return [0 if x is None else width[x] for x in first]
 
 
 def _write(field, letters, cells, lam):
@@ -292,7 +318,7 @@ def _write(field, letters, cells, lam):
     table, so each distinct cell is one scalar times one letter.
     """
     n0 = letters[0].shape[0]
-    col0 = np.cumsum([0] + [w or 0 for w in _widths(letters, cells)])
+    col0 = np.cumsum([0] + _widths(letters, cells))
     scalar = _coefficients(field, lam)
     blocks = {cell: field.reduce(scalar[cell[1]] * letters[_LETTER_INDEX[cell[0]]])
               for row in cells for cell in row if cell is not None}
@@ -333,18 +359,19 @@ def hom_dim(M, desc):
 def _split(field, a, n):
     """Left kernel of a, split at column n.
 
-    Returns (z, images): z = rows - rank, the dimension of
+    Returns (z, pivots, images): z = rows - rank, the dimension of
     {y : y a = 0}, and images the forward echelon rows of a whose pivot is
-    at or past column n, cut to those columns.  Echelon rows have distinct
-    pivots, and those with a pivot left of n are independent there, so
-    images is an echelon basis of {y a[:, n:] : y a[:, :n] = 0}: the left
-    kernel of the first n columns, seen through the columns from n on.
-    A letter kernel is the split of [L | I] at L's width (_kernel), a fold
-    that of its folded grid at the coupled columns (_kernel_fold), and a
-    recursion step that of its state stacked on the transfer basis.
+    at or past column n, cut to those columns, with pivots their pivot
+    columns there.  Echelon rows have distinct pivots, and those with a
+    pivot left of n are independent there, so images is an echelon basis
+    of {y a[:, n:] : y a[:, :n] = 0}: the left kernel of the first n
+    columns, seen through the columns from n on.  A letter kernel is the
+    split of [L | I] at L's width (_kernel), a fold that of its folded grid
+    at the coupled columns (_kernel_fold).
     """
     pivots, ech = field.echelon(a)
-    return len(a) - len(pivots), ech[bisect_left(pivots, n) : len(pivots), n:]
+    lo = bisect_left(pivots, n)
+    return len(a) - len(pivots), [c - n for c in pivots[lo:]], ech[lo : len(pivots), n:]
 
 
 def _kernel(field, letters, kernels, key):
@@ -358,26 +385,32 @@ def _kernel(field, letters, kernels, key):
     if key not in kernels:
         n0 = letters[0].shape[0]
         stack = np.hstack([letters[s] for s in key] + [np.eye(n0, dtype=field.dtype)])
-        kernels[key] = _split(field, stack, stack.shape[1] - n0)[1]
+        kernels[key] = _split(field, stack, stack.shape[1] - n0)[2]
     return kernels[key]
 
 
-def _kernel_fold(field, letters, cells, own, scalar, kernels):
-    """_split of a cell grid's left kernel at its first `own` block columns.
+class _FoldPlan(NamedTuple):
+    """What _kernel_fold reads of a cell grid split at its first `own`
+    block columns; see _fold_plan."""
 
-    cells hold (slot of M's letter, coefficient) or None, and scalar maps
-    each coefficient to an integral scalar.  An own column whose only cell
-    is +-L in block row i asks y_i L = 0, so y_i = v_i K, K the _kernel of
-    row i's single-cell letters (the identity if it has none).  A "-lam"
-    cell keeps its column coupled, since lam may be 0.  The folded grid
-    has block rows v_i and block columns the coupled own columns, then the
-    columns from own on; block (i, j) is the scalar times K L_ij, and the
-    products K L and their multiples are cached with the kernels.  y <-> v is one to one, so
-    its _split at the coupled columns has the z of the grid's _split at
-    its own columns, and images of the same span.  The grid is never
-    written: a block column's width is its cells' letters' width.
+    keys: tuple  # per block row, the slots of its single-cell letters
+    widths: tuple  # per kept block column, the slot giving its width, or None
+    blocks: tuple  # per block row, (kept column, slot, coefficient) of each cell
+    coupled: int  # how many kept columns are own columns
+
+
+def _fold_plan(cells, own):
+    """The pattern-only part of a fold of cells at its first `own` block
+    columns.
+
+    cells hold (slot of M's letter, coefficient) or None.  An own column
+    whose only cell is +-L in block row i asks y_i L = 0, so it is
+    substituted (y_i = v_i K, K the kernel of row i's single-cell letters,
+    keyed by their slots); the other own columns stay coupled, and so does
+    one whose lone cell is "-lam", since lam may be 0.  The kept columns
+    are the coupled ones, then the columns from own on, each as wide as
+    the letter of its first cell (0 if it holds none).
     """
-    n0 = letters[0].shape[0]
     singles = [set() for _ in cells]
     coupled = []
     for j, column in enumerate(zip(*cells)):
@@ -389,19 +422,36 @@ def _kernel_fold(field, letters, cells, own, scalar, kernels):
         else:
             coupled.append(j)
     keep = coupled + list(range(own, len(cells[0])))
+    return _FoldPlan(
+        tuple(tuple(sorted(x)) for x in singles),
+        tuple(next((row[j][0] for row in cells if row[j]), None) for j in keep),
+        tuple(tuple((jj, *row[j]) for jj, j in enumerate(keep) if row[j]) for row in cells),
+        len(coupled),
+    )
+
+
+def _kernel_fold(field, letters, plan, scalar, kernels):
+    """_split of a cell grid's left kernel at its own block columns, by
+    its _fold_plan.
+
+    scalar maps each coefficient to an integral scalar.  The folded grid
+    has block rows v_i, as high as row i's kernel K (n_0 if row i has no
+    single-cell letter), and block columns the plan's kept columns; block
+    (i, j) is the scalar times K L_ij, and the products K L and their
+    multiples are cached with the kernels.  y <-> v is one to one, so its
+    _split at the coupled columns has the z of the grid's _split at its
+    own columns, and images of the same span.  The grid is never written.
+    """
+    n0 = letters[0].shape[0]
     col0 = [0]
-    for j in keep:
-        col0.append(col0[-1] + next((letters[row[j][0]].shape[1] for row in cells if row[j]), 0))
-    keys = [tuple(sorted(x)) for x in singles]
+    for slot in plan.widths:
+        col0.append(col0[-1] + (0 if slot is None else letters[slot].shape[1]))
     row0 = [0]
-    for key in keys:
+    for key in plan.keys:
         row0.append(row0[-1] + (len(_kernel(field, letters, kernels, key)) if key else n0))
     out = np.zeros((row0[-1], col0[-1]), dtype=field.dtype)
-    for i, (row, key) in enumerate(zip(cells, keys)):
-        for jj, j in enumerate(keep):
-            if row[j] is None:
-                continue
-            slot, coeff = row[j]
+    for i, (key, blocks) in enumerate(zip(plan.keys, plan.blocks)):
+        for jj, slot, coeff in blocks:
             c = scalar[coeff]
             if (key, slot, c) not in kernels:
                 if (key, slot) not in kernels:
@@ -410,32 +460,125 @@ def _kernel_fold(field, letters, cells, own, scalar, kernels):
                 x = kernels[key, slot]
                 kernels[key, slot, c] = x if c == 1 else field.reduce(c * x)
             out[row0[i] : row0[i + 1], col0[jj] : col0[jj + 1]] = kernels[key, slot, c]
-    return _split(field, out, col0[len(coupled)])
+    return _split(field, out, col0[plan.coupled])
 
 
 def _same_span(field, s, s_next):
-    """Whether the echelon bases s and s_next span one row space.
+    """Whether the bases s and s_next (sequences of rows) span one row
+    space.
 
     The rows of each are independent, so equal lengths and a rank of that
-    length for the two stacked decide it exactly.  Comparing the arrays
+    length for the two stacked decide it exactly.  Comparing the rows
     would not: a forward echelon form is not canonical, so one span has
     many.
     """
-    return len(s) == len(s_next) and field.rank(np.vstack([s, s_next])) == len(s)
+    if len(s) != len(s_next):
+        return False
+    rows = [list(x) for x in (*s, *s_next)]
+    return not rows or len(field._eliminate(rows, len(rows[0]), False)) == len(s)
 
 
-def _staircase_coranks(field, letters, sigma, raw, lam, wanted, kernels):
+def _step(field, s, t, g):
+    """One copy of the staircase against its fixed transfer basis.
+
+    s is the state: independent rows, g wide, in the working form of the
+    field's elimination.  t is the transfer basis as (pivot, row) pairs,
+    rows 2g wide and in forward echelon form, pivots ascending.  Returns
+    what the _split of [[s 0], T] at g returns, without eliminating T
+    again: z, and independent rows (not sorted by pivot) spanning the
+    images.  Each row of [s 0] is reduced against T's pivots with the
+    field's _clear, as a row above them (T is only read: a GF(p) pivot is
+    already 1), which leaves a remainder with no entry in any of T's pivot
+    columns.  Eliminating the remainder alone gives the rank of the stack
+    (T's rank plus the remainder's), and the rows of the echelon form with
+    a pivot at or past g are T's such rows and the remainder's, pivots
+    distinct.
+    """
+    rest = [row + [0] * g for row in s]
+    for c, row in t:
+        hits = [x for x in rest if x[c]]
+        if hits:
+            field._clear(row, c, hits, True)
+    pivots = field._eliminate(rest, 2 * g, False)
+    lo = bisect_left(pivots, g)
+    images = [row[g:] for c, row in t if c >= g] + [row[g:] for row in rest[lo : len(pivots)]]
+    return len(s) - len(pivots), images
+
+
+class _Plan(NamedTuple):
+    """The pattern-only part of one (case pattern, sigma) staircase; see
+    _plan."""
+
+    checks: tuple  # _columns' pairs in slots, for 0 copies and for >= 1
+    g: tuple  # the slots whose widths add up to W's width g
+    head: _FoldPlan  # [H | E]
+    rep: _FoldPlan  # [R_own | R_W | E]
+    head_is_rep: bool
+    capped: bool  # kind "M3"
+
+
+@functools.cache
+def _plan(kind, head, rep, overlap, sigma):
+    """The _Plan of a case pattern, given by content, read through sigma.
+
+    Compiled once per process for each pattern and sigma: letter t of the
+    pattern is M's letter in slot permute_slots(range(4), sigma^-1)[t].
+    The width checks are those of the layout with no copy and with one
+    (the head, a copy and the cap meet every constraint more copies
+    repeat), in order, pairs of one slot dropped, so a group raises where
+    the one matrix would.  The folds: the head with W on its tail rows,
+    [H | E], and the rep with its own columns first, [R_own | R_W | E].
+    The key is the content, so an edit to CASE_SPECS reaches the next
+    call.
+    """
+    slots = permute_slots(range(4), perm_inverse(sigma))
+    slot = {x: slots[i] for x, i in _LETTER_INDEX.items()}
+    raw = {"kind": kind, "head": head, "rep": rep, "overlap": overlap}
+    checks = tuple(
+        tuple((j, slot[x], slot[y]) for j, x, y in _columns(_layout(raw, reps))[1]
+              if slot[x] != slot[y])
+        for reps in (0, 1)
+    )
+    b, e, f = len(head[0]), len(overlap), len(overlap[0])
+    first = _columns(_layout(raw, 1))[0][b : b + f]
+    head, rep, overlap = (
+        [[None if x is None else (slot[x[0]], x[1]) for x in row] for row in part]
+        for part in (head, rep, overlap)
+    )
+
+    def fold(pattern, own):
+        # W on the pattern's last e block rows, in f fresh block columns
+        tail = len(pattern) - e
+        return _fold_plan([row + (overlap[i - tail] if i >= tail else [None] * f)
+                           for i, row in enumerate(pattern)], own)
+
+    return _Plan(
+        checks,
+        tuple(slot[x] for x in first if x is not None),
+        fold(head, b),
+        fold([row[f:] + row[:f] for row in rep], len(rep[0]) - f),
+        head == rep,
+        kind == "M3",
+    )
+
+
+def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, kernels):
     """{reps: corank of the case matrix with reps copies} for reps in wanted.
 
     letters are the four letter arrays of M in the form field.integral
     gives, in M's slot order; the pattern reads letter t of
-    permute_slots(letters, sigma^-1), and kernels is the call's cache of
-    letter kernels (_kernel).  One transfer recursion from the head
-    towards max(wanted) copies; the state (z, s) splits the left kernel of
-    the matrix so far by y_tail W, y_tail the last e block rows, which the
-    next copy's columns meet through W: z counts the kernel vectors whose
-    image is zero and s is an echelon basis of the images.  The head's
-    state is the _kernel_fold of [H | E], E the W on the head's tail rows.
+    permute_slots(letters, sigma^-1), through its _plan.  scalar is the
+    call's integral coefficient table for the group's lam (_coefficients)
+    and kernels its cache of letter kernels (_kernel).  A group checks its letters'
+    widths against the plan, folds, and eliminates: nothing else.
+
+    One transfer recursion from the head towards max(wanted) copies; the
+    state (z, s) splits the left kernel of the matrix so far by y_tail W,
+    y_tail the last e block rows, which the next copy's columns meet
+    through W: z counts the kernel vectors whose image is zero and s is a
+    basis of the images, as rows of the elimination's working form.  The
+    head's state is the _kernel_fold of [H | E], E the W on the head's
+    tail rows.
 
     Every copy holds the same rep block R and overlap W, so R is folded
     once per group, its own columns before the columns of W it shares
@@ -445,13 +588,16 @@ def _staircase_coranks(field, letters, sigma, raw, lam, wanted, kernels):
     kernel vectors whose images span s gives the vectors (x, u) with
     x s + u R_W = 0 and u R_own = 0, whose image is u E.  Those with
     u [R_W | E] = 0 add rep_z; for the others u [R_W | E] = t T for one
-    t, the rows of T being independent.  So a step is one _split of
-    [[s 0], T] at the width g of W: its z plus rep_z is what the copy adds
-    to z, and its images the next s.  Each step eliminates at most 3g rows
-    of 2g columns, and multiplies nothing.  The letters, kernels and
-    coefficients are integral, so over QQ T and s are Python ints and no
-    elimination builds Fractions; each divides its rows by their gcds, so
-    s stays as small deep in the staircase as after its first steps.
+    t, the rows of T being independent.  So a step is the left kernel of
+    [[s 0], T] split at the width g of W: its z plus rep_z is what the
+    copy adds to z, and its images the next s.  T is echelon and the same
+    for every step, so a step (_step) reduces s against T's pivots and
+    eliminates only what is left: at most g rows of 2g columns, T never
+    written, and T's rows with a pivot at or past g always among the
+    images.  The letters, kernels and coefficients are integral, so over
+    QQ T and s are Python ints and no elimination builds Fractions; each
+    divides its rows by their gcds, so s stays as small deep in the
+    staircase as after its first steps.
 
     A step is a function of span(s) alone: it adds the same to z and maps
     the span to the next one.  So once a step returns the span it was
@@ -461,47 +607,31 @@ def _staircase_coranks(field, letters, sigma, raw, lam, wanted, kernels):
     z + rank s; "M3"'s trailing cap is one more W on the tail rows, which
     asks for image 0, so its corank is z.  When the head pattern is the
     rep pattern (P_ODD, R_EVEN), the head is the step from the empty
-    state.  No array is written: the block-width check reads the cells of
-    the head and one copy, which meet every constraint more copies repeat.
+    state.
     """
     top = max(wanted)
-    inv = perm_inverse(sigma)
-    widths = _widths(permute_slots(letters, inv), _layout(raw, min(top, 1)))
-    slot = permute_slots(range(4), inv)
-    head, rep, overlap = (
-        [[None if x is None else (slot[_LETTER_INDEX[x[0]]], x[1]) for x in row]
-         for row in raw[part]]
-        for part in ("head", "rep", "overlap")
-    )
-    b, e, f = len(head[0]), len(overlap), len(overlap[0])
-    scalar = _coefficients(field, lam, integral=True)
-
-    def fold(pattern, own):
-        # W on the pattern's last e block rows, in f fresh block columns
-        tail = len(pattern) - e
-        cells = [row + (overlap[i - tail] if i >= tail else [None] * f)
-                 for i, row in enumerate(pattern)]
-        return _kernel_fold(field, letters, cells, own, scalar, kernels)
+    plan = _plan(raw["kind"], *(tuple(map(tuple, raw[part])) for part in ("head", "rep", "overlap")),
+                 sigma)
+    width = [x.shape[1] for x in letters]
+    _check_widths(width, plan.checks[min(top, 1)])
 
     def corank(z, s):
-        return z if raw["kind"] == "M3" else z + len(s)
-
-    def step(s):
-        # s in W's columns of the copy, zero in those of the next W
-        z, images = _split(field, np.vstack([np.hstack([s, np.zeros_like(s)]), t]), g)
-        return z + rep_z, images
+        return z if plan.capped else z + len(s)
 
     if top:
-        # a copy's own columns come first, then the g columns of W
-        rep_z, t = fold([row[f:] + row[:f] for row in rep], len(rep[0]) - f)
-        g = sum(widths[b : b + f])
-    if top and raw["head"] == raw["rep"]:
-        z, s = step(t[:0, :g])
+        rep_z, pivots, t = _kernel_fold(field, letters, plan.rep, scalar, kernels)
+        t = list(zip(pivots, t.tolist()))
+        g = sum(width[x] for x in plan.g)
+    if top and plan.head_is_rep:
+        z, s = _step(field, [], t, g)
+        z += rep_z
     else:
-        z, s = fold(head, b)
+        z, _, s = _kernel_fold(field, letters, plan.head, scalar, kernels)
+        s = s.tolist()
     out = {0: corank(z, s)} if 0 in wanted else {}
     for k in range(1, top + 1):
-        dz, s_next = step(s)
+        dz, s_next = _step(field, s, t, g)
+        dz += rep_z
         z += dz
         if k < top and _same_span(field, s, s_next):
             # fixed point: each further copy adds dz to the corank
@@ -546,8 +676,8 @@ def hom_vector(M, descs):
     Descriptors sharing (case key, sigma, lam) share one staircase, so one
     pass up to their largest parameter answers all of them.  M's letters
     are made integral and sparse (_sparse_letters) once, each pass reads
-    them through sigma^-1, and all passes share one cache of letter
-    kernels.
+    them through its compiled _plan, and all passes share one cache of
+    letter kernels and one coefficient table per lam.
     """
     field = M.field
     out = [None] * len(descs)
@@ -561,10 +691,13 @@ def hom_vector(M, descs):
     integral, _ = field.integral([x.data for x in M.mats()])
     letters = _sparse_letters(field, integral)
     kernels = {}
+    scalars = {}
     for (key, sigma, lam), members in groups.items():
         raw = CASE_SPECS[key]
+        if lam not in scalars:
+            scalars[lam] = _coefficients(field, lam, integral=True)
         reps = [raw["reps"](param) for _, param in members]
-        values = _staircase_coranks(field, letters, sigma, raw, lam, set(reps), kernels)
+        values = _staircase_coranks(field, letters, sigma, raw, scalars[lam], set(reps), kernels)
         for (i, _), r in zip(members, reps):
             out[i] = values[r]
     return out

@@ -429,6 +429,72 @@ def test_echelon_matches_reference_eliminator(field, rng):
         assert a.rank() == len(want_pivots)
 
 
+def _unit_pivot_inputs(field, rng):
+    """Matrices over GF(p) whose pivots are 1 in some places and not in
+    others: entries 0, 1 and -1 outnumber the rest, and some rows are
+    scaled by a random unit, so a pivot of 1 can also arise from a
+    non-unit entry during elimination."""
+    out = []
+    for _ in range(40):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [[field.coerce(rng.choice([0, 0, 1, 1, -1, 2, rng.randrange(field.p)]))
+                 for _ in range(n)] for _ in range(m)]
+        for row in rows[:: rng.randint(1, 3)]:
+            unit = rng.randrange(1, field.p)
+            row[:] = [x * unit % field.p for x in row]
+        out.append(mat(field, rows))
+    return out + _reference_inputs(field, rng)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), GF], ids=repr)
+def test_unit_pivots_match_reference_eliminator(field, rng, monkeypatch):
+    # a pivot of 1 is neither inverted nor scaled; over GF(2) every pivot
+    # is 1, and over GF(32003) these inputs mix pivots of 1 with others
+    inputs = _unit_pivot_inputs(field, rng)
+    inverted = []
+    inv = field.inv
+
+    def counted(a):
+        inverted.append(a)
+        return inv(a)
+
+    monkeypatch.setattr(field, "inv", counted)
+    pivots_seen = 0
+    for a in inputs:
+        want_pivots, want_rref = reference_rref(a.data, field.p)
+        for reduced in (False, True):
+            pivots, ech = field.echelon(a.data, reduced)
+            assert pivots == want_pivots
+            pivots_seen += len(pivots)
+            rows = _plain(ech)
+            assert all(rows[i][c] == 1 for i, c in enumerate(pivots))
+            if reduced:
+                assert rows == want_rref
+            else:
+                assert reference_rref(rows, field.p) == (want_pivots, want_rref)
+        assert field.rank(a.data) == len(want_pivots)
+        pivots_seen += len(want_pivots)
+    assert 1 not in inverted
+    if field.p == 2:
+        assert inverted == [] and pivots_seen
+    else:
+        assert 0 < len(inverted) < pivots_seen
+
+
+def test_a_unit_pivot_row_is_only_read():
+    # a row with a leading 1 clears the others without being written, so
+    # it may be a tuple; a row without one is scaled in place
+    row = (0, 1, 5, 0, 7)
+    targets = [[3, 2, 0, 1, 1], [0, 4, 4, 4, 4]]
+    GF._clear(row, 1, targets, True)
+    assert targets == [[3, 0, -10 % GF.p, 1, -13 % GF.p], [0, 0, -16 % GF.p, 4, -24 % GF.p]]
+    with pytest.raises(TypeError):
+        GF._clear((0, 2, 5), 1, [[0, 1, 1]], True)
+    scaled = [0, 2, 5]
+    GF._clear(scaled, 1, [], False)
+    assert scaled == [0, 1, 5 * GF.inv(2) % GF.p]
+
+
 def test_qq_forward_rows_are_primitive_integer_rows(rng):
     for a in _reference_inputs(QQ, rng):
         pivots, ech = QQ.echelon(a.data)

@@ -309,19 +309,21 @@ def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, descs, monkeypa
     # each letter set's left kernel is eliminated once per call, as [L | I]
     # (n_0 plus the letters' width), and every fold multiplies its grid by
     # those kernels, so apart from the kernels and the two folds (head and
-    # rep) a step eliminates only the state S and the transfer basis T: no
-    # elimination is wider than the columns of W and of the next W, 8 for
-    # these letters, where a copy's columns made it 20.  And copies stop
-    # costing eliminations once span(S) repeats, so both depths run the
-    # same number of them
+    # rep) a step eliminates only what is left of the state S against the
+    # transfer basis T: no elimination is wider than the columns of W and
+    # of the next W, 8 for these letters, where a copy's columns made it
+    # 20.  And copies stop costing eliminations once span(S) repeats, so
+    # both depths run the same number of them
     rng = random.Random(7)
     m = LambdaModule(*(random_matrix(GF, 8, 4, rng) for _ in range(4)))
     inputs = []
-    echelon = GF.echelon
+    eliminate = GF._eliminate
 
-    def counted(a, reduced=False):
-        inputs.append(a)
-        return echelon(a, reduced)
+    def counted(rows, n, reduced):
+        # every elimination runs this loop: echelon's, and a step's on the
+        # remainder of S against T
+        inputs.append(np.array(rows, dtype=np.int64).reshape(len(rows), n))
+        return eliminate(rows, n, reduced)
 
     sparse = homdim._sparse_letters
 
@@ -331,7 +333,7 @@ def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, descs, monkeypa
         inputs.clear()
         return out
 
-    monkeypatch.setattr(GF, "echelon", counted)
+    monkeypatch.setattr(GF, "_eliminate", counted)
     monkeypatch.setattr(homdim, "_sparse_letters", uncounted)
     eliminations = set()
     for desc in descs:
@@ -429,15 +431,17 @@ def test_transfer_basis_spans_what_meets_the_next_copy(field):
             by_slot = [[None if x is None else (slots[homdim._LETTER_INDEX[x[0]]], x[1])
                         for x in row] for row in cells]
             scalar = homdim._coefficients(field, lam, integral=True)
-            z, basis = homdim._kernel_fold(field, letters, by_slot, own, scalar, {})
+            plan = homdim._fold_plan(by_slot, own)
+            z, pivots, basis = homdim._kernel_fold(field, letters, plan, scalar, {})
             grid = homdim._write(field, named, cells, lam)
-            split = sum(w or 0 for w in homdim._widths(named, cells)[:own])
+            split = sum(homdim._widths(named, cells)[:own])
             rest = mat(field, grid[:, split:].tolist(), (len(grid), grid.shape[1] - split))
             own_cols = mat(field, grid[:, :split].tolist(), (len(grid), split))
             kernel = own_cols.transpose().nullspace()
             images = mat(field, [list(y) for y in kernel], (len(kernel), len(grid))) @ rest
             got = mat(field, basis.tolist(), basis.shape)
             assert basis.shape[1] == rest.cols
+            assert pivots == [next(c for c, x in enumerate(row) if x) for row in basis.tolist()]
             assert got.rank() == len(basis) == images.rank()
             assert vstack([got, images]).rank() == len(basis)
             assert z == len(kernel) - images.rank()
@@ -477,6 +481,71 @@ def test_same_span_is_exact(field):
     assert not homdim._same_span(field, s, s[:1])
     empty = s[:0]
     assert homdim._same_span(field, empty, empty)
+
+
+def _echelon_rows(field, rng, m, n):
+    """The nonzero forward echelon rows of a sparse random m x n matrix, in
+    the working form of the field's elimination, with their pivots."""
+    entries = [[field.coerce(rng.choice([0, 0, 1, -1, rng.randint(-9, 9)])) for _ in range(n)]
+               for _ in range(m)]
+    (a,), _ = field.integral([np.array(entries, dtype=field.dtype).reshape(m, n)])
+    pivots, ech = field.echelon(a)
+    return pivots, ech[: len(pivots)].tolist()
+
+
+@pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
+def test_step_against_a_fixed_t_is_the_split_of_the_stack(field):
+    # a step reduces S against T's pivots and eliminates only the
+    # remainder; it must count the z of the whole [[S 0], T] split at g
+    # and return independent rows of the same span as its images, also
+    # with S empty, T empty or g = 0
+    rng = random.Random(0x57E9)
+    seen = set()
+    for _ in range(150):
+        g = rng.randint(0, 4)
+        _, s = _echelon_rows(field, rng, rng.randint(0, g + 1), g)
+        pivots, t = _echelon_rows(field, rng, rng.randint(0, 2 * g + 2), 2 * g)
+        t_before = [list(row) for row in t]
+        z, images = homdim._step(field, s, list(zip(pivots, t)), g)
+        assert t == t_before
+        stack = np.array([row + [0] * g for row in s] + t, dtype=field.dtype)
+        want_z, _, want = homdim._split(field, stack.reshape(len(s) + len(t), 2 * g), g)
+        assert z == want_z
+        assert all(len(row) == g for row in images)
+        assert homdim._same_span(field, images, want.tolist())
+        if images:
+            assert field.rank(np.array(images, dtype=field.dtype)) == len(images)
+        seen.update({"S empty": not s, "T empty": not t, "g = 0": not g,
+                     "S reduced": bool(s and t), "z > 0": z > 0, "S meets E": len(images) > len(
+                         [c for c in pivots if c >= g])}.items())
+    assert all((name, True) in seen for name in
+               ("S empty", "T empty", "g = 0", "S reduced", "z > 0", "S meets E")), seen
+
+
+@pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
+def test_steps_leave_the_transfer_basis_alone(field, monkeypatch):
+    # every step of a group reads the same T; none of them writes it
+    rng = random.Random(0x7B)
+    held = (_tubes(field) or [cat.R(0, 2, 0)])[0]
+    m = _disguised(field, [held, cat.P(2, 1), cat.I(1, 0)], rng)
+    descs = DEEP_DESCS + _tubes(field)
+    bases = {}
+    steps = []
+    step = homdim._step
+
+    def spied(field, s, t, g):
+        bases.setdefault(id(t), (t, [(c, list(row)) for c, row in t], g))
+        steps.append(id(t))
+        return step(field, s, t, g)
+
+    monkeypatch.setattr(homdim, "_step", spied)
+    assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
+    # groups of several steps, whose T has rows S is reduced against and
+    # rows that are images at every step
+    assert bases and max(steps.count(x) for x in bases) >= 3
+    assert {c < g for t, _, g in bases.values() for c, _ in t} == {True, False}
+    for t, before, _ in bases.values():
+        assert t == before
 
 
 # (field, summands, bounds): a deep summand keeps span(S) moving for several
@@ -522,9 +591,9 @@ def test_hom_vector_on_degenerate_letters(field, monkeypatch):
     groups = set()
     coranks = homdim._staircase_coranks
 
-    def spied(field, letters, sigma, raw, lam, *args):
-        groups.add((raw["head"] == CASE_SPECS["R_EVEN"]["head"], lam == 0))
-        return coranks(field, letters, sigma, raw, lam, *args)
+    def spied(field, letters, sigma, raw, scalar, *args):
+        groups.add((raw["head"] == CASE_SPECS["R_EVEN"]["head"], scalar["-lam"] == 0))
+        return coranks(field, letters, sigma, raw, scalar, *args)
 
     monkeypatch.setattr(homdim, "_staircase_coranks", spied)
     for dims in ((0, 2, 1, 0, 3), (1, 0, 1, 1, 0), (1, 1, 1, 1, 1), (3, 2, 0, 1, 2),
@@ -553,30 +622,30 @@ def test_hom_vector_at_benchmark_size():
 
 # Bit length that no entry of an elimination input reaches in the deep QQ
 # test below.  Its letters have entries of about 10 bits; a fold eliminates
-# products of letter kernels and letters, a step of the recursion S stacked
-# on the transfer basis T, fixed per group, and S holds minors of one copy:
-# no input entry passed 100 bits there, at any depth.
+# products of letter kernels and letters, a step of the recursion what is
+# left of S against the transfer basis T, fixed per group, and S holds
+# minors of one copy: no input entry passed 100 bits there, at any depth.
 QQ_ENTRY_BITS = 512
 
 
-def _entry_bits(a):
-    return max((max(abs(x.numerator).bit_length(), x.denominator.bit_length())
-                for x in a.flat), default=0)
+def _entry_bits(rows):
+    return max((abs(x).bit_length() for row in rows for x in row), default=0)
 
 
 def test_hom_vector_deep_qq_staircases(rng, monkeypatch):
     # every case at its deepest parameter, over QQ with a fractional lam.
     # If the integer rows of S grew from step to step of the recursion (a
     # kernel without its gcd, say), the run would take minutes; the bound
-    # on every elimination's input fails it within a few steps instead
-    echelon = QQ.echelon
+    # on every elimination's input fails it within a few steps instead.
+    # The loop's working rows are Python ints, echelon's and a step's alike
+    eliminate = QQ._eliminate
 
-    def bounded(a, reduced=False):
-        bits = _entry_bits(a)
-        assert bits <= QQ_ENTRY_BITS, f"echelon input with a {bits}-bit entry"
-        return echelon(a, reduced)
+    def bounded(rows, n, reduced):
+        bits = _entry_bits(rows)
+        assert bits <= QQ_ENTRY_BITS, f"elimination input with a {bits}-bit entry"
+        return eliminate(rows, n, reduced)
 
-    monkeypatch.setattr(QQ, "echelon", bounded)
+    monkeypatch.setattr(QQ, "_eliminate", bounded)
     lam = Fraction(7, 3)
     deepest = {}
     for d in enumerate_descriptors(EnumerationBounds(24, 12, (lam,))):
@@ -610,16 +679,16 @@ def _over_denominators(field, n, rng):
 @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
 def test_hom_vector_eliminates_forward_only(field, monkeypatch):
     # the letter kernels and the folds are forward echelon bases, and a
-    # step eliminates S stacked on the transfer basis of a copy, so no
-    # elimination of hom_vector asks for the reduced form
+    # step eliminates what is left of S against the transfer basis of a
+    # copy, so no elimination of hom_vector asks for the reduced form
     calls = []
-    echelon = field.echelon
+    eliminate = field._eliminate
 
-    def spied(a, reduced=False):
+    def spied(rows, n, reduced):
         calls.append(reduced)
-        return echelon(a, reduced)
+        return eliminate(rows, n, reduced)
 
-    monkeypatch.setattr(field, "echelon", spied)
+    monkeypatch.setattr(field, "_eliminate", spied)
     lams = (field.coerce(2), field.coerce(Fraction(7, 3)))
     m = _disguised(field, [cat.R(2, lams[1]), cat.P(2, 1), cat.I(2, 0)], random.Random(3))
     descs = enumerate_descriptors(EnumerationBounds(6, 3, lams))
@@ -777,6 +846,29 @@ def test_sign_flip_on_bridge_blocks_is_invisible(route, monkeypatch):
     truth = [hom_oracle(m, cat.build(probe, GF)) for m in mods]
     _flip_cell(monkeypatch, "R_EVEN", "head", 1, 3)
     assert [ROUTES[route](m, [probe])[0] for m in mods] == truth
+
+
+def test_plan_follows_an_edit_to_case_specs(monkeypatch):
+    # a staircase's plan is compiled once per pattern and sigma, keyed by
+    # the pattern's content: a flipped cell after a cached call compiles a
+    # new plan, and reverting it finds the first one again
+    lam = GF.coerce(2)
+    m = module_direct_sum(cat.build(cat.R(2, lam), GF),
+                          random_module(GF, random.Random(11), max_dim=2))
+    probes = [cat.R(l, lam) for l in (1, 2, 3)]
+    homdim._plan.cache_clear()
+    before = hom_vector(m, probes)
+    assert before == [hom_dim(m, d) for d in probes]
+    with monkeypatch.context() as patched:
+        _flip_cell(patched, "R_EVEN", "rep", 0, 0)
+        misses = homdim._plan.cache_info().misses
+        flipped = hom_vector(m, probes)
+        assert homdim._plan.cache_info().misses == misses + 1
+        assert flipped == [hom_dim(m, d) for d in probes]
+        assert flipped != before
+    hits = homdim._plan.cache_info().hits
+    assert hom_vector(m, probes) == before
+    assert homdim._plan.cache_info().hits == hits + 1
 
 
 def test_inconsistent_block_width_raises_on_both_routes(monkeypatch):
