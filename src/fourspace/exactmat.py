@@ -10,15 +10,16 @@ cor(1x0) = 1 works.  One Gaussian elimination loop serves both fields,
 with two exits: ``field.echelon`` returns the pivots and the echelon
 array, from which null space and inverse follow, and ``field.rank``
 returns the pivot count alone and builds no array, for callers that need
-nothing else.  The loop itself (``_eliminate``) and a pivot's row
-operations (``_clear``) also take working rows as they are, for callers
-that keep them between eliminations.  The loop runs on a list of Python-int rows, so a pivot
-costs only the entries it changes: residues over GF(p), and over QQ
-fraction-free primitive rows, one gcd pass per updated row.  QQ input
-that holds Python ints is taken as it is; an array with a Fraction in it
-is scaled to ints first.  Fractions come back only in the reduced form,
-which serves nullspace and invert alone.
-``field.integral`` scales arrays by one nonzero scalar into the form
+nothing else.  The working copy (``_start``), the loop itself
+(``_eliminate``) and a pivot's row operations (``_clear``) are also
+called on their own: homdim's staircase runs them on its own rows and
+keeps those rows from its first fold to its last step.  The loop runs
+on a list of Python-int rows, so a pivot costs only the entries it
+changes: residues over GF(p), and over QQ fraction-free primitive
+rows, one gcd pass per updated row.  QQ input that holds Python ints is
+taken as it is; an array with a Fraction in it is scaled to ints first.
+Fractions come back only in the reduced form, which serves nullspace
+and invert alone.  ``field.integral`` scales arrays by one nonzero scalar into the form
 elimination runs on (Python ints over QQ, the residues themselves over
 GF(p)), and ``field.intdot`` multiplies in that form.  Each field has
 one matrix product, ``field.dot``, and ``ExactMatrix @`` calls it: int64
@@ -435,14 +436,6 @@ class ExactMatrix:
 
     def transpose(self):
         return ExactMatrix._raw(self.field, self.data.T)
-
-    def submatrix(self, r0, r1, c0, c1):
-        """Rows [r0, r1) and columns [c0, c1), bounds checked."""
-        if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
-            raise DimensionMismatch(
-                f"submatrix [{r0}:{r1}, {c0}:{c1}] out of range for {self.rows}x{self.cols}"
-            )
-        return ExactMatrix._raw(self.field, self.data[r0:r1, c0:c1])
 
     def entries_rowmajor(self):
         return self.data.ravel().tolist()

@@ -35,11 +35,14 @@ pattern alone is compiled once per process for each pattern and sigma,
 keyed by the pattern's content (_plan): the cells mapped to M's letter
 slots, the pairs of slots whose widths must agree, the slots that give W's
 width g, and for each fold its kernel keys, kept columns and blocks.  M's
-letters are converted once per call (field.integral), and so is each
-lam's coefficient table; a group checks its letter widths against its
-plan, fills its folds from the call's kernel cache and eliminates, and
-writes no matrix.  The pass runs a transfer recursion towards the largest
-k asked for.  The next copy reads a vector y of the left kernel
+letters are converted once per call (field.integral), and so is each lam's
+coefficient table; a group checks its letter widths against its plan,
+fills each fold's grid from the call's kernel cache and eliminates it.
+From there on the pass holds the working rows of the field's elimination
+(_Field._eliminate), lists of Python ints: a fold returns its images as
+those rows, and every step and span test runs on them, so no result goes
+back into an array.  The pass runs a transfer recursion towards the
+largest k asked for.  The next copy reads a vector y of the left kernel
 K_k = {y : y N_k = 0} only through its image y_tail W, y_tail the last e
 block rows of y.  So the state is (z, S): z counts the kernel vectors
 whose image is zero, and S is a basis of the images, as wide as W's
@@ -356,27 +359,34 @@ def hom_dim(M, desc):
     return coeff_matrix(M, desc).corank()
 
 
-def _split(field, a, n):
-    """Left kernel of a, split at column n.
+def _split(field, rows, n):
+    """Left kernel of a matrix a, split at column n.
 
+    rows are a's rows in the working form of the field's elimination
+    (field._start), and are eliminated in place, forward (_eliminate).
     Returns (z, pivots, images): z = rows - rank, the dimension of
-    {y : y a = 0}, and images the forward echelon rows of a whose pivot is
-    at or past column n, cut to those columns, with pivots their pivot
-    columns there.  Echelon rows have distinct pivots, and those with a
-    pivot left of n are independent there, so images is an echelon basis
-    of {y a[:, n:] : y a[:, :n] = 0}: the left kernel of the first n
-    columns, seen through the columns from n on.  A letter kernel is the
-    split of [L | I] at L's width (_kernel), a fold that of its folded grid
-    at the coupled columns (_kernel_fold).
+    {y : y a = 0}, and images the eliminated rows whose pivot is at or
+    past column n, cut to those columns, with pivots their pivot columns
+    there: lists, in the same working form, with no array built from them
+    (forward, echelon's _finish would leave them as they are).  Echelon
+    rows have distinct pivots, and those with a pivot left of n are
+    independent there, so images is an echelon basis of
+    {y a[:, n:] : y a[:, :n] = 0}: the left kernel of the first n columns,
+    seen through the columns from n on.  A letter kernel is the split of
+    [L | I] at L's width (_kernel), a fold that of its folded grid at the
+    coupled columns (_kernel_fold), a step that of [[S 0], T] reduced
+    against T at W's width (_step).
     """
-    pivots, ech = field.echelon(a)
+    pivots = field._eliminate(rows, len(rows[0]) if rows else 0, False)
     lo = bisect_left(pivots, n)
-    return len(a) - len(pivots), [c - n for c in pivots[lo:]], ech[lo : len(pivots), n:]
+    return (len(rows) - len(pivots), [c - n for c in pivots[lo:]],
+            [row[n:] for row in rows[lo : len(pivots)]])
 
 
 def _kernel(field, letters, kernels, key):
     """An echelon basis K of the left kernel of [letters[s] for s in key]:
-    the images of the _split of [L_key | I] at L_key's width.
+    the images of the _split of [L_key | I] at L_key's width, as the one
+    array field.intdot reads.
 
     kernels is one hom_vector call's cache, keyed by the slots of M's
     letters.  Every group reads the same four arrays, so a letter set is
@@ -385,7 +395,8 @@ def _kernel(field, letters, kernels, key):
     if key not in kernels:
         n0 = letters[0].shape[0]
         stack = np.hstack([letters[s] for s in key] + [np.eye(n0, dtype=field.dtype)])
-        kernels[key] = _split(field, stack, stack.shape[1] - n0)[2]
+        k = _split(field, field._start(stack), stack.shape[1] - n0)[2]
+        kernels[key] = np.array(k, dtype=field.dtype).reshape(len(k), n0)
     return kernels[key]
 
 
@@ -440,7 +451,9 @@ def _kernel_fold(field, letters, plan, scalar, kernels):
     (i, j) is the scalar times K L_ij, and the products K L and their
     multiples are cached with the kernels.  y <-> v is one to one, so its
     _split at the coupled columns has the z of the grid's _split at its
-    own columns, and images of the same span.  The grid is never written.
+    own columns, and images of the same span.  Only the folded grid is
+    filled, one array of the cached blocks; its images come back as the
+    elimination's working rows.
     """
     n0 = letters[0].shape[0]
     col0 = [0]
@@ -460,7 +473,7 @@ def _kernel_fold(field, letters, plan, scalar, kernels):
                 x = kernels[key, slot]
                 kernels[key, slot, c] = x if c == 1 else field.reduce(c * x)
             out[row0[i] : row0[i + 1], col0[jj] : col0[jj + 1]] = kernels[key, slot, c]
-    return _split(field, out, col0[plan.coupled])
+    return _split(field, field._start(out), col0[plan.coupled])
 
 
 def _same_span(field, s, s_next):
@@ -489,20 +502,18 @@ def _step(field, s, t, g):
     images.  Each row of [s 0] is reduced against T's pivots with the
     field's _clear, as a row above them (T is only read: a GF(p) pivot is
     already 1), which leaves a remainder with no entry in any of T's pivot
-    columns.  Eliminating the remainder alone gives the rank of the stack
-    (T's rank plus the remainder's), and the rows of the echelon form with
-    a pivot at or past g are T's such rows and the remainder's, pivots
-    distinct.
+    columns.  The stack's rank is T's plus the remainder's, so the _split
+    of the remainder alone at g has the stack's z, and the rows of the
+    echelon form with a pivot at or past g are T's such rows and the
+    remainder's images, pivots distinct.
     """
     rest = [row + [0] * g for row in s]
     for c, row in t:
         hits = [x for x in rest if x[c]]
         if hits:
             field._clear(row, c, hits, True)
-    pivots = field._eliminate(rest, 2 * g, False)
-    lo = bisect_left(pivots, g)
-    images = [row[g:] for c, row in t if c >= g] + [row[g:] for row in rest[lo : len(pivots)]]
-    return len(s) - len(pivots), images
+    z, _, images = _split(field, rest, g)
+    return z, [row[g:] for c, row in t if c >= g] + images
 
 
 class _Plan(NamedTuple):
@@ -620,14 +631,13 @@ def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, kernels):
 
     if top:
         rep_z, pivots, t = _kernel_fold(field, letters, plan.rep, scalar, kernels)
-        t = list(zip(pivots, t.tolist()))
+        t = list(zip(pivots, t))
         g = sum(width[x] for x in plan.g)
     if top and plan.head_is_rep:
         z, s = _step(field, [], t, g)
         z += rep_z
     else:
         z, _, s = _kernel_fold(field, letters, plan.head, scalar, kernels)
-        s = s.tolist()
     out = {0: corank(z, s)} if 0 in wanted else {}
     for k in range(1, top + 1):
         dz, s_next = _step(field, s, t, g)

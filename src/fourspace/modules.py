@@ -97,12 +97,6 @@ def perm_compose(tau, sigma):
     return tuple(tau[s - 1] for s in sigma)
 
 
-def all_permutations():
-    from itertools import permutations
-
-    return [tuple(p) for p in permutations((1, 2, 3, 4))]
-
-
 def permute_slots(slots, sigma):
     """The four slots (A, B, C, D) relocated by sigma, as a tuple."""
     sigma = check_permutation(sigma)

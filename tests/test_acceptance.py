@@ -13,6 +13,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 from fourspace import catalog as cat
 from fourspace.catalog import EnumerationBounds, declared_dim, enumerate_descriptors
@@ -22,7 +23,6 @@ from fourspace.homdim import CASE_SPECS, coeff_matrix, hom_dim, hom_vector
 from fourspace.modules import (
     PERM_CYCLE,
     LambdaModule,
-    all_permutations,
     base_change,
     dim_vector,
     euler_form,
@@ -182,7 +182,7 @@ def criterion_6_permutation_coherence():
         m = random_module(GF, rng, max_dim=3)
         x = random_module(GF, rng, max_dim=3)
         base = hom_oracle(m, x)
-        for sigma in all_permutations():
+        for sigma in permutations((1, 2, 3, 4)):
             moved = hom_oracle(permute_vertices(m, sigma), permute_vertices(x, sigma))
             assert moved == base
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -16,7 +17,6 @@ from fourspace.exactmat import (
 )
 from fourspace.modules import (
     LambdaModule,
-    all_permutations,
     base_change,
     dim_vector,
     euler_form,
@@ -168,7 +168,7 @@ def test_equivariant_under_simultaneous_permutation(field, rng):
     m = random_module(field, rng, max_dim=3)
     x = random_module(field, rng, max_dim=3)
     h = hom_oracle(m, x)
-    for sigma in all_permutations():
+    for sigma in permutations((1, 2, 3, 4)):
         assert hom_oracle(permute_vertices(m, sigma), permute_vertices(x, sigma)) == h
 
 
