@@ -10,14 +10,17 @@ cor(1x0) = 1 works.  One Gaussian elimination loop serves both fields,
 with two exits: ``field.echelon`` returns the pivots and the echelon
 array, from which null space and inverse follow, and ``field.rank``
 returns the pivot count alone and builds no array, for callers that need
-nothing else.  The working copy (``_start``), the loop itself
-(``_eliminate``) and a pivot's row operations (``_clear``) are also
-called on their own: homdim's staircase runs them on its own rows and
-keeps those rows from its first fold to its last step.  The loop runs
-on a list of Python-int rows, so a pivot costs only the entries it
-changes: residues over GF(p), and over QQ fraction-free primitive
-rows, one gcd pass per updated row.  QQ input that holds Python ints is
-taken as it is; an array with a Fraction in it is scaled to ints first.
+nothing else.  The loop (``_eliminate``) takes the rows one at a time:
+each is reduced against the pivots found so far (``_reduce``), and its
+first entry left becomes a new pivot, whose form (``_pivot``) later rows
+are reduced with.  The working copy (``_start``), the loop and a row's
+reduction are also called on their own: homdim's staircase runs them on
+its own rows and keeps those rows from its first fold to its last step.
+The loop runs on a list of Python-int rows, so a reduction costs only
+the entries it changes: residues over GF(p), and over QQ fraction-free
+primitive rows, one gcd pass per updated row.  QQ input that holds
+Python ints is taken as it is; an array with a Fraction in it is scaled
+to ints first.
 Fractions come back only in the reduced form, which serves nullspace
 and invert alone.  ``field.integral`` scales arrays by one nonzero scalar into the form
 elimination runs on (Python ints over QQ, the residues themselves over
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -59,43 +63,53 @@ class _Field:
 
     def _eliminate(self, rows, n, reduced):
         """The one pivot loop, in place on n-wide working rows (_start's
-        form): their pivot columns, see echelon."""
-        m = len(rows)
-        pivots = []
-        for c in range(n):
-            r = len(pivots)
-            hits = [i for i in range(r, m) if rows[i][c]]
-            if not hits:
-                continue
-            i = hits[0]
-            rows[r], rows[i] = rows[i], rows[r]
-            # the row moved to i had no entry in column c
-            targets = [rows[k] for k in hits[1:]]
-            if reduced:
-                targets += [row for row in rows[:r] if row[c]]
-            self._clear(rows[r], c, targets, reduced)
-            pivots.append(c)
+        form): their pivot columns, see echelon.
+
+        Row by row: each row is reduced against the pivots found so far
+        (_reduce), and its first entry left becomes a new pivot, whose
+        form _pivot makes.  lead maps each column to the form of its
+        pivot, None where there is none.  The rows end as the pivot rows
+        in pivot order, then the zero rows.  reduced=True then clears each
+        pivot row past its pivot with the forward forms, in ascending
+        pivot order.
+        """
+        lead = [None] * n
+        held = {}
+        zero = []
+        for row in rows:
+            c = self._reduce(row, lead)
+            if c is None:
+                zero.append(row)
+            else:
+                lead[c] = self._pivot(row, c)
+                held[c] = row
+        pivots = sorted(held)
+        rows[:] = [held[c] for c in pivots] + zero
+        if reduced:
+            for c, row in zip(pivots, rows):
+                self._reduce(row, lead, c + 1)
         return pivots
 
     def echelon(self, a, reduced=False):
         """Gaussian elimination of a 2-D array of field scalars.
 
         Returns (pivot columns, echelon array of self.dtype and a's shape):
-        each pivot column is cleared below its pivot, and above it too if
-        reduced.  The input is copied, never written.  One loop
-        (_eliminate) finds the pivots for both fields on list rows of
-        Python ints; each field's _start (that working copy), _clear (one
-        pivot's row operations on the rows with an entry in its column)
-        and _finish hold the arithmetic.  echelon and rank are its two
-        exits: echelon finishes the rows and builds the array, rank counts
-        the pivots and builds nothing.
+        the pivot rows in pivot order, then the zero rows; each pivot
+        column is zero below its pivot, and above it too if reduced.  The
+        input is copied, never written.  One loop (_eliminate) runs for
+        both fields on list rows of Python ints, one row at a time; each
+        field's _start (that working copy), _reduce (a row against the
+        pivots so far), _pivot (a new pivot's form) and _finish hold the
+        arithmetic.  echelon and rank are its two exits: echelon finishes
+        the rows and builds the array, rank counts the pivots and builds
+        nothing.
 
         Over GF(p) each pivot row is scaled to a leading 1 (a row that has
-        one is only read), and the other rows change only in the columns
-        where the pivot row is nonzero.
+        one is only read), and a reduction changes a row only in the
+        columns where the pivot row is nonzero.
 
         Over QQ the elimination is fraction-free on primitive rows of
-        Python ints (Rationals._clear): an array of Python ints as it is,
+        Python ints (Rationals._reduce): an array of Python ints as it is,
         one holding a Fraction times the lcm of its denominators.  Forward
         elimination returns those integer rows; reduced=True divides each
         row by its pivot, which gives the reduced row echelon form in
@@ -143,25 +157,48 @@ class Rationals(_Field):
             (x,), _ = self.integral([a])
             return [_primitive(row) for row in x.tolist()]
 
-    def _clear(self, pivot_row, c, target_rows, reduced):
-        """Clear column c in target_rows, in place, with pivot_row.
+    def _reduce(self, row, lead, start=None):
+        """Reduce row, a working row (_start's form), in place and left to
+        right, against lead, which maps each of its columns to the form of
+        the pivot there or None.
 
-        Each target row becomes p * row - f * pivot_row over the gcd of its
-        entries, with p the pivot and f the row's entry in column c.  Each
-        row stays a multiple of its Bareiss row (Bareiss, Math. Comp. 22,
-        1968), whose entries are minors of the input, and is primitive,
-        so it is never larger: entries grow no faster than minors.  Unlike
-        Bareiss's exact division by the previous pivot, this leaves the
-        rows without an entry in column c untouched, so sparse matrices
-        stay cheap.  Rows above the pivot change over the full row: their
-        own pivots scale too.
+        Forward (start None) it clears the entries in pivot columns until
+        the first entry in a column with no pivot, and returns that column
+        (None for a row cleared to zero); the entries before it are then
+        zero.  From column start on, it clears every entry in a pivot
+        column and skips the others: a pivot row back-substituted past its
+        pivot, or a row reduced against another elimination's pivots.
+
+        The form of a pivot is its row.  Each update makes the row
+        p * row - f * pivot_row over the gcd of its entries, with p the
+        pivot and f the row's entry in its column, on the row from that
+        column on (forward) or on the full row.  p and f are divided by
+        their own gcd first: that leaves the result alone and keeps the
+        products small.  Each row stays a multiple of its Bareiss row
+        (Bareiss, Math. Comp. 22, 1968), whose entries are minors of the
+        input, and is primitive, so it is never larger: entries grow no
+        faster than minors.  Unlike Bareiss's exact division by the
+        previous pivot, this leaves a row untouched by the pivots in whose
+        columns it has no entry, so sparse matrices stay cheap.
         """
-        lo = 0 if reduced else c
-        p = pivot_row[c]
-        tail = pivot_row[lo:]
-        for row in target_rows:
-            f = row[c]
-            row[lo:] = _primitive([p * x - f * y for x, y in zip(row[lo:], tail)])
+        scan = enumerate(row) if not start else islice(enumerate(row), start, None)
+        for c, f in scan:
+            if f:
+                form = lead[c]
+                if form is None:
+                    if start is None:
+                        return c
+                    continue
+                lo = c if start is None else 0
+                p = form[c]
+                g = math.gcd(p, f)
+                p, f = p // g, f // g
+                row[lo:] = _primitive([p * x - f * y for x, y in zip(row[lo:], form[lo:])])
+        return None
+
+    def _pivot(self, row, c):
+        # the form of a pivot is its row, primitive as every working row is
+        return row
 
     def _finish(self, rows, pivots, reduced):
         # forward: the primitive integer rows; reduced: each row over its
@@ -287,22 +324,40 @@ class PrimeField(_Field):
     def _start(self, a):
         return np.asarray(a, dtype=np.int64).tolist()
 
-    def _clear(self, pivot_row, c, target_rows, reduced):
-        # scale the pivot row to a leading 1, unless it has one: then it is
-        # only read.  Each target row changes only where the pivot row is
-        # nonzero
+    def _reduce(self, row, lead, start=None):
+        """Reduce row, in place, against the pivot forms of lead; see
+        Rationals._reduce.  Each update subtracts f times a pivot's form
+        from the row, f the row's entry in its column, and changes only
+        the columns where the form is nonzero."""
         p = self.p
-        if pivot_row[c] == 1:
-            nonzero = [(j, x) for j, x in enumerate(pivot_row[c:], c) if x]
-        else:
-            s = self.inv(pivot_row[c])
-            nonzero = [(j, x * s % p) for j, x in enumerate(pivot_row[c:], c) if x]
-            for j, x in nonzero:
-                pivot_row[j] = x
-        for row in target_rows:
-            f = row[c]
-            for j, x in nonzero:
-                row[j] = (row[j] - f * x) % p
+        scan = enumerate(row) if not start else islice(enumerate(row), start, None)
+        for c, f in scan:
+            if f:
+                form = lead[c]
+                if form is None:
+                    if start is None:
+                        return c
+                    continue
+                for j, x in form:
+                    row[j] = (row[j] - f * x) % p
+                row[c] = 0
+        return None
+
+    def _pivot(self, row, c):
+        """The form of row's pivot in column c: (column, entry) for each
+        nonzero past c, over the pivot.  A row whose pivot is 1 is only
+        read; another is scaled in place to a leading 1, its pivot
+        inverted once."""
+        x = row[c]
+        tail = enumerate(row[c + 1 :], c + 1)
+        if x == 1:
+            return [(j, y) for j, y in tail if y]
+        s, p = self.inv(x), self.p
+        form = [(j, y * s % p) for j, y in tail if y]
+        row[c] = 1
+        for j, y in form:
+            row[j] = y
+        return form
 
     def _finish(self, rows, pivots, reduced):
         return rows

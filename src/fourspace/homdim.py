@@ -51,10 +51,11 @@ W, so R is split once per group, its own columns eliminated before the g
 columns it shares with W (SOLVEBLOK's order): T, an echelon basis of
 {u [R_W | E] : u R_own = 0} (E the next W on R's tail rows), and rep_z,
 the vectors u whose u R and u_tail W both vanish.  A step is then the
-left kernel of [[S 0], T] split at g, taken against a fixed T: S's rows
-are reduced against T's pivots by the field's own row operation, which
-only reads T, and only what is left of S is eliminated, at most g rows of
-2g columns.  T's rows with a pivot at or past g are images at every step.
+left kernel of [[S 0], T] split at g, taken against a fixed T: T's
+pivot forms are built once per group, S's rows are reduced against them
+by the elimination loop's own row reduction, which only reads T, and
+only what is left of S is eliminated, at most g rows of 2g columns.
+T's rows with a pivot at or past g are images at every step.
 
 Most own block columns hold a single cell, +-L in block row i, and ask
 y_i L = 0: y_i = v_i K, K an echelon basis of the left kernel of the
@@ -363,8 +364,10 @@ def _split(field, rows, n):
     """Left kernel of a matrix a, split at column n.
 
     rows are a's rows in the working form of the field's elimination
-    (field._start), and are eliminated in place, forward (_eliminate).
-    Returns (z, pivots, images): z = rows - rank, the dimension of
+    (field._start), and are eliminated in place, forward (_eliminate):
+    each is reduced against the pivots of the rows before it, and they
+    end as the pivot rows in pivot order, then the zero rows.  Returns
+    (z, pivots, images): z = rows - rank, the dimension of
     {y : y a = 0}, and images the eliminated rows whose pivot is at or
     past column n, cut to those columns, with pivots their pivot columns
     there: lists, in the same working form, with no array built from them
@@ -375,7 +378,7 @@ def _split(field, rows, n):
     seen through the columns from n on.  A letter kernel is the split of
     [L | I] at L's width (_kernel), a fold that of its folded grid at the
     coupled columns (_kernel_fold), a step that of [[S 0], T] reduced
-    against T at W's width (_step).
+    against T's pivot forms, at W's width (_step).
     """
     pivots = field._eliminate(rows, len(rows[0]) if rows else 0, False)
     lo = bisect_left(pivots, n)
@@ -491,29 +494,43 @@ def _same_span(field, s, s_next):
     return not rows or len(field._eliminate(rows, len(rows[0]), False)) == len(s)
 
 
+def _transfer(field, pivots, rows, g):
+    """The transfer basis T of a group as _step reads it: (lead, images).
+
+    rows are T's rows, 2g wide and in forward echelon form, with their
+    pivots.  lead maps each of the 2g columns to the form of T's pivot
+    there (field._pivot), None where T has none, and images are T's rows
+    with a pivot at or past g, cut to those columns.  Built once per
+    group, from rows that are only read: a GF(p) pivot row from the
+    elimination already has its leading 1, and over QQ a form is its row.
+    """
+    lead = [None] * (2 * g)
+    for c, row in zip(pivots, rows):
+        lead[c] = field._pivot(row, c)
+    return lead, [row[g:] for c, row in zip(pivots, rows) if c >= g]
+
+
 def _step(field, s, t, g):
     """One copy of the staircase against its fixed transfer basis.
 
     s is the state: independent rows, g wide, in the working form of the
-    field's elimination.  t is the transfer basis as (pivot, row) pairs,
-    rows 2g wide and in forward echelon form, pivots ascending.  Returns
-    what the _split of [[s 0], T] at g returns, without eliminating T
-    again: z, and independent rows (not sorted by pivot) spanning the
-    images.  Each row of [s 0] is reduced against T's pivots with the
-    field's _clear, as a row above them (T is only read: a GF(p) pivot is
-    already 1), which leaves a remainder with no entry in any of T's pivot
-    columns.  The stack's rank is T's plus the remainder's, so the _split
-    of the remainder alone at g has the stack's z, and the rows of the
-    echelon form with a pivot at or past g are T's such rows and the
-    remainder's images, pivots distinct.
+    field's elimination.  t is the transfer basis T as _transfer gives it.
+    Returns what the _split of [[s 0], T] at g returns, without
+    eliminating T again: z, and independent rows (not sorted by pivot)
+    spanning the images.  Each row of [s 0] is reduced against T's pivot
+    forms (field._reduce from column 0, which clears every entry in a
+    pivot column of T and reads T only), which leaves a remainder with no
+    entry in any of T's pivot columns.  The stack's rank is T's plus the
+    remainder's, so the _split of the remainder alone at g has the
+    stack's z, and the rows of the echelon form with a pivot at or past g
+    are T's such rows and the remainder's images, pivots distinct.
     """
+    lead, images = t
     rest = [row + [0] * g for row in s]
-    for c, row in t:
-        hits = [x for x in rest if x[c]]
-        if hits:
-            field._clear(row, c, hits, True)
-    z, _, images = _split(field, rest, g)
-    return z, [row[g:] for c, row in t if c >= g] + images
+    for row in rest:
+        field._reduce(row, lead, 0)
+    z, _, more = _split(field, rest, g)
+    return z, images + more
 
 
 class _Plan(NamedTuple):
@@ -602,13 +619,13 @@ def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, kernels):
     t, the rows of T being independent.  So a step is the left kernel of
     [[s 0], T] split at the width g of W: its z plus rep_z is what the
     copy adds to z, and its images the next s.  T is echelon and the same
-    for every step, so a step (_step) reduces s against T's pivots and
-    eliminates only what is left: at most g rows of 2g columns, T never
-    written, and T's rows with a pivot at or past g always among the
-    images.  The letters, kernels and coefficients are integral, so over
-    QQ T and s are Python ints and no elimination builds Fractions; each
-    divides its rows by their gcds, so s stays as small deep in the
-    staircase as after its first steps.
+    for every step, so the group builds T's pivot forms once (_transfer),
+    and a step (_step) reduces s against them and eliminates only what is
+    left: at most g rows of 2g columns, T never written, and T's rows with
+    a pivot at or past g always among the images.  The letters, kernels
+    and coefficients are integral, so over QQ T and s are Python ints and
+    no elimination builds Fractions; each divides its rows by their gcds,
+    so s stays as small deep in the staircase as after its first steps.
 
     A step is a function of span(s) alone: it adds the same to z and maps
     the span to the next one.  So once a step returns the span it was
@@ -631,8 +648,8 @@ def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, kernels):
 
     if top:
         rep_z, pivots, t = _kernel_fold(field, letters, plan.rep, scalar, kernels)
-        t = list(zip(pivots, t))
         g = sum(width[x] for x in plan.g)
+        t = _transfer(field, pivots, t, g)
     if top and plan.head_is_rep:
         z, s = _step(field, [], t, g)
         z += rep_z

@@ -18,13 +18,18 @@ the second block in the columns of F_t.  This is asymptotically the slow
 route (the unknown count is sum of m_v * n_v) and exists as the
 independent reference for the structured formulas in homdim.
 
-hom_oracle takes the rank of that system (field.rank: the shared
-elimination loop, no echelon array built) with the F_0 columns moved
-last.  Each F_t block is nonzero only in the m_0 * n_t rows of its own
-relation, so its pivots clear within those rows; F_0 meets every
-relation, and eliminating it first would fill in all of them.  Rank
-ignores column order, so the answer is the plain system's nullity, and
-hom_system, its offsets and hom_basis keep the F_0-first layout above.
+_system writes those blocks straight into the system's rows, each
+through a 4-D view of its strided entries, with no Kronecker product
+formed, and puts the F_0 columns last: F_1, .., F_4, then F_0.
+hom_oracle takes the rank of that array (field.rank: the shared
+elimination loop, no echelon array built).  The loop reduces each row
+against the pivots found before it, left to right.  A row of relation t
+meets the F_t columns first, which no other relation's rows share, so
+its reductions there stay within relation t's own pivots; F_0 meets
+every relation, and with its columns first every row would be reduced
+against the pivots of all four.  Rank ignores column order, so the
+answer is the plain system's nullity; hom_system rolls the columns back,
+and it, its offsets and hom_basis keep the F_0-first layout above.
 """
 
 from __future__ import annotations
@@ -61,36 +66,42 @@ def _block_layout(M, X):
     return n, m, tuple(offsets)
 
 
-def _kron(a, b):
-    # np.kron, at a fifth of its call overhead on the tiny operands here
-    (p, q), (r, s) = a.shape, b.shape
-    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(p * r, q * s)
-
-
 def _system(M, X):
-    """The relation system as one canonical array of field.dtype, and the offsets."""
+    """The relation system as one canonical array of field.dtype, its
+    columns in elimination order F_1, .., F_4, F_0, and the offsets of the
+    F_0-first layout.
+
+    Relation t's rows are (a, b) for the entry (a, b) of F_0 L_M - L_X F_t,
+    a < m_0 and b < n_t.  Seen as 4-D, its F_0 block is (a, b, a', k),
+    which holds L_M[k, b] where a' = a, and its F_t block (a, b, i, b'),
+    which holds -L_X[a, i] where b' = b: each is written through a strided
+    view, with no Kronecker product.
+    """
     _check_same_field(M.field, X.field)
     field = M.field
     n, m, offsets = _block_layout(M, X)
-    system = _zero_array(field, m[0] * sum(n[1:]), offsets[5])
+    total = offsets[5]
+    system = _zero_array(field, m[0] * sum(n[1:]), total)
+    f0 = system[:, total - offsets[1] :]
+    diag = np.arange(max(m[0], *n[1:]))
     r = 0
     for t, (lm, lx) in enumerate(zip(M.mats(), X.mats()), start=1):
-        rows = slice(r, r + m[0] * n[t])
-        system[rows, offsets[0] : offsets[1]] = _kron(
-            np.eye(m[0], dtype=np.int64), lm.data.T
-        )
-        system[rows, offsets[t] : offsets[t + 1]] = field.reduce(
-            -_kron(lx.data, np.eye(n[t], dtype=np.int64))
-        )
-        r = rows.stop
+        r0, r = r, r + m[0] * n[t]
+        # splitting the axes of a 2-D slice always gives a view
+        a, b = diag[: m[0]], diag[: n[t]]
+        f0[r0:r].reshape(m[0], n[t], m[0], n[0])[a, :, a] = lm.data.T
+        ft = system[r0:r, offsets[t] - offsets[1] : offsets[t + 1] - offsets[1]]
+        ft.reshape(m[0], n[t], m[t], n[t])[:, b, :, b] = field.reduce(-lx.data)
     return system, offsets
 
 
 def hom_system(M, X):
-    """Assemble the full relation system as an ExactMatrix (for inspection)."""
+    """Assemble the full relation system as an ExactMatrix (for inspection),
+    in the F_0-first layout of its offsets: _system's array with the
+    columns rolled back."""
     system, offsets = _system(M, X)
     return HomSystem(
-        matrix=ExactMatrix._raw(M.field, system),
+        matrix=ExactMatrix._raw(M.field, np.roll(system, offsets[1], axis=1)),
         offsets=offsets,
         source_dim=dim_vector(M),
         target_dim=dim_vector(X),
@@ -100,13 +111,14 @@ def hom_system(M, X):
 def hom_oracle(M, X):
     """dim Hom(M, X) as the nullity of the assembled system.
 
-    The rank is taken with the columns in the order F_1, .., F_4, F_0:
-    each F_t column meets only relation t and F_0 meets all four, so
-    eliminating F_0 last keeps fill-in within each relation.  Rank ignores
-    column order; _system, hom_system and its offsets keep F_0 first.
+    The rank is taken of _system's array as written, its columns in the
+    order F_1, .., F_4, F_0: each F_t column meets only relation t and
+    F_0 meets all four, so eliminating F_0 last keeps fill-in within each
+    relation.  Rank ignores column order; hom_system and its offsets keep
+    F_0 first.
     """
     system, offsets = _system(M, X)
-    return offsets[5] - M.field.rank(np.roll(system, -offsets[1], axis=1))
+    return offsets[5] - M.field.rank(system)
 
 
 def hom_basis(M, X):

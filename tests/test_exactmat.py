@@ -353,8 +353,8 @@ def _reference_inputs(field, rng):
         out.append(mat(field, sparse))
     dims = (3, 2, 1, 2, 2)
     module = LambdaModule(*(random_matrix(field, dims[0], k, rng) for k in dims[1:]))
-    # GF(2) has no homogeneous lambda
-    tubes = [] if field == PrimeField(2) else [field.coerce(3)]
+    # GF(2) has no homogeneous lambda, and 3 is none over GF(3)
+    tubes = [lam for lam in [field.coerce(3)] if lam not in (field.zero, field.one)]
     descs = [cat.P(1, 0), cat.P(2, 3), cat.I(1, 2), cat.I(2, 0), cat.R(0, 3, cat.INF),
              cat.R(1, 2, 0)] + [cat.R(2, lam) for lam in tubes]
     for d in descs:
@@ -367,6 +367,14 @@ def _reference_inputs(field, rng):
                        random_matrix(field, 4, 3, rng), zeros(field, 4, 2)]))
     if field == QQ:
         out += _rational_inputs(module, rng)
+    # the orders the loop meets rows in: a later row holding an earlier
+    # pivot than the rows before it, leading zero rows, a pivot in the last
+    # row alone, and a matrix far taller than wide with duplicate rows
+    out.append(mat(field, [[0, 0, 1, 5, 0], [0, 1, 7, 0, 1], [1, -1, 0, 5, 7], [0, 0, 0, 7, -1]]))
+    out.append(mat(field, [[0, 0, 0], [0, 0, 0], [0, 5, 1], [1, 0, 7], [0, 0, 0]]))
+    out.append(mat(field, [[0, 0, 0, 0]] * 3 + [[0, 0, -1, 5]]))
+    base = random_matrix(field, 3, 3, rng).data.tolist()
+    out.append(mat(field, [base[rng.randrange(3)] for _ in range(40)]))
     # verify-sweep scale: sparse systems of ~50-100 rows whose pivot rows
     # fill in to up to 60 nonzeros, with non-pivot columns between the
     # pivots; GF(p) updates only the pivot row's nonzero columns
@@ -404,7 +412,7 @@ def _rational_inputs(module, rng):
     return out
 
 
-@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
+@pytest.mark.parametrize("field", REFERENCE_FIELDS + [PrimeField(3)], ids=repr)
 def test_echelon_matches_reference_eliminator(field, rng):
     p = field.p if isinstance(field, PrimeField) else None
     for a in _reference_inputs(field, rng):
@@ -472,18 +480,34 @@ def test_unit_pivots_match_reference_eliminator(field, rng, monkeypatch):
         assert 0 < len(inverted) < pivots_seen
 
 
-def test_a_unit_pivot_row_is_only_read():
-    # a row with a leading 1 clears the others without being written, so
-    # it may be a tuple; a row without one is scaled in place
+def test_a_unit_pivot_row_is_only_read(monkeypatch):
+    # a row with a leading 1 gives its form without being written, so it
+    # may be a tuple, and that form clears the others; a row without one is
+    # scaled in place, its pivot inverted once
+    inverted = []
+    inv = GF.inv
+
+    def counted(a):
+        inverted.append(a)
+        return inv(a)
+
+    monkeypatch.setattr(GF, "inv", counted)
     row = (0, 1, 5, 0, 7)
+    form = GF._pivot(row, 1)
+    assert form == [(2, 5), (4, 7)] and inverted == []
+    lead = [None, form, None, None, None]
     targets = [[3, 2, 0, 1, 1], [0, 4, 4, 4, 4]]
-    GF._clear(row, 1, targets, True)
+    for target in targets:
+        GF._reduce(target, lead, 0)
     assert targets == [[3, 0, -10 % GF.p, 1, -13 % GF.p], [0, 0, -16 % GF.p, 4, -24 % GF.p]]
     with pytest.raises(TypeError):
-        GF._clear((0, 2, 5), 1, [[0, 1, 1]], True)
+        GF._pivot((0, 2, 5), 1)
+    inverted.clear()
     scaled = [0, 2, 5]
-    GF._clear(scaled, 1, [], False)
-    assert scaled == [0, 1, 5 * GF.inv(2) % GF.p]
+    x = 5 * inv(2) % GF.p
+    assert GF._pivot(scaled, 1) == [(2, x)]
+    assert scaled == [0, 1, x]
+    assert inverted == [2]
 
 
 def test_qq_forward_rows_are_primitive_integer_rows(rng):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -507,7 +508,7 @@ def test_step_against_a_fixed_t_is_the_split_of_the_stack(field):
         _, s = _echelon_rows(field, rng, rng.randint(0, g + 1), g)
         pivots, t = _echelon_rows(field, rng, rng.randint(0, 2 * g + 2), 2 * g)
         t_before = [list(row) for row in t]
-        z, images = homdim._step(field, s, list(zip(pivots, t)), g)
+        z, images = homdim._step(field, s, homdim._transfer(field, pivots, t, g), g)
         assert t == t_before
         stack = np.array([row + [0] * g for row in s] + t, dtype=field.dtype)
         stack = field._start(stack.reshape(len(s) + len(t), 2 * g))
@@ -536,7 +537,8 @@ def test_steps_leave_the_transfer_basis_alone(field, monkeypatch):
     step = homdim._step
 
     def spied(field, s, t, g):
-        bases.setdefault(id(t), (t, [(c, list(row)) for c, row in t], g))
+        # t is T's pivot forms and its images (_transfer)
+        bases.setdefault(id(t), (t, copy.deepcopy(t), g))
         steps.append(id(t))
         return step(field, s, t, g)
 
@@ -545,7 +547,8 @@ def test_steps_leave_the_transfer_basis_alone(field, monkeypatch):
     # groups of several steps, whose T has rows S is reduced against and
     # rows that are images at every step
     assert bases and max(steps.count(x) for x in bases) >= 3
-    assert {c < g for t, _, g in bases.values() for c, _ in t} == {True, False}
+    assert {c < g for (lead, _), _, g in bases.values()
+            for c, form in enumerate(lead) if form is not None} == {True, False}
     for t, before, _ in bases.values():
         assert t == before
 

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from fourspace import catalog as cat
+from fourspace import oracle
 from fourspace.exactmat import (
     QQ,
     FieldMismatch,
@@ -214,3 +216,26 @@ def test_system_matches_entrywise_relations(field, rng):
                         row[off[t] + k * n[t] + j] = field.reduce(-lx[i, k])
                     want.append(tuple(row))
         assert sys_.matrix == mat(field, want, shape=(len(want), off[5]))
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
+def test_oracle_system_is_written_in_elimination_order(fld, rng):
+    # _system writes the F_1..F_4 columns, then F_0's, the order hom_oracle
+    # eliminates them in; hom_system rolls them back to the F_0-first
+    # layout its offsets describe.  Zero-dimensional vertices of the target
+    # (m_0 = 0) and of the source (n_t = 0) give empty blocks
+    seen = set()
+    for _ in range(40):
+        n, d = ([rng.choice((0, 0, 1, 2, 3)) for _ in range(5)] for _ in range(2))
+        m, x = (LambdaModule(*(random_matrix(fld, dims[0], k, rng) for k in dims[1:]))
+                for dims in (n, d))
+        system, offsets = oracle._system(m, x)
+        sys_ = hom_system(m, x)
+        assert sys_.offsets == offsets
+        assert list(offsets) == [sum(d[v] * n[v] for v in range(k)) for k in range(6)]
+        assert np.array_equal(sys_.matrix.data, np.roll(system, offsets[1], axis=1))
+        assert sys_.matrix.data.dtype == system.dtype
+        assert hom_oracle(m, x) == offsets[5] - fld.rank(sys_.matrix.data)
+        seen.update({"m_0 = 0": d[0] == 0, "n_t = 0": 0 in n[1:],
+                     "F_0 and F_t": bool(d[0] * n[0]) and offsets[5] > offsets[1]}.items())
+    assert all((name, True) in seen for name in ("m_0 = 0", "n_t = 0", "F_0 and F_t")), seen
