@@ -1,0 +1,228 @@
+"""End-to-end checks of the installed `fourspace` console script.
+
+Run with the package installed and `fourspace` on PATH:
+
+    python .github/console_checks.py
+
+Every check runs `fourspace` as a subprocess in a temporary directory and
+prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
+1 if any check failed.  The checks are:
+
+- `fourspace verify` runs, and one QQ run_sweep in-process;
+- formula against oracle: each DIFFS row writes a module file and runs
+  `fourspace homdim` on it with and without --oracle, and the two outputs
+  must be equal and have the expected number of lines;
+- `fourspace decompose` of catalog modules and of a disguised sum;
+- error paths that must print one `error:` line and no traceback.
+
+A new formula/oracle scenario is one DIFFS row.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import re
+import subprocess
+import sys
+import tempfile
+from fractions import Fraction
+from typing import NamedTuple
+
+from fourspace import (
+    QQ,
+    EnumerationBounds,
+    LambdaModule,
+    PrimeField,
+    build,
+    module_direct_sum,
+    module_to_record,
+    parse_descriptor,
+    run_sweep,
+    zero_module,
+)
+from fourspace.verify import disguised_sum
+
+VERIFY = [
+    "--trials 2",
+    "--trials 2 --prime 2",
+    "--trials 2 --prime 2147483647",
+    "--trials 4 --max-n 16 --max-l 8",
+    "--trials 4 --max-n 16 --max-l 8 --prime 3",
+]
+
+NON_EMPTY = None
+
+
+class Diff(NamedTuple):
+    """`fourspace homdim file args` against the same with --oracle.
+
+    The module is the sum of summands over field, disguised by
+    disguised_sum with random.Random(seed) (seed None: the plain sum), its
+    letters then scaled by `scale`; it must have dimension vector dim.
+    """
+
+    file: str
+    field: object
+    summands: str
+    seed: int | None
+    dim: tuple
+    args: str
+    lines: int | None  # expected line count, or NON_EMPTY
+    no_zero: bool = False  # no line may read 0
+    scale: Fraction = Fraction(1)
+
+
+GF2, GF3, GF32003 = PrimeField(2), PrimeField(3), PrimeField(32003)
+DEEP = " ".join(f"P({n},{j}) I({n},{j})" for n in (8, 10, 12) for j in (1, 2, 3, 4))
+WIDE = "P(4,0) P(5,2) I(5,0) I(6,3) R(1,2) R(2,2) R(1,3,0) R(0,4,1)"
+
+DIFFS = [
+    Diff("r.json", QQ, "R(2,7/3)", None, (4, 2, 2, 2, 2),
+         "--all --max-n 3 --max-l 2 --lambda 7/3", NON_EMPTY),
+    # scaled by 1/7, s.json's letters hold Fractions
+    Diff("s.json", QQ, "R(2,7/3) P(3,1) I(2,0)", 7, (13, 6, 7, 7, 7),
+         "--all --max-n 6 --max-l 3 --lambda 7/3", 109, scale=Fraction(1, 7)),
+    Diff("s.json", QQ, "R(2,7/3) P(3,1) I(2,0)", 7, (13, 6, 7, 7, 7),
+         DEEP, 24, no_zero=True, scale=Fraction(1, 7)),
+    Diff("g3.json", GF3, "I(1,0) P(2,1)", 1, (6, 4, 3, 3, 3),
+         "P(4,3) P(6,2) I(8,3) P(8,4)", 4),
+    Diff("g3.json", GF3, "I(1,0) P(2,1)", 1, (6, 4, 3, 3, 3),
+         "--all --max-n 8 --max-l 4 --lambda 2", NON_EMPTY),
+    Diff("g2.json", GF2, "P(7,2) I(6,1) R(0,3,1)", 3, (17, 10, 8, 8, 8),
+         "--all --max-n 12 --max-l 4", 178),
+    Diff("w5.json", GF32003, "P(4,0) I(5,0) R(1,2)", 4, (22, 11, 11, 11, 11),
+         "--all --max-n 8 --max-l 4 --lambda 2", 142),
+    Diff("q5.json", QQ, "P(4,0) I(5,0) R(1,2)", 4, (22, 11, 11, 11, 11), WIDE, 8),
+    # an empty vertex
+    Diff("z4.json", GF32003, "P(0,0) P(0,0) P(0,1) P(0,2) P(0,3) I(0,1)", 2, (5, 2, 1, 1, 0),
+         "--all --max-n 6 --max-l 3", 112),
+]
+
+# `fourspace decompose` of a module written by `fourspace catalog` names it
+DECOMPOSE = [("R(2,7/3)", "--max-n 2 --max-l 2 --lambda 7/3")] + [
+    (d, "--max-n 3 --max-l 2")
+    for d in ("R(0,3,0)", "R(1,3,0)", "R(0,3,1)", "R(1,3,1)", "R(0,3,inf)", "R(1,4,inf)",
+              "P(3,4)", "I(2,3)")
+]
+
+failures = []
+
+
+def check(name, ok, why=""):
+    print(f"ok {name}" if ok else f"FAIL {name}: {why}", flush=True)
+    if not ok:
+        failures.append(name)
+
+
+def fourspace(args):
+    """(exit status, stdout, stderr) of the console script."""
+    proc = subprocess.run(["fourspace", *args], capture_output=True, encoding="utf-8")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def write_module(path, m):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(module_to_record(m), fh)
+
+
+def module(field, summands, seed=None):
+    """The sum of the summands, disguised with random.Random(seed) unless
+    seed is None."""
+    descs = [parse_descriptor(s, field) for s in summands.split()]
+    if seed is not None:
+        return disguised_sum(field, descs, random.Random(seed))
+    m = zero_module(field)
+    for d in descs:
+        m = module_direct_sum(m, build(d, field))
+    return m
+
+
+def run_diff(row):
+    name = f"homdim {row.file} {row.args}"
+    m = module(row.field, row.summands, row.seed)
+    m = LambdaModule(*(x.scale(row.scale) for x in m.mats()))
+    if m.dim_vector() != row.dim:
+        return check(name, False, f"dimension vector {m.dim_vector()}, expected {row.dim}")
+    write_module(row.file, m)
+    args = ["homdim", row.file, *row.args.split()]
+    code, formula, err = fourspace(args)
+    if code:
+        return check(name, False, err.strip())
+    code, oracle, err = fourspace(args + ["--oracle"])
+    if code:
+        return check(name, False, f"--oracle: {err.strip()}")
+    lines = formula.splitlines()
+    if formula != oracle:
+        return check(name, False, "formula and oracle differ")
+    if row.lines is NON_EMPTY and not lines:
+        return check(name, False, "no output")
+    if row.lines is not NON_EMPTY and len(lines) != row.lines:
+        return check(name, False, f"{len(lines)} lines, expected {row.lines}")
+    if row.no_zero and any(x.endswith("\t0") for x in lines):
+        return check(name, False, "a line reads 0")
+    check(name, True)
+
+
+def one_error_line(name, args, pattern, status=None):
+    """The command exits nonzero (with status, if given) and prints one
+    stderr line, which matches pattern."""
+    code, _, err = fourspace(args)
+    failed = code == status if status else code != 0
+    lines = err.splitlines()
+    check(name, failed and len(lines) == 1 and re.search(pattern, lines[0]),
+          f"exit {code}, stderr {err.strip()!r}")
+
+
+def main():
+    for args in VERIFY:
+        code, out, err = fourspace(["verify", *args.split()])
+        check(f"verify {args}", code == 0, (out + err).strip().rpartition("\n")[2])
+    bounds = EnumerationBounds(3, 3, (2, Fraction(7, 3)))
+    check("run_sweep QQ", run_sweep(QQ, bounds, 4, 0) == [], "mismatches")
+
+    for row in DIFFS:
+        run_diff(row)
+
+    for desc, bounds in DECOMPOSE:
+        _, record, _ = fourspace(["catalog", desc])
+        with open("c.json", "w", encoding="utf-8") as fh:
+            fh.write(record)
+        code, out, err = fourspace(["decompose", "c.json", *bounds.split()])
+        check(f"decompose {desc}", code == 0 and out == f"1 × {desc}\n", (out + err).strip())
+    # s.json as the DIFFS rows left it
+    code, out, err = fourspace(["decompose", "s.json", "--max-n", "6", "--max-l", "3",
+                                "--lambda", "7/3"])
+    want = ["1 × I(2,0)", "1 × P(3,1)", "1 × R(2,7/3)"]
+    check("decompose s.json", code == 0 and sorted(out.splitlines()) == want, (out + err).strip())
+    write_module("m.json", module(QQ, "I(3,1) I(2,1)"))
+    one_error_line("decompose m.json", ["decompose", "m.json", "--max-n", "2", "--max-l", "1"],
+                   "^error: incomplete-candidates:", status=1)
+
+    # a reader that leaves early gets no traceback
+    proc = subprocess.Popen(["fourspace", "catalog", "P(40,0)"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, encoding="utf-8")
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait()
+    check("catalog P(40,0) | head -1", "Traceback" not in err, err.strip().rpartition("\n")[2])
+    one_error_line("verify --trials x", ["verify", "--trials", "x"], "^error: parse-error:")
+    _, record, _ = fourspace(["catalog", "P(1,0)", "--field", "prime:7"])
+    record = json.loads(record)
+    record["field_spec"] = {"prime": "7"}
+    with open("p7.json", "w", encoding="utf-8") as fh:
+        json.dump(record, fh)
+    one_error_line("homdim p7.json", ["homdim", "p7.json", "P(0,0)"], "is not an integer")
+
+    if failures:
+        print(f"{len(failures)} failed: {'; '.join(failures)}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        status = main()
+    sys.exit(status)

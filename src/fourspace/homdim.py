@@ -33,11 +33,10 @@ leading block of the one with k + 1, so descriptors sharing (case key,
 sigma, lam) differ only in k and share one pass.  What a pass needs of its
 pattern alone is compiled once per process for each pattern and sigma,
 keyed by the pattern's content (_plan): the cells mapped to M's letter
-slots, the pairs of slots whose widths must agree, the slots that give W's
-width g, and for each fold its kernel keys, kept columns and blocks.  M's
-letters are converted once per call (field.integral), and so is each lam's
-coefficient table; a group checks its letter widths against its plan,
-fills each fold's grid from the call's kernel cache and eliminates it.
+slots, the slots that give W's width g, and for each fold its kernel
+keys, kept columns and blocks.  M's letters are converted once per call
+(field.integral), and so is each lam's coefficient table; a group fills
+each fold's grid from the call's kernel cache and eliminates it.
 From there on the pass holds the working rows of the field's elimination
 (_Field._eliminate), lists of Python ints: a fold returns its images as
 those rows, and every step and span test runs on them, so no result goes
@@ -281,37 +280,17 @@ def _coefficients(field, lam, integral=False):
 
 
 def _columns(cells):
-    """(first, pairs) of a cell grid: first[j] the letter of block column
-    j's first cell (None if it holds none), and (j, first[j], letter) for
-    each later cell of column j, in row-major order.  A block column is as
-    wide as its letters, so each pair must name letters of one width."""
-    first = [None] * len(cells[0])
-    pairs = []
-    for row in cells:
-        for j, cell in enumerate(row):
-            if cell is None:
-                continue
-            if first[j] is None:
-                first[j] = cell[0]
-            else:
-                pairs.append((j, first[j], cell[0]))
-    return first, pairs
-
-
-def _check_widths(width, pairs):
-    """Raise at the first of _columns' pairs whose letters' widths differ."""
-    for j, x, y in pairs:
-        if width[x] != width[y]:
-            raise AssertionError(f"inconsistent block widths in column {j}")
+    """The letter of each block column of a cell grid, None where it holds
+    no cell.  Every block column of every CASE_SPECS layout holds a single
+    letter, so a column is as wide as that letter."""
+    return [next((row[j][0] for row in cells if row[j]), None) for j in range(len(cells[0]))]
 
 
 def _widths(letters, cells):
     """The width of each block column of a cell grid over the four letter
-    arrays, 0 where the column holds no cell; its letters must agree."""
-    first, pairs = _columns(cells)
+    arrays, 0 where the column holds no cell."""
     width = {x: letters[i].shape[1] for x, i in _LETTER_INDEX.items()}
-    _check_widths(width, pairs)
-    return [0 if x is None else width[x] for x in first]
+    return [0 if x is None else width[x] for x in _columns(cells)]
 
 
 def _write(field, letters, cells, lam):
@@ -436,9 +415,10 @@ def _fold_plan(cells, own):
         else:
             coupled.append(j)
     keep = coupled + list(range(own, len(cells[0])))
+    first = _columns(cells)
     return _FoldPlan(
         tuple(tuple(sorted(x)) for x in singles),
-        tuple(next((row[j][0] for row in cells if row[j]), None) for j in keep),
+        tuple(first[j] for j in keep),
         tuple(tuple((jj, *row[j]) for jj, j in enumerate(keep) if row[j]) for row in cells),
         len(coupled),
     )
@@ -537,8 +517,7 @@ class _Plan(NamedTuple):
     """The pattern-only part of one (case pattern, sigma) staircase; see
     _plan."""
 
-    checks: tuple  # _columns' pairs in slots, for 0 copies and for >= 1
-    g: tuple  # the slots whose widths add up to W's width g
+    g: tuple  # the slots of W's block columns, whose widths add up to g
     head: _FoldPlan  # [H | E]
     rep: _FoldPlan  # [R_own | R_W | E]
     head_is_rep: bool
@@ -551,24 +530,14 @@ def _plan(kind, head, rep, overlap, sigma):
 
     Compiled once per process for each pattern and sigma: letter t of the
     pattern is M's letter in slot permute_slots(range(4), sigma^-1)[t].
-    The width checks are those of the layout with no copy and with one
-    (the head, a copy and the cap meet every constraint more copies
-    repeat), in order, pairs of one slot dropped, so a group raises where
-    the one matrix would.  The folds: the head with W on its tail rows,
-    [H | E], and the rep with its own columns first, [R_own | R_W | E].
-    The key is the content, so an edit to CASE_SPECS reaches the next
-    call.
+    The folds: the head with W on its tail rows, [H | E], and the rep with
+    its own columns first, [R_own | R_W | E].  The key is the content, so
+    an edit to CASE_SPECS reaches the next call.
     """
     slots = permute_slots(range(4), perm_inverse(sigma))
     slot = {x: slots[i] for x, i in _LETTER_INDEX.items()}
-    raw = {"kind": kind, "head": head, "rep": rep, "overlap": overlap}
-    checks = tuple(
-        tuple((j, slot[x], slot[y]) for j, x, y in _columns(_layout(raw, reps))[1]
-              if slot[x] != slot[y])
-        for reps in (0, 1)
-    )
     b, e, f = len(head[0]), len(overlap), len(overlap[0])
-    first = _columns(_layout(raw, 1))[0][b : b + f]
+    g = tuple(slot[x] for x in _columns(overlap))
     head, rep, overlap = (
         [[None if x is None else (slot[x[0]], x[1]) for x in row] for row in part]
         for part in (head, rep, overlap)
@@ -581,8 +550,7 @@ def _plan(kind, head, rep, overlap, sigma):
                            for i, row in enumerate(pattern)], own)
 
     return _Plan(
-        checks,
-        tuple(slot[x] for x in first if x is not None),
+        g,
         fold(head, b),
         fold([row[f:] + row[:f] for row in rep], len(rep[0]) - f),
         head == rep,
@@ -597,8 +565,8 @@ def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, kernels):
     gives, in M's slot order; the pattern reads letter t of
     permute_slots(letters, sigma^-1), through its _plan.  scalar is the
     call's integral coefficient table for the group's lam (_coefficients)
-    and kernels its cache of letter kernels (_kernel).  A group checks its letters'
-    widths against the plan, folds, and eliminates: nothing else.
+    and kernels its cache of letter kernels (_kernel).  A group folds and
+    eliminates: nothing else.
 
     One transfer recursion from the head towards max(wanted) copies; the
     state (z, s) splits the left kernel of the matrix so far by y_tail W,
@@ -641,7 +609,6 @@ def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, kernels):
     plan = _plan(raw["kind"], *(tuple(map(tuple, raw[part])) for part in ("head", "rep", "overlap")),
                  sigma)
     width = [x.shape[1] for x in letters]
-    _check_widths(width, plan.checks[min(top, 1)])
 
     def corank(z, s):
         return z if plan.capped else z + len(s)

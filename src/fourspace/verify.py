@@ -8,12 +8,13 @@ system, so agreement on random inputs certifies both.
 
 Trial modules alternate between two sources.  Even trials use modules
 with uniformly random entries; odd trials use direct sums of in-bounds
-catalog modules hidden behind a random base change.  The second source
-matters: a sign error in a tube case computes the hom dimension of a
-*different* tube (lam replaced by -lam), which agrees with the truth on
-entrywise-random modules with overwhelming probability and only breaks
-on inputs actually containing that tube.  Structured trials therefore
-always include one homogeneous summand when the bounds provide lambdas.
+catalog modules hidden behind a random base change (disguised_sum).  The
+second source matters: a sign error in a tube case computes the hom
+dimension of a *different* tube (lam replaced by -lam), which agrees with
+the truth on entrywise-random modules with overwhelming probability and
+only breaks on inputs actually containing that tube.  Structured trials
+therefore always include one homogeneous summand when the bounds provide
+lambdas.
 """
 
 from __future__ import annotations
@@ -49,6 +50,23 @@ class Mismatch:
     module: LambdaModule  # the trial module, to replay the mismatch
 
 
+def disguised_sum(field, descs, rng):
+    """The direct sum of build(d, field) for d in descs, in order, behind a
+    random base change U (L_1, ..., L_4) diag(V_1, ..., V_4).
+
+    U is drawn from rng first, then V_1 .. V_4.  This is the equivalence
+    the four-subspace problem is posed under (Gelfand & Ponomarev, 1970),
+    so the result is isomorphic to the plain sum, but its letters are
+    dense.  An empty descs gives the zero module.
+    """
+    m = zero_module(field)
+    for desc in descs:
+        m = module_direct_sum(m, build(desc, field))
+    u = random_invertible(field, m.n0, rng)
+    vs = [random_invertible(field, w.cols, rng) for w in m.mats()]
+    return base_change(m, u, vs)
+
+
 def structured_module(field, bounds, rng):
     """Random direct sum of in-bounds catalog modules, base-changed."""
     budget = [MAX_DIM] * 5
@@ -75,13 +93,7 @@ def structured_module(field, bounds, rng):
         desc = rng.choice(cands)
         if fits(desc):
             take(desc)
-
-    m = zero_module(field)
-    for desc in picks:
-        m = module_direct_sum(m, build(desc, field))
-    u = random_invertible(field, m.n0, rng)
-    vs = [random_invertible(field, w.cols, rng) for w in m.mats()]
-    return base_change(m, u, vs)
+    return disguised_sum(field, picks, rng)
 
 
 def run_sweep(field, bounds, trials, seed, report=None):

@@ -18,20 +18,18 @@ from itertools import permutations
 from fourspace import catalog as cat
 from fourspace.catalog import EnumerationBounds, declared_dim, enumerate_descriptors
 from fourspace.decomp import IncompleteCandidates, decompose
-from fourspace.exactmat import QQ, PrimeField, block_grid, hstack, mat, random_invertible, zeros
+from fourspace.exactmat import QQ, PrimeField, block_grid, hstack, mat, zeros
 from fourspace.homdim import CASE_SPECS, coeff_matrix, hom_dim, hom_vector
 from fourspace.modules import (
     PERM_CYCLE,
     LambdaModule,
-    base_change,
     dim_vector,
     euler_form,
-    module_direct_sum,
     permute_vertices,
     random_module,
 )
 from fourspace.oracle import hom_oracle
-from fourspace.verify import run_sweep, structured_module
+from fourspace.verify import disguised_sum, run_sweep, structured_module
 
 GF = PrimeField(32003)
 
@@ -201,26 +199,16 @@ def criterion_7_euler_lower_bound():
 # -- criterion 8: decomposition round trip ----------------------------------------
 
 
-def _assemble(picks, rng):
-    m = cat.build(picks[0], GF)
-    for desc in picks[1:]:
-        m = module_direct_sum(m, cat.build(desc, GF))
-    n = dim_vector(m)
-    u = random_invertible(GF, n[0], rng)
-    vs = [random_invertible(GF, n[i], rng) for i in range(1, 5)]
-    return base_change(m, u, vs)
-
-
 def criterion_8_decomposition_round_trip():
     rng = random.Random(0xD8)
     pool = enumerate_descriptors(DECOMP_BOUNDS)
     withheld = EnumerationBounds(3, 3, (5,))
     for trial in range(25):
         picks = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
-        m = _assemble(picks, rng)
+        m = disguised_sum(GF, picks, rng)
         assert decompose(m, DECOMP_BOUNDS) == dict(Counter(picks))
         if trial % 5 == 0:
-            with_tube = _assemble(picks + [cat.R(1, 2)], rng)
+            with_tube = disguised_sum(GF, picks + [cat.R(1, 2)], rng)
             try:
                 decompose(with_tube, withheld)
             except IncompleteCandidates:

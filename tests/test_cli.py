@@ -10,15 +10,11 @@ import pytest
 
 from fourspace import catalog as cat
 from fourspace.cli import main
-from fourspace.exactmat import QQ, PrimeField, random_invertible
+from fourspace.exactmat import QQ, PrimeField
 from fourspace.homdim import CASE_SPECS, hom_dim, hom_vector
-from fourspace.modules import (
-    base_change,
-    module_direct_sum,
-    module_from_record,
-    module_to_record,
-)
+from fourspace.modules import module_direct_sum, module_from_record, module_to_record
 from fourspace.oracle import hom_oracle
+from fourspace.verify import disguised_sum
 
 GF = PrimeField(32003)
 
@@ -104,12 +100,7 @@ def test_homdim_all_agrees_with_oracle_mode(capsys, tmp_path):
 
 
 def test_homdim_all_matches_hom_dim_on_disguised_sum(capsys, tmp_path):
-    rng = random.Random(6)
-    m = cat.build(cat.R(2, GF.coerce(5)), GF)
-    for desc in (cat.P(2, 1), cat.I(1, 3)):
-        m = module_direct_sum(m, cat.build(desc, GF))
-    u = random_invertible(GF, m.n0, rng)
-    m = base_change(m, u, [random_invertible(GF, x.cols, rng) for x in m.mats()])
+    m = disguised_sum(GF, [cat.R(2, GF.coerce(5)), cat.P(2, 1), cat.I(1, 3)], random.Random(6))
     path = write_module(tmp_path, m)
     code, out, _ = run(capsys, "homdim", path, "--all", "--max-n", "6", "--max-l", "4",
                        "--lambda", "2", "--lambda", "5")

@@ -12,14 +12,10 @@ from fourspace.catalog import (
     tube_lambda,
 )
 from fourspace.decomp import IncompleteCandidates, decompose, is_isomorphic
-from fourspace.exactmat import QQ, FieldMismatch, PrimeField, random_invertible
+from fourspace.exactmat import QQ, FieldMismatch, PrimeField
 from fourspace.homdim import hom_vector
-from fourspace.modules import (
-    LambdaModule,
-    base_change,
-    module_direct_sum,
-    zero_module,
-)
+from fourspace.modules import LambdaModule, module_direct_sum, zero_module
+from fourspace.verify import disguised_sum
 
 GF = PrimeField(32003)
 BOUNDS = EnumerationBounds(2, 2, (GF.coerce(2), GF.coerce(5)))
@@ -31,13 +27,12 @@ def candidates(field, bounds):
 
 
 def assemble(field, picks, rng=None):
+    """The sum of picks; with an rng, disguised behind a base change."""
+    if rng is not None:
+        return disguised_sum(field, picks, rng)
     m = zero_module(field)
     for d in picks:
         m = module_direct_sum(m, cat.build(d, field))
-    if rng is not None:
-        u = random_invertible(field, m.n0, rng)
-        vs = [random_invertible(field, w.cols, rng) for w in m.mats()]
-        m = base_change(m, u, vs)
     return m
 
 

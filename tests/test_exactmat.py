@@ -30,8 +30,9 @@ from fourspace.exactmat import (
     zeros,
 )
 from fourspace.homdim import coeff_matrix
-from fourspace.modules import LambdaModule, base_change, module_direct_sum
+from fourspace.modules import LambdaModule
 from fourspace.oracle import hom_basis, hom_system
+from fourspace.verify import disguised_sum
 
 GF = PrimeField(32003)
 
@@ -398,11 +399,7 @@ def _rational_inputs(module, rng):
     for _ in range(6):
         out.append(fractions(rng.randint(1, 7), rng.randint(1, 7)))
     # a disguised sum: base change spreads its letters into large integers
-    m = cat.build(cat.R(1, lam), QQ)
-    for d in (cat.P(1, 0), cat.I(1, 0)):
-        m = module_direct_sum(m, cat.build(d, QQ))
-    m = base_change(m, random_invertible(QQ, m.n0, rng),
-                    [random_invertible(QQ, x.cols, rng) for x in m.mats()])
+    m = disguised_sum(QQ, [cat.R(1, lam), cat.P(1, 0), cat.I(1, 0)], rng)
     out += m.mats()
     out.append(hstack(m.mats()))
     zero_row = zeros(QQ, 1, 5)

@@ -33,6 +33,7 @@ from fourspace.modules import (
     random_module,
 )
 from fourspace.oracle import hom_oracle
+from fourspace.verify import disguised_sum
 
 GF = PrimeField(32003)
 GF101 = PrimeField(101)
@@ -249,14 +250,6 @@ def _tubes(field, depths=(1, 4)):
     return [cat.R(l, lam) for lam in dict.fromkeys(lams) for l in depths]
 
 
-def _disguised(field, picks, rng, invertible=random_invertible):
-    m = cat.build(picks[0], field)
-    for desc in picks[1:]:
-        m = module_direct_sum(m, cat.build(desc, field))
-    u = invertible(field, m.n0, rng)
-    return base_change(m, u, [invertible(field, x.cols, rng) for x in m.mats()])
-
-
 def test_deep_descriptors_cover_every_case():
     cases = [cat.case(d, GF) for d in DEEP_DESCS]
     assert {key for key, _, _, _ in cases} == set(CASE_SPECS)
@@ -281,7 +274,7 @@ def test_hom_vector_matches_hom_dim_and_oracle(field):
     modules = [
         LambdaModule(*(random_matrix(field, dims[0], n, rng) for n in dims[1:]))
         for dims in ((4, 2, 1, 2, 3), (3, 1, 2, 1, 1))
-    ] + [_disguised(field, [held, cat.P(1, 0), cat.I(0, 2)], rng)]
+    ] + [disguised_sum(field, [held, cat.P(1, 0), cat.I(0, 2)], rng)]
     for m in modules:
         got = hom_vector(m, descs)
         assert got == [hom_dim(m, d) for d in descs]
@@ -466,7 +459,7 @@ def test_hom_vector_clears_the_tail_pivots_of_a_copy(field):
     for seed in range(10):
         rng = random.Random(seed)
         for picks in ([cat.I(1, 0), cat.P(2, 1)], [cat.P(1, 0), cat.I(2, 3)]):
-            m = _disguised(field, picks, rng)
+            m = disguised_sum(field, picks, rng)
             assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
 
 
@@ -530,7 +523,7 @@ def test_steps_leave_the_transfer_basis_alone(field, monkeypatch):
     # every step of a group reads the same T; none of them writes it
     rng = random.Random(0x7B)
     held = (_tubes(field) or [cat.R(0, 2, 0)])[0]
-    m = _disguised(field, [held, cat.P(2, 1), cat.I(1, 0)], rng)
+    m = disguised_sum(field, [held, cat.P(2, 1), cat.I(1, 0)], rng)
     descs = DEEP_DESCS + _tubes(field)
     bases = {}
     steps = []
@@ -564,7 +557,7 @@ LATE_FIXED_POINTS = {
 @pytest.mark.parametrize("field, picks, bounds", LATE_FIXED_POINTS.values(), ids=LATE_FIXED_POINTS)
 def test_hom_vector_extrapolates_past_a_late_fixed_point(field, picks, bounds, monkeypatch):
     rng = random.Random(5)
-    m = _disguised(field, picks, rng)
+    m = disguised_sum(field, picks, rng)
     # one staircase per case at every depth: the representatives (sigma the
     # identity) of the in-bounds descriptors
     descs = [d for d in enumerate_descriptors(EnumerationBounds(*bounds, (field.coerce(2),)))
@@ -614,7 +607,7 @@ def test_hom_vector_shuffled_with_duplicates(field, rng):
     descs = descs + rng.sample(descs, 20) + [cat.P(0, 0), cat.I(0, 3), cat.I(0, 0)]
     rng.shuffle(descs)
     for m in (random_module(field, rng, max_dim=3),
-              _disguised(field, [cat.R(2, lams[0]), cat.P(2, 1)], rng)):
+              disguised_sum(field, [cat.R(2, lams[0]), cat.P(2, 1)], rng)):
         assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
 
 
@@ -666,7 +659,7 @@ def test_hom_vector_deep_qq_staircases(rng, monkeypatch):
     # lie over 7 and 12797 in turn, so its letters hold Fractions of mixed
     # denominators
     picks = [cat.R(1, lam), cat.P(1, 0), cat.I(1, 0)]
-    modules = [_disguised(QQ, picks, rng), _disguised(QQ, picks, rng, _over_denominators)]
+    modules = [disguised_sum(QQ, picks, rng), _over_denominators(picks, rng)]
     denominators = {x.denominator for y in modules[1].mats() for x in y.data.flat}
     assert all(any(q % p == 0 for q in denominators) for p in (7, 12797))
     for m in modules:
@@ -674,11 +667,20 @@ def test_hom_vector_deep_qq_staircases(rng, monkeypatch):
         assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
 
 
-def _over_denominators(field, n, rng):
-    """A random invertible n x n matrix over QQ whose columns lie over 7
-    and 12797 in turn."""
-    d = [[Fraction(1, (7, 12797)[j % 2]) if i == j else 0 for j in range(n)] for i in range(n)]
-    return random_invertible(field, n, rng) @ mat(field, d, (n, n))
+def _over_denominators(picks, rng):
+    """disguised_sum over QQ, but with every random invertible matrix's
+    columns over 7 and 12797 in turn, so the letters hold Fractions of mixed
+    denominators."""
+
+    def invertible(n):
+        d = [[Fraction(1, (7, 12797)[j % 2]) if i == j else 0 for j in range(n)] for i in range(n)]
+        return random_invertible(QQ, n, rng) @ mat(QQ, d, (n, n))
+
+    m = cat.build(picks[0], QQ)
+    for desc in picks[1:]:
+        m = module_direct_sum(m, cat.build(desc, QQ))
+    u = invertible(m.n0)
+    return base_change(m, u, [invertible(x.cols) for x in m.mats()])
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
@@ -695,7 +697,7 @@ def test_hom_vector_eliminates_forward_only(field, monkeypatch):
 
     monkeypatch.setattr(field, "_eliminate", spied)
     lams = (field.coerce(2), field.coerce(Fraction(7, 3)))
-    m = _disguised(field, [cat.R(2, lams[1]), cat.P(2, 1), cat.I(2, 0)], random.Random(3))
+    m = disguised_sum(field, [cat.R(2, lams[1]), cat.P(2, 1), cat.I(2, 0)], random.Random(3))
     descs = enumerate_descriptors(EnumerationBounds(6, 3, lams))
     assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
     assert calls and not any(calls)
@@ -708,7 +710,7 @@ def test_staircases_stay_in_elimination_rows(field, monkeypatch):
     # of them, runs only in _sparse_letters: the two-way echelons of
     # [A B C D] and of the four letters, 10 calls whatever is asked
     lams = (field.coerce(2), field.coerce(Fraction(7, 3)))
-    m = _disguised(field, [cat.R(1, lams[1]), cat.P(2, 1), cat.I(1, 0)], random.Random(5))
+    m = disguised_sum(field, [cat.R(1, lams[1]), cat.P(2, 1), cat.I(1, 0)], random.Random(5))
     deep = enumerate_descriptors(EnumerationBounds(6, 3, lams))
     assert len(deep) == 112
     calls = []
@@ -732,8 +734,7 @@ def test_hom_vector_reads_the_letters_once(monkeypatch):
     # sigma, lam) group reads them permuted: no group builds a permuted
     # module or converts the letters again
     lam = Fraction(7, 3)
-    m = _disguised(QQ, [cat.R(1, lam), cat.P(1, 0), cat.I(1, 0)], random.Random(9),
-                   _over_denominators)
+    m = _over_denominators([cat.R(1, lam), cat.P(1, 0), cat.I(1, 0)], random.Random(9))
     descs = [cat.P(3, 2), cat.I(4, 3), cat.R(1, 3, 1), cat.R(2, lam)]
     sigmas = {cat.case(d, QQ)[1] for d in descs}
     assert len(sigmas) == len(descs) and PERM_IDENTITY in sigmas
@@ -764,7 +765,7 @@ def test_sparse_letters_are_an_isomorphic_module(field):
     modules = [
         LambdaModule(*(random_matrix(field, dims[0], n, rng) for n in dims[1:]))
         for dims in ((0, 2, 1, 0, 3), (3, 0, 2, 0, 1), (4, 2, 1, 2, 3), (5, 3, 3, 3, 3))
-    ] + [_disguised(field, picks, rng) for picks in (
+    ] + [disguised_sum(field, picks, rng) for picks in (
         [cat.P(1, 0), cat.I(2, 1), cat.R(0, 2, 0)],
         [cat.P(2, 1), cat.I(1, 0), cat.I(0, 3)],
     )]
@@ -781,8 +782,7 @@ def test_sparse_letters_are_an_isomorphic_module(field):
 def test_hom_vector_runs_on_sparse_integer_letters(monkeypatch):
     # a disguised sum's letters are dense; the staircases read those of a
     # sparse isomorphic copy, in Python ints
-    m = _disguised(QQ, [cat.R(2, 2), cat.P(2, 1), cat.I(2, 0)], random.Random(3),
-                   _over_denominators)
+    m = _over_denominators([cat.R(2, 2), cat.P(2, 1), cat.I(2, 0)], random.Random(3))
     dense = sum(x != 0 for a in m.mats() for x in a.data.flat)
     seen = []
     coranks = homdim._staircase_coranks
@@ -902,19 +902,95 @@ def test_plan_follows_an_edit_to_case_specs(monkeypatch):
     assert homdim._plan.cache_info().hits == hits + 1
 
 
-def test_inconsistent_block_width_raises_on_both_routes(monkeypatch):
-    # the rep's D cell becomes an A: its block column also holds the
-    # overlap's D, and A and D differ in width in the tagged module
+def _mixed_columns(spec, reps):
+    """The block columns of spec's layout with reps copies that hold more
+    than one letter."""
+    cells = homdim._layout(spec, reps)
+    return [j for j, column in enumerate(zip(*cells)) if len({c[0] for c in column if c}) > 1]
+
+
+def test_every_block_column_holds_one_letter():
+    # a block column is as wide as its letter (homdim._widths) and W as wide
+    # as its columns' letters (homdim._plan), with no check at run time: the
+    # table itself must keep one letter per block column, at every depth
+    # (the head, a copy and the cap meet all that more copies repeat)
+    for key, spec in CASE_SPECS.items():
+        for reps in range(4):
+            assert _mixed_columns(spec, reps) == [], (key, reps)
+        assert all(any(column) for column in zip(*spec["overlap"])), key
+    # an A in the P0 rep's D column mixes A and D, above the overlap's D
     rep = [list(row) for row in CASE_SPECS["P0"]["rep"]]
     assert rep[0][1] == ("D", -1)
     rep[0][1] = ("A", -1)
-    monkeypatch.setitem(CASE_SPECS, "P0", dict(CASE_SPECS["P0"], rep=rep))
-    m = tagged_module()
-    # P(1, 0) has no copy of rep; P(4, 0) has three
-    assert hom_vector(m, [cat.P(1, 0)]) == [coeff_matrix(m, cat.P(1, 0)).corank()]
-    with pytest.raises(AssertionError) as by_matrix:
-        coeff_matrix(m, cat.P(4, 0))
-    with pytest.raises(AssertionError) as by_vector:
-        hom_vector(m, [cat.P(1, 0), cat.P(4, 0)])
-    assert str(by_vector.value) == str(by_matrix.value)
-    assert "inconsistent block widths" in str(by_matrix.value)
+    assert _mixed_columns(dict(CASE_SPECS["P0"], rep=rep), 0) == []
+    assert _mixed_columns(dict(CASE_SPECS["P0"], rep=rep), 1) == [7]
+
+
+def _cycle_cells(cells):
+    """The cells of a grid that lie on a cycle of its block-row/block-column
+    graph, whose edges are the cells; every other cell is a bridge."""
+    edges = [(i, j) for i, row in enumerate(cells) for j, cell in enumerate(row) if cell]
+
+    def joined(skip):
+        # whether skip's row and column stay connected without it
+        seen, todo = {("r", skip[0])}, [("r", skip[0])]
+        while todo:
+            side, x = todo.pop()
+            for e in edges:
+                if e != skip and e[side == "c"] == x:
+                    node = ("c", e[1]) if side == "r" else ("r", e[0])
+                    if node not in seen:
+                        seen.add(node)
+                        todo.append(node)
+        return ("c", skip[1]) in seen
+
+    return [cells[i][j] for i, j in edges if joined((i, j))]
+
+
+def _tagged(spec):
+    """spec with each cell (letter, coeff) tagged (letter, (part, i, j))."""
+    out = dict(spec)
+    for part in ("head", "rep", "overlap"):
+        out[part] = [[c and (c[0], (part, i, j)) for j, c in enumerate(row)]
+                     for i, row in enumerate(spec[part])]
+    return out
+
+
+def test_cycle_cells_are_the_tube_block():
+    # only R_EVEN's 2x2 D/C block, lam cell included, lies on a cycle, in
+    # the head and in each copy; every other cell is a bridge, whose sign a
+    # -1 scaling of the block rows and columns on one side undoes
+    block = [(i, j) for i in (0, 1) for j in (0, 1)]
+    for key, spec in CASE_SPECS.items():
+        for reps in range(4):
+            got = sorted(tag for _, tag in _cycle_cells(homdim._layout(_tagged(spec), reps)))
+            want = [] if key != "R_EVEN" else sorted(
+                [("head", i, j) for i, j in block] + [("rep", i, j) for i, j in block] * reps)
+            assert got == want, (key, reps)
+
+
+def test_sign_flip_on_every_bridge_cell_is_invisible():
+    field, lam = PrimeField(7), 2
+    rng = random.Random(13)
+    mods = [module_direct_sum(cat.build(cat.R(2, lam), field), random_module(field, rng, 2))]
+    mods += [random_module(field, rng, 3) for _ in range(2)]
+    descs = {}
+    # every case, sigma and depth 0-3
+    for d in enumerate_descriptors(EnumerationBounds(7, 4, (lam,))):
+        if not homdim._is_closed_form(d):
+            key, _, param, _ = cat.case(d, field)
+            if CASE_SPECS[key]["reps"](param) <= 3:
+                descs.setdefault(key, []).append(d)
+    cycle = {(key, *tag) for key in CASE_SPECS for reps in range(4)
+             for _, tag in _cycle_cells(homdim._layout(_tagged(CASE_SPECS[key]), reps))}
+    bridges = [(key, part, i, j) for key, spec in CASE_SPECS.items()
+               for part in ("head", "rep", "overlap")
+               for i, row in enumerate(spec[part]) for j, cell in enumerate(row)
+               if cell and (key, part, i, j) not in cycle]
+    assert len(bridges) == 75
+    truth = {key: [hom_vector(m, ds) for m in mods] for key, ds in descs.items()}
+    for key, part, i, j in bridges:
+        with pytest.MonkeyPatch.context() as patched:
+            _flip_cell(patched, key, part, i, j)
+            for route in ROUTES.values():
+                assert [route(m, descs[key]) for m in mods] == truth[key], (key, part, i, j)

@@ -1,10 +1,18 @@
+import hashlib
+import json
+import random
+
 import pytest
 
-from fourspace.catalog import EnumerationBounds, InvalidParams
-from fourspace.exactmat import PrimeField
-from fourspace.verify import run_sweep
+from fourspace import catalog as cat
+from fourspace.catalog import EnumerationBounds, InvalidParams, declared_dim
+from fourspace.exactmat import QQ, PrimeField
+from fourspace.modules import dim_vector, module_direct_sum, module_to_record, zero_module
+from fourspace.oracle import hom_oracle
+from fourspace.verify import disguised_sum, run_sweep, structured_module
 
 BOUNDS = EnumerationBounds(1, 1, ())
+FIELDS = {"QQ": QQ, "GF2": PrimeField(2), "GF3": PrimeField(3), "GF32003": PrimeField(32003)}
 
 
 def test_run_sweep_rejects_negative_trials():
@@ -12,3 +20,53 @@ def test_run_sweep_rejects_negative_trials():
     with pytest.raises(InvalidParams, match="trials must be >= 0"):
         run_sweep(PrimeField(7), BOUNDS, -3, 0)
     assert run_sweep(PrimeField(7), BOUNDS, 0, 0) == []
+
+
+def _lambdas(field):
+    return tuple(x for x in map(field.coerce, (2, 5)) if x not in (field.zero, field.one))
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS)
+def test_disguised_sum_is_isomorphic_to_the_plain_sum(field):
+    descs = [cat.P(1, 0), cat.I(1, 2), cat.R(0, 3, 1)] + [cat.R(1, lam) for lam in _lambdas(field)[:1]]
+    summands = [cat.P(2, 1), cat.R(0, 2, 1), cat.I(1, 3)] + [cat.R(2, lam) for lam in _lambdas(field)]
+    plain = zero_module(field)
+    for d in summands:
+        plain = module_direct_sum(plain, cat.build(d, field))
+    m = disguised_sum(field, summands, random.Random(1))
+    assert dim_vector(m) == tuple(map(sum, zip(*(declared_dim(d) for d in summands))))
+    assert m != plain
+    for d in descs:
+        x = cat.build(d, field)
+        assert hom_oracle(m, x) == hom_oracle(plain, x), d.label()
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS)
+def test_disguised_sum_of_nothing_and_of_an_empty_vertex(field):
+    assert disguised_sum(field, [], random.Random(0)) == zero_module(field)
+    # vertex 4 stays empty
+    m = disguised_sum(field, [cat.P(0, 0), cat.P(0, 1), cat.I(0, 2)], random.Random(0))
+    assert dim_vector(m) == (2, 1, 1, 0, 0)
+    assert [hom_oracle(m, cat.build(d, field)) for d in (cat.P(0, 0), cat.I(0, 2))] == [1, 1]
+
+
+# sha256 prefixes of six structured_module draws from random.Random(5) at
+# bounds (3, 3, _lambdas(field)), as the inline sum and base change wrote
+# them before disguised_sum: the draw order, U and then V_1..V_4, is pinned
+STRUCTURED = {
+    "QQ": "4c6e9b9ad43217f7",
+    "GF2": "761d9fadb52648fe",
+    "GF3": "8f8999918838e900",
+    "GF32003": "aa72d1a899a31490",
+}
+
+
+@pytest.mark.parametrize("name", STRUCTURED)
+def test_structured_module_draws_are_unchanged(name):
+    field = FIELDS[name]
+    bounds = EnumerationBounds(3, 3, _lambdas(field))
+    rng = random.Random(5)
+    h = hashlib.sha256()
+    for _ in range(6):
+        h.update(json.dumps(module_to_record(structured_module(field, bounds, rng))).encode())
+    assert h.hexdigest()[:16] == STRUCTURED[name]
