@@ -74,7 +74,7 @@ class Diff(NamedTuple):
     scale: Fraction = Fraction(1)
 
 
-GF2, GF3, GF32003 = PrimeField(2), PrimeField(3), PrimeField(32003)
+GF2, GF3, GF7, GF32003 = PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003)
 DEEP = " ".join(f"P({n},{j}) I({n},{j})" for n in (8, 10, 12) for j in (1, 2, 3, 4))
 WIDE = "P(4,0) P(5,2) I(5,0) I(6,3) R(1,2) R(2,2) R(1,3,0) R(0,4,1)"
 
@@ -95,6 +95,9 @@ DIFFS = [
     Diff("w5.json", GF32003, "P(4,0) I(5,0) R(1,2)", 4, (22, 11, 11, 11, 11),
          "--all --max-n 8 --max-l 4 --lambda 2", 142),
     Diff("q5.json", QQ, "P(4,0) I(5,0) R(1,2)", 4, (22, 11, 11, 11, 11), WIDE, 8),
+    # exceptional tubes as summands, an even row among them
+    Diff("e7.json", GF7, "R(0,2,0) R(1,4,inf) R(1,2,1) P(3,2) I(2,4)", 5, (14, 7, 6, 7, 8),
+         "--all --max-n 5 --max-l 3 --lambda 3", 99),
     # an empty vertex
     Diff("z4.json", GF32003, "P(0,0) P(0,0) P(0,1) P(0,2) P(0,3) I(0,1)", 2, (5, 2, 1, 1, 0),
          "--all --max-n 6 --max-l 3", 112),

@@ -8,10 +8,13 @@ assembles its quadruple from identity / zero / exchange / Jordan /
 projection blocks.  canonical_form names the one placement: each
 subspace-vertex member (j = 1..4) of the P/I families, and each exceptional
 row, is a representative (the j = 1 member, R(0, m, 0)) with its slots
-permuted by a vertex permutation sigma.  case is the one dispatch on
-family, parity, size and lam: it names the representative's pattern by
-one of eight keys.  build reads the slot builder of that key, and homdim
-the staircase of that key.
+permuted by a vertex permutation sigma.  A pattern depends only on a
+descriptor's class: its family, its vertex or exceptional row, and the
+parity of its size.  _CLASSES holds the 31 classes, each with its key (one
+of eight) and sigma, asked of canonical_form once per class when the
+module loads.  case is the one dispatch per descriptor: it reads its
+class's entry and works out only its size and lam.  build reads the slot
+builder of case's key, and homdim the staircase of that key.
 """
 
 from __future__ import annotations
@@ -240,7 +243,8 @@ _CYCLE_POWERS = tuple(
 
 # sigma with build(R(s, m, lam)) == permute_vertices(build(R(0, m, 0)), sigma),
 # the same for the even and odd rows of each (s, lam): the one table that
-# places the exceptional rows, read by canonical_form and so by build
+# places the exceptional rows, read by canonical_form and so, through
+# _CLASSES, by case and build
 _EXCEPTIONAL_SIGMA = {
     (0, 0): PERM_IDENTITY,
     (1, 0): (2, 1, 4, 3),
@@ -280,27 +284,29 @@ _SLOTS = {
 def case(desc, field):
     """(key, sigma, size, lam): the one choice of pattern for desc.
 
-    sigma carries desc to its canonical_form representative, whose family
-    and parity pick one of eight keys, each naming one slot builder here
-    and one staircase pattern in homdim.CASE_SPECS.  size is the builder's
-    block size, lam the tube parameter in field (0 for the even exceptional
-    rows, which are R_EVEN at lam = 0), None where the pattern has none.
+    (key, sigma) is desc's class entry in _CLASSES: one of eight keys, each
+    naming one slot builder here and one staircase pattern in
+    homdim.CASE_SPECS, and the sigma that carries desc to its
+    canonical_form representative.  Only size and lam are read off desc
+    itself: size is the builder's block size, lam the tube parameter in
+    field (0 for the even exceptional rows, which are R_EVEN at lam = 0),
+    None where the pattern has none.
     """
-    rep, sigma = canonical_form(desc)
-    fam, params = rep.family, rep.params
-    if fam in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE):
-        # keys "P0", "P_ODD", "P_EVEN" and their "I" twins
+    fam, params = desc.family, desc.params
+    if fam == FAMILY_POSTPROJECTIVE or fam == FAMILY_PREINJECTIVE:
         n, j = params
         if j == 0:
-            return f"{fam}0", sigma, n, None
-        return f"{fam}_{'ODD' if n % 2 else 'EVEN'}", sigma, n // 2, None
+            return (*_CLASSES[fam, 0, 0], n, None)
+        return (*_CLASSES[fam, j, n % 2], n // 2, None)
     if fam == FAMILY_REGULAR_HOMOGENEOUS:
         l, lam = params
-        return "R_EVEN", sigma, l, tube_lambda(field, lam)
-    _, m, _ = params
-    if m % 2 == 0:
-        return "R_EVEN", sigma, m // 2, field.zero
-    return "R_ODD", sigma, (m + 1) // 2, None
+        return (*_CLASSES[fam], l, tube_lambda(field, lam))
+    if fam == FAMILY_REGULAR_EXCEPTIONAL:
+        s, m, lam = params
+        if m % 2 == 0:
+            return (*_CLASSES[fam, s, _lam_key(lam), 0], m // 2, field.zero)
+        return (*_CLASSES[fam, s, _lam_key(lam), 1], (m + 1) // 2, None)
+    raise InvalidParams(f"unknown family {fam!r}")
 
 
 def build(desc, field):
@@ -318,6 +324,7 @@ def canonical_form(desc):
     member, and sigma the 4-cycle applied j - 1 times; that of an
     exceptional row R(s, m, lam) is R(0, m, 0), with sigma from
     _EXCEPTIONAL_SIGMA.  Every other module is its own representative.
+    Asked once per class to fill _CLASSES; case reads that table instead.
     """
     fam, params = desc.family, desc.params
     if fam in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE):
@@ -332,6 +339,48 @@ def canonical_form(desc):
         s, m, lam = params
         return R(0, m, 0), _EXCEPTIONAL_SIGMA[(s, _lam_key(lam))]
     raise InvalidParams(f"unknown family {fam!r}")
+
+
+def _pattern_key(rep):
+    """The case key of a canonical_form representative: its family and the
+    parity of its size."""
+    fam, params = rep.family, rep.params
+    if fam in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE):
+        # keys "P0", "P_ODD", "P_EVEN" and their "I" twins
+        n, j = params
+        if j == 0:
+            return f"{fam}0"
+        return f"{fam}_{'ODD' if n % 2 else 'EVEN'}"
+    if fam == FAMILY_REGULAR_HOMOGENEOUS:
+        return "R_EVEN"
+    return "R_ODD" if params[1] % 2 else "R_EVEN"
+
+
+def _class_members():
+    """(class, one member of it) for each of the 31 classes case reads: P/I
+    by (family, vertex, size parity), one class (parity 0) at the center; the
+    homogeneous tubes as one class; the exceptional rows by (s, lam, row
+    parity)."""
+    for fam, make in ((FAMILY_POSTPROJECTIVE, P), (FAMILY_PREINJECTIVE, I)):
+        yield (fam, 0, 0), make(0, 0)
+        for j in range(1, 5):
+            for parity in (0, 1):
+                yield (fam, j, parity), make(parity, j)
+    yield FAMILY_REGULAR_HOMOGENEOUS, R(1, 2)
+    for s in (0, 1):
+        for lam in (0, 1, INF):
+            for parity in (0, 1):
+                yield (FAMILY_REGULAR_EXCEPTIONAL, s, _lam_key(lam), parity), R(s, 2 - parity, lam)
+
+
+def _class_entry(member):
+    rep, sigma = canonical_form(member)
+    return _pattern_key(rep), sigma
+
+
+# class -> (key, sigma), read by case: placement stays canonical_form's,
+# asked once per class when the module loads, never per descriptor
+_CLASSES = {cls: _class_entry(member) for cls, member in _class_members()}
 
 
 # -- declared dimension vectors ----------------------------------------------

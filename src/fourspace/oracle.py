@@ -27,9 +27,14 @@ against the pivots found before it, left to right.  A row of relation t
 meets the F_t columns first, which no other relation's rows share, so
 its reductions there stay within relation t's own pivots; F_0 meets
 every relation, and with its columns first every row would be reduced
-against the pivots of all four.  Rank ignores column order, so the
-answer is the plain system's nullity; hom_system rolls the columns back,
-and it, its offsets and hom_basis keep the F_0-first layout above.
+against the pivots of all four.  _system also writes each relation with
+the opposite sign, as L_X F_t - F_0 L_M: a row's first entry is then an
+entry of X's letter, not its negative, and the pivots the loop meets
+first in the F_t columns are the catalog's 1s, which need no inverse to
+clear below.  Neither rank nor column order changes the null space, so
+the answer is the plain system's nullity; hom_system rolls the columns
+back and negates the rows back, and it, its offsets and hom_basis keep
+the F_0-first layout and the sign above.
 """
 
 from __future__ import annotations
@@ -71,11 +76,13 @@ def _system(M, X):
     columns in elimination order F_1, .., F_4, F_0, and the offsets of the
     F_0-first layout.
 
-    Relation t's rows are (a, b) for the entry (a, b) of F_0 L_M - L_X F_t,
-    a < m_0 and b < n_t.  Seen as 4-D, its F_0 block is (a, b, a', k),
-    which holds L_M[k, b] where a' = a, and its F_t block (a, b, i, b'),
-    which holds -L_X[a, i] where b' = b: each is written through a strided
-    view, with no Kronecker product.
+    Relation t's rows are (a, b) for the entry (a, b) of L_X F_t - F_0 L_M,
+    a < m_0 and b < n_t: the negated relation, so that each row leads with
+    L_X's entry as it is, a unit pivot on the catalog's 0/1 letters.  Seen
+    as 4-D, its F_0 block is (a, b, a', k), which holds -L_M[k, b] where
+    a' = a, and its F_t block (a, b, i, b'), which holds L_X[a, i] where
+    b' = b: each is written through a strided view, with no Kronecker
+    product.
     """
     _check_same_field(M.field, X.field)
     field = M.field
@@ -89,19 +96,20 @@ def _system(M, X):
         r0, r = r, r + m[0] * n[t]
         # splitting the axes of a 2-D slice always gives a view
         a, b = diag[: m[0]], diag[: n[t]]
-        f0[r0:r].reshape(m[0], n[t], m[0], n[0])[a, :, a] = lm.data.T
+        f0[r0:r].reshape(m[0], n[t], m[0], n[0])[a, :, a] = field.reduce(-lm.data.T)
         ft = system[r0:r, offsets[t] - offsets[1] : offsets[t + 1] - offsets[1]]
-        ft.reshape(m[0], n[t], m[t], n[t])[:, b, :, b] = field.reduce(-lx.data)
+        ft.reshape(m[0], n[t], m[t], n[t])[:, b, :, b] = lx.data
     return system, offsets
 
 
 def hom_system(M, X):
     """Assemble the full relation system as an ExactMatrix (for inspection),
-    in the F_0-first layout of its offsets: _system's array with the
-    columns rolled back."""
+    in the F_0-first layout of its offsets and with the sign of
+    F_0 L_M - L_X F_t: _system's array with the columns rolled back and
+    negated, since _system writes each relation negated for its pivots."""
     system, offsets = _system(M, X)
     return HomSystem(
-        matrix=ExactMatrix._raw(M.field, np.roll(system, offsets[1], axis=1)),
+        matrix=ExactMatrix._raw(M.field, M.field.reduce(-np.roll(system, offsets[1], axis=1))),
         offsets=offsets,
         source_dim=dim_vector(M),
         target_dim=dim_vector(X),
@@ -112,10 +120,11 @@ def hom_oracle(M, X):
     """dim Hom(M, X) as the nullity of the assembled system.
 
     The rank is taken of _system's array as written, its columns in the
-    order F_1, .., F_4, F_0: each F_t column meets only relation t and
-    F_0 meets all four, so eliminating F_0 last keeps fill-in within each
-    relation.  Rank ignores column order; hom_system and its offsets keep
-    F_0 first.
+    order F_1, .., F_4, F_0 and its relations negated: each F_t column
+    meets only relation t and F_0 meets all four, so eliminating F_0 last
+    keeps fill-in within each relation, and the negated rows lead with
+    X's letter entries, unit pivots on catalog targets.  Rank ignores
+    column order and sign; hom_system and its offsets keep F_0 first.
     """
     system, offsets = _system(M, X)
     return offsets[5] - M.field.rank(system)

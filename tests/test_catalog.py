@@ -71,6 +71,56 @@ def test_canonical_form_reproduces_every_member():
         assert permute_vertices(build(rep, GF), sigma) == build(desc, GF)
 
 
+# -- the class table -----------------------------------------------------------
+
+
+def _reference_case(desc, field):
+    # case as it was derived per descriptor before the class table: from
+    # canonical_form's representative, its family, parity and size
+    rep, sigma = canonical_form(desc)
+    fam, params = rep.family, rep.params
+    if fam in (cat.FAMILY_POSTPROJECTIVE, cat.FAMILY_PREINJECTIVE):
+        n, j = params
+        if j == 0:
+            return f"{fam}0", sigma, n, None
+        return f"{fam}_{'ODD' if n % 2 else 'EVEN'}", sigma, n // 2, None
+    if fam == cat.FAMILY_REGULAR_HOMOGENEOUS:
+        l, lam = params
+        return "R_EVEN", sigma, l, cat.tube_lambda(field, lam)
+    _, m, _ = params
+    if m % 2 == 0:
+        return "R_EVEN", sigma, m // 2, field.zero
+    return "R_ODD", sigma, (m + 1) // 2, None
+
+
+def _answer(case_fn, desc, field):
+    try:
+        return case_fn(desc, field)
+    except InvalidParams:
+        return InvalidParams
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(7), GF], ids=repr)
+def test_case_table_matches_the_per_descriptor_derivation(fld):
+    # build and hom_vector both read case, so a wrong sigma or size would
+    # agree with the oracle; only this and declared_dim can catch it
+    descs = enumerate_descriptors(EnumerationBounds(24, 12, (2, 5)))
+    descs += [fam(n, j) for fam in (cat.P, cat.I) for n in (10**9, 10**9 + 1) for j in range(5)]
+    descs += [cat.R(s, m, lam) for s in (0, 1) for m in range(1, 9) for lam in (0, 1, INF)]
+    assert len(cat._CLASSES) == 31
+    for d in descs:
+        assert _answer(cat.case, d, fld) == _answer(_reference_case, d, fld), d
+    assert _answer(cat.case, IndecDescriptor("Q", (1, 0)), fld) is InvalidParams
+
+
+def test_warm_case_never_asks_canonical_form(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cat, "canonical_form", lambda desc: calls.append(desc))
+    for d in all_descriptors(4):
+        cat.case(d, GF)
+    assert calls == []
+
+
 # -- tube substitution identities --------------------------------------------
 
 

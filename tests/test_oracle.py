@@ -221,9 +221,10 @@ def test_system_matches_entrywise_relations(field, rng):
 @pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
 def test_oracle_system_is_written_in_elimination_order(fld, rng):
     # _system writes the F_1..F_4 columns, then F_0's, the order hom_oracle
-    # eliminates them in; hom_system rolls them back to the F_0-first
-    # layout its offsets describe.  Zero-dimensional vertices of the target
-    # (m_0 = 0) and of the source (n_t = 0) give empty blocks
+    # eliminates them in, each relation negated; hom_system rolls them back
+    # to the F_0-first layout its offsets describe and negates them back.
+    # Zero-dimensional vertices of the target (m_0 = 0) and of the source
+    # (n_t = 0) give empty blocks
     seen = set()
     for _ in range(40):
         n, d = ([rng.choice((0, 0, 1, 2, 3)) for _ in range(5)] for _ in range(2))
@@ -233,9 +234,41 @@ def test_oracle_system_is_written_in_elimination_order(fld, rng):
         sys_ = hom_system(m, x)
         assert sys_.offsets == offsets
         assert list(offsets) == [sum(d[v] * n[v] for v in range(k)) for k in range(6)]
-        assert np.array_equal(sys_.matrix.data, np.roll(system, offsets[1], axis=1))
+        assert np.array_equal(sys_.matrix.data, fld.reduce(-np.roll(system, offsets[1], axis=1)))
         assert sys_.matrix.data.dtype == system.dtype
         assert hom_oracle(m, x) == offsets[5] - fld.rank(sys_.matrix.data)
         seen.update({"m_0 = 0": d[0] == 0, "n_t = 0": 0 in n[1:],
                      "F_0 and F_t": bool(d[0] * n[0]) and offsets[5] > offsets[1]}.items())
     assert all((name, True) in seen for name in ("m_0 = 0", "n_t = 0", "F_0 and F_t")), seen
+
+
+def test_oracle_rows_lead_with_the_target_letter():
+    # _system writes relation t as L_X F_t - F_0 L_M: a row's first nonzero
+    # is X's letter entry, sign and all, so on the catalog's 0/1 letters
+    # every pivot the rank meets first in the F_t columns is 1
+    rng = random.Random(11)
+    m = random_module(GF, rng, max_dim=3)
+    n = dim_vector(m)
+    targets = [d for d in cat.enumerate_descriptors(cat.EnumerationBounds(3, 3))
+               if d.family != cat.FAMILY_REGULAR_HOMOGENEOUS]
+    assert len(targets) == 76
+    leads = 0
+    for desc in targets:
+        x = cat.build(desc, GF)
+        d = dim_vector(x)
+        system, offsets = oracle._system(m, x)
+        f0_start = offsets[5] - offsets[1]
+        r = 0
+        for t, lx in enumerate(x.mats(), start=1):
+            c0 = offsets[t] - offsets[1]
+            for row in range(r, r + d[0] * n[t]):
+                if not system[row, :f0_start].any():
+                    continue
+                col = int(np.flatnonzero(system[row])[0])
+                a, b = divmod(row - r, n[t])
+                i, b_col = divmod(col - c0, n[t])
+                assert 0 <= i < d[t] and b_col == b, (desc, t, row)
+                assert system[row, col] == lx[a, i] == 1, (desc, t, row)
+                leads += 1
+            r += d[0] * n[t]
+    assert leads
