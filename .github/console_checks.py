@@ -9,6 +9,8 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
 1 if any check failed.  The checks are:
 
 - `fourspace verify` runs, and one QQ run_sweep in-process;
+- hom_oracle against the nullity of hom_system's full matrix, both ways,
+  between each n_0 = 22 module of the DIFFS rows and random small modules;
 - formula against oracle: each DIFFS row writes a module file and runs
   `fourspace homdim` on it with and without --oracle, and the two outputs
   must be equal and have the expected number of lines;
@@ -36,12 +38,15 @@ from fourspace import (
     LambdaModule,
     PrimeField,
     build,
+    hom_oracle,
     module_direct_sum,
     module_to_record,
     parse_descriptor,
+    random_module,
     run_sweep,
     zero_module,
 )
+from fourspace.oracle import hom_system
 from fourspace.verify import disguised_sum
 
 VERIFY = [
@@ -168,6 +173,22 @@ def run_diff(row):
     check(name, True)
 
 
+def check_oracle_nullity(row, rng):
+    """hom_oracle, which ranks only what is left after each F_t is
+    eliminated, against the nullity of hom_system's full matrix: between
+    row's module and 4 random modules of dimension at most 4, both ways."""
+    m = module(row.field, row.summands, row.seed)
+    for _ in range(4):
+        x = random_module(row.field, rng, max_dim=4)
+        for a, b in ((m, x), (x, m)):
+            full = hom_system(a, b).matrix
+            got, want = hom_oracle(a, b), full.cols - full.rank()
+            if got != want:
+                return check(f"oracle nullity {row.file}", False,
+                             f"{a.dim_vector()} -> {b.dim_vector()}: {got}, nullity {want}")
+    check(f"oracle nullity {row.file}", True)
+
+
 def one_error_line(name, args, pattern, status=None):
     """The command exits nonzero (with status, if given) and prints one
     stderr line, which matches pattern."""
@@ -184,6 +205,10 @@ def main():
         check(f"verify {args}", code == 0, (out + err).strip().rpartition("\n")[2])
     bounds = EnumerationBounds(3, 3, (2, Fraction(7, 3)))
     check("run_sweep QQ", run_sweep(QQ, bounds, 4, 0) == [], "mismatches")
+    rng = random.Random(0)
+    for row in DIFFS:
+        if row.file in ("w5.json", "q5.json"):
+            check_oracle_nullity(row, rng)
 
     for row in DIFFS:
         run_diff(row)

@@ -15,7 +15,9 @@ each is reduced against the pivots found so far (``_reduce``), and its
 first entry left becomes a new pivot, whose form (``_pivot``) later rows
 are reduced with.  The working copy (``_start``), the loop and a row's
 reduction are also called on their own: homdim's staircase runs them on
-its own rows and keeps those rows from its first fold to its last step.
+its own rows and keeps those rows from its first fold to its last step,
+and the oracle writes its rows in that form (``_scaled``: a row times a
+scalar) and eliminates them.
 The loop runs on a list of Python-int rows, so a reduction costs only
 the entries it changes: residues over GF(p), and over QQ fraction-free
 primitive rows, one gcd pass per updated row.  QQ input that holds
@@ -200,6 +202,10 @@ class Rationals(_Field):
         # the form of a pivot is its row, primitive as every working row is
         return row
 
+    def _scaled(self, row, c):
+        # c times a working row, c a Python int
+        return [c * x for x in row]
+
     def _finish(self, rows, pivots, reduced):
         # forward: the primitive integer rows; reduced: each row over its
         # pivot (1 for the zero rows past the rank), so canonical Fractions
@@ -358,6 +364,11 @@ class PrimeField(_Field):
         for j, y in form:
             row[j] = y
         return form
+
+    def _scaled(self, row, c):
+        # c times a working row, c a residue
+        p = self.p
+        return [c * x % p for x in row]
 
     def _finish(self, rows, pivots, reduced):
         return rows

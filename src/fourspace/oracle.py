@@ -14,32 +14,37 @@ linear system; dim Hom(M, X) is its nullity.  With row-major vec,
 
 so relation t (L = A, B, C, D for t = 1..4) is the block row
 [I kron L_M^T, 0, .., -(L_X kron I), .., 0] of m_0 * n_t equations, with
-the second block in the columns of F_t.  This is asymptotically the slow
-route (the unknown count is sum of m_v * n_v) and exists as the
-independent reference for the structured formulas in homdim.
+the second block in the columns of F_t.  hom_system writes that plain
+system, each block through a strided view of its rows, with no Kronecker
+product formed.  Its unknown count is the sum of m_v * n_v: it is the
+slow route, kept as the independent reference for the structured
+formulas in homdim.
 
-_system writes those blocks straight into the system's rows, each
-through a 4-D view of its strided entries, with no Kronecker product
-formed, and puts the F_0 columns last: F_1, .., F_4, then F_0.
-hom_oracle takes the rank of that array (field.rank: the shared
-elimination loop, no echelon array built).  The loop reduces each row
-against the pivots found before it, left to right.  A row of relation t
-meets the F_t columns first, which no other relation's rows share, so
-its reductions there stay within relation t's own pivots; F_0 meets
-every relation, and with its columns first every row would be reduced
-against the pivots of all four.  _system also writes each relation with
-the opposite sign, as L_X F_t - F_0 L_M: a row's first entry is then an
-entry of X's letter, not its negative, and the pivots the loop meets
-first in the F_t columns are the catalog's 1s, which need no inverse to
-clear below.  Neither rank nor column order changes the null space, so
-the answer is the plain system's nullity; hom_system rolls the columns
-back and negates the rows back, and it, its offsets and hom_basis keep
-the F_0-first layout and the sign above.
+hom_oracle takes the same nullity without writing the system.  The F_t
+columns meet relation t alone.  Forward elimination of [L_X | I_{m_0}]
+gives an invertible E with E L_X = [R; 0], R of full row rank
+r_t = rank L_X; the rows of E below R are C_t, an echelon basis of X's
+left kernel.  The row operations E kron I_{n_t} turn relation t into
+
+    [E_R kron L_M^T | -(R kron I)]   over   [C_t kron L_M^T | 0]
+
+(E_R the rows of E above C_t): r_t * n_t rows independent in the F_t
+columns, which no other relation's rows share, and rows in F_0's
+columns alone.  So
+
+    dim Hom(M, X) = sum_v m_v n_v - sum_t r_t n_t
+                    - rank(stack_t C_t kron L_M^T),
+
+and only that residual, m_0 * n_0 columns wide, is ranked.  Both
+eliminations run the field's own loop (_Field._eliminate) on rows
+written in its working form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -62,72 +67,76 @@ class HomSystem:
     target_dim: tuple
 
 
-def _block_layout(M, X):
-    n = dim_vector(M)
-    m = dim_vector(X)
-    offsets = [0]
-    for v in range(5):
-        offsets.append(offsets[-1] + m[v] * n[v])
-    return n, m, tuple(offsets)
+def hom_system(M, X):
+    """Assemble the full relation system as an ExactMatrix (for inspection).
 
-
-def _system(M, X):
-    """The relation system as one canonical array of field.dtype, its
-    columns in elimination order F_1, .., F_4, F_0, and the offsets of the
-    F_0-first layout.
-
-    Relation t's rows are (a, b) for the entry (a, b) of L_X F_t - F_0 L_M,
-    a < m_0 and b < n_t: the negated relation, so that each row leads with
-    L_X's entry as it is, a unit pivot on the catalog's 0/1 letters.  Seen
-    as 4-D, its F_0 block is (a, b, a', k), which holds -L_M[k, b] where
-    a' = a, and its F_t block (a, b, i, b'), which holds L_X[a, i] where
-    b' = b: each is written through a strided view, with no Kronecker
-    product.
+    Relation t's rows are (a, b) for the entry (a, b) of F_0 L_M - L_X F_t,
+    a < m_0 and b < n_t.  Seen as 4-D, its F_0 block is (a, b, a', k),
+    which holds L_M[k, b] where a' = a, and its F_t block (a, b, i, b'),
+    which holds -L_X[a, i] where b' = b: each is written through a
+    strided view, with no Kronecker product.
     """
     _check_same_field(M.field, X.field)
     field = M.field
-    n, m, offsets = _block_layout(M, X)
-    total = offsets[5]
-    system = _zero_array(field, m[0] * sum(n[1:]), total)
-    f0 = system[:, total - offsets[1] :]
+    n, m = dim_vector(M), dim_vector(X)
+    offsets = tuple(accumulate((m[v] * n[v] for v in range(5)), initial=0))
+    system = _zero_array(field, m[0] * sum(n[1:]), offsets[5])
     diag = np.arange(max(m[0], *n[1:]))
     r = 0
     for t, (lm, lx) in enumerate(zip(M.mats(), X.mats()), start=1):
         r0, r = r, r + m[0] * n[t]
         # splitting the axes of a 2-D slice always gives a view
         a, b = diag[: m[0]], diag[: n[t]]
-        f0[r0:r].reshape(m[0], n[t], m[0], n[0])[a, :, a] = field.reduce(-lm.data.T)
-        ft = system[r0:r, offsets[t] - offsets[1] : offsets[t + 1] - offsets[1]]
-        ft.reshape(m[0], n[t], m[t], n[t])[:, b, :, b] = lx.data
-    return system, offsets
-
-
-def hom_system(M, X):
-    """Assemble the full relation system as an ExactMatrix (for inspection),
-    in the F_0-first layout of its offsets and with the sign of
-    F_0 L_M - L_X F_t: _system's array with the columns rolled back and
-    negated, since _system writes each relation negated for its pivots."""
-    system, offsets = _system(M, X)
-    return HomSystem(
-        matrix=ExactMatrix._raw(M.field, M.field.reduce(-np.roll(system, offsets[1], axis=1))),
-        offsets=offsets,
-        source_dim=dim_vector(M),
-        target_dim=dim_vector(X),
-    )
+        system[r0:r, : offsets[1]].reshape(m[0], n[t], m[0], n[0])[a, :, a] = lm.data.T
+        ft = system[r0:r, offsets[t] : offsets[t + 1]]
+        ft.reshape(m[0], n[t], m[t], n[t])[:, b, :, b] = field.reduce(-lx.data)
+    return HomSystem(matrix=ExactMatrix._raw(field, system), offsets=offsets,
+                     source_dim=n, target_dim=m)
 
 
 def hom_oracle(M, X):
-    """dim Hom(M, X) as the nullity of the assembled system.
+    """dim Hom(M, X), the nullity of hom_system's matrix, with each
+    relation's F_t columns eliminated once (see the module docstring).
 
-    The rank is taken of _system's array as written, its columns in the
-    order F_1, .., F_4, F_0 and its relations negated: each F_t column
-    meets only relation t and F_0 meets all four, so eliminating F_0 last
-    keeps fill-in within each relation, and the negated rows lead with
-    X's letter entries, unit pivots on catalog targets.  Rank ignores
-    column order and sign; hom_system and its offsets keep F_0 first.
+    The letters are read once, as working rows of the field's elimination
+    (field._start): X's as the rows of [A' B' C' D' I], M's as the
+    columns of A, B, C, D; over QQ each module in one integral scale, each
+    row primitive.  Relation t cuts [L_X | I] from the first and
+    eliminates it; its rows with a pivot at or past m_t, cut to I's
+    columns, are C_t.  Residual row (t, j, b) holds, in block a,
+    C_t[j, a] times column b of L_M: slice copies of the column, scaled
+    (field._scaled) where the entry is not 1.  Over QQ it is primitive,
+    since C_t's row and the column are.  A zero column of L_M would give
+    a zero row and is left out, and a relation with n_t = 0 has no rows.
+    Nonzero scales of rows leave every rank alone.
     """
-    system, offsets = _system(M, X)
-    return offsets[5] - M.field.rank(system)
+    _check_same_field(M.field, X.field)
+    field = M.field
+    n, m = dim_vector(M), dim_vector(X)
+    m0, n0 = m[0], n[0]
+    eye = np.eye(m0, dtype=field.dtype)
+    letters = field._start(np.hstack([y.data for y in X.mats()] + [eye]))
+    columns = field._start(np.vstack([y.data.T for y in M.mats()]))
+    nullity = sum(mv * nv for mv, nv in zip(m, n))
+    width, ident = m0 * n0, sum(m[1:])
+    residual = []
+    c1 = b1 = 0
+    for t in range(1, 5):
+        c0, c1, b0, b1 = c1, c1 + m[t], b1, b1 + n[t]
+        if not n[t]:
+            continue
+        rows = [row[c0:c1] + row[ident:] for row in letters]
+        r = bisect_left(field._eliminate(rows, m[t] + m0, False), m[t])
+        nullity -= r * n[t]
+        cols = [col for col in columns[b0:b1] if any(col)]
+        for row in rows[r:]:
+            blocks = [(a * n0, c) for a, c in enumerate(row[m[t]:]) if c]
+            for col in cols:
+                out = [0] * width
+                for s, c in blocks:
+                    out[s : s + n0] = col if c == 1 else field._scaled(col, c)
+                residual.append(out)
+    return nullity - len(field._eliminate(residual, width, False))
 
 
 def hom_basis(M, X):

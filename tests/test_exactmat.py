@@ -34,6 +34,8 @@ from fourspace.modules import LambdaModule
 from fourspace.oracle import hom_basis, hom_system
 from fourspace.verify import disguised_sum
 
+from reference import reference_rref
+
 GF = PrimeField(32003)
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -300,39 +302,10 @@ def test_every_matrix_is_one_read_only_canonical_array(field, rng):
 
 # -- cross-check against an independent reference eliminator ----------------
 #
-# field.echelon backs both hom routes (coefficient-matrix corank and oracle
-# nullity), so verify alone cannot see a bug in it.  The reference below is
-# a deliberately naive Gauss-Jordan on Python ints (mod p) or Fractions: no
-# numpy, nothing shared with the package.  It skips only zero factors, so the
-# ~100-row inputs below stay affordable.
-
-
-def reference_rref(rows, p=None):
-    """(pivot columns, reduced row echelon form); p=None means QQ."""
-    if p is None:
-        a = [[Fraction(x) for x in row] for row in rows]
-    else:
-        a = [[int(x) % p for x in row] for row in rows]
-    pivots = []
-    for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        hits = [i for i in range(r, len(a)) if a[i][c] != 0]
-        if not hits:
-            continue
-        a[r], a[hits[0]] = a[hits[0]], a[r]
-        if p is None:
-            a[r] = [x / a[r][c] if x else x for x in a[r]]
-        else:
-            s = pow(a[r][c], p - 2, p)
-            a[r] = [x * s % p for x in a[r]]
-        for i in range(len(a)):
-            f = a[i][c]
-            if i != r and f:
-                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
-                if p is not None:
-                    a[i] = [x % p for x in a[i]]
-        pivots.append(c)
-    return pivots, a
+# The loop behind field.echelon backs both hom routes (coefficient-matrix
+# corank and oracle nullity), so verify alone cannot see a bug in it.
+# reference_rref (tests/reference.py) is a deliberately naive Gauss-Jordan
+# that shares nothing with the package.
 
 
 REFERENCE_FIELDS = [QQ, PrimeField(2), GF, PrimeField(2**31 - 1)]

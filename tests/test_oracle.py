@@ -1,12 +1,9 @@
-import random
 from fractions import Fraction
 from itertools import permutations
 
-import numpy as np
 import pytest
 
 from fourspace import catalog as cat
-from fourspace import oracle
 from fourspace.exactmat import (
     QQ,
     FieldMismatch,
@@ -28,6 +25,8 @@ from fourspace.modules import (
     zero_module,
 )
 from fourspace.oracle import check_hom, hom_basis, hom_oracle, hom_system
+
+from reference import reference_rref
 
 GF = PrimeField(32003)
 
@@ -218,57 +217,56 @@ def test_system_matches_entrywise_relations(field, rng):
         assert sys_.matrix == mat(field, want, shape=(len(want), off[5]))
 
 
+# -- the block step against an independent nullity -------------------------------
+
+
+def _reference_nullity(m, x):
+    # hom_system's nullity, taken by the naive reference eliminator, which
+    # shares nothing with the package's elimination loop
+    field, a = m.field, hom_system(m, x).matrix
+    p = field.p if isinstance(field, PrimeField) else None
+    return a.cols - len(reference_rref(a.data, p)[0])
+
+
 @pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
-def test_oracle_system_is_written_in_elimination_order(fld, rng):
-    # _system writes the F_1..F_4 columns, then F_0's, the order hom_oracle
-    # eliminates them in, each relation negated; hom_system rolls them back
-    # to the F_0-first layout its offsets describe and negates them back.
-    # Zero-dimensional vertices of the target (m_0 = 0) and of the source
-    # (n_t = 0) give empty blocks
+def test_oracle_equals_reference_nullity(fld, rng):
+    # hom_oracle ranks only the residual C_t kron L_M^T left by eliminating
+    # each F_t once; the full system's nullity must agree.  Low-rank
+    # targets have letters with 0 < rank < m_0 and rank < m_t, so r_t < m_t
+    # and C_t is a kernel whose entries are not all 0 and 1.  Each target
+    # is also its own source: the identity has F_0 = I, so the residual
+    # drops rank there
+    sources = [random_module(fld, rng, max_dim=3) for _ in range(4)]
+    sources += [_low_rank_module(fld, rng, 3) for _ in range(4)]
+    targets = [random_module(fld, rng, max_dim=3) for _ in range(4)]
+    targets += [_low_rank_module(fld, rng, 3) for _ in range(8)]
+    targets += [cat.build(d, fld) for d in _oracle_targets(fld)]
+    seen = set()
+    for i, x in enumerate(targets):
+        for m in (sources[i % len(sources)], x):
+            assert hom_oracle(m, x) == _reference_nullity(m, x), (i, dim_vector(m), dim_vector(x))
+        seen.add(any(0 < y.rank() < min(y.rows, y.cols) for y in x.mats()))
+    assert True in seen
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
+def test_oracle_on_empty_vertices(fld, rng):
+    # zero-dimensional vertices give empty blocks: m_0 = 0 (no equations),
+    # n_0 = 0 (no F_0 unknowns), n_t = 0 (no rows in relation t) and
+    # m_t = 0 (no F_t unknowns, C_t = I); hom_system keeps the F_0-first
+    # layout its offsets describe, and hom_oracle its nullity
     seen = set()
     for _ in range(40):
         n, d = ([rng.choice((0, 0, 1, 2, 3)) for _ in range(5)] for _ in range(2))
         m, x = (LambdaModule(*(random_matrix(fld, dims[0], k, rng) for k in dims[1:]))
                 for dims in (n, d))
-        system, offsets = oracle._system(m, x)
         sys_ = hom_system(m, x)
-        assert sys_.offsets == offsets
+        offsets = sys_.offsets
         assert list(offsets) == [sum(d[v] * n[v] for v in range(k)) for k in range(6)]
-        assert np.array_equal(sys_.matrix.data, fld.reduce(-np.roll(system, offsets[1], axis=1)))
-        assert sys_.matrix.data.dtype == system.dtype
-        assert hom_oracle(m, x) == offsets[5] - fld.rank(sys_.matrix.data)
-        seen.update({"m_0 = 0": d[0] == 0, "n_t = 0": 0 in n[1:],
+        assert sys_.matrix.data.dtype == fld.dtype
+        assert hom_oracle(m, x) == _reference_nullity(m, x)
+        seen.update({"m_0 = 0": d[0] == 0, "n_0 = 0": n[0] == 0, "n_t = 0": 0 in n[1:],
+                     "m_t = 0": 0 in d[1:],
                      "F_0 and F_t": bool(d[0] * n[0]) and offsets[5] > offsets[1]}.items())
-    assert all((name, True) in seen for name in ("m_0 = 0", "n_t = 0", "F_0 and F_t")), seen
-
-
-def test_oracle_rows_lead_with_the_target_letter():
-    # _system writes relation t as L_X F_t - F_0 L_M: a row's first nonzero
-    # is X's letter entry, sign and all, so on the catalog's 0/1 letters
-    # every pivot the rank meets first in the F_t columns is 1
-    rng = random.Random(11)
-    m = random_module(GF, rng, max_dim=3)
-    n = dim_vector(m)
-    targets = [d for d in cat.enumerate_descriptors(cat.EnumerationBounds(3, 3))
-               if d.family != cat.FAMILY_REGULAR_HOMOGENEOUS]
-    assert len(targets) == 76
-    leads = 0
-    for desc in targets:
-        x = cat.build(desc, GF)
-        d = dim_vector(x)
-        system, offsets = oracle._system(m, x)
-        f0_start = offsets[5] - offsets[1]
-        r = 0
-        for t, lx in enumerate(x.mats(), start=1):
-            c0 = offsets[t] - offsets[1]
-            for row in range(r, r + d[0] * n[t]):
-                if not system[row, :f0_start].any():
-                    continue
-                col = int(np.flatnonzero(system[row])[0])
-                a, b = divmod(row - r, n[t])
-                i, b_col = divmod(col - c0, n[t])
-                assert 0 <= i < d[t] and b_col == b, (desc, t, row)
-                assert system[row, col] == lx[a, i] == 1, (desc, t, row)
-                leads += 1
-            r += d[0] * n[t]
-    assert leads
+    for name in ("m_0 = 0", "n_0 = 0", "n_t = 0", "m_t = 0", "F_0 and F_t"):
+        assert (name, True) in seen, seen
