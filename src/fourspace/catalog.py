@@ -250,13 +250,9 @@ _EXCEPTIONAL_SIGMA = {
     (1, 0): (2, 1, 4, 3),
     (0, 1): (3, 1, 4, 2),
     (1, 1): (1, 3, 2, 4),
-    (0, "inf"): (2, 1, 3, 4),
-    (1, "inf"): (1, 2, 4, 3),
+    (0, INF): (2, 1, 3, 4),
+    (1, INF): (1, 2, 4, 3),
 }
-
-
-def _lam_key(lam):
-    return "inf" if lam is INF else int(lam)
 
 
 def tube_lambda(field, lam):
@@ -304,8 +300,8 @@ def case(desc, field):
     if fam == FAMILY_REGULAR_EXCEPTIONAL:
         s, m, lam = params
         if m % 2 == 0:
-            return (*_CLASSES[fam, s, _lam_key(lam), 0], m // 2, field.zero)
-        return (*_CLASSES[fam, s, _lam_key(lam), 1], (m + 1) // 2, None)
+            return (*_CLASSES[fam, s, lam, 0], m // 2, field.zero)
+        return (*_CLASSES[fam, s, lam, 1], (m + 1) // 2, None)
     raise InvalidParams(f"unknown family {fam!r}")
 
 
@@ -337,7 +333,7 @@ def canonical_form(desc):
         return desc, PERM_IDENTITY
     if fam == FAMILY_REGULAR_EXCEPTIONAL:
         s, m, lam = params
-        return R(0, m, 0), _EXCEPTIONAL_SIGMA[(s, _lam_key(lam))]
+        return R(0, m, 0), _EXCEPTIONAL_SIGMA[s, lam]
     raise InvalidParams(f"unknown family {fam!r}")
 
 
@@ -370,7 +366,7 @@ def _class_members():
     for s in (0, 1):
         for lam in (0, 1, INF):
             for parity in (0, 1):
-                yield (FAMILY_REGULAR_EXCEPTIONAL, s, _lam_key(lam), parity), R(s, 2 - parity, lam)
+                yield (FAMILY_REGULAR_EXCEPTIONAL, s, lam, parity), R(s, 2 - parity, lam)
 
 
 def _class_entry(member):
@@ -445,10 +441,10 @@ def declared_dim(desc):
         (1, 0): (2 * l - 1, l, l - 1, l, l - 1),
         (0, 1): (2 * l - 1, l, l, l - 1, l - 1),
         (1, 1): (2 * l - 1, l - 1, l - 1, l, l),
-        (0, "inf"): (2 * l - 1, l, l - 1, l - 1, l),
-        (1, "inf"): (2 * l - 1, l - 1, l, l, l - 1),
+        (0, INF): (2 * l - 1, l, l - 1, l - 1, l),
+        (1, INF): (2 * l - 1, l - 1, l, l, l - 1),
     }
-    return base[(s, _lam_key(lam))]
+    return base[s, lam]
 
 
 # -- enumeration --------------------------------------------------------------

@@ -7,17 +7,18 @@ Fractions, or int64 residues), and ``field.reduce`` brings an array
 expression back to canonical form.  Every matrix is one read-only 2-D
 array of that dtype, so zero-row / zero-column shapes are first-class and
 cor(1x0) = 1 works.  One Gaussian elimination loop serves both fields,
-with two exits: ``field.echelon`` returns the pivots and the echelon
-array, from which null space and inverse follow, and ``field.rank``
-returns the pivot count alone and builds no array, for callers that need
-nothing else.  The loop (``_eliminate``) takes the rows one at a time:
-each is reduced against the pivots found so far (``_reduce``), and its
-first entry left becomes a new pivot, whose form (``_pivot``) later rows
-are reduced with.  The working copy (``_start``), the loop and a row's
+with three exits: ``field.echelon`` returns the pivots and the echelon
+array, from which null space and inverse follow; ``field.rank`` the
+pivot count alone; and ``_split`` a kernel count and the rows past a
+column, for homdim and the oracle.  The last two build no array.  The
+loop (``_eliminate``) takes the rows one at a time: each is reduced
+against the pivots found so far (``_reduce``), and its first entry left
+becomes a new pivot, whose form (``_pivot``) later rows are reduced
+with.  The working copy (``_start``), the loop, the split and a row's
 reduction are also called on their own: homdim's staircase runs them on
 its own rows and keeps those rows from its first fold to its last step,
 and the oracle writes its rows in that form (``_scaled``: a row times a
-scalar) and eliminates them.
+scalar) and splits and eliminates them.
 The loop runs on a list of Python-int rows, so a reduction costs only
 the entries it changes: residues over GF(p), and over QQ fraction-free
 primitive rows, one gcd pass per updated row.  QQ input that holds
@@ -35,6 +36,7 @@ the square of its scale.  No floating point anywhere.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 
@@ -63,9 +65,9 @@ def _primitive(row):
 class _Field:
     """What both fields share: elimination, on list rows, of one array."""
 
-    def _eliminate(self, rows, n, reduced):
-        """The one pivot loop, in place on n-wide working rows (_start's
-        form): their pivot columns, see echelon.
+    def _eliminate(self, rows, reduced=False):
+        """The one pivot loop, in place on working rows (_start's form):
+        their pivot columns, see echelon.
 
         Row by row: each row is reduced against the pivots found so far
         (_reduce), and its first entry left becomes a new pivot, whose
@@ -75,7 +77,7 @@ class _Field:
         pivot row past its pivot with the forward forms, in ascending
         pivot order.
         """
-        lead = [None] * n
+        lead = [None] * (len(rows[0]) if rows else 0)
         held = {}
         zero = []
         for row in rows:
@@ -91,6 +93,21 @@ class _Field:
             for c, row in zip(pivots, rows):
                 self._reduce(row, lead, c + 1)
         return pivots
+
+    def _split(self, rows, n):
+        """The left kernel of a matrix a, split at column n: (z, images).
+
+        rows are a's working rows (_start's form), eliminated in place,
+        forward.  z = rows - rank is the dimension of {y : y a = 0}.
+        images are the eliminated rows whose pivot is at or past n, cut to
+        the columns from n on, as working rows.  Echelon rows have
+        distinct pivots, and those left of n are independent there, so
+        images is an echelon basis of {y a[:, n:] : y a[:, :n] = 0}: the
+        left kernel of the first n columns, seen through the rest.
+        """
+        pivots = self._eliminate(rows)
+        lo = bisect_left(pivots, n)
+        return len(rows) - len(pivots), [row[n:] for row in rows[lo : len(pivots)]]
 
     def echelon(self, a, reduced=False):
         """Gaussian elimination of a 2-D array of field scalars.
@@ -118,13 +135,13 @@ class _Field:
         Fractions.
         """
         rows = self._start(a)
-        pivots = self._eliminate(rows, a.shape[1], reduced)
+        pivots = self._eliminate(rows, reduced)
         return pivots, _from_rows(self, self._finish(rows, pivots, reduced), a.shape)
 
     def rank(self, a):
         """The rank of a 2-D array of field scalars: the pivot count of the
         forward loop, with no _finish and no array built.  a is not written."""
-        return len(self._eliminate(self._start(a), a.shape[1], False))
+        return len(self._eliminate(self._start(a)))
 
 
 class Rationals(_Field):

@@ -34,27 +34,28 @@ sigma, lam) differ only in k and share one pass.  What a pass needs of its
 pattern alone is compiled once per process for each pattern and sigma,
 keyed by the pattern's content (_plan): the cells mapped to M's letter
 slots, the slots that give W's width g, and for each fold its kernel
-keys, kept columns and blocks.  M's letters are converted once per call
-(field.integral), and so is each lam's coefficient table; a group fills
-each fold's grid from the call's kernel cache and eliminates it.
-From there on the pass holds the working rows of the field's elimination
-(_Field._eliminate), lists of Python ints: a fold returns its images as
-those rows, and every step and span test runs on them, so no result goes
-back into an array.  The pass runs a transfer recursion towards the
-largest k asked for.  The next copy reads a vector y of the left kernel
-K_k = {y : y N_k = 0} only through its image y_tail W, y_tail the last e
-block rows of y.  So the state is (z, S): z counts the kernel vectors
-whose image is zero, and S is a basis of the images, as wide as W's
-letters.  Then dim K_k = z + rank S.  Every copy holds the same rep R and
-W, so R is split once per group, its own columns eliminated before the g
-columns it shares with W (SOLVEBLOK's order): T, an echelon basis of
-{u [R_W | E] : u R_own = 0} (E the next W on R's tail rows), and rep_z,
-the vectors u whose u R and u_tail W both vanish.  A step is then the
-left kernel of [[S 0], T] split at g, taken against a fixed T: T's
-pivot forms are built once per group, S's rows are reduced against them
-by the elimination loop's own row reduction, which only reads T, and
-only what is left of S is eliminated, at most g rows of 2g columns.
-T's rows with a pivot at or past g are images at every step.
+keys, kept columns and blocks.  M's letters are made integral once per
+call, by _sparse_letters's first elimination, and each lam's coefficient
+table once (field.integral); a group fills each fold's grid from the
+call's kernel cache and splits it (_Field._split).  From there on the
+pass holds the working rows of the field's elimination, lists of Python
+ints: a fold returns its images as those rows, and every step and span
+test runs on them, so no result goes back into an array.  The pass runs
+a transfer recursion towards the largest k asked for.  The next copy
+reads a vector y of the left kernel K_k = {y : y N_k = 0} only through
+its image y_tail W, y_tail the last e block rows of y.  So the state is
+(z, S): z counts the kernel vectors whose image is zero, and S is a
+basis of the images, as wide as W's letters.  Then dim K_k = z + rank S.
+Every copy holds the same rep R and W, so R is split once per group, its
+own columns eliminated before the g columns it shares with W
+(SOLVEBLOK's order): T, an echelon basis of {u [R_W | E] : u R_own = 0}
+(E the next W on R's tail rows), and rep_z, the vectors u whose u R and
+u_tail W both vanish.  A step is then the left kernel of [[S 0], T]
+split at g, taken against a fixed T: T's pivot forms are built once per
+group, S's rows are reduced against them by the elimination loop's own
+row reduction, which only reads T, and only what is left of S is
+eliminated, at most g rows of 2g columns.  T's rows with a pivot at or
+past g are images at every step.
 
 Most own block columns hold a single cell, +-L in block row i, and ask
 y_i L = 0: y_i = v_i K, K an echelon basis of the left kernel of the
@@ -97,7 +98,6 @@ tests hold hom_vector to.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
@@ -339,35 +339,9 @@ def hom_dim(M, desc):
     return coeff_matrix(M, desc).corank()
 
 
-def _split(field, rows, n):
-    """Left kernel of a matrix a, split at column n.
-
-    rows are a's rows in the working form of the field's elimination
-    (field._start), and are eliminated in place, forward (_eliminate):
-    each is reduced against the pivots of the rows before it, and they
-    end as the pivot rows in pivot order, then the zero rows.  Returns
-    (z, pivots, images): z = rows - rank, the dimension of
-    {y : y a = 0}, and images the eliminated rows whose pivot is at or
-    past column n, cut to those columns, with pivots their pivot columns
-    there: lists, in the same working form, with no array built from them
-    (forward, echelon's _finish would leave them as they are).  Echelon
-    rows have distinct pivots, and those with a pivot left of n are
-    independent there, so images is an echelon basis of
-    {y a[:, n:] : y a[:, :n] = 0}: the left kernel of the first n columns,
-    seen through the columns from n on.  A letter kernel is the split of
-    [L | I] at L's width (_kernel), a fold that of its folded grid at the
-    coupled columns (_kernel_fold), a step that of [[S 0], T] reduced
-    against T's pivot forms, at W's width (_step).
-    """
-    pivots = field._eliminate(rows, len(rows[0]) if rows else 0, False)
-    lo = bisect_left(pivots, n)
-    return (len(rows) - len(pivots), [c - n for c in pivots[lo:]],
-            [row[n:] for row in rows[lo : len(pivots)]])
-
-
 def _kernel(field, letters, kernels, key):
     """An echelon basis K of the left kernel of [letters[s] for s in key]:
-    the images of the _split of [L_key | I] at L_key's width, as the one
+    the images of field._split of [L_key | I] at L_key's width, as the one
     array field.intdot reads.
 
     kernels is one hom_vector call's cache, keyed by the slots of M's
@@ -377,7 +351,7 @@ def _kernel(field, letters, kernels, key):
     if key not in kernels:
         n0 = letters[0].shape[0]
         stack = np.hstack([letters[s] for s in key] + [np.eye(n0, dtype=field.dtype)])
-        k = _split(field, field._start(stack), stack.shape[1] - n0)[2]
+        k = field._split(field._start(stack), stack.shape[1] - n0)[1]
         kernels[key] = np.array(k, dtype=field.dtype).reshape(len(k), n0)
     return kernels[key]
 
@@ -425,16 +399,16 @@ def _fold_plan(cells, own):
 
 
 def _kernel_fold(field, letters, plan, scalar, kernels):
-    """_split of a cell grid's left kernel at its own block columns, by
-    its _fold_plan.
+    """field._split of a cell grid at its own block columns, by its
+    _fold_plan: (z, images).
 
     scalar maps each coefficient to an integral scalar.  The folded grid
     has block rows v_i, as high as row i's kernel K (n_0 if row i has no
     single-cell letter), and block columns the plan's kept columns; block
     (i, j) is the scalar times K L_ij, and the products K L and their
     multiples are cached with the kernels.  y <-> v is one to one, so its
-    _split at the coupled columns has the z of the grid's _split at its
-    own columns, and images of the same span.  Only the folded grid is
+    split at the coupled columns has the z of the grid's split at its own
+    columns, and images of the same span.  Only the folded grid is
     filled, one array of the cached blocks; its images come back as the
     elimination's working rows.
     """
@@ -456,7 +430,7 @@ def _kernel_fold(field, letters, plan, scalar, kernels):
                 x = kernels[key, slot]
                 kernels[key, slot, c] = x if c == 1 else field.reduce(c * x)
             out[row0[i] : row0[i + 1], col0[jj] : col0[jj + 1]] = kernels[key, slot, c]
-    return _split(field, field._start(out), col0[plan.coupled])
+    return field._split(field._start(out), col0[plan.coupled])
 
 
 def _same_span(field, s, s_next):
@@ -470,24 +444,25 @@ def _same_span(field, s, s_next):
     """
     if len(s) != len(s_next):
         return False
-    rows = [list(x) for x in (*s, *s_next)]
-    return not rows or len(field._eliminate(rows, len(rows[0]), False)) == len(s)
+    return len(field._eliminate([list(x) for x in (*s, *s_next)])) == len(s)
 
 
-def _transfer(field, pivots, rows, g):
+def _transfer(field, rows, g):
     """The transfer basis T of a group as _step reads it: (lead, images).
 
-    rows are T's rows, 2g wide and in forward echelon form, with their
-    pivots.  lead maps each of the 2g columns to the form of T's pivot
-    there (field._pivot), None where T has none, and images are T's rows
-    with a pivot at or past g, cut to those columns.  Built once per
-    group, from rows that are only read: a GF(p) pivot row from the
-    elimination already has its leading 1, and over QQ a form is its row.
+    rows are T's rows, 2g wide and in forward echelon form, so each row's
+    first nonzero is its pivot, and no two rows share one.  lead maps
+    each of the 2g columns to the form of T's pivot there (field._pivot),
+    None where T has none, and images are T's rows with a pivot at or past
+    g, cut to those columns.  Built once per group, from rows that are
+    only read: a GF(p) pivot row from the elimination already has its
+    leading 1, and over QQ a form is its row.
     """
     lead = [None] * (2 * g)
-    for c, row in zip(pivots, rows):
+    for row in rows:
+        c = next(j for j, x in enumerate(row) if x)
         lead[c] = field._pivot(row, c)
-    return lead, [row[g:] for c, row in zip(pivots, rows) if c >= g]
+    return lead, [row[g:] for row in rows if not any(row[:g])]
 
 
 def _step(field, s, t, g):
@@ -495,13 +470,13 @@ def _step(field, s, t, g):
 
     s is the state: independent rows, g wide, in the working form of the
     field's elimination.  t is the transfer basis T as _transfer gives it.
-    Returns what the _split of [[s 0], T] at g returns, without
+    Returns what field._split of [[s 0], T] at g returns, without
     eliminating T again: z, and independent rows (not sorted by pivot)
     spanning the images.  Each row of [s 0] is reduced against T's pivot
     forms (field._reduce from column 0, which clears every entry in a
     pivot column of T and reads T only), which leaves a remainder with no
     entry in any of T's pivot columns.  The stack's rank is T's plus the
-    remainder's, so the _split of the remainder alone at g has the
+    remainder's, so the split of the remainder alone at g has the
     stack's z, and the rows of the echelon form with a pivot at or past g
     are T's such rows and the remainder's images, pivots distinct.
     """
@@ -509,7 +484,7 @@ def _step(field, s, t, g):
     rest = [row + [0] * g for row in s]
     for row in rest:
         field._reduce(row, lead, 0)
-    z, _, more = _split(field, rest, g)
+    z, more = field._split(rest, g)
     return z, images + more
 
 
@@ -561,8 +536,8 @@ def _plan(kind, head, rep, overlap, sigma):
 def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, kernels):
     """{reps: corank of the case matrix with reps copies} for reps in wanted.
 
-    letters are the four letter arrays of M in the form field.integral
-    gives, in M's slot order; the pattern reads letter t of
+    letters are the four integral letter arrays _sparse_letters gives,
+    in M's slot order; the pattern reads letter t of
     permute_slots(letters, sigma^-1), through its _plan.  scalar is the
     call's integral coefficient table for the group's lam (_coefficients)
     and kernels its cache of letter kernels (_kernel).  A group folds and
@@ -614,14 +589,14 @@ def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, kernels):
         return z if plan.capped else z + len(s)
 
     if top:
-        rep_z, pivots, t = _kernel_fold(field, letters, plan.rep, scalar, kernels)
+        rep_z, t = _kernel_fold(field, letters, plan.rep, scalar, kernels)
         g = sum(width[x] for x in plan.g)
-        t = _transfer(field, pivots, t, g)
+        t = _transfer(field, t, g)
     if top and plan.head_is_rep:
         z, s = _step(field, [], t, g)
         z += rep_z
     else:
-        z, _, s = _kernel_fold(field, letters, plan.head, scalar, kernels)
+        z, s = _kernel_fold(field, letters, plan.head, scalar, kernels)
     out = {0: corank(z, s)} if 0 in wanted else {}
     for k in range(1, top + 1):
         dz, s_next = _step(field, s, t, g)
@@ -641,7 +616,7 @@ def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, kernels):
 def _sparse_letters(field, letters):
     """The letters U L_t V_t of a module isomorphic to the one of letters.
 
-    letters are in the form field.integral gives.  A two-way echelon is
+    letters are M's letter arrays.  A two-way echelon is
     a's forward echelon form, then the forward echelon form of that read
     backwards (rows and columns reversed), turned back: the second pass
     clears most entries above the first one's pivots.  Reversing the rows
@@ -650,8 +625,10 @@ def _sparse_letters(field, letters):
     [A B C D] and cuts it into four letters (U, a base change of the
     vertex-0 space); the column pass that of each letter's transpose
     (V_t, one of vertex t).  Hom dimensions depend on the isomorphism
-    class alone, and both passes eliminate forward only, so over QQ the
-    letters stay rows of Python ints over their gcds, with no Fraction.
+    class alone.  Over QQ the first elimination's working copy (_start)
+    scales [A B C D] by the lcm of its denominators, and both passes
+    eliminate forward only, so the letters come back as rows of Python
+    ints over their gcds, with no Fraction.
     """
 
     def two_way(a):
@@ -682,8 +659,7 @@ def hom_vector(M, descs):
             continue
         key, sigma, param, lam = case(d, field)
         groups.setdefault((key, sigma, lam), []).append((i, param))
-    integral, _ = field.integral([x.data for x in M.mats()])
-    letters = _sparse_letters(field, integral)
+    letters = _sparse_letters(field, [x.data for x in M.mats()])
     kernels = {}
     scalars = {}
     for (key, sigma, lam), members in groups.items():

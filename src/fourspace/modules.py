@@ -16,6 +16,7 @@ from .exactmat import (
     direct_sum,
     field_from_spec,
     random_matrix,
+    zeros,
 )
 
 SLOT_NAMES = ("A", "B", "C", "D")
@@ -111,8 +112,6 @@ def permute_vertices(m, sigma):
 
 
 def zero_module(field):
-    from .exactmat import zeros
-
     return LambdaModule(*(zeros(field, 0, 0) for _ in range(4)))
 
 

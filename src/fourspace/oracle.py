@@ -35,14 +35,14 @@ columns alone.  So
     dim Hom(M, X) = sum_v m_v n_v - sum_t r_t n_t
                     - rank(stack_t C_t kron L_M^T),
 
-and only that residual, m_0 * n_0 columns wide, is ranked.  Both
-eliminations run the field's own loop (_Field._eliminate) on rows
-written in its working form.
+and only that residual, m_0 * n_0 columns wide, is ranked.  Both run
+the field's own loop on rows written in its working form: [L_X | I]
+through its split (_Field._split), the residual through the loop alone
+(_Field._eliminate).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -101,9 +101,10 @@ def hom_oracle(M, X):
     The letters are read once, as working rows of the field's elimination
     (field._start): X's as the rows of [A' B' C' D' I], M's as the
     columns of A, B, C, D; over QQ each module in one integral scale, each
-    row primitive.  Relation t cuts [L_X | I] from the first and
-    eliminates it; its rows with a pivot at or past m_t, cut to I's
-    columns, are C_t.  Residual row (t, j, b) holds, in block a,
+    row primitive.  Relation t cuts [L_X | I] from the first and splits
+    it at L_X's width m_t (field._split): the images are C_t, and
+    r_t = m_0 - len(C_t), since [L_X | I] has full row rank.  Residual
+    row (t, j, b) holds, in block a,
     C_t[j, a] times column b of L_M: slice copies of the column, scaled
     (field._scaled) where the entry is not 1.  Over QQ it is primitive,
     since C_t's row and the column are.  A zero column of L_M would give
@@ -125,18 +126,17 @@ def hom_oracle(M, X):
         c0, c1, b0, b1 = c1, c1 + m[t], b1, b1 + n[t]
         if not n[t]:
             continue
-        rows = [row[c0:c1] + row[ident:] for row in letters]
-        r = bisect_left(field._eliminate(rows, m[t] + m0, False), m[t])
-        nullity -= r * n[t]
+        kernel = field._split([row[c0:c1] + row[ident:] for row in letters], m[t])[1]
+        nullity -= (m0 - len(kernel)) * n[t]
         cols = [col for col in columns[b0:b1] if any(col)]
-        for row in rows[r:]:
-            blocks = [(a * n0, c) for a, c in enumerate(row[m[t]:]) if c]
+        for row in kernel:
+            blocks = [(a * n0, c) for a, c in enumerate(row) if c]
             for col in cols:
                 out = [0] * width
                 for s, c in blocks:
                     out[s : s + n0] = col if c == 1 else field._scaled(col, c)
                 residual.append(out)
-    return nullity - len(field._eliminate(residual, width, False))
+    return nullity - len(field._eliminate(residual))
 
 
 def hom_basis(M, X):

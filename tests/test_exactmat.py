@@ -398,6 +398,65 @@ def test_echelon_matches_reference_eliminator(field, rng):
         assert a.rank() == len(want_pivots)
 
 
+def _split_inputs(field, rng):
+    """(a, n) for the split of a at column n: sparse random arrays, some
+    with a zero row and a repeated one, split at every column from 0 to
+    their width; and [L | I] stacks, split at L's width, some L with a
+    repeated column.  Over QQ some entries lie over 3, 7 or 12797."""
+    denominators = (1, 1, 3, 7, 12797) if field == QQ else (1,)
+
+    def rows(m, w):
+        return [[field.coerce(Fraction(rng.choice([0, 0, 0, 1, -1, rng.randint(-9, 9)]),
+                                       rng.choice(denominators))) for _ in range(w)]
+                for _ in range(m)]
+
+    out = []
+    for _ in range(30):
+        m, w = rng.randint(0, 7), rng.randint(0, 7)
+        a = rows(m, w)
+        if m > 2:
+            a[1] = list(a[0])
+            a[rng.randrange(m)] = [field.zero] * w
+        a = mat(field, a, (m, w)).data
+        out += [(a, n) for n in range(w + 1)]
+    for _ in range(12):
+        n0, w = rng.randint(0, 6), rng.randint(0, 6)
+        l = rows(n0, w)
+        if w > 1:
+            for row in l:
+                row[-1] = row[0]
+        out.append((hstack([mat(field, l, (n0, w)), identity(field, n0)]).data, w))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
+def test_split_matches_reference_eliminator(field, rng):
+    # the split behind every letter kernel, fold and step of homdim and
+    # every relation of the oracle: z must count {y : y a = 0}, and the
+    # images must be a basis of {y a[:, n:] : y a[:, :n] = 0}, checked by
+    # ranks that only the reference eliminator takes
+    p = field.p if isinstance(field, PrimeField) else None
+
+    def rank(rows):
+        return len(reference_rref(rows, p)[0])
+
+    seen = set()
+    for a, n in _split_inputs(field, rng):
+        plain = _plain(a.tolist())
+        z, images = field._split(field._start(a), n)
+        left = [row[:n] for row in plain]
+        assert z == len(plain) - rank(plain)
+        assert len(images) == rank(plain) - rank(left)
+        assert all(len(y) == a.shape[1] - n for y in images)
+        assert rank(images) == len(images)
+        assert rank(plain + [[0] * n + y for y in images]) == rank(plain)
+        seen.update({"zero row": any(not any(row) for row in plain), "n = 0": n == 0,
+                     "n = width": n == a.shape[1] > 0, "z > 0": z > 0, "images": bool(images),
+                     "a pivot at n": rank([row[: n + 1] for row in plain]) > rank(left)}.items())
+    assert all((name, True) in seen for name in
+               ("zero row", "n = 0", "n = width", "z > 0", "images", "a pivot at n")), seen
+
+
 def _unit_pivot_inputs(field, rng):
     """Matrices over GF(p) whose pivots are 1 in some places and not in
     others: entries 0, 1 and -1 outnumber the rest, and some rows are
