@@ -137,9 +137,14 @@ def parse_descriptor(text, field):
         if name == "I" and len(args) == 2:
             return I(int(args[0]), int(args[1]))
         if name == "R" and len(args) == 2:
-            # R points a lam typed as 0 or 1 to the exceptional rows;
+            # R points a lam typed as 0, 1 or inf to the exceptional rows;
             # tube_lambda names one that only reduces to 0 or 1 as typed
-            lam = int(args[1]) if args[1] in ("0", "1") else tube_lambda(field, args[1])
+            if args[1] == "inf":
+                lam = INF
+            elif args[1] in ("0", "1"):
+                lam = int(args[1])
+            else:
+                lam = tube_lambda(field, args[1])
             return R(int(args[0]), lam)
         if name == "R" and len(args) == 3:
             lam = INF if args[2] == "inf" else int(args[2])

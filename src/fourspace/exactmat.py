@@ -14,11 +14,11 @@ column, for homdim and the oracle.  The last two build no array.  The
 loop (``_eliminate``) takes the rows one at a time: each is reduced
 against the pivots found so far (``_reduce``), and its first entry left
 becomes a new pivot, whose form (``_pivot``) later rows are reduced
-with.  The working copy (``_start``), the loop, the split and a row's
-reduction are also called on their own: homdim's staircase runs them on
-its own rows and keeps those rows from its first fold to its last step,
-and the oracle writes its rows in that form (``_scaled``: a row times a
-scalar) and splits and eliminates them.
+with; pivot forms never leave this module.  The working copy
+(``_start``), the loop and the split are also called on their own:
+homdim's staircase runs them on its own rows and keeps those rows from
+its first fold to its last step, and the oracle writes its rows in that
+form (``_scaled``: a row times a scalar) and splits and eliminates them.
 The loop runs on a list of Python-int rows, so a reduction costs only
 the entries it changes: residues over GF(p), and over QQ fraction-free
 primitive rows, one gcd pass per updated row.  QQ input that holds
@@ -186,7 +186,7 @@ class Rationals(_Field):
         (None for a row cleared to zero); the entries before it are then
         zero.  From column start on, it clears every entry in a pivot
         column and skips the others: a pivot row back-substituted past its
-        pivot, or a row reduced against another elimination's pivots.
+        pivot.
 
         The form of a pivot is its row.  Each update makes the row
         p * row - f * pivot_row over the gcd of its entries, with p the
@@ -200,7 +200,7 @@ class Rationals(_Field):
         previous pivot, this leaves a row untouched by the pivots in whose
         columns it has no entry, so sparse matrices stay cheap.
         """
-        scan = enumerate(row) if not start else islice(enumerate(row), start, None)
+        scan = enumerate(row) if start is None else islice(enumerate(row), start, None)
         for c, f in scan:
             if f:
                 form = lead[c]
@@ -353,7 +353,7 @@ class PrimeField(_Field):
         from the row, f the row's entry in its column, and changes only
         the columns where the form is nonzero."""
         p = self.p
-        scan = enumerate(row) if not start else islice(enumerate(row), start, None)
+        scan = enumerate(row) if start is None else islice(enumerate(row), start, None)
         for c, f in scan:
             if f:
                 form = lead[c]

@@ -50,12 +50,10 @@ Every copy holds the same rep R and W, so R is split once per group, its
 own columns eliminated before the g columns it shares with W
 (SOLVEBLOK's order): T, an echelon basis of {u [R_W | E] : u R_own = 0}
 (E the next W on R's tail rows), and rep_z, the vectors u whose u R and
-u_tail W both vanish.  A step is then the left kernel of [[S 0], T]
-split at g, taken against a fixed T: T's pivot forms are built once per
-group, S's rows are reduced against them by the elimination loop's own
-row reduction, which only reads T, and only what is left of S is
-eliminated, at most g rows of 2g columns.  T's rows with a pivot at or
-past g are images at every step.
+u_tail W both vanish.  A step is then the split of [T; [S 0]] at g
+(_Field._split), T's rows first: T is a forward echelon basis, so the
+loop takes its rows as pivots as they stand, only reading them, and
+reduces S's rows against them.
 
 Most own block columns hold a single cell, +-L in block row i, and ask
 y_i L = 0: y_i = v_i K, K an echelon basis of the left kernel of the
@@ -405,12 +403,11 @@ def _kernel_fold(field, letters, plan, scalar, kernels):
     scalar maps each coefficient to an integral scalar.  The folded grid
     has block rows v_i, as high as row i's kernel K (n_0 if row i has no
     single-cell letter), and block columns the plan's kept columns; block
-    (i, j) is the scalar times K L_ij, and the products K L and their
-    multiples are cached with the kernels.  y <-> v is one to one, so its
-    split at the coupled columns has the z of the grid's split at its own
-    columns, and images of the same span.  Only the folded grid is
-    filled, one array of the cached blocks; its images come back as the
-    elimination's working rows.
+    (i, j) is the scalar times K L_ij, and the products K L are cached
+    with the kernels.  y <-> v is one to one, so its split at the coupled
+    columns has the z of the grid's split at its own columns, and images
+    of the same span.  Only the folded grid is filled, one array of the
+    cached blocks; its images come back as the elimination's working rows.
     """
     n0 = letters[0].shape[0]
     col0 = [0]
@@ -422,14 +419,13 @@ def _kernel_fold(field, letters, plan, scalar, kernels):
     out = np.zeros((row0[-1], col0[-1]), dtype=field.dtype)
     for i, (key, blocks) in enumerate(zip(plan.keys, plan.blocks)):
         for jj, slot, coeff in blocks:
-            c = scalar[coeff]
-            if (key, slot, c) not in kernels:
-                if (key, slot) not in kernels:
-                    x = field.intdot(kernels[key], letters[slot]) if key else letters[slot]
-                    kernels[key, slot] = x
-                x = kernels[key, slot]
-                kernels[key, slot, c] = x if c == 1 else field.reduce(c * x)
-            out[row0[i] : row0[i + 1], col0[jj] : col0[jj + 1]] = kernels[key, slot, c]
+            if (key, slot) not in kernels:
+                x = field.intdot(kernels[key], letters[slot]) if key else letters[slot]
+                kernels[key, slot] = x
+            x, c = kernels[key, slot], scalar[coeff]
+            if c != 1:
+                x = field.reduce(c * x)
+            out[row0[i] : row0[i + 1], col0[jj] : col0[jj + 1]] = x
     return field._split(field._start(out), col0[plan.coupled])
 
 
@@ -447,45 +443,22 @@ def _same_span(field, s, s_next):
     return len(field._eliminate([list(x) for x in (*s, *s_next)])) == len(s)
 
 
-def _transfer(field, rows, g):
-    """The transfer basis T of a group as _step reads it: (lead, images).
-
-    rows are T's rows, 2g wide and in forward echelon form, so each row's
-    first nonzero is its pivot, and no two rows share one.  lead maps
-    each of the 2g columns to the form of T's pivot there (field._pivot),
-    None where T has none, and images are T's rows with a pivot at or past
-    g, cut to those columns.  Built once per group, from rows that are
-    only read: a GF(p) pivot row from the elimination already has its
-    leading 1, and over QQ a form is its row.
-    """
-    lead = [None] * (2 * g)
-    for row in rows:
-        c = next(j for j, x in enumerate(row) if x)
-        lead[c] = field._pivot(row, c)
-    return lead, [row[g:] for row in rows if not any(row[:g])]
-
-
 def _step(field, s, t, g):
-    """One copy of the staircase against its fixed transfer basis.
+    """One copy of the staircase: field._split of [T; [s 0]] at g.
 
-    s is the state: independent rows, g wide, in the working form of the
-    field's elimination.  t is the transfer basis T as _transfer gives it.
-    Returns what field._split of [[s 0], T] at g returns, without
-    eliminating T again: z, and independent rows (not sorted by pivot)
-    spanning the images.  Each row of [s 0] is reduced against T's pivot
-    forms (field._reduce from column 0, which clears every entry in a
-    pivot column of T and reads T only), which leaves a remainder with no
-    entry in any of T's pivot columns.  The stack's rank is T's plus the
-    remainder's, so the split of the remainder alone at g has the
-    stack's z, and the rows of the echelon form with a pivot at or past g
-    are T's such rows and the remainder's images, pivots distinct.
+    s is the state, independent rows g wide, and t the transfer basis T,
+    rows 2g wide, both in the working form of the field's elimination.
+    T comes from a fold's split, so it is in forward echelon form: each
+    row's first nonzero is its pivot, no two share one, and over GF(p)
+    each has its leading 1.  Stacked first, each row of T reaches the
+    loop with its pivot column still free, so it becomes a pivot as it
+    stands, and the loop only reads it (a leading 1 needs no scaling, and
+    over QQ a pivot's form is its row); the rows of [s 0] are then
+    reduced against T's pivots by the loop's own forward reduction.  So
+    one T serves every step of a group.  Returns (z, images), as
+    field._split does.
     """
-    lead, images = t
-    rest = [row + [0] * g for row in s]
-    for row in rest:
-        field._reduce(row, lead, 0)
-    z, more = field._split(rest, g)
-    return z, images + more
+    return field._split([*t, *(row + [0] * g for row in s)], g)
 
 
 class _Plan(NamedTuple):
@@ -561,14 +534,12 @@ def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, kernels):
     u [R_W | E] = 0 add rep_z; for the others u [R_W | E] = t T for one
     t, the rows of T being independent.  So a step is the left kernel of
     [[s 0], T] split at the width g of W: its z plus rep_z is what the
-    copy adds to z, and its images the next s.  T is echelon and the same
-    for every step, so the group builds T's pivot forms once (_transfer),
-    and a step (_step) reduces s against them and eliminates only what is
-    left: at most g rows of 2g columns, T never written, and T's rows with
-    a pivot at or past g always among the images.  The letters, kernels
-    and coefficients are integral, so over QQ T and s are Python ints and
-    no elimination builds Fractions; each divides its rows by their gcds,
-    so s stays as small deep in the staircase as after its first steps.
+    copy adds to z, and its images the next s.  A step (_step) is that
+    split, T's rows first; T is echelon, so the loop only reads it, and
+    one T serves every step.  The letters, kernels and coefficients are
+    integral, so over QQ T and s are Python ints and no elimination
+    builds Fractions; each divides its rows by their gcds, so s stays as
+    small deep in the staircase as after its first steps.
 
     A step is a function of span(s) alone: it adds the same to z and maps
     the span to the next one.  So once a step returns the span it was
@@ -591,7 +562,6 @@ def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, kernels):
     if top:
         rep_z, t = _kernel_fold(field, letters, plan.rep, scalar, kernels)
         g = sum(width[x] for x in plan.g)
-        t = _transfer(field, t, g)
     if top and plan.head_is_rep:
         z, s = _step(field, [], t, g)
         z += rep_z

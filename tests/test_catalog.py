@@ -198,6 +198,14 @@ def test_parse_names_the_typed_lambda():
     assert parse_descriptor("R(2,9)", PrimeField(7)) == cat.R(2, 2)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+def test_parse_points_a_typed_inf_to_the_exceptional_rows(field):
+    # inf is no field element: R(l,inf) gets R(l, INF)'s message, not the
+    # field's complaint about its literal
+    with pytest.raises(InvalidParams, match=r"^R\(l,inf\) is exceptional: use R\(s,m,inf\)"):
+        parse_descriptor("R(1,inf)", field)
+
+
 # -- enumeration ------------------------------------------------------------------
 
 

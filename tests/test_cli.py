@@ -249,6 +249,7 @@ ERROR_CASES = [
     ("invalid-params", ["catalog", "R(1,0)"]),
     ("invalid-params", ["catalog", "X(1,0)"]),
     ("invalid-params", ["catalog", "R(1,8)", "--field", "prime:7"]),
+    ("invalid-params", ["homdim", "{module}", "R(1,inf)"]),
     ("parse-error", ["catalog", "P(0,0)", "--field", "prime:6"]),
     ("parse-error", ["catalog", "P(0,0)", "--field", "reals"]),
     ("parse-error", ["homdim", "{module}"]),
@@ -282,6 +283,8 @@ ERROR_CASES = [
 ERROR_DETAILS = {
     # the lam as typed and the field it reduces in, not the residue 1
     "catalog R(1,8) --field prime:7": "lambda 8 reduces to 1 in GF(7)",
+    # inf names the exceptional rows; it is not a literal of the field
+    "homdim {module} R(1,inf)": "error: invalid-params: R(l,inf) is exceptional",
     "homdim {loose_record} I(0,0)": "matrix record A: rows 3.9 is not an integer",
     # the descriptors are not dropped for the sweep
     "homdim {module} R(1,3) --all": "give descriptor arguments or --all, not both",

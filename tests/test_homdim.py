@@ -35,6 +35,8 @@ from fourspace.modules import (
 from fourspace.oracle import hom_oracle
 from fourspace.verify import disguised_sum
 
+from reference import reference_rref
+
 GF = PrimeField(32003)
 GF101 = PrimeField(101)
 
@@ -303,19 +305,19 @@ def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, descs, monkeypa
     # each letter set's left kernel is eliminated once per call, as [L | I]
     # (n_0 plus the letters' width), and every fold multiplies its grid by
     # those kernels, so apart from the kernels and the two folds (head and
-    # rep) a step eliminates only what is left of the state S against the
-    # transfer basis T: no elimination is wider than the columns of W and
-    # of the next W, 8 for these letters, where a copy's columns made it
-    # 20.  And copies stop costing eliminations once span(S) repeats, so
-    # both depths run the same number of them
+    # rep) a step eliminates only the transfer basis T stacked over the
+    # state S: no elimination is wider than the columns of W and of the
+    # next W, 8 for these letters, where a copy's columns made it 20.  And
+    # copies stop costing eliminations once span(S) repeats, so both
+    # depths run the same number of them
     rng = random.Random(7)
     m = LambdaModule(*(random_matrix(GF, 8, 4, rng) for _ in range(4)))
     inputs = []
     eliminate = GF._eliminate
 
     def counted(rows, reduced=False):
-        # every elimination runs this loop: echelon's, and a step's on the
-        # remainder of S against T
+        # every elimination runs this loop: echelon's, and a step's on
+        # [T; [S 0]]
         n = len(rows[0]) if rows else 0
         inputs.append(np.array(rows, dtype=np.int64).reshape(len(rows), n))
         return eliminate(rows, reduced)
@@ -437,7 +439,7 @@ def test_transfer_basis_spans_what_meets_the_next_copy(field):
             images = mat(field, [list(y) for y in kernel], (len(kernel), len(grid))) @ rest
             got = mat(field, basis, (len(basis), rest.cols))
             assert all(len(row) == rest.cols for row in basis)
-            # echelon rows: _transfer reads each row's first nonzero as its pivot
+            # echelon rows: a step takes each row's first nonzero as its pivot
             leads = [next(c for c, x in enumerate(row) if x) for row in basis]
             assert all(a < b for a, b in zip(leads, leads[1:])), leads
             assert got.rank() == len(basis) == images.rank()
@@ -493,27 +495,29 @@ def _echelon_rows(field, rng, m, n):
 
 @pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
 def test_step_against_a_fixed_t_is_the_split_of_the_stack(field):
-    # a step reduces S against T's pivots and eliminates only the
-    # remainder; it must count the z of the whole [[S 0], T] split at g
-    # and return independent rows of the same span as its images, also
-    # with S empty, T empty or g = 0
+    # a step splits [T; [S 0]] at g and only reads T's echelon rows; against
+    # the naive RREF of [[S 0]; T] it must count the stack's z and return
+    # independent rows whose RREF is that of the stack's rows with a pivot
+    # at or past g, cut there (an RREF is canonical, so that is their
+    # span), also with S empty, T empty or g = 0
     rng = random.Random(0x57E9)
+    p = getattr(field, "p", None)
     seen = set()
     for _ in range(150):
         g = rng.randint(0, 4)
         _, s = _echelon_rows(field, rng, rng.randint(0, g + 1), g)
         pivots, t = _echelon_rows(field, rng, rng.randint(0, 2 * g + 2), 2 * g)
         t_before = [list(row) for row in t]
-        z, images = homdim._step(field, s, homdim._transfer(field, t, g), g)
+        z, images = homdim._step(field, s, t, g)
         assert t == t_before
-        stack = np.array([row + [0] * g for row in s] + t, dtype=field.dtype)
-        stack = field._start(stack.reshape(len(s) + len(t), 2 * g))
-        want_z, want = field._split(stack, g)
-        assert z == want_z
+        stack = [row + [0] * g for row in s] + t
+        stack_pivots, rref = reference_rref(stack, p)
+        assert z == len(stack) - len(stack_pivots)
         assert all(len(row) == g for row in images)
-        assert homdim._same_span(field, images, want)
-        if images:
-            assert field.rank(np.array(images, dtype=field.dtype)) == len(images)
+        image_pivots, image_rref = reference_rref(images, p)
+        assert len(image_pivots) == len(images)
+        assert list(zip(image_pivots, image_rref)) == [
+            (c - g, row[g:]) for c, row in zip(stack_pivots, rref) if c >= g]
         seen.update({"S empty": not s, "T empty": not t, "g = 0": not g,
                      "S reduced": bool(s and t), "z > 0": z > 0, "S meets E": len(images) > len(
                          [c for c in pivots if c >= g])}.items())
@@ -533,18 +537,19 @@ def test_steps_leave_the_transfer_basis_alone(field, monkeypatch):
     step = homdim._step
 
     def spied(field, s, t, g):
-        # t is T's pivot forms and its images (_transfer)
+        # t is T's rows, the images of the rep's fold
         bases.setdefault(id(t), (t, copy.deepcopy(t), g))
         steps.append(id(t))
         return step(field, s, t, g)
 
     monkeypatch.setattr(homdim, "_step", spied)
     assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
-    # groups of several steps, whose T has rows S is reduced against and
-    # rows that are images at every step
+    # groups of several steps, whose T has rows with a pivot left of g,
+    # which S's rows are reduced against, and rows with one at or past g,
+    # which are images at every step
     assert bases and max(steps.count(x) for x in bases) >= 3
-    assert {c < g for (lead, _), _, g in bases.values()
-            for c, form in enumerate(lead) if form is not None} == {True, False}
+    assert {next(c for c, x in enumerate(row) if x) < g
+            for t, _, g in bases.values() for row in t} == {True, False}
     for t, before, _ in bases.values():
         assert t == before
 
