@@ -33,7 +33,7 @@ from .decomp import IncompleteCandidates, decompose
 from .exactmat import FieldMismatch, field_from_spec
 from .homdim import hom_vector
 from .modules import dim_vector, module_from_record, module_to_record
-from .oracle import hom_oracle
+from .oracle import _nullity, _source, _target
 from .verify import run_sweep
 
 DEFAULT_VERIFY_PRIME = 32003
@@ -121,7 +121,9 @@ def _cmd_homdim(args):
     else:
         raise CliError("parse-error", "give descriptor arguments or --all")
     if args.oracle:
-        values = (hom_oracle(module, build(d, field)) for d in descs)
+        # the module's side is prepared once, each descriptor's per line
+        source = _source(module)
+        values = (_nullity(field, source, _target(build(d, field))) for d in descs)
     else:
         values = hom_vector(module, descs)
     for d, value in zip(descs, values):

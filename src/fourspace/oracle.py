@@ -35,10 +35,19 @@ columns alone.  So
     dim Hom(M, X) = sum_v m_v n_v - sum_t r_t n_t
                     - rank(stack_t C_t kron L_M^T),
 
-and only that residual, m_0 * n_0 columns wide, is ranked.  Both run
-the field's own loop on rows written in its working form: [L_X | I]
-through its split (_Field._split), the residual through the loop alone
-(_Field._eliminate).
+and only that residual, m_0 * n_0 columns wide, is ranked.  The rows of
+C_t kron L_M^T span K_t kron im L_M^t, K_t the row space of C_t, so the
+columns of L_M^t may be replaced by B_t, an echelon basis of im L_M^t:
+the residual ranked is stack_t C_t kron B_t, with no row for a zero or
+dependent column of a letter.
+
+Each factor depends on one side of the pair alone, so each side is
+prepared once: _target(X) gives m and the C_t, splitting [L_X | I]
+(_Field._split), and _source(M) gives n and the B_t, eliminating the
+columns of each L_M^t (_Field._eliminate).  _nullity writes the residual
+from the two and ranks it with the same loop, and hom_oracle is that
+composition.  verify's sweep prepares each target once per call and
+each trial module once.
 """
 
 from __future__ import annotations
@@ -94,49 +103,81 @@ def hom_system(M, X):
                      source_dim=n, target_dim=m)
 
 
-def hom_oracle(M, X):
-    """dim Hom(M, X), the nullity of hom_system's matrix, with each
-    relation's F_t columns eliminated once (see the module docstring).
+def _target(X):
+    """X's side of every relation: (m, [C_1, .., C_4]).
 
-    The letters are read once, as working rows of the field's elimination
-    (field._start): X's as the rows of [A' B' C' D' I], M's as the
-    columns of A, B, C, D; over QQ each module in one integral scale, each
-    row primitive.  Relation t cuts [L_X | I] from the first and splits
-    it at L_X's width m_t (field._split): the images are C_t, and
-    r_t = m_0 - len(C_t), since [L_X | I] has full row rank.  Residual
-    row (t, j, b) holds, in block a,
-    C_t[j, a] times column b of L_M: slice copies of the column, scaled
-    (field._scaled) where the entry is not 1.  Over QQ it is primitive,
-    since C_t's row and the column are.  A zero column of L_M would give
-    a zero row and is left out, and a relation with n_t = 0 has no rows.
-    Nonzero scales of rows leave every rank alone.
+    X's letters are read once, as the working rows (field._start) of
+    [A' B' C' D' I]; over QQ in one integral scale, each row primitive.
+    Relation t cuts [L_X | I] from them and splits it at L_X's width m_t
+    (field._split): C_t, the images, is an echelon basis of X's left
+    kernel, and r_t = m_0 - len(C_t), since [L_X | I] has full row rank.
     """
-    _check_same_field(M.field, X.field)
-    field = M.field
-    n, m = dim_vector(M), dim_vector(X)
-    m0, n0 = m[0], n[0]
-    eye = np.eye(m0, dtype=field.dtype)
+    field = X.field
+    m = dim_vector(X)
+    eye = np.eye(m[0], dtype=field.dtype)
     letters = field._start(np.hstack([y.data for y in X.mats()] + [eye]))
-    columns = field._start(np.vstack([y.data.T for y in M.mats()]))
-    nullity = sum(mv * nv for mv, nv in zip(m, n))
-    width, ident = m0 * n0, sum(m[1:])
-    residual = []
-    c1 = b1 = 0
+    ident = sum(m[1:])
+    kernels = []
+    c1 = 0
     for t in range(1, 5):
-        c0, c1, b0, b1 = c1, c1 + m[t], b1, b1 + n[t]
-        if not n[t]:
-            continue
-        kernel = field._split([row[c0:c1] + row[ident:] for row in letters], m[t])[1]
-        nullity -= (m0 - len(kernel)) * n[t]
-        cols = [col for col in columns[b0:b1] if any(col)]
+        c0, c1 = c1, c1 + m[t]
+        kernels.append(field._split([row[c0:c1] + row[ident:] for row in letters], m[t])[1])
+    return m, kernels
+
+
+def _source(M):
+    """M's side of every relation: (n, [B_1, .., B_4]).
+
+    M's letters are read once, as the working rows of their columns,
+    stacked; over QQ in one integral scale, each row primitive.  B_t is
+    L_M^t's columns forward-eliminated (field._eliminate) and cut to the
+    pivot rows: an echelon basis of im L_M^t.  Zero and dependent columns
+    drop out there.
+    """
+    field = M.field
+    n = dim_vector(M)
+    columns = field._start(np.vstack([y.data.T for y in M.mats()]))
+    bases = []
+    b1 = 0
+    for t in range(1, 5):
+        b0, b1 = b1, b1 + n[t]
+        rows = columns[b0:b1]
+        bases.append(rows[: len(field._eliminate(rows))])
+    return n, bases
+
+
+def _nullity(field, source, target):
+    """dim Hom(M, X) from _source(M) and _target(X), over field.
+
+    Residual row (t, j, i) holds, in block a, C_t[j, a] times B_t[i]:
+    slice copies of the basis row, scaled (field._scaled) where the entry
+    is not 1.  Over QQ it is primitive, since C_t's row and B_t's are.
+    Neither side is written, so each may serve many pairs.  Nonzero
+    scales of rows leave every rank alone.
+    """
+    (n, bases), (m, kernels) = source, target
+    m0, n0 = m[0], n[0]
+    nullity = sum(mv * nv for mv, nv in zip(m, n))
+    width = m0 * n0
+    residual = []
+    for nt, kernel, basis in zip(n[1:], kernels, bases):
+        nullity -= (m0 - len(kernel)) * nt
         for row in kernel:
             blocks = [(a * n0, c) for a, c in enumerate(row) if c]
-            for col in cols:
+            for b in basis:
                 out = [0] * width
                 for s, c in blocks:
-                    out[s : s + n0] = col if c == 1 else field._scaled(col, c)
+                    out[s : s + n0] = b if c == 1 else field._scaled(b, c)
                 residual.append(out)
     return nullity - len(field._eliminate(residual))
+
+
+def hom_oracle(M, X):
+    """dim Hom(M, X), the nullity of hom_system's matrix, with each
+    relation's F_t columns eliminated once (see the module docstring):
+    _nullity of _source(M) and _target(X)."""
+    _check_same_field(M.field, X.field)
+    return _nullity(M.field, _source(M), _target(X))
 
 
 def hom_basis(M, X):

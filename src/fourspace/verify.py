@@ -34,7 +34,7 @@ from .modules import (
     random_module,
     zero_module,
 )
-from .oracle import hom_oracle
+from .oracle import _nullity, _source, _target
 
 # largest dimension at every vertex of a trial module
 MAX_DIM = 6
@@ -99,6 +99,10 @@ def structured_module(field, bounds, rng):
 def run_sweep(field, bounds, trials, seed, report=None):
     """List of Mismatch records (empty = all agree) over `trials` modules.
 
+    Each record's oracle value is hom_oracle's.  The oracle prepares each
+    side of a pair once: every target once per call (oracle._target), and
+    each trial module once (oracle._source), for all the descriptors.
+
     A negative trial count raises InvalidParams: it would check nothing and
     still read as "all agree".
     """
@@ -106,15 +110,16 @@ def run_sweep(field, bounds, trials, seed, report=None):
         raise InvalidParams(f"trials must be >= 0, got {trials}")
     rng = random.Random(seed)
     descs = enumerate_descriptors(bounds)
-    targets = [build(d, field) for d in descs]
+    targets = [_target(build(d, field)) for d in descs]
     out = []
     for trial in range(trials):
         if trial % 2:
             M = structured_module(field, bounds, rng)
         else:
             M = random_module(field, rng, max_dim=MAX_DIM)
+        source = _source(M)
         for d, target, a in zip(descs, targets, hom_vector(M, descs)):
-            b = hom_oracle(M, target)
+            b = _nullity(field, source, target)
             if a != b:
                 miss = Mismatch(trial, d.label(), a, b, M.dim_vector(), M)
                 out.append(miss)

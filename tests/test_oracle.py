@@ -228,25 +228,43 @@ def _reference_nullity(m, x):
     return a.cols - len(reference_rref(a.data, p)[0])
 
 
+def _redundant_letter(field, n0, rng):
+    # an n_0 x n_t letter, n_t > n_0, whose columns repeat and include 0
+    k = rng.randint(1, n0)
+    cols = [[field.rand(rng) for _ in range(n0)] for _ in range(k)]
+    cols += [rng.choice(cols) for _ in range(n0 - k + rng.randint(1, 3))]
+    cols += [[field.zero] * n0] * rng.randint(1, 2)
+    rng.shuffle(cols)
+    return mat(field, [list(row) for row in zip(*cols)], shape=(n0, len(cols)))
+
+
 @pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
 def test_oracle_equals_reference_nullity(fld, rng):
-    # hom_oracle ranks only the residual C_t kron L_M^T left by eliminating
+    # hom_oracle ranks only the residual C_t kron B_t left by eliminating
     # each F_t once; the full system's nullity must agree.  Low-rank
     # targets have letters with 0 < rank < m_0 and rank < m_t, so r_t < m_t
     # and C_t is a kernel whose entries are not all 0 and 1.  Each target
     # is also its own source: the identity has F_0 = I, so the residual
-    # drops rank there
+    # drops rank there.  Redundant sources have letters with n_t > n_0,
+    # repeated and zero columns: B_t, an echelon basis of im L_M^t, has
+    # fewer rows than L_M^t has columns
     sources = [random_module(fld, rng, max_dim=3) for _ in range(4)]
     sources += [_low_rank_module(fld, rng, 3) for _ in range(4)]
     targets = [random_module(fld, rng, max_dim=3) for _ in range(4)]
     targets += [_low_rank_module(fld, rng, 3) for _ in range(8)]
     targets += [cat.build(d, fld) for d in _oracle_targets(fld)]
+    redundant = []
+    for _ in range(8):
+        n0 = rng.randint(1, 3)
+        redundant.append(LambdaModule(*(_redundant_letter(fld, n0, rng) for _ in range(4))))
     seen = set()
     for i, x in enumerate(targets):
-        for m in (sources[i % len(sources)], x):
+        for m in (sources[i % len(sources)], x, redundant[i % len(redundant)]):
             assert hom_oracle(m, x) == _reference_nullity(m, x), (i, dim_vector(m), dim_vector(x))
         seen.add(any(0 < y.rank() < min(y.rows, y.cols) for y in x.mats()))
     assert True in seen
+    # some letter's columns are dependent, so its B_t drops rows
+    assert any(y.rank() < y.cols for m in redundant for y in m.mats())
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from fourspace import catalog as cat
+from fourspace import verify
 from fourspace.catalog import EnumerationBounds, InvalidParams, declared_dim
 from fourspace.exactmat import QQ, PrimeField
 from fourspace.modules import dim_vector, module_direct_sum, module_to_record, zero_module
@@ -70,3 +71,24 @@ def test_structured_module_draws_are_unchanged(name):
     for _ in range(6):
         h.update(json.dumps(module_to_record(structured_module(field, bounds, rng))).encode())
     assert h.hexdigest()[:16] == STRUCTURED[name]
+
+
+@pytest.mark.parametrize("name", ["QQ", "GF32003"])
+def test_sweep_oracle_column_is_the_public_oracle(name, monkeypatch):
+    # run_sweep prepares each side of the oracle once; with every formula
+    # answer off by one, each pair is a Mismatch, and its oracle value must
+    # be hom_oracle's on the recorded module.  Trial 0 is a random module,
+    # trial 1 a disguised sum
+    field = FIELDS[name]
+    hom_vector = verify.hom_vector
+    monkeypatch.setattr(verify, "hom_vector",
+                        lambda M, descs: [x + 1 for x in hom_vector(M, descs)])
+    bounds = EnumerationBounds(2, 2, _lambdas(field))
+    descs = cat.enumerate_descriptors(bounds)
+    misses = run_sweep(field, bounds, 2, 3)
+    assert len(misses) == 2 * len(descs)
+    for miss, d in zip(misses, descs * 2):
+        assert miss.descriptor == d.label()
+        assert miss.formula == miss.oracle + 1
+        assert miss.oracle == hom_oracle(miss.module, cat.build(d, field))
+    assert [misses[0].trial, misses[-1].trial] == [0, 1]
