@@ -8,7 +8,8 @@ Every check runs `fourspace` as a subprocess in a temporary directory and
 prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
 1 if any check failed.  The checks are:
 
-- `fourspace verify` runs, and one QQ run_sweep in-process;
+- `fourspace verify` runs, and one QQ run_sweep in-process, twice: the
+  second reads its targets from the cache the first filled;
 - hom_oracle against the nullity of hom_system's full matrix, both ways,
   between random small modules and four DIFFS modules: w5 and q5
   (n_0 = 22), z4 (an empty vertex, a letter of rank 1 on 2 columns) and
@@ -218,6 +219,8 @@ def main():
         check(f"verify {args}", code == 0, (out + err).strip().rpartition("\n")[2])
     bounds = EnumerationBounds(3, 3, (2, Fraction(7, 3)))
     check("run_sweep QQ", run_sweep(QQ, bounds, 4, 0) == [], "mismatches")
+    # the same sweep again reads every target from the per-process cache
+    check("run_sweep QQ, targets cached", run_sweep(QQ, bounds, 4, 0) == [], "mismatches")
     rng = random.Random(0)
     for row in DIFFS:
         if row.file in ORACLE_NULLITY:

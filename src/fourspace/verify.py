@@ -19,6 +19,7 @@ lambdas.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -38,6 +39,10 @@ from .oracle import _nullity, _source, _target
 
 # largest dimension at every vertex of a trial module
 MAX_DIM = 6
+
+# prepared targets kept per process; verify's default bounds hold 106
+# descriptors, (24, 12, {2, 5}) holds 418
+_TARGET_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -96,21 +101,36 @@ def structured_module(field, bounds, rng):
     return disguised_sum(field, picks, rng)
 
 
+@functools.lru_cache(maxsize=_TARGET_CACHE_SIZE)
+def _catalog_target(desc, field):
+    """oracle._target(build(desc, field)), prepared once per process.
+
+    A target depends on (desc, field) alone, both hashable by value, and
+    _nullity only reads it, so one serves every sweep that asks for it.
+    A raise (a target too large to build) is not kept.
+    """
+    return _target(build(desc, field))
+
+
 def run_sweep(field, bounds, trials, seed, report=None):
     """List of Mismatch records (empty = all agree) over `trials` modules.
 
     Each record's oracle value is hom_oracle's.  The oracle prepares each
-    side of a pair once: every target once per call (oracle._target), and
-    each trial module once (oracle._source), for all the descriptors.
+    side of a pair once: every target once per process, in a bounded cache
+    (_catalog_target), and each trial module once (oracle._source), for all
+    the descriptors.
 
-    A negative trial count raises InvalidParams: it would check nothing and
+    A trial count that is not an int, or is negative, raises InvalidParams:
+    True would run one trial, and a negative count would check nothing and
     still read as "all agree".
     """
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise InvalidParams(f"trials must be an int, got {trials!r}")
     if trials < 0:
         raise InvalidParams(f"trials must be >= 0, got {trials}")
     rng = random.Random(seed)
     descs = enumerate_descriptors(bounds)
-    targets = [_target(build(d, field)) for d in descs]
+    targets = [_catalog_target(d, field) for d in descs]
     out = []
     for trial in range(trials):
         if trial % 2:

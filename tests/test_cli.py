@@ -99,6 +99,17 @@ def test_homdim_all_agrees_with_oracle_mode(capsys, tmp_path):
     assert [x for x in labels if x.startswith("R(") and x.count(",") == 1] == ["R(1,2)"]
 
 
+def test_homdim_oracle_too_large_target_is_one_line_each_time(capsys, tmp_path):
+    # --oracle reads its targets through the sweep's per-process cache; a
+    # target too large to build raises every time, as no raise is kept
+    path = write_module(tmp_path, cat.build(cat.R(1, GF.coerce(2)), GF))
+    _, small, _ = run(capsys, "homdim", path, "P(1,1)")
+    for _ in range(2):
+        code, out, err = run(capsys, "homdim", path, "P(1,1)", "P(100000000,0)", "--oracle")
+        assert code == 1 and out == small
+        assert len(err.splitlines()) == 1 and err.startswith("error: too-large:")
+
+
 def test_homdim_all_matches_hom_dim_on_disguised_sum(capsys, tmp_path):
     m = disguised_sum(GF, [cat.R(2, GF.coerce(5)), cat.P(2, 1), cat.I(1, 3)], random.Random(6))
     path = write_module(tmp_path, m)

@@ -33,7 +33,7 @@ from fourspace.modules import (
     random_module,
 )
 from fourspace.oracle import hom_oracle
-from fourspace.verify import disguised_sum
+from fourspace.verify import disguised_sum, structured_module
 
 from reference import reference_rref
 
@@ -584,6 +584,64 @@ def test_hom_vector_extrapolates_past_a_late_fixed_point(field, picks, bounds, m
     # took checks; some only after several
     depths = [len(run) + 1 for run in "".join(".T"[c] for c in checks).split("T")[:-1]]
     assert len(depths) == len(groups) and max(depths) >= 4, depths
+
+
+# a copy count no staircase reaches: a group asked for it must settle first
+FAR = 10**6
+
+
+def _far(d):
+    """d with its size parameter raised by 2 * FAR: the same (case key,
+    sigma, lam) group, as the parity is kept, asked for at least FAR more
+    copies."""
+    if d.family in (cat.FAMILY_POSTPROJECTIVE, cat.FAMILY_PREINJECTIVE):
+        n, j = d.params
+        return cat.IndecDescriptor(d.family, (n + 2 * FAR, j))
+    if d.family == cat.FAMILY_REGULAR_HOMOGENEOUS:
+        l, lam = d.params
+        return cat.R(l + 2 * FAR, lam)
+    s, m, lam = d.params
+    return cat.R(s, m + 2 * FAR, lam)
+
+
+@pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
+def test_every_staircase_settles_within_n0_plus_two_steps(field, monkeypatch):
+    # a measured bound, not a proven one: every group reaches its fixed
+    # point within n_0 + 2 steps of _step.  Each group is asked for about
+    # FAR copies, so it must settle; the spy fails a group at its first
+    # step past the bound, so a runaway one fails and does not hang
+    rng = random.Random(0x16)
+    lams = tuple(dict.fromkeys(x for x in map(field.coerce, (2, 5))
+                               if x not in (field.zero, field.one)))
+    descs = [_far(d) for d in enumerate_descriptors(EnumerationBounds(2, 2, lams))]
+    # a deep sum's staircases track its deepest summand: n_0 = 30 or 29
+    deep = cat.R(15, lams[0]) if lams else cat.I(14, 0)
+    modules = [random_module(field, rng, max_dim=6) for _ in range(6)]
+    modules += [structured_module(field, EnumerationBounds(3, 3, lams), rng) for _ in range(6)]
+    modules.append(disguised_sum(field, [deep], rng))
+    coranks, step = homdim._staircase_coranks, homdim._step
+    steps = []
+    bound = None
+
+    def spied_coranks(*args):
+        steps.append(0)
+        return coranks(*args)
+
+    def spied_step(*args):
+        steps[-1] += 1
+        assert steps[-1] <= bound, f"a group took more than {bound} steps"
+        return step(*args)
+
+    monkeypatch.setattr(homdim, "_staircase_coranks", spied_coranks)
+    monkeypatch.setattr(homdim, "_step", spied_step)
+    groups = {(key, sigma, lam) for key, sigma, _, lam in (cat.case(d, field) for d in descs)}
+    for m in modules:
+        bound = m.n0 + 2
+        steps.clear()
+        assert all(x >= 0 for x in hom_vector(m, descs))
+        assert len(steps) == len(groups)
+    # the deep sum's last groups stepped on well past a random module's
+    assert max(steps) > 10
 
 
 @pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)

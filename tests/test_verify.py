@@ -9,7 +9,7 @@ from fourspace import verify
 from fourspace.catalog import EnumerationBounds, InvalidParams, declared_dim
 from fourspace.exactmat import QQ, PrimeField
 from fourspace.modules import dim_vector, module_direct_sum, module_to_record, zero_module
-from fourspace.oracle import hom_oracle
+from fourspace.oracle import _target, hom_oracle
 from fourspace.verify import disguised_sum, run_sweep, structured_module
 
 BOUNDS = EnumerationBounds(1, 1, ())
@@ -21,6 +21,13 @@ def test_run_sweep_rejects_negative_trials():
     with pytest.raises(InvalidParams, match="trials must be >= 0"):
         run_sweep(PrimeField(7), BOUNDS, -3, 0)
     assert run_sweep(PrimeField(7), BOUNDS, 0, 0) == []
+
+
+@pytest.mark.parametrize("trials", [True, 2.5, "2", None])
+def test_run_sweep_rejects_a_trial_count_that_is_not_an_int(trials):
+    # True would run one trial and read "all agree"; 2.5 would reach range()
+    with pytest.raises(InvalidParams, match="trials must be an int"):
+        run_sweep(PrimeField(7), BOUNDS, trials, 0)
 
 
 def _lambdas(field):
@@ -92,3 +99,50 @@ def test_sweep_oracle_column_is_the_public_oracle(name, monkeypatch):
         assert miss.formula == miss.oracle + 1
         assert miss.oracle == hom_oracle(miss.module, cat.build(d, field))
     assert [misses[0].trial, misses[-1].trial] == [0, 1]
+
+
+def _counted_targets(monkeypatch):
+    """Empty the sweep's target cache; the list of the modules that
+    oracle._target prepares from now on."""
+    verify._catalog_target.cache_clear()
+    prepared, target = [], verify._target
+
+    def counted(X):
+        prepared.append(X)
+        return target(X)
+
+    monkeypatch.setattr(verify, "_target", counted)
+    return prepared
+
+
+def test_run_sweep_prepares_each_target_once_per_process(monkeypatch):
+    # every formula answer off by one, so both lists hold every oracle value
+    field = FIELDS["GF32003"]
+    hom_vector = verify.hom_vector
+    monkeypatch.setattr(verify, "hom_vector",
+                        lambda M, descs: [x + 1 for x in hom_vector(M, descs)])
+    bounds = EnumerationBounds(2, 2, _lambdas(field))
+    descs = cat.enumerate_descriptors(bounds)
+    prepared = _counted_targets(monkeypatch)
+    first = run_sweep(field, bounds, 2, 3)
+    second = run_sweep(field, bounds, 2, 3)
+    assert len(prepared) == len(descs)
+    assert len(first) == 2 * len(descs) and first == second
+
+
+def test_each_field_prepares_its_own_targets(monkeypatch):
+    # the descriptors of one bounds are equal over every field, R(1,2)
+    # among them: the field is part of the key
+    bounds = EnumerationBounds(2, 2, (2, 5))
+    descs = cat.enumerate_descriptors(bounds)
+    fields = (PrimeField(7), PrimeField(11), QQ)
+    prepared = _counted_targets(monkeypatch)
+    for k, field in enumerate(fields, start=1):
+        assert run_sweep(field, bounds, 2, k) == []
+        assert len(prepared) == k * len(descs)
+        assert {x.field for x in prepared[-len(descs):]} == {field}
+    # a hit hands back what a fresh preparation gives
+    for field in fields:
+        for d in descs:
+            assert verify._catalog_target(d, field) == _target(cat.build(d, field)), d.label()
+    assert len(prepared) == len(fields) * len(descs)
