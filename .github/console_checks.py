@@ -18,7 +18,9 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
   `fourspace homdim` on it with and without --oracle, and the two outputs
   must be equal and have the expected number of lines;
 - `fourspace decompose` of catalog modules and of a disguised sum;
-- error paths that must print one `error:` line and no traceback.
+- error paths that must print one `error:` line and no traceback;
+- `fourspace homdim --oracle` before a target too large to build: the
+  lines before it are printed, then one `error: too-large:` line.
 
 A new formula/oracle scenario is one DIFFS row.
 """
@@ -259,6 +261,14 @@ def main():
     with open("p7.json", "w", encoding="utf-8") as fh:
         json.dump(record, fh)
     one_error_line("homdim p7.json", ["homdim", "p7.json", "P(0,0)"], "is not an integer")
+
+    # --oracle yields its values one target at a time (verify.oracle_vector)
+    _, small, _ = fourspace(["homdim", "m.json", "P(1,1)"])
+    code, out, err = fourspace(["homdim", "m.json", "P(1,1)", "P(100000000,0)", "--oracle"])
+    check("homdim m.json P(1,1) P(100000000,0) --oracle",
+          code == 1 and out == small and re.fullmatch(r"P\(1,1\)\t\d+\n", small)
+          and len(err.splitlines()) == 1 and err.startswith("error: too-large:"),
+          f"exit {code}, stdout {out!r}, stderr {err.strip()!r}")
 
     if failures:
         print(f"{len(failures)} failed: {'; '.join(failures)}")

@@ -5,20 +5,22 @@ preinjectives I(n, j) (j the vertex, 0 the center), regular homogeneous
 modules R(l, lam) with lam outside {0, 1}, and regular exceptional modules
 R(s, m, lam) with s in {0, 1} and lam in {0, 1, inf}.  Every constructor
 assembles its quadruple from identity / zero / exchange / Jordan /
-projection blocks.  canonical_form names the one placement: each
+projection blocks.  Two tables state the one placement: each
 subspace-vertex member (j = 1..4) of the P/I families, and each exceptional
 row, is a representative (the j = 1 member, R(0, m, 0)) with its slots
-permuted by a vertex permutation sigma.  A pattern depends only on a
-descriptor's class: its family, its vertex or exceptional row, and the
-parity of its size.  _CLASSES holds the 31 classes, each with its key (one
-of eight) and sigma, asked of canonical_form once per class when the
-module loads.  case is the one dispatch per descriptor: it reads its
-class's entry and works out only its size and lam.  build reads the slot
-builder of case's key, and homdim the staircase of that key.
+permuted by a vertex permutation sigma, from _CYCLE_POWERS and
+_EXCEPTIONAL_SIGMA.  A pattern depends only on a descriptor's class: its
+family, its vertex or exceptional row, and the parity of its size.
+_CLASSES holds the 31 classes, each with its key (one of eight: the
+family, then that parity) and its sigma from the two tables, which
+canonical_form reads too.  case is the one dispatch per descriptor: it
+reads its class's entry and works out only its size and lam.  build reads
+the slot builder of case's key, and homdim the staircase of that key.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -86,28 +88,47 @@ class IndecDescriptor:
         return self.label()
 
 
+def _integers(name, *xs):
+    """xs as plain ints, so that equal descriptors name one module, as
+    P(2.0, 1) would equal P(2, 1); InvalidParams for a bool or what
+    operator.index refuses.  Callers skip it for a plain int."""
+    try:
+        if bool not in map(type, xs):
+            return tuple(map(operator.index, xs))
+    except TypeError:
+        pass
+    raise InvalidParams(f"{name}: need integer sizes, vertices and s, got {xs}")
+
+
 def P(n, j):
+    if type(n) is not int or type(j) is not int:
+        n, j = _integers("P", n, j)
     if n < 0 or j not in (0, 1, 2, 3, 4):
         raise InvalidParams(f"P({n},{j}): need n >= 0 and vertex j in 0..4")
     return IndecDescriptor(FAMILY_POSTPROJECTIVE, (n, j))
 
 
 def I(n, j):
+    if type(n) is not int or type(j) is not int:
+        n, j = _integers("I", n, j)
     if n < 0 or j not in (0, 1, 2, 3, 4):
         raise InvalidParams(f"I({n},{j}): need n >= 0 and vertex j in 0..4")
     return IndecDescriptor(FAMILY_PREINJECTIVE, (n, j))
 
 
 def R(*params):
-    """R(l, lam) homogeneous, or R(s, m, lam) exceptional with lam in {0,1,inf}."""
+    """R(l, lam) homogeneous, or R(s, m, lam) exceptional with lam in {0,1,inf};
+    a float lam, as R(1, 2.0) would equal R(1, 2), raises InvalidParams."""
+    if params and isinstance(params[-1], float):
+        raise InvalidParams(f"R{params}: lam must be exact, not a float")
     if len(params) == 2:
         l, lam = params
+        if type(l) is not int:
+            (l,) = _integers("R", l)
         if l < 1:
             raise InvalidParams(f"R({l},{lam}): need l >= 1")
         if lam is INF:
-            raise InvalidParams(
-                "R(l,inf) is exceptional: use R(s,m,inf) with s in {0,1}"
-            )
+            raise InvalidParams("R(l,inf) is exceptional: use R(s,m,inf) with s in {0,1}")
         if lam == 0 or lam == 1:
             raise InvalidParams(
                 f"R({l},{lam}): lam in {{0,1}} lives in the exceptional family; "
@@ -116,6 +137,8 @@ def R(*params):
         return IndecDescriptor(FAMILY_REGULAR_HOMOGENEOUS, (l, lam))
     if len(params) == 3:
         s, m, lam = params
+        if type(s) is not int or type(m) is not int:
+            s, m = _integers("R", s, m)
         if s not in (0, 1) or m < 1:
             raise InvalidParams(f"R({s},{m},{lam}): need s in {{0,1}} and m >= 1")
         if not (lam is INF or lam == 0 or lam == 1):
@@ -241,15 +264,14 @@ def _r_odd_blocks(field, l):
 
 
 # the 4-cycle applied 0, 1, 2 and 3 times: sigma of the vertex-j P/I
-# members, j = 1..4, read by canonical_form
+# members, j = 1..4, read by canonical_form and _CLASSES
 _CYCLE_POWERS = tuple(
     accumulate(range(3), lambda sigma, _: perm_compose(PERM_CYCLE, sigma), initial=PERM_IDENTITY)
 )
 
 # sigma with build(R(s, m, lam)) == permute_vertices(build(R(0, m, 0)), sigma),
 # the same for the even and odd rows of each (s, lam): the one table that
-# places the exceptional rows, read by canonical_form and so, through
-# _CLASSES, by case and build
+# places the exceptional rows, read by canonical_form and _CLASSES
 _EXCEPTIONAL_SIGMA = {
     (0, 0): PERM_IDENTITY,
     (1, 0): (2, 1, 4, 3),
@@ -257,6 +279,23 @@ _EXCEPTIONAL_SIGMA = {
     (1, 1): (1, 3, 2, 4),
     (0, INF): (2, 1, 3, 4),
     (1, INF): (1, 2, 4, 3),
+}
+
+# class -> (key, sigma), read by case: P/I at the center, P/I at vertex j
+# by size parity, the homogeneous tubes, an exceptional row (s, lam) by the
+# parity of m.  The key is the family, then that parity; sigma is the tables'
+_PARITY = ("EVEN", "ODD")
+_CLASSES = {
+    **{(fam, 0, 0): (f"{fam}0", PERM_IDENTITY)
+       for fam in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE)},
+    **{(fam, j, parity): (f"{fam}_{_PARITY[parity]}", sigma)
+       for fam in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE)
+       for j, sigma in enumerate(_CYCLE_POWERS, start=1)
+       for parity in (0, 1)},
+    FAMILY_REGULAR_HOMOGENEOUS: ("R_EVEN", PERM_IDENTITY),
+    **{(FAMILY_REGULAR_EXCEPTIONAL, s, lam, parity): (f"R_{_PARITY[parity]}", sigma)
+       for (s, lam), sigma in _EXCEPTIONAL_SIGMA.items()
+       for parity in (0, 1)},
 }
 
 
@@ -287,11 +326,11 @@ def case(desc, field):
 
     (key, sigma) is desc's class entry in _CLASSES: one of eight keys, each
     naming one slot builder here and one staircase pattern in
-    homdim.CASE_SPECS, and the sigma that carries desc to its
-    canonical_form representative.  Only size and lam are read off desc
-    itself: size is the builder's block size, lam the tube parameter in
-    field (0 for the even exceptional rows, which are R_EVEN at lam = 0),
-    None where the pattern has none.
+    homdim.CASE_SPECS, and the sigma of _CYCLE_POWERS or _EXCEPTIONAL_SIGMA
+    that carries desc to its representative.  Only size and lam are read
+    off desc itself: size is the builder's block size, lam the tube
+    parameter in field (0 for the even exceptional rows, which are R_EVEN
+    at lam = 0), None where the pattern has none.
     """
     fam, params = desc.family, desc.params
     if fam == FAMILY_POSTPROJECTIVE or fam == FAMILY_PREINJECTIVE:
@@ -325,7 +364,7 @@ def canonical_form(desc):
     member, and sigma the 4-cycle applied j - 1 times; that of an
     exceptional row R(s, m, lam) is R(0, m, 0), with sigma from
     _EXCEPTIONAL_SIGMA.  Every other module is its own representative.
-    Asked once per class to fill _CLASSES; case reads that table instead.
+    case reads the same placement through _CLASSES, never through here.
     """
     fam, params = desc.family, desc.params
     if fam in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE):
@@ -341,47 +380,6 @@ def canonical_form(desc):
         return R(0, m, 0), _EXCEPTIONAL_SIGMA[s, lam]
     raise InvalidParams(f"unknown family {fam!r}")
 
-
-def _pattern_key(rep):
-    """The case key of a canonical_form representative: its family and the
-    parity of its size."""
-    fam, params = rep.family, rep.params
-    if fam in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE):
-        # keys "P0", "P_ODD", "P_EVEN" and their "I" twins
-        n, j = params
-        if j == 0:
-            return f"{fam}0"
-        return f"{fam}_{'ODD' if n % 2 else 'EVEN'}"
-    if fam == FAMILY_REGULAR_HOMOGENEOUS:
-        return "R_EVEN"
-    return "R_ODD" if params[1] % 2 else "R_EVEN"
-
-
-def _class_members():
-    """(class, one member of it) for each of the 31 classes case reads: P/I
-    by (family, vertex, size parity), one class (parity 0) at the center; the
-    homogeneous tubes as one class; the exceptional rows by (s, lam, row
-    parity)."""
-    for fam, make in ((FAMILY_POSTPROJECTIVE, P), (FAMILY_PREINJECTIVE, I)):
-        yield (fam, 0, 0), make(0, 0)
-        for j in range(1, 5):
-            for parity in (0, 1):
-                yield (fam, j, parity), make(parity, j)
-    yield FAMILY_REGULAR_HOMOGENEOUS, R(1, 2)
-    for s in (0, 1):
-        for lam in (0, 1, INF):
-            for parity in (0, 1):
-                yield (FAMILY_REGULAR_EXCEPTIONAL, s, lam, parity), R(s, 2 - parity, lam)
-
-
-def _class_entry(member):
-    rep, sigma = canonical_form(member)
-    return _pattern_key(rep), sigma
-
-
-# class -> (key, sigma), read by case: placement stays canonical_form's,
-# asked once per class when the module loads, never per descriptor
-_CLASSES = {cls: _class_entry(member) for cls, member in _class_members()}
 
 
 # -- declared dimension vectors ----------------------------------------------
@@ -467,7 +465,7 @@ class EnumerationBounds:
     so EnumerationBounds(1, 1, (4,)) yields R(1,4), though 4 reduces to 1
     in GF(3).  tube_lambda(field, lam) decides that: decompose rejects
     such bounds through it up front, and the CLI skips such lambdas.  A
-    negative max_n or max_l raises InvalidParams.
+    max_n or max_l that is not an int, or is negative, raises InvalidParams.
     """
 
     max_n: int
@@ -475,6 +473,8 @@ class EnumerationBounds:
     lambdas: tuple = ()
 
     def __post_init__(self):
+        if {type(self.max_n), type(self.max_l)} != {int}:  # rejects True as well as 2.5
+            raise InvalidParams(f"bounds must be ints, got {self.max_n!r} and {self.max_l!r}")
         if self.max_n < 0 or self.max_l < 0:
             raise InvalidParams(
                 f"bounds need max_n >= 0 and max_l >= 0, got {self.max_n} and {self.max_l}"

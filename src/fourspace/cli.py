@@ -33,8 +33,7 @@ from .decomp import IncompleteCandidates, decompose
 from .exactmat import FieldMismatch, field_from_spec
 from .homdim import hom_vector
 from .modules import dim_vector, module_from_record, module_to_record
-from .oracle import _nullity, _source
-from .verify import _catalog_target, run_sweep
+from .verify import oracle_vector, run_sweep
 
 DEFAULT_VERIFY_PRIME = 32003
 DEFAULT_LAMBDAS = ("2", "5")
@@ -120,13 +119,7 @@ def _cmd_homdim(args):
         descs = [parse_descriptor(s, field) for s in args.descriptors]
     else:
         raise CliError("parse-error", "give descriptor arguments or --all")
-    if args.oracle:
-        # the module's side is prepared once; each descriptor's comes from
-        # the sweep's per-process cache
-        source = _source(module)
-        values = (_nullity(field, source, _catalog_target(d, field)) for d in descs)
-    else:
-        values = hom_vector(module, descs)
+    values = (oracle_vector if args.oracle else hom_vector)(module, descs)
     for d, value in zip(descs, values):
         print(f"{d.label()}\t{value}")
     return 0

@@ -46,8 +46,8 @@ prepared once: _target(X) gives m and the C_t, splitting [L_X | I]
 (_Field._split), and _source(M) gives n and the B_t, eliminating the
 columns of each L_M^t (_Field._eliminate).  _nullity writes the residual
 from the two and ranks it with the same loop, and hom_oracle is that
-composition.  verify's sweep prepares each target once per process,
-in a bounded cache, and each trial module once.
+composition.  verify.oracle_vector, which run_sweep and `homdim --oracle`
+call, prepares M once and each target once per process, in a bounded cache.
 """
 
 from __future__ import annotations

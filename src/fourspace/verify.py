@@ -112,13 +112,22 @@ def _catalog_target(desc, field):
     return _target(build(desc, field))
 
 
+def oracle_vector(M, descs):
+    """hom_oracle(M, build(d, M.field)) for d in descs, lazily, in order.
+
+    Each side of a pair is prepared once: M's here (oracle._source), each
+    target once per process (_catalog_target).  The values before a target
+    too large to build come out before its MemoryError.
+    """
+    field, source = M.field, _source(M)
+    return (_nullity(field, source, _catalog_target(d, field)) for d in descs)
+
+
 def run_sweep(field, bounds, trials, seed, report=None):
     """List of Mismatch records (empty = all agree) over `trials` modules.
 
-    Each record's oracle value is hom_oracle's.  The oracle prepares each
-    side of a pair once: every target once per process, in a bounded cache
-    (_catalog_target), and each trial module once (oracle._source), for all
-    the descriptors.
+    Each record's oracle value is hom_oracle's, through oracle_vector, so
+    no target is built before the first trial.
 
     A trial count that is not an int, or is negative, raises InvalidParams:
     True would run one trial, and a negative count would check nothing and
@@ -130,16 +139,13 @@ def run_sweep(field, bounds, trials, seed, report=None):
         raise InvalidParams(f"trials must be >= 0, got {trials}")
     rng = random.Random(seed)
     descs = enumerate_descriptors(bounds)
-    targets = [_catalog_target(d, field) for d in descs]
     out = []
     for trial in range(trials):
         if trial % 2:
             M = structured_module(field, bounds, rng)
         else:
             M = random_module(field, rng, max_dim=MAX_DIM)
-        source = _source(M)
-        for d, target, a in zip(descs, targets, hom_vector(M, descs)):
-            b = _nullity(field, source, target)
+        for d, a, b in zip(descs, hom_vector(M, descs), oracle_vector(M, descs)):
             if a != b:
                 miss = Mismatch(trial, d.label(), a, b, M.dim_vector(), M)
                 out.append(miss)

@@ -171,6 +171,20 @@ def test_invalid_parameters_rejected():
         lambda: cat.R(0, 0, 1),
         lambda: cat.R(0, 1, 7),
         lambda: cat.R(1, INF),
+        # a float or bool would compare equal to an int and name its module
+        lambda: cat.P(2.0, 1),
+        lambda: cat.P(2, 1.0),
+        lambda: cat.P(True, 1),
+        lambda: cat.I(1, 2.0),
+        lambda: cat.I(False, 0),
+        lambda: cat.R(1, 2.0),
+        lambda: cat.R(1.0, LAM2),
+        lambda: cat.R(True, LAM2),
+        lambda: cat.R(0, 2.0, 0),
+        lambda: cat.R(0.0, 2, 0),
+        lambda: cat.R(True, 2, 0),
+        lambda: cat.R(0, 2, 0.0),
+        lambda: cat.P("2", 1),
     ]:
         with pytest.raises(InvalidParams):
             bad()
@@ -238,6 +252,13 @@ def test_enumerate_counts_and_order():
 @pytest.mark.parametrize("max_n, max_l", [(-1, 0), (0, -1), (-1, -1)])
 def test_negative_bounds_rejected(max_n, max_l):
     with pytest.raises(InvalidParams, match="max_n >= 0 and max_l >= 0"):
+        EnumerationBounds(max_n, max_l, ())
+
+
+@pytest.mark.parametrize("max_n, max_l", [(True, 1), (1, False), (2.5, 1), (1, 1.0), ("1", 1)])
+def test_non_integer_bounds_rejected(max_n, max_l):
+    # True would enumerate as max_n = 1, and 2.5 fail in range with a TypeError
+    with pytest.raises(InvalidParams, match="bounds must be ints"):
         EnumerationBounds(max_n, max_l, ())
 
 

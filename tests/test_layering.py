@@ -1,9 +1,11 @@
-"""Only exactmat reads the elimination's internals.
+"""Only exactmat reads the elimination's internals, and the CLI reads no
+private name.
 
 The other modules drive the elimination loop through the working copy,
 the loop, the split and a scaled row; the pivot forms and the reduction
 of a row against them stay inside exactmat, so their format can change
-there alone.
+there alone.  The CLI is a front end: it imports only public names from
+the package, so a private protocol is written once, behind one of them.
 """
 
 import ast
@@ -70,3 +72,33 @@ def test_layering_guard_sees_a_planted_read(tmp_path):
     )
     (tmp_path / "oracle.py").write_text("def f(field, row):\n    return field._pivot(row, 0)\n")
     assert field_internals_read(tmp_path) == ["homdim._reduce", "oracle._pivot"]
+
+
+def private_imports(path):
+    """["module._name", ...]: the _-prefixed names path imports from the
+    package, relatively or as fourspace.*."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return sorted(f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == "fourspace")
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_cli_imports_no_private_name():
+    assert private_imports(PACKAGE / "cli.py") == []
+
+
+def test_private_import_guard_sees_a_planted_import(tmp_path):
+    cli = tmp_path / "cli.py"
+    cli.write_text(
+        "from __future__ import annotations\n\n"
+        "import os\n"
+        "from os import _exit\n\n"
+        "from fourspace.exactmat import QQ, _zero_array\n"
+        "from .oracle import _nullity, _source, hom_oracle\n"
+        "from .verify import _catalog_target, run_sweep\n"
+    )
+    assert private_imports(cli) == [
+        "fourspace.exactmat._zero_array", "oracle._nullity", "oracle._source",
+        "verify._catalog_target",
+    ]

@@ -30,6 +30,19 @@ def test_run_sweep_rejects_a_trial_count_that_is_not_an_int(trials):
         run_sweep(PrimeField(7), BOUNDS, trials, 0)
 
 
+def test_a_float_lambda_is_rejected_cold_and_warm():
+    # R(1, 2.0) must not name R(1, 2): a warm target cache would hand back
+    # R(1, 2)'s target, where a cold one fails in build
+    verify._catalog_target.cache_clear()
+    floats = EnumerationBounds(1, 1, (2.0,))
+    with pytest.raises(InvalidParams) as cold:
+        run_sweep(QQ, floats, 1, 0)
+    assert run_sweep(QQ, EnumerationBounds(1, 1, (2,)), 1, 0) == []
+    with pytest.raises(InvalidParams) as warm:
+        run_sweep(QQ, floats, 1, 0)
+    assert str(cold.value) == str(warm.value) == "R(1, 2.0): lam must be exact, not a float"
+
+
 def _lambdas(field):
     return tuple(x for x in map(field.coerce, (2, 5)) if x not in (field.zero, field.one))
 
