@@ -11,9 +11,9 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
 - `fourspace verify` runs, and one QQ run_sweep in-process, twice: the
   second reads its targets from the cache the first filled;
 - hom_oracle against the nullity of hom_system's full matrix, both ways,
-  between random small modules and four DIFFS modules: w5 and q5
-  (n_0 = 22), z4 (an empty vertex, a letter of rank 1 on 2 columns) and
-  e7 (exceptional tubes);
+  between random small modules, one of them with A = B, and four DIFFS
+  modules: w5 and q5 (n_0 = 22), z4 (an empty vertex, a letter of rank 1
+  on 2 columns) and e7 (exceptional tubes);
 - formula against oracle: each DIFFS row writes a module file and runs
   `fourspace homdim` on it with and without --oracle, and the two outputs
   must be equal and have the expected number of lines;
@@ -189,13 +189,12 @@ def run_diff(row):
     check(name, True)
 
 
-def check_oracle_nullity(row, rng):
+def check_oracle_nullity(row, partners):
     """hom_oracle, which ranks only what is left after each F_t is
     eliminated, against the nullity of hom_system's full matrix: between
-    row's module and 4 random modules of dimension at most 4, both ways."""
+    row's module and each partner, both ways."""
     m = module(row.field, row.summands, row.seed)
-    for _ in range(4):
-        x = random_module(row.field, rng, max_dim=4)
+    for x in partners:
         for a, b in ((m, x), (x, m)):
             full = hom_system(a, b).matrix
             got, want = hom_oracle(a, b), full.cols - full.rank()
@@ -223,10 +222,17 @@ def main():
     check("run_sweep QQ", run_sweep(QQ, bounds, 4, 0) == [], "mismatches")
     # the same sweep again reads every target from the per-process cache
     check("run_sweep QQ, targets cached", run_sweep(QQ, bounds, 4, 0) == [], "mismatches")
+    # 4 random modules of dimension at most 4 per ORACLE_NULLITY module,
+    # then one more each whose A equals its B, so that hom_oracle's frame
+    # meets relations 1 and 2 equal on one side
     rng = random.Random(0)
-    for row in DIFFS:
-        if row.file in ORACLE_NULLITY:
-            check_oracle_nullity(row, rng)
+    rows = [row for row in DIFFS if row.file in ORACLE_NULLITY]
+    partners = [[random_module(row.field, rng, max_dim=4) for _ in range(4)] for row in rows]
+    for row, drawn in zip(rows, partners):
+        x = random_module(row.field, rng, max_dim=4)
+        drawn.append(LambdaModule(x.A, x.A, x.C, x.D))
+    for row, drawn in zip(rows, partners):
+        check_oracle_nullity(row, drawn)
 
     for row in DIFFS:
         run_diff(row)

@@ -301,8 +301,11 @@ _CLASSES = {
 
 def tube_lambda(field, lam):
     """lam coerced into field, or parsed there if it is the typed text;
-    InvalidParams, naming lam as given, if it reduces to 0 or 1 there (8 in
-    GF(7)), the points of the exceptional tubes R(s, m, lam)."""
+    InvalidParams, naming lam as given, if it is the text "inf" or reduces
+    to 0 or 1 there (8 in GF(7)): the points of the exceptional tubes
+    R(s, m, lam), as parse_descriptor reads them."""
+    if lam == "inf":
+        raise InvalidParams(f"lambda {lam} is an exceptional point; no homogeneous tube")
     value = field.parse(lam) if isinstance(lam, str) else field.coerce(lam)
     if value == field.zero or value == field.one:
         raise InvalidParams(f"lambda {lam} reduces to {value} in {field}; no homogeneous tube")

@@ -103,7 +103,8 @@ def structured_module(field, bounds, rng):
 
 @functools.lru_cache(maxsize=_TARGET_CACHE_SIZE)
 def _catalog_target(desc, field):
-    """oracle._target(build(desc, field)), prepared once per process.
+    """oracle._target(build(desc, field)), prepared once per process:
+    X's letter ranks and the two-subspace frame of its left kernels.
 
     A target depends on (desc, field) alone, both hashable by value, and
     _nullity only reads it, so one serves every sweep that asks for it.
@@ -115,9 +116,11 @@ def _catalog_target(desc, field):
 def oracle_vector(M, descs):
     """hom_oracle(M, build(d, M.field)) for d in descs, lazily, in order.
 
-    Each side of a pair is prepared once: M's here (oracle._source), each
-    target once per process (_catalog_target).  The values before a target
-    too large to build come out before its MemoryError.
+    Each side of a pair is prepared once, into the frame that puts its
+    relations 1 and 2 in coordinate position: M's here (oracle._source),
+    each target once per process (_catalog_target).  Each value is then
+    one _nullity, which writes relations 3 and 4 alone.  The values before
+    a target too large to build come out before its MemoryError.
     """
     field, source = M.field, _source(M)
     return (_nullity(field, source, _catalog_target(d, field)) for d in descs)

@@ -227,6 +227,21 @@ def test_bad_lambda_flag(capsys, tmp_path):
     assert code != 0 and err.startswith("error: parse-error:")
 
 
+@pytest.mark.parametrize("command", ["verify", "homdim", "decompose"])
+def test_lambda_inf_reads_like_lambda_0(capsys, tmp_path, command):
+    # inf, like 0 and 1, is a point of the exceptional tubes, which every
+    # enumeration holds: the flag adds no homogeneous tube and is no error
+    path = write_module(tmp_path, cat.build(cat.R(0, 2, cat.INF), GF))
+    head = {"verify": ["verify", "--trials", "2"], "homdim": ["homdim", path, "--all"],
+            "decompose": ["decompose", path]}[command]
+    outs = []
+    for lam in ("inf", "0"):
+        code, out, err = run(capsys, *head, "--max-n", "2", "--max-l", "2", "--lambda", lam)
+        assert (code, err) == (0, ""), lam
+        outs.append(out)
+    assert outs[0] == outs[1] != ""
+
+
 def test_help_exits_zero(capsys):
     # usage errors raise inside main; --help is no error and still exits
     with pytest.raises(SystemExit) as exit_info:

@@ -24,7 +24,15 @@ from fourspace.modules import (
     random_module,
     zero_module,
 )
-from fourspace.oracle import check_hom, hom_basis, hom_oracle, hom_system
+from fourspace.oracle import (
+    _covered,
+    _source,
+    _target,
+    check_hom,
+    hom_basis,
+    hom_oracle,
+    hom_system,
+)
 
 from reference import reference_rref
 
@@ -288,3 +296,86 @@ def test_oracle_on_empty_vertices(fld, rng):
                      "F_0 and F_t": bool(d[0] * n[0]) and offsets[5] > offsets[1]}.items())
     for name in ("m_0 = 0", "n_0 = 0", "n_t = 0", "m_t = 0", "F_0 and F_t"):
         assert (name, True) in seen, seen
+
+
+# -- the two-subspace frame of relations 1 and 2 -----------------------------------
+
+
+def _geometries(d, rng):
+    # (kind, S_A, S_B), d >= 3: the basis vectors that span relation 1's
+    # subspace and relation 2's, so their meet is spanned by S_A & S_B.
+    # Neither is 0 or everything unless the kind says so
+    cols = list(range(d))
+    rng.shuffle(cols)
+    k = rng.randint(1, d - 2)
+    part = cols[:k]
+    return [("equal", part, part), ("nested", part, cols[: k + 1]),
+            ("nested, reversed", cols[: k + 1], part), ("complementary", part, cols[k:]),
+            ("meeting", cols[: k + 1], cols[k : d - 1]),
+            ("zero", [], part), ("zero, reversed", part, []),
+            ("whole", cols, part), ("whole, reversed", part, cols)]
+
+
+def _columns(field, h, cols):
+    return mat(field, [[row[c] for c in cols] for row in h.data.tolist()],
+               shape=(h.rows, len(cols)))
+
+
+def _framed_pair(field, h, sa, sb, rng):
+    """(M, X) with im A, im B of M spanned by h's columns sa, sb, and the
+    left kernels of X's A', B' by the rows sa, sb of h^-1: A' and B' are
+    h's other columns.  C is B times a random matrix on both sides, so im C
+    lies in im B and X's left kernel of C' holds that of B', which random
+    letters would not; D is random.  C and D are 0 to max(d, 2) columns
+    wide."""
+    d = h.rows
+    letters = []
+    for cols in (sa, sb), [[c for c in range(d) if c not in s] for s in (sa, sb)]:
+        a, b = (_columns(field, h, s) for s in cols)
+        c, dd = (random_matrix(field, rows, rng.randint(0, max(d, 2)), rng)
+                 for rows in (b.cols, d))
+        letters.append(LambdaModule(a, b, b @ c, dd))
+    return tuple(letters)
+
+
+def _reference_covered(m, x):
+    # the rank of the rows c kron b, c in X's left kernel of letter t and b
+    # in im L_M^t, t = 1, 2, all by the reference eliminator
+    field = m.field
+    p = field.p if isinstance(field, PrimeField) else None
+    rows = []
+    for lm, lx in list(zip(m.mats(), x.mats()))[:2]:
+        ident = [[int(i == j) for j in range(lx.rows)] for i in range(lx.rows)]
+        pivots, e = reference_rref([a + b for a, b in zip(lx.data.tolist(), ident)], p)
+        kernel = [row[lx.cols :] for c, row in zip(pivots, e) if c >= lx.cols]
+        pivots, e = reference_rref(lm.data.T.tolist(), p)
+        rows += [[a * b for a in c for b in w] for c in kernel for w in e[: len(pivots)]]
+    return len(reference_rref(rows, p)[0])
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
+def test_oracle_frame_geometry(fld, rng):
+    # relations 1 and 2 of each side equal, nested, complementary, meeting
+    # in a line inside a proper subspace, one of them zero or the whole
+    # space; each source against each target, and against m_0 = 0 and
+    # n_0 = 0.  The frame puts both in coordinate
+    # position at once, so its counts read the geometry and |P| is their
+    # product form; hom_oracle must still equal the full system's nullity,
+    # and |P| the rank of relations 1 and 2's rows
+    for d in (3, 4):
+        sources, targets = [], []
+        for kind, sa, sb in _geometries(d, rng):
+            m, x = _framed_pair(fld, random_invertible(fld, d, rng), sa, sb, rng)
+            meet = len(set(sa) & set(sb))
+            assert _source(m)[2] == _target(x)[2] == (meet, len(sa) - meet, len(sb) - meet)
+            sources.append((m, kind))
+            targets.append((x, kind))
+        for _ in range(2):
+            m, x = _framed_pair(fld, identity(fld, 0), [], [], rng)
+            sources.append((m, "n_0 = 0"))
+            targets.append((x, "m_0 = 0"))
+        for m, source_kind in sources:
+            for x, target_kind in targets:
+                assert hom_oracle(m, x) == _reference_nullity(m, x), (source_kind, target_kind)
+                covered = _covered(_target(x)[2], _source(m)[2])
+                assert covered == _reference_covered(m, x), (source_kind, target_kind)
