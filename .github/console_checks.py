@@ -18,6 +18,9 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
   `fourspace homdim` on it with and without --oracle, and the two outputs
   must be equal and have the expected number of lines;
 - `fourspace decompose` of catalog modules and of a disguised sum;
+- decompose of a QQ and a GF(32003) disguised sum in-process, twice, and
+  is_isomorphic against the plain sum: the later calls read the plan the
+  first filled;
 - error paths that must print one `error:` line and no traceback;
 - `fourspace homdim --oracle` before a target too large to build: the
   lines before it are printed, then one `error: too-large:` line.
@@ -43,7 +46,9 @@ from fourspace import (
     LambdaModule,
     PrimeField,
     build,
+    decompose,
     hom_oracle,
+    is_isomorphic,
     module_direct_sum,
     module_to_record,
     parse_descriptor,
@@ -123,6 +128,12 @@ DIFFS = [
 # in w5 and q5; z4, whose A has rank 1 on 2 columns, so its oracle source
 # drops a dependent column; e7, exceptional tubes on either side
 ORACLE_NULLITY = ("w5.json", "q5.json", "z4.json", "e7.json")
+
+# decompose in-process: (field, summands, disguise seed, bounds)
+DECOMPOSE_TWICE = [
+    (QQ, "R(2,7/3) P(3,1) I(2,0)", 7, EnumerationBounds(6, 3, (Fraction(7, 3),))),
+    (PrimeField(32003), "P(4,0) I(5,0) R(1,2)", 4, EnumerationBounds(6, 3, (2,))),
+]
 
 # `fourspace decompose` of a module written by `fourspace catalog` names it
 DECOMPOSE = [("R(2,7/3)", "--max-n 2 --max-l 2 --lambda 7/3")] + [
@@ -248,6 +259,16 @@ def main():
                                 "--lambda", "7/3"])
     want = ["1 × I(2,0)", "1 × P(3,1)", "1 × R(2,7/3)"]
     check("decompose s.json", code == 0 and sorted(out.splitlines()) == want, (out + err).strip())
+    for field, summands, seed, bounds in DECOMPOSE_TWICE:
+        name = f"decompose {field} {summands}"
+        m = module(field, summands, seed)
+        want = {parse_descriptor(s, field): 1 for s in summands.split()}
+        check(name, decompose(m, bounds) == want, "wrong summands")
+        # the same call again, and is_isomorphic's two, read the plan the
+        # first call filled
+        check(f"{name}, plan cached", decompose(m, bounds) == want, "wrong summands")
+        check(f"is_isomorphic {field} {summands}",
+              is_isomorphic(m, module(field, summands), bounds), "not isomorphic")
     write_module("m.json", module(QQ, "I(3,1) I(2,1)"))
     one_error_line("decompose m.json", ["decompose", "m.json", "--max-n", "2", "--max-l", "1"],
                    "^error: incomplete-candidates:", status=1)

@@ -28,6 +28,12 @@ module past the bounds).  The residual h - sum_Y mu_Y * [Y, .] on the
 candidates, with [Y, X] in closed form, is zero whenever hom_vector is
 right: a second certificate, and the text of IncompleteCandidates.
 
+All of that but the hom_vector call depends on (field, bounds) alone, so
+_plan prepares it once per process, in a bounded cache: the candidates,
+the target list, each candidate's signed target indices and dimension
+vector.  The residual's closed-form rows [Y, .] are filled lazily, the
+first time Y is picked, with their nonzero entries alone (_row).
+
 With e = <dim Y, dim X> = [Y, X] - dim Ext^1(Y, X) (modules.euler_form):
 max(e, 0) inside the directing P and I components; e for P -> R, P -> I
 and R -> I, where Ext^1(Y, X) = D Hom(X, tau Y) = 0; 0 backwards and
@@ -43,7 +49,9 @@ AR quiver of D~4 and its tubes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
+from typing import NamedTuple
 
 from .catalog import (
     FAMILY_POSTPROJECTIVE,
@@ -60,6 +68,12 @@ from .catalog import (
 from .exactmat import FieldMismatch
 from .homdim import hom_vector
 from .modules import dim_vector, euler_form
+
+
+# plans kept per process, one per (field, bounds).  A plan holds 23 kB at
+# (3, 3, {2, 5}) and 0.2 MB at (24, 12, {2, 5}) before any row is filled,
+# 0.19 and 6.7 MB with every row: eight stay under 60 MB at the worst
+_PLAN_CACHE_SIZE = 8
 
 
 class IncompleteCandidates(ValueError):
@@ -82,7 +96,7 @@ _COMPONENT = {
 
 def _hom(y, x, dims=None):
     """dim Hom(y, x) for catalog descriptors, in closed form; dims is
-    (dim y, dim x) when the caller has them (decompose passes its table)."""
+    (dim y, dim x) when the caller has them (_row passes the plan's)."""
     cy, cx = _COMPONENT[y.family], _COMPONENT[x.family]
     if cy > cx:
         return 0
@@ -121,36 +135,81 @@ def _defect(c):
     return [(1, c), (1, tau)] + [(-1, e) for e in middle]
 
 
+class _Plan(NamedTuple):
+    """What decompose reads of (field, bounds), M aside; see _plan."""
+
+    cands: list  # the in-bounds candidates, in enumeration order
+    targets: list  # cands, then the AR terms past the bounds
+    defects: list  # per candidate: [(sign, target index), ...]
+    dims: list  # per candidate: declared_dim
+    rows: dict  # y -> [(x, [Y, X]), ...] where nonzero, filled by _row
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(field, bounds):
+    """The _Plan of bounds, whose lambdas are already coerced into field,
+    prepared once per process.
+
+    Candidate i is target i, the terms past the bounds follow, and each
+    defect is a list of target indices: descriptors are hashed here alone.
+    No closed-form row is filled yet (see _row).  The key is by value: a
+    field and bounds holding a tuple of field scalars.
+    """
+    cands = enumerate_descriptors(bounds)
+    index = {c: i for i, c in enumerate(cands)}
+    defects = [[(sign, index.setdefault(d, len(index))) for sign, d in _defect(c)]
+               for c in cands]
+    return _Plan(cands, list(index), defects, [declared_dim(c) for c in cands], {})
+
+
+def _row(plan, y):
+    """[Y, X] for Y = plan.cands[y] over the candidates X, in closed form,
+    as (x, [Y, X]) for each nonzero entry: computed the first time Y is
+    picked, then kept in the plan.  A full table would cost |cands|^2
+    _hom calls up front (418^2 at (24, 12, {2, 5})), where decompose
+    reads a few rows."""
+    row = plan.rows.get(y)
+    if row is None:
+        cy, dy = plan.cands[y], plan.dims[y]
+        row = plan.rows[y] = [(x, v) for x, (c, dx) in enumerate(zip(plan.cands, plan.dims))
+                              if (v := _hom(cy, c, (dy, dx)))]
+    return row
+
+
 def decompose(M, bounds):
     """Multiplicity dict {descriptor: mu} with M isomorphic to the sum,
     in candidate order.
 
+    Everything but the one hom_vector call depends on (M.field, bounds)
+    alone and is read from _plan: the candidates, the target list, the
+    defect indices, the dimension vectors and, row by row as summands are
+    picked, the closed-form [Y, X] of the residual.  Repeated calls with
+    one field and bounds (is_isomorphic makes two) prepare them once.
+
     Raises IncompleteCandidates when the bounds miss a summand (wrong
     dimension cap or an unlisted homogeneous lam).
     """
-    # lambdas congruent in the field name one tube: coerce them so that
-    # enumeration drops the duplicates
+    # lambdas congruent in the field name one tube: coerced, enumeration
+    # drops the duplicates.  tube_lambda runs on every call, so a lambda
+    # it rejects raises each time, and the plan's key holds field scalars
+    # alone (2.0 == 2, but only 2 is a lambda)
     lambdas = tuple(tube_lambda(M.field, lam) for lam in bounds.lambdas)
-    cands = enumerate_descriptors(replace(bounds, lambdas=lambdas))
-    # descriptors are hashed here alone: candidate i is target i, the terms
-    # past the bounds follow, and each defect is a list of target indices
-    index = {c: i for i, c in enumerate(cands)}
-    defects = [[(sign, index.setdefault(d, len(index))) for sign, d in _defect(c)]
-               for c in cands]
-    h = hom_vector(M, list(index))
-    mu = [sum(sign * h[t] for sign, t in terms) for terms in defects]
+    plan = _plan(M.field, replace(bounds, lambdas=lambdas))
+    h = hom_vector(M, plan.targets)
+    mu = [sum(sign * h[t] for sign, t in terms) for terms in plan.defects]
     picked = [(y, m) for y, m in enumerate(mu) if m > 0]
-    dims = [declared_dim(c) for c in cands]
-    residual = [h[x] - sum(m * _hom(cands[y], c, (dims[y], dims[x])) for y, m in picked)
-                for x, c in enumerate(cands)]
-    total = tuple(sum(m * dims[y][v] for y, m in picked) for v in range(5))
+    residual = h[: len(plan.cands)]
+    for y, m in picked:
+        for x, v in _row(plan, y):
+            residual[x] -= m * v
+    total = tuple(sum(m * plan.dims[y][v] for y, m in picked) for v in range(5))
     if min(mu, default=0) < 0 or any(residual) or total != dim_vector(M):
         raise IncompleteCandidates(
             "candidate set cannot explain the module within the given bounds "
             "(missing summand, typically an unlisted homogeneous lam); "
             f"residual hom vector {residual}"
         )
-    return {cands[y]: m for y, m in picked}
+    return {plan.cands[y]: m for y, m in picked}
 
 
 def is_isomorphic(M, N, bounds):

@@ -198,10 +198,116 @@ def test_lambdas_congruent_mod_p_name_one_tube():
 
 @pytest.mark.parametrize("lam", [0, 1, 32004])
 def test_bounds_lambda_reducing_to_zero_or_one_is_named(lam):
-    # 32004 = 1 in GF(32003)
+    # 32004 = 1 in GF(32003); a raise is not cached, so the second call,
+    # after a plan for (2,) is warm, raises again
     bounds = EnumerationBounds(1, 1, (2, lam))
-    with pytest.raises(InvalidParams, match=f"lambda {lam} reduces to"):
-        decompose(cat.build(cat.P(1, 0), GF), bounds)
+    m = cat.build(cat.P(1, 0), GF)
+    decompose(m, EnumerationBounds(1, 1, (2,)))
+    for _ in range(2):
+        with pytest.raises(InvalidParams, match=f"lambda {lam} reduces to"):
+            decompose(m, bounds)
+
+
+# -- the per-process plan -----------------------------------------------------
+
+
+def _counted_defects(monkeypatch):
+    """Empty the plan cache; the list of the candidates whose AR terms
+    _defect builds from now on."""
+    decomp._plan.cache_clear()
+    built, defect = [], decomp._defect
+
+    def counted(c):
+        built.append(c)
+        return defect(c)
+
+    monkeypatch.setattr(decomp, "_defect", counted)
+    return built
+
+
+def test_plan_is_built_once_per_field_and_bounds(monkeypatch, rng):
+    built = _counted_defects(monkeypatch)
+    picks = [cat.P(0, 1), cat.R(1, GF.coerce(2)), cat.I(1, 1)]
+    m, n = assemble(GF, picks), assemble(GF, picks, rng)
+    assert decompose(m, BOUNDS) == {d: 1 for d in picks}
+    assert decompose(n, BOUNDS) == {d: 1 for d in picks}
+    assert is_isomorphic(m, n, BOUNDS)
+    assert built == candidates(GF, BOUNDS)
+
+
+def test_fields_with_equal_bounds_build_separate_plans(monkeypatch):
+    built = _counted_defects(monkeypatch)
+    bounds = EnumerationBounds(1, 1, (2,))
+    for field in (PrimeField(3), GF, PrimeField(3), GF):
+        assert decompose(cat.build(cat.R(1, 2), field), bounds) == {cat.R(1, field.coerce(2)): 1}
+    assert built == candidates(PrimeField(3), bounds) + candidates(GF, bounds)
+    assert decomp._plan.cache_info().currsize == 2
+
+
+def test_list_lambdas_decompose_cold_and_warm():
+    # the key holds the coerced lambdas as a tuple: a list is unhashable
+    decomp._plan.cache_clear()
+    bounds = EnumerationBounds(1, 1, [2])
+    for _ in range(2):
+        assert decompose(cat.build(cat.R(1, 2), GF), bounds) == {cat.R(1, 2): 1}
+
+
+def test_a_float_lambda_is_rejected_cold_and_warm():
+    # 2.0 == 2 and hashes alike, but only 2 is a lambda: a warm plan for
+    # (2,) must not answer for (2.0,)
+    decomp._plan.cache_clear()
+    m = cat.build(cat.R(1, 2), QQ)
+    with pytest.raises(TypeError, match="floating point"):
+        decompose(m, EnumerationBounds(1, 1, (2.0,)))
+    assert decompose(m, EnumerationBounds(1, 1, (2,))) == {cat.R(1, 2): 1}
+    with pytest.raises(TypeError, match="floating point"):
+        decompose(m, EnumerationBounds(1, 1, (2.0,)))
+
+
+def _answer(m, bounds):
+    try:
+        return decompose(m, bounds)
+    except IncompleteCandidates as e:
+        return str(e)
+
+
+def _cold_and_warm(cases):
+    """Each case's answer (or IncompleteCandidates text) with the plan
+    cache emptied first, then all of them again with the plans warm and
+    their rows filled by the cases before."""
+    cold = []
+    for m, bounds in cases:
+        decomp._plan.cache_clear()
+        cold.append(_answer(m, bounds))
+    return cold, [_answer(m, bounds) for m, bounds in cases]
+
+
+def test_cold_and_warm_plans_answer_alike_on_the_acceptance_sums():
+    # criterion 8's inputs: disguised sums of the (3, 3, {2, 5})
+    # candidates, and a tube withheld from the bounds
+    rng = random.Random(0xD8)
+    bounds = EnumerationBounds(3, 3, (2, 5))
+    pool = enumerate_descriptors(bounds)
+    cases = []
+    for trial in range(10):
+        picks = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        cases.append((disguised_sum(GF, picks, rng), bounds))
+        if trial % 5 == 0:
+            cases.append((disguised_sum(GF, picks + [cat.R(1, 2)], rng),
+                          EnumerationBounds(3, 3, (5,))))
+    cold, warm = _cold_and_warm(cases)
+    assert cold == warm
+    assert sum(isinstance(a, str) for a in cold) == 2
+
+
+@pytest.mark.parametrize("field", [GF, QQ], ids=["GF32003", "QQ"])
+def test_cold_and_warm_plans_give_one_incomplete_text(field):
+    cases = [(module_direct_sum(cat.build(cat.I(n + 1, j), field), cat.build(cat.I(n, j), field)),
+              EnumerationBounds(n, 1, (2, 5)))
+             for n in (1, 2, 3) for j in (1, 2, 3, 4)]
+    cold, warm = _cold_and_warm(cases)
+    assert cold == warm
+    assert all(a.endswith("]") and "residual hom vector [" in a for a in cold)
 
 
 # -- isomorphism --------------------------------------------------------------
