@@ -11,9 +11,10 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
 - `fourspace verify` runs, and one QQ run_sweep in-process, twice: the
   second reads its targets from the cache the first filled;
 - hom_oracle against the nullity of hom_system's full matrix, both ways,
-  between random small modules, one of them with A = B, and four DIFFS
-  modules: w5 and q5 (n_0 = 22), z4 (an empty vertex, a letter of rank 1
-  on 2 columns) and e7 (exceptional tubes);
+  between random small modules, one of them with the two letters the
+  oracle frames equal, and five DIFFS modules: w5 and q5 (n_0 = 22), z4
+  (an empty vertex, a letter of rank 1 on 2 columns), e7 (exceptional
+  tubes) and c6 (C and D with the largest images, so framed);
 - formula against oracle: each DIFFS row writes a module file and runs
   `fourspace homdim` on it with and without --oracle, and the two outputs
   must be equal and have the expected number of lines;
@@ -56,7 +57,8 @@ from fourspace import (
     run_sweep,
     zero_module,
 )
-from fourspace.oracle import hom_system
+from fourspace.exactmat import random_invertible, random_matrix
+from fourspace.oracle import _source, hom_system
 from fourspace.verify import disguised_sum
 
 VERIFY = [
@@ -122,12 +124,16 @@ DIFFS = [
     # an empty vertex
     Diff("z4.json", GF32003, "P(0,0) P(0,0) P(0,1) P(0,2) P(0,3) I(0,1)", 2, (5, 2, 1, 1, 0),
          "--all --max-n 6 --max-l 3", 112),
+    # letter ranks (5, 5, 6, 6): the oracle frames C and D, not A and B
+    Diff("c6.json", GF32003, "I(4,3) I(4,4) R(1,2)", 6, (10, 5, 5, 6, 6),
+         "--all --max-n 8 --max-l 4 --lambda 2", 142),
 ]
 
 # the DIFFS modules check_oracle_nullity holds to the full system: n_0 = 22
 # in w5 and q5; z4, whose A has rank 1 on 2 columns, so its oracle source
-# drops a dependent column; e7, exceptional tubes on either side
-ORACLE_NULLITY = ("w5.json", "q5.json", "z4.json", "e7.json")
+# drops a dependent column; e7, exceptional tubes on either side; c6, whose
+# C and D have strictly the largest images, so the oracle frames them
+ORACLE_NULLITY = ("w5.json", "q5.json", "z4.json", "e7.json", "c6.json")
 
 # decompose in-process: (field, summands, disguise seed, bounds)
 DECOMPOSE_TWICE = [
@@ -200,6 +206,17 @@ def run_diff(row):
     check(name, True)
 
 
+def equal_framed_partner(field, framed, rng):
+    """A module whose letters in the two framed slots are one invertible
+    n_0 x n_0 matrix, 2 <= n_0 <= 4, and whose other two letters are
+    single columns: it frames the equal pair as a source, and is framed
+    there as a target of a source that frames the same slots."""
+    n0 = rng.randint(2, 4)
+    same = random_invertible(field, n0, rng)
+    return LambdaModule(*(same if t in framed else random_matrix(field, n0, 1, rng)
+                          for t in range(4)))
+
+
 def check_oracle_nullity(row, partners):
     """hom_oracle, which ranks only what is left after each F_t is
     eliminated, against the nullity of hom_system's full matrix: between
@@ -234,14 +251,17 @@ def main():
     # the same sweep again reads every target from the per-process cache
     check("run_sweep QQ, targets cached", run_sweep(QQ, bounds, 4, 0) == [], "mismatches")
     # 4 random modules of dimension at most 4 per ORACLE_NULLITY module,
-    # then one more each whose A equals its B, so that hom_oracle's frame
-    # meets relations 1 and 2 equal on one side
+    # then one more each whose two letters in the slots the oracle frames
+    # for that module are equal, so that hom_oracle's frame meets its two
+    # subspaces equal on the partner's side, both ways
     rng = random.Random(0)
     rows = [row for row in DIFFS if row.file in ORACLE_NULLITY]
     partners = [[random_module(row.field, rng, max_dim=4) for _ in range(4)] for row in rows]
     for row, drawn in zip(rows, partners):
-        x = random_module(row.field, rng, max_dim=4)
-        drawn.append(LambdaModule(x.A, x.A, x.C, x.D))
+        framed = _source(module(row.field, row.summands, row.seed))[0][:2]
+        drawn.append(equal_framed_partner(row.field, framed, rng))
+        if row.file == "c6.json":
+            check("oracle frames C and D of c6.json", framed == (2, 3), f"frames {framed}")
     for row, drawn in zip(rows, partners):
         check_oracle_nullity(row, drawn)
 

@@ -14,8 +14,10 @@ column, for homdim and the oracle.  The last two build no array.  The
 loop (``_eliminate``) takes the rows one at a time: each is reduced
 against the pivots found so far (``_reduce``), and its first entry left
 becomes a new pivot, whose form (``_pivot``) later rows are reduced
-with; pivot forms never leave this module.  The working copy
-(``_start``), the loop and the split are also called on their own:
+with; pivot forms never leave this module.  Once every column holds a
+pivot, the rows left are in their span and the loop reads no more of
+them.  The working copy (``_start``), the loop and the split are also
+called on their own:
 homdim's staircase runs them on its own rows and keeps those rows from
 its first fold to its last step, and the oracle writes its rows in that
 form (``_scaled``: a row times a scalar) and splits and eliminates them.
@@ -72,12 +74,15 @@ class _Field:
         Row by row: each row is reduced against the pivots found so far
         (_reduce), and its first entry left becomes a new pivot, whose
         form _pivot makes.  lead maps each column to the form of its
-        pivot, None where there is none.  The rows end as the pivot rows
-        in pivot order, then the zero rows.  reduced=True then clears each
-        pivot row past its pivot with the forward forms, in ascending
-        pivot order.
+        pivot, None where there is none.  Once every column holds a pivot,
+        the rows not yet read are in their span, and the loop stops.  The
+        rows end as the pivot rows in pivot order, then one zero row for
+        each other row, read or not.  reduced=True then clears each pivot
+        row past its pivot with the forward forms, in ascending pivot
+        order.
         """
-        lead = [None] * (len(rows[0]) if rows else 0)
+        width = len(rows[0]) if rows else 0
+        lead = [None] * width
         held = {}
         zero = []
         for row in rows:
@@ -87,6 +92,9 @@ class _Field:
             else:
                 lead[c] = self._pivot(row, c)
                 held[c] = row
+                if len(held) == width:
+                    zero += [[0] * width for _ in range(len(rows) - width - len(zero))]
+                    break
         pivots = sorted(held)
         rows[:] = [held[c] for c in pivots] + zero
         if reduced:

@@ -41,39 +41,48 @@ t, in k^{m_0}) and W_t = im L_M^t (in k^{n_0}).
 
 Any two subspaces can be put in coordinate position at once (Halmos,
 "Two subspaces", Trans. AMS 144, 1969); the four-subspace problem is hard
-only from the third one on.  So each side is written in a basis Q whose
-first a0 vectors span U_1∩U_2, the first a0 + a1 span U_1, and the first
-a0 with the next a2 span U_2 (_frame).  In the two bases K_1 kron W_1 +
-K_2 kron W_2 is spanned by the unit tensors of a coordinate set P, with
-S_1, T_1 and S_2, T_2 the coordinates of K_1, W_1 and K_2, W_2:
+only from the third one on.  Which two is free: the four relations are
+interchangeable, and hom(M, sigma X) = hom(sigma^-1 M, X) for any
+permutation sigma of the slots.  A pairing names the two framed
+relations p, q and the other two, r, s.  Each side is written in a basis
+Q whose first a0 vectors span U_p∩U_q, the first a0 + a1 span U_p, and
+the first a0 with the next a2 span U_q (_frame).  In the two bases
+K_p kron W_p + K_q kron W_q is spanned by the unit tensors of a
+coordinate set P, with S_p, T_p and S_q, T_q the coordinates of K_p, W_p
+and K_q, W_q:
 
-    P = S_1 x T_1  u  S_2 x T_2,
+    P = S_p x T_p  u  S_q x T_q,
     |P| = (a0+a1)(b0+b1) + (a0+a2)(b0+b2) - a0 b0,
 
-since (K_1 kron W_1) ∩ (K_2 kron W_2) = (K_1∩K_2) kron (W_1∩W_2).  So
+since (K_p kron W_p) ∩ (K_q kron W_q) = (K_p∩K_q) kron (W_p∩W_q).  So
 
     dim Hom(M, X) = sum_v m_v n_v - sum_t r_t n_t - |P|
-                    - rank(u kron w, u in K_t', w in W_t', t = 3, 4,
+                    - rank(u kron w, u in K_t', w in W_t', t = r, s,
                            cut to the columns outside P),
 
 K_t' and W_t' echelon bases of K_t and W_t in the two frames.  Relations
-1 and 2 need no elimination at all, and only relations 3 and 4 are
-written.
+p and q need no elimination at all, and only relations r and s are
+written.  Their rows number sum_t |K_t| |W_t| over t = r, s, so the
+source frames the two letters of M with the largest images.
 
-Each frame depends on one side of the pair alone, so each side is
-prepared once, in the same way: _target(X) gives m, the r_t and the frame
-of the K_t, splitting [L_X | I] (_Field._split), and _source(M) gives n,
-the ranks of M's letters and the frame of the W_t, eliminating the
-columns of each L_M^t (_Field._eliminate).  _nullity writes the cut rows
-from the two and ranks them with the same loop, and hom_oracle is that
-composition.  verify.oracle_vector, which run_sweep and `homdim --oracle`
-call, prepares M once and each target once per process, in a bounded cache.
+M's pairing holds for every target, so each side is prepared once:
+_source(M) gives the pairing, n, the frame of the W_t, eliminating the
+columns of each L_M^t (_Field._eliminate), and each row of W_r', W_s'
+cut to the column sets _nullity keeps; _kernels(X) gives m, the r_t and
+the K_t, splitting [L_X | I] (_Field._split), and _target(X, pairing)
+their frame in M's pairing.  _nullity writes the cut rows from the two
+and ranks them with the same loop, which stops once every column holds a
+pivot; hom_oracle is that composition.  verify.oracle_vector, which
+run_sweep and `homdim --oracle` call, prepares M once, and each target's
+kernels once per process and their frame once per pairing, in bounded
+caches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -129,8 +138,9 @@ def _lead(row):
 
 
 def _frame(field, d, spaces):
-    """Subspaces U_1..U_4 of k^d, echelon bases as working rows, in a
-    two-subspace basis: ((a0, a1, a2), [U_3', U_4']).
+    """Subspaces U_1..U_4 of k^d, echelon bases as working rows, in the
+    two-subspace basis of the first two: ((a0, a1, a2), [U_3', U_4']).
+    Callers pass a pairing's order, the framed two first.
 
     The basis Q stacks an echelon basis of U_1∩U_2 (a0 rows), the rows of
     U_1's basis and of U_2's whose pivot no row of U_1∩U_2 has (a1 and a2
@@ -171,9 +181,8 @@ def _frame(field, d, spaces):
     return counts, coords
 
 
-def _target(X):
-    """X's side of every relation: (m, [r_1, .., r_4], (a0, a1, a2),
-    [K_3', K_4']), the _frame of X's left kernels K_t in k^{m_0}.
+def _kernels(X):
+    """X's left kernels: (m, [r_1, .., r_4], [C_1, .., C_4]).
 
     X's letters are read once, as the working rows (field._start) of
     [A' B' C' D' I]; over QQ in one integral scale, each row primitive.
@@ -191,18 +200,46 @@ def _target(X):
     for t in range(1, 5):
         c0, c1 = c1, c1 + m[t]
         kernels.append(field._split([row[c0:c1] + row[ident:] for row in letters], m[t])[1])
-    return (m, [m[0] - len(k) for k in kernels], *_frame(field, m[0], kernels))
+    return m, [m[0] - len(k) for k in kernels], kernels
 
 
-def _source(M):
-    """M's side of every relation: (n, [rank L_M^1, ..], (b0, b1, b2),
-    [W_3', W_4']), the _frame of the images W_t = im L_M^t in k^{n_0}.
+def _framed(field, kernels, pairing):
+    """_kernels(X) in a pairing: (m, [r_1, .., r_4], (a0, a1, a2),
+    [K_r', K_s']), the _frame of the left kernels K_t in k^{m_0}, slots
+    pairing[0] and pairing[1] in coordinate position and pairing[2],
+    pairing[3] in those coordinates.  The kernels are only read, so one
+    _kernels serves every pairing."""
+    m, ranks, spaces = kernels
+    return (m, ranks, *_frame(field, m[0], [spaces[t] for t in pairing]))
+
+
+def _target(X, pairing):
+    """X's side of every relation, for a source of that pairing: (m,
+    [r_1, .., r_4], (a0, a1, a2), [K_r', K_s']), _framed of
+    _kernels(X)."""
+    return _framed(X.field, _kernels(X), pairing)
+
+
+def _source(M, pairing=None):
+    """M's side of every relation: (pairing, n, (b0, b1, b2), kept,
+    cuts).
 
     M's letters are read once, as the working rows of their columns,
     stacked; over QQ in one integral scale, each row primitive.  B_t is
     L_M^t's columns forward-eliminated (field._eliminate) and cut to the
-    pivot rows: an echelon basis of W_t.  Zero and dependent columns
-    drop out there.
+    pivot rows: an echelon basis of W_t = im L_M^t.  Zero and dependent
+    columns drop out there.
+
+    The four relations are interchangeable, so any two may be framed.
+    pairing lists the two framed slots (0 for A to 3 for D), then the two
+    others, each pair in slot order; by default the framed two are the
+    letters with the largest images, ties to the lower slot.  The
+    residual that _nullity ranks has sum |K_t| |W_t| rows over the two
+    others, so leaving out the two largest W_t leaves the fewest.  The
+    W_t are framed (_frame) in that pairing, and each row w of the two
+    others' W_t' is cut once into the four column sets that _nullity
+    keeps: (w[s2:], w[s1:], w[b0:s1] + w[s2:], w), with s1 = b0 + b1 and
+    s2 = s1 + b2; kept holds their widths.
     """
     field = M.field
     n = dim_vector(M)
@@ -213,49 +250,61 @@ def _source(M):
         b0, b1 = b1, b1 + n[t]
         rows = columns[b0:b1]
         bases.append(rows[: len(field._eliminate(rows))])
-    return (n, [len(b) for b in bases], *_frame(field, n[0], bases))
+    if pairing is None:
+        framed = sorted(sorted(range(4), key=lambda t: -len(bases[t]))[:2])
+        pairing = (*framed, *(t for t in range(4) if t not in framed))
+    b, spans = _frame(field, n[0], [bases[t] for t in pairing])
+    b0, s1, s2 = b[0], b[0] + b[1], sum(b)
+    kept = (n[0] - s2, n[0] - s1, b[1] + n[0] - s2, n[0])
+    cuts = [[(w[s2:], w[s1:], w[b0:s1] + w[s2:], w) for w in span] for span in spans]
+    return pairing, n, b, kept, cuts
 
 
 def _covered(a, b):
-    """|P|, the dimension of K_1 kron W_1 + K_2 kron W_2, from the counts
-    of the two frames: the unit tensors of S_1 x T_1 and S_2 x T_2, less
-    those of (K_1∩K_2) kron (W_1∩W_2), which both hold."""
+    """|P|, the dimension of K_p kron W_p + K_q kron W_q (p, q the framed
+    slots), from the counts of the two frames: the unit tensors of S_p x
+    T_p and S_q x T_q, less those of (K_p∩K_q) kron (W_p∩W_q), which both
+    hold."""
     (a0, a1, a2), (b0, b1, b2) = a, b
     return (a0 + a1) * (b0 + b1) + (a0 + a2) * (b0 + b2) - a0 * b0
 
 
 def _nullity(field, source, target):
-    """dim Hom(M, X) from _source(M) and _target(X), over field.
+    """dim Hom(M, X) from _source(M) and _target(X, its pairing), over
+    field.
 
-    Column (i, j), i in X's frame and j in M's, is in P if i is in S_1 (the
-    first a0 + a1 coordinates) and j in T_1, or i in S_2 and j in T_2.  So
-    by i's place in the frame (place: 0 in S_1∩S_2, 1 in S_1 alone, 2 in
-    S_2 alone, 3 in neither) the row keeps the j outside T_1 and T_2, the
-    j outside T_1, the j outside T_2, or every j: kept[place] columns.
-    Row (t, u, w), t = 3, 4, is u kron w cut to those columns: for each
-    nonzero u[i], the cut of w that i keeps, scaled (field._scaled) where
-    u[i] is not 1.  Over QQ a cut row may share a factor; _eliminate takes
-    it as it is, since nonzero scales of rows leave every rank alone.
-    Neither side is written, so each may serve many pairs.
+    With p, q the framed slots and r, s the others: column (i, j), i in
+    X's frame and j in M's, is in P if i is in S_p (the first a0 + a1
+    coordinates) and j in T_p, or i in S_q and j in T_q.  So by i's place
+    in the frame (place: 0 in S_p∩S_q, 1 in S_p alone, 2 in S_q alone, 3
+    in neither) the row keeps the j outside T_p and T_q, the j outside
+    T_p, the j outside T_q, or every j: kept[place] columns, the four cuts
+    _source made of each w.  Row (t, u, w), t = r, s, is u kron w cut to
+    those columns: for each nonzero u[i], the cut of w that i keeps,
+    scaled (field._scaled) where u[i] is not 1; a u that is nonzero only
+    where nothing is kept gives zero rows, which are left out.  Over QQ a
+    cut row may share a factor; _eliminate takes it as it is, since
+    nonzero scales of rows leave every rank alone.  Neither side is
+    written, so each may serve many pairs.
     """
-    (n, _, b, spans), (m, ranks, a, kernels) = source, target
-    nullity = (sum(mv * nv for mv, nv in zip(m, n))
-               - sum(r * nt for r, nt in zip(ranks, n[1:])) - _covered(a, b))
-    b0, s1, s2 = b[0], b[0] + b[1], sum(b)
+    (_, n, b, kept, cuts), (m, ranks, a, kernels) = source, target
+    nullity = sum(map(mul, m, n)) - sum(map(mul, ranks, n[1:])) - _covered(a, b)
     place = [0] * a[0] + [1] * a[1] + [2] * a[2] + [3] * (m[0] - sum(a))
-    kept = [n[0] - s2, n[0] - s1, s1 - b0 + n[0] - s2, n[0]]
     starts = list(accumulate((kept[k] for k in place), initial=0))
-    if not starts[-1]:
+    width = starts[-1]
+    if not width:
         return nullity
     residual = []
-    for kernel, span in zip(kernels, spans):
-        cuts = [(w[s2:], w[s1:], w[b0:s1] + w[s2:], w) for w in span]
+    for kernel, span in zip(kernels, cuts):
         for u in kernel:
-            blocks = [(starts[i], place[i], c) for i, c in enumerate(u) if c]
-            for cut in cuts:
-                out = [0] * starts[-1]
-                for s, k, c in blocks:
-                    out[s : s + kept[k]] = cut[k] if c == 1 else field._scaled(cut[k], c)
+            blocks = [(starts[i], starts[i + 1], place[i], c) for i, c in enumerate(u)
+                      if c and kept[place[i]]]
+            if not blocks:
+                continue
+            for cut in span:
+                out = [0] * width
+                for s, e, k, c in blocks:
+                    out[s:e] = cut[k] if c == 1 else field._scaled(cut[k], c)
                 residual.append(out)
     return nullity - len(field._eliminate(residual))
 
@@ -263,9 +312,10 @@ def _nullity(field, source, target):
 def hom_oracle(M, X):
     """dim Hom(M, X), the nullity of hom_system's matrix, with each
     relation's F_t columns eliminated once (see the module docstring):
-    _nullity of _source(M) and _target(X)."""
+    _nullity of _source(M) and _target(X) in the source's pairing."""
     _check_same_field(M.field, X.field)
-    return _nullity(M.field, _source(M), _target(X))
+    source = _source(M)
+    return _nullity(M.field, source, _target(X, source[0]))
 
 
 def hom_basis(M, X):

@@ -35,13 +35,14 @@ from .modules import (
     random_module,
     zero_module,
 )
-from .oracle import _nullity, _source, _target
+from .oracle import _framed, _kernels, _nullity, _source
 
 # largest dimension at every vertex of a trial module
 MAX_DIM = 6
 
-# prepared targets kept per process; verify's default bounds hold 106
-# descriptors, (24, 12, {2, 5}) holds 418
+# prepared targets kept per process, each cache: verify's default bounds
+# hold 106 descriptors, 636 frames at all six pairings; (24, 12, {2, 5})
+# holds 418
 _TARGET_CACHE_SIZE = 1024
 
 
@@ -72,8 +73,13 @@ def disguised_sum(field, descs, rng):
     return base_change(m, u, vs)
 
 
-def structured_module(field, bounds, rng):
-    """Random direct sum of in-bounds catalog modules, base-changed."""
+def structured_module(field, bounds, rng, cands=None):
+    """Random direct sum of in-bounds catalog modules, base-changed.
+
+    cands is enumerate_descriptors(bounds), for a caller that holds it
+    already; enumerating draws nothing from rng, so the draws are the
+    same either way.
+    """
     budget = [MAX_DIM] * 5
     picks = []
 
@@ -91,7 +97,8 @@ def structured_module(field, bounds, rng):
         tube = R(depth, lam)
         if fits(tube):
             take(tube)
-    cands = enumerate_descriptors(bounds)
+    if cands is None:
+        cands = enumerate_descriptors(bounds)
     for _ in range(6):
         if len(picks) >= 3:
             break
@@ -102,28 +109,39 @@ def structured_module(field, bounds, rng):
 
 
 @functools.lru_cache(maxsize=_TARGET_CACHE_SIZE)
-def _catalog_target(desc, field):
-    """oracle._target(build(desc, field)), prepared once per process:
-    X's letter ranks and the two-subspace frame of its left kernels.
+def _catalog_kernels(desc, field):
+    """oracle._kernels(build(desc, field)), prepared once per process:
+    X's letter ranks and its four left kernels.
 
     A target depends on (desc, field) alone, both hashable by value, and
-    _nullity only reads it, so one serves every sweep that asks for it.
+    its frames only read it, so one serves every sweep that asks for it.
     A raise (a target too large to build) is not kept.
     """
-    return _target(build(desc, field))
+    return _kernels(build(desc, field))
+
+
+@functools.lru_cache(maxsize=_TARGET_CACHE_SIZE)
+def _catalog_target(desc, field, pairing):
+    """oracle._target(build(desc, field), pairing), prepared once per
+    process: the kernels of _catalog_kernels framed in that pairing.
+    _nullity only reads it."""
+    return _framed(field, _catalog_kernels(desc, field), pairing)
 
 
 def oracle_vector(M, descs):
     """hom_oracle(M, build(d, M.field)) for d in descs, lazily, in order.
 
-    Each side of a pair is prepared once, into the frame that puts its
-    relations 1 and 2 in coordinate position: M's here (oracle._source),
-    each target once per process (_catalog_target).  Each value is then
-    one _nullity, which writes relations 3 and 4 alone.  The values before
-    a target too large to build come out before its MemoryError.
+    Each side of a pair is prepared once, into the frame that puts two of
+    its relations in coordinate position, the two where M's letters have
+    the largest images: M's here (oracle._source), which picks them, and
+    each target once per process and pairing (_catalog_target).  Each
+    value is then one _nullity, which writes the other two relations
+    alone.  The values before a target too large to build come out
+    before its MemoryError.
     """
     field, source = M.field, _source(M)
-    return (_nullity(field, source, _catalog_target(d, field)) for d in descs)
+    pairing = source[0]
+    return (_nullity(field, source, _catalog_target(d, field, pairing)) for d in descs)
 
 
 def run_sweep(field, bounds, trials, seed, report=None):
@@ -145,7 +163,7 @@ def run_sweep(field, bounds, trials, seed, report=None):
     out = []
     for trial in range(trials):
         if trial % 2:
-            M = structured_module(field, bounds, rng)
+            M = structured_module(field, bounds, rng, descs)
         else:
             M = random_module(field, rng, max_dim=MAX_DIM)
         for d, a, b in zip(descs, hom_vector(M, descs), oracle_vector(M, descs)):

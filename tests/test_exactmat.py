@@ -539,6 +539,90 @@ def test_a_unit_pivot_row_is_only_read(monkeypatch):
     assert inverted == [2]
 
 
+def _early_stop_inputs(field, rng):
+    """(a, stop): matrices of full column rank whose last pivot is found
+    in row stop, before their last row, so the rows past it need not be
+    read.  Some hold zero and repeated rows before the stop, some have
+    fewer than all columns covered until the stop row; the stop row is
+    found by the reference eliminator."""
+    p = field.p if isinstance(field, PrimeField) else None
+    out = []
+    for n in (1, 2, 3, 5):
+        extra = random_matrix(field, rng.randint(1, 4), n, rng)
+        out.append(vstack([random_invertible(field, n, rng), extra]))
+        out.append(random_matrix(field, n + rng.randint(2, 6), n, rng))
+        # a zero row and a repeated row before the stop, and a late pivot
+        head = random_matrix(field, n - 1, n, rng) if n > 1 else zeros(field, 0, n)
+        rows = head.data.tolist() + [[0] * n] + head.data.tolist()[:1]
+        out.append(vstack([mat(field, rows, (len(rows), n)),
+                           random_invertible(field, n, rng), extra]))
+    out.append(mat(field, [[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 5], [0, 0, 7], [1, 1, 1],
+                           [0, 0, 0]]))
+    found = []
+    for a in out:
+        plain = _plain(a.data.tolist())
+        stop = next(r for r in range(a.rows)
+                    if len(reference_rref(plain[: r + 1], p)[0]) == a.cols)
+        if stop < a.rows - 1:
+            found.append((a, stop))
+    return found
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), GF], ids=repr)
+def test_elimination_stops_at_full_column_rank(field, rng, monkeypatch):
+    # once every column holds a pivot the loop reads no more rows: they
+    # come back as zero rows, and echelon, rank and _split agree with the
+    # reference eliminator on the whole matrix, on the rows up to the
+    # stop and on those before it, z counting the rows never read
+    p = field.p if isinstance(field, PrimeField) else None
+    read = []
+    reduce = field._reduce
+
+    def counted(row, lead, start=None):
+        if start is None:
+            read.append(row)
+        return reduce(row, lead, start)
+
+    monkeypatch.setattr(field, "_reduce", counted)
+
+    def rank(rows):
+        return len(reference_rref(rows, p)[0])
+
+    inputs = _early_stop_inputs(field, rng)
+    assert len(inputs) >= 10
+    for a, stop in inputs:
+        for rows_in, full in ((a.rows, True), (stop + 1, True), (stop, False)):
+            b = a.data[:rows_in]
+            plain = _plain(b.tolist())
+            want_pivots, want_rref = reference_rref(plain, p)
+            assert (want_pivots == list(range(a.cols))) == full
+            read.clear()
+            rows = field._start(b)
+            assert field._eliminate(rows) == want_pivots
+            assert len(read) == (stop + 1 if full else rows_in)
+            assert len(rows) == rows_in
+            assert all(not any(row) for row in rows[len(want_pivots) :])
+            assert rank(_plain(rows)) == len(want_pivots)
+            assert reference_rref(_plain(rows), p) == (want_pivots, want_rref)
+            for reduced in (False, True):
+                pivots, ech = field.echelon(b, reduced)
+                assert pivots == want_pivots
+                assert ech.shape == b.shape
+                assert not ech[len(pivots) :].any()
+                if reduced:
+                    assert _plain(ech) == want_rref
+                else:
+                    assert reference_rref(_plain(ech), p) == (want_pivots, want_rref)
+            assert field.rank(b) == len(want_pivots)
+            for n in range(a.cols + 1):
+                z, images = field._split(field._start(b), n)
+                left = [row[:n] for row in plain]
+                assert z == rows_in - len(want_pivots)
+                assert len(images) == len(want_pivots) - rank(left)
+                assert rank(images) == len(images)
+                assert rank(plain + [[0] * n + y for y in images]) == len(want_pivots)
+
+
 def test_qq_forward_rows_are_primitive_integer_rows(rng):
     for a in _reference_inputs(QQ, rng):
         pivots, ech = QQ.echelon(a.data)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -26,6 +26,7 @@ from fourspace.modules import (
 )
 from fourspace.oracle import (
     _covered,
+    _nullity,
     _source,
     _target,
     check_hom,
@@ -33,10 +34,15 @@ from fourspace.oracle import (
     hom_oracle,
     hom_system,
 )
+from fourspace.verify import disguised_sum
 
 from reference import reference_rref
 
 GF = PrimeField(32003)
+
+# the six choices of the two relations the oracle frames: the framed two,
+# then the other two, each pair in slot order
+PAIRINGS = [(*f, *(t for t in range(4) if t not in f)) for f in combinations(range(4), 2)]
 
 
 def test_identity_hom_to_center_injective():
@@ -298,13 +304,13 @@ def test_oracle_on_empty_vertices(fld, rng):
         assert (name, True) in seen, seen
 
 
-# -- the two-subspace frame of relations 1 and 2 -----------------------------------
+# -- the two-subspace frame of the two framed relations ----------------------------
 
 
 def _geometries(d, rng):
-    # (kind, S_A, S_B), d >= 3: the basis vectors that span relation 1's
-    # subspace and relation 2's, so their meet is spanned by S_A & S_B.
-    # Neither is 0 or everything unless the kind says so
+    # (kind, S_A, S_B), d >= 3: the basis vectors that span the first
+    # framed relation's subspace and the second's, so their meet is spanned
+    # by S_A & S_B.  Neither is 0 or everything unless the kind says so
     cols = list(range(d))
     rng.shuffle(cols)
     k = rng.randint(1, d - 2)
@@ -338,6 +344,14 @@ def _framed_pair(field, h, sa, sb, rng):
     return tuple(letters)
 
 
+def _placed(m, pairing):
+    """m's letters A, B, C, D moved to the slots pairing[0], .., pairing[3]:
+    with both sides moved alike, hom is unchanged, and the oracle's frame
+    at pairing meets m's A and B."""
+    letters = m.mats()
+    return LambdaModule(*(letters[pairing.index(t)] for t in range(4)))
+
+
 def _reference_covered(m, x):
     # the rank of the rows c kron b, c in X's left kernel of letter t and b
     # in im L_M^t, t = 1, 2, all by the reference eliminator
@@ -355,19 +369,24 @@ def _reference_covered(m, x):
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
 def test_oracle_frame_geometry(fld, rng):
-    # relations 1 and 2 of each side equal, nested, complementary, meeting
-    # in a line inside a proper subspace, one of them zero or the whole
-    # space; each source against each target, and against m_0 = 0 and
-    # n_0 = 0.  The frame puts both in coordinate
-    # position at once, so its counts read the geometry and |P| is their
-    # product form; hom_oracle must still equal the full system's nullity,
-    # and |P| the rank of relations 1 and 2's rows
+    # the framed relations of each side equal, nested, complementary,
+    # meeting in a line inside a proper subspace, one of them zero or the
+    # whole space; each source against each target, and against m_0 = 0
+    # and n_0 = 0.  At every pairing, the letters A and B are moved to the
+    # two framed slots, so the frame puts them in coordinate position at
+    # once, its counts read the geometry and |P| is their product form;
+    # _nullity must still equal the full system's nullity, and |P| the
+    # rank of the framed relations' rows.  Both are pairing-free: moving
+    # both sides' letters alike leaves hom alone
     for d in (3, 4):
         sources, targets = [], []
         for kind, sa, sb in _geometries(d, rng):
             m, x = _framed_pair(fld, random_invertible(fld, d, rng), sa, sb, rng)
             meet = len(set(sa) & set(sb))
-            assert _source(m)[2] == _target(x)[2] == (meet, len(sa) - meet, len(sb) - meet)
+            for pairing in PAIRINGS:
+                counts = _source(_placed(m, pairing), pairing)[2]
+                assert counts == _target(_placed(x, pairing), pairing)[2] \
+                    == (meet, len(sa) - meet, len(sb) - meet), (kind, pairing)
             sources.append((m, kind))
             targets.append((x, kind))
         for _ in range(2):
@@ -376,6 +395,78 @@ def test_oracle_frame_geometry(fld, rng):
             targets.append((x, "m_0 = 0"))
         for m, source_kind in sources:
             for x, target_kind in targets:
-                assert hom_oracle(m, x) == _reference_nullity(m, x), (source_kind, target_kind)
-                covered = _covered(_target(x)[2], _source(m)[2])
-                assert covered == _reference_covered(m, x), (source_kind, target_kind)
+                want = _reference_nullity(m, x)
+                covered = _reference_covered(m, x)
+                assert hom_oracle(m, x) == want, (source_kind, target_kind)
+                for pairing in PAIRINGS:
+                    source = _source(_placed(m, pairing), pairing)
+                    target = _target(_placed(x, pairing), pairing)
+                    where = (source_kind, target_kind, pairing)
+                    assert _nullity(fld, source, target) == want, where
+                    assert _covered(target[2], source[2]) == covered, where
+
+
+# -- the pairing: which two relations are framed ------------------------------------
+
+
+def _letter(field, n0, rank, width, rng):
+    # an n0 x width letter of the given rank, dense: rank random columns,
+    # then combinations of them (zero columns if the rank is 0)
+    basis = random_matrix(field, n0, rank, rng)
+    while basis.rank() < rank:
+        basis = random_matrix(field, n0, rank, rng)
+    return basis @ mat(field, [[rng.choice((0, 1, 2)) if j >= rank else int(i == j)
+                                for j in range(width)] for i in range(rank)],
+                       shape=(rank, width))
+
+
+def _ranked_module(field, n0, ranks, rng):
+    # letters of the given ranks, each one or two columns wider than its
+    # rank, so the rank and not the width must decide the pairing
+    return LambdaModule(*(_letter(field, n0, r, r + rng.randint(1, 2), rng) for r in ranks))
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
+def test_nullity_at_every_pairing(fld, rng):
+    # the four relations are interchangeable, so _nullity at each of the
+    # six pairings must equal the full system's nullity: random and
+    # disguised modules, letters of tied ranks, and letters 0 columns wide
+    lam = [cat.R(1, lam) for lam in map(fld.coerce, (2, 5)) if lam not in (fld.zero, fld.one)]
+    sums = [[cat.P(1, 0), cat.I(0, 2)], [cat.R(0, 2, 1), cat.P(0, 3)] + lam[:1],
+            [cat.I(1, 1), cat.R(1, 2, cat.INF)]]
+    modules = [random_module(fld, rng, max_dim=3) for _ in range(3)]
+    modules += [disguised_sum(fld, descs, rng) for descs in sums]
+    modules += [_ranked_module(fld, 3, ranks, rng) for ranks in ((2, 2, 2, 2), (1, 2, 2, 1))]
+    modules += [LambdaModule(*(random_matrix(fld, 2, k, rng) for k in widths))
+                for widths in ((0, 2, 0, 1), (1, 0, 2, 0), (0, 0, 0, 0))]
+    seen = set()
+    for i, m in enumerate(modules):
+        for x in (modules[(i + 3) % len(modules)], modules[(i + 7) % len(modules)]):
+            want = _reference_nullity(m, x)
+            for pairing in PAIRINGS:
+                got = _nullity(fld, _source(m, pairing), _target(x, pairing))
+                assert got == want, (i, pairing, dim_vector(m), dim_vector(x))
+        ranks = [y.rank() for y in m.mats()]
+        seen.update({"tied": len(set(ranks)) < 4, "zero width": 0 in dim_vector(m)[1:],
+                     "rank < width": any(y.rank() < y.cols for y in m.mats())}.items())
+    assert {("tied", True), ("zero width", True), ("rank < width", True)} <= seen
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(3), GF], ids=repr)
+def test_source_frames_the_two_largest_images(fld, rng):
+    # the residual has sum |K_t| |W_t| rows over the two relations left
+    # out of the frame, so the source frames the two letters of M of the
+    # largest rank, ties to the lower slot; equal ranks frame A and B
+    cases = {(2, 2, 2, 2): (0, 1, 2, 3), (1, 3, 2, 0): (1, 2, 0, 3), (1, 2, 2, 2): (1, 2, 0, 3),
+             (3, 1, 1, 3): (0, 3, 1, 2), (0, 0, 1, 1): (2, 3, 0, 1), (0, 0, 0, 0): (0, 1, 2, 3),
+             (1, 1, 3, 1): (0, 2, 1, 3)}
+    for ranks, pairing in cases.items():
+        m = _ranked_module(fld, 3, ranks, rng)
+        assert [y.rank() for y in m.mats()] == list(ranks)
+        assert _source(m)[0] == pairing, ranks
+        # the other two relations are the two smallest images
+        assert sorted(ranks[t] for t in pairing[2:]) == sorted(ranks)[:2]
+    # zero-width letters, and n_0 = 0
+    m = LambdaModule(*(_letter(fld, 2, k, k, rng) for k in (0, 2, 0, 1)))
+    assert _source(m)[0] == (1, 3, 0, 2)
+    assert _source(LambdaModule(*(zeros(fld, 0, k) for k in (1, 0, 2, 1))))[0] == (0, 1, 2, 3)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from fourspace import verify
 from fourspace.catalog import EnumerationBounds, InvalidParams, declared_dim
 from fourspace.exactmat import QQ, PrimeField
 from fourspace.modules import dim_vector, module_direct_sum, module_to_record, zero_module
-from fourspace.oracle import _target, hom_oracle
+from fourspace.oracle import _kernels, _target, hom_oracle
 from fourspace.verify import disguised_sum, run_sweep, structured_module
 
 BOUNDS = EnumerationBounds(1, 1, ())
@@ -33,6 +34,7 @@ def test_run_sweep_rejects_a_trial_count_that_is_not_an_int(trials):
 def test_a_float_lambda_is_rejected_cold_and_warm():
     # R(1, 2.0) must not name R(1, 2): a warm target cache would hand back
     # R(1, 2)'s target, where a cold one fails in build
+    verify._catalog_kernels.cache_clear()
     verify._catalog_target.cache_clear()
     floats = EnumerationBounds(1, 1, (2.0,))
     with pytest.raises(InvalidParams) as cold:
@@ -114,48 +116,112 @@ def test_sweep_oracle_column_is_the_public_oracle(name, monkeypatch):
     assert [misses[0].trial, misses[-1].trial] == [0, 1]
 
 
-def _counted_targets(monkeypatch):
-    """Empty the sweep's target cache; the list of the modules that
-    oracle._target prepares from now on."""
+def _counted_preparations(monkeypatch):
+    """Empty the sweep's target caches; (kernels, frames, pairings): the
+    modules whose left kernels oracle._kernels splits from now on, the
+    pairing of each frame oracle._framed makes, and the pairing of each
+    source oracle._source prepares."""
+    verify._catalog_kernels.cache_clear()
     verify._catalog_target.cache_clear()
-    prepared, target = [], verify._target
+    kernels, frames, pairings = [], [], []
+    split, framed, source = verify._kernels, verify._framed, verify._source
 
-    def counted(X):
-        prepared.append(X)
-        return target(X)
+    def counted_kernels(X):
+        kernels.append(X)
+        return split(X)
 
-    monkeypatch.setattr(verify, "_target", counted)
-    return prepared
+    def counted_frame(field, k, pairing):
+        frames.append(pairing)
+        return framed(field, k, pairing)
+
+    def counted_source(M):
+        out = source(M)
+        pairings.append(out[0])
+        return out
+
+    monkeypatch.setattr(verify, "_kernels", counted_kernels)
+    monkeypatch.setattr(verify, "_framed", counted_frame)
+    monkeypatch.setattr(verify, "_source", counted_source)
+    return kernels, frames, pairings
 
 
 def test_run_sweep_prepares_each_target_once_per_process(monkeypatch):
-    # every formula answer off by one, so both lists hold every oracle value
+    # every formula answer off by one, so both lists hold every oracle
+    # value.  Each target's kernels are split once, and framed once per
+    # pairing its sources ask for: the trial modules here frame two
+    # different pairs of letters
     field = FIELDS["GF32003"]
     hom_vector = verify.hom_vector
     monkeypatch.setattr(verify, "hom_vector",
                         lambda M, descs: [x + 1 for x in hom_vector(M, descs)])
     bounds = EnumerationBounds(2, 2, _lambdas(field))
     descs = cat.enumerate_descriptors(bounds)
-    prepared = _counted_targets(monkeypatch)
-    first = run_sweep(field, bounds, 2, 3)
-    second = run_sweep(field, bounds, 2, 3)
-    assert len(prepared) == len(descs)
-    assert len(first) == 2 * len(descs) and first == second
+    kernels, frames, pairings = _counted_preparations(monkeypatch)
+    first = run_sweep(field, bounds, 4, 3)
+    second = run_sweep(field, bounds, 4, 3)
+    assert len(set(pairings)) >= 2
+    assert len(kernels) == len(descs)
+    assert Counter(frames) == {pairing: len(descs) for pairing in set(pairings)}
+    assert len(first) == 4 * len(descs) and first == second
 
 
 def test_each_field_prepares_its_own_targets(monkeypatch):
     # the descriptors of one bounds are equal over every field, R(1,2)
-    # among them: the field is part of the key
+    # among them: the field is part of both keys
     bounds = EnumerationBounds(2, 2, (2, 5))
     descs = cat.enumerate_descriptors(bounds)
     fields = (PrimeField(7), PrimeField(11), QQ)
-    prepared = _counted_targets(monkeypatch)
+    kernels, frames, pairings = _counted_preparations(monkeypatch)
     for k, field in enumerate(fields, start=1):
+        sources, framed = len(pairings), len(frames)
         assert run_sweep(field, bounds, 2, k) == []
-        assert len(prepared) == k * len(descs)
-        assert {x.field for x in prepared[-len(descs):]} == {field}
+        assert len(kernels) == k * len(descs)
+        assert {x.field for x in kernels[-len(descs):]} == {field}
+        assert Counter(frames[framed:]) == {pairing: len(descs)
+                                             for pairing in set(pairings[sources:])}
     # a hit hands back what a fresh preparation gives
     for field in fields:
         for d in descs:
-            assert verify._catalog_target(d, field) == _target(cat.build(d, field)), d.label()
-    assert len(prepared) == len(fields) * len(descs)
+            x = cat.build(d, field)
+            assert verify._catalog_kernels(d, field) == _kernels(x), d.label()
+            for pairing in set(pairings):
+                assert verify._catalog_target(d, field, pairing) == _target(x, pairing), d.label()
+    assert len(kernels) == len(fields) * len(descs)
+
+
+def test_defaults_fit_the_target_caches_at_every_pairing():
+    # `fourspace verify`'s default bounds, framed at all six pairings
+    descs = cat.enumerate_descriptors(EnumerationBounds(4, 4, (2, 5)))
+    assert 6 * len(descs) <= verify._TARGET_CACHE_SIZE
+
+
+# sha256 prefixes of the trial modules of run_sweep(field, (3, 3, lambdas),
+# 6 trials, seed 7), as the sweep drew them when structured_module
+# enumerated its bounds on every call: passing the sweep's descriptor list
+# in draws the same modules
+TRIALS = {"GF32003": "a06a864575461b9c", "QQ": "634718ca42123c57", "GF3": "1fcb88580ba100d8"}
+
+
+@pytest.mark.parametrize("name", TRIALS)
+def test_run_sweep_trial_modules_are_unchanged(name, monkeypatch):
+    field = FIELDS[name]
+    modules, enumerated = [], []
+    hom_vector, enumerate_descriptors = verify.hom_vector, verify.enumerate_descriptors
+
+    def spy(M, descs):
+        modules.append(M)
+        return hom_vector(M, descs)
+
+    def counted(bounds):
+        enumerated.append(bounds)
+        return enumerate_descriptors(bounds)
+
+    monkeypatch.setattr(verify, "hom_vector", spy)
+    monkeypatch.setattr(verify, "enumerate_descriptors", counted)
+    lambdas = (2, 5) if name != "GF3" else (2,)
+    assert run_sweep(field, EnumerationBounds(3, 3, lambdas), 6, 7) == []
+    assert len(enumerated) == 1
+    h = hashlib.sha256()
+    for m in modules:
+        h.update(json.dumps(module_to_record(m)).encode())
+    assert len(modules) == 6 and h.hexdigest()[:16] == TRIALS[name]
