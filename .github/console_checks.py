@@ -118,6 +118,9 @@ DIFFS = [
     Diff("w5.json", GF32003, "P(4,0) I(5,0) R(1,2)", 4, (22, 11, 11, 11, 11),
          "--all --max-n 8 --max-l 4 --lambda 2", 142),
     Diff("q5.json", QQ, "P(4,0) I(5,0) R(1,2)", 4, (22, 11, 11, 11, 11), WIDE, 8),
+    # n_0 = 44: hom_vector's folds write rows from K [A B C D] at twice w5's n_0
+    Diff("w9.json", GF32003, "R(3,2) P(8,0) I(10,0)", 9, (44, 22, 22, 22, 22),
+         "--all --lambda 2", 102),
     # exceptional tubes as summands, an even row among them
     Diff("e7.json", GF7, "R(0,2,0) R(1,4,inf) R(1,2,1) P(3,2) I(2,4)", 5, (14, 7, 6, 7, 8),
          "--all --max-n 5 --max-l 3 --lambda 3", 99),

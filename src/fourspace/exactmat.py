@@ -17,10 +17,10 @@ becomes a new pivot, whose form (``_pivot``) later rows are reduced
 with; pivot forms never leave this module.  Once every column holds a
 pivot, the rows left are in their span and the loop reads no more of
 them.  The working copy (``_start``), the loop and the split are also
-called on their own:
-homdim's staircase runs them on its own rows and keeps those rows from
-its first fold to its last step, and the oracle writes its rows in that
-form (``_scaled``: a row times a scalar) and splits and eliminates them.
+called on their own: homdim's folds and the oracle's residual write
+their rows from slices of working rows prepared once (``_scaled``: a
+row times a scalar), and split and eliminate them, and homdim's
+staircase keeps working rows from its first fold to its last step.
 The loop runs on a list of Python-int rows, so a reduction costs only
 the entries it changes: residues over GF(p), and over QQ fraction-free
 primitive rows, one gcd pass per updated row.  QQ input that holds
@@ -269,10 +269,11 @@ class Rationals(_Field):
         """a @ b for 2-D arrays of Python ints, left in Python ints.
 
         These are the arrays of integral; dot multiplies Fractions this
-        way.  numpy's dense
+        way, and homdim a letter kernel K by [A B C D].  numpy's dense
         object product multiplies every pair, which on ints is cheaper than
-        a zero-skipping Python sum: 18 us against 134 us for a 6 x 6 times
-        a 6 x 18 (2-vCPU virtual machine, numpy 2.4).
+        a zero-skipping Python sum: 30 us against 148 us for a 6 x 6 times
+        a half-zero 6 x 24, K times the letters of a module with n_0 = 6
+        and four letters 6 wide (2-vCPU virtual machine, numpy 2.4).
         """
         return a @ b
 

@@ -36,11 +36,12 @@ keyed by the pattern's content (_plan): the cells mapped to M's letter
 slots, the slots that give W's width g, and for each fold its kernel
 keys, kept columns and blocks.  M's letters are made integral once per
 call, by _sparse_letters's first elimination, and each lam's coefficient
-table once (field.integral); a group fills each fold's grid from the
-call's kernel cache and splits it (_Field._split).  From there on the
+table once (field.integral); a group writes each fold's rows from the
+call's kernel cache and splits them (_Field._split).  From there on the
 pass holds the working rows of the field's elimination, lists of Python
-ints: a fold returns its images as those rows, and every step and span
-test runs on them, so no result goes back into an array.  The pass runs
+ints: a fold writes its rows in that form and returns its images as
+those rows, and every step and span test runs on them, so no result
+goes back into an array.  The pass runs
 a transfer recursion towards the largest k asked for.  The next copy
 reads a vector y of the left kernel K_k = {y : y N_k = 0} only through
 its image y_tail W, y_tail the last e block rows of y.  So the state is
@@ -59,12 +60,15 @@ Most own block columns hold a single cell, +-L in block row i, and ask
 y_i L = 0: y_i = v_i K, K an echelon basis of the left kernel of the
 single-cell letters of row i.  Every group reads the same four letter
 arrays, so one call eliminates each letter set's K once, [L | I] split
-at L's width, and keeps it and its products K L in a cache keyed by M's
-letter slots.  A fold (of R, or of the head with W on its tail rows)
-then eliminates only the grid of blocks scalar * K L over the coupled
-own columns and the columns that meet the next copy, built from the
-cache: the local elimination SOLVEBLOK does per block, done once per
-letter set.  A "-lam" cell stays coupled, since lam may be 0.  Over QQ
+at L's width, and keeps the working rows of K [A B C D], one product
+with the call's stacked letters, in a cache keyed by M's letter slots
+(the empty set's K is I, so its rows are [A B C D]'s own).  A fold (of
+R, or of the head with W on its tail rows) then eliminates only the
+grid of blocks scalar * K L over the coupled own columns and the
+columns that meet the next copy: each of its rows is one cached row cut
+into those blocks, the way oracle._nullity writes its rows.  That is
+the local elimination SOLVEBLOK does per block, done once per letter
+set.  A "-lam" cell stays coupled, since lam may be 0.  Over QQ
 the letters, kernels and the coefficients 1, -1 and -lam are integral (a
 nonzero multiple changes no kernel), so T, S and every elimination stay
 Python ints from the letters to the last rank, with no reduced form and
@@ -337,20 +341,38 @@ def hom_dim(M, desc):
     return coeff_matrix(M, desc).corank()
 
 
-def _kernel(field, letters, kernels, key):
-    """An echelon basis K of the left kernel of [letters[s] for s in key]:
-    the images of field._split of [L_key | I] at L_key's width, as the one
-    array field.intdot reads.
+def _kernel_cache(field, letters):
+    """One hom_vector call's kernel cache: (cuts, stacked, kernels).
 
-    kernels is one hom_vector call's cache, keyed by the slots of M's
-    letters.  Every group reads the same four arrays, so a letter set is
-    eliminated once per call, whatever its case and sigma.
+    stacked is [A B C D], the four integral letter arrays side by side,
+    and cuts the column where each letter starts in it, then stacked's
+    width.
+    kernels maps a letter set, the sorted slots of its letters, to the
+    working rows of K [A B C D] (_kernel); the empty set's K is I, so its
+    entry is stacked's own rows.
+    """
+    stacked = np.hstack(letters)
+    cuts = np.cumsum([0] + [x.shape[1] for x in letters]).tolist()
+    return cuts, stacked, {(): field._start(stacked)}
+
+
+def _kernel(field, cuts, stacked, kernels, key):
+    """The working rows of K [A B C D], K an echelon basis of the left
+    kernel of the letters in slots key: the images of field._split of
+    [L_key | I] at L_key's width, times [A B C D] by one field.intdot,
+    which gives K's products with all four letters at once.  Over QQ the
+    product rows are made primitive (field._start).
+
+    cuts, stacked and kernels are the call's _kernel_cache.  Every group
+    reads the same four letters, so a letter set is eliminated and
+    multiplied once per call, whatever its case and sigma.
     """
     if key not in kernels:
-        n0 = letters[0].shape[0]
-        stack = np.hstack([letters[s] for s in key] + [np.eye(n0, dtype=field.dtype)])
-        k = field._split(field._start(stack), stack.shape[1] - n0)[1]
-        kernels[key] = np.array(k, dtype=field.dtype).reshape(len(k), n0)
+        eye = np.eye(len(stacked), dtype=field.dtype)
+        stack = np.hstack([stacked[:, cuts[s] : cuts[s + 1]] for s in key] + [eye])
+        k = field._split(field._start(stack), stack.shape[1] - len(eye))[1]
+        k = np.array(k, dtype=field.dtype).reshape(len(k), len(eye))
+        kernels[key] = field._start(field.intdot(k, stacked))
     return kernels[key]
 
 
@@ -396,37 +418,34 @@ def _fold_plan(cells, own):
     )
 
 
-def _kernel_fold(field, letters, plan, scalar, kernels):
+def _kernel_fold(field, plan, scalar, cuts, stacked, kernels):
     """field._split of a cell grid at its own block columns, by its
     _fold_plan: (z, images).
 
-    scalar maps each coefficient to an integral scalar.  The folded grid
-    has block rows v_i, as high as row i's kernel K (n_0 if row i has no
+    scalar maps each coefficient to an integral scalar, and cuts, stacked
+    and kernels are the call's _kernel_cache.  The folded grid has block
+    rows v_i, as high as row i's kernel K (n_0 if row i has no
     single-cell letter), and block columns the plan's kept columns; block
-    (i, j) is the scalar times K L_ij, and the products K L are cached
-    with the kernels.  y <-> v is one to one, so its split at the coupled
-    columns has the z of the grid's split at its own columns, and images
-    of the same span.  Only the folded grid is filled, one array of the
-    cached blocks; its images come back as the elimination's working rows.
+    (i, j) is the scalar times K L_ij.  y <-> v is one to one, so its
+    split at the coupled columns has the z of the grid's split at its own
+    columns, and images of the same span.  Each row of the folded grid is
+    written as a working row from one row of K [A B C D] (_kernel), as
+    oracle._nullity writes its rows: each cell's block is the slice of
+    L_ij's columns, scaled (field._scaled) where its scalar is not 1, and
+    the rest is zeros.
     """
-    n0 = letters[0].shape[0]
     col0 = [0]
     for slot in plan.widths:
-        col0.append(col0[-1] + (0 if slot is None else letters[slot].shape[1]))
-    row0 = [0]
-    for key in plan.keys:
-        row0.append(row0[-1] + (len(_kernel(field, letters, kernels, key)) if key else n0))
-    out = np.zeros((row0[-1], col0[-1]), dtype=field.dtype)
-    for i, (key, blocks) in enumerate(zip(plan.keys, plan.blocks)):
-        for jj, slot, coeff in blocks:
-            if (key, slot) not in kernels:
-                x = field.intdot(kernels[key], letters[slot]) if key else letters[slot]
-                kernels[key, slot] = x
-            x, c = kernels[key, slot], scalar[coeff]
-            if c != 1:
-                x = field.reduce(c * x)
-            out[row0[i] : row0[i + 1], col0[jj] : col0[jj + 1]] = x
-    return field._split(field._start(out), col0[plan.coupled])
+        col0.append(col0[-1] + (0 if slot is None else cuts[slot + 1] - cuts[slot]))
+    rows = []
+    for key, blocks in zip(plan.keys, plan.blocks):
+        cells = [(col0[jj], cuts[slot], cuts[slot + 1], scalar[c]) for jj, slot, c in blocks]
+        for kl in _kernel(field, cuts, stacked, kernels, key):
+            row = [0] * col0[-1]
+            for s, a, b, c in cells:
+                row[s : s + b - a] = kl[a:b] if c == 1 else field._scaled(kl[a:b], c)
+            rows.append(row)
+    return field._split(rows, col0[plan.coupled])
 
 
 def _same_span(field, s, s_next):
@@ -506,15 +525,15 @@ def _plan(kind, head, rep, overlap, sigma):
     )
 
 
-def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, kernels):
+def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, cache):
     """{reps: corank of the case matrix with reps copies} for reps in wanted.
 
     letters are the four integral letter arrays _sparse_letters gives,
     in M's slot order; the pattern reads letter t of
     permute_slots(letters, sigma^-1), through its _plan.  scalar is the
     call's integral coefficient table for the group's lam (_coefficients)
-    and kernels its cache of letter kernels (_kernel).  A group folds and
-    eliminates: nothing else.
+    and cache its _kernel_cache, whose rows the folds cut (_kernel_fold).
+    A group folds and eliminates: nothing else.
 
     One transfer recursion from the head towards max(wanted) copies; the
     state (z, s) splits the left kernel of the matrix so far by y_tail W,
@@ -554,19 +573,18 @@ def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, kernels):
     top = max(wanted)
     plan = _plan(raw["kind"], *(tuple(map(tuple, raw[part])) for part in ("head", "rep", "overlap")),
                  sigma)
-    width = [x.shape[1] for x in letters]
 
     def corank(z, s):
         return z if plan.capped else z + len(s)
 
     if top:
-        rep_z, t = _kernel_fold(field, letters, plan.rep, scalar, kernels)
-        g = sum(width[x] for x in plan.g)
+        rep_z, t = _kernel_fold(field, plan.rep, scalar, *cache)
+        g = sum(letters[x].shape[1] for x in plan.g)
     if top and plan.head_is_rep:
         z, s = _step(field, [], t, g)
         z += rep_z
     else:
-        z, s = _kernel_fold(field, letters, plan.head, scalar, kernels)
+        z, s = _kernel_fold(field, plan.head, scalar, *cache)
     out = {0: corank(z, s)} if 0 in wanted else {}
     for k in range(1, top + 1):
         dz, s_next = _step(field, s, t, g)
@@ -617,8 +635,8 @@ def hom_vector(M, descs):
     Descriptors sharing (case key, sigma, lam) share one staircase, so one
     pass up to their largest parameter answers all of them.  M's letters
     are made integral and sparse (_sparse_letters) once, each pass reads
-    them through its compiled _plan, and all passes share one cache of
-    letter kernels and one coefficient table per lam.
+    them through its compiled _plan, and all passes share one
+    _kernel_cache and one coefficient table per lam.
     """
     field = M.field
     out = [None] * len(descs)
@@ -630,14 +648,14 @@ def hom_vector(M, descs):
         key, sigma, param, lam = case(d, field)
         groups.setdefault((key, sigma, lam), []).append((i, param))
     letters = _sparse_letters(field, [x.data for x in M.mats()])
-    kernels = {}
+    cache = _kernel_cache(field, letters)
     scalars = {}
     for (key, sigma, lam), members in groups.items():
         raw = CASE_SPECS[key]
         if lam not in scalars:
             scalars[lam] = _coefficients(field, lam, integral=True)
         reps = [raw["reps"](param) for _, param in members]
-        values = _staircase_coranks(field, letters, sigma, raw, scalars[lam], set(reps), kernels)
+        values = _staircase_coranks(field, letters, sigma, raw, scalars[lam], set(reps), cache)
         for (i, _), r in zip(members, reps):
             out[i] = values[r]
     return out

@@ -154,15 +154,8 @@ def _frame(field, d, spaces):
     U_1∩U_2 as its images (Zassenhaus), and its rows, eliminated in place,
     U_1+U_2's pivots: the first |U_1| + |U_2| - a0.  U_t' is the images of
     the split of [[Q | I]; [U_t | 0]] at d, an echelon basis of
-    span(U_t Q^-1), formed with no inverse.
-
-    [Q | I] is eliminated once, for U_3 and U_4 both: the two splits
-    stack the same row objects first, and the first split eliminates them
-    in place into E, forward echelon rows with every pivot left of d, Q
-    being invertible (over GF(p) each with its leading 1).  In the second,
-    as in homdim._step with T, each row of E reaches the loop with its
-    pivot column still free, so the loop only reads it, and the rows of
-    [U_t | 0] meet the pivots that [[Q | I]; [U_t | 0]] would have formed.
+    span(U_t Q^-1), formed with no inverse.  Each split writes its own
+    rows of [Q | I], since the elimination works on its rows in place.
     """
     u1, u2, *rest = spaces
     zero = [0] * d
@@ -175,9 +168,8 @@ def _frame(field, d, spaces):
     basis = (meet + [u for u in u1 if _lead(u) not in pivots]
              + [u for u in u2 if _lead(u) not in pivots]
              + [eye[c] for c in range(d) if c not in spanned])
-    qi = [q + e for q, e in zip(basis, eye)]
-    coords = [field._split([*qi, *(u + zero for u in ut)], d)[1] if ut else []
-              for ut in rest]
+    coords = [field._split([*(q + e for q, e in zip(basis, eye)), *(u + zero for u in ut)], d)[1]
+              if ut else [] for ut in rest]
     return counts, coords
 
 

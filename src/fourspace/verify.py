@@ -40,9 +40,9 @@ from .oracle import _framed, _kernels, _nullity, _source
 # largest dimension at every vertex of a trial module
 MAX_DIM = 6
 
-# prepared targets kept per process, each cache: verify's default bounds
-# hold 106 descriptors, 636 frames at all six pairings; (24, 12, {2, 5})
-# holds 418
+# targets prepared per process: their kernels, and their frames at all six
+# pairings.  verify's default bounds hold 106 descriptors and
+# (24, 12, {2, 5}) 418, whose 2,508 frames take about 11 MB
 _TARGET_CACHE_SIZE = 1024
 
 
@@ -120,11 +120,12 @@ def _catalog_kernels(desc, field):
     return _kernels(build(desc, field))
 
 
-@functools.lru_cache(maxsize=_TARGET_CACHE_SIZE)
+@functools.lru_cache(maxsize=6 * _TARGET_CACHE_SIZE)
 def _catalog_target(desc, field, pairing):
     """oracle._target(build(desc, field), pairing), prepared once per
     process: the kernels of _catalog_kernels framed in that pairing.
-    _nullity only reads it."""
+    _nullity only reads it.  A sweep may ask for each target at any of
+    the six pairings, so the cache holds six frames per target."""
     return _framed(field, _catalog_kernels(desc, field), pairing)
 
 

@@ -376,11 +376,21 @@ def test_letter_kernels_are_shared_by_the_whole_call(monkeypatch):
         groups.append(args[:3])
         return coranks(field, letters, *args)
 
+    # and each kernel K meets the letters in one product, K [A B C D]
+    products = []
+    intdot = GF.intdot
+
+    def multiplied(a, b):
+        products.append((a.shape, b.shape))
+        return intdot(a, b)
+
     monkeypatch.setattr(GF, "_split", counted)
+    monkeypatch.setattr(GF, "intdot", multiplied)
     monkeypatch.setattr(homdim, "_staircase_coranks", spied)
     assert hom_vector(m, descs) == want
     assert len(groups) == 32
     assert len(kernels) == len(set(kernels)) == 10
+    assert len(products) == 10 and all(b == (6, 12) for _, b in products), products
 
 
 # every rep and head pattern of CASE_SPECS, for the folds below, and a rep
@@ -430,7 +440,8 @@ def test_transfer_basis_spans_what_meets_the_next_copy(field):
                         for x in row] for row in cells]
             scalar = homdim._coefficients(field, lam, integral=True)
             plan = homdim._fold_plan(by_slot, own)
-            z, basis = homdim._kernel_fold(field, letters, plan, scalar, {})
+            cache = homdim._kernel_cache(field, letters)
+            z, basis = homdim._kernel_fold(field, plan, scalar, *cache)
             grid = homdim._write(field, named, cells, lam)
             split = sum(homdim._widths(named, cells)[:own])
             rest = mat(field, grid[:, split:].tolist(), (len(grid), grid.shape[1] - split))

@@ -2,15 +2,22 @@ import hashlib
 import json
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from fourspace import catalog as cat
 from fourspace import verify
 from fourspace.catalog import EnumerationBounds, InvalidParams, declared_dim
-from fourspace.exactmat import QQ, PrimeField
-from fourspace.modules import dim_vector, module_direct_sum, module_to_record, zero_module
-from fourspace.oracle import _kernels, _target, hom_oracle
+from fourspace.exactmat import QQ, PrimeField, mat
+from fourspace.modules import (
+    LambdaModule,
+    dim_vector,
+    module_direct_sum,
+    module_to_record,
+    zero_module,
+)
+from fourspace.oracle import _kernels, _source, _target, hom_oracle
 from fourspace.verify import disguised_sum, run_sweep, structured_module
 
 BOUNDS = EnumerationBounds(1, 1, ())
@@ -193,6 +200,27 @@ def test_defaults_fit_the_target_caches_at_every_pairing():
     # `fourspace verify`'s default bounds, framed at all six pairings
     descs = cat.enumerate_descriptors(EnumerationBounds(4, 4, (2, 5)))
     assert 6 * len(descs) <= verify._TARGET_CACHE_SIZE
+
+
+def test_the_frame_cache_holds_all_six_pairings_of_its_targets():
+    # six sources, each with its two 2-column letters of rank 2 in another
+    # pair of slots, so each steers another pairing, against the 242
+    # targets of (12, 8, {2, 5}): 1,452 frames.  The second pass finds
+    # every one of them in the cache
+    field = FIELDS["GF32003"]
+    descs = cat.enumerate_descriptors(EnumerationBounds(12, 8, (2, 5)))
+    assert len(descs) == 242
+    wide, narrow = mat(field, [[1, 0], [0, 1], [0, 0]]), mat(field, [[1], [1], [1]])
+    pairs = list(combinations(range(4), 2))
+    modules = [LambdaModule(*(wide if t in pair else narrow for t in range(4))) for pair in pairs]
+    assert [_source(m)[0][:2] for m in modules] == pairs
+    verify._catalog_kernels.cache_clear()
+    verify._catalog_target.cache_clear()
+    first = [list(verify.oracle_vector(m, descs)) for m in modules]
+    misses = verify._catalog_target.cache_info().misses
+    assert misses == 6 * len(descs)
+    assert [list(verify.oracle_vector(m, descs)) for m in modules] == first
+    assert verify._catalog_target.cache_info().misses == misses
 
 
 # sha256 prefixes of the trial modules of run_sweep(field, (3, 3, lambdas),
