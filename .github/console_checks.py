@@ -9,7 +9,8 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
 1 if any check failed.  The checks are:
 
 - `fourspace verify` runs, and one QQ run_sweep in-process, twice: the
-  second reads its targets from the cache the first filled;
+  second reads every target from the cache the first filled, with no
+  miss (verify._catalog_target.cache_info());
 - hom_oracle against the nullity of hom_system's full matrix, both ways,
   between random small modules, one of them with the two letters the
   oracle frames equal, and five DIFFS modules: w5 and q5 (n_0 = 22), z4
@@ -59,7 +60,7 @@ from fourspace import (
 )
 from fourspace.exactmat import random_invertible, random_matrix
 from fourspace.oracle import _source, hom_system
-from fourspace.verify import disguised_sum
+from fourspace.verify import _catalog_target, disguised_sum
 
 VERIFY = [
     "--trials 2",
@@ -251,8 +252,13 @@ def main():
         check(f"verify {args}", code == 0, (out + err).strip().rpartition("\n")[2])
     bounds = EnumerationBounds(3, 3, (2, Fraction(7, 3)))
     check("run_sweep QQ", run_sweep(QQ, bounds, 4, 0) == [], "mismatches")
-    # the same sweep again reads every target from the per-process cache
-    check("run_sweep QQ, targets cached", run_sweep(QQ, bounds, 4, 0) == [], "mismatches")
+    # the same sweep again reads every target from the per-process cache:
+    # equal answers, and not one cache miss
+    misses = _catalog_target.cache_info().misses
+    again = run_sweep(QQ, bounds, 4, 0)
+    missed = _catalog_target.cache_info().misses - misses
+    check("run_sweep QQ, targets cached", again == [] and not missed,
+          f"{len(again)} mismatches, {missed} targets prepared again")
     # 4 random modules of dimension at most 4 per ORACLE_NULLITY module,
     # then one more each whose two letters in the slots the oracle frames
     # for that module are equal, so that hom_oracle's frame meets its two

@@ -68,14 +68,16 @@ source frames the two letters of M with the largest images.
 M's pairing holds for every target, so each side is prepared once:
 _source(M) gives the pairing, n, the frame of the W_t, eliminating the
 columns of each L_M^t (_Field._eliminate), and each row of W_r', W_s'
-cut to the column sets _nullity keeps; _kernels(X) gives m, the r_t and
-the K_t, splitting [L_X | I] (_Field._split), and _target(X, pairing)
-their frame in M's pairing.  _nullity writes the cut rows from the two
-and ranks them with the same loop, which stops once every column holds a
-pivot; hom_oracle is that composition.  verify.oracle_vector, which
-run_sweep and `homdim --oracle` call, prepares M once, and each target's
-kernels once per process and their frame once per pairing, in bounded
-caches.
+cut to the column sets _nullity keeps; _target(X) gives m, the r_t and
+the K_t, splitting [L_X | I] (_Field._split), and a table of frames.
+_nullity reads the target's frame in M's pairing through _framed, which
+frames the K_t the first time a pairing is asked for and keeps that
+frame in the target.  _nullity writes the cut rows from the two sides
+and ranks them with the same loop, which stops once every column holds
+a pivot; hom_oracle is that composition.  verify.oracle_vector, which run_sweep
+and `homdim --oracle` call, prepares M once and each target once per
+process, in one bounded cache, so each target is framed once per
+pairing its sources ask for: at most six frames.
 """
 
 from __future__ import annotations
@@ -173,8 +175,9 @@ def _frame(field, d, spaces):
     return counts, coords
 
 
-def _kernels(X):
-    """X's left kernels: (m, [r_1, .., r_4], [C_1, .., C_4]).
+def _target(X):
+    """X's side of every relation: (m, [r_1, .., r_4], [C_1, .., C_4],
+    frames), frames empty until _framed fills it.
 
     X's letters are read once, as the working rows (field._start) of
     [A' B' C' D' I]; over QQ in one integral scale, each row primitive.
@@ -192,24 +195,23 @@ def _kernels(X):
     for t in range(1, 5):
         c0, c1 = c1, c1 + m[t]
         kernels.append(field._split([row[c0:c1] + row[ident:] for row in letters], m[t])[1])
-    return m, [m[0] - len(k) for k in kernels], kernels
+    return m, [m[0] - len(k) for k in kernels], kernels, {}
 
 
-def _framed(field, kernels, pairing):
-    """_kernels(X) in a pairing: (m, [r_1, .., r_4], (a0, a1, a2),
-    [K_r', K_s']), the _frame of the left kernels K_t in k^{m_0}, slots
-    pairing[0] and pairing[1] in coordinate position and pairing[2],
-    pairing[3] in those coordinates.  The kernels are only read, so one
-    _kernels serves every pairing."""
-    m, ranks, spaces = kernels
-    return (m, ranks, *_frame(field, m[0], [spaces[t] for t in pairing]))
+def _framed(field, target, pairing):
+    """A _target's left kernels in a pairing: ((a0, a1, a2), [K_r', K_s']),
+    the _frame of the K_t in k^{m_0}, slots pairing[0] and pairing[1] in
+    coordinate position and pairing[2], pairing[3] in those coordinates.
 
-
-def _target(X, pairing):
-    """X's side of every relation, for a source of that pairing: (m,
-    [r_1, .., r_4], (a0, a1, a2), [K_r', K_s']), _framed of
-    _kernels(X)."""
-    return _framed(X.field, _kernels(X), pairing)
+    The frame is made the first time its pairing is asked for and kept in
+    the target's frames, keyed by the pairing, as decomp._plan keeps its
+    rows; the kernels are only read, so one target serves every pairing.
+    """
+    m, _, kernels, frames = target
+    frame = frames.get(pairing)
+    if frame is None:
+        frame = frames[pairing] = _frame(field, m[0], [kernels[t] for t in pairing])
+    return frame
 
 
 def _source(M, pairing=None):
@@ -262,8 +264,8 @@ def _covered(a, b):
 
 
 def _nullity(field, source, target):
-    """dim Hom(M, X) from _source(M) and _target(X, its pairing), over
-    field.
+    """dim Hom(M, X) from _source(M) and _target(X), over field, with X's
+    frame in the source's pairing read through _framed.
 
     With p, q the framed slots and r, s the others: column (i, j), i in
     X's frame and j in M's, is in P if i is in S_p (the first a0 + a1
@@ -276,10 +278,12 @@ def _nullity(field, source, target):
     scaled (field._scaled) where u[i] is not 1; a u that is nonzero only
     where nothing is kept gives zero rows, which are left out.  Over QQ a
     cut row may share a factor; _eliminate takes it as it is, since
-    nonzero scales of rows leave every rank alone.  Neither side is
-    written, so each may serve many pairs.
+    nonzero scales of rows leave every rank alone.  Neither side's rows
+    are written, so each may serve many pairs; the target keeps the
+    frame of the source's pairing.
     """
-    (_, n, b, kept, cuts), (m, ranks, a, kernels) = source, target
+    (pairing, n, b, kept, cuts), (m, ranks, _, _) = source, target
+    a, kernels = _framed(field, target, pairing)
     nullity = sum(map(mul, m, n)) - sum(map(mul, ranks, n[1:])) - _covered(a, b)
     place = [0] * a[0] + [1] * a[1] + [2] * a[2] + [3] * (m[0] - sum(a))
     starts = list(accumulate((kept[k] for k in place), initial=0))
@@ -304,10 +308,10 @@ def _nullity(field, source, target):
 def hom_oracle(M, X):
     """dim Hom(M, X), the nullity of hom_system's matrix, with each
     relation's F_t columns eliminated once (see the module docstring):
-    _nullity of _source(M) and _target(X) in the source's pairing."""
+    _nullity of _source(M) and a fresh _target(X), framed once, in the
+    source's pairing."""
     _check_same_field(M.field, X.field)
-    source = _source(M)
-    return _nullity(M.field, source, _target(X, source[0]))
+    return _nullity(M.field, _source(M), _target(X))
 
 
 def hom_basis(M, X):

@@ -35,14 +35,15 @@ from .modules import (
     random_module,
     zero_module,
 )
-from .oracle import _framed, _kernels, _nullity, _source
+from .oracle import _nullity, _source, _target
 
 # largest dimension at every vertex of a trial module
 MAX_DIM = 6
 
-# targets prepared per process: their kernels, and their frames at all six
-# pairings.  verify's default bounds hold 106 descriptors and
-# (24, 12, {2, 5}) 418, whose 2,508 frames take about 11 MB
+# targets prepared per process, each holding its kernels and the frames
+# of the pairings its sources asked for, six at most.  verify's default
+# bounds hold 106 descriptors and (24, 12, {2, 5}) 418, whose kernels and
+# six frames each take about 14 MB
 _TARGET_CACHE_SIZE = 1024
 
 
@@ -109,24 +110,16 @@ def structured_module(field, bounds, rng, cands=None):
 
 
 @functools.lru_cache(maxsize=_TARGET_CACHE_SIZE)
-def _catalog_kernels(desc, field):
-    """oracle._kernels(build(desc, field)), prepared once per process:
-    X's letter ranks and its four left kernels.
+def _catalog_target(desc, field):
+    """oracle._target(build(desc, field)), prepared once per process:
+    X's letter ranks, its four left kernels and its frame table.
 
-    A target depends on (desc, field) alone, both hashable by value, and
-    its frames only read it, so one serves every sweep that asks for it.
-    A raise (a target too large to build) is not kept.
+    A target depends on (desc, field) alone, both hashable by value.
+    _nullity only reads its kernels, and frames them once per pairing a
+    source asks for, kept in the target, so one serves every sweep that
+    asks for it.  A raise (a target too large to build) is not kept.
     """
-    return _kernels(build(desc, field))
-
-
-@functools.lru_cache(maxsize=6 * _TARGET_CACHE_SIZE)
-def _catalog_target(desc, field, pairing):
-    """oracle._target(build(desc, field), pairing), prepared once per
-    process: the kernels of _catalog_kernels framed in that pairing.
-    _nullity only reads it.  A sweep may ask for each target at any of
-    the six pairings, so the cache holds six frames per target."""
-    return _framed(field, _catalog_kernels(desc, field), pairing)
+    return _target(build(desc, field))
 
 
 def oracle_vector(M, descs):
@@ -135,14 +128,14 @@ def oracle_vector(M, descs):
     Each side of a pair is prepared once, into the frame that puts two of
     its relations in coordinate position, the two where M's letters have
     the largest images: M's here (oracle._source), which picks them, and
-    each target once per process and pairing (_catalog_target).  Each
-    value is then one _nullity, which writes the other two relations
-    alone.  The values before a target too large to build come out
-    before its MemoryError.
+    each target once per process (_catalog_target), framed by _nullity
+    the first time a source asks for that pairing.  Each value is then
+    one _nullity, which writes the other two relations alone.  The
+    values before a target too large to build come out before its
+    MemoryError.
     """
     field, source = M.field, _source(M)
-    pairing = source[0]
-    return (_nullity(field, source, _catalog_target(d, field, pairing)) for d in descs)
+    return (_nullity(field, source, _catalog_target(d, field)) for d in descs)
 
 
 def run_sweep(field, bounds, trials, seed, report=None):

@@ -1,0 +1,191 @@
+"""Every module of small dimension over the smallest fields, read three ways.
+
+A module whose letters are injective is a quadruple of subspaces of
+k^{n_0}: letter t is a basis of U_t = im L_t, in columns.  Base change
+on V_1..V_4 leaves each U_t alone, and base change on V_0 moves the
+quadruple by an element of GL(n_0, k), so over GF(q) the isomorphism
+classes of such modules are the orbits of GL(n_0, q) on quadruples of
+subspaces: finitely many, and few at small n_0.  The order of the
+letters is not quotiented, so every sigma of the catalog's patterns is
+met.  A letter with a kernel adds a summand I(0, t), which every 4th
+orbit at the top n_0 covers with a zero column appended to one letter.
+
+The subspaces are enumerated as reduced echelon bases, with mod-q
+arithmetic of this file's own: no elimination of the package is used to
+name a subspace.  GL(d, q) is generated by a primitive scalar on the
+first coordinate, the transvection e_0 += e_1 and the cyclic shift (the
+shift conjugates the transvection to every e_i += e_{i+1}, whose
+commutators give every elementary transvection, so they generate
+SL(d, q), and the scalar reaches every determinant).  The orbits are
+found by a depth-first walk from each unseen quadruple over a bytearray
+indexed by the quadruple, each orbit named by its least member.
+
+Each module is read three ways (check):
+- hom_vector against verify.oracle_vector on every descriptor;
+- decompose succeeds, with sum mu * dim = dim M;
+- dim End(M), hom_oracle(M, M) through a fresh target, against
+  sum mu_Y mu_X [Y, X] in closed form (decomp._hom).
+
+tests/test_exhaustive.py runs n_0 <= 2 over GF(2), GF(3) and GF(5).  As a
+script it takes n_0 and the primes:
+
+    python tests/exhaustive.py 3 2 3
+
+prints, for each field, the orbit count at each n_0 up to 3, the
+descriptor count and each failure, and exits 1 on any failure.  The
+descriptors are taken at (n_0 + 3, n_0 + 3) with every non-exceptional
+lambda of the field.
+"""
+
+from __future__ import annotations
+
+import sys
+from itertools import combinations, product
+
+from fourspace.catalog import EnumerationBounds, declared_dim, enumerate_descriptors
+from fourspace.decomp import IncompleteCandidates, _hom, decompose
+from fourspace.exactmat import PrimeField, mat
+from fourspace.homdim import hom_vector
+from fourspace.modules import LambdaModule, dim_vector
+from fourspace.oracle import hom_oracle
+from fourspace.verify import oracle_vector
+
+
+def rref(rows, q):
+    """The reduced echelon basis of span(rows) mod q, a tuple of rows."""
+    rows = [list(row) for row in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], q - 2, q)
+        rows[r] = [x * inv % q for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [(x - row[c] * y) % q for x, y in zip(row, rows[r])]
+        r += 1
+    return tuple(map(tuple, rows[:r]))
+
+
+def subspaces(d, q):
+    """Every subspace of GF(q)^d as its reduced echelon basis, by
+    dimension, then pivots, then the free entries."""
+    out = []
+    for k in range(d + 1):
+        for pivots in combinations(range(d), k):
+            free = [(i, c) for i, p in enumerate(pivots)
+                    for c in range(p + 1, d) if c not in pivots]
+            for values in product(range(q), repeat=len(free)):
+                rows = [[int(c == p) for c in range(d)] for p in pivots]
+                for (i, c), x in zip(free, values):
+                    rows[i][c] = x
+                out.append(tuple(map(tuple, rows)))
+    return out
+
+
+def generators(d, q):
+    """Maps of vectors of GF(q)^d that generate GL(d, q): the primitive
+    scalar on the first coordinate, the cyclic shift and, for d >= 2, the
+    transvection e_0 += e_1."""
+    g = next(x for x in range(1, q) if len({pow(x, k, q) for k in range(q - 1)}) == q - 1)
+    gens = [lambda v: (v[0] * g % q, *v[1:]), lambda v: (*v[-1:], *v[:-1])]
+    if d >= 2:
+        gens.append(lambda v: ((v[0] + v[1]) % q, *v[1:]))
+    return gens
+
+
+def orbits(d, q):
+    """(spaces, reps): subspaces(d, q), and the least quadruple of
+    subspace indices of each GL(d, q) orbit, in order."""
+    spaces = subspaces(d, q)
+    index = {s: i for i, s in enumerate(spaces)}
+    perms = [[index[rref([f(v) for v in s], q)] for s in spaces] for f in generators(d, q)]
+    n = len(spaces)
+    seen = bytearray(n ** 4)
+    reps = []
+    for start, quad in enumerate(product(range(n), repeat=4)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        reps.append(quad)
+        stack = [quad]
+        while stack:
+            a, b, c, e = stack.pop()
+            for p in perms:
+                image = p[a], p[b], p[c], p[e]
+                i = ((image[0] * n + image[1]) * n + image[2]) * n + image[3]
+                if not seen[i]:
+                    seen[i] = 1
+                    stack.append(image)
+    return spaces, reps
+
+
+def module(field, d, bases, widen=None):
+    """The module whose letter t is bases[t] in columns, with one zero
+    column appended to letter widen (0 for A to 3 for D), if given."""
+    def letter(t, basis):
+        extra = [0] if t == widen else []
+        return mat(field, [[v[r] for v in basis] + extra for r in range(d)],
+                   shape=(d, len(basis) + len(extra)))
+    return LambdaModule(*(letter(t, basis) for t, basis in enumerate(bases)))
+
+
+def check(bounds, descs, M):
+    """The failures of M's three readings, as text; empty when all hold."""
+    out = [f"{d.label()}: formula {a}, oracle {b}"
+           for d, a, b in zip(descs, hom_vector(M, descs), oracle_vector(M, descs)) if a != b]
+    try:
+        mu = decompose(M, bounds)
+    except IncompleteCandidates as e:
+        return out + [f"decompose: {e}"]
+    total = tuple(sum(m * declared_dim(y)[v] for y, m in mu.items()) for v in range(5))
+    if total != dim_vector(M):
+        out.append(f"decompose: summands of dimension {total}")
+    end = sum(a * b * _hom(y, x) for y, a in mu.items() for x, b in mu.items())
+    if (oracle := hom_oracle(M, M)) != end:
+        out.append(f"dim End: oracle {oracle}, closed form {end}")
+    return out
+
+
+def run(q, n0):
+    """(orbit counts at n_0 = 0..n0, descriptor count, failures) over
+    GF(q), the descriptors at (n0 + 3, n0 + 3) with every lambda of the
+    field but 0 and 1.  Every 4th orbit at n0 is read again with a zero
+    column appended to one letter, A, B, C, D in turn."""
+    field = PrimeField(q)
+    bounds = EnumerationBounds(n0 + 3, n0 + 3, tuple(range(2, q)))
+    descs = enumerate_descriptors(bounds)
+    counts, failures = [], []
+    for d in range(n0 + 1):
+        spaces, reps = orbits(d, q)
+        counts.append(len(reps))
+        for k, quad in enumerate(reps):
+            bases = [spaces[i] for i in quad]
+            widened = [k // 4 % 4] if d == n0 and k % 4 == 0 else []
+            for widen in [None, *widened]:
+                tag = "" if widen is None else f", zero column on {'ABCD'[widen]}"
+                for line in check(bounds, descs, module(field, d, bases, widen)):
+                    failures.append(f"n0={d} orbit {k} {quad}{tag}: {line}")
+    return counts, len(descs), failures
+
+
+def main(argv):
+    if len(argv) < 2:
+        print("usage: exhaustive.py N0 PRIME [PRIME ...]", file=sys.stderr)
+        return 2
+    n0, *primes = map(int, argv)
+    failed = False
+    for q in primes:
+        counts, descs, failures = run(q, n0)
+        print(f"GF({q}), n0 <= {n0}: {sum(counts)} orbits ({' + '.join(map(str, counts))}), "
+              f"{descs} descriptors, {len(failures)} failures", flush=True)
+        for line in failures:
+            print(f"  {line}")
+        failed = failed or bool(failures)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -26,6 +26,7 @@ from fourspace.modules import (
 )
 from fourspace.oracle import (
     _covered,
+    _framed,
     _nullity,
     _source,
     _target,
@@ -385,7 +386,7 @@ def test_oracle_frame_geometry(fld, rng):
             meet = len(set(sa) & set(sb))
             for pairing in PAIRINGS:
                 counts = _source(_placed(m, pairing), pairing)[2]
-                assert counts == _target(_placed(x, pairing), pairing)[2] \
+                assert counts == _framed(fld, _target(_placed(x, pairing)), pairing)[0] \
                     == (meet, len(sa) - meet, len(sb) - meet), (kind, pairing)
             sources.append((m, kind))
             targets.append((x, kind))
@@ -400,10 +401,10 @@ def test_oracle_frame_geometry(fld, rng):
                 assert hom_oracle(m, x) == want, (source_kind, target_kind)
                 for pairing in PAIRINGS:
                     source = _source(_placed(m, pairing), pairing)
-                    target = _target(_placed(x, pairing), pairing)
+                    target = _target(_placed(x, pairing))
                     where = (source_kind, target_kind, pairing)
                     assert _nullity(fld, source, target) == want, where
-                    assert _covered(target[2], source[2]) == covered, where
+                    assert _covered(_framed(fld, target, pairing)[0], source[2]) == covered, where
 
 
 # -- the pairing: which two relations are framed ------------------------------------
@@ -444,12 +445,33 @@ def test_nullity_at_every_pairing(fld, rng):
         for x in (modules[(i + 3) % len(modules)], modules[(i + 7) % len(modules)]):
             want = _reference_nullity(m, x)
             for pairing in PAIRINGS:
-                got = _nullity(fld, _source(m, pairing), _target(x, pairing))
+                target = _target(x)
+                got = _nullity(fld, _source(m, pairing), target)
                 assert got == want, (i, pairing, dim_vector(m), dim_vector(x))
+                assert list(target[3]) == [pairing]
         ranks = [y.rank() for y in m.mats()]
         seen.update({"tied": len(set(ranks)) < 4, "zero width": 0 in dim_vector(m)[1:],
                      "rank < width": any(y.rank() < y.cols for y in m.mats())}.items())
     assert {("tied", True), ("zero width", True), ("rank < width", True)} <= seen
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(3), GF], ids=repr)
+def test_one_target_serves_every_pairing(fld, rng):
+    # a prepared target owns its frames: one _target(x), read by sources
+    # of all six pairings in turn, gives the full system's nullity at
+    # each, ends with one frame per pairing, and hands back the kept
+    # frame when a pairing is asked for again
+    sources = [random_module(fld, rng, max_dim=3), _ranked_module(fld, 3, (1, 3, 2, 0), rng)]
+    for x in (disguised_sum(fld, [cat.P(1, 0), cat.I(0, 2), cat.R(0, 2, 1)], rng),
+              _ranked_module(fld, 3, (2, 1, 0, 2), rng)):
+        target = _target(x)
+        for m in sources:
+            want = _reference_nullity(m, x)
+            for pairing in PAIRINGS:
+                assert _nullity(fld, _source(m, pairing), target) == want, pairing
+        frames = dict(target[3])
+        assert sorted(frames) == sorted(PAIRINGS)
+        assert all(_framed(fld, target, p) is frames[p] for p in PAIRINGS)
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(3), GF], ids=repr)

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -17,7 +16,7 @@ from fourspace.modules import (
     module_to_record,
     zero_module,
 )
-from fourspace.oracle import _kernels, _source, _target, hom_oracle
+from fourspace.oracle import _framed, _source, _target, hom_oracle
 from fourspace.verify import disguised_sum, run_sweep, structured_module
 
 BOUNDS = EnumerationBounds(1, 1, ())
@@ -41,7 +40,6 @@ def test_run_sweep_rejects_a_trial_count_that_is_not_an_int(trials):
 def test_a_float_lambda_is_rejected_cold_and_warm():
     # R(1, 2.0) must not name R(1, 2): a warm target cache would hand back
     # R(1, 2)'s target, where a cold one fails in build
-    verify._catalog_kernels.cache_clear()
     verify._catalog_target.cache_clear()
     floats = EnumerationBounds(1, 1, (2.0,))
     with pytest.raises(InvalidParams) as cold:
@@ -124,103 +122,114 @@ def test_sweep_oracle_column_is_the_public_oracle(name, monkeypatch):
 
 
 def _counted_preparations(monkeypatch):
-    """Empty the sweep's target caches; (kernels, frames, pairings): the
-    modules whose left kernels oracle._kernels splits from now on, the
-    pairing of each frame oracle._framed makes, and the pairing of each
-    source oracle._source prepares."""
-    verify._catalog_kernels.cache_clear()
+    """Empty the sweep's target cache; (targets, pairings): the modules
+    whose targets oracle._target prepares from now on, and the pairing
+    of each source oracle._source prepares."""
     verify._catalog_target.cache_clear()
-    kernels, frames, pairings = [], [], []
-    split, framed, source = verify._kernels, verify._framed, verify._source
+    targets, pairings = [], []
+    target, source = verify._target, verify._source
 
-    def counted_kernels(X):
-        kernels.append(X)
-        return split(X)
-
-    def counted_frame(field, k, pairing):
-        frames.append(pairing)
-        return framed(field, k, pairing)
+    def counted_target(X):
+        targets.append(X)
+        return target(X)
 
     def counted_source(M):
         out = source(M)
         pairings.append(out[0])
         return out
 
-    monkeypatch.setattr(verify, "_kernels", counted_kernels)
-    monkeypatch.setattr(verify, "_framed", counted_frame)
+    monkeypatch.setattr(verify, "_target", counted_target)
     monkeypatch.setattr(verify, "_source", counted_source)
-    return kernels, frames, pairings
+    return targets, pairings
+
+
+def _cached_frames(descs, field):
+    # each cached target's frame table, copied: pairing -> frame object
+    return [dict(verify._catalog_target(d, field)[3]) for d in descs]
 
 
 def test_run_sweep_prepares_each_target_once_per_process(monkeypatch):
     # every formula answer off by one, so both lists hold every oracle
-    # value.  Each target's kernels are split once, and framed once per
-    # pairing its sources ask for: the trial modules here frame two
-    # different pairs of letters
+    # value.  Each target is prepared once, and framed once per pairing
+    # its sources ask for: the trial modules here frame two different
+    # pairs of letters.  The second sweep frames nothing: every target
+    # holds the same frame objects
     field = FIELDS["GF32003"]
     hom_vector = verify.hom_vector
     monkeypatch.setattr(verify, "hom_vector",
                         lambda M, descs: [x + 1 for x in hom_vector(M, descs)])
     bounds = EnumerationBounds(2, 2, _lambdas(field))
     descs = cat.enumerate_descriptors(bounds)
-    kernels, frames, pairings = _counted_preparations(monkeypatch)
+    targets, pairings = _counted_preparations(monkeypatch)
     first = run_sweep(field, bounds, 4, 3)
+    frames, asked = _cached_frames(descs, field), set(pairings)
     second = run_sweep(field, bounds, 4, 3)
-    assert len(set(pairings)) >= 2
-    assert len(kernels) == len(descs)
-    assert Counter(frames) == {pairing: len(descs) for pairing in set(pairings)}
+    assert len(asked) >= 2 and set(pairings) == asked
+    assert len(targets) == len(descs)
+    assert all(set(kept) == asked for kept in frames)
+    for kept, now in zip(frames, _cached_frames(descs, field)):
+        assert now.keys() == kept.keys()
+        assert all(now[p] is kept[p] for p in kept)
     assert len(first) == 4 * len(descs) and first == second
 
 
 def test_each_field_prepares_its_own_targets(monkeypatch):
     # the descriptors of one bounds are equal over every field, R(1,2)
-    # among them: the field is part of both keys
+    # among them: the field is part of the key, and each field's targets
+    # are framed at the pairings of its own sources alone
     bounds = EnumerationBounds(2, 2, (2, 5))
     descs = cat.enumerate_descriptors(bounds)
     fields = (PrimeField(7), PrimeField(11), QQ)
-    kernels, frames, pairings = _counted_preparations(monkeypatch)
+    targets, pairings = _counted_preparations(monkeypatch)
     for k, field in enumerate(fields, start=1):
-        sources, framed = len(pairings), len(frames)
+        sources = len(pairings)
         assert run_sweep(field, bounds, 2, k) == []
-        assert len(kernels) == k * len(descs)
-        assert {x.field for x in kernels[-len(descs):]} == {field}
-        assert Counter(frames[framed:]) == {pairing: len(descs)
-                                             for pairing in set(pairings[sources:])}
-    # a hit hands back what a fresh preparation gives
+        assert len(targets) == k * len(descs)
+        assert {x.field for x in targets[-len(descs):]} == {field}
+        asked = set(pairings[sources:])
+        assert all(set(kept) == asked for kept in _cached_frames(descs, field))
+    # a hit hands back what a fresh preparation gives, at every pairing
     for field in fields:
         for d in descs:
-            x = cat.build(d, field)
-            assert verify._catalog_kernels(d, field) == _kernels(x), d.label()
+            cached, fresh = verify._catalog_target(d, field), _target(cat.build(d, field))
+            assert cached[:3] == fresh[:3], d.label()
             for pairing in set(pairings):
-                assert verify._catalog_target(d, field, pairing) == _target(x, pairing), d.label()
-    assert len(kernels) == len(fields) * len(descs)
+                assert _framed(field, cached, pairing) == _framed(field, fresh, pairing), d.label()
+    assert len(targets) == len(fields) * len(descs)
 
 
 def test_defaults_fit_the_target_caches_at_every_pairing():
-    # `fourspace verify`'s default bounds, framed at all six pairings
+    # `fourspace verify`'s default bounds: each target keeps its frames
+    # at every pairing, so the cache needs one entry per descriptor
     descs = cat.enumerate_descriptors(EnumerationBounds(4, 4, (2, 5)))
-    assert 6 * len(descs) <= verify._TARGET_CACHE_SIZE
+    assert len(descs) <= verify._TARGET_CACHE_SIZE
 
 
 def test_the_frame_cache_holds_all_six_pairings_of_its_targets():
     # six sources, each with its two 2-column letters of rank 2 in another
     # pair of slots, so each steers another pairing, against the 242
-    # targets of (12, 8, {2, 5}): 1,452 frames.  The second pass finds
-    # every one of them in the cache
+    # targets of (12, 8, {2, 5}): 242 targets of six frames each.  The
+    # second pass misses no target and frames nothing: every target holds
+    # the same six frame objects
     field = FIELDS["GF32003"]
     descs = cat.enumerate_descriptors(EnumerationBounds(12, 8, (2, 5)))
     assert len(descs) == 242
     wide, narrow = mat(field, [[1, 0], [0, 1], [0, 0]]), mat(field, [[1], [1], [1]])
     pairs = list(combinations(range(4), 2))
     modules = [LambdaModule(*(wide if t in pair else narrow for t in range(4))) for pair in pairs]
-    assert [_source(m)[0][:2] for m in modules] == pairs
-    verify._catalog_kernels.cache_clear()
+    pairings = [_source(m)[0] for m in modules]
+    assert [pairing[:2] for pairing in pairings] == pairs
     verify._catalog_target.cache_clear()
     first = [list(verify.oracle_vector(m, descs)) for m in modules]
     misses = verify._catalog_target.cache_info().misses
-    assert misses == 6 * len(descs)
+    assert misses == len(descs)
+    frames = _cached_frames(descs, field)
+    assert all(set(kept) == set(pairings) for kept in frames)
     assert [list(verify.oracle_vector(m, descs)) for m in modules] == first
     assert verify._catalog_target.cache_info().misses == misses
+    for kept, now in zip(frames, _cached_frames(descs, field)):
+        assert now.keys() == kept.keys()
+        assert all(now[p] is kept[p] for p in kept)
 
 
 # sha256 prefixes of the trial modules of run_sweep(field, (3, 3, lambdas),
