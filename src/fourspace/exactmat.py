@@ -27,12 +27,12 @@ primitive rows, one gcd pass per updated row.  QQ input that holds
 Python ints is taken as it is; an array with a Fraction in it is scaled
 to ints first.
 Fractions come back only in the reduced form, which serves nullspace
-and invert alone.  ``field.integral`` scales arrays by one nonzero scalar into the form
-elimination runs on (Python ints over QQ, the residues themselves over
-GF(p)), and ``field.intdot`` multiplies in that form.  Each field has
-one matrix product, ``field.dot``, and ``ExactMatrix @`` calls it: int64
-residues over GF(p); over QQ, intdot of the integral form, divided by
-the square of its scale.  No floating point anywhere.
+and invert alone.  ``field.integral`` scales arrays by one nonzero
+scalar into the form elimination runs on (Python ints over QQ, the
+residues themselves over GF(p)).  Each field has one matrix product,
+``field.dot``, and ``ExactMatrix @`` calls it: int64 residues over
+GF(p); over QQ, the product of the integral form, divided by the square
+of its scale.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -240,11 +240,11 @@ class Rationals(_Field):
         return rows
 
     def dot(self, a, b):
-        """a @ b for 2-D arrays of Fractions: the intdot of their integral
-        form, over the square of its scale."""
+        """a @ b for 2-D arrays of Fractions: the product of their integral
+        form, Python ints, over the square of its scale."""
         (x, y), s = self.integral([a, b])
         d = s * s
-        rows = [[Fraction(v, d) for v in row] for row in self.intdot(x, y).tolist()]
+        rows = [[Fraction(v, d) for v in row] for row in (x @ y).tolist()]
         return _from_rows(self, rows, (a.shape[0], b.shape[1]))
 
     def integral(self, arrays):
@@ -264,18 +264,6 @@ class Rationals(_Field):
             for a in arrays
         ]
         return out, scale
-
-    def intdot(self, a, b):
-        """a @ b for 2-D arrays of Python ints, left in Python ints.
-
-        These are the arrays of integral; dot multiplies Fractions this
-        way, and homdim a letter kernel K by [A B C D].  numpy's dense
-        object product multiplies every pair, which on ints is cheaper than
-        a zero-skipping Python sum: 30 us against 148 us for a 6 x 6 times
-        a half-zero 6 x 24, K times the letters of a module with n_0 = 6
-        and four letters 6 wide (2-vCPU virtual machine, numpy 2.4).
-        """
-        return a @ b
 
     def parse(self, s):
         """Parse "5", "-3" or "2/7"."""
@@ -412,8 +400,6 @@ class PrimeField(_Field):
         if a.shape[1] * (self.p - 1) ** 2 < 2**63:
             return (a @ b) % self.p
         return (a.astype(object) @ b.astype(object) % self.p).astype(np.int64)
-
-    intdot = dot
 
     def inv(self, a):
         a %= self.p

@@ -35,13 +35,13 @@ pattern alone is compiled once per process for each pattern and sigma,
 keyed by the pattern's content (_plan): the cells mapped to M's letter
 slots, the slots that give W's width g, and for each fold its kernel
 keys, kept columns and blocks.  M's letters are made integral once per
-call, by _sparse_letters's first elimination, and each lam's coefficient
-table once (field.integral); a group writes each fold's rows from the
-call's kernel cache and splits them (_Field._split).  From there on the
-pass holds the working rows of the field's elimination, lists of Python
-ints: a fold writes its rows in that form and returns its images as
-those rows, and every step and span test runs on them, so no result
-goes back into an array.  The pass runs
+call, by _sparse_letters's first elimination, into the working rows of
+[A B C D], and each lam's coefficient table once (field.integral); a
+group writes each fold's rows from the call's kernel cache and splits
+them (_Field._split).  From there on the pass holds the working rows of
+the field's elimination, lists of Python ints: a fold writes its rows in
+that form and returns its images as those rows, and every step and span
+test runs on them, so no result goes back into an array.  The pass runs
 a transfer recursion towards the largest k asked for.  The next copy
 reads a vector y of the left kernel K_k = {y : y N_k = 0} only through
 its image y_tail W, y_tail the last e block rows of y.  So the state is
@@ -57,23 +57,27 @@ loop takes its rows as pivots as they stand, only reading them, and
 reduces S's rows against them.
 
 Most own block columns hold a single cell, +-L in block row i, and ask
-y_i L = 0: y_i = v_i K, K an echelon basis of the left kernel of the
-single-cell letters of row i.  Every group reads the same four letter
-arrays, so one call eliminates each letter set's K once, [L | I] split
-at L's width, and keeps the working rows of K [A B C D], one product
-with the call's stacked letters, in a cache keyed by M's letter slots
-(the empty set's K is I, so its rows are [A B C D]'s own).  A fold (of
-R, or of the head with W on its tail rows) then eliminates only the
-grid of blocks scalar * K L over the coupled own columns and the
-columns that meet the next copy: each of its rows is one cached row cut
-into those blocks, the way oracle._nullity writes its rows.  That is
-the local elimination SOLVEBLOK does per block, done once per letter
-set.  A "-lam" cell stays coupled, since lam may be 0.  Over QQ
-the letters, kernels and the coefficients 1, -1 and -lam are integral (a
-nonzero multiple changes no kernel), so T, S and every elimination stay
-Python ints from the letters to the last rank, with no reduced form and
-no Fraction; each elimination divides its rows by their gcds, so S stays
-as small deep in the staircase as after its first steps.  A step depends
+y_i L = 0: y_i = v_i K, K a basis of the left kernel of the single-cell
+letters of row i.  Every group reads the same four letters, so one call
+keeps the working rows of K [A B C D] in a cache keyed by M's letter
+slots (the empty set's K is I, so its rows are [A B C D]'s own), and
+makes each letter set's rows once, from its parent's, the set without
+its last letter L: K [A B C D] spans the rows v K' [A B C D] with
+v K' L = 0, K' the parent's kernel, and L's columns are among those of
+[A B C D].  So one split of the parent's rows, each with its L columns
+first, at L's width, gives them, with no identity block and no product
+(_kernel).  A fold (of R, or of the head with W on its tail rows) then
+eliminates only the grid of blocks scalar * K L over the coupled own
+columns and the columns that meet the next copy: each of its rows is
+one cached row cut into those blocks, the way oracle._nullity writes
+its rows.  That is the local elimination SOLVEBLOK does per block, done
+once per letter set.  A "-lam" cell stays coupled, since lam may be 0.
+Over QQ the letters, kernels and the coefficients 1, -1 and -lam are
+integral (a nonzero multiple changes no kernel), so T, S and every
+elimination stay Python ints from the letters to the last rank, with no
+reduced form and no Fraction; each elimination divides its rows by
+their gcds, so S stays as small deep in the staircase as after its
+first steps.  A step depends
 on span(S) alone, so the pass stops at the first step that returns the
 span it was given and extrapolates: every later copy adds the same to z
 and keeps S.  When the head pattern is the rep pattern, the head is the
@@ -341,38 +345,28 @@ def hom_dim(M, desc):
     return coeff_matrix(M, desc).corank()
 
 
-def _kernel_cache(field, letters):
-    """One hom_vector call's kernel cache: (cuts, stacked, kernels).
+def _kernel(field, cuts, kernels, key):
+    """The working rows of K [A B C D], K a basis of the left kernel of
+    the letters in slots key, one row per vector of K: n_0 - rank L_key
+    rows, a zero row for each vector that [A B C D] kills.
 
-    stacked is [A B C D], the four integral letter arrays side by side,
-    and cuts the column where each letter starts in it, then stacked's
-    width.
-    kernels maps a letter set, the sorted slots of its letters, to the
-    working rows of K [A B C D] (_kernel); the empty set's K is I, so its
-    entry is stacked's own rows.
-    """
-    stacked = np.hstack(letters)
-    cuts = np.cumsum([0] + [x.shape[1] for x in letters]).tolist()
-    return cuts, stacked, {(): field._start(stacked)}
-
-
-def _kernel(field, cuts, stacked, kernels, key):
-    """The working rows of K [A B C D], K an echelon basis of the left
-    kernel of the letters in slots key: the images of field._split of
-    [L_key | I] at L_key's width, times [A B C D] by one field.intdot,
-    which gives K's products with all four letters at once.  Over QQ the
-    product rows are made primitive (field._start).
-
-    cuts, stacked and kernels are the call's _kernel_cache.  Every group
-    reads the same four letters, so a letter set is eliminated and
-    multiplied once per call, whatever its case and sigma.
+    cuts is where each letter starts in [A B C D], then its width, and
+    kernels the call's cache of these rows by letter set, the sorted
+    slots of its letters; the empty set's K is I, so its entry is
+    [A B C D]'s own rows.  Letter set key is one split of its parent,
+    key without its last slot s, made first and kept: each parent row
+    v K' [A B C D] is written as its L_s columns, then itself, and
+    field._split at L_s's width gives a z and an echelon basis of
+    {v K' [A B C D] : v K' L_s = 0}, which K [A B C D] spans.  The z
+    vectors of the split are the zero rows.  Every group reads the same
+    four letters, so a letter set is split once per call, whatever its
+    case and sigma.
     """
     if key not in kernels:
-        eye = np.eye(len(stacked), dtype=field.dtype)
-        stack = np.hstack([stacked[:, cuts[s] : cuts[s + 1]] for s in key] + [eye])
-        k = field._split(field._start(stack), stack.shape[1] - len(eye))[1]
-        k = np.array(k, dtype=field.dtype).reshape(len(k), len(eye))
-        kernels[key] = field._start(field.intdot(k, stacked))
+        a, b = cuts[key[-1]], cuts[key[-1] + 1]
+        parent = _kernel(field, cuts, kernels, key[:-1])
+        z, images = field._split([row[a:b] + row for row in parent], b - a)
+        kernels[key] = images + [[0] * cuts[-1] for _ in range(z)]
     return kernels[key]
 
 
@@ -418,15 +412,15 @@ def _fold_plan(cells, own):
     )
 
 
-def _kernel_fold(field, plan, scalar, cuts, stacked, kernels):
+def _kernel_fold(field, plan, scalar, cuts, kernels):
     """field._split of a cell grid at its own block columns, by its
     _fold_plan: (z, images).
 
-    scalar maps each coefficient to an integral scalar, and cuts, stacked
-    and kernels are the call's _kernel_cache.  The folded grid has block
-    rows v_i, as high as row i's kernel K (n_0 if row i has no
-    single-cell letter), and block columns the plan's kept columns; block
-    (i, j) is the scalar times K L_ij.  y <-> v is one to one, so its
+    scalar maps each coefficient to an integral scalar, and cuts and
+    kernels are the call's letter cuts and kernel cache (_kernel).  The
+    folded grid has block rows v_i, as high as row i's kernel K (n_0 if
+    row i has no single-cell letter), and block columns the plan's kept
+    columns; block (i, j) is the scalar times K L_ij.  y <-> v is one to one, so its
     split at the coupled columns has the z of the grid's split at its own
     columns, and images of the same span.  Each row of the folded grid is
     written as a working row from one row of K [A B C D] (_kernel), as
@@ -440,7 +434,7 @@ def _kernel_fold(field, plan, scalar, cuts, stacked, kernels):
     rows = []
     for key, blocks in zip(plan.keys, plan.blocks):
         cells = [(col0[jj], cuts[slot], cuts[slot + 1], scalar[c]) for jj, slot, c in blocks]
-        for kl in _kernel(field, cuts, stacked, kernels, key):
+        for kl in _kernel(field, cuts, kernels, key):
             row = [0] * col0[-1]
             for s, a, b, c in cells:
                 row[s : s + b - a] = kl[a:b] if c == 1 else field._scaled(kl[a:b], c)
@@ -525,15 +519,16 @@ def _plan(kind, head, rep, overlap, sigma):
     )
 
 
-def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, cache):
+def _staircase_coranks(field, sigma, raw, scalar, wanted, cache):
     """{reps: corank of the case matrix with reps copies} for reps in wanted.
 
-    letters are the four integral letter arrays _sparse_letters gives,
-    in M's slot order; the pattern reads letter t of
-    permute_slots(letters, sigma^-1), through its _plan.  scalar is the
-    call's integral coefficient table for the group's lam (_coefficients)
-    and cache its _kernel_cache, whose rows the folds cut (_kernel_fold).
-    A group folds and eliminates: nothing else.
+    cache is the call's (cuts, kernels): where each of M's letters starts
+    in [A B C D], in M's slot order, and the kernel rows _kernel keeps,
+    which the folds cut (_kernel_fold).  The pattern reads its letter t
+    from M's slot permute_slots(range(4), sigma^-1)[t], through its
+    _plan.  scalar is the call's integral coefficient table for the
+    group's lam (_coefficients).  A group folds and eliminates: nothing
+    else.
 
     One transfer recursion from the head towards max(wanted) copies; the
     state (z, s) splits the left kernel of the matrix so far by y_tail W,
@@ -579,7 +574,8 @@ def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, cache):
 
     if top:
         rep_z, t = _kernel_fold(field, plan.rep, scalar, *cache)
-        g = sum(letters[x].shape[1] for x in plan.g)
+        cuts = cache[0]
+        g = sum(cuts[x + 1] - cuts[x] for x in plan.g)
     if top and plan.head_is_rep:
         z, s = _step(field, [], t, g)
         z += rep_z
@@ -602,7 +598,9 @@ def _staircase_coranks(field, letters, sigma, raw, scalar, wanted, cache):
 
 
 def _sparse_letters(field, letters):
-    """The letters U L_t V_t of a module isomorphic to the one of letters.
+    """(cuts, rows): the working rows of [A B C D] for the letters
+    U L_t V_t of a module isomorphic to the one of letters, and the column
+    where each letter starts in it, then its width.
 
     letters are M's letter arrays.  A two-way echelon is
     a's forward echelon form, then the forward echelon form of that read
@@ -610,23 +608,24 @@ def _sparse_letters(field, letters):
     clears most entries above the first one's pivots.  Reversing the rows
     is a row permutation and the column reversal is undone, so it is U a
     for an invertible U.  The row pass takes the two-way echelon of
-    [A B C D] and cuts it into four letters (U, a base change of the
-    vertex-0 space); the column pass that of each letter's transpose
-    (V_t, one of vertex t).  Hom dimensions depend on the isomorphism
-    class alone.  Over QQ the first elimination's working copy (_start)
-    scales [A B C D] by the lcm of its denominators, and both passes
-    eliminate forward only, so the letters come back as rows of Python
-    ints over their gcds, with no Fraction.
+    [A B C D] (U, a base change of the vertex-0 space); the column pass
+    writes that of each letter's transpose back into the letter's
+    columns (V_t, one of vertex t).  Hom dimensions depend on the
+    isomorphism class alone.  Over QQ the first elimination's working
+    copy (_start) scales [A B C D] by the lcm of its denominators, and
+    both passes eliminate forward only, so the rows are Python ints over
+    their gcds, with no Fraction.
     """
 
     def two_way(a):
         _, ech = field.echelon(a)
         return field.echelon(ech[::-1, ::-1])[1][::-1, ::-1]
 
-    cuts = np.cumsum([x.shape[1] for x in letters])[:-1]
-    rows = np.split(two_way(np.hstack(letters)), cuts, axis=1)
-    # C order: products with the reversed, transposed views cost more
-    return [np.ascontiguousarray(two_way(x.T).T) for x in rows]
+    cuts = np.cumsum([0] + [x.shape[1] for x in letters]).tolist()
+    a = two_way(np.hstack(letters))
+    for c0, c1 in zip(cuts, cuts[1:]):
+        a[:, c0:c1] = two_way(a[:, c0:c1].T).T
+    return cuts, field._start(a)
 
 
 def hom_vector(M, descs):
@@ -635,8 +634,9 @@ def hom_vector(M, descs):
     Descriptors sharing (case key, sigma, lam) share one staircase, so one
     pass up to their largest parameter answers all of them.  M's letters
     are made integral and sparse (_sparse_letters) once, each pass reads
-    them through its compiled _plan, and all passes share one
-    _kernel_cache and one coefficient table per lam.
+    them through its compiled _plan, and all passes share one kernel
+    cache (_kernel), started with the working rows of [A B C D], and one
+    coefficient table per lam.
     """
     field = M.field
     out = [None] * len(descs)
@@ -647,15 +647,15 @@ def hom_vector(M, descs):
             continue
         key, sigma, param, lam = case(d, field)
         groups.setdefault((key, sigma, lam), []).append((i, param))
-    letters = _sparse_letters(field, [x.data for x in M.mats()])
-    cache = _kernel_cache(field, letters)
+    cuts, rows = _sparse_letters(field, [x.data for x in M.mats()])
+    cache = cuts, {(): rows}
     scalars = {}
     for (key, sigma, lam), members in groups.items():
         raw = CASE_SPECS[key]
         if lam not in scalars:
             scalars[lam] = _coefficients(field, lam, integral=True)
         reps = [raw["reps"](param) for _, param in members]
-        values = _staircase_coranks(field, letters, sigma, raw, scalars[lam], set(reps), cache)
+        values = _staircase_coranks(field, sigma, raw, scalars[lam], set(reps), cache)
         for (i, _), r in zip(members, reps):
             out[i] = values[r]
     return out

@@ -74,12 +74,11 @@ def disguised_sum(field, descs, rng):
     return base_change(m, u, vs)
 
 
-def structured_module(field, bounds, rng, cands=None):
+def structured_module(field, bounds, rng, cands):
     """Random direct sum of in-bounds catalog modules, base-changed.
 
-    cands is enumerate_descriptors(bounds), for a caller that holds it
-    already; enumerating draws nothing from rng, so the draws are the
-    same either way.
+    cands is enumerate_descriptors(bounds), which the caller holds:
+    enumerating draws nothing from rng.
     """
     budget = [MAX_DIM] * 5
     picks = []
@@ -98,8 +97,6 @@ def structured_module(field, bounds, rng, cands=None):
         tube = R(depth, lam)
         if fits(tube):
             take(tube)
-    if cands is None:
-        cands = enumerate_descriptors(bounds)
     for _ in range(6):
         if len(picks) >= 3:
             break

@@ -26,15 +26,25 @@ Each module is read three ways (check):
 - dim End(M), hom_oracle(M, M) through a fresh target, against
   sum mu_Y mu_X [Y, X] in closed form (decomp._hom).
 
+The catalog holds the homogeneous tubes R(l, lam) with lam in the field
+only, so over GF(2) the tube at the degree-2 point x^2 + x + 1 has no
+descriptor, and its first module R(1, x^2 + x + 1), of dimension
+(4, 2, 2, 2, 2) and dim End 2, has no decomposition into catalog
+summands.  A module on which decompose raises IncompleteCandidates is
+counted as incomplete, not as a failure, when it is that one: dimension
+(4, 2, 2, 2, 2), hom_oracle(M, M) = 2, and formula equal to oracle on
+every descriptor.  Any other raise is a failure.
+
 tests/test_exhaustive.py runs n_0 <= 2 over GF(2), GF(3) and GF(5).  As a
 script it takes n_0 and the primes:
 
-    python tests/exhaustive.py 3 2 3
+    python tests/exhaustive.py 4 2
+    python tests/exhaustive.py 3 3
 
-prints, for each field, the orbit count at each n_0 up to 3, the
-descriptor count and each failure, and exits 1 on any failure.  The
-descriptors are taken at (n_0 + 3, n_0 + 3) with every non-exceptional
-lambda of the field.
+prints, for each field, the orbit count at each n_0 up to the one given,
+the descriptor count, and the failures and incomplete modules, each
+named, and exits 1 on any failure.  The descriptors are taken at
+(n_0 + 3, n_0 + 3) with every non-exceptional lambda of the field.
 """
 
 from __future__ import annotations
@@ -132,32 +142,42 @@ def module(field, d, bases, widen=None):
     return LambdaModule(*(letter(t, basis) for t, basis in enumerate(bases)))
 
 
+# the dimension vector and dim End of R(1, x^2 + x + 1) over GF(2), which
+# no catalog descriptor names
+GAP_DIM, GAP_END = (4, 2, 2, 2, 2), 2
+
+
 def check(bounds, descs, M):
-    """The failures of M's three readings, as text; empty when all hold."""
+    """(failures, incomplete): the failures of M's three readings, as
+    text, empty when all hold; and whether M is the catalog's gap, on
+    which decompose raised with no failure (see the module docstring)."""
     out = [f"{d.label()}: formula {a}, oracle {b}"
            for d, a, b in zip(descs, hom_vector(M, descs), oracle_vector(M, descs)) if a != b]
     try:
         mu = decompose(M, bounds)
     except IncompleteCandidates as e:
-        return out + [f"decompose: {e}"]
+        if not out and dim_vector(M) == GAP_DIM and hom_oracle(M, M) == GAP_END:
+            return out, True
+        return out + [f"decompose: {e}"], False
     total = tuple(sum(m * declared_dim(y)[v] for y, m in mu.items()) for v in range(5))
     if total != dim_vector(M):
         out.append(f"decompose: summands of dimension {total}")
     end = sum(a * b * _hom(y, x) for y, a in mu.items() for x, b in mu.items())
     if (oracle := hom_oracle(M, M)) != end:
         out.append(f"dim End: oracle {oracle}, closed form {end}")
-    return out
+    return out, False
 
 
 def run(q, n0):
-    """(orbit counts at n_0 = 0..n0, descriptor count, failures) over
-    GF(q), the descriptors at (n0 + 3, n0 + 3) with every lambda of the
-    field but 0 and 1.  Every 4th orbit at n0 is read again with a zero
-    column appended to one letter, A, B, C, D in turn."""
+    """(orbit counts at n_0 = 0..n0, descriptor count, failures,
+    incomplete) over GF(q), the descriptors at (n0 + 3, n0 + 3) with every
+    lambda of the field but 0 and 1; incomplete names the modules check
+    finds to be the catalog's gap.  Every 4th orbit at n0 is read again
+    with a zero column appended to one letter, A, B, C, D in turn."""
     field = PrimeField(q)
     bounds = EnumerationBounds(n0 + 3, n0 + 3, tuple(range(2, q)))
     descs = enumerate_descriptors(bounds)
-    counts, failures = [], []
+    counts, failures, incomplete = [], [], []
     for d in range(n0 + 1):
         spaces, reps = orbits(d, q)
         counts.append(len(reps))
@@ -166,9 +186,12 @@ def run(q, n0):
             widened = [k // 4 % 4] if d == n0 and k % 4 == 0 else []
             for widen in [None, *widened]:
                 tag = "" if widen is None else f", zero column on {'ABCD'[widen]}"
-                for line in check(bounds, descs, module(field, d, bases, widen)):
-                    failures.append(f"n0={d} orbit {k} {quad}{tag}: {line}")
-    return counts, len(descs), failures
+                name = f"n0={d} orbit {k} {quad}{tag}"
+                lines, gap = check(bounds, descs, module(field, d, bases, widen))
+                failures += [f"{name}: {line}" for line in lines]
+                if gap:
+                    incomplete.append(name)
+    return counts, len(descs), failures, incomplete
 
 
 def main(argv):
@@ -178,11 +201,14 @@ def main(argv):
     n0, *primes = map(int, argv)
     failed = False
     for q in primes:
-        counts, descs, failures = run(q, n0)
+        counts, descs, failures, incomplete = run(q, n0)
         print(f"GF({q}), n0 <= {n0}: {sum(counts)} orbits ({' + '.join(map(str, counts))}), "
-              f"{descs} descriptors, {len(failures)} failures", flush=True)
+              f"{descs} descriptors, {len(failures)} failures, {len(incomplete)} incomplete",
+              flush=True)
         for line in failures:
             print(f"  {line}")
+        for name in incomplete:
+            print(f"  incomplete: {name}")
         failed = failed or bool(failures)
     return 1 if failed else 0
 

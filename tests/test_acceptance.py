@@ -52,7 +52,8 @@ def _master_modules():
     mods = []
     for trial in range(20):
         if trial % 2:
-            mods.append(structured_module(GF, MASTER_BOUNDS, rng))
+            mods.append(structured_module(GF, MASTER_BOUNDS, rng,
+                                          enumerate_descriptors(MASTER_BOUNDS)))
         else:
             mods.append(random_module(GF, rng, max_dim=6))
     return mods

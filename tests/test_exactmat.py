@@ -751,10 +751,10 @@ def test_random_invertible_raises_when_rank_under_counts(field, rng, monkeypatch
 
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
-def test_integral_and_intdot_stay_in_the_elimination_form(field, rng):
+def test_integral_stays_in_the_elimination_form(field, rng):
     # integral: one nonzero scale for all arrays, Python ints over QQ and
-    # the residues themselves over GF(p); intdot: their exact product in
-    # that form, never Fractions
+    # the residues themselves over GF(p); field.dot multiplies that form
+    # exactly, as it multiplies any array of the field
     p = field.p if isinstance(field, PrimeField) else None
 
     def entry():
@@ -772,8 +772,6 @@ def test_integral_and_intdot_stay_in_the_elimination_form(field, rng):
         else:
             assert y is x
     for a, b in ((scaled[0], scaled[1]), (scaled[2], scaled[0]), (scaled[3], scaled[2])):
-        got = field.intdot(a, b)
+        got = field.dot(a, b)
         assert got.dtype == field.dtype and got.shape == (a.shape[0], b.shape[1])
         assert _plain(got) == reference_product(a, b, p)
-        if p is None:
-            assert all(type(v) is int for v in got.flat)

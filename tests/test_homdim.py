@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from fourspace import catalog as cat
-from fourspace import homdim
+from fourspace import exactmat, homdim
 from fourspace.catalog import EnumerationBounds, InvalidParams, enumerate_descriptors
 from fourspace.decomp import decompose
 from fourspace.exactmat import (
@@ -294,32 +295,57 @@ COUNTED_DESCS = {
 }
 
 
-def _kernel_input(a, n0):
-    """Whether an elimination input is [L | I], the split that gives a
-    letter kernel: its last n0 columns are the identity."""
-    return a.shape[1] > n0 and np.array_equal(a[:, a.shape[1] - n0 :], np.eye(n0, dtype=a.dtype))
+class _NoNumpy:
+    """Stands in for numpy in a module while _kernel runs."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"_kernel reached numpy.{name}")
+
+
+def _spy_kernel(monkeypatch):
+    """Patch homdim._kernel to run with numpy out of reach of homdim and
+    exactmat.  Returns (missed, running): the key of each call that made
+    its entry, and the keys of the calls running now, innermost last; the
+    recursion to a parent goes through the spy too."""
+    kernel = homdim._kernel
+    missed, running = [], []
+
+    def spied(field, cuts, kernels, key):
+        if key not in kernels:
+            missed.append(key)
+        saved = homdim.np, exactmat.np
+        homdim.np = exactmat.np = _NoNumpy()
+        running.append(key)
+        try:
+            return kernel(field, cuts, kernels, key)
+        finally:
+            running.pop()
+            homdim.np, exactmat.np = saved
+
+    monkeypatch.setattr(homdim, "_kernel", spied)
+    return missed, running
 
 
 @pytest.mark.parametrize("kind, descs", COUNTED_DESCS.values(), ids=COUNTED_DESCS)
 def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, descs, monkeypatch):
-    # each letter set's left kernel is eliminated once per call, as [L | I]
-    # (n_0 plus the letters' width), and every fold multiplies its grid by
-    # those kernels, so apart from the kernels and the two folds (head and
-    # rep) a step eliminates only the transfer basis T stacked over the
-    # state S: no elimination is wider than the columns of W and of the
-    # next W, 8 for these letters, where a copy's columns made it 20.  And
-    # copies stop costing eliminations once span(S) repeats, so both
-    # depths run the same number of them
+    # each letter set's kernel rows are one split of its parent's, made once
+    # per call (_kernel), and every fold writes its grid from those rows,
+    # so apart from the kernel splits and the two folds (head and rep) a
+    # step eliminates only the transfer basis T stacked over the state S:
+    # no elimination is wider than the columns of W and of the next W, 8
+    # for these letters, where a copy's columns made it 20.  And copies
+    # stop costing eliminations once span(S) repeats, so both depths run
+    # the same number of them
     rng = random.Random(7)
     m = LambdaModule(*(random_matrix(GF, 8, 4, rng) for _ in range(4)))
     inputs = []
     eliminate = GF._eliminate
+    missed, running = _spy_kernel(monkeypatch)
 
     def counted(rows, reduced=False):
-        # every elimination runs this loop: echelon's, and a step's on
-        # [T; [S 0]]
-        n = len(rows[0]) if rows else 0
-        inputs.append(np.array(rows, dtype=np.int64).reshape(len(rows), n))
+        # every elimination runs this loop: echelon's, a kernel split's,
+        # and a step's on [T; [S 0]]
+        inputs.append((bool(running), len(rows[0]) if rows else 0))
         return eliminate(rows, reduced)
 
     sparse = homdim._sparse_letters
@@ -337,15 +363,17 @@ def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, descs, monkeypa
         key, _, param, _ = cat.case(desc, GF)
         spec = CASE_SPECS[key]
         assert spec["kind"] == kind
+        missed.clear()
         got = hom_vector(m, [desc])
         assert got == [hom_dim(m, desc)]
         eliminations.add(len(inputs))
-        kernels = [a for a in inputs if _kernel_input(a, 8)]
-        # at most one per letter set, each of one or two 4-wide letters
-        letter_sets = {a[:, :-8].tobytes() for a in kernels}
-        assert kernels and len(letter_sets) == len(kernels)
-        assert all(a.shape[1] - 8 in (4, 8) for a in kernels), [a.shape for a in kernels]
-        counts = [a.shape[1] for a in inputs if not _kernel_input(a, 8)]
+        kernels = [n for inside, n in inputs if inside]
+        # one split per letter set, each of one or two letters, of its
+        # parent's rows with one 4-wide letter's columns first
+        assert missed and len(set(missed)) == len(missed) == len(kernels), missed
+        assert all(len(x) in (1, 2) for x in missed), missed
+        assert all(n == 4 + 16 for n in kernels), kernels
+        counts = [n for inside, n in inputs if not inside]
         limit = 2 * 4 * len(spec["overlap"][0])
         assert limit == 8 and sum(c > limit for c in counts) <= 2, counts
     assert len(eliminations) == 1, eliminations
@@ -354,43 +382,93 @@ def test_hom_vector_eliminates_the_tail_rows_once_per_copy(kind, descs, monkeypa
 def test_letter_kernels_are_shared_by_the_whole_call(monkeypatch):
     # the 106 descriptors of (4, 4, {2, 5}) fall into 32 (case, sigma, lam)
     # groups, whose folds read the kernels of 10 letter sets: each of the
-    # four letters alone and each pair of them, eliminated once per call
+    # four letters alone and each pair of them, each one split per call
     rng = random.Random(4)
     m = LambdaModule(*(random_matrix(GF, 6, 3, rng) for _ in range(4)))
     descs = enumerate_descriptors(EnumerationBounds(4, 4, (GF.coerce(2), GF.coerce(5))))
     assert len(descs) == 106
     want = [hom_dim(m, d) for d in descs]
-    kernels = []
+    missed, running = _spy_kernel(monkeypatch)
+    splits = []
     split = GF._split
 
     def counted(rows, n):
-        a = np.array(rows, dtype=np.int64)
-        if rows and _kernel_input(a, 6):
-            kernels.append(a[:, :-6].tobytes())
+        if running:
+            splits.append(running[-1])
         return split(rows, n)
 
     groups = []
+    caches = []
     coranks = homdim._staircase_coranks
 
-    def spied(field, letters, *args):
+    def spied(field, *args):
         groups.append(args[:3])
-        return coranks(field, letters, *args)
-
-    # and each kernel K meets the letters in one product, K [A B C D]
-    products = []
-    intdot = GF.intdot
-
-    def multiplied(a, b):
-        products.append((a.shape, b.shape))
-        return intdot(a, b)
+        caches.append(args[-1])
+        return coranks(field, *args)
 
     monkeypatch.setattr(GF, "_split", counted)
-    monkeypatch.setattr(GF, "intdot", multiplied)
     monkeypatch.setattr(homdim, "_staircase_coranks", spied)
     assert hom_vector(m, descs) == want
     assert len(groups) == 32
-    assert len(kernels) == len(set(kernels)) == 10
-    assert len(products) == 10 and all(b == (6, 12) for _, b in products), products
+    assert len(missed) == len(set(missed)) == 10 and sorted(splits) == sorted(missed)
+    # one cache serves every group, and each entry holds n_0 - rank L_S
+    # rows of [A B C D]'s width, made with numpy out of reach (the spy),
+    # as lists of Python ints
+    (cuts, kernels), = {id(c): c for c in caches}.values()
+    assert set(kernels) == {(), *missed}
+    for key in missed:
+        rank = hstack([m.mats()[s] for s in key]).rank()
+        rows = kernels[key]
+        assert len(rows) == 6 - rank and all(len(row) == 12 for row in rows), key
+        assert all(type(x) is int for row in rows for x in row)
+
+
+# (n_0, letter widths): n_0 = 0, n_0 = 1 with letters of width 0 and of
+# more than n_0, and n_0 past the widths' sum, where [A B C D] kills rows
+KERNEL_SHAPES = [(0, (2, 0, 1, 3)), (1, (1, 0, 2, 1)), (1, (0, 0, 0, 0)), (3, (2, 1, 2, 1)),
+                 (6, (1, 2, 0, 1))]
+
+
+@pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
+def test_kernel_rows_span_the_kernel_times_the_letters(field):
+    # every non-empty letter set S, the triples and all four too, which no
+    # pattern asks for: its entry has a row for each vector of the left
+    # kernel K of L_S, n_0 - rank L_S of them with a zero row for each
+    # vector [A B C D] kills, and spans K [A B C D], against the reference
+    # eliminator.  Each set is made from a fresh cache, so from its
+    # parents.  Half the draws make D's columns A's and B's, so adding D
+    # to a set holding A and B kills nothing more
+    rng = random.Random(0x4E7)
+    p = getattr(field, "p", None)
+    seen = set()
+    for trial in range(4):
+        for n0, widths in KERNEL_SHAPES:
+            letters = [random_matrix(field, n0, w, rng).data for w in widths]
+            if trial % 2:
+                letters[3] = np.hstack(letters[:2])
+            (stacked,), _ = field.integral([np.hstack(letters)])
+            cuts = np.cumsum([0] + [x.shape[1] for x in letters]).tolist()
+            whole = stacked.tolist()
+            for size in range(1, 5):
+                for key in itertools.combinations(range(4), size):
+                    kernels = {(): field._start(stacked)}
+                    got = homdim._kernel(field, cuts, kernels, key)
+                    assert all(key[:i] in kernels for i in range(size))
+                    # K: the rows of the RREF of [L_S | I] with a pivot in I
+                    cols = [c for s in key for c in range(cuts[s], cuts[s + 1])]
+                    pivots, rref = reference_rref(
+                        [[row[c] for c in cols] + [int(i == j) for j in range(n0)]
+                         for i, row in enumerate(whole)], p)
+                    k = [row[len(cols):] for row, c in zip(rref, pivots) if c >= len(cols)]
+                    want = [[sum(y[i] * whole[i][c] for i in range(n0)) for c in range(cuts[-1])]
+                            for y in k]
+                    assert len(got) == len(k) and all(len(row) == cuts[-1] for row in got), key
+                    (got_pivots, got_rref), (want_pivots, want_rref) = (
+                        reference_rref(x, p) for x in (got, want))
+                    assert got_rref[: len(got_pivots)] == want_rref[: len(want_pivots)], key
+                    seen.update({"zero rows": any(not any(row) for row in got),
+                                 "n0 = 0": not n0, "rank drop": len(k) < n0}.items())
+    assert all((name, True) in seen for name in ("zero rows", "n0 = 0", "rank drop")), seen
 
 
 # every rep and head pattern of CASE_SPECS, for the folds below, and a rep
@@ -440,8 +518,9 @@ def test_transfer_basis_spans_what_meets_the_next_copy(field):
                         for x in row] for row in cells]
             scalar = homdim._coefficients(field, lam, integral=True)
             plan = homdim._fold_plan(by_slot, own)
-            cache = homdim._kernel_cache(field, letters)
-            z, basis = homdim._kernel_fold(field, plan, scalar, *cache)
+            cuts = np.cumsum([0] + [x.shape[1] for x in letters]).tolist()
+            kernels = {(): field._start(np.hstack(letters))}
+            z, basis = homdim._kernel_fold(field, plan, scalar, cuts, kernels)
             grid = homdim._write(field, named, cells, lam)
             split = sum(homdim._widths(named, cells)[:own])
             rest = mat(field, grid[:, split:].tolist(), (len(grid), grid.shape[1] - split))
@@ -628,7 +707,9 @@ def test_every_staircase_settles_within_n0_plus_two_steps(field, monkeypatch):
     # a deep sum's staircases track its deepest summand: n_0 = 30 or 29
     deep = cat.R(15, lams[0]) if lams else cat.I(14, 0)
     modules = [random_module(field, rng, max_dim=6) for _ in range(6)]
-    modules += [structured_module(field, EnumerationBounds(3, 3, lams), rng) for _ in range(6)]
+    bounds = EnumerationBounds(3, 3, lams)
+    cands = enumerate_descriptors(bounds)
+    modules += [structured_module(field, bounds, rng, cands) for _ in range(6)]
     modules.append(disguised_sum(field, [deep], rng))
     coranks, step = homdim._staircase_coranks, homdim._step
     steps = []
@@ -666,9 +747,9 @@ def test_hom_vector_on_degenerate_letters(field, monkeypatch):
     groups = set()
     coranks = homdim._staircase_coranks
 
-    def spied(field, letters, sigma, raw, scalar, *args):
+    def spied(field, sigma, raw, scalar, *args):
         groups.add((raw["head"] == CASE_SPECS["R_EVEN"]["head"], scalar["-lam"] == 0))
-        return coranks(field, letters, sigma, raw, scalar, *args)
+        return coranks(field, sigma, raw, scalar, *args)
 
     monkeypatch.setattr(homdim, "_staircase_coranks", spied)
     for dims in ((0, 2, 1, 0, 3), (1, 0, 1, 1, 0), (1, 1, 1, 1, 1), (3, 2, 0, 1, 2),
@@ -850,8 +931,9 @@ def test_sparse_letters_are_an_isomorphic_module(field):
     )]
     for m in modules:
         letters, _ = field.integral([x.data for x in m.mats()])
-        copy = LambdaModule(*(mat(field, x.tolist(), x.shape)
-                              for x in homdim._sparse_letters(field, letters)))
+        cuts, rows = homdim._sparse_letters(field, letters)
+        copy = LambdaModule(*(mat(field, [row[a:b] for row in rows], (len(rows), b - a))
+                              for a, b in zip(cuts, cuts[1:])))
         assert dim_vector(copy) == dim_vector(m)
         for d in targets:
             x = cat.build(d, field)
@@ -866,17 +948,18 @@ def test_hom_vector_runs_on_sparse_integer_letters(monkeypatch):
     seen = []
     coranks = homdim._staircase_coranks
 
-    def spied(field, letters, *args):
-        seen.append(letters)
-        return coranks(field, letters, *args)
+    def spied(field, *args):
+        # the cache's (cuts, kernels): the empty set's rows are [A B C D]'s
+        seen.append(args[-1][1][()])
+        return coranks(field, *args)
 
     monkeypatch.setattr(homdim, "_staircase_coranks", spied)
     descs = enumerate_descriptors(EnumerationBounds(4, 2, (Fraction(2),)))
     assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
     assert seen
-    for letters in seen:
-        assert 2 * sum(x != 0 for a in letters for x in a.flat) <= dense
-        assert all(type(x) is int for a in letters for x in a.flat)
+    for rows in seen:
+        assert 2 * sum(x != 0 for row in rows for x in row) <= dense
+        assert all(type(x) is int for row in rows for x in row)
 
 
 def test_hom_vector_additive(field, rng):

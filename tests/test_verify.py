@@ -7,7 +7,7 @@ import pytest
 
 from fourspace import catalog as cat
 from fourspace import verify
-from fourspace.catalog import EnumerationBounds, InvalidParams, declared_dim
+from fourspace.catalog import EnumerationBounds, InvalidParams, declared_dim, enumerate_descriptors
 from fourspace.exactmat import QQ, PrimeField, mat
 from fourspace.modules import (
     LambdaModule,
@@ -96,7 +96,8 @@ def test_structured_module_draws_are_unchanged(name):
     rng = random.Random(5)
     h = hashlib.sha256()
     for _ in range(6):
-        h.update(json.dumps(module_to_record(structured_module(field, bounds, rng))).encode())
+        m = structured_module(field, bounds, rng, enumerate_descriptors(bounds))
+        h.update(json.dumps(module_to_record(m)).encode())
     assert h.hexdigest()[:16] == STRUCTURED[name]
 
 
