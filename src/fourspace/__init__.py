@@ -4,9 +4,10 @@ A module is a quintuple of vector spaces (V_0; V_1..V_4) with linear maps
 A, B, C, D : V_i -> V_0, stored as exact matrices over the rationals or a
 prime field.  The package provides
 
-- :mod:`fourspace.exactmat` -- exact linear algebra on one array per
-  matrix (Fractions over Q, int64 residues over GF(p)); elimination runs on
-  list rows of Python ints: residues over GF(p), fraction-free over Q,
+- :mod:`fourspace.exactmat` -- exact linear algebra on rows of Python
+  scalars (Fractions over Q, int residues over GF(p)); elimination runs on
+  list rows of Python ints: the residues as they are over GF(p),
+  fraction-free over Q,
 - :mod:`fourspace.modules` -- the module datatype and its symmetries,
 - :mod:`fourspace.catalog` -- every indecomposable, by descriptor,
 - :mod:`fourspace.homdim` -- hom dimensions via reduced coefficient matrices,

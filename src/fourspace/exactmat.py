@@ -2,47 +2,49 @@
 
 Scalars are plain Python values (fractions.Fraction over the rationals,
 canonical int residues in [0, p) over a prime field).  A field object owns
-the arithmetic and the numpy dtype of its arrays (``object`` holding
-Fractions, or int64 residues), and ``field.reduce`` brings an array
-expression back to canonical form.  Every matrix is one read-only 2-D
-array of that dtype, so zero-row / zero-column shapes are first-class and
-cor(1x0) = 1 works.  One Gaussian elimination loop serves both fields,
-with three exits: ``field.echelon`` returns the pivots and the echelon
-array, from which null space and inverse follow; ``field.rank`` the
-pivot count alone; and ``_split`` a kernel count and the rows past a
-column, for homdim and the oracle.  The last two build no array.  The
-loop (``_eliminate``) takes the rows one at a time: each is reduced
-against the pivots found so far (``_reduce``), and its first entry left
-becomes a new pivot, whose form (``_pivot``) later rows are reduced
-with; pivot forms never leave this module.  Once every column holds a
-pivot, the rows left are in their span and the loop reads no more of
-them.  The working copy (``_start``), the loop and the split are also
-called on their own: homdim's folds and the oracle's residual write
-their rows from slices of working rows prepared once (``_scaled``: a
-row times a scalar), and split and eliminate them, and homdim's
-staircase keeps working rows from its first fold to its last step.
+the arithmetic, and ``field.reduce`` brings a scalar expression back to
+canonical form.  Every matrix is one tuple of row tuples of those
+scalars, its shape stored beside it, so zero-row / zero-column shapes are
+first-class and cor(1x0) = 1 works.  The same rows serve storage and
+elimination: nothing is converted between them.  One Gaussian
+elimination loop serves both fields, with three exits: ``field.echelon``
+returns the pivots and the echelon rows, from which null space and
+inverse follow; ``field.rank`` the pivot count alone; and ``_split`` a
+kernel count and the rows past a column, for homdim and the oracle.  The
+last two finish no rows.  The loop (``_eliminate``) takes the rows one
+at a time: each is reduced against the pivots found so far
+(``_reduce``), and its first entry left becomes a new pivot, whose form
+(``_pivot``) later rows are reduced with; pivot forms never leave this
+module.  Once every column holds a pivot, the rows left are in their
+span and the loop reads no more of them.  The working copy (``_start``,
+of any sequence of rows), the loop and the split are also called on
+their own: homdim's folds and the oracle's residual write their rows
+from slices of working rows prepared once (``_scaled``: a row times a
+scalar), and split and eliminate them, and homdim's staircase keeps
+working rows from its first fold to its last step.
 The loop runs on a list of Python-int rows, so a reduction costs only
 the entries it changes: residues over GF(p), and over QQ fraction-free
-primitive rows, one gcd pass per updated row.  QQ input that holds
-Python ints is taken as it is; an array with a Fraction in it is scaled
-to ints first.
+primitive rows, one gcd pass per updated row.  QQ rows that hold Python
+ints are taken as they are; rows with a Fraction in them are scaled to
+ints first.
 Fractions come back only in the reduced form, which serves nullspace
-and invert alone.  ``field.integral`` scales arrays by one nonzero
+and invert alone.  ``field.integral`` scales rows by one nonzero
 scalar into the form elimination runs on (Python ints over QQ, the
 residues themselves over GF(p)).  Each field has one matrix product,
-``field.dot``, and ``ExactMatrix @`` calls it: int64 residues over
-GF(p); over QQ, the product of the integral form, divided by the square
-of its scale.  No floating point anywhere.
+``field.dot``, on Python ints, and ``ExactMatrix @`` calls it: residues
+over GF(p); over QQ, the product of the integral forms, divided by the
+product of their scales.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice
-
-import numpy as np
+from itertools import chain, islice
+from numbers import Integral, Rational, Real
+from operator import add, mul, neg
 
 
 class DimensionMismatch(ValueError):
@@ -65,7 +67,8 @@ def _primitive(row):
 
 
 class _Field:
-    """What both fields share: elimination, on list rows, of one array."""
+    """What both fields share: elimination on list-row copies of a
+    matrix's rows."""
 
     def _eliminate(self, rows, reduced=False):
         """The one pivot loop, in place on working rows (_start's form):
@@ -117,39 +120,40 @@ class _Field:
         lo = bisect_left(pivots, n)
         return len(rows) - len(pivots), [row[n:] for row in rows[lo : len(pivots)]]
 
-    def echelon(self, a, reduced=False):
-        """Gaussian elimination of a 2-D array of field scalars.
+    def echelon(self, rows, reduced=False):
+        """Gaussian elimination of a matrix, a sequence of rows of field
+        scalars.
 
-        Returns (pivot columns, echelon array of self.dtype and a's shape):
-        the pivot rows in pivot order, then the zero rows; each pivot
+        Returns (pivot columns, echelon rows): new lists, one per input
+        row, the pivot rows in pivot order, then the zero rows; each pivot
         column is zero below its pivot, and above it too if reduced.  The
         input is copied, never written.  One loop (_eliminate) runs for
         both fields on list rows of Python ints, one row at a time; each
         field's _start (that working copy), _reduce (a row against the
         pivots so far), _pivot (a new pivot's form) and _finish hold the
         arithmetic.  echelon and rank are its two exits: echelon finishes
-        the rows and builds the array, rank counts the pivots and builds
-        nothing.
+        the rows, rank counts the pivots.
 
         Over GF(p) each pivot row is scaled to a leading 1 (a row that has
         one is only read), and a reduction changes a row only in the
         columns where the pivot row is nonzero.
 
         Over QQ the elimination is fraction-free on primitive rows of
-        Python ints (Rationals._reduce): an array of Python ints as it is,
-        one holding a Fraction times the lcm of its denominators.  Forward
-        elimination returns those integer rows; reduced=True divides each
-        row by its pivot, which gives the reduced row echelon form in
-        Fractions.
+        Python ints (Rationals._reduce): rows of Python ints as they are,
+        rows holding a Fraction times the lcm of their denominators.
+        Forward elimination returns those integer rows; reduced=True
+        divides each row by its pivot, which gives the reduced row echelon
+        form in Fractions.
         """
-        rows = self._start(a)
-        pivots = self._eliminate(rows, reduced)
-        return pivots, _from_rows(self, self._finish(rows, pivots, reduced), a.shape)
+        work = self._start(rows)
+        pivots = self._eliminate(work, reduced)
+        return pivots, self._finish(work, pivots, reduced)
 
-    def rank(self, a):
-        """The rank of a 2-D array of field scalars: the pivot count of the
-        forward loop, with no _finish and no array built.  a is not written."""
-        return len(self._eliminate(self._start(a)))
+    def rank(self, rows):
+        """The rank of a matrix, a sequence of rows of field scalars: the
+        pivot count of the forward loop, with no _finish.  rows are not
+        written."""
+        return len(self._eliminate(self._start(rows)))
 
 
 class Rationals(_Field):
@@ -157,32 +161,30 @@ class Rationals(_Field):
 
     zero = Fraction(0)
     one = Fraction(1)
-    dtype = object
 
     def coerce(self, x):
-        # numpy integers, bare or as a Fraction's parts, wrap at 2^63:
-        # every numerator and denominator is made a Python int
+        # a fixed-width integer from outside may wrap at 2^63, bare or as
+        # a Fraction's parts: each is made a Python int
         if isinstance(x, Fraction):
             n, d = x.numerator, x.denominator
             return x if type(n) is int and type(d) is int else Fraction(int(n), int(d))
-        if isinstance(x, (int, np.integer)):
+        if isinstance(x, Integral):
             return Fraction(int(x))
-        if isinstance(x, float):
+        if isinstance(x, Real) and not isinstance(x, Rational):
             raise TypeError("floating point is not allowed; use Fraction or int")
         return Fraction(x)
 
-    def reduce(self, a):
-        return a
+    def reduce(self, x):
+        return x
 
-    def _start(self, a):
+    def _start(self, rows):
         # primitive integer rows of the same row space: the same pivots and
         # rank.  Python-int rows are taken as they are; a Fraction anywhere
-        # makes math.gcd raise, and integral scales the array first
+        # makes math.gcd raise, and integral scales the rows first
         try:
-            return [_primitive(row) for row in a.tolist()]
+            return [_primitive(list(row)) for row in rows]
         except TypeError:
-            (x,), _ = self.integral([a])
-            return [_primitive(row) for row in x.tolist()]
+            return [_primitive(row) for row in self.integral(rows)[0]]
 
     def _reduce(self, row, lead, start=None):
         """Reduce row, a working row (_start's form), in place and left to
@@ -239,31 +241,24 @@ class Rationals(_Field):
             rows = [[Fraction(x, p) if x else self.zero for x in r] for r, p in zip(rows, leads)]
         return rows
 
-    def dot(self, a, b):
-        """a @ b for 2-D arrays of Fractions: the product of their integral
-        form, Python ints, over the square of its scale."""
-        (x, y), s = self.integral([a, b])
-        d = s * s
-        rows = [[Fraction(v, d) for v in row] for row in (x @ y).tolist()]
-        return _from_rows(self, rows, (a.shape[0], b.shape[1]))
+    def dot(self, rows, cols):
+        """The product of the matrix of rows and the one whose columns are
+        cols, as row tuples of Fractions: the product of their integral
+        forms, Python ints, over the product of their scales."""
+        (x, s), (y, t) = self.integral(rows), self.integral(cols)
+        d = s * t
+        return tuple(tuple(Fraction(sum(map(mul, r, c)), d) for c in y) for r in x)
 
-    def integral(self, arrays):
-        """(arrays times scale, scale): the one scale is the lcm of every
-        denominator in them, and the products are Python ints.
+    def integral(self, rows):
+        """(rows times scale, scale): the scale is the lcm of every
+        denominator in rows, and the products are list rows of Python
+        ints.
 
         One nonzero scalar leaves ranks and kernels alone, so an
-        elimination can run on these integer arrays instead of Fractions.
+        elimination can run on these integer rows instead of Fractions.
         """
-        scale = math.lcm(1, *(x.denominator for a in arrays for x in a.flat))
-        out = [
-            _from_rows(
-                self,
-                [[x.numerator * (scale // x.denominator) for x in row] for row in a.tolist()],
-                a.shape,
-            )
-            for a in arrays
-        ]
-        return out, scale
+        scale = math.lcm(1, *(x.denominator for row in rows for x in row))
+        return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
     def parse(self, s):
         """Parse "5", "-3" or "2/7"."""
@@ -306,13 +301,8 @@ def _is_prime(p):
 
 
 class PrimeField(_Field):
-    """GF(p) for prime p; scalars are canonical ints in [0, p).
-
-    p <= 2^31 - 1, so a product of two int64 residues stays below 2^62:
-    exact in what reduce takes (scale, +, -) and in dot while its sums fit.
-    """
-
-    dtype = np.int64
+    """GF(p) for prime p <= 2^31 - 1; scalars are canonical ints in
+    [0, p)."""
 
     def __init__(self, p):
         # type, not isinstance: a JSON true is a bool, which isinstance
@@ -328,21 +318,19 @@ class PrimeField(_Field):
         self.one = 1 % p
 
     def coerce(self, x):
-        if isinstance(x, int):
-            return x % self.p
-        if isinstance(x, np.integer):
+        if isinstance(x, Integral):
             return int(x) % self.p
         if isinstance(x, Fraction):
-            return x.numerator % self.p * self.inv(x.denominator % self.p) % self.p
-        if isinstance(x, float):
+            return int(x.numerator) % self.p * self.inv(int(x.denominator)) % self.p
+        if isinstance(x, Real) and not isinstance(x, Rational):
             raise TypeError("floating point is not allowed; use int residues")
         raise TypeError(f"cannot coerce {type(x).__name__} into GF({self.p})")
 
-    def reduce(self, a):
-        return a % self.p
+    def reduce(self, x):
+        return x % self.p
 
-    def _start(self, a):
-        return np.asarray(a, dtype=np.int64).tolist()
+    def _start(self, rows):
+        return [list(row) for row in rows]
 
     def _reduce(self, row, lead, start=None):
         """Reduce row, in place, against the pivot forms of lead; see
@@ -387,19 +375,16 @@ class PrimeField(_Field):
     def _finish(self, rows, pivots, reduced):
         return rows
 
-    def integral(self, arrays):
-        """(arrays, 1): residues are already the form echelon and dot use."""
-        return arrays, self.one
+    def integral(self, rows):
+        """(rows, 1): residues are already the form echelon and dot use."""
+        return rows, self.one
 
-    def dot(self, a, b):
-        """a @ b for 2-D arrays of canonical residues, reduced.
-
-        int64 holds the sum of a.shape[1] products below p^2 only while it
-        stays under 2^63; past that the product runs on Python ints.
-        """
-        if a.shape[1] * (self.p - 1) ** 2 < 2**63:
-            return (a @ b) % self.p
-        return (a.astype(object) @ b.astype(object) % self.p).astype(np.int64)
+    def dot(self, rows, cols):
+        """The product of the matrix of rows and the one whose columns are
+        cols, as row tuples of residues: each entry one Python-int dot
+        product, reduced."""
+        p = self.p
+        return tuple(tuple(sum(map(mul, r, c)) % p for c in cols) for r in rows)
 
     def inv(self, a):
         a %= self.p
@@ -441,84 +426,78 @@ def field_from_spec(spec):
     raise ValueError(f"unrecognized field spec: {spec!r}")
 
 
-def _from_rows(field, rows, shape):
-    # rows of canonical scalars; shape keeps empty dimensions
-    return np.array(rows, dtype=field.dtype).reshape(shape)
-
-
 class ExactMatrix:
     """Immutable m x n matrix over an exact field.
 
-    data is one read-only 2-D numpy array of field.dtype holding canonical
-    scalars; rows and cols are its shape, so empty matrices retain their
-    dimensions.  Indexing and row-major listing return plain Python
-    scalars.
+    data is a tuple of `rows` row tuples, each of `cols` canonical scalars
+    of the field (Fractions over QQ, ints in [0, p) over GF(p)); rows and
+    cols are stored beside it, so empty matrices retain their dimensions.
+    Indexing and row-major listing return those scalars.
     """
 
-    __slots__ = ("field", "data")
+    __slots__ = ("field", "data", "rows", "cols")
 
     def __init__(self, field, entries, shape=None):
-        entries = [list(r) for r in entries]
+        data = tuple(tuple(field.coerce(x) for x in r) for r in entries)
         if shape is None:
-            shape = (len(entries), len(entries[0]) if entries else 0)
+            shape = (len(data), len(data[0]) if data else 0)
         rows, cols = shape
-        if len(entries) != rows or any(len(r) != cols for r in entries):
+        if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionMismatch(f"entries do not form a {rows}x{cols} grid")
-        data = _from_rows(field, [[field.coerce(x) for x in r] for r in entries], shape)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "data", data)
-        data.flags.writeable = False
+        self._set(field, data, cols)
+
+    def _set(self, field, data, cols):
+        for name, value in (("field", field), ("data", data), ("rows", len(data)), ("cols", cols)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _raw(cls, field, data):
-        # internal: data is a 2-D array of canonical field.dtype scalars
+    def _raw(cls, field, data, cols):
+        # internal: data is a tuple of row tuples of canonical scalars, each
+        # cols long
         m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "data", data)
-        data.flags.writeable = False
+        m._set(field, data, cols)
         return m
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
-
-    @property
-    def rows(self):
-        return self.data.shape[0]
-
-    @property
-    def cols(self):
-        return self.data.shape[1]
 
     # -- value semantics -------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.field == other.field and np.array_equal(self.data, other.data)
+        return (self.field, self.cols, self.data) == (other.field, other.cols, other.data)
 
     def __hash__(self):
-        return hash((self.field, self.data.shape, tuple(self.entries_rowmajor())))
+        return hash((self.field, self.cols, self.data))
 
     def __repr__(self):
         if self.rows * self.cols <= 16:
-            body = ", ".join(
-                "[" + " ".join(map(str, r)) + "]" for r in self.data.tolist()
-            )
+            body = ", ".join("[" + " ".join(map(str, r)) + "]" for r in self.data)
             return f"ExactMatrix({self.rows}x{self.cols} over {self.field}: {body})"
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field})"
 
     def __getitem__(self, ij):
-        return self.data.item(*ij)
+        i, j = ij
+        return self.data[i][j]
 
     # -- structure -------------------------------------------------------
 
     def transpose(self):
-        return ExactMatrix._raw(self.field, self.data.T)
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return ExactMatrix._raw(self.field, data, self.rows)
 
     def entries_rowmajor(self):
-        return self.data.ravel().tolist()
+        return list(chain.from_iterable(self.data))
 
     # -- arithmetic ------------------------------------------------------
+
+    def _map(self, op, *others):
+        # op entry by entry over self and others, reduced
+        r = self.field.reduce
+        data = tuple(tuple(r(op(*xs)) for xs in zip(*rows))
+                     for rows in zip(self.data, *(o.data for o in others)))
+        return ExactMatrix._raw(self.field, data, self.cols)
 
     def __add__(self, other):
         _check_same_field(self.field, other.field)
@@ -526,17 +505,17 @@ class ExactMatrix:
             raise DimensionMismatch(
                 f"add: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
-        return ExactMatrix._raw(self.field, self.field.reduce(self.data + other.data))
+        return self._map(add, other)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ExactMatrix._raw(self.field, self.field.reduce(-self.data))
+        return self._map(neg)
 
     def scale(self, c):
         c = self.field.coerce(c)
-        return ExactMatrix._raw(self.field, self.field.reduce(c * self.data))
+        return self._map(lambda x: c * x)
 
     def __matmul__(self, other):
         _check_same_field(self.field, other.field)
@@ -544,7 +523,8 @@ class ExactMatrix:
             raise DimensionMismatch(
                 f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        return ExactMatrix._raw(self.field, self.field.dot(self.data, other.data))
+        data = self.field.dot(self.data, other.transpose().data)
+        return ExactMatrix._raw(self.field, data, other.cols)
 
     # -- rank / kernels --------------------------------------------------
 
@@ -564,7 +544,6 @@ class ExactMatrix:
         f = self.field
         n = self.cols
         pivots, rref = f.echelon(self.data, reduced=True)
-        rref = rref.tolist()
         pivot_set = set(pivots)
         basis = []
         for free in range(n):
@@ -586,10 +565,22 @@ class ExactMatrix:
         pivots, rref = f.echelon(hstack([self, identity(f, n)]).data, reduced=True)
         if pivots != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return ExactMatrix._raw(f, rref[:, n:])
+        return ExactMatrix._raw(f, tuple(tuple(row[n:]) for row in rref), n)
 
 
 # -- constructors ---------------------------------------------------------
+
+# physical memory in bytes, where the platform reports it
+_MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf")
+           else math.inf)
+
+
+def _fits(m, n):
+    """MemoryError, before any row is built, when an m x n matrix cannot
+    fit in physical memory at one 8-byte reference per entry: built row
+    by row, it would fill memory first."""
+    if 8 * m * n > _MEMORY:
+        raise MemoryError(f"a {m}x{n} matrix does not fit in memory")
 
 
 def mat(field, rows, shape=None):
@@ -597,31 +588,30 @@ def mat(field, rows, shape=None):
     return ExactMatrix(field, rows, shape)
 
 
-def _zero_array(field, m, n):
-    return np.full((m, n), field.zero, dtype=field.dtype)
-
-
 def zeros(field, m, n):
-    return ExactMatrix._raw(field, _zero_array(field, m, n))
+    _fits(m, n)
+    return ExactMatrix._raw(field, ((field.zero,) * n,) * m, n)
+
+
+def _diagonals(field, n, values):
+    # n x n, values[k] on the k-th superdiagonal and zero elsewhere
+    _fits(n, n)
+    return ExactMatrix._raw(field, tuple(tuple(values.get(j - i, field.zero) for j in range(n))
+                                         for i in range(n)), n)
 
 
 def identity(field, n):
-    a = _zero_array(field, n, n)
-    np.fill_diagonal(a, field.one)
-    return ExactMatrix._raw(field, a)
+    return _diagonals(field, n, {0: field.one})
 
 
 def anti_identity(field, n):
     """Exchange matrix: ones on the anti-diagonal."""
-    return ExactMatrix._raw(field, identity(field, n).data[::-1])
+    return ExactMatrix._raw(field, identity(field, n).data[::-1], n)
 
 
 def jordan(field, n, lam):
     """Upper-triangular n x n Jordan block with eigenvalue lam."""
-    a = _zero_array(field, n, n)
-    np.fill_diagonal(a, field.coerce(lam))
-    np.fill_diagonal(a[:, 1:], field.one)
-    return ExactMatrix._raw(field, a)
+    return _diagonals(field, n, {0: field.coerce(lam), 1: field.one})
 
 
 def pi_drop_last(field, n):
@@ -644,7 +634,8 @@ def hstack(blocks):
         _check_same_field(f, b.field)
         if b.rows != m:
             raise DimensionMismatch(f"hstack block {i}: expected {m} rows, got {b.rows}")
-    return ExactMatrix._raw(f, np.hstack([b.data for b in blocks]))
+    data = tuple(tuple(chain.from_iterable(row)) for row in zip(*(b.data for b in blocks)))
+    return ExactMatrix._raw(f, data, sum(b.cols for b in blocks))
 
 
 def vstack(blocks):
@@ -657,7 +648,7 @@ def vstack(blocks):
         _check_same_field(f, b.field)
         if b.cols != n:
             raise DimensionMismatch(f"vstack block {i}: expected {n} cols, got {b.cols}")
-    return ExactMatrix._raw(f, np.vstack([b.data for b in blocks]))
+    return ExactMatrix._raw(f, tuple(chain.from_iterable(b.data for b in blocks)), n)
 
 
 def block_grid(grid):
@@ -688,15 +679,16 @@ def block_grid(grid):
 def direct_sum(w1, w2):
     """Block diagonal [[W1, 0], [0, W2]]."""
     _check_same_field(w1.field, w2.field)
-    out = _zero_array(w1.field, w1.rows + w2.rows, w1.cols + w2.cols)
-    out[: w1.rows, : w1.cols] = w1.data
-    out[w1.rows :, w1.cols :] = w2.data
-    return ExactMatrix._raw(w1.field, out)
+    zero = w1.field.zero
+    left, right = (zero,) * w1.cols, (zero,) * w2.cols
+    data = tuple(r + right for r in w1.data) + tuple(left + r for r in w2.data)
+    return ExactMatrix._raw(w1.field, data, w1.cols + w2.cols)
 
 
 def random_matrix(field, m, n, rng):
-    rows = [[field.rand(rng) for _ in range(n)] for _ in range(m)]
-    return ExactMatrix._raw(field, _from_rows(field, rows, (m, n)))
+    _fits(m, n)
+    data = tuple(tuple(field.rand(rng) for _ in range(n)) for _ in range(m))
+    return ExactMatrix._raw(field, data, n)
 
 
 # a uniform GF(2) matrix is singular with probability below 0.711, so 100

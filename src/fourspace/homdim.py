@@ -41,7 +41,7 @@ group writes each fold's rows from the call's kernel cache and splits
 them (_Field._split).  From there on the pass holds the working rows of
 the field's elimination, lists of Python ints: a fold writes its rows in
 that form and returns its images as those rows, and every step and span
-test runs on them, so no result goes back into an array.  The pass runs
+test runs on them, so no result goes back into a matrix.  The pass runs
 a transfer recursion towards the largest k asked for.  The next copy
 reads a vector y of the left kernel K_k = {y : y N_k = 0} only through
 its image y_tail W, y_tail the last e block rows of y.  So the state is
@@ -104,9 +104,8 @@ tests hold hom_vector to.
 from __future__ import annotations
 
 import functools
+from itertools import accumulate, chain
 from typing import NamedTuple
-
-import numpy as np
 
 from .catalog import FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE, InvalidParams, case
 from .exactmat import ExactMatrix, hstack
@@ -280,8 +279,7 @@ def _coefficients(field, lam, integral=False):
     one = field.one
     coeffs = [one, field.reduce(-one), one if lam is None else field.reduce(-lam)]
     if integral:
-        (table,), _ = field.integral([np.array([coeffs], dtype=field.dtype)])
-        coeffs = table.ravel().tolist()
+        [coeffs], _ = field.integral([coeffs])
     return dict(zip((1, -1, "-lam"), coeffs))
 
 
@@ -293,30 +291,35 @@ def _columns(cells):
 
 
 def _widths(letters, cells):
-    """The width of each block column of a cell grid over the four letter
-    arrays, 0 where the column holds no cell."""
-    width = {x: letters[i].shape[1] for x, i in _LETTER_INDEX.items()}
+    """The width of each block column of a cell grid over the four
+    letters, 0 where the column holds no cell."""
+    width = {x: letters[i].cols for x, i in _LETTER_INDEX.items()}
     return [0 if x is None else width[x] for x in _columns(cells)]
 
 
 def _write(field, letters, cells, lam):
-    """The array of a cell grid over the four letter arrays.
+    """The ExactMatrix of a cell grid over the four letters.
 
     Every block row is n_0 high; a block column is as wide as its letters
     (_widths).  The coefficients 1, -1 and -lam resolve once into a scalar
-    table, so each distinct cell is one scalar times one letter.
+    table, so each distinct cell is one scalar times one letter.  Row i of
+    a block row starts as zeros, and each of its cells writes row i of its
+    block into its columns, as oracle.hom_system writes its rows.
     """
-    n0 = letters[0].shape[0]
-    col0 = np.cumsum([0] + _widths(letters, cells))
+    col0 = list(accumulate(_widths(letters, cells), initial=0))
     scalar = _coefficients(field, lam)
-    blocks = {cell: field.reduce(scalar[cell[1]] * letters[_LETTER_INDEX[cell[0]]])
-              for row in cells for cell in row if cell is not None}
-    out = np.full((len(cells) * n0, col0[-1]), field.zero, dtype=field.dtype)
-    for r, row in enumerate(cells):
-        for ccol, cell in enumerate(row):
-            if cell is not None:
-                out[r * n0 : (r + 1) * n0, col0[ccol] : col0[ccol + 1]] = blocks[cell]
-    return out
+    blocks = {cell: [[field.reduce(scalar[cell[1]] * x) for x in r]
+                     for r in letters[_LETTER_INDEX[cell[0]]].data]
+              for cell in set(chain.from_iterable(cells)) - {None}}
+    data = []
+    for row in cells:
+        placed = [(col0[j], col0[j + 1], blocks[cell]) for j, cell in enumerate(row) if cell]
+        for i in range(letters[0].rows):
+            out = [field.zero] * col0[-1]
+            for a, b, block in placed:
+                out[a:b] = block[i]
+            data.append(tuple(out))
+    return ExactMatrix._raw(field, tuple(data), col0[-1])
 
 
 def coeff_matrix(M, desc):
@@ -331,9 +334,8 @@ def coeff_matrix(M, desc):
         )
     key, sigma, param, lam = case(desc, M.field)
     raw = CASE_SPECS[key]
-    letters = permute_slots([x.data for x in M.mats()], perm_inverse(sigma))
-    data = _write(M.field, letters, _layout(raw, raw["reps"](param)), lam)
-    return ExactMatrix._raw(M.field, data)
+    letters = permute_slots(M.mats(), perm_inverse(sigma))
+    return _write(M.field, letters, _layout(raw, raw["reps"](param)), lam)
 
 
 def hom_dim(M, desc):
@@ -602,29 +604,32 @@ def _sparse_letters(field, letters):
     U L_t V_t of a module isomorphic to the one of letters, and the column
     where each letter starts in it, then its width.
 
-    letters are M's letter arrays.  A two-way echelon is
-    a's forward echelon form, then the forward echelon form of that read
-    backwards (rows and columns reversed), turned back: the second pass
-    clears most entries above the first one's pivots.  Reversing the rows
-    is a row permutation and the column reversal is undone, so it is U a
-    for an invertible U.  The row pass takes the two-way echelon of
-    [A B C D] (U, a base change of the vertex-0 space); the column pass
-    writes that of each letter's transpose back into the letter's
-    columns (V_t, one of vertex t).  Hom dimensions depend on the
-    isomorphism class alone.  Over QQ the first elimination's working
-    copy (_start) scales [A B C D] by the lcm of its denominators, and
-    both passes eliminate forward only, so the rows are Python ints over
-    their gcds, with no Fraction.
+    letters are M's four letters.  A two-way echelon is a's forward
+    echelon form, then the forward echelon form of that read backwards
+    (rows and columns reversed), turned back: the second pass clears most
+    entries above the first one's pivots.  Reversing the rows is a row
+    permutation and the column reversal is undone, so it is U a for an
+    invertible U; both reversals are list slices.  The row pass takes the
+    two-way echelon of [A B C D]'s rows (U, a base change of the vertex-0
+    space); the column pass writes that of each letter's transpose, a zip
+    of the rows' slices at its cuts, back into those slices (V_t, one of
+    vertex t).  Hom dimensions depend on the isomorphism class alone.
+    Over QQ the first elimination's working copy (_start) scales
+    [A B C D] by the lcm of its denominators, and both passes eliminate
+    forward only, so the rows are Python ints over their gcds, with no
+    Fraction.
     """
 
-    def two_way(a):
-        _, ech = field.echelon(a)
-        return field.echelon(ech[::-1, ::-1])[1][::-1, ::-1]
+    def two_way(rows):
+        _, ech = field.echelon(rows)
+        return [row[::-1] for row in field.echelon([row[::-1] for row in ech[::-1]])[1][::-1]]
 
-    cuts = np.cumsum([0] + [x.shape[1] for x in letters]).tolist()
-    a = two_way(np.hstack(letters))
+    cuts = list(accumulate((x.cols for x in letters), initial=0))
+    a = two_way(hstack(letters).data)
     for c0, c1 in zip(cuts, cuts[1:]):
-        a[:, c0:c1] = two_way(a[:, c0:c1].T).T
+        columns = two_way(list(zip(*(row[c0:c1] for row in a))))
+        for row, new in zip(a, zip(*columns)):
+            row[c0:c1] = new
     return cuts, field._start(a)
 
 
@@ -647,7 +652,7 @@ def hom_vector(M, descs):
             continue
         key, sigma, param, lam = case(d, field)
         groups.setdefault((key, sigma, lam), []).append((i, param))
-    cuts, rows = _sparse_letters(field, [x.data for x in M.mats()])
+    cuts, rows = _sparse_letters(field, M.mats())
     cache = cuts, {(): rows}
     scalars = {}
     for (key, sigma, lam), members in groups.items():

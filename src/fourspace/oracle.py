@@ -15,8 +15,8 @@ linear system; dim Hom(M, X) is its nullity.  With row-major vec,
 so relation t (L = A, B, C, D for t = 1..4) is the block row
 [I kron L_M^T, 0, .., -(L_X kron I), .., 0] of m_0 * n_t equations, with
 the second block in the columns of F_t.  hom_system writes that plain
-system, each block through a strided view of its rows, with no Kronecker
-product formed.  Its unknown count is the sum of m_v * n_v: it is the
+system row by row, each entry by its rule, with no Kronecker product
+formed.  Its unknown count is the sum of m_v * n_v: it is the
 slow route, kept as the independent reference for the structured
 formulas in homdim.
 
@@ -86,9 +86,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
-import numpy as np
-
-from .exactmat import ExactMatrix, _check_same_field, _zero_array
+from .exactmat import ExactMatrix, _check_same_field, hstack, identity
 from .modules import dim_vector
 
 
@@ -111,26 +109,26 @@ def hom_system(M, X):
     """Assemble the full relation system as an ExactMatrix (for inspection).
 
     Relation t's rows are (a, b) for the entry (a, b) of F_0 L_M - L_X F_t,
-    a < m_0 and b < n_t.  Seen as 4-D, its F_0 block is (a, b, a', k),
-    which holds L_M[k, b] where a' = a, and its F_t block (a, b, i, b'),
-    which holds -L_X[a, i] where b' = b: each is written through a
-    strided view, with no Kronecker product.
+    a < m_0 and b < n_t, in that order.  Row (a, b) holds L_M[k][b] in
+    F_0's column (a, k), -L_X[a][i] in F_t's column (i, b), and zero
+    elsewhere: each entry is written by its rule, with no Kronecker
+    product.
     """
     _check_same_field(M.field, X.field)
     field = M.field
     n, m = dim_vector(M), dim_vector(X)
     offsets = tuple(accumulate((m[v] * n[v] for v in range(5)), initial=0))
-    system = _zero_array(field, m[0] * sum(n[1:]), offsets[5])
-    diag = np.arange(max(m[0], *n[1:]))
-    r = 0
+    rows = []
     for t, (lm, lx) in enumerate(zip(M.mats(), X.mats()), start=1):
-        r0, r = r, r + m[0] * n[t]
-        # splitting the axes of a 2-D slice always gives a view
-        a, b = diag[: m[0]], diag[: n[t]]
-        system[r0:r, : offsets[1]].reshape(m[0], n[t], m[0], n[0])[a, :, a] = lm.data.T
-        ft = system[r0:r, offsets[t] : offsets[t + 1]]
-        ft.reshape(m[0], n[t], m[t], n[t])[:, b, :, b] = field.reduce(-lx.data)
-    return HomSystem(matrix=ExactMatrix._raw(field, system), offsets=offsets,
+        columns = lm.transpose().data
+        for a, lx_row in enumerate(lx.data):
+            negated = [field.reduce(-x) for x in lx_row]
+            for b in range(n[t]):
+                row = [field.zero] * offsets[5]
+                row[a * n[0] : (a + 1) * n[0]] = columns[b]
+                row[offsets[t] + b : offsets[t + 1] : n[t]] = negated
+                rows.append(tuple(row))
+    return HomSystem(matrix=ExactMatrix._raw(field, tuple(rows), offsets[5]), offsets=offsets,
                      source_dim=n, target_dim=m)
 
 
@@ -187,8 +185,7 @@ def _target(X):
     """
     field = X.field
     m = dim_vector(X)
-    eye = np.eye(m[0], dtype=field.dtype)
-    letters = field._start(np.hstack([y.data for y in X.mats()] + [eye]))
+    letters = field._start(hstack([*X.mats(), identity(field, m[0])]).data)
     ident = sum(m[1:])
     kernels = []
     c1 = 0
@@ -237,7 +234,7 @@ def _source(M, pairing=None):
     """
     field = M.field
     n = dim_vector(M)
-    columns = field._start(np.vstack([y.data.T for y in M.mats()]))
+    columns = field._start([c for y in M.mats() for c in y.transpose().data])
     bases = []
     b1 = 0
     for t in range(1, 5):
@@ -318,12 +315,12 @@ def hom_basis(M, X):
     """Basis of Hom(M, X), each element a 5-tuple (F_0, ..., F_4)."""
     system = hom_system(M, X)
     n, m, off = system.source_dim, system.target_dim, system.offsets
-    field = M.field
     out = []
     for vec in system.matrix.nullspace():
-        vec = np.array(vec, dtype=field.dtype)
+        # F_v is vec[off[v] : off[v + 1]], row-major, m_v rows of n_v
         out.append(tuple(
-            ExactMatrix._raw(field, vec[off[v] : off[v + 1]].reshape(m[v], n[v]))
+            ExactMatrix._raw(M.field, tuple(vec[off[v] + i * n[v] : off[v] + (i + 1) * n[v]]
+                                            for i in range(m[v])), n[v])
             for v in range(5)
         ))
     return out

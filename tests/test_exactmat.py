@@ -77,6 +77,27 @@ def test_rational_numpy_integers_do_not_wrap():
     assert QQ.coerce(Fraction(np.int64(14), np.int64(6))) == Fraction(7, 3)
 
 
+def test_outside_scalars_coerce_exactly_or_not_at_all():
+    # integers of any fixed width from outside coerce through int(),
+    # exactly, into Python ints; floating point is refused by both fields,
+    # a float subclass such as np.float64 or not, and so is a string over
+    # GF(p)
+    for x in (np.int8(-7), np.int32(40000), np.uint64(2**64 - 1), np.int64(-2**63), True):
+        q, r = QQ.coerce(x), GF.coerce(x)
+        assert q == Fraction(int(x)) and type(q.numerator) is int
+        assert r == int(x) % GF.p and type(r) is int
+    half = Fraction(np.int64(1), np.int64(2))
+    assert GF.coerce(half) == GF.inv(2) and type(GF.coerce(half)) is int
+    for bad in (np.float64(2.0), np.float32(0.5), np.float16(1.0), 2.0):
+        for f in (QQ, GF):
+            with pytest.raises(TypeError, match="floating point"):
+                f.coerce(bad)
+        with pytest.raises(TypeError):
+            mat(QQ, [[1, bad]])
+    with pytest.raises(TypeError):
+        GF.coerce("3")
+
+
 def test_prime_field_validation():
     for bad in (0, 1, 4, 9, 2**31):
         with pytest.raises(ValueError):
@@ -161,8 +182,8 @@ def test_projection_shapes(field):
     q = pi_drop_first(field, 3)
     assert (p.rows, p.cols) == (3, 4) and (q.rows, q.cols) == (3, 4)
     # drop-last keeps the leading identity, drop-first the trailing one
-    assert np.array_equal(p.data[:, :3], identity(field, 3).data)
-    assert np.array_equal(q.data[:, 1:], identity(field, 3).data)
+    assert tuple(row[:3] for row in p.data) == identity(field, 3).data
+    assert tuple(row[1:] for row in q.data) == identity(field, 3).data
 
 
 def test_anti_identity_is_an_involution(field):
@@ -243,7 +264,7 @@ def test_rank_invariant_under_invertible_factors(field, rng):
     assert (u @ a @ v).rank() == a.rank()
 
 
-# -- storage: one read-only canonical array per matrix ------------------------
+# -- storage: one tuple of canonical row tuples per matrix ---------------------
 
 
 def test_every_matrix_is_one_read_only_canonical_array(field, rng):
@@ -284,17 +305,21 @@ def test_every_matrix_is_one_read_only_canonical_array(field, rng):
         "hom_system": (hom_system(module, cat.build(cat.P(1, 0), field)).matrix, (15, 11)),
         "hom_basis": (hom_basis(module, module)[0][2], (2, 2)),
     }
+    scalar = int if isinstance(field, PrimeField) else Fraction
     for name, (m, shape) in made.items():
         data = m.data
-        assert isinstance(data, np.ndarray) and data.dtype == field.dtype, name
-        assert data.shape == (m.rows, m.cols) == shape, name
-        assert not data.flags.writeable, name
+        # a tuple of rows tuples, each of cols canonical scalars: immutable
+        # all the way down, and the shape kept beside it
+        assert (m.rows, m.cols) == shape, name
+        assert type(data) is tuple and len(data) == m.rows, name
+        assert all(type(row) is tuple and len(row) == m.cols for row in data), name
+        assert all(type(x) is scalar for row in data for x in row), name
         if isinstance(field, PrimeField):
-            assert ((data >= 0) & (data < field.p)).all(), name
-        else:
-            assert all(isinstance(x, Fraction) for x in data.flat), name
-        # scalars handed out are plain Python values
-        scalar = int if isinstance(field, PrimeField) else Fraction
+            assert all(0 <= x < field.p for row in data for x in row), name
+        with pytest.raises(AttributeError):
+            m.data = data
+        # scalars handed out are those plain Python values
+        assert m.entries_rowmajor() == [x for row in data for x in row], name
         assert all(type(x) is scalar for x in m.entries_rowmajor()), name
         if m.rows and m.cols:
             assert type(m[m.rows - 1, m.cols - 1]) is scalar, name
@@ -347,7 +372,7 @@ def _reference_inputs(field, rng):
     out.append(mat(field, [[0, 0, 1, 5, 0], [0, 1, 7, 0, 1], [1, -1, 0, 5, 7], [0, 0, 0, 7, -1]]))
     out.append(mat(field, [[0, 0, 0], [0, 0, 0], [0, 5, 1], [1, 0, 7], [0, 0, 0]]))
     out.append(mat(field, [[0, 0, 0, 0]] * 3 + [[0, 0, -1, 5]]))
-    base = random_matrix(field, 3, 3, rng).data.tolist()
+    base = random_matrix(field, 3, 3, rng).data
     out.append(mat(field, [base[rng.randrange(3)] for _ in range(40)]))
     # verify-sweep scale: sparse systems of ~50-100 rows whose pivot rows
     # fill in to up to 60 nonzeros, with non-pivot columns between the
@@ -399,7 +424,7 @@ def test_echelon_matches_reference_eliminator(field, rng):
 
 
 def _split_inputs(field, rng):
-    """(a, n) for the split of a at column n: sparse random arrays, some
+    """(a, n) for the split of a at column n: sparse random matrices, some
     with a zero row and a repeated one, split at every column from 0 to
     their width; and [L | I] stacks, split at L's width, some L with a
     repeated column.  Over QQ some entries lie over 3, 7 or 12797."""
@@ -417,7 +442,7 @@ def _split_inputs(field, rng):
         if m > 2:
             a[1] = list(a[0])
             a[rng.randrange(m)] = [field.zero] * w
-        a = mat(field, a, (m, w)).data
+        a = mat(field, a, (m, w))
         out += [(a, n) for n in range(w + 1)]
     for _ in range(12):
         n0, w = rng.randint(0, 6), rng.randint(0, 6)
@@ -425,7 +450,7 @@ def _split_inputs(field, rng):
         if w > 1:
             for row in l:
                 row[-1] = row[0]
-        out.append((hstack([mat(field, l, (n0, w)), identity(field, n0)]).data, w))
+        out.append((hstack([mat(field, l, (n0, w)), identity(field, n0)]), w))
     return out
 
 
@@ -442,16 +467,16 @@ def test_split_matches_reference_eliminator(field, rng):
 
     seen = set()
     for a, n in _split_inputs(field, rng):
-        plain = _plain(a.tolist())
-        z, images = field._split(field._start(a), n)
+        plain = _plain(a.data)
+        z, images = field._split(field._start(a.data), n)
         left = [row[:n] for row in plain]
         assert z == len(plain) - rank(plain)
         assert len(images) == rank(plain) - rank(left)
-        assert all(len(y) == a.shape[1] - n for y in images)
+        assert all(len(y) == a.cols - n for y in images)
         assert rank(images) == len(images)
         assert rank(plain + [[0] * n + y for y in images]) == rank(plain)
         seen.update({"zero row": any(not any(row) for row in plain), "n = 0": n == 0,
-                     "n = width": n == a.shape[1] > 0, "z > 0": z > 0, "images": bool(images),
+                     "n = width": n == a.cols > 0, "z > 0": z > 0, "images": bool(images),
                      "a pivot at n": rank([row[: n + 1] for row in plain]) > rank(left)}.items())
     assert all((name, True) in seen for name in
                ("zero row", "n = 0", "n = width", "z > 0", "images", "a pivot at n")), seen
@@ -553,14 +578,14 @@ def _early_stop_inputs(field, rng):
         out.append(random_matrix(field, n + rng.randint(2, 6), n, rng))
         # a zero row and a repeated row before the stop, and a late pivot
         head = random_matrix(field, n - 1, n, rng) if n > 1 else zeros(field, 0, n)
-        rows = head.data.tolist() + [[0] * n] + head.data.tolist()[:1]
+        rows = [*head.data, [0] * n, *head.data[:1]]
         out.append(vstack([mat(field, rows, (len(rows), n)),
                            random_invertible(field, n, rng), extra]))
     out.append(mat(field, [[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 5], [0, 0, 7], [1, 1, 1],
                            [0, 0, 0]]))
     found = []
     for a in out:
-        plain = _plain(a.data.tolist())
+        plain = _plain(a.data)
         stop = next(r for r in range(a.rows)
                     if len(reference_rref(plain[: r + 1], p)[0]) == a.cols)
         if stop < a.rows - 1:
@@ -593,7 +618,7 @@ def test_elimination_stops_at_full_column_rank(field, rng, monkeypatch):
     for a, stop in inputs:
         for rows_in, full in ((a.rows, True), (stop + 1, True), (stop, False)):
             b = a.data[:rows_in]
-            plain = _plain(b.tolist())
+            plain = _plain(b)
             want_pivots, want_rref = reference_rref(plain, p)
             assert (want_pivots == list(range(a.cols))) == full
             read.clear()
@@ -607,8 +632,8 @@ def test_elimination_stops_at_full_column_rank(field, rng, monkeypatch):
             for reduced in (False, True):
                 pivots, ech = field.echelon(b, reduced)
                 assert pivots == want_pivots
-                assert ech.shape == b.shape
-                assert not ech[len(pivots) :].any()
+                assert len(ech) == len(b) and all(len(row) == a.cols for row in ech)
+                assert not any(x for row in ech[len(pivots) :] for x in row)
                 if reduced:
                     assert _plain(ech) == want_rref
                 else:
@@ -625,9 +650,8 @@ def test_elimination_stops_at_full_column_rank(field, rng, monkeypatch):
 
 def test_qq_forward_rows_are_primitive_integer_rows(rng):
     for a in _reference_inputs(QQ, rng):
-        pivots, ech = QQ.echelon(a.data)
+        pivots, rows = QQ.echelon(a.data)
         rank = len(pivots)
-        rows = ech.tolist()
         assert all(type(x) is int for row in rows for x in row)
         assert all(math.gcd(*row) == 1 for row in rows[:rank])
         assert not any(x for row in rows[rank:] for x in row)
@@ -638,23 +662,21 @@ def test_qq_forward_rows_are_primitive_integer_rows(rng):
 
 
 def _int_inputs(rng):
-    """QQ arrays of Python ints: entries past 2^63, rows with a common
+    """QQ list rows of Python ints: entries past 2^63, rows with a common
     factor, zero rows, and empty shapes."""
-    out = [np.empty((0, 4), dtype=object), np.empty((3, 0), dtype=object),
-           np.zeros((3, 4), dtype=object)]
+    out = [[], [[], [], []], [[0] * 4 for _ in range(3)]]
     for m, n in ((4, 6), (6, 4), (5, 5), (1, 7)):
         rows = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-2**80, 2**80)))
                  for _ in range(n)] for _ in range(m)]
         rows[0] = [6 * x for x in rows[0]]
         rows.append([2**70 * x for x in rows[-1]])
         rows.insert(1, [0] * n)
-        out.append(np.array(rows, dtype=object))
+        out.append(rows)
     return out
 
 
 def _as_fractions(a):
-    return np.array([[Fraction(x) for x in row] for row in a.tolist()],
-                    dtype=object).reshape(a.shape)
+    return [[Fraction(x) for x in row] for row in a]
 
 
 def _results(a):
@@ -662,58 +684,66 @@ def _results(a):
     out = [QQ.rank(a)]
     for reduced in (False, True):
         pivots, ech = QQ.echelon(a, reduced)
-        out.append((pivots, ech.shape, [(x, type(x)) for x in ech.flat]))
+        out.append((pivots, [len(row) for row in ech],
+                    [(x, type(x)) for row in ech for x in row]))
     return out
 
 
 def test_qq_takes_int_rows_as_their_fractions(rng):
     # Python-int rows skip integral and go straight to the primitive rows;
     # the same values held as Fractions must give the same pivots, forward
-    # rows, reduced form and rank.  An array that mixes ints and Fractions
-    # must still be scaled as a whole
+    # rows, reduced form and rank.  Rows that mix ints and Fractions must
+    # still be scaled as a whole
     for a in _int_inputs(rng):
-        assert all(type(x) is int for x in a.flat)
+        assert all(type(x) is int for row in a for x in row)
         assert _results(a) == _results(_as_fractions(a))
-        if a.size:
+        if a and a[0]:
             # one entry over 3 in the last row, one integral Fraction in
             # the first
-            mixed = a.copy()
-            mixed[-1, -1] = Fraction(2 * a[-1, -1] + 1, 3)
-            mixed[0, 0] = Fraction(a[0, 0])
+            mixed = [list(row) for row in a]
+            mixed[-1][-1] = Fraction(2 * a[-1][-1] + 1, 3)
+            mixed[0][0] = Fraction(a[0][0])
             assert _results(mixed) == _results(_as_fractions(mixed))
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
 def test_echelon_leaves_a_writable_input_alone(field, rng):
-    # homdim hands echelon and rank writable arrays (a fold's grid, a step's stack)
+    # homdim hands echelon list rows (the two-way echelons of its letters):
+    # they come back unchanged, and no echelon row is one of them
     inputs = [zeros(field, 0, 3), zeros(field, 3, 0), zeros(field, 3, 4),
               random_invertible(field, 4, rng), random_matrix(field, 3, 5, rng)]
     for m in inputs:
-        a = np.array(m.data)
+        a = [list(row) for row in m.data]
         for reduced in (False, True):
             _, ech = field.echelon(a, reduced)
-            assert np.array_equal(a, m.data)
-            assert ech.dtype == field.dtype and ech.shape == a.shape
-            assert not np.shares_memory(ech, a)
+            assert a == [list(row) for row in m.data]
+            assert len(ech) == len(a) and all(len(row) == m.cols for row in ech)
+            assert not {id(row) for row in ech} & {id(row) for row in a}
         field.rank(a)
-        assert np.array_equal(a, m.data)
+        assert a == [list(row) for row in m.data]
 
 
-def reference_product(a, b, p=None):
-    """a @ b by the schoolbook sum on Python ints mod p, or Fractions if p is None."""
-    (m, k), n = a.shape, b.shape[1]
+def reference_product(a, b, n, p=None):
+    """The product of the rows a and the rows b, n columns wide, by the
+    schoolbook sum on Python ints mod p, or Fractions if p is None."""
+    (m, k) = len(a), len(b)
     a, b = _plain(a), _plain(b)
     out = [[sum((a[i][t] * b[t][j] for t in range(k)), 0) for j in range(n)]
            for i in range(m)]
     return [[Fraction(x) if p is None else x % p for x in row] for row in out]
 
 
+def _columns(rows, n):
+    # the columns of n-wide rows, also when there are none
+    return list(zip(*rows)) if rows else [()] * n
+
+
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
 def test_field_dot_matches_python_products(field, rng):
-    # over GF(2^31 - 1) two products already pass 2^63, so int64 alone
-    # would overflow; random_matrix draws integers, so over QQ only the
-    # entries of mixed denominators give the product a scale s other than
-    # 1, where dividing by s instead of s * s shows
+    # over GF(2^31 - 1) two products already pass 2^63, so a fixed-width
+    # sum would overflow; random_matrix draws integers, so over QQ only the
+    # entries of mixed denominators give the factors scales s and t other
+    # than 1, where dividing by s or t alone instead of s * t shows
     p = field.p if isinstance(field, PrimeField) else None
 
     def fractions(m, n):
@@ -729,21 +759,22 @@ def test_field_dot_matches_python_products(field, rng):
     for x in cat.build(cat.P(4, 0), field).mats():
         pairs.append((x.transpose(), x))
         pairs.append((random_matrix(field, 2, x.rows, rng), x))
+    scalar = int if p else Fraction
     for a, b in pairs:
-        want = reference_product(a.data, b.data, p)
-        got = field.dot(a.data, b.data)
-        assert got.dtype == field.dtype and got.shape == (a.rows, b.cols)
+        want = reference_product(a.data, b.data, b.cols, p)
+        got = field.dot(a.data, b.transpose().data)
+        assert type(got) is tuple and len(got) == a.rows
+        assert all(type(row) is tuple and len(row) == b.cols for row in got)
         assert _plain(got) == want
-        assert (a @ b).data.tolist() == want
-        if p is None:
-            assert all(isinstance(x, Fraction) for x in got.ravel())
+        assert [list(row) for row in (a @ b).data] == want
+        assert all(type(x) is scalar for row in got for x in row)
 
 
 def test_random_invertible_raises_when_rank_under_counts(field, rng, monkeypatch):
     # a kernel whose rank never reaches n must fail after a bounded number
     # of draws, not loop for ever
     calls = []
-    monkeypatch.setattr(type(field), "rank", lambda self, a: calls.append(a.shape) or 0)
+    monkeypatch.setattr(type(field), "rank", lambda self, a: calls.append(len(a)) or 0)
     with pytest.raises(ArithmeticError, match=re.escape(f"3x3 matrix over {field!r}")):
         random_invertible(field, 3, rng)
     assert 0 < len(calls) <= 100
@@ -752,26 +783,29 @@ def test_random_invertible_raises_when_rank_under_counts(field, rng, monkeypatch
 
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
 def test_integral_stays_in_the_elimination_form(field, rng):
-    # integral: one nonzero scale for all arrays, Python ints over QQ and
-    # the residues themselves over GF(p); field.dot multiplies that form
-    # exactly, as it multiplies any array of the field
+    # integral: a matrix's rows times one nonzero scale, Python ints over QQ
+    # and the residues themselves over GF(p); field.dot multiplies that
+    # form exactly, as it multiplies any rows of the field
     p = field.p if isinstance(field, PrimeField) else None
 
     def entry():
         return field.coerce(Fraction(rng.randint(-9, 9), rng.choice((1, 3, 7, 12797))))
 
-    arrays = [mat(field, [[entry() for _ in range(n)] for _ in range(m)], (m, n)).data
-              for m, n in ((3, 4), (4, 5), (0, 3), (3, 0))]
-    scaled, scale = field.integral(arrays)
-    assert field.coerce(scale) != field.zero
-    for x, y in zip(arrays, scaled):
-        assert y.shape == x.shape and y.dtype == field.dtype
-        assert ExactMatrix(field, y.tolist(), y.shape) == ExactMatrix._raw(field, x).scale(scale)
+    matrices = [mat(field, [[entry() for _ in range(n)] for _ in range(m)], (m, n))
+                for m, n in ((3, 4), (4, 5), (0, 3), (3, 0))]
+    scaled = []
+    for x in matrices:
+        y, scale = field.integral(x.data)
+        assert field.coerce(scale) != field.zero
+        assert len(y) == x.rows and all(len(row) == x.cols for row in y)
+        assert ExactMatrix(field, y, (x.rows, x.cols)) == x.scale(scale)
         if p is None:
-            assert all(type(v) is int for v in y.flat)
+            assert all(type(v) is int for row in y for v in row)
         else:
-            assert y is x
-    for a, b in ((scaled[0], scaled[1]), (scaled[2], scaled[0]), (scaled[3], scaled[2])):
-        got = field.dot(a, b)
-        assert got.dtype == field.dtype and got.shape == (a.shape[0], b.shape[1])
-        assert _plain(got) == reference_product(a, b, p)
+            assert y is x.data
+        scaled.append((y, x.cols))
+    for (a, _), (b, n) in ((scaled[0], scaled[1]), (scaled[2], scaled[0]),
+                           (scaled[3], scaled[2])):
+        got = field.dot(a, _columns(b, n))
+        assert len(got) == len(a) and all(len(row) == n for row in got)
+        assert _plain(got) == reference_product(a, b, n, p)

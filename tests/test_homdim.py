@@ -2,12 +2,12 @@ import copy
 import itertools
 import random
 from fractions import Fraction
+from itertools import accumulate
 
-import numpy as np
 import pytest
 
 from fourspace import catalog as cat
-from fourspace import exactmat, homdim
+from fourspace import homdim
 from fourspace.catalog import EnumerationBounds, InvalidParams, enumerate_descriptors
 from fourspace.decomp import decompose
 from fourspace.exactmat import (
@@ -82,7 +82,7 @@ def test_golden_five_by_twelve_blocks():
     big = coeff_matrix(m, cat.P(2, 0))
     assert big == want
     small = coeff_matrix(m, cat.P(1, 0))
-    assert np.array_equal(big.data[: small.rows, : small.cols], small.data)
+    assert tuple(row[: small.cols] for row in big.data[: small.rows]) == small.data
 
 
 def test_golden_even_vertex_postprojective_blocks():
@@ -179,7 +179,7 @@ def test_staircase_nesting(pair, rng):
     m = random_module(GF, rng, max_dim=3)
     small = coeff_matrix(m, small_desc)
     big = coeff_matrix(m, big_desc)
-    assert np.array_equal(big.data[: small.rows, : small.cols], small.data)
+    assert tuple(row[: small.cols] for row in big.data[: small.rows]) == small.data
 
 
 # -- permutation coherence -----------------------------------------------------------
@@ -295,32 +295,22 @@ COUNTED_DESCS = {
 }
 
 
-class _NoNumpy:
-    """Stands in for numpy in a module while _kernel runs."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"_kernel reached numpy.{name}")
-
-
 def _spy_kernel(monkeypatch):
-    """Patch homdim._kernel to run with numpy out of reach of homdim and
-    exactmat.  Returns (missed, running): the key of each call that made
-    its entry, and the keys of the calls running now, innermost last; the
-    recursion to a parent goes through the spy too."""
+    """Patch homdim._kernel to record its calls.  Returns (missed,
+    running): the key of each call that made its entry, and the keys of
+    the calls running now, innermost last; the recursion to a parent goes
+    through the spy too."""
     kernel = homdim._kernel
     missed, running = [], []
 
     def spied(field, cuts, kernels, key):
         if key not in kernels:
             missed.append(key)
-        saved = homdim.np, exactmat.np
-        homdim.np = exactmat.np = _NoNumpy()
         running.append(key)
         try:
             return kernel(field, cuts, kernels, key)
         finally:
             running.pop()
-            homdim.np, exactmat.np = saved
 
     monkeypatch.setattr(homdim, "_kernel", spied)
     return missed, running
@@ -412,8 +402,7 @@ def test_letter_kernels_are_shared_by_the_whole_call(monkeypatch):
     assert len(groups) == 32
     assert len(missed) == len(set(missed)) == 10 and sorted(splits) == sorted(missed)
     # one cache serves every group, and each entry holds n_0 - rank L_S
-    # rows of [A B C D]'s width, made with numpy out of reach (the spy),
-    # as lists of Python ints
+    # rows of [A B C D]'s width, as lists of Python ints
     (cuts, kernels), = {id(c): c for c in caches}.values()
     assert set(kernels) == {(), *missed}
     for key in missed:
@@ -443,12 +432,12 @@ def test_kernel_rows_span_the_kernel_times_the_letters(field):
     seen = set()
     for trial in range(4):
         for n0, widths in KERNEL_SHAPES:
-            letters = [random_matrix(field, n0, w, rng).data for w in widths]
+            letters = [random_matrix(field, n0, w, rng) for w in widths]
             if trial % 2:
-                letters[3] = np.hstack(letters[:2])
-            (stacked,), _ = field.integral([np.hstack(letters)])
-            cuts = np.cumsum([0] + [x.shape[1] for x in letters]).tolist()
-            whole = stacked.tolist()
+                letters[3] = hstack(letters[:2])
+            stacked, _ = field.integral(hstack(letters).data)
+            cuts = list(accumulate((x.cols for x in letters), initial=0))
+            whole = [list(row) for row in stacked]
             for size in range(1, 5):
                 for key in itertools.combinations(range(4), size):
                     kernels = {(): field._start(stacked)}
@@ -495,14 +484,14 @@ def test_transfer_basis_spans_what_meets_the_next_copy(field):
     for trial in range(6):
         for spec, part in FOLD_PATTERNS:
             n0 = rng.randint(1, 5)
-            letters = [random_matrix(field, n0, rng.randint(0, 3), rng).data for _ in range(4)]
+            letters = [random_matrix(field, n0, rng.randint(0, 3), rng) for _ in range(4)]
             if trial % 2:
                 # rank-deficient: a repeated column, a zero one, a zero-width letter
-                zero = np.full((n0, 1), field.zero, dtype=field.dtype)
-                letters[0] = np.hstack([letters[0], letters[0][:, :1]])
-                letters[1] = np.hstack([letters[1], zero])
-                letters[rng.randrange(2, 4)] = zero[:, :0]
-            letters, _ = field.integral(letters)
+                first = mat(field, [row[:1] for row in letters[0].data],
+                            (n0, min(1, letters[0].cols)))
+                letters[0] = hstack([letters[0], first])
+                letters[1] = hstack([letters[1], zeros(field, n0, 1)])
+                letters[rng.randrange(2, 4)] = zeros(field, n0, 0)
             slots = rng.sample(range(4), 4)
             named = [letters[s] for s in slots]
             lam = rng.choice([field.zero, field.coerce(Fraction(7, 5)), field.coerce(2)])
@@ -518,15 +507,15 @@ def test_transfer_basis_spans_what_meets_the_next_copy(field):
                         for x in row] for row in cells]
             scalar = homdim._coefficients(field, lam, integral=True)
             plan = homdim._fold_plan(by_slot, own)
-            cuts = np.cumsum([0] + [x.shape[1] for x in letters]).tolist()
-            kernels = {(): field._start(np.hstack(letters))}
+            cuts = list(accumulate((x.cols for x in letters), initial=0))
+            kernels = {(): field._start(hstack(letters).data)}
             z, basis = homdim._kernel_fold(field, plan, scalar, cuts, kernels)
             grid = homdim._write(field, named, cells, lam)
             split = sum(homdim._widths(named, cells)[:own])
-            rest = mat(field, grid[:, split:].tolist(), (len(grid), grid.shape[1] - split))
-            own_cols = mat(field, grid[:, :split].tolist(), (len(grid), split))
+            rest = mat(field, [row[split:] for row in grid.data], (grid.rows, grid.cols - split))
+            own_cols = mat(field, [row[:split] for row in grid.data], (grid.rows, split))
             kernel = own_cols.transpose().nullspace()
-            images = mat(field, [list(y) for y in kernel], (len(kernel), len(grid))) @ rest
+            images = mat(field, [list(y) for y in kernel], (len(kernel), grid.rows)) @ rest
             got = mat(field, basis, (len(basis), rest.cols))
             assert all(len(row) == rest.cols for row in basis)
             # echelon rows: a step takes each row's first nonzero as its pivot
@@ -560,14 +549,14 @@ def test_hom_vector_clears_the_tail_pivots_of_a_copy(field):
 
 @pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
 def test_same_span_is_exact(field):
-    s = np.array([[1, 0, 2], [0, 1, 3]], dtype=field.dtype)
+    s = [[1, 0, 2], [0, 1, 3]]
     # the same rows in another order, another echelon basis of their span
     # (first row plus second) and that basis scaled: one span, so the
     # recursion's fixed point
     for other in ([[0, 1, 3], [1, 0, 2]], [[1, 1, 5], [0, 1, 3]], [[2, 2, 10], [0, 5, 15]]):
-        assert homdim._same_span(field, s, np.array(other, dtype=field.dtype))
+        assert homdim._same_span(field, s, other)
     # as many rows, another span; and a subspace
-    assert not homdim._same_span(field, s, np.array([[1, 0, 2], [0, 1, 4]], dtype=field.dtype))
+    assert not homdim._same_span(field, s, [[1, 0, 2], [0, 1, 4]])
     assert not homdim._same_span(field, s, s[:1])
     empty = s[:0]
     assert homdim._same_span(field, empty, empty)
@@ -578,9 +567,9 @@ def _echelon_rows(field, rng, m, n):
     the working form of the field's elimination, with their pivots."""
     entries = [[field.coerce(rng.choice([0, 0, 1, -1, rng.randint(-9, 9)])) for _ in range(n)]
                for _ in range(m)]
-    (a,), _ = field.integral([np.array(entries, dtype=field.dtype).reshape(m, n)])
+    a, _ = field.integral(entries)
     pivots, ech = field.echelon(a)
-    return pivots, ech[: len(pivots)].tolist()
+    return pivots, ech[: len(pivots)]
 
 
 @pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
@@ -818,7 +807,7 @@ def test_hom_vector_deep_qq_staircases(rng, monkeypatch):
     # denominators
     picks = [cat.R(1, lam), cat.P(1, 0), cat.I(1, 0)]
     modules = [disguised_sum(QQ, picks, rng), _over_denominators(picks, rng)]
-    denominators = {x.denominator for y in modules[1].mats() for x in y.data.flat}
+    denominators = {x.denominator for y in modules[1].mats() for x in y.entries_rowmajor()}
     assert all(any(q % p == 0 for q in denominators) for p in (7, 12797))
     for m in modules:
         assert dim_vector(m) == (8, 4, 4, 4, 4)
@@ -864,8 +853,8 @@ def test_hom_vector_eliminates_forward_only(field, monkeypatch):
 @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
 def test_staircases_stay_in_elimination_rows(field, monkeypatch):
     # from the first fold to the last step a staircase holds the working
-    # rows of the field's elimination, so echelon, which builds an array
-    # of them, runs only in _sparse_letters: the two-way echelons of
+    # rows of the field's elimination, so echelon, which finishes its
+    # rows, runs only in _sparse_letters: the two-way echelons of
     # [A B C D] and of the four letters, 10 calls whatever is asked
     lams = (field.coerce(2), field.coerce(Fraction(7, 3)))
     m = disguised_sum(field, [cat.R(1, lams[1]), cat.P(2, 1), cat.I(1, 0)], random.Random(5))
@@ -875,7 +864,7 @@ def test_staircases_stay_in_elimination_rows(field, monkeypatch):
     echelon = field.echelon
 
     def spied(a, reduced=False):
-        calls.append(a.shape)
+        calls.append(len(a))
         return echelon(a, reduced)
 
     for descs in ([], [cat.P(0, 0), cat.I(0, 2)], [cat.R(0, 7, 0)], deep):
@@ -888,7 +877,7 @@ def test_staircases_stay_in_elimination_rows(field, monkeypatch):
 
 
 def test_hom_vector_reads_the_letters_once(monkeypatch):
-    # M's four letters are made integral once per call, as the one array
+    # M's four letters are made integral once per call, as the rows of
     # [A B C D] that _sparse_letters eliminates first, and every (case,
     # sigma, lam) group reads them permuted: no group builds a permuted
     # module or converts the letters again
@@ -898,15 +887,14 @@ def test_hom_vector_reads_the_letters_once(monkeypatch):
     sigmas = {cat.case(d, QQ)[1] for d in descs}
     assert len(sigmas) == len(descs) and PERM_IDENTITY in sigmas
     want = [hom_dim(m, d) for d in descs]
-    whole = np.hstack([x.data for x in m.mats()])
+    whole = hstack(m.mats()).data
     built = []
     converted = []
     integral = QQ.integral
 
-    def spied(arrays):
-        converted.append(len(arrays) == 1 and arrays[0].shape == whole.shape
-                         and np.array_equal(arrays[0], whole))
-        return integral(arrays)
+    def spied(rows):
+        converted.append(tuple(map(tuple, rows)) == whole)
+        return integral(rows)
 
     monkeypatch.setattr(LambdaModule, "__post_init__", lambda self: built.append(self))
     monkeypatch.setattr(QQ, "integral", spied)
@@ -930,8 +918,7 @@ def test_sparse_letters_are_an_isomorphic_module(field):
         [cat.P(2, 1), cat.I(1, 0), cat.I(0, 3)],
     )]
     for m in modules:
-        letters, _ = field.integral([x.data for x in m.mats()])
-        cuts, rows = homdim._sparse_letters(field, letters)
+        cuts, rows = homdim._sparse_letters(field, m.mats())
         copy = LambdaModule(*(mat(field, [row[a:b] for row in rows], (len(rows), b - a))
                               for a, b in zip(cuts, cuts[1:])))
         assert dim_vector(copy) == dim_vector(m)
@@ -944,7 +931,7 @@ def test_hom_vector_runs_on_sparse_integer_letters(monkeypatch):
     # a disguised sum's letters are dense; the staircases read those of a
     # sparse isomorphic copy, in Python ints
     m = _over_denominators([cat.R(2, 2), cat.P(2, 1), cat.I(2, 0)], random.Random(3))
-    dense = sum(x != 0 for a in m.mats() for x in a.data.flat)
+    dense = sum(x != 0 for a in m.mats() for x in a.entries_rowmajor())
     seen = []
     coranks = homdim._staircase_coranks
 

@@ -1,17 +1,28 @@
-"""Only exactmat reads the elimination's internals, and the CLI reads no
-private name.
+"""Only exactmat reads the elimination's internals, the CLI reads no
+private name, and the package runs without numpy.
 
 The other modules drive the elimination loop through the working copy,
 the loop, the split and a scaled row; the pivot forms and the reduction
 of a row against them stay inside exactmat, so their format can change
 there alone.  The CLI is a front end: it imports only public names from
 the package, so a private protocol is written once, behind one of them.
+Every matrix is rows of Python scalars, so no module imports numpy, and
+the console commands print the same where numpy cannot be imported.
 """
 
 import ast
+import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import fourspace
+from fourspace import catalog as cat
+from fourspace.exactmat import PrimeField
+from fourspace.modules import module_to_record
+from fourspace.verify import disguised_sum
 
 PACKAGE = Path(fourspace.__file__).parent
 
@@ -102,3 +113,69 @@ def test_private_import_guard_sees_a_planted_import(tmp_path):
         "fourspace.exactmat._zero_array", "oracle._nullity", "oracle._source",
         "verify._catalog_target",
     ]
+
+
+def numpy_imports(package_dir):
+    """["module:line", ...]: each import of numpy, or of a submodule of it,
+    in the modules of package_dir."""
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(x.split(".")[0] == "numpy" for x in names):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_module_imports_numpy():
+    assert numpy_imports(PACKAGE) == []
+
+
+def test_numpy_guard_sees_a_planted_import(tmp_path):
+    (tmp_path / "exactmat.py").write_text("import math\nimport numpy as np\n")
+    (tmp_path / "homdim.py").write_text(
+        "def f():\n    from numpy.linalg import matrix_rank\n    return matrix_rank\n")
+    (tmp_path / "oracle.py").write_text("from . import numpy_free\nimport numpyish\n")
+    assert numpy_imports(tmp_path) == ["exactmat:2", "homdim:2"]
+
+
+# the console commands run with numpy blocked: {module} is a disguised
+# sum over GF(32003), whose summands decompose finds within its bounds
+NO_NUMPY_COMMANDS = [
+    ["catalog", "P(3,1)"],
+    ["homdim", "{module}", "--all", "--max-n", "4", "--max-l", "2", "--lambda", "2"],
+    ["decompose", "{module}", "--max-n", "3", "--max-l", "2", "--lambda", "2"],
+    ["verify", "--trials", "2"],
+]
+
+
+def _console(args, block_numpy):
+    """(exit status, stdout, stderr) of fourspace.cli.main(args) in a fresh
+    process whose sys.modules maps numpy to None if block_numpy, so that
+    any import of numpy raises ImportError."""
+    block = 'sys.modules["numpy"] = None\n' if block_numpy else ""
+    code = f"import sys\n{block}from fourspace.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          encoding="utf-8", env=env, timeout=300, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_console_commands_print_the_same_without_numpy(tmp_path):
+    gf = PrimeField(32003)
+    m = disguised_sum(gf, [cat.R(1, 2), cat.P(2, 1), cat.I(1, 0)], random.Random(1))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(module_to_record(m)))
+    for command in NO_NUMPY_COMMANDS:
+        args = [str(path) if x == "{module}" else x for x in command]
+        blocked = _console(args, block_numpy=True)
+        assert blocked == _console(args, block_numpy=False), command
+        code, out, err = blocked
+        assert code == 0 and out and err == "", (command, err)

@@ -296,7 +296,9 @@ def test_oracle_on_empty_vertices(fld, rng):
         sys_ = hom_system(m, x)
         offsets = sys_.offsets
         assert list(offsets) == [sum(d[v] * n[v] for v in range(k)) for k in range(6)]
-        assert sys_.matrix.data.dtype == fld.dtype
+        scalar = int if isinstance(fld, PrimeField) else Fraction
+        assert (sys_.matrix.rows, sys_.matrix.cols) == (d[0] * sum(n[1:]), offsets[5])
+        assert all(type(x) is scalar for x in sys_.matrix.entries_rowmajor())
         assert hom_oracle(m, x) == _reference_nullity(m, x)
         seen.update({"m_0 = 0": d[0] == 0, "n_0 = 0": n[0] == 0, "n_t = 0": 0 in n[1:],
                      "m_t = 0": 0 in d[1:],
@@ -324,7 +326,7 @@ def _geometries(d, rng):
 
 
 def _columns(field, h, cols):
-    return mat(field, [[row[c] for c in cols] for row in h.data.tolist()],
+    return mat(field, [[row[c] for c in cols] for row in h.data],
                shape=(h.rows, len(cols)))
 
 
@@ -361,9 +363,9 @@ def _reference_covered(m, x):
     rows = []
     for lm, lx in list(zip(m.mats(), x.mats()))[:2]:
         ident = [[int(i == j) for j in range(lx.rows)] for i in range(lx.rows)]
-        pivots, e = reference_rref([a + b for a, b in zip(lx.data.tolist(), ident)], p)
+        pivots, e = reference_rref([[*a, *b] for a, b in zip(lx.data, ident)], p)
         kernel = [row[lx.cols :] for c, row in zip(pivots, e) if c >= lx.cols]
-        pivots, e = reference_rref(lm.data.T.tolist(), p)
+        pivots, e = reference_rref(lm.transpose().data, p)
         rows += [[a * b for a in c for b in w] for c in kernel for w in e[: len(pivots)]]
     return len(reference_rref(rows, p)[0])
 
