@@ -21,7 +21,7 @@ the slot builder of case's key, and homdim the staircase of that key.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .exactmat import (
@@ -62,8 +62,7 @@ FAMILY_REGULAR_HOMOGENEOUS = "RH"
 FAMILY_REGULAR_EXCEPTIONAL = "RE"
 
 
-@dataclass(frozen=True)
-class IndecDescriptor:
+class IndecDescriptor(namedtuple("IndecDescriptor", "family params")):
     """Symbolic name of a catalog module: family tag plus parameters.
 
     params is (n, j) for P/I, (l, lam) for RH, (s, m, lam) for RE.  lam is
@@ -71,8 +70,7 @@ class IndecDescriptor:
     or the INF label), so descriptors hash and compare by value.
     """
 
-    family: str
-    params: tuple
+    __slots__ = ()
 
     def label(self):
         if self.family in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE):
@@ -456,8 +454,7 @@ def declared_dim(desc):
 # -- enumeration --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumerationBounds:
+class EnumerationBounds(namedtuple("EnumerationBounds", "max_n max_l lambdas")):
     """Finite truncation of the infinite families.
 
     max_n bounds the printed first parameter of P(n, j) / I(n, j); max_l
@@ -471,17 +468,21 @@ class EnumerationBounds:
     max_n or max_l that is not an int, or is negative, raises InvalidParams.
     """
 
-    max_n: int
-    max_l: int
-    lambdas: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if {type(self.max_n), type(self.max_l)} != {int}:  # rejects True as well as 2.5
-            raise InvalidParams(f"bounds must be ints, got {self.max_n!r} and {self.max_l!r}")
-        if self.max_n < 0 or self.max_l < 0:
+    def __new__(cls, max_n, max_l, lambdas=()):
+        if {type(max_n), type(max_l)} != {int}:  # rejects True as well as 2.5
+            raise InvalidParams(f"bounds must be ints, got {max_n!r} and {max_l!r}")
+        if max_n < 0 or max_l < 0:
             raise InvalidParams(
-                f"bounds need max_n >= 0 and max_l >= 0, got {self.max_n} and {self.max_l}"
+                f"bounds need max_n >= 0 and max_l >= 0, got {max_n} and {max_l}"
             )
+        return tuple.__new__(cls, (max_n, max_l, lambdas))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: the new bounds are checked too
+        return cls(*iterable)
 
 
 def enumerate_descriptors(bounds):

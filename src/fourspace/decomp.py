@@ -50,7 +50,6 @@ AR quiver of D~4 and its tubes.
 from __future__ import annotations
 
 import functools
-from dataclasses import replace
 from typing import NamedTuple
 
 from .catalog import (
@@ -194,7 +193,7 @@ def decompose(M, bounds):
     # it rejects raises each time, and the plan's key holds field scalars
     # alone (2.0 == 2, but only 2 is a lambda)
     lambdas = tuple(tube_lambda(M.field, lam) for lam in bounds.lambdas)
-    plan = _plan(M.field, replace(bounds, lambdas=lambdas))
+    plan = _plan(M.field, bounds._replace(lambdas=lambdas))
     h = hom_vector(M, plan.targets)
     mu = [sum(sign * h[t] for sign, t in terms) for terms in plan.defects]
     picked = [(y, m) for y, m in enumerate(mu) if m > 0]

@@ -66,6 +66,12 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
+def _text_refused(field, s):
+    """The one error coerce raises for a string, on both fields: text
+    reaches a field through parse alone."""
+    return TypeError(f"{field!r}.coerce takes no text, got {s!r}; use {field!r}.parse")
+
+
 class _Field:
     """What both fields share: elimination on list-row copies of a
     matrix's rows."""
@@ -172,6 +178,8 @@ class Rationals(_Field):
             return Fraction(int(x))
         if isinstance(x, Real) and not isinstance(x, Rational):
             raise TypeError("floating point is not allowed; use Fraction or int")
+        if isinstance(x, str):
+            raise _text_refused(self, x)
         return Fraction(x)
 
     def reduce(self, x):
@@ -324,6 +332,8 @@ class PrimeField(_Field):
             return int(x.numerator) % self.p * self.inv(int(x.denominator)) % self.p
         if isinstance(x, Real) and not isinstance(x, Rational):
             raise TypeError("floating point is not allowed; use int residues")
+        if isinstance(x, str):
+            raise _text_refused(self, x)
         raise TypeError(f"cannot coerce {type(x).__name__} into GF({self.p})")
 
     def reduce(self, x):
@@ -460,6 +470,10 @@ class ExactMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
+
+    def __reduce__(self):
+        # pickle rebuilds it from its parts, not by setting its slots
+        return ExactMatrix._raw, (self.field, self.data, self.cols)
 
     # -- value semantics -------------------------------------------------
 

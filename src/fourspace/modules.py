@@ -7,7 +7,7 @@ subspace slot i into the common ambient space at vertex 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactmat import (
     DimensionMismatch,
@@ -22,29 +22,32 @@ from .exactmat import (
 SLOT_NAMES = ("A", "B", "C", "D")
 
 
-@dataclass(frozen=True)
-class LambdaModule:
+class LambdaModule(namedtuple("LambdaModule", SLOT_NAMES)):
     """Quadruple (A, B, C, D); rows(A) = rows(B) = rows(C) = rows(D) = n_0."""
 
-    A: ExactMatrix
-    B: ExactMatrix
-    C: ExactMatrix
-    D: ExactMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        f = self.A.field
-        for name, m in zip(SLOT_NAMES, self.mats()):
+    def __new__(cls, A, B, C, D):
+        self = tuple.__new__(cls, (A, B, C, D))
+        f = A.field
+        for name, m in zip(SLOT_NAMES, self):
             if m.field != f:
                 raise FieldMismatch(f"slot {name}: {m.field} differs from {f}")
-        n0 = self.A.rows
-        for name, m in zip(SLOT_NAMES, self.mats()):
+        n0 = A.rows
+        for name, m in zip(SLOT_NAMES, self):
             if m.rows != n0:
                 raise DimensionMismatch(
                     f"slot {name}: {m.rows} rows, expected n_0 = {n0}"
                 )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: the new letters are checked too
+        return cls(*iterable)
 
     def mats(self):
-        return (self.A, self.B, self.C, self.D)
+        return self
 
     @property
     def field(self):

@@ -82,7 +82,7 @@ pairing its sources ask for: at most six frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from operator import mul
 
@@ -90,8 +90,7 @@ from .exactmat import ExactMatrix, _check_same_field, hstack, identity
 from .modules import dim_vector
 
 
-@dataclass(frozen=True)
-class HomSystem:
+class HomSystem(namedtuple("HomSystem", "matrix offsets source_dim target_dim")):
     """Linearized commutativity relations for a pair (M, X).
 
     matrix has one row per scalar equation and one column per unknown;
@@ -99,10 +98,7 @@ class HomSystem:
     offsets[5] is the total unknown count.
     """
 
-    matrix: ExactMatrix
-    offsets: tuple
-    source_dim: tuple
-    target_dim: tuple
+    __slots__ = ()
 
 
 def hom_system(M, X):

@@ -22,13 +22,12 @@ from __future__ import annotations
 import functools
 import json
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .catalog import InvalidParams, R, build, declared_dim, enumerate_descriptors
 from .exactmat import random_invertible
 from .homdim import hom_vector
 from .modules import (
-    LambdaModule,
     base_change,
     module_direct_sum,
     module_to_record,
@@ -47,14 +46,11 @@ MAX_DIM = 6
 _TARGET_CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    trial: int
-    descriptor: str
-    formula: int
-    oracle: int
-    module_dim: tuple
-    module: LambdaModule  # the trial module, to replay the mismatch
+class Mismatch(namedtuple("Mismatch", "trial descriptor formula oracle module_dim module")):
+    """A trial whose formula and oracle dimensions differ; module is the
+    trial module, a LambdaModule, to replay the mismatch."""
+
+    __slots__ = ()
 
 
 def disguised_sum(field, descs, rng):

@@ -251,15 +251,22 @@ def test_enumerate_counts_and_order():
 
 @pytest.mark.parametrize("max_n, max_l", [(-1, 0), (0, -1), (-1, -1)])
 def test_negative_bounds_rejected(max_n, max_l):
-    with pytest.raises(InvalidParams, match="max_n >= 0 and max_l >= 0"):
-        EnumerationBounds(max_n, max_l, ())
+    # by position, by keyword and through _replace alike
+    for build in (lambda: EnumerationBounds(max_n, max_l, ()),
+                  lambda: EnumerationBounds(max_l=max_l, max_n=max_n),
+                  lambda: EnumerationBounds(1, 1)._replace(max_n=max_n, max_l=max_l)):
+        with pytest.raises(InvalidParams, match="max_n >= 0 and max_l >= 0"):
+            build()
 
 
 @pytest.mark.parametrize("max_n, max_l", [(True, 1), (1, False), (2.5, 1), (1, 1.0), ("1", 1)])
 def test_non_integer_bounds_rejected(max_n, max_l):
     # True would enumerate as max_n = 1, and 2.5 fail in range with a TypeError
-    with pytest.raises(InvalidParams, match="bounds must be ints"):
-        EnumerationBounds(max_n, max_l, ())
+    for build in (lambda: EnumerationBounds(max_n, max_l, ()),
+                  lambda: EnumerationBounds(max_l=max_l, max_n=max_n),
+                  lambda: EnumerationBounds(1, 1)._replace(max_n=max_n, max_l=max_l)):
+        with pytest.raises(InvalidParams, match="bounds must be ints"):
+            build()
 
 
 def test_enumerate_skips_special_lambdas_and_duplicates():
@@ -274,9 +281,9 @@ def test_enumerate_skips_special_lambdas_and_duplicates():
 
 
 def test_parse_label_roundtrip():
-    for text in ["P(2,1)", "I(0,0)", "R(1,2)", "R(2,7/3)", "R(0,3,inf)", "R(1,4,0)"]:
+    for text in ["P(1,0)", "P(2,1)", "I(0,0)", "R(1,2)", "R(2,7/3)", "R(0,3,inf)", "R(1,4,0)"]:
         desc = parse_descriptor(text, QQ)
-        assert desc.label() == text
+        assert repr(desc) == str(desc) == desc.label() == text
         assert parse_descriptor(desc.label(), QQ) == desc
 
 

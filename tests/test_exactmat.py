@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -98,6 +99,25 @@ def test_outside_scalars_coerce_exactly_or_not_at_all():
         GF.coerce("3")
 
 
+@pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+def test_coerce_takes_no_text(field):
+    # a string reaches a field through parse alone: coerce refuses every
+    # one, the same way on both fields, so mat() reads no literal parse
+    # would refuse
+    for text in ("0.5", "1e3", "3", "1/2"):
+        with pytest.raises(TypeError, match=re.escape(f"{field!r}.coerce takes no text, got "
+                                                      f"{text!r}; use {field!r}.parse")):
+            field.coerce(text)
+        with pytest.raises(TypeError, match="takes no text"):
+            mat(field, [[text]])
+    assert field.parse("3") == field.coerce(3)
+    if field == QQ:
+        assert field.parse("1/2") == Fraction(1, 2)
+    for text in ("0.5", "1e3") if field == QQ else ("0.5", "1e3", "1/2"):
+        with pytest.raises(ValueError):
+            field.parse(text)
+
+
 def test_prime_field_validation():
     for bad in (0, 1, 4, 9, 2**31):
         with pytest.raises(ValueError):
@@ -136,6 +156,14 @@ def test_matrix_is_immutable_and_hashable(field):
         m.rows = 3
     assert hash(m) == hash(identity(field, 2))
     assert m[0, 0] == field.one and m[0, 1] == field.zero
+
+
+def test_matrix_pickles_whole(field):
+    for m in (identity(field, 2), zeros(field, 0, 3), zeros(field, 2, 0),
+              mat(field, [[field.coerce(Fraction(1, 3)), field.coerce(-4)]])):
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and (back.rows, back.cols) == (m.rows, m.cols)
+        assert back.field == field and type(back.data) is tuple
 
 
 def test_zero_size_matrices(field):

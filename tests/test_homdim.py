@@ -896,7 +896,13 @@ def test_hom_vector_reads_the_letters_once(monkeypatch):
         converted.append(tuple(map(tuple, rows)) == whole)
         return integral(rows)
 
-    monkeypatch.setattr(LambdaModule, "__post_init__", lambda self: built.append(self))
+    new = LambdaModule.__new__
+
+    def spied_new(cls, *letters):
+        built.append(letters)
+        return new(cls, *letters)
+
+    monkeypatch.setattr(LambdaModule, "__new__", spied_new)
     monkeypatch.setattr(QQ, "integral", spied)
     assert hom_vector(m, descs) == want
     assert built == []

@@ -7,7 +7,9 @@ of a row against them stay inside exactmat, so their format can change
 there alone.  The CLI is a front end: it imports only public names from
 the package, so a private protocol is written once, behind one of them.
 Every matrix is rows of Python scalars, so no module imports numpy, and
-the console commands print the same where numpy cannot be imported.
+the console commands print the same where numpy cannot be imported.  The
+value types are namedtuples, so no module imports dataclasses, and the
+import of the CLI loads none of what dataclasses would bring along.
 """
 
 import ast
@@ -115,9 +117,9 @@ def test_private_import_guard_sees_a_planted_import(tmp_path):
     ]
 
 
-def numpy_imports(package_dir):
-    """["module:line", ...]: each import of numpy, or of a submodule of it,
-    in the modules of package_dir."""
+def imports_of(package_dir, top):
+    """["module:line", ...]: each import of the module top, or of a
+    submodule of it, in the modules of package_dir."""
     found = []
     for path in sorted(package_dir.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -128,13 +130,13 @@ def numpy_imports(package_dir):
                 names = [node.module or ""]
             else:
                 continue
-            if any(x.split(".")[0] == "numpy" for x in names):
+            if any(x.split(".")[0] == top for x in names):
                 found.append(f"{path.stem}:{node.lineno}")
     return found
 
 
 def test_no_module_imports_numpy():
-    assert numpy_imports(PACKAGE) == []
+    assert imports_of(PACKAGE, "numpy") == []
 
 
 def test_numpy_guard_sees_a_planted_import(tmp_path):
@@ -142,7 +144,40 @@ def test_numpy_guard_sees_a_planted_import(tmp_path):
     (tmp_path / "homdim.py").write_text(
         "def f():\n    from numpy.linalg import matrix_rank\n    return matrix_rank\n")
     (tmp_path / "oracle.py").write_text("from . import numpy_free\nimport numpyish\n")
-    assert numpy_imports(tmp_path) == ["exactmat:2", "homdim:2"]
+    assert imports_of(tmp_path, "numpy") == ["exactmat:2", "homdim:2"]
+
+
+def test_no_module_imports_dataclasses():
+    assert imports_of(PACKAGE, "dataclasses") == []
+
+
+def test_dataclasses_guard_sees_a_planted_import(tmp_path):
+    (tmp_path / "catalog.py").write_text(
+        "from collections import namedtuple\nfrom dataclasses import dataclass\n")
+    (tmp_path / "modules.py").write_text("import dataclassy\nimport os, dataclasses as dc\n")
+    (tmp_path / "verify.py").write_text("from .dataclasses import replace\n")
+    assert imports_of(tmp_path, "dataclasses") == ["catalog:2", "modules:2"]
+
+
+def _package_env():
+    """The environment of a fresh process that imports this package."""
+    src = str(PACKAGE.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# what dataclasses loads and runs at import, and the import of the CLI
+# must not: it runs in a fresh process, since pytest loads them itself
+SLOW_IMPORTS = {"dataclasses", "inspect", "ast", "dis"}
+
+
+def test_cli_import_loads_no_dataclasses_machinery():
+    code = ("import sys\nbare = set(sys.modules)\nimport fourspace.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - bare)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          encoding="utf-8", env=_package_env(), timeout=300, check=True)
+    added = set(proc.stdout.split())
+    assert "fourspace.cli" in added
+    assert added & SLOW_IMPORTS == set()
 
 
 # the console commands run with numpy blocked: {module} is a disguised
@@ -161,10 +196,8 @@ def _console(args, block_numpy):
     any import of numpy raises ImportError."""
     block = 'sys.modules["numpy"] = None\n' if block_numpy else ""
     code = f"import sys\n{block}from fourspace.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-    src = str(PACKAGE.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          encoding="utf-8", env=env, timeout=300, check=False)
+                          encoding="utf-8", env=_package_env(), timeout=300, check=False)
     return proc.returncode, proc.stdout, proc.stderr
 
 

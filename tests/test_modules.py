@@ -37,14 +37,22 @@ dims = st.tuples(*(st.integers(0, 3) for _ in range(5)))
 
 
 def test_row_count_mismatch_names_slot(field):
-    good = zeros(field, 2, 1)
-    with pytest.raises(DimensionMismatch, match="slot C"):
-        LambdaModule(good, good, zeros(field, 3, 1), good)
+    # by position, by keyword and through _replace alike
+    good, tall = zeros(field, 2, 1), zeros(field, 3, 1)
+    for build in (lambda: LambdaModule(good, good, tall, good),
+                  lambda: LambdaModule(A=good, B=good, C=tall, D=good),
+                  lambda: LambdaModule(good, good, good, good)._replace(C=tall)):
+        with pytest.raises(DimensionMismatch, match="slot C: 3 rows, expected n_0 = 2"):
+            build()
 
 
 def test_field_mismatch_names_slot():
-    with pytest.raises(FieldMismatch, match="slot B"):
-        LambdaModule(zeros(QQ, 1, 1), zeros(GF, 1, 1), zeros(QQ, 1, 1), zeros(QQ, 1, 1))
+    good, other = zeros(QQ, 1, 1), zeros(GF, 1, 1)
+    for build in (lambda: LambdaModule(good, other, good, good),
+                  lambda: LambdaModule(A=good, B=other, C=good, D=good),
+                  lambda: LambdaModule(good, good, good, good)._replace(B=other)):
+        with pytest.raises(FieldMismatch, match=r"slot B: GF\(32003\) differs from QQ"):
+            build()
 
 
 def test_dim_vector(field):
