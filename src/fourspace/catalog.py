@@ -382,73 +382,89 @@ def canonical_form(desc):
     raise InvalidParams(f"unknown family {fam!r}")
 
 
-
-# -- declared dimension vectors ----------------------------------------------
+# -- dimension vectors and tau ------------------------------------------------
 #
-# Transcribed row by row from the catalog table (not recomputed from the
-# constructors), so tests comparing build().dim_vector() against these
-# formulas exercise an independent source.
+# Derived from the Coxeter transformation, never from the constructors or
+# from the sigma tables that build reads, so tests comparing
+# build().dim_vector() against declared_dim exercise an independent source.
+# The data are delta = (2, 1, 1, 1, 1), the projectives P(0, j) and the
+# injectives I(0, j) (arrows j -> 0), and the quasi-simples R(0, 1, lam) of
+# the three exceptional tubes.  Three rules give the rest:
+# - dim P(1, j) = coxeter^-1(dim P(0, j)) and dim I(1, j) = coxeter(dim I(0, j));
+# - dim X(m + 2) = dim X(m) + |defect X| * delta along each P and I family,
+#   with defect X = <delta, dim X> = x_1 + ... + x_4 - 2 x_0;
+# - dim R(1, 1, lam) = coxeter(dim R(0, 1, lam)), and a tube row R(s, m, lam)
+#   is (m // 2) * delta plus, for odd m, its quasi-simple; R(l, lam) = l * delta.
+# Each rule is a few integer operations at any depth.
+
+_P0 = ((1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (1, 0, 0, 1, 0), (1, 0, 0, 0, 1))
+_I0 = ((1, 1, 1, 1, 1), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+_QUASI_SIMPLE = {0: (1, 0, 1, 0, 1), 1: (1, 1, 1, 0, 0), INF: (1, 1, 0, 0, 1)}
+
+
+def coxeter(x):
+    """Phi(x) = (s; s - x_1, ..., s - x_4) with s = x_1 + ... + x_4 - x_0,
+    the Coxeter transformation: dim tau(X) = coxeter(dim X) for every
+    catalog X but the projectives P(0, j)."""
+    s = sum(x) - 2 * x[0]
+    return (s, *(s - v for v in x[1:]))
+
+
+def _coxeter_inverse(y):
+    return (4 * y[0] - sum(y), *(y[0] - v for v in y[1:]))
+
+
+# key -> ((dim X(even), dim X(odd)), c): dim X(m) is the base of m's parity
+# plus (m // 2) * c * delta, for key (family, j) of P(m, j) and I(m, j),
+# (family, s, lam) of R(s, m, lam), and the homogeneous family, read at m = 2l;
+# c is |defect| = |x_1 + ... + x_4 - 2 x_0| along P and I, 1 in the tubes
+_DIM_RULES = {
+    **{(fam, j): ((x, step(x)), abs(sum(x) - 3 * x[0]))
+       for fam, bases, step in ((FAMILY_POSTPROJECTIVE, _P0, _coxeter_inverse),
+                                (FAMILY_PREINJECTIVE, _I0, coxeter))
+       for j, x in enumerate(bases)},
+    **{(FAMILY_REGULAR_EXCEPTIONAL, s, lam): (((0,) * 5, coxeter(q) if s else q), 1)
+       for lam, q in _QUASI_SIMPLE.items() for s in (0, 1)},
+    FAMILY_REGULAR_HOMOGENEOUS: (((0,) * 5, None), 1),
+}
 
 
 def declared_dim(desc):
+    """The dimension vector of desc, by the rules above."""
+    fam, params = desc.family, desc.params
+    if fam == FAMILY_POSTPROJECTIVE or fam == FAMILY_PREINJECTIVE:
+        m, j = params
+        key = fam, j
+    elif fam == FAMILY_REGULAR_EXCEPTIONAL:
+        s, m, lam = params
+        key = fam, s, lam
+    elif fam == FAMILY_REGULAR_HOMOGENEOUS:
+        m, key = 2 * params[0], fam  # R(l, lam) = l * delta, an even tube row
+    else:
+        raise InvalidParams(f"unknown family {fam!r}")
+    bases, c = _DIM_RULES[key]
+    t = m // 2 * c
+    x0, x1, x2, x3, x4 = bases[m % 2]
+    return (x0 + 2 * t, x1 + t, x2 + t, x3 + t, x4 + t)  # the base + t * delta
+
+
+def tau(desc):
+    """The Auslander-Reiten translate of desc, None for a projective P(0, j):
+    P(m, j) -> P(m - 1, j), I(m, j) -> I(m + 1, j), R(l, lam) fixed and
+    R(s, m, lam) -> R(1 - s, m, lam)."""
     fam, params = desc.family, desc.params
     if fam == FAMILY_POSTPROJECTIVE:
         m, j = params
-        if j == 0:
-            return (2 * m + 1, m, m, m, m)
-        n = m // 2
-        if m % 2:
-            base = {
-                1: (2 * n + 2, n, n + 1, n + 1, n + 1),
-                2: (2 * n + 2, n + 1, n, n + 1, n + 1),
-                3: (2 * n + 2, n + 1, n + 1, n, n + 1),
-                4: (2 * n + 2, n + 1, n + 1, n + 1, n),
-            }
-        else:
-            base = {
-                1: (2 * n + 1, n + 1, n, n, n),
-                2: (2 * n + 1, n, n + 1, n, n),
-                3: (2 * n + 1, n, n, n + 1, n),
-                4: (2 * n + 1, n, n, n, n + 1),
-            }
-        return base[j]
+        return IndecDescriptor(fam, (m - 1, j)) if m else None
     if fam == FAMILY_PREINJECTIVE:
         m, j = params
-        if j == 0:
-            return (2 * m + 1, m + 1, m + 1, m + 1, m + 1)
-        n = m // 2
-        if m % 2:
-            base = {
-                1: (2 * n + 1, n, n + 1, n + 1, n + 1),
-                2: (2 * n + 1, n + 1, n, n + 1, n + 1),
-                3: (2 * n + 1, n + 1, n + 1, n, n + 1),
-                4: (2 * n + 1, n + 1, n + 1, n + 1, n),
-            }
-        else:
-            base = {
-                1: (2 * n, n + 1, n, n, n),
-                2: (2 * n, n, n + 1, n, n),
-                3: (2 * n, n, n, n + 1, n),
-                4: (2 * n, n, n, n, n + 1),
-            }
-        return base[j]
+        return IndecDescriptor(fam, (m + 1, j))
     if fam == FAMILY_REGULAR_HOMOGENEOUS:
-        l, _ = params
-        return (2 * l, l, l, l, l)
-    s, m, lam = params
-    if m % 2 == 0:
-        l = m // 2
-        return (2 * l, l, l, l, l)
-    l = (m + 1) // 2
-    base = {
-        (0, 0): (2 * l - 1, l - 1, l, l - 1, l),
-        (1, 0): (2 * l - 1, l, l - 1, l, l - 1),
-        (0, 1): (2 * l - 1, l, l, l - 1, l - 1),
-        (1, 1): (2 * l - 1, l - 1, l - 1, l, l),
-        (0, INF): (2 * l - 1, l, l - 1, l - 1, l),
-        (1, INF): (2 * l - 1, l - 1, l, l, l - 1),
-    }
-    return base[s, lam]
+        return desc
+    if fam == FAMILY_REGULAR_EXCEPTIONAL:
+        s, m, lam = params
+        return IndecDescriptor(fam, (1 - s, m, lam))
+    raise InvalidParams(f"unknown family {fam!r}")
 
 
 # -- enumeration --------------------------------------------------------------

@@ -19,6 +19,11 @@ R(0, lam) = R(s, 0, lam) = 0, m >= 1 and j in 1..4:
     R(l, lam)     R(l, lam)       R(l+1, lam) + R(l-1, lam)
     R(s, m, lam)  R(1-s, m, lam)  R(1-s, m+1, lam) + R(s, m-1, lam)
 
+The tau C column is catalog.tau, which owns the translate (and
+dim tau C = catalog.coxeter(dim C)); _defect writes only E, and reads
+tau there too: E = tau X(m, 1) + ... + tau X(m, 4) for X(m, 0), X = P
+or I, and E = tau X(m+1) + X(m-1) for a row X(m) of a tube.
+
 The terms reach one step past the bounds: I(max_n+1, .), R(max_l+1, lam)
 and R(., 2*max_l+1, lam).  decompose asks hom_vector for all of them in
 one call.  mu_C(M) counts C whatever else M holds, so
@@ -62,6 +67,7 @@ from .catalog import (
     R,
     declared_dim,
     enumerate_descriptors,
+    tau,
     tube_lambda,
 )
 from .exactmat import FieldMismatch
@@ -116,22 +122,17 @@ def _hom(y, x, dims=None):
 def _defect(c):
     """[(sign, D), ...] with mu_C(M) = sum sign * [M, D]: the AR table above."""
     fam, params = c.family, c.params
-    if fam == FAMILY_POSTPROJECTIVE and params[0] == 0:
+    t = tau(c)
+    if t is None:
         return [(1, c), (-1, P(0, 0))] if params[1] else [(1, c)]
-    if fam == FAMILY_POSTPROJECTIVE:
+    if fam == FAMILY_POSTPROJECTIVE or fam == FAMILY_PREINJECTIVE:
+        member = P if fam == FAMILY_POSTPROJECTIVE else I
         m, j = params
-        tau, middle = P(m - 1, j), [P(m, 0)] if j else [P(m - 1, k) for k in range(1, 5)]
-    elif fam == FAMILY_PREINJECTIVE:
-        m, j = params
-        tau, middle = I(m + 1, j), [I(m, 0)] if j else [I(m + 1, k) for k in range(1, 5)]
-    elif fam == FAMILY_REGULAR_HOMOGENEOUS:
-        l, lam = params
-        tau, middle = c, [R(l + 1, lam)] + ([R(l - 1, lam)] if l > 1 else [])
-    else:
-        s, m, lam = params
-        tau = R(1 - s, m, lam)
-        middle = [R(1 - s, m + 1, lam)] + ([R(s, m - 1, lam)] if m > 1 else [])
-    return [(1, c), (1, tau)] + [(-1, e) for e in middle]
+        middle = [member(m, 0)] if j else [tau(member(m, k)) for k in range(1, 5)]
+    else:  # a tube row X(m): E = tau X(m + 1) + X(m - 1)
+        *s, m, lam = params
+        middle = [tau(R(*s, m + 1, lam))] + ([R(*s, m - 1, lam)] if m > 1 else [])
+    return [(1, c), (1, t)] + [(-1, e) for e in middle]
 
 
 class _Plan(NamedTuple):

@@ -1,4 +1,5 @@
-"""Every module of small dimension over the smallest fields, read three ways.
+"""Every module of small dimension over the smallest fields, read three ways
+and counted.
 
 A module whose letters are injective is a quadruple of subspaces of
 k^{n_0}: letter t is a basis of U_t = im L_t, in columns.  Base change
@@ -26,14 +27,24 @@ Each module is read three ways (check):
 - dim End(M), hom_oracle(M, M) through a fresh target, against
   sum mu_Y mu_X [Y, X] in closed form (decomp._hom).
 
+The orbits are counted a fourth way, with no elimination at all.  By
+Krull-Schmidt, the modules with injective letters are the multisets of
+indecomposables other than I(0, j), j >= 1, the only ones with a letter
+kernel.  So the orbit count at each dimension vector is the coefficient
+of prod_X (1 - x^{dim X})^{-1} over those catalog modules, with the q - 2
+homogeneous tubes at the points of GF(q) other than 0 and 1
+(catalog_counts, read from declared_dim and enumerate_descriptors).
+
 The catalog holds the homogeneous tubes R(l, lam) with lam in the field
-only, so over GF(2) the tube at the degree-2 point x^2 + x + 1 has no
-descriptor, and its first module R(1, x^2 + x + 1), of dimension
-(4, 2, 2, 2, 2) and dim End 2, has no decomposition into catalog
-summands.  A module on which decompose raises IncompleteCandidates is
-counted as incomplete, not as a failure, when it is that one: dimension
-(4, 2, 2, 2, 2), hom_oracle(M, M) = 2, and formula equal to oracle on
-every descriptor.  Any other raise is a failure.
+only, so over GF(q) the (q^2 - q) / 2 tubes at the points of degree 2 have
+no descriptor (over GF(2) one, at x^2 + x + 1), and their first modules
+R(1, f), of dimension (4, 2, 2, 2, 2) and dim End 2, have no
+decomposition into catalog summands.  The count misses exactly those
+orbits, and no other difference is expected.  A module on which
+decompose raises IncompleteCandidates is counted as incomplete, not as a
+failure, when it is one of those: dimension (4, 2, 2, 2, 2),
+hom_oracle(M, M) = 2, and formula equal to oracle on every descriptor.  Any other raise is a failure, and so is any other
+difference between the orbit counts and the catalog's product.
 
 tests/test_exhaustive.py runs n_0 <= 2 over GF(2), GF(3) and GF(5).  As a
 script it takes n_0 and the primes:
@@ -42,17 +53,19 @@ script it takes n_0 and the primes:
     python tests/exhaustive.py 3 3
 
 prints, for each field, the orbit count at each n_0 up to the one given,
-the descriptor count, and the failures and incomplete modules, each
-named, and exits 1 on any failure.  The descriptors are taken at
-(n_0 + 3, n_0 + 3) with every non-exceptional lambda of the field.
+the catalog's count, the descriptor count, and the failures and
+incomplete modules, each named, and exits 1 on any failure.  The
+descriptors are taken at (n_0 + 3, n_0 + 3) with every non-exceptional
+lambda of the field.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from itertools import combinations, product
 
-from fourspace.catalog import EnumerationBounds, declared_dim, enumerate_descriptors
+from fourspace.catalog import I, EnumerationBounds, declared_dim, enumerate_descriptors
 from fourspace.decomp import IncompleteCandidates, _hom, decompose
 from fourspace.exactmat import PrimeField, mat
 from fourspace.homdim import hom_vector
@@ -132,6 +145,41 @@ def orbits(d, q):
     return spaces, reps
 
 
+def dimension(d, spaces, quad):
+    """The dimension vector of the module of a quadruple of subspaces."""
+    return (d, *(len(spaces[i]) for i in quad))
+
+
+def catalog_counts(q, n0):
+    """{dimension vector: count} for n_0 <= n0, nonzero counts only: the
+    coefficients of prod_X (1 - x^{dim X})^{-1} over the catalog modules X
+    over GF(q) but I(0, 1), ..., I(0, 4)."""
+    letter_kernels = {I(0, j) for j in range(1, 5)}
+    descs = enumerate_descriptors(EnumerationBounds(n0, n0, tuple(range(2, q))))
+    # every X has x_0 >= 1, so a - dim X comes before a in the order of product
+    series = dict.fromkeys(product(range(n0 + 1), repeat=5), 0)
+    series[0, 0, 0, 0, 0] = 1
+    for x in descs:
+        if x not in letter_kernels:
+            step = declared_dim(x)
+            for a, c in series.items():
+                b = tuple(u + v for u, v in zip(a, step))
+                if b in series:
+                    series[b] += c
+    return {a: c for a, c in series.items() if c}
+
+
+def count_differences(q, n0, found):
+    """A line for each dimension vector where found, the orbit count at
+    each, differs from catalog_counts, but for the orbits of the tubes at
+    the points of degree 2 (see the module docstring)."""
+    expected = Counter(catalog_counts(q, n0))
+    if n0 >= GAP_DIM[0]:
+        expected[GAP_DIM] += (q * q - q) // 2
+    return [f"count at {dim}: orbits {found[dim]}, catalog {expected[dim]}"
+            for dim in sorted(found.keys() | expected.keys()) if found[dim] != expected[dim]]
+
+
 def module(field, d, bases, widen=None):
     """The module whose letter t is bases[t] in columns, with one zero
     column appended to letter widen (0 for A to 3 for D), if given."""
@@ -142,8 +190,8 @@ def module(field, d, bases, widen=None):
     return LambdaModule(*(letter(t, basis) for t, basis in enumerate(bases)))
 
 
-# the dimension vector and dim End of R(1, x^2 + x + 1) over GF(2), which
-# no catalog descriptor names
+# the dimension vector and dim End of R(1, f) at a point f of degree 2,
+# such as x^2 + x + 1 over GF(2), which no catalog descriptor names
 GAP_DIM, GAP_END = (4, 2, 2, 2, 2), 2
 
 
@@ -172,15 +220,17 @@ def run(q, n0):
     """(orbit counts at n_0 = 0..n0, descriptor count, failures,
     incomplete) over GF(q), the descriptors at (n0 + 3, n0 + 3) with every
     lambda of the field but 0 and 1; incomplete names the modules check
-    finds to be the catalog's gap.  Every 4th orbit at n0 is read again
-    with a zero column appended to one letter, A, B, C, D in turn."""
+    finds to be the catalog's gap, and failures holds count_differences
+    too.  Every 4th orbit at n0 is read again with a zero column appended
+    to one letter, A, B, C, D in turn."""
     field = PrimeField(q)
     bounds = EnumerationBounds(n0 + 3, n0 + 3, tuple(range(2, q)))
     descs = enumerate_descriptors(bounds)
-    counts, failures, incomplete = [], [], []
+    counts, found, failures, incomplete = [], Counter(), [], []
     for d in range(n0 + 1):
         spaces, reps = orbits(d, q)
         counts.append(len(reps))
+        found.update(dimension(d, spaces, quad) for quad in reps)
         for k, quad in enumerate(reps):
             bases = [spaces[i] for i in quad]
             widened = [k // 4 % 4] if d == n0 and k % 4 == 0 else []
@@ -191,6 +241,7 @@ def run(q, n0):
                 failures += [f"{name}: {line}" for line in lines]
                 if gap:
                     incomplete.append(name)
+    failures += count_differences(q, n0, found)
     return counts, len(descs), failures, incomplete
 
 
@@ -202,8 +253,10 @@ def main(argv):
     failed = False
     for q in primes:
         counts, descs, failures, incomplete = run(q, n0)
+        product_count = sum(catalog_counts(q, n0).values())
         print(f"GF({q}), n0 <= {n0}: {sum(counts)} orbits ({' + '.join(map(str, counts))}), "
-              f"{descs} descriptors, {len(failures)} failures, {len(incomplete)} incomplete",
+              f"{product_count} in the catalog's product, {descs} descriptors, "
+              f"{len(failures)} failures, {len(incomplete)} incomplete",
               flush=True)
         for line in failures:
             print(f"  {line}")

@@ -54,6 +54,32 @@ def test_dim_vector_field_independent():
         assert build(desc, QQ).dim_vector() == declared_dim(desc)
 
 
+# -- the Coxeter transformation and tau -----------------------------------------
+
+
+@pytest.mark.parametrize("field", [GF, QQ], ids=["GF32003", "QQ"])
+def test_coxeter_maps_each_built_module_to_its_translate(field):
+    # dim tau X = Phi(dim X) on the built modules alone, no declared_dim
+    # read; the projectives P(0, j) are the only descriptors with no tau
+    for desc in all_descriptors(5, field=field):
+        tau = cat.tau(desc)
+        if tau is None:
+            assert desc in [cat.P(0, j) for j in range(5)]
+            continue
+        assert dim_vector(build(tau, field)) == cat.coxeter(dim_vector(build(desc, field))), desc
+
+
+def test_coxeter_maps_each_declared_dim_to_its_translate():
+    descs = enumerate_descriptors(EnumerationBounds(24, 12, (2, 5)))
+    descs += [fam(n, j) for fam in (cat.P, cat.I) for n in (10**9, 10**9 + 1) for j in range(5)]
+    descs += [cat.R(s, m, lam) for s in (0, 1) for m in (10**9, 10**9 + 1) for lam in (0, 1, INF)]
+    descs += [cat.R(l, 2) for l in (10**9, 10**9 + 1)]
+    for desc in descs:
+        tau = cat.tau(desc)
+        if tau is not None:
+            assert cat.coxeter(declared_dim(desc)) == declared_dim(tau), desc
+
+
 # -- cyclic structure ---------------------------------------------------------
 
 
@@ -111,6 +137,12 @@ def test_case_table_matches_the_per_descriptor_derivation(fld):
     for d in descs:
         assert _answer(cat.case, d, fld) == _answer(_reference_case, d, fld), d
     assert _answer(cat.case, IndecDescriptor("Q", (1, 0)), fld) is InvalidParams
+    # an unknown family raises in every per-descriptor reading, rather than
+    # falling through to a branch that reads its params as another family's
+    for unknown in (IndecDescriptor("Q", (1, 0)), IndecDescriptor("Q", (1, 0, 0))):
+        for read in (declared_dim, cat.tau):
+            with pytest.raises(InvalidParams, match="unknown family"):
+                read(unknown)
 
 
 def test_warm_case_never_asks_canonical_form(monkeypatch):

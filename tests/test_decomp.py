@@ -169,6 +169,24 @@ def test_defect_terms_reach_one_step_past_the_bounds():
     }
 
 
+def test_ar_sequences_add_up():
+    # 0 -> tau C -> E -> C -> 0 is exact, so dim E = dim C + dim tau C, and
+    # rad P(0, j) = dim P(0, j) - e_j: the middle terms checked by dimension
+    # alone, with no hom computed
+    for c in enumerate_descriptors(EnumerationBounds(24, 12, (2, 5))):
+        terms = decomp._defect(c)
+        middle = [cat.declared_dim(d) for sign, d in terms if sign < 0]
+        total = tuple(map(sum, zip((0,) * 5, *middle)))
+        tau, dim = cat.tau(c), cat.declared_dim(c)
+        if tau is None:
+            j = c.params[1]
+            assert total == tuple(x - (v == j) for v, x in enumerate(dim)), c
+            assert [d for sign, d in terms if sign > 0] == [c]
+        else:
+            assert total == tuple(map(sum, zip(dim, cat.declared_dim(tau)))), c
+            assert [d for sign, d in terms if sign > 0] == [c, tau]
+
+
 @pytest.mark.parametrize("field", [PrimeField(3), GF, QQ], ids=["GF3", "GF32003", "QQ"])
 def test_defect_is_delta_on_built_modules(field):
     cands = candidates(field, EnumerationBounds(3, 3, (2, 5)))
