@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from functools import partial
 from itertools import accumulate
 
 from .exactmat import (
@@ -98,52 +99,95 @@ def _integers(name, *xs):
     raise InvalidParams(f"{name}: need integer sizes, vertices and s, got {xs}")
 
 
-def P(n, j):
+def _sizes(name, n, j):
+    """(n, j) as plain ints, or InvalidParams: what P and I check."""
     if type(n) is not int or type(j) is not int:
-        n, j = _integers("P", n, j)
+        n, j = _integers(name, n, j)
     if n < 0 or j not in (0, 1, 2, 3, 4):
-        raise InvalidParams(f"P({n},{j}): need n >= 0 and vertex j in 0..4")
-    return IndecDescriptor(FAMILY_POSTPROJECTIVE, (n, j))
+        raise InvalidParams(f"{name}({n},{j}): need n >= 0 and vertex j in 0..4")
+    return n, j
+
+
+def _float_lambda(params):
+    # a float lam, as R(1, 2.0) would equal R(1, 2)
+    if isinstance(params[-1], float):
+        raise InvalidParams(f"R{params}: lam must be exact, not a float")
+
+
+def _homogeneous(l, lam):
+    """(l, lam), l a plain int, or InvalidParams: what R(l, lam) checks."""
+    _float_lambda((l, lam))
+    if type(l) is not int:
+        (l,) = _integers("R", l)
+    if l < 1:
+        raise InvalidParams(f"R({l},{lam}): need l >= 1")
+    if lam is INF:
+        raise InvalidParams("R(l,inf) is exceptional: use R(s,m,inf) with s in {0,1}")
+    if lam == 0 or lam == 1:
+        raise InvalidParams(
+            f"R({l},{lam}): lam in {{0,1}} lives in the exceptional family; "
+            f"use R(s,{2 * l},{lam}) with s in {{0,1}}"
+        )
+    return l, lam
+
+
+def _exceptional(s, m, lam):
+    """(s, m, lam), lam an int or INF, or InvalidParams: what
+    R(s, m, lam) checks."""
+    _float_lambda((s, m, lam))
+    if type(s) is not int or type(m) is not int:
+        s, m = _integers("R", s, m)
+    if s not in (0, 1) or m < 1:
+        raise InvalidParams(f"R({s},{m},{lam}): need s in {{0,1}} and m >= 1")
+    if not (lam is INF or lam == 0 or lam == 1):
+        raise InvalidParams(f"R({s},{m},{lam}): exceptional lam must be 0, 1 or inf")
+    return s, m, INF if lam is INF else int(lam)
+
+
+def P(n, j):
+    return IndecDescriptor(FAMILY_POSTPROJECTIVE, _sizes("P", n, j))
 
 
 def I(n, j):
-    if type(n) is not int or type(j) is not int:
-        n, j = _integers("I", n, j)
-    if n < 0 or j not in (0, 1, 2, 3, 4):
-        raise InvalidParams(f"I({n},{j}): need n >= 0 and vertex j in 0..4")
-    return IndecDescriptor(FAMILY_PREINJECTIVE, (n, j))
+    return IndecDescriptor(FAMILY_PREINJECTIVE, _sizes("I", n, j))
 
 
 def R(*params):
     """R(l, lam) homogeneous, or R(s, m, lam) exceptional with lam in {0,1,inf};
     a float lam, as R(1, 2.0) would equal R(1, 2), raises InvalidParams."""
-    if params and isinstance(params[-1], float):
-        raise InvalidParams(f"R{params}: lam must be exact, not a float")
     if len(params) == 2:
-        l, lam = params
-        if type(l) is not int:
-            (l,) = _integers("R", l)
-        if l < 1:
-            raise InvalidParams(f"R({l},{lam}): need l >= 1")
-        if lam is INF:
-            raise InvalidParams("R(l,inf) is exceptional: use R(s,m,inf) with s in {0,1}")
-        if lam == 0 or lam == 1:
-            raise InvalidParams(
-                f"R({l},{lam}): lam in {{0,1}} lives in the exceptional family; "
-                f"use R(s,{2 * l},{lam}) with s in {{0,1}}"
-            )
-        return IndecDescriptor(FAMILY_REGULAR_HOMOGENEOUS, (l, lam))
+        return IndecDescriptor(FAMILY_REGULAR_HOMOGENEOUS, _homogeneous(*params))
     if len(params) == 3:
-        s, m, lam = params
-        if type(s) is not int or type(m) is not int:
-            s, m = _integers("R", s, m)
-        if s not in (0, 1) or m < 1:
-            raise InvalidParams(f"R({s},{m},{lam}): need s in {{0,1}} and m >= 1")
-        if not (lam is INF or lam == 0 or lam == 1):
-            raise InvalidParams(f"R({s},{m},{lam}): exceptional lam must be 0, 1 or inf")
-        lam = INF if lam is INF else int(lam)
-        return IndecDescriptor(FAMILY_REGULAR_EXCEPTIONAL, (s, m, lam))
+        return IndecDescriptor(FAMILY_REGULAR_EXCEPTIONAL, _exceptional(*params))
     raise InvalidParams(f"R takes 2 or 3 parameters, got {len(params)}")
+
+
+# family -> (the check its constructor makes, its parameter count), which
+# _checked runs again on a descriptor made directly
+_CHECKS = {
+    FAMILY_POSTPROJECTIVE: (partial(_sizes, "P"), 2),
+    FAMILY_PREINJECTIVE: (partial(_sizes, "I"), 2),
+    FAMILY_REGULAR_HOMOGENEOUS: (_homogeneous, 2),
+    FAMILY_REGULAR_EXCEPTIONAL: (_exceptional, 3),
+}
+
+
+def _checked(desc):
+    """(family, params) of desc, checked as P, I and R check them.
+
+    IndecDescriptor(...) made directly skips those checks, so case,
+    canonical_form, declared_dim and tau read a descriptor through here:
+    InvalidParams for an unknown family, a wrong parameter count, or
+    what the family's constructor refuses, and otherwise the params as
+    the constructor would store them.
+    """
+    fam, params = desc
+    check, count = _CHECKS.get(fam, (None, None))
+    if check is None:
+        raise InvalidParams(f"unknown family {fam!r}")
+    if len(params) != count:
+        raise InvalidParams(f"{fam} takes {count} parameters, got {params!r}")
+    return fam, check(*params)
 
 
 def parse_descriptor(text, field):
@@ -333,7 +377,7 @@ def case(desc, field):
     parameter in field (0 for the even exceptional rows, which are R_EVEN
     at lam = 0), None where the pattern has none.
     """
-    fam, params = desc.family, desc.params
+    fam, params = _checked(desc)
     if fam == FAMILY_POSTPROJECTIVE or fam == FAMILY_PREINJECTIVE:
         n, j = params
         if j == 0:
@@ -342,12 +386,10 @@ def case(desc, field):
     if fam == FAMILY_REGULAR_HOMOGENEOUS:
         l, lam = params
         return (*_CLASSES[fam], l, tube_lambda(field, lam))
-    if fam == FAMILY_REGULAR_EXCEPTIONAL:
-        s, m, lam = params
-        if m % 2 == 0:
-            return (*_CLASSES[fam, s, lam, 0], m // 2, field.zero)
-        return (*_CLASSES[fam, s, lam, 1], (m + 1) // 2, None)
-    raise InvalidParams(f"unknown family {fam!r}")
+    s, m, lam = params  # FAMILY_REGULAR_EXCEPTIONAL
+    if m % 2 == 0:
+        return (*_CLASSES[fam, s, lam, 0], m // 2, field.zero)
+    return (*_CLASSES[fam, s, lam, 1], (m + 1) // 2, None)
 
 
 def build(desc, field):
@@ -367,7 +409,7 @@ def canonical_form(desc):
     _EXCEPTIONAL_SIGMA.  Every other module is its own representative.
     case reads the same placement through _CLASSES, never through here.
     """
-    fam, params = desc.family, desc.params
+    fam, params = _checked(desc)
     if fam in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE):
         n, j = params
         if j == 0:
@@ -376,10 +418,8 @@ def canonical_form(desc):
         return rep, _CYCLE_POWERS[j - 1]
     if fam == FAMILY_REGULAR_HOMOGENEOUS:
         return desc, PERM_IDENTITY
-    if fam == FAMILY_REGULAR_EXCEPTIONAL:
-        s, m, lam = params
-        return R(0, m, 0), _EXCEPTIONAL_SIGMA[s, lam]
-    raise InvalidParams(f"unknown family {fam!r}")
+    s, m, lam = params  # FAMILY_REGULAR_EXCEPTIONAL
+    return R(0, m, 0), _EXCEPTIONAL_SIGMA[s, lam]
 
 
 # -- dimension vectors and tau ------------------------------------------------
@@ -430,18 +470,17 @@ _DIM_RULES = {
 
 
 def declared_dim(desc):
-    """The dimension vector of desc, by the rules above."""
-    fam, params = desc.family, desc.params
+    """The dimension vector of desc, by the rules above; InvalidParams
+    for a descriptor no constructor makes (_checked)."""
+    fam, params = _checked(desc)
     if fam == FAMILY_POSTPROJECTIVE or fam == FAMILY_PREINJECTIVE:
         m, j = params
         key = fam, j
     elif fam == FAMILY_REGULAR_EXCEPTIONAL:
         s, m, lam = params
         key = fam, s, lam
-    elif fam == FAMILY_REGULAR_HOMOGENEOUS:
-        m, key = 2 * params[0], fam  # R(l, lam) = l * delta, an even tube row
     else:
-        raise InvalidParams(f"unknown family {fam!r}")
+        m, key = 2 * params[0], fam  # R(l, lam) = l * delta, an even tube row
     bases, c = _DIM_RULES[key]
     t = m // 2 * c
     x0, x1, x2, x3, x4 = bases[m % 2]
@@ -452,7 +491,7 @@ def tau(desc):
     """The Auslander-Reiten translate of desc, None for a projective P(0, j):
     P(m, j) -> P(m - 1, j), I(m, j) -> I(m + 1, j), R(l, lam) fixed and
     R(s, m, lam) -> R(1 - s, m, lam)."""
-    fam, params = desc.family, desc.params
+    fam, params = _checked(desc)
     if fam == FAMILY_POSTPROJECTIVE:
         m, j = params
         return IndecDescriptor(fam, (m - 1, j)) if m else None
@@ -461,10 +500,8 @@ def tau(desc):
         return IndecDescriptor(fam, (m + 1, j))
     if fam == FAMILY_REGULAR_HOMOGENEOUS:
         return desc
-    if fam == FAMILY_REGULAR_EXCEPTIONAL:
-        s, m, lam = params
-        return IndecDescriptor(fam, (1 - s, m, lam))
-    raise InvalidParams(f"unknown family {fam!r}")
+    s, m, lam = params  # FAMILY_REGULAR_EXCEPTIONAL
+    return IndecDescriptor(fam, (1 - s, m, lam))
 
 
 # -- enumeration --------------------------------------------------------------

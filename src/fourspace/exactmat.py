@@ -13,10 +13,12 @@ inverse follow; ``field.rank`` the pivot count alone; and ``_split`` a
 kernel count and the rows past a column, for homdim and the oracle.  The
 last two finish no rows.  The loop (``_eliminate``) takes the rows one
 at a time: each is reduced against the pivots found so far
-(``_reduce``), and its first entry left becomes a new pivot, whose form
-(``_pivot``) later rows are reduced with; pivot forms never leave this
-module.  Once every column holds a pivot, the rows left are in their
-span and the loop reads no more of them.  The working copy (``_start``,
+(``_reduce``), and its first entry left becomes a new pivot.  A pivot's
+form (``_pivot``) is what later rows are reduced with; over GF(p) it is
+made, and its row scaled to a leading 1, the first time a later row
+reduces against it, so a pivot no row reads is never scaled; pivot
+forms never leave this module.  Once every column holds a pivot, the
+rows left are in their span and the loop reads no more of them.  The working copy (``_start``,
 of any sequence of rows), the loop and the split are also called on
 their own: homdim's folds and the oracle's residual write their rows
 from slices of working rows prepared once (``_scaled``: a row times a
@@ -81,14 +83,17 @@ class _Field:
         their pivot columns, see echelon.
 
         Row by row: each row is reduced against the pivots found so far
-        (_reduce), and its first entry left becomes a new pivot, whose
-        form _pivot makes.  lead maps each column to the form of its
-        pivot, None where there is none.  Once every column holds a pivot,
-        the rows not yet read are in their span, and the loop stops.  The
-        rows end as the pivot rows in pivot order, then one zero row for
-        each other row, read or not.  reduced=True then clears each pivot
-        row past its pivot with the forward forms, in ascending pivot
-        order.
+        (_reduce), and its first entry left becomes a new pivot.  lead
+        maps each column to its pivot, None where there is none: the
+        pivot's row as it was found, until _reduce first reduces a later
+        row against it and puts the pivot's form (_pivot) there instead.
+        Over QQ the form is the row itself; over GF(p) _pivot scales the
+        row to a leading 1 then, so a pivot that no later row reads is
+        left unscaled.  Once every column holds a pivot, the rows not yet
+        read are in their span, and the loop stops.  The rows end as the
+        pivot rows in pivot order, then one zero row for each other row,
+        read or not.  reduced=True then clears each pivot row past its
+        pivot with the forward forms, in ascending pivot order.
         """
         width = len(rows[0]) if rows else 0
         lead = [None] * width
@@ -99,8 +104,7 @@ class _Field:
             if c is None:
                 zero.append(row)
             else:
-                lead[c] = self._pivot(row, c)
-                held[c] = row
+                lead[c] = held[c] = row
                 if len(held) == width:
                     zero += [[0] * width for _ in range(len(rows) - width - len(zero))]
                     break
@@ -120,7 +124,9 @@ class _Field:
         the columns from n on, as working rows.  Echelon rows have
         distinct pivots, and those left of n are independent there, so
         images is an echelon basis of {y a[:, n:] : y a[:, :n] = 0}: the
-        left kernel of the first n columns, seen through the rest.
+        left kernel of the first n columns, seen through the rest.  Over
+        GF(p) a row whose pivot no later row read keeps its pivot entry,
+        which need not be 1.
         """
         pivots = self._eliminate(rows)
         lo = bisect_left(pivots, n)
@@ -136,13 +142,14 @@ class _Field:
         input is copied, never written.  One loop (_eliminate) runs for
         both fields on list rows of Python ints, one row at a time; each
         field's _start (that working copy), _reduce (a row against the
-        pivots so far), _pivot (a new pivot's form) and _finish hold the
-        arithmetic.  echelon and rank are its two exits: echelon finishes
-        the rows, rank counts the pivots.
+        pivots so far), _pivot (a pivot's form, over GF(p)) and _finish
+        hold the arithmetic.  echelon and rank are its two exits: echelon
+        finishes the rows, rank counts the pivots.
 
         Over GF(p) each pivot row is scaled to a leading 1 (a row that has
-        one is only read), and a reduction changes a row only in the
-        columns where the pivot row is nonzero.
+        one is only read): the first time a later row reads it, or else
+        by _finish.  A reduction changes a row only in the columns where
+        the pivot row is nonzero.
 
         Over QQ the elimination is fraction-free on primitive rows of
         Python ints (Rationals._reduce): rows of Python ints as they are,
@@ -206,7 +213,8 @@ class Rationals(_Field):
         column and skips the others: a pivot row back-substituted past its
         pivot.
 
-        The form of a pivot is its row.  Each update makes the row
+        The form of a pivot is its row, primitive as every working row
+        is, so lead holds it as _eliminate put it.  Each update makes the row
         p * row - f * pivot_row over the gcd of its entries, with p the
         pivot and f the row's entry in its column, on the row from that
         column on (forward) or on the full row.  p and f are divided by
@@ -232,10 +240,6 @@ class Rationals(_Field):
                 p, f = p // g, f // g
                 row[lo:] = _primitive([p * x - f * y for x, y in zip(row[lo:], form[lo:])])
         return None
-
-    def _pivot(self, row, c):
-        # the form of a pivot is its row, primitive as every working row is
-        return row
 
     def _scaled(self, row, c):
         # c times a working row, c a Python int
@@ -343,11 +347,14 @@ class PrimeField(_Field):
         return [list(row) for row in rows]
 
     def _reduce(self, row, lead, start=None):
-        """Reduce row, in place, against the pivot forms of lead; see
+        """Reduce row, in place, against the pivots of lead; see
         Rationals._reduce.  Each update subtracts f times a pivot's form
         from the row, f the row's entry in its column, and changes only
-        the columns where the form is nonzero."""
-        p = self.p
+        the columns where the form is nonzero.  A pivot that lead still
+        holds as its row (_eliminate), as wide as row where a form lists
+        only the columns past its pivot, is formed (_pivot) the first
+        time it is read, and its form replaces it in lead."""
+        p, width = self.p, len(row)
         scan = enumerate(row) if start is None else islice(enumerate(row), start, None)
         for c, f in scan:
             if f:
@@ -356,6 +363,8 @@ class PrimeField(_Field):
                     if start is None:
                         return c
                     continue
+                if len(form) == width:
+                    form = lead[c] = self._pivot(form, c)
                 for j, x in form:
                     row[j] = (row[j] - f * x) % p
                 row[c] = 0
@@ -365,7 +374,8 @@ class PrimeField(_Field):
         """The form of row's pivot in column c: (column, entry) for each
         nonzero past c, over the pivot.  A row whose pivot is 1 is only
         read; another is scaled in place to a leading 1, its pivot
-        inverted once."""
+        inverted once.  _reduce makes it the first time a row reads the
+        pivot."""
         x = row[c]
         tail = enumerate(row[c + 1 :], c + 1)
         if x == 1:
@@ -383,6 +393,10 @@ class PrimeField(_Field):
         return [c * x % p for x in row]
 
     def _finish(self, rows, pivots, reduced):
+        # each pivot row no later row read, scaled to its leading 1 here
+        for row, c in zip(rows, pivots):
+            if row[c] != 1:
+                row[c:] = self._scaled(row[c:], self.inv(row[c]))
         return rows
 
     def integral(self, rows):

@@ -30,18 +30,23 @@ hom_vector(M, Xs) answers many, using the staircase the way SOLVEBLOK
 (de Boor & Weiss, "SOLVEBLOK: a package for solving almost block diagonal
 linear systems", ACM TOMS 6(1), 1980) does.  The matrix with k copies is a
 leading block of the one with k + 1, so descriptors sharing (case key,
-sigma, lam) differ only in k and share one pass.  What a pass needs of its
-pattern alone is compiled once per process for each pattern and sigma,
-keyed by the pattern's content (_plan): the cells mapped to M's letter
-slots, the slots that give W's width g, and for each fold its kernel
-keys, kept columns and blocks.  M's letters are made integral once per
-call, by _sparse_letters's first elimination, into the working rows of
-[A B C D], and each lam's coefficient table once (field.integral); a
-group writes each fold's rows from the call's kernel cache and splits
-them (_Field._split).  From there on the pass holds the working rows of
-the field's elimination, lists of Python ints: a fold writes its rows in
-that form and returns its images as those rows, and every step and span
-test runs on them, so no result goes back into a matrix.  The pass runs
+sigma, lam) differ only in k and share one pass.  What does not depend
+on M is planned once per process, at two levels.
+What a call needs of its descriptor list alone is planned once for each
+list and field (_targets): the closed-form targets, and for each (case
+key, sigma, lam) group its key, sigma, integral coefficient table
+(field.integral), the copy counts its members ask for and where each
+answer goes.  What a pass needs of its pattern alone is compiled once
+for each pattern and sigma, keyed by the pattern's content (_plan): the
+cells mapped to M's letter slots, the slots that give W's width g, and
+for each fold its kernel keys, kept columns and blocks.  M's letters are
+made integral once per call, by _sparse_letters's first elimination,
+into the working rows of [A B C D]; a group writes each fold's rows from
+the call's kernel cache and splits them (_Field._split).  From there on
+the pass holds the working rows of the field's elimination, lists of
+Python ints: a fold writes its rows in that form and returns its images
+as those rows, and every step and span test runs on them, so no result
+goes back into a matrix.  The pass runs
 a transfer recursion towards the largest k asked for.  The next copy
 reads a vector y of the left kernel K_k = {y : y N_k = 0} only through
 its image y_tail W, y_tail the last e block rows of y.  So the state is
@@ -52,9 +57,9 @@ own columns eliminated before the g columns it shares with W
 (SOLVEBLOK's order): T, an echelon basis of {u [R_W | E] : u R_own = 0}
 (E the next W on R's tail rows), and rep_z, the vectors u whose u R and
 u_tail W both vanish.  A step is then the split of [T; [S 0]] at g
-(_Field._split), T's rows first: T is a forward echelon basis, so the
-loop takes its rows as pivots as they stand, only reading them, and
-reduces S's rows against them.
+(_Field._split), copies of T's rows first: T is a forward echelon basis,
+so the loop takes its rows as pivots as they stand and reduces S's rows
+against them, forming (over GF(p), scaling) only the pivots S reads.
 
 Most own block columns hold a single cell, +-L in block row i, and ask
 y_i L = 0: y_i = v_i K, K a basis of the left kernel of the single-cell
@@ -105,11 +110,17 @@ from __future__ import annotations
 
 import functools
 from itertools import accumulate, chain
+from operator import is_
 from typing import NamedTuple
 
 from .catalog import FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE, InvalidParams, case
 from .exactmat import ExactMatrix, hstack
 from .modules import perm_inverse, permute_slots
+
+# descriptor lists planned per process (_targets), one per (list, field).
+# A plan holds 50 kB besides its descriptors for the 418 of (24, 12,
+# {2, 5}) and 100 kB for the 690 of (40, 20, {2, 5}): eight stay under 1 MB
+_TARGETS_CACHE_SIZE = 8
 
 # Cell grammar: None is a zero block; (letter, coeff) is coeff * letter with
 # coeff 1, -1 or "-lam".  Kept as plain nested lists so tests can patch a
@@ -464,16 +475,17 @@ def _step(field, s, t, g):
     s is the state, independent rows g wide, and t the transfer basis T,
     rows 2g wide, both in the working form of the field's elimination.
     T comes from a fold's split, so it is in forward echelon form: each
-    row's first nonzero is its pivot, no two share one, and over GF(p)
-    each has its leading 1.  Stacked first, each row of T reaches the
-    loop with its pivot column still free, so it becomes a pivot as it
-    stands, and the loop only reads it (a leading 1 needs no scaling, and
-    over QQ a pivot's form is its row); the rows of [s 0] are then
-    reduced against T's pivots by the loop's own forward reduction.  So
-    one T serves every step of a group.  Returns (z, images), as
-    field._split does.
+    row's first nonzero is its pivot and no two share one, but over
+    GF(p) a row may lack a leading 1 (the split scales a pivot row only
+    when a later row reads it).  Stacked first, each row of T reaches
+    the loop with its pivot column still free, so it becomes a pivot as
+    it stands; the rows of [s 0] are then reduced against T's pivots by
+    the loop's own forward reduction, which over GF(p) scales a pivot's
+    row in place the first time it reads it.  So the stack holds copies
+    of T's rows, and one T, never written, serves every step of a group.
+    Returns (z, images), as field._split does.
     """
-    return field._split([*t, *(row + [0] * g for row in s)], g)
+    return field._split([*map(list, t), *(row + [0] * g for row in s)], g)
 
 
 class _Plan(NamedTuple):
@@ -528,9 +540,9 @@ def _staircase_coranks(field, sigma, raw, scalar, wanted, cache):
     in [A B C D], in M's slot order, and the kernel rows _kernel keeps,
     which the folds cut (_kernel_fold).  The pattern reads its letter t
     from M's slot permute_slots(range(4), sigma^-1)[t], through its
-    _plan.  scalar is the call's integral coefficient table for the
-    group's lam (_coefficients).  A group folds and eliminates: nothing
-    else.
+    _plan.  scalar is the integral coefficient table of the group's lam
+    (_coefficients), which the list's _targets holds.  A group folds and
+    eliminates: nothing else.
 
     One transfer recursion from the head towards max(wanted) copies; the
     state (z, s) splits the left kernel of the matrix so far by y_tail W,
@@ -551,9 +563,10 @@ def _staircase_coranks(field, sigma, raw, scalar, wanted, cache):
     t, the rows of T being independent.  So a step is the left kernel of
     [[s 0], T] split at the width g of W: its z plus rep_z is what the
     copy adds to z, and its images the next s.  A step (_step) is that
-    split, T's rows first; T is echelon, so the loop only reads it, and
-    one T serves every step.  The letters, kernels and coefficients are
-    integral, so over QQ T and s are Python ints and no elimination
+    split, copies of T's rows first; T is echelon, so its rows are
+    pivots as they stand, and one T, never written, serves every step.
+    The letters, kernels and coefficients are integral, so over QQ T and
+    s are Python ints and no elimination
     builds Fractions; each divides its rows by their gcds, so s stays as
     small deep in the staircase as after its first steps.
 
@@ -633,34 +646,75 @@ def _sparse_letters(field, letters):
     return cuts, field._start(a)
 
 
+class _Targets(NamedTuple):
+    """What hom_vector reads of a descriptor list over a field, M aside;
+    see _targets."""
+
+    descs: tuple  # the list planned, whose parameter types a hit must share
+    closed: tuple  # the indices of the closed-form descriptors
+    groups: tuple  # per (case key, sigma, lam): (key, sigma, scalar, wanted, slots)
+
+
+@functools.lru_cache(maxsize=_TARGETS_CACHE_SIZE)
+def _targets(descs, field):
+    """The _Targets of descs, a tuple of descriptors, over field, planned
+    once per process.
+
+    Every descriptor is read through case, so one that no constructor
+    makes raises InvalidParams here, before anything is kept.  The
+    closed forms are listed by index; the others are grouped by (case
+    key, sigma, lam), each group with its key and sigma, the integral
+    coefficient table of its lam (_coefficients), the set of copy counts
+    its members ask for (wanted), and (index, copy count) per member
+    (slots).  A plan holds no answer and nothing of M.  A pattern's
+    cells are not in it: hom_vector reads CASE_SPECS[key] and _plan at
+    every call, so an edit to them reaches the next warm call; its reps
+    rule is read here, once per list.
+    """
+    closed, groups = [], {}
+    for i, d in enumerate(descs):
+        key, sigma, param, lam = case(d, field)
+        if _is_closed_form(d):
+            closed.append(i)
+        else:
+            groups.setdefault((key, sigma, lam), []).append((i, CASE_SPECS[key]["reps"](param)))
+    return _Targets(descs, tuple(closed), tuple(
+        (key, sigma, _coefficients(field, lam, integral=True),
+         frozenset(r for _, r in slots), tuple(slots))
+        for (key, sigma, lam), slots in groups.items()))
+
+
+def _param_types(descs):
+    return [type(x) for d in descs for x in d.params]
+
+
 def hom_vector(M, descs):
     """[hom_dim(M, d) for d in descs], one transfer recursion per case.
 
     Descriptors sharing (case key, sigma, lam) share one staircase, so one
-    pass up to their largest parameter answers all of them.  M's letters
-    are made integral and sparse (_sparse_letters) once, each pass reads
-    them through its compiled _plan, and all passes share one kernel
-    cache (_kernel), started with the working rows of [A B C D], and one
-    coefficient table per lam.
+    pass up to their largest parameter answers all of them.  Which
+    descriptors share one, and what each pass asks for, depends on the
+    list and the field alone: _targets plans it once per process.  A
+    list equal to a planned one is served by that plan only if each of
+    its parameters has the planned one's type, since R(1, 2.0) == R(1, 2)
+    but only R(1, 2) is a descriptor; any other is planned again, not
+    kept, and raises as case does.  Per call, M's letters are made
+    integral and sparse (_sparse_letters) once, each pass reads its
+    pattern through its compiled _plan, and all passes share one kernel
+    cache (_kernel), started with the working rows of [A B C D].
     """
     field = M.field
+    descs = tuple(descs)
+    plan = _targets(descs, field)
+    if not all(map(is_, descs, plan.descs)) and _param_types(descs) != _param_types(plan.descs):
+        plan = _targets.__wrapped__(descs, field)
     out = [None] * len(descs)
-    groups = {}
-    for i, d in enumerate(descs):
-        if _is_closed_form(d):
-            out[i] = hom_dim(M, d)
-            continue
-        key, sigma, param, lam = case(d, field)
-        groups.setdefault((key, sigma, lam), []).append((i, param))
+    for i in plan.closed:
+        out[i] = hom_dim(M, descs[i])
     cuts, rows = _sparse_letters(field, M.mats())
     cache = cuts, {(): rows}
-    scalars = {}
-    for (key, sigma, lam), members in groups.items():
-        raw = CASE_SPECS[key]
-        if lam not in scalars:
-            scalars[lam] = _coefficients(field, lam, integral=True)
-        reps = [raw["reps"](param) for _, param in members]
-        values = _staircase_coranks(field, sigma, raw, scalars[lam], set(reps), cache)
-        for (i, _), r in zip(members, reps):
+    for key, sigma, scalar, wanted, slots in plan.groups:
+        values = _staircase_coranks(field, sigma, CASE_SPECS[key], scalar, wanted, cache)
+        for i, r in slots:
             out[i] = values[r]
     return out

@@ -145,6 +145,49 @@ def test_case_table_matches_the_per_descriptor_derivation(fld):
                 read(unknown)
 
 
+# (family, params) that P, I or R refuse, then a few that no constructor
+# makes: the wrong count for the family, or an unknown family
+UNMADE = [
+    ("P", (1, 7)), ("P", (-1, 1)), ("I", (2, -1)), ("RH", (0, 2)), ("RH", (1, 0)),
+    ("RH", (1, INF)), ("RE", (2, 1, 0)), ("RE", (0, 0, 1)), ("RE", (0, 1, 7)),
+    ("P", (2.0, 1)), ("P", (True, 1)), ("P", ("2", 1)), ("RH", (1, 2.0)), ("RH", (True, 2)),
+    ("RE", (0, 2, 0.0)),
+    ("P", (1, 2, 3)), ("RE", (0, 2)), ("RH", (0, 2, 0)), ("Q", (1, 0)),
+]
+MAKERS = {"P": (cat.P, 2), "I": (cat.I, 2), "RH": (cat.R, 2), "RE": (cat.R, 3)}
+
+
+@pytest.mark.parametrize("fam, params", UNMADE, ids=str)
+def test_a_descriptor_made_directly_raises_one_error_in_every_reading(fam, params):
+    # IndecDescriptor(...) constructs without the constructors' checks, and
+    # every per-descriptor reading runs them: one InvalidParams, the one the
+    # family's constructor raises, where a KeyError, an IndexError, a
+    # negative size or a wrong translate came out before
+    desc = IndecDescriptor(fam, params)
+    messages = set()
+    for read in (declared_dim, lambda d: cat.case(d, QQ), canonical_form, cat.tau):
+        with pytest.raises(InvalidParams) as raised:
+            read(desc)
+        messages.add(str(raised.value))
+    assert len(messages) == 1
+    make, count = MAKERS.get(fam, (None, None))
+    if len(params) == count:
+        with pytest.raises(InvalidParams) as made:
+            make(*params)
+        assert messages == {str(made.value)}
+
+
+def test_a_descriptor_made_directly_reads_as_its_constructor_makes_it():
+    # what a constructor accepts, a reading accepts too: R(0, 3, True) is
+    # R(0, 3, 1), as R stores it
+    desc, made = IndecDescriptor("RE", (0, 3, True)), cat.R(0, 3, True)
+    assert made == cat.R(0, 3, 1)
+    assert declared_dim(desc) == declared_dim(made)
+    assert cat.case(desc, QQ) == cat.case(made, QQ)
+    assert canonical_form(desc) == canonical_form(made)
+    assert cat.tau(desc) == cat.tau(made)
+
+
 def test_warm_case_never_asks_canonical_form(monkeypatch):
     calls = []
     monkeypatch.setattr(cat, "canonical_form", lambda desc: calls.append(desc))

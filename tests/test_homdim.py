@@ -1057,6 +1057,58 @@ def test_plan_follows_an_edit_to_case_specs(monkeypatch):
     assert homdim._plan.cache_info().hits == hits + 1
 
 
+def test_one_list_plan_serves_every_module():
+    # a descriptor list is planned once per (list, field), and the plan
+    # holds nothing of M: two modules with different answers go through
+    # one warm plan, and each gets its own
+    lam = GF.coerce(2)
+    descs = enumerate_descriptors(EnumerationBounds(4, 2, (lam,)))
+    rng = random.Random(17)
+    modules = [disguised_sum(GF, [cat.R(1, lam), cat.P(1, 1), cat.I(0, 2)], rng),
+               random_module(GF, rng, max_dim=3)]
+    want = [[hom_dim(m, d) for d in descs] for m in modules]
+    assert want[0] != want[1]
+    homdim._targets.cache_clear()
+    assert hom_vector(modules[0], descs) == want[0]
+    info = homdim._targets.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+    assert hom_vector(modules[1], descs) == want[1]
+    # an equal list made again is a second call over the same list: one
+    # hit, no miss
+    assert hom_vector(modules[0], enumerate_descriptors(EnumerationBounds(4, 2, (lam,)))) == want[0]
+    info = homdim._targets.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    assert info.maxsize == homdim._TARGETS_CACHE_SIZE
+
+
+# descriptors made directly, each equal to (and hashing as) the list of the
+# catalog descriptor beside it, or raising in case on its own
+UNMADE = {
+    "float lam": (cat.IndecDescriptor("RH", (1, 2.0)), cat.R(1, 2)),
+    "lam True": (cat.IndecDescriptor("RH", (1, True)), cat.R(1, 2)),
+    "l True": (cat.IndecDescriptor("RH", (True, 2)), cat.R(1, 2)),
+    "float exceptional lam": (cat.IndecDescriptor("RE", (0, 2, 0.0)), cat.R(0, 2, 0)),
+    "float size": (cat.IndecDescriptor("P", (3.0, 1)), cat.P(3, 1)),
+}
+
+
+@pytest.mark.parametrize("unmade, made", UNMADE.values(), ids=UNMADE)
+def test_a_float_lambda_is_rejected_cold_and_warm(unmade, made):
+    # R(1, 2.0) == R(1, 2) and both hash alike, so a plan keyed by the list
+    # alone would hand R(1, 2)'s plan to it once warm, where a cold call
+    # raises; it raises the same InvalidParams both ways, and keeps no plan
+    m = random_module(GF, random.Random(3), max_dim=2)
+    homdim._targets.cache_clear()
+    with pytest.raises(InvalidParams) as cold:
+        hom_vector(m, [made, unmade])
+    assert homdim._targets.cache_info().currsize == 0
+    assert hom_vector(m, [made, made]) == [hom_dim(m, made)] * 2
+    with pytest.raises(InvalidParams) as warm:
+        hom_vector(m, [made, unmade])
+    assert str(cold.value) == str(warm.value)
+    assert homdim._targets.cache_info().currsize == 1
+
+
 def _mixed_columns(spec, reps):
     """The block columns of spec's layout with reps copies that hold more
     than one letter."""
