@@ -16,10 +16,11 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
   oracle frames equal, and five DIFFS modules: w5 and q5 (n_0 = 22), z4
   (an empty vertex, a letter of rank 1 on 2 columns), e7 (exceptional
   tubes) and c6 (C and D with the largest images, so framed);
-- hom_vector of one module over a `homdim --all` list in-process, twice:
-  the second call, over an equal list made again, reads the plan the
-  first made, with no miss (homdim._targets.cache_info()), and answers
-  the same;
+- hom_vector of one module over a `homdim --all` list in-process, three
+  times: the second call, over an equal list made again, and the third,
+  over the first list round-tripped through pickle (equal descriptors,
+  not the same objects), read the plan the first made, with no miss
+  (homdim._targets.cache_info()), and answer the same;
 - formula against oracle: each DIFFS row writes a module file and runs
   `fourspace homdim` on it with and without --oracle, and the two outputs
   must be equal and have the expected number of lines;
@@ -37,7 +38,9 @@ A new formula/oracle scenario is one DIFFS row.
 from __future__ import annotations
 
 import json
+import operator
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -267,18 +270,24 @@ def main():
     check("run_sweep QQ, targets cached", again == [] and not missed,
           f"{len(again)} mismatches, {missed} targets prepared again")
     # hom_vector over w5.json's module and the list `homdim --all --max-n 8
-    # --max-l 4 --lambda 2` asks for, then over that list made again: the
-    # second call reads the plan the first made, and answers the same
+    # --max-l 4 --lambda 2` asks for, then over that list made again, then
+    # over the first list through pickle: the later calls read the plan the
+    # first made, and answer the same
     m = module(GF32003, "P(4,0) I(5,0) R(1,2)", 4)
     bounds = EnumerationBounds(8, 4, (GF32003.coerce(2),))
-    first = hom_vector(m, enumerate_descriptors(bounds))
+    descs = enumerate_descriptors(bounds)
+    first = hom_vector(m, descs)
     misses = _targets.cache_info().misses
     again = hom_vector(m, enumerate_descriptors(bounds))
+    unpickled = pickle.loads(pickle.dumps(descs))
+    fresh = unpickled == descs and not any(map(operator.is_, unpickled, descs))
+    third = hom_vector(m, unpickled)
     missed = _targets.cache_info().misses - misses
-    check("hom_vector GF(32003) --all twice, plan cached",
-          len(first) == 142 and again == first and not missed,
+    check("hom_vector GF(32003) --all thrice, plan cached",
+          len(first) == 142 and again == first and fresh and third == first and not missed,
           f"{len(first)} answers, {'equal' if again == first else 'different'} again, "
-          f"{missed} plans made again")
+          f"{'equal' if third == first else 'different'} through pickle "
+          f"({'fresh' if fresh else 'not fresh'} descriptors), {missed} plans made again")
     # 4 random modules of dimension at most 4 per ORACLE_NULLITY module,
     # then one more each whose two letters in the slots the oracle frames
     # for that module are equal, so that hom_oracle's frame meets its two

@@ -3,9 +3,11 @@
 The indecomposables fall into four families: postprojectives P(n, j),
 preinjectives I(n, j) (j the vertex, 0 the center), regular homogeneous
 modules R(l, lam) with lam outside {0, 1}, and regular exceptional modules
-R(s, m, lam) with s in {0, 1} and lam in {0, 1, inf}.  Every constructor
-assembles its quadruple from identity / zero / exchange / Jordan /
-projection blocks.  Two tables state the one placement: each
+R(s, m, lam) with s in {0, 1} and lam in {0, 1, inf}.  A descriptor is
+checked once, when it is made (IndecDescriptor), so case, canonical_form,
+declared_dim and tau read it as it stands.  Every constructor assembles
+its quadruple from identity / zero / exchange / Jordan / projection
+blocks.  Two tables state the one placement: each
 subspace-vertex member (j = 1..4) of the P/I families, and each exceptional
 row, is a representative (the j = 1 member, R(0, m, 0)) with its slots
 permuted by a vertex permutation sigma, from _CYCLE_POWERS and
@@ -24,6 +26,7 @@ import operator
 from collections import namedtuple
 from functools import partial
 from itertools import accumulate
+from numbers import Rational
 
 from .exactmat import (
     anti_identity,
@@ -66,12 +69,33 @@ FAMILY_REGULAR_EXCEPTIONAL = "RE"
 class IndecDescriptor(namedtuple("IndecDescriptor", "family params")):
     """Symbolic name of a catalog module: family tag plus parameters.
 
-    params is (n, j) for P/I, (l, lam) for RH, (s, m, lam) for RE.  lam is
-    stored canonically (Fraction over the rationals, residue over GF(p),
-    or the INF label), so descriptors hash and compare by value.
+    params is (n, j) for P/I, (l, lam) for RH, (s, m, lam) for RE.  A
+    descriptor is checked when it is made, by position, by keyword,
+    through _replace or _make and by unpickling alike: InvalidParams for
+    an unknown family, a wrong parameter count, or what the family's
+    constructor refuses (_CHECKS), with that constructor's message.  The
+    params are kept as the check returns them: sizes, vertices and s as
+    plain ints, an exceptional lam as 0, 1 or the INF label, and a
+    homogeneous lam as the exact number given (an int, a Fraction or a
+    residue).  So no descriptor names a module that no constructor
+    makes, and equal descriptors, which hash alike, name one module over
+    every field.
     """
 
     __slots__ = ()
+
+    def __new__(cls, family, params):
+        check, count = _CHECKS.get(family, (None, None))
+        if check is None:
+            raise InvalidParams(f"unknown family {family!r}")
+        if len(params) != count:
+            raise InvalidParams(f"{family} takes {count} parameters, got {params!r}")
+        return tuple.__new__(cls, (family, check(*params)))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: the new descriptor is checked too
+        return cls(*iterable)
 
     def label(self):
         if self.family in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE):
@@ -108,15 +132,21 @@ def _sizes(name, n, j):
     return n, j
 
 
-def _float_lambda(params):
-    # a float lam, as R(1, 2.0) would equal R(1, 2)
-    if isinstance(params[-1], float):
-        raise InvalidParams(f"R{params}: lam must be exact, not a float")
+def _exact(params):
+    """InvalidParams unless lam, the last of R's params, is INF or a
+    numbers.Rational.  A float, complex or text lam compares or prints
+    as an exact one (R(1, 2.0) == R(1, 2), and R(1, "2") reads R(1,2)),
+    so two descriptors that differ would name one module, or one
+    that no field can read.  Callers skip it for a plain int."""
+    lam = params[-1]
+    if not (lam is INF or isinstance(lam, Rational)):
+        raise InvalidParams(f"R{params}: lam must be exact, not a {type(lam).__name__}")
 
 
 def _homogeneous(l, lam):
     """(l, lam), l a plain int, or InvalidParams: what R(l, lam) checks."""
-    _float_lambda((l, lam))
+    if type(lam) is not int:
+        _exact((l, lam))
     if type(l) is not int:
         (l,) = _integers("R", l)
     if l < 1:
@@ -134,7 +164,8 @@ def _homogeneous(l, lam):
 def _exceptional(s, m, lam):
     """(s, m, lam), lam an int or INF, or InvalidParams: what
     R(s, m, lam) checks."""
-    _float_lambda((s, m, lam))
+    if type(lam) is not int:
+        _exact((s, m, lam))
     if type(s) is not int or type(m) is not int:
         s, m = _integers("R", s, m)
     if s not in (0, 1) or m < 1:
@@ -144,26 +175,7 @@ def _exceptional(s, m, lam):
     return s, m, INF if lam is INF else int(lam)
 
 
-def P(n, j):
-    return IndecDescriptor(FAMILY_POSTPROJECTIVE, _sizes("P", n, j))
-
-
-def I(n, j):
-    return IndecDescriptor(FAMILY_PREINJECTIVE, _sizes("I", n, j))
-
-
-def R(*params):
-    """R(l, lam) homogeneous, or R(s, m, lam) exceptional with lam in {0,1,inf};
-    a float lam, as R(1, 2.0) would equal R(1, 2), raises InvalidParams."""
-    if len(params) == 2:
-        return IndecDescriptor(FAMILY_REGULAR_HOMOGENEOUS, _homogeneous(*params))
-    if len(params) == 3:
-        return IndecDescriptor(FAMILY_REGULAR_EXCEPTIONAL, _exceptional(*params))
-    raise InvalidParams(f"R takes 2 or 3 parameters, got {len(params)}")
-
-
-# family -> (the check its constructor makes, its parameter count), which
-# _checked runs again on a descriptor made directly
+# family -> (the check IndecDescriptor makes, its parameter count)
 _CHECKS = {
     FAMILY_POSTPROJECTIVE: (partial(_sizes, "P"), 2),
     FAMILY_PREINJECTIVE: (partial(_sizes, "I"), 2),
@@ -172,22 +184,23 @@ _CHECKS = {
 }
 
 
-def _checked(desc):
-    """(family, params) of desc, checked as P, I and R check them.
+def P(n, j):
+    return IndecDescriptor(FAMILY_POSTPROJECTIVE, (n, j))
 
-    IndecDescriptor(...) made directly skips those checks, so case,
-    canonical_form, declared_dim and tau read a descriptor through here:
-    InvalidParams for an unknown family, a wrong parameter count, or
-    what the family's constructor refuses, and otherwise the params as
-    the constructor would store them.
-    """
-    fam, params = desc
-    check, count = _CHECKS.get(fam, (None, None))
-    if check is None:
-        raise InvalidParams(f"unknown family {fam!r}")
-    if len(params) != count:
-        raise InvalidParams(f"{fam} takes {count} parameters, got {params!r}")
-    return fam, check(*params)
+
+def I(n, j):
+    return IndecDescriptor(FAMILY_PREINJECTIVE, (n, j))
+
+
+def R(*params):
+    """R(l, lam) homogeneous, or R(s, m, lam) exceptional with lam in {0,1,inf};
+    a lam that is not exact, as R(1, 2.0) would equal R(1, 2), raises
+    InvalidParams."""
+    if len(params) == 2:
+        return IndecDescriptor(FAMILY_REGULAR_HOMOGENEOUS, params)
+    if len(params) == 3:
+        return IndecDescriptor(FAMILY_REGULAR_EXCEPTIONAL, params)
+    raise InvalidParams(f"R takes 2 or 3 parameters, got {len(params)}")
 
 
 def parse_descriptor(text, field):
@@ -377,7 +390,7 @@ def case(desc, field):
     parameter in field (0 for the even exceptional rows, which are R_EVEN
     at lam = 0), None where the pattern has none.
     """
-    fam, params = _checked(desc)
+    fam, params = desc
     if fam == FAMILY_POSTPROJECTIVE or fam == FAMILY_PREINJECTIVE:
         n, j = params
         if j == 0:
@@ -409,7 +422,7 @@ def canonical_form(desc):
     _EXCEPTIONAL_SIGMA.  Every other module is its own representative.
     case reads the same placement through _CLASSES, never through here.
     """
-    fam, params = _checked(desc)
+    fam, params = desc
     if fam in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE):
         n, j = params
         if j == 0:
@@ -470,9 +483,8 @@ _DIM_RULES = {
 
 
 def declared_dim(desc):
-    """The dimension vector of desc, by the rules above; InvalidParams
-    for a descriptor no constructor makes (_checked)."""
-    fam, params = _checked(desc)
+    """The dimension vector of desc, by the rules above."""
+    fam, params = desc
     if fam == FAMILY_POSTPROJECTIVE or fam == FAMILY_PREINJECTIVE:
         m, j = params
         key = fam, j
@@ -491,7 +503,7 @@ def tau(desc):
     """The Auslander-Reiten translate of desc, None for a projective P(0, j):
     P(m, j) -> P(m - 1, j), I(m, j) -> I(m + 1, j), R(l, lam) fixed and
     R(s, m, lam) -> R(1 - s, m, lam)."""
-    fam, params = _checked(desc)
+    fam, params = desc
     if fam == FAMILY_POSTPROJECTIVE:
         m, j = params
         return IndecDescriptor(fam, (m - 1, j)) if m else None

@@ -153,7 +153,9 @@ def _plan(field, bounds):
     Candidate i is target i, the terms past the bounds follow, and each
     defect is a list of target indices: descriptors are hashed here alone.
     No closed-form row is filled yet (see _row).  The key is by value: a
-    field and bounds holding a tuple of field scalars.
+    field and bounds holding a tuple of field scalars, so equal bounds
+    enumerate equal descriptors, which name one module (descriptors are
+    checked when they are made).
     """
     cands = enumerate_descriptors(bounds)
     index = {c: i for i, c in enumerate(cands)}

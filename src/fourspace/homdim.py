@@ -110,7 +110,6 @@ from __future__ import annotations
 
 import functools
 from itertools import accumulate, chain
-from operator import is_
 from typing import NamedTuple
 
 from .catalog import FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE, InvalidParams, case
@@ -650,7 +649,6 @@ class _Targets(NamedTuple):
     """What hom_vector reads of a descriptor list over a field, M aside;
     see _targets."""
 
-    descs: tuple  # the list planned, whose parameter types a hit must share
     closed: tuple  # the indices of the closed-form descriptors
     groups: tuple  # per (case key, sigma, lam): (key, sigma, scalar, wanted, slots)
 
@@ -660,16 +658,19 @@ def _targets(descs, field):
     """The _Targets of descs, a tuple of descriptors, over field, planned
     once per process.
 
-    Every descriptor is read through case, so one that no constructor
-    makes raises InvalidParams here, before anything is kept.  The
-    closed forms are listed by index; the others are grouped by (case
-    key, sigma, lam), each group with its key and sigma, the integral
-    coefficient table of its lam (_coefficients), the set of copy counts
-    its members ask for (wanted), and (index, copy count) per member
-    (slots).  A plan holds no answer and nothing of M.  A pattern's
-    cells are not in it: hom_vector reads CASE_SPECS[key] and _plan at
-    every call, so an edit to them reaches the next warm call; its reps
-    rule is read here, once per list.
+    The key is the list by value: descriptors are checked when they are
+    made, so equal ones name one module over every field, and an equal
+    list made again reads the same plan.  Every descriptor is read
+    through case, so a lam that reduces to 0 or 1 in field raises
+    InvalidParams here, and no plan is kept.  The closed forms are
+    listed by index; the others are grouped by (case key, sigma, lam),
+    each group with its key and sigma, the integral coefficient table of
+    its lam (_coefficients), the set of copy counts its members ask for
+    (wanted), and (index, copy count) per member (slots).  A plan holds
+    no answer and nothing of M.  A pattern's cells are not in it:
+    hom_vector reads CASE_SPECS[key] and _plan at every call, so an edit
+    to them reaches the next warm call; its reps rule is read here, once
+    per list.
     """
     closed, groups = [], {}
     for i, d in enumerate(descs):
@@ -678,14 +679,10 @@ def _targets(descs, field):
             closed.append(i)
         else:
             groups.setdefault((key, sigma, lam), []).append((i, CASE_SPECS[key]["reps"](param)))
-    return _Targets(descs, tuple(closed), tuple(
+    return _Targets(tuple(closed), tuple(
         (key, sigma, _coefficients(field, lam, integral=True),
          frozenset(r for _, r in slots), tuple(slots))
         for (key, sigma, lam), slots in groups.items()))
-
-
-def _param_types(descs):
-    return [type(x) for d in descs for x in d.params]
 
 
 def hom_vector(M, descs):
@@ -694,20 +691,16 @@ def hom_vector(M, descs):
     Descriptors sharing (case key, sigma, lam) share one staircase, so one
     pass up to their largest parameter answers all of them.  Which
     descriptors share one, and what each pass asks for, depends on the
-    list and the field alone: _targets plans it once per process.  A
-    list equal to a planned one is served by that plan only if each of
-    its parameters has the planned one's type, since R(1, 2.0) == R(1, 2)
-    but only R(1, 2) is a descriptor; any other is planned again, not
-    kept, and raises as case does.  Per call, M's letters are made
-    integral and sparse (_sparse_letters) once, each pass reads its
-    pattern through its compiled _plan, and all passes share one kernel
-    cache (_kernel), started with the working rows of [A B C D].
+    list and the field alone: _targets plans it once per process, and
+    any list equal to a planned one reads that plan.  Per call, M's
+    letters are made integral and sparse (_sparse_letters) once, each
+    pass reads its pattern through its compiled _plan, and all passes
+    share one kernel cache (_kernel), started with the working rows of
+    [A B C D].
     """
     field = M.field
     descs = tuple(descs)
     plan = _targets(descs, field)
-    if not all(map(is_, descs, plan.descs)) and _param_types(descs) != _param_types(plan.descs):
-        plan = _targets.__wrapped__(descs, field)
     out = [None] * len(descs)
     for i in plan.closed:
         out[i] = hom_dim(M, descs[i])

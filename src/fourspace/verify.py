@@ -107,8 +107,9 @@ def _catalog_target(desc, field):
     """oracle._target(build(desc, field)), prepared once per process:
     X's letter ranks, its four left kernels and its frame table.
 
-    A target depends on (desc, field) alone, both hashable by value.
-    _nullity only reads its kernels, and frames them once per pairing a
+    A target depends on (desc, field) alone, both hashable by value:
+    descriptors are checked when they are made, so equal ones name one
+    module over every field.  _nullity only reads its kernels, and frames them once per pairing a
     source asks for, kept in the target, so one serves every sweep that
     asks for it.  A raise (a target too large to build) is not kept.
     """

@@ -1,3 +1,6 @@
+import pickle
+from fractions import Fraction
+
 import pytest
 
 from fourspace import catalog as cat
@@ -136,13 +139,15 @@ def test_case_table_matches_the_per_descriptor_derivation(fld):
     assert len(cat._CLASSES) == 31
     for d in descs:
         assert _answer(cat.case, d, fld) == _answer(_reference_case, d, fld), d
-    assert _answer(cat.case, IndecDescriptor("Q", (1, 0)), fld) is InvalidParams
-    # an unknown family raises in every per-descriptor reading, rather than
-    # falling through to a branch that reads its params as another family's
-    for unknown in (IndecDescriptor("Q", (1, 0)), IndecDescriptor("Q", (1, 0, 0))):
-        for read in (declared_dim, cat.tau):
+    # an unknown family is refused when made, by position, by keyword and
+    # through _replace, so no per-descriptor reading meets one and falls
+    # through to a branch that reads its params as another family's
+    for params in ((1, 0), (1, 0, 0)):
+        for make in (lambda: IndecDescriptor("Q", params),
+                     lambda: IndecDescriptor(family="Q", params=params),
+                     lambda: cat.P(1, 0)._replace(family="Q", params=params)):
             with pytest.raises(InvalidParams, match="unknown family"):
-                read(unknown)
+                make()
 
 
 # (family, params) that P, I or R refuse, then a few that no constructor
@@ -152,6 +157,9 @@ UNMADE = [
     ("RH", (1, INF)), ("RE", (2, 1, 0)), ("RE", (0, 0, 1)), ("RE", (0, 1, 7)),
     ("P", (2.0, 1)), ("P", (True, 1)), ("P", ("2", 1)), ("RH", (1, 2.0)), ("RH", (True, 2)),
     ("RE", (0, 2, 0.0)),
+    # a lam that is not exact: "2" would read R(1,2) and name R(1, 2)'s
+    # module, yet differ from it; the others would fail later, or bare
+    ("RH", (1, "2")), ("RH", (1, "x")), ("RH", (1, 2 + 0j)), ("RE", (0, 2, 0j)),
     ("P", (1, 2, 3)), ("RE", (0, 2)), ("RH", (0, 2, 0)), ("Q", (1, 0)),
 ]
 MAKERS = {"P": (cat.P, 2), "I": (cat.I, 2), "RH": (cat.R, 2), "RE": (cat.R, 3)}
@@ -159,15 +167,18 @@ MAKERS = {"P": (cat.P, 2), "I": (cat.I, 2), "RH": (cat.R, 2), "RE": (cat.R, 3)}
 
 @pytest.mark.parametrize("fam, params", UNMADE, ids=str)
 def test_a_descriptor_made_directly_raises_one_error_in_every_reading(fam, params):
-    # IndecDescriptor(...) constructs without the constructors' checks, and
-    # every per-descriptor reading runs them: one InvalidParams, the one the
-    # family's constructor raises, where a KeyError, an IndexError, a
-    # negative size or a wrong translate came out before
-    desc = IndecDescriptor(fam, params)
+    # IndecDescriptor(...) runs the constructors' checks itself, so no
+    # reading ever meets such a descriptor: every way of making one raises
+    # one InvalidParams, the one the family's constructor raises, where a
+    # KeyError, an IndexError, a negative size or a wrong translate came
+    # out of the readings once
     messages = set()
-    for read in (declared_dim, lambda d: cat.case(d, QQ), canonical_form, cat.tau):
+    for attempt in (lambda: IndecDescriptor(fam, params),
+                    lambda: IndecDescriptor(params=params, family=fam),
+                    lambda: IndecDescriptor._make((fam, params)),
+                    lambda: cat.P(1, 0)._replace(family=fam, params=params)):
         with pytest.raises(InvalidParams) as raised:
-            read(desc)
+            attempt()
         messages.add(str(raised.value))
     assert len(messages) == 1
     make, count = MAKERS.get(fam, (None, None))
@@ -178,14 +189,38 @@ def test_a_descriptor_made_directly_raises_one_error_in_every_reading(fam, param
 
 
 def test_a_descriptor_made_directly_reads_as_its_constructor_makes_it():
-    # what a constructor accepts, a reading accepts too: R(0, 3, True) is
-    # R(0, 3, 1), as R stores it
+    # what a constructor accepts, IndecDescriptor accepts too, and keeps as
+    # the constructor does: R(0, 3, True) is R(0, 3, 1), a plain int lam
     desc, made = IndecDescriptor("RE", (0, 3, True)), cat.R(0, 3, True)
     assert made == cat.R(0, 3, 1)
+    for d in (desc, made):
+        assert d.params == (0, 3, 1) and list(map(type, d.params)) == [int] * 3
     assert declared_dim(desc) == declared_dim(made)
     assert cat.case(desc, QQ) == cat.case(made, QQ)
     assert canonical_form(desc) == canonical_form(made)
     assert cat.tau(desc) == cat.tau(made)
+
+
+def test_a_descriptor_is_checked_every_way_it_is_made():
+    # by position, by keyword, through _replace and _make, and through a
+    # pickle round trip alike, as EnumerationBounds and LambdaModule are
+    bad = {"family": cat.FAMILY_POSTPROJECTIVE, "params": (1, 7)}
+    # what a tree that checked nothing on construction could pickle
+    forged = tuple.__new__(IndecDescriptor, tuple(bad.values()))
+    for make in (lambda: IndecDescriptor(*bad.values()),
+                 lambda: IndecDescriptor(**bad),
+                 lambda: cat.P(1, 1)._replace(params=(1, 7)),
+                 lambda: IndecDescriptor._make(bad.values()),
+                 lambda: pickle.loads(pickle.dumps(forged))):
+        with pytest.raises(InvalidParams, match=r"^P\(1,7\): need n >= 0 and vertex j in 0\.\.4$"):
+            make()
+    # what is made comes back equal, kept as the constructor keeps it
+    for desc in (cat.R(1, 1, INF), cat.R(2, Fraction(7, 3)), cat.I(3, 2)):
+        back = pickle.loads(pickle.dumps(desc))
+        assert type(back) is IndecDescriptor and back == desc and hash(back) == hash(desc)
+        assert list(map(type, back.params)) == list(map(type, desc.params))
+    assert pickle.loads(pickle.dumps(cat.R(1, 1, INF))).params[2] is INF
+    assert cat.P(1, 1)._replace(params=(2, 1)) == cat.P(2, 1)
 
 
 def test_warm_case_never_asks_canonical_form(monkeypatch):

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -1081,32 +1082,60 @@ def test_one_list_plan_serves_every_module():
     assert info.maxsize == homdim._TARGETS_CACHE_SIZE
 
 
-# descriptors made directly, each equal to (and hashing as) the list of the
-# catalog descriptor beside it, or raising in case on its own
+# (family, params) that IndecDescriptor refuses, each equal to (and hashing
+# as) the catalog descriptor beside it, or refused on its own
 UNMADE = {
-    "float lam": (cat.IndecDescriptor("RH", (1, 2.0)), cat.R(1, 2)),
-    "lam True": (cat.IndecDescriptor("RH", (1, True)), cat.R(1, 2)),
-    "l True": (cat.IndecDescriptor("RH", (True, 2)), cat.R(1, 2)),
-    "float exceptional lam": (cat.IndecDescriptor("RE", (0, 2, 0.0)), cat.R(0, 2, 0)),
-    "float size": (cat.IndecDescriptor("P", (3.0, 1)), cat.P(3, 1)),
+    "float lam": (("RH", (1, 2.0)), cat.R(1, 2)),
+    "lam True": (("RH", (1, True)), cat.R(1, 2)),
+    "l True": (("RH", (True, 2)), cat.R(1, 2)),
+    "float exceptional lam": (("RE", (0, 2, 0.0)), cat.R(0, 2, 0)),
+    "float size": (("P", (3.0, 1)), cat.P(3, 1)),
 }
 
 
 @pytest.mark.parametrize("unmade, made", UNMADE.values(), ids=UNMADE)
 def test_a_float_lambda_is_rejected_cold_and_warm(unmade, made):
-    # R(1, 2.0) == R(1, 2) and both hash alike, so a plan keyed by the list
-    # alone would hand R(1, 2)'s plan to it once warm, where a cold call
-    # raises; it raises the same InvalidParams both ways, and keeps no plan
+    # R(1, 2.0) == R(1, 2) and both would hash alike, so a plan keyed by the
+    # list alone would serve R(1, 2)'s plan to it once warm: it cannot be
+    # made, cold or warm, and raises the InvalidParams its family's
+    # constructor raises; the warm plan serves an equal list made again
     m = random_module(GF, random.Random(3), max_dim=2)
+    make = {"P": cat.P, "RH": cat.R, "RE": cat.R}[unmade[0]]
     homdim._targets.cache_clear()
     with pytest.raises(InvalidParams) as cold:
-        hom_vector(m, [made, unmade])
-    assert homdim._targets.cache_info().currsize == 0
+        cat.IndecDescriptor(*unmade)
     assert hom_vector(m, [made, made]) == [hom_dim(m, made)] * 2
     with pytest.raises(InvalidParams) as warm:
-        hom_vector(m, [made, unmade])
-    assert str(cold.value) == str(warm.value)
-    assert homdim._targets.cache_info().currsize == 1
+        cat.IndecDescriptor(*unmade)
+    with pytest.raises(InvalidParams) as constructor:
+        make(*unmade[1])
+    assert str(cold.value) == str(warm.value) == str(constructor.value)
+    assert hom_vector(m, pickle.loads(pickle.dumps([made, made]))) == [hom_dim(m, made)] * 2
+    info = homdim._targets.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), GF], ids=repr)
+def test_equal_descriptors_read_one_plan_and_answer_alike(field, monkeypatch):
+    # an exact lam names one module over every field, so descriptors equal
+    # by value, R(1, Fraction(2)) and R(1, 2), read one plan, and the warm
+    # call reads no descriptor through case again; each list's answers are
+    # hom_dim's for its own descriptors
+    m = random_module(field, random.Random(5), max_dim=3)
+    ints = [cat.R(1, 2), cat.R(2, 5), cat.R(1, 3, 0), cat.P(2, 1), cat.I(0, 2)]
+    fractions = [cat.R(1, Fraction(2)), cat.R(2, Fraction(10, 2)), cat.R(1, 3, Fraction(0)),
+                 cat.P(2, 1), cat.I(0, 2)]
+    assert fractions == ints and list(map(type, fractions[0].params)) == [int, Fraction]
+    want = [hom_dim(m, d) for d in ints]
+    assert [hom_dim(m, d) for d in fractions] == want
+    homdim._targets.cache_clear()
+    assert hom_vector(m, ints) == want
+    read = []
+    monkeypatch.setattr(homdim, "case", lambda d, f: read.append(d) or cat.case(d, f))
+    assert hom_vector(m, fractions) == want
+    assert read == []
+    info = homdim._targets.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def _mixed_columns(spec, reps):
