@@ -13,9 +13,10 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
   miss (verify._catalog_target.cache_info());
 - hom_oracle against the nullity of hom_system's full matrix, both ways,
   between random small modules, one of them with the two letters the
-  oracle frames equal, and five DIFFS modules: w5 and q5 (n_0 = 22), z4
-  (an empty vertex, a letter of rank 1 on 2 columns), e7 (exceptional
-  tubes) and c6 (C and D with the largest images, so framed);
+  oracle frames equal, and six DIFFS modules: w5 and q5 (n_0 = 22), w9
+  (n_0 = 44), z4 (an empty vertex, a letter of rank 1 on 2 columns), e7
+  (exceptional tubes) and c6 (C and D with the largest images, so
+  framed);
 - hom_vector of one module over a `homdim --all` list in-process, three
   times: the second call, over an equal list made again, and the third,
   over the first list round-tripped through pickle (equal descriptors,
@@ -144,10 +145,12 @@ DIFFS = [
 ]
 
 # the DIFFS modules check_oracle_nullity holds to the full system: n_0 = 22
-# in w5 and q5; z4, whose A has rank 1 on 2 columns, so its oracle source
-# drops a dependent column; e7, exceptional tubes on either side; c6, whose
-# C and D have strictly the largest images, so the oracle frames them
-ORACLE_NULLITY = ("w5.json", "q5.json", "z4.json", "e7.json", "c6.json")
+# in w5 and q5; w9, n_0 = 44 over GF(32003), where the reduced frames
+# thin the residual rows the most; z4, whose A has rank 1 on 2 columns, so
+# its oracle source drops a dependent column; e7, exceptional tubes on
+# either side; c6, whose C and D have strictly the largest images, so the
+# oracle frames them
+ORACLE_NULLITY = ("w5.json", "q5.json", "w9.json", "z4.json", "e7.json", "c6.json")
 
 # decompose in-process: (field, summands, disguise seed, bounds)
 DECOMPOSE_TWICE = [

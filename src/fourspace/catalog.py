@@ -358,10 +358,16 @@ def tube_lambda(field, lam):
     """lam coerced into field, or parsed there if it is the typed text;
     InvalidParams, naming lam as given, if it is the text "inf" or reduces
     to 0 or 1 there (8 in GF(7)): the points of the exceptional tubes
-    R(s, m, lam), as parse_descriptor reads them."""
+    R(s, m, lam), as parse_descriptor reads them.  So is a lam whose
+    denominator the characteristic divides (1/7 in GF(7)): it names no
+    element of field."""
     if lam == "inf":
         raise InvalidParams(f"lambda {lam} is an exceptional point; no homogeneous tube")
-    value = field.parse(lam) if isinstance(lam, str) else field.coerce(lam)
+    try:
+        value = field.parse(lam) if isinstance(lam, str) else field.coerce(lam)
+    except ZeroDivisionError:
+        raise InvalidParams(f"lambda {lam} has a denominator divisible by the characteristic "
+                            f"of {field}; no homogeneous tube") from None
     if value == field.zero or value == field.one:
         raise InvalidParams(f"lambda {lam} reduces to {value} in {field}; no homogeneous tube")
     return value

@@ -16,7 +16,8 @@ at a time: each is reduced against the pivots found so far
 (``_reduce``), and its first entry left becomes a new pivot.  A pivot's
 form (``_pivot``) is what later rows are reduced with; over GF(p) it is
 made, and its row scaled to a leading 1, the first time a later row
-reduces against it, so a pivot no row reads is never scaled; pivot
+reduces against it, so a forward pivot no row reads is never scaled,
+while the reduced loop leaves every pivot row with its leading 1; pivot
 forms never leave this module.  Once every column holds a pivot, the
 rows left are in their span and the loop reads no more of them.  The working copy (``_start``,
 of any sequence of rows), the loop and the split are also called on
@@ -93,7 +94,12 @@ class _Field:
         read are in their span, and the loop stops.  The rows end as the
         pivot rows in pivot order, then one zero row for each other row,
         read or not.  reduced=True then clears each pivot row past its
-        pivot with the forward forms, in ascending pivot order.
+        pivot with the forward forms, in ascending pivot order, and
+        finishes the rows as forward echelon does (_finish): over GF(p)
+        every pivot row ends with a leading 1, so the rows are the reduced
+        row echelon form; over QQ they stay Python-int rows, each a
+        nonzero multiple of its reduced row.  The forward mode scales no
+        row that no later row read.
         """
         width = len(rows[0]) if rows else 0
         lead = [None] * width
@@ -113,6 +119,7 @@ class _Field:
         if reduced:
             for c, row in zip(pivots, rows):
                 self._reduce(row, lead, c + 1)
+            self._finish(rows, pivots, False)
         return pivots
 
     def _split(self, rows, n):
@@ -148,8 +155,8 @@ class _Field:
 
         Over GF(p) each pivot row is scaled to a leading 1 (a row that has
         one is only read): the first time a later row reads it, or else
-        by _finish.  A reduction changes a row only in the columns where
-        the pivot row is nonzero.
+        by _finish, which the reduced loop has already run.  A reduction
+        changes a row only in the columns where the pivot row is nonzero.
 
         Over QQ the elimination is fraction-free on primitive rows of
         Python ints (Rationals._reduce): rows of Python ints as they are,

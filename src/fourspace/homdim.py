@@ -41,8 +41,9 @@ for each pattern and sigma, keyed by the pattern's content (_plan): the
 cells mapped to M's letter slots, the slots that give W's width g, and
 for each fold its kernel keys, kept columns and blocks.  M's letters are
 made integral once per call, by _sparse_letters's first elimination,
-into the working rows of [A B C D]; a group writes each fold's rows from
-the call's kernel cache and splits them (_Field._split).  From there on
+into the working rows of [A B C D], whose zero rows count [M, P(0,0)];
+a group writes each fold's rows from the call's kernel cache and splits
+them (_Field._split).  From there on
 the pass holds the working rows of the field's elimination, lists of
 Python ints: a fold writes its rows in that form and returns its images
 as those rows, and every step and span test runs on them, so no result
@@ -696,15 +697,20 @@ def hom_vector(M, descs):
     letters are made integral and sparse (_sparse_letters) once, each
     pass reads its pattern through its compiled _plan, and all passes
     share one kernel cache (_kernel), started with the working rows of
-    [A B C D].
+    [A B C D].  Those rows are U [A B C D] V, U and V invertible, and
+    the echelon passes leave all but rank [A B C D] of them zero, so
+    [M, P(0,0)] = cor([A B C D]) is their count of zero rows, read with
+    no elimination of its own; I(0,j) are the dimensions hom_dim reads.
     """
     field = M.field
     descs = tuple(descs)
     plan = _targets(descs, field)
     out = [None] * len(descs)
-    for i in plan.closed:
-        out[i] = hom_dim(M, descs[i])
     cuts, rows = _sparse_letters(field, M.mats())
+    for i in plan.closed:
+        d = descs[i]
+        out[i] = (sum(not any(row) for row in rows) if d.family == FAMILY_POSTPROJECTIVE
+                  else hom_dim(M, d))
     cache = cuts, {(): rows}
     for key, sigma, scalar, wanted, slots in plan.groups:
         values = _staircase_coranks(field, sigma, CASE_SPECS[key], scalar, wanted, cache)

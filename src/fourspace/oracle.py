@@ -60,24 +60,31 @@ since (K_p kron W_p) ∩ (K_q kron W_q) = (K_p∩K_q) kron (W_p∩W_q).  So
                     - rank(u kron w, u in K_t', w in W_t', t = r, s,
                            cut to the columns outside P),
 
-K_t' and W_t' echelon bases of K_t and W_t in the two frames.  Relations
-p and q need no elimination at all, and only relations r and s are
-written.  Their rows number sum_t |K_t| |W_t| over t = r, s, so the
-source frames the two letters of M with the largest images.
+K_t' and W_t' bases of K_t and W_t in the two frames.  Any bases give
+that rank: for a fixed u the rows u kron w span u kron W_t under any
+basis of W_t, and the same holds for w.  So both are reduced echelon
+bases, each row zero at the other rows' pivots and over GF(p) leading
+with 1, which writes sparser rows.  Relations p and q need no
+elimination at all, and only relations r and s are written.  Their rows
+number sum_t |K_t| |W_t| over t = r, s, so the source frames the two
+letters of M with the largest images.
 
 M's pairing holds for every target, so each side is prepared once:
 _source(M) gives the pairing, n, the frame of the W_t, eliminating the
 columns of each L_M^t (_Field._eliminate), and each row of W_r', W_s'
 cut to the column sets _nullity keeps; _target(X) gives m, the r_t and
 the K_t, splitting [L_X | I] (_Field._split), and a table of frames.
-_nullity reads the target's frame in M's pairing through _framed, which
-frames the K_t the first time a pairing is asked for and keeps that
-frame in the target.  _nullity writes the cut rows from the two sides
-and ranks them with the same loop, which stops once every column holds
-a pivot; hom_oracle is that composition.  verify.oracle_vector, which run_sweep
-and `homdim --oracle` call, prepares M once and each target once per
-process, in one bounded cache, so each target is framed once per
-pairing its sources ask for: at most six frames.
+_nullity reads the target's template in M's pairing through _framed,
+which frames the K_t the first time a pairing is asked for and keeps, in
+the target, the frame's counts and each row of K_r', K_s' as its
+nonzeros, each by its block of the frame and its index there.  _nullity
+writes the cut rows from the two sides, each block of a row at an offset
+the counts and the source's cut widths give, and ranks them with the
+same loop, which stops once every column holds a pivot; hom_oracle is
+that composition.  verify.oracle_vector, which run_sweep and `homdim
+--oracle` call, prepares M once and each target once per process, in
+one bounded cache, so each target is framed once per pairing its
+sources ask for: at most six templates.
 """
 
 from __future__ import annotations
@@ -135,8 +142,9 @@ def _lead(row):
 
 def _frame(field, d, spaces):
     """Subspaces U_1..U_4 of k^d, echelon bases as working rows, in the
-    two-subspace basis of the first two: ((a0, a1, a2), [U_3', U_4']).
-    Callers pass a pairing's order, the framed two first.
+    two-subspace basis of the first two: ((a0, a1, a2), [U_3', U_4']),
+    U_3' and U_4' reduced.  Callers pass a pairing's order, the framed two
+    first.
 
     The basis Q stacks an echelon basis of U_1∩U_2 (a0 rows), the rows of
     U_1's basis and of U_2's whose pivot no row of U_1∩U_2 has (a1 and a2
@@ -152,6 +160,11 @@ def _frame(field, d, spaces):
     the split of [[Q | I]; [U_t | 0]] at d, an echelon basis of
     span(U_t Q^-1), formed with no inverse.  Each split writes its own
     rows of [Q | I], since the elimination works on its rows in place.
+    Each U_t' is then eliminated once more, reduced (field._eliminate):
+    its rows are already echelon, so the pass only clears each row at the
+    others' pivots, and over GF(p) leaves each with a leading 1.  Any
+    basis of the span serves _nullity; a reduced one gives it sparser
+    rows.
     """
     u1, u2, *rest = spaces
     zero = [0] * d
@@ -166,6 +179,8 @@ def _frame(field, d, spaces):
              + [eye[c] for c in range(d) if c not in spanned])
     coords = [field._split([*(q + e for q, e in zip(basis, eye)), *(u + zero for u in ut)], d)[1]
               if ut else [] for ut in rest]
+    for rows in coords:
+        field._eliminate(rows, reduced=True)
     return counts, coords
 
 
@@ -192,18 +207,28 @@ def _target(X):
 
 
 def _framed(field, target, pairing):
-    """A _target's left kernels in a pairing: ((a0, a1, a2), [K_r', K_s']),
-    the _frame of the K_t in k^{m_0}, slots pairing[0] and pairing[1] in
-    coordinate position and pairing[2], pairing[3] in those coordinates.
+    """A _target's left kernels in a pairing, as the template _nullity
+    writes its rows from: ((a0, a1, a2), [T_r, T_s]).  The counts are
+    those of the _frame of the K_t in k^{m_0}, slots pairing[0] and
+    pairing[1] in coordinate position.  T_t lists, for each row u of the
+    reduced basis K_t' (t = pairing[2], pairing[3]) in those coordinates,
+    u's nonzeros as (index, place, u[i]): place 0 to 3 for the blocks of
+    the first a0, the next a1, the next a2 and the last a3 = m_0 - a0 -
+    a1 - a2 coordinates, index the place of i within its block.
 
-    The frame is made the first time its pairing is asked for and kept in
-    the target's frames, keyed by the pairing, as decomp._plan keeps its
-    rows; the kernels are only read, so one target serves every pairing.
+    The template is made the first time its pairing is asked for and
+    kept in the target's frames, keyed by the pairing, as decomp._plan
+    keeps its rows; the kernels are only read, so one target serves every
+    pairing.
     """
     m, _, kernels, frames = target
     frame = frames.get(pairing)
     if frame is None:
-        frame = frames[pairing] = _frame(field, m[0], [kernels[t] for t in pairing])
+        a, spans = _frame(field, m[0], [kernels[t] for t in pairing])
+        ends = [*accumulate(a, initial=0), m[0]]
+        places = [(i - ends[k], k) for k in range(4) for i in range(ends[k], ends[k + 1])]
+        frame = frames[pairing] = a, [[tuple((*places[i], c) for i, c in enumerate(u) if c)
+                                        for u in span] for span in spans]
     return frame
 
 
@@ -258,7 +283,7 @@ def _covered(a, b):
 
 def _nullity(field, source, target):
     """dim Hom(M, X) from _source(M) and _target(X), over field, with X's
-    frame in the source's pairing read through _framed.
+    template in the source's pairing read through _framed.
 
     With p, q the framed slots and r, s the others: column (i, j), i in
     X's frame and j in M's, is in P if i is in S_p (the first a0 + a1
@@ -266,28 +291,31 @@ def _nullity(field, source, target):
     in the frame (place: 0 in S_p∩S_q, 1 in S_p alone, 2 in S_q alone, 3
     in neither) the row keeps the j outside T_p and T_q, the j outside
     T_p, the j outside T_q, or every j: kept[place] columns, the four cuts
-    _source made of each w.  Row (t, u, w), t = r, s, is u kron w cut to
-    those columns: for each nonzero u[i], the cut of w that i keeps,
-    scaled (field._scaled) where u[i] is not 1; a u that is nonzero only
-    where nothing is kept gives zero rows, which are left out.  Over QQ a
-    cut row may share a factor; _eliminate takes it as it is, since
-    nonzero scales of rows leave every rank alone.  Neither side's rows
-    are written, so each may serve many pairs; the target keeps the
-    frame of the source's pairing.
+    _source made of each w.  The row's columns run by place, then by i
+    within it: the a_k coordinates of place k (a3 = m_0 - a0 - a1 - a2)
+    hold a_k kept[k] columns from base[k], the sum of those before, and
+    the one at index x of place k its kept[k] from base[k] + x kept[k].
+    Row (t, u, w), t = r, s, is u kron w cut to those columns: for each
+    nonzero (index, place, u[i]) of u's template, the cut of w that its
+    place keeps, scaled (field._scaled) where u[i] is not 1; a u that is
+    nonzero only where nothing is kept gives zero rows, which are left
+    out.  Over QQ a cut row may share a factor; _eliminate takes it
+    as it is, since nonzero scales of rows leave every rank alone.
+    Neither side's rows are written, so each may serve many pairs; the
+    target keeps the template of the source's pairing.
     """
     (pairing, n, b, kept, cuts), (m, ranks, _, _) = source, target
-    a, kernels = _framed(field, target, pairing)
+    a, templates = _framed(field, target, pairing)
     nullity = sum(map(mul, m, n)) - sum(map(mul, ranks, n[1:])) - _covered(a, b)
-    place = [0] * a[0] + [1] * a[1] + [2] * a[2] + [3] * (m[0] - sum(a))
-    starts = list(accumulate((kept[k] for k in place), initial=0))
-    width = starts[-1]
+    base = list(accumulate(map(mul, (*a, m[0] - sum(a)), kept), initial=0))
+    width = base[4]
     if not width:
         return nullity
     residual = []
-    for kernel, span in zip(kernels, cuts):
-        for u in kernel:
-            blocks = [(starts[i], starts[i + 1], place[i], c) for i, c in enumerate(u)
-                      if c and kept[place[i]]]
+    for template, span in zip(templates, cuts):
+        for u in template:
+            blocks = [(base[k] + i * w, base[k] + (i + 1) * w, k, c) for i, k, c in u
+                      if (w := kept[k])]
             if not blocks:
                 continue
             for cut in span:

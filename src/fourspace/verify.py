@@ -39,10 +39,11 @@ from .oracle import _nullity, _source, _target
 # largest dimension at every vertex of a trial module
 MAX_DIM = 6
 
-# targets prepared per process, each holding its kernels and the frames
-# of the pairings its sources asked for, six at most.  verify's default
-# bounds hold 106 descriptors and (24, 12, {2, 5}) 418, whose kernels and
-# six frames each take about 14 MB
+# targets prepared per process, each holding its kernels and the
+# templates of the pairings its sources asked for, six at most.  verify's
+# default bounds hold 106 descriptors and (24, 12, {2, 5}) 418, whose
+# kernels and six templates each take about 14 MB over GF(32003) and
+# 13 MB over QQ (tracemalloc)
 _TARGET_CACHE_SIZE = 1024
 
 
@@ -109,9 +110,9 @@ def _catalog_target(desc, field):
 
     A target depends on (desc, field) alone, both hashable by value:
     descriptors are checked when they are made, so equal ones name one
-    module over every field.  _nullity only reads its kernels, and frames them once per pairing a
-    source asks for, kept in the target, so one serves every sweep that
-    asks for it.  A raise (a target too large to build) is not kept.
+    module over every field.  _nullity only reads its kernels, and frames
+    them once per pairing a source asks for, each frame's template kept
+    in the target, so one serves every sweep that asks for it.  A raise (a target too large to build) is not kept.
     """
     return _target(build(desc, field))
 

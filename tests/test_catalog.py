@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fourspace import catalog as cat
+from fourspace import decompose, hom_vector
 from fourspace.catalog import (
     INF,
     EnumerationBounds,
@@ -305,6 +306,26 @@ def test_homogeneous_lambda_reduction_checked_at_build():
     desc = IndecDescriptor(cat.FAMILY_REGULAR_HOMOGENEOUS, (1, 8))
     with pytest.raises(InvalidParams):
         build(desc, PrimeField(7))
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 7), Fraction(3, 14), Fraction(-9, 49)], ids=str)
+def test_a_lambda_over_the_characteristic_is_invalid_in_every_entry_point(lam):
+    # 7 divides the denominator, so lam is no element of GF(7): build,
+    # hom_vector and decompose raise one InvalidParams naming lam and the
+    # field, as for a lam that reduces to 0 or 1, and not the field's
+    # ZeroDivisionError; over QQ and GF(5) the same lam is a tube
+    field = PrimeField(7)
+    message = rf"lambda {lam} has a denominator divisible by .* GF\(7\)"
+    bounds = EnumerationBounds(1, 1, (lam,))
+    m = build(cat.P(1, 0), field)
+    with pytest.raises(InvalidParams, match=message):
+        build(cat.R(1, lam), field)
+    with pytest.raises(InvalidParams, match=message):
+        hom_vector(m, enumerate_descriptors(bounds))
+    with pytest.raises(InvalidParams, match=message):
+        decompose(m, bounds)
+    for other in (QQ, PrimeField(5)):
+        assert dim_vector(build(cat.R(1, lam), other)) == (2, 1, 1, 1, 1)
 
 
 def test_lambda_zero_message_points_to_exceptional_row():

@@ -562,6 +562,39 @@ def test_unit_pivots_match_reference_eliminator(field, rng, monkeypatch):
         assert 0 < len(inverted) < pivots_seen
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
+def test_reduced_loop_finishes_its_rows(field, rng):
+    # _eliminate(rows, reduced=True) on working rows, as the oracle calls
+    # it: over GF(p) every pivot row ends with a leading 1, also one that
+    # no later row read (echelon rows with pivots other than 1, the
+    # oracle's case), so the rows equal the reference RREF row for row;
+    # over QQ each is a primitive integer multiple of the reference row
+    p = field.p if isinstance(field, PrimeField) else None
+    inputs = _unit_pivot_inputs(field, rng) if p else _reference_inputs(field, rng)
+    for _ in range(20):
+        n = rng.randint(1, 8)
+        starts = sorted(rng.sample(range(n), rng.randint(1, n)))
+        rows = [[0] * c + [rng.randrange(1, p or 10)]
+                + [field.coerce(rng.choice([0, 1, -1, rng.randint(-9, 9)])) for _ in range(n - c - 1)]
+                for c in starts]
+        inputs.append(mat(field, rows))
+    unread = 0
+    for a in inputs:
+        want_pivots, want_rref = reference_rref(a.data, p)
+        rows = field._start(a.data)
+        unread += sum(rows[i][c] not in (0, 1) for i, c in enumerate(want_pivots))
+        assert field._eliminate(rows, reduced=True) == want_pivots
+        assert len(rows) == a.rows
+        if p:
+            assert rows == want_rref
+            continue
+        for row, want in zip(rows, want_rref):
+            assert all(type(x) is int for x in row) and math.gcd(*row) in (0, 1)
+            c = next((c for c, x in enumerate(want) if x), None)
+            assert [Fraction(x, row[c]) for x in row] == want if c is not None else not any(row)
+    assert unread or p == 2
+
+
 def test_a_unit_pivot_row_is_only_read(monkeypatch):
     # a row with a leading 1 gives its form without being written, so it
     # may be a tuple, and that form clears the others; a row without one is

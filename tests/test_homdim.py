@@ -13,6 +13,7 @@ from fourspace.catalog import EnumerationBounds, InvalidParams, enumerate_descri
 from fourspace.decomp import decompose
 from fourspace.exactmat import (
     QQ,
+    ExactMatrix,
     PrimeField,
     block_grid,
     hstack,
@@ -757,6 +758,34 @@ def test_hom_vector_shuffled_with_duplicates(field, rng):
     for m in (random_module(field, rng, max_dim=3),
               disguised_sum(field, [cat.R(2, lams[0]), cat.P(2, 1)], rng)):
         assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
+
+
+@pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
+def test_hom_vector_reads_p00_from_the_sparse_letters(field, monkeypatch):
+    # [M, P(0,0)] = cor([A B C D]) is the zero-row count of the echelon
+    # rows _sparse_letters already made: hom_vector eliminates [A B C D]
+    # no second time, so no corank runs, and it answers as hom_dim, also
+    # for A B C D of full row rank, of rank 0, n_0 = 0 and no columns
+    rng = random.Random(0x00)
+    modules = [random_module(field, rng, max_dim=3) for _ in range(4)]
+    modules += [disguised_sum(field, [cat.P(0, 0), cat.P(1, 0), cat.I(0, 2)], rng),
+                disguised_sum(field, [cat.P(0, 0), cat.P(0, 0), cat.R(0, 2, 1)], rng),
+                LambdaModule(*(zeros(field, 3, 2) for _ in range(4))),
+                LambdaModule(*(zeros(field, 2, 0) for _ in range(4))),
+                LambdaModule(*(random_matrix(field, 0, 2, rng) for _ in range(4)))]
+    descs = [cat.P(0, 0), cat.I(0, 0), cat.I(0, 3), cat.P(1, 2), cat.P(0, 0)]
+    want = [[hom_dim(m, d) for d in descs] for m in modules]
+    assert {w[0] for w in want} >= {0, 1, 2, 3}
+    coranks = []
+    corank = ExactMatrix.corank
+
+    def spied(self):
+        coranks.append(self)
+        return corank(self)
+
+    monkeypatch.setattr(ExactMatrix, "corank", spied)
+    assert [hom_vector(m, descs) for m in modules] == want
+    assert coranks == []
 
 
 def test_hom_vector_at_benchmark_size():

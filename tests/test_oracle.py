@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 import pytest
 
 from fourspace import catalog as cat
+from fourspace import oracle
 from fourspace.exactmat import (
     QQ,
     FieldMismatch,
@@ -494,3 +495,67 @@ def test_source_frames_the_two_largest_images(fld, rng):
     m = LambdaModule(*(_letter(fld, 2, k, k, rng) for k in (0, 2, 0, 1)))
     assert _source(m)[0] == (1, 3, 0, 2)
     assert _source(LambdaModule(*(zeros(fld, 0, k) for k in (1, 0, 2, 1))))[0] == (0, 1, 2, 3)
+
+
+def _reduced_echelon(field, rows):
+    """True iff rows, working rows, are a reduced echelon basis: nonzero,
+    pivots ascending, each row zero in the other rows' pivot columns;
+    over GF(p) each leads with 1, over QQ each holds Python ints."""
+    leads = [next((c for c, x in enumerate(row) if x), None) for row in rows]
+    if None in leads or leads != sorted(set(leads)):
+        return False
+    if any(row[c] for i, row in enumerate(rows) for j, c in enumerate(leads) if i != j):
+        return False
+    if isinstance(field, PrimeField):
+        return all(row[c] == 1 for row, c in zip(rows, leads))
+    return all(type(x) is int for row in rows for x in row)
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
+def test_frames_are_reduced_and_templates_read_them(fld, rng, monkeypatch):
+    # every U_t' that _frame hands back, on the source side (the W_t') and
+    # on the target side (the K_t'), at every pairing, is in reduced
+    # echelon form, and the target's template lists exactly the nonzeros
+    # of its K_t' rows, each by its block (place) and its index there:
+    # catalog targets, random and disguised modules
+    framed = []
+    frame = oracle._frame
+
+    def spied(field, d, spaces):
+        out = frame(field, d, spaces)
+        framed.append(out)
+        return out
+
+    monkeypatch.setattr(oracle, "_frame", spied)
+    lam = [cat.R(2, lam) for lam in map(fld.coerce, (2, 5)) if lam not in (fld.zero, fld.one)]
+    modules = [cat.build(d, fld) for d in _oracle_targets(fld) + lam[:1]
+               + [cat.P(4, 1), cat.I(3, 2), cat.R(1, 5, cat.INF), cat.R(0, 4, 0)]]
+    modules += [random_module(fld, rng, max_dim=4) for _ in range(4)]
+    modules += [_low_rank_module(fld, rng, 4) for _ in range(2)]
+    modules += [disguised_sum(fld, descs, rng) for descs in (
+        [cat.P(2, 1), cat.I(1, 0), cat.R(0, 2, 1)], [cat.P(1, 0), cat.P(1, 0), cat.I(2, 3)],
+        [cat.R(1, 3, cat.INF), cat.I(1, 1)] + lam[:1])]
+    sets = 0
+    for m in modules:
+        for pairing in PAIRINGS:
+            framed.clear()
+            source = _source(m, pairing)
+            target = _target(m)
+            a, templates = _framed(fld, target, pairing)
+            (_, w_spans), (counts, k_spans) = framed
+            assert counts == a
+            for rows in (*w_spans, *k_spans):
+                assert _reduced_echelon(fld, rows), (dim_vector(m), pairing, rows)
+                sets += bool(rows)
+            # the source cuts its W_t' rows as _frame returned them
+            assert [[cut[3] for cut in span] for span in source[4]] == w_spans
+            starts = [0, a[0], a[0] + a[1], sum(a)]
+            for template, rows in zip(templates, k_spans):
+                assert len(template) == len(rows)
+                for entries, row in zip(template, rows):
+                    u = [0] * len(row)
+                    for i, place, c in entries:
+                        assert c and i >= 0 and (place == 3 or i < a[place])
+                        u[starts[place] + i] = c
+                    assert u == row and len(entries) == sum(map(bool, row))
+    assert sets > 100
