@@ -360,7 +360,8 @@ def tube_lambda(field, lam):
     to 0 or 1 there (8 in GF(7)): the points of the exceptional tubes
     R(s, m, lam), as parse_descriptor reads them.  So is a lam whose
     denominator the characteristic divides (1/7 in GF(7)): it names no
-    element of field."""
+    element of field.  Text the field cannot parse ("x", "1/0") raises
+    its ValueError."""
     if lam == "inf":
         raise InvalidParams(f"lambda {lam} is an exceptional point; no homogeneous tube")
     try:

@@ -93,7 +93,7 @@ def _bounds(args, field):
             lams.append(tube_lambda(field, text))
         except InvalidParams:
             continue  # exceptional rows are enumerated unconditionally
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise CliError("parse-error", f"bad lambda {text!r}: {exc}") from None
     return EnumerationBounds(args.max_n, args.max_l, tuple(lams))
 

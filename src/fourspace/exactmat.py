@@ -280,11 +280,15 @@ class Rationals(_Field):
         return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
     def parse(self, s):
-        """Parse "5", "-3" or "2/7"."""
+        """Parse "5", "-3" or "2/7"; a zero denominator is malformed, a
+        ValueError like any other."""
         s = s.strip()
         if "." in s or "e" in s.lower():
             raise ValueError(f"not an exact rational literal: {s!r}")
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {s!r}") from None
 
     def format(self, x):
         return str(x)

@@ -31,13 +31,11 @@ hom_vector(M, Xs) answers many, using the staircase the way SOLVEBLOK
 linear systems", ACM TOMS 6(1), 1980) does.  The matrix with k copies is a
 leading block of the one with k + 1, so descriptors sharing (case key,
 sigma, lam) differ only in k and share one pass.  What does not depend
-on M is planned once per process, at two levels.
-What a call needs of its descriptor list alone is planned once for each
-list and field (_targets): the closed-form targets, and for each (case
-key, sigma, lam) group its key, sigma, integral coefficient table
-(field.integral), the copy counts its members ask for and where each
-answer goes.  What a pass needs of its pattern alone is compiled once
-for each pattern and sigma, keyed by the pattern's content (_plan): the
+on M is planned once per process, for each descriptor list and field
+(_targets): the closed-form targets, and for each (case key, sigma, lam)
+group its staircase, its integral coefficient table (field.integral),
+the copy counts its members ask for and where each answer goes.  A
+staircase is compiled from the layout coeff_matrix writes (_plan): its
 cells mapped to M's letter slots, the slots that give W's width g, and
 for each fold its kernel keys, kept columns and blocks.  M's letters are
 made integral once per call, by _sparse_letters's first elimination,
@@ -118,8 +116,9 @@ from .exactmat import ExactMatrix, hstack
 from .modules import perm_inverse, permute_slots
 
 # descriptor lists planned per process (_targets), one per (list, field).
-# A plan holds 50 kB besides its descriptors for the 418 of (24, 12,
-# {2, 5}) and 100 kB for the 690 of (40, 20, {2, 5}): eight stay under 1 MB
+# By tracemalloc on CPython 3.11, a plan holds 69 kB besides its descriptors
+# for the 418 of (24, 12, {2, 5}) and 129 kB for the 690 of (40, 20,
+# {2, 5}), 29 kB of each its 32 compiled staircases: eight stay near 1 MB
 _TARGETS_CACHE_SIZE = 8
 
 # Cell grammar: None is a zero block; (letter, coeff) is coeff * letter with
@@ -499,50 +498,42 @@ class _Plan(NamedTuple):
     capped: bool  # kind "M3"
 
 
-@functools.cache
-def _plan(kind, head, rep, overlap, sigma):
-    """The _Plan of a case pattern, given by content, read through sigma.
+def _plan(spec, sigma):
+    """The _Plan of a CASE_SPECS entry read through sigma.
 
-    Compiled once per process for each pattern and sigma: letter t of the
-    pattern is M's letter in slot permute_slots(range(4), sigma^-1)[t].
-    The folds: the head with W on its tail rows, [H | E], and the rep with
-    its own columns first, [R_own | R_W | E].  The key is the content, so
-    an edit to CASE_SPECS reaches the next call.
+    Letter t of the pattern is M's letter in slot
+    permute_slots(range(4), sigma^-1)[t].  Both folds are windows of the
+    layout with two copies (_layout), so W sits where coeff_matrix puts
+    it: the head with W on its tail rows, [H | E], is the first a block
+    rows cut to b + f block columns, and the first copy with its own
+    columns first, [R_own | R_W | E], is the next c block rows read at
+    columns [b + f, b + d), then [b, b + f), then [b + d, b + d + f).
     """
     slots = permute_slots(range(4), perm_inverse(sigma))
     slot = {x: slots[i] for x, i in _LETTER_INDEX.items()}
-    b, e, f = len(head[0]), len(overlap), len(overlap[0])
-    g = tuple(slot[x] for x in _columns(overlap))
-    head, rep, overlap = (
-        [[None if x is None else (slot[x[0]], x[1]) for x in row] for row in part]
-        for part in (head, rep, overlap)
-    )
-
-    def fold(pattern, own):
-        # W on the pattern's last e block rows, in f fresh block columns
-        tail = len(pattern) - e
-        return _fold_plan([row + (overlap[i - tail] if i >= tail else [None] * f)
-                           for i, row in enumerate(pattern)], own)
-
+    (a, b), (c, d) = ((len(spec[part]), len(spec[part][0])) for part in ("head", "rep"))
+    f = len(spec["overlap"][0])
+    cells = [[None if x is None else (slot[x[0]], x[1]) for x in row]
+             for row in _layout(spec, 2)]
+    keep = [*range(b + f, b + d), *range(b, b + f), *range(b + d, b + d + f)]
     return _Plan(
-        g,
-        fold(head, b),
-        fold([row[f:] + row[:f] for row in rep], len(rep[0]) - f),
-        head == rep,
-        kind == "M3",
+        tuple(slot[x] for x in _columns(spec["overlap"])),
+        _fold_plan([row[: b + f] for row in cells[:a]], b),
+        _fold_plan([[row[j] for j in keep] for row in cells[a : a + c]], d - f),
+        spec["head"] == spec["rep"],
+        spec["kind"] == "M3",
     )
 
 
-def _staircase_coranks(field, sigma, raw, scalar, wanted, cache):
+def _staircase_coranks(field, plan, scalar, wanted, cache):
     """{reps: corank of the case matrix with reps copies} for reps in wanted.
 
     cache is the call's (cuts, kernels): where each of M's letters starts
     in [A B C D], in M's slot order, and the kernel rows _kernel keeps,
-    which the folds cut (_kernel_fold).  The pattern reads its letter t
-    from M's slot permute_slots(range(4), sigma^-1)[t], through its
-    _plan.  scalar is the integral coefficient table of the group's lam
-    (_coefficients), which the list's _targets holds.  A group folds and
-    eliminates: nothing else.
+    which the folds cut (_kernel_fold).  plan is the group's compiled
+    staircase (_plan) and scalar the integral coefficient table of its
+    lam (_coefficients), both from the list's _targets.  A group folds
+    and eliminates: nothing else.
 
     One transfer recursion from the head towards max(wanted) copies; the
     state (z, s) splits the left kernel of the matrix so far by y_tail W,
@@ -581,8 +572,6 @@ def _staircase_coranks(field, sigma, raw, scalar, wanted, cache):
     state.
     """
     top = max(wanted)
-    plan = _plan(raw["kind"], *(tuple(map(tuple, raw[part])) for part in ("head", "rep", "overlap")),
-                 sigma)
 
     def corank(z, s):
         return z if plan.capped else z + len(s)
@@ -651,7 +640,7 @@ class _Targets(NamedTuple):
     see _targets."""
 
     closed: tuple  # the indices of the closed-form descriptors
-    groups: tuple  # per (case key, sigma, lam): (key, sigma, scalar, wanted, slots)
+    groups: tuple  # per (case key, sigma, lam): (plan, scalar, wanted, slots)
 
 
 @functools.lru_cache(maxsize=_TARGETS_CACHE_SIZE)
@@ -665,13 +654,12 @@ def _targets(descs, field):
     through case, so a lam that reduces to 0 or 1 in field raises
     InvalidParams here, and no plan is kept.  The closed forms are
     listed by index; the others are grouped by (case key, sigma, lam),
-    each group with its key and sigma, the integral coefficient table of
-    its lam (_coefficients), the set of copy counts its members ask for
-    (wanted), and (index, copy count) per member (slots).  A plan holds
-    no answer and nothing of M.  A pattern's cells are not in it:
-    hom_vector reads CASE_SPECS[key] and _plan at every call, so an edit
-    to them reaches the next warm call; its reps rule is read here, once
-    per list.
+    each group with its staircase compiled from CASE_SPECS[key] (_plan),
+    the integral coefficient table of its lam (_coefficients), the set of
+    copy counts its members ask for (wanted), and (index, copy count) per
+    member (slots).  A plan holds no answer and nothing of M, and a warm
+    call reads neither CASE_SPECS nor a pattern: an edit to CASE_SPECS
+    reaches hom_vector only through a list planned after it.
     """
     closed, groups = [], {}
     for i, d in enumerate(descs):
@@ -681,7 +669,7 @@ def _targets(descs, field):
         else:
             groups.setdefault((key, sigma, lam), []).append((i, CASE_SPECS[key]["reps"](param)))
     return _Targets(tuple(closed), tuple(
-        (key, sigma, _coefficients(field, lam, integral=True),
+        (_plan(CASE_SPECS[key], sigma), _coefficients(field, lam, integral=True),
          frozenset(r for _, r in slots), tuple(slots))
         for (key, sigma, lam), slots in groups.items()))
 
@@ -695,7 +683,7 @@ def hom_vector(M, descs):
     list and the field alone: _targets plans it once per process, and
     any list equal to a planned one reads that plan.  Per call, M's
     letters are made integral and sparse (_sparse_letters) once, each
-    pass reads its pattern through its compiled _plan, and all passes
+    pass runs the staircase its list's plan compiled, and all passes
     share one kernel cache (_kernel), started with the working rows of
     [A B C D].  Those rows are U [A B C D] V, U and V invertible, and
     the echelon passes leave all but rank [A B C D] of them zero, so
@@ -712,8 +700,8 @@ def hom_vector(M, descs):
         out[i] = (sum(not any(row) for row in rows) if d.family == FAMILY_POSTPROJECTIVE
                   else hom_dim(M, d))
     cache = cuts, {(): rows}
-    for key, sigma, scalar, wanted, slots in plan.groups:
-        values = _staircase_coranks(field, sigma, CASE_SPECS[key], scalar, wanted, cache)
+    for staircase, scalar, wanted, slots in plan.groups:
+        values = _staircase_coranks(field, staircase, scalar, wanted, cache)
         for i, r in slots:
             out[i] = values[r]
     return out

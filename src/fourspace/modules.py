@@ -188,8 +188,8 @@ def matrix_from_record(field, rec, slot=""):
         )
     try:
         vals = [field.parse(str(x)) for x in entries]
-    except ZeroDivisionError as exc:
-        raise ValueError(f"matrix record {slot}: zero denominator: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"matrix record {slot}: {exc}") from None
     grid = [vals[i * cols : (i + 1) * cols] for i in range(rows)]
     return ExactMatrix(field, grid, shape=(rows, cols))
 

@@ -6,7 +6,6 @@ failure.  They run as ordinary pytest tests below, and
 criterion, without pytest.
 """
 
-import contextlib
 import functools
 import random
 import sys
@@ -19,7 +18,7 @@ from fourspace import catalog as cat
 from fourspace.catalog import EnumerationBounds, declared_dim, enumerate_descriptors
 from fourspace.decomp import IncompleteCandidates, decompose
 from fourspace.exactmat import QQ, PrimeField, block_grid, hstack, mat, zeros
-from fourspace.homdim import CASE_SPECS, coeff_matrix, hom_dim, hom_vector
+from fourspace.homdim import coeff_matrix, hom_dim, hom_vector
 from fourspace.modules import (
     PERM_CYCLE,
     LambdaModule,
@@ -30,6 +29,8 @@ from fourspace.modules import (
 )
 from fourspace.oracle import hom_oracle
 from fourspace.verify import disguised_sum, run_sweep, structured_module
+
+from case_edit import flipped_sign
 
 GF = PrimeField(32003)
 
@@ -229,25 +230,10 @@ SIGN_FLIPS = [
 ]
 
 
-@contextlib.contextmanager
-def _flipped_sign(case, part, i, j):
-    original = CASE_SPECS[case]
-    pattern = [list(row) for row in original[part]]
-    letter, coeff = pattern[i][j]
-    pattern[i][j] = (letter, -coeff)
-    mutated = dict(original)
-    mutated[part] = pattern
-    CASE_SPECS[case] = mutated
-    try:
-        yield
-    finally:
-        CASE_SPECS[case] = original
-
-
 def criterion_9_mutation_sensitivity():
     assert run_sweep(GF, VERIFY_BOUNDS, trials=4, seed=0) == []
     for cell in SIGN_FLIPS:
-        with _flipped_sign(*cell):
+        with flipped_sign(*cell):
             mismatches = run_sweep(GF, VERIFY_BOUNDS, trials=4, seed=0)
         assert mismatches, f"sign flip at {cell} went undetected"
     assert run_sweep(GF, VERIFY_BOUNDS, trials=4, seed=0) == []

@@ -16,6 +16,8 @@ from fourspace.modules import module_direct_sum, module_from_record, module_to_r
 from fourspace.oracle import hom_oracle
 from fourspace.verify import disguised_sum
 
+from case_edit import edited_case, flipped_sign
+
 GF = PrimeField(32003)
 
 
@@ -180,37 +182,32 @@ def test_verify_small_clean_run(capsys):
     assert code == 0 and "all agree" in out
 
 
-def test_verify_catches_misplaced_block(capsys, monkeypatch):
+def test_verify_catches_misplaced_block(capsys):
     # off-by-one: the B block of the first pattern row drifts one cell right
     head = [list(row) for row in CASE_SPECS["P0"]["head"]]
     assert head[0][2] == ("B", 1) and head[0][3] is None
     head[0][2], head[0][3] = None, ("B", 1)
-    mutated = dict(CASE_SPECS["P0"])
-    mutated["head"] = head
-    monkeypatch.setitem(CASE_SPECS, "P0", mutated)
-    code, out, _ = run(capsys, "verify", "--trials", "2", "--max-n", "1",
-                       "--max-l", "1", "--seed", "7")
+    with edited_case("P0", head=head):
+        code, out, _ = run(capsys, "verify", "--trials", "2", "--max-n", "1",
+                           "--max-l", "1", "--seed", "7")
     assert code != 0
     assert "mismatch" in out
 
 
-def test_verify_mismatch_line_replays(capsys, monkeypatch):
+def test_verify_mismatch_line_replays(capsys):
     # the R_EVEN sign flip of acceptance criterion 9
-    head = [list(row) for row in CASE_SPECS["R_EVEN"]["head"]]
-    letter, coeff = head[0][0]
-    head[0][0] = (letter, -coeff)
-    monkeypatch.setitem(CASE_SPECS, "R_EVEN", dict(CASE_SPECS["R_EVEN"], head=head))
-    code, out, _ = run(capsys, "verify", "--trials", "4", "--max-n", "2",
-                       "--max-l", "2", "--seed", "0")
-    assert code != 0
-    line = next(x for x in out.splitlines() if x.startswith("mismatch"))
-    found = re.fullmatch(r"mismatch trial=\d+ desc=(\S+) formula=(\d+) oracle=(\d+) "
-                         r"dim=\[[\d, ]*\] module=(\{.*\})", line)
-    assert found, line
-    label, formula, oracle, record = found.groups()
-    module = module_from_record(json.loads(record))
-    desc = cat.parse_descriptor(label, module.field)
-    assert hom_vector(module, [desc]) == [int(formula)]
+    with flipped_sign("R_EVEN", "head", 0, 0):
+        code, out, _ = run(capsys, "verify", "--trials", "4", "--max-n", "2",
+                           "--max-l", "2", "--seed", "0")
+        assert code != 0
+        line = next(x for x in out.splitlines() if x.startswith("mismatch"))
+        found = re.fullmatch(r"mismatch trial=\d+ desc=(\S+) formula=(\d+) oracle=(\d+) "
+                             r"dim=\[[\d, ]*\] module=(\{.*\})", line)
+        assert found, line
+        label, formula, oracle, record = found.groups()
+        module = module_from_record(json.loads(record))
+        desc = cat.parse_descriptor(label, module.field)
+        assert hom_vector(module, [desc]) == [int(formula)]
     assert hom_oracle(module, cat.build(desc, module.field)) == int(oracle)
     assert formula != oracle
 
@@ -286,6 +283,9 @@ ERROR_CASES = [
     ("parse-error", ["homdim", "{zero_denominator}", "I(0,0)"]),
     ("parse-error", ["decompose", "{zero_denominator}"]),
     ("parse-error", ["homdim", "{module}", "--all", "--lambda", "x"]),
+    # a zero denominator is a malformed literal, not an exceptional point
+    ("parse-error", ["homdim", "{past_bounds}", "--all", "--lambda", "1/0"]),
+    ("parse-error", ["decompose", "{past_bounds}", "--lambda", "1/0"]),
     ("io-error", ["homdim", "/nonexistent/m.json", "I(0,0)"]),
     ("incomplete-candidates",
      ["decompose", "{module}", "--max-n", "1", "--max-l", "1", "--lambda", "5"]),

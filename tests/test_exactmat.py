@@ -113,7 +113,7 @@ def test_coerce_takes_no_text(field):
     assert field.parse("3") == field.coerce(3)
     if field == QQ:
         assert field.parse("1/2") == Fraction(1, 2)
-    for text in ("0.5", "1e3") if field == QQ else ("0.5", "1e3", "1/2"):
+    for text in ("0.5", "1e3", "1/0") if field == QQ else ("0.5", "1e3", "1/2", "1/0"):
         with pytest.raises(ValueError):
             field.parse(text)
 

@@ -1,9 +1,11 @@
+import ast
 import copy
 import itertools
 import pickle
 import random
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,7 @@ from fourspace.modules import (
 from fourspace.oracle import hom_oracle
 from fourspace.verify import disguised_sum, structured_module
 
+from case_edit import flipped_sign
 from reference import reference_rref
 
 GF = PrimeField(32003)
@@ -738,9 +741,10 @@ def test_hom_vector_on_degenerate_letters(field, monkeypatch):
     groups = set()
     coranks = homdim._staircase_coranks
 
-    def spied(field, sigma, raw, scalar, *args):
-        groups.add((raw["head"] == CASE_SPECS["R_EVEN"]["head"], scalar["-lam"] == 0))
-        return coranks(field, sigma, raw, scalar, *args)
+    def spied(field, plan, scalar, *args):
+        lam_cells = any(c == "-lam" for row in plan.rep.blocks for _, _, c in row)
+        groups.add((lam_cells, scalar["-lam"] == 0))
+        return coranks(field, plan, scalar, *args)
 
     monkeypatch.setattr(homdim, "_staircase_coranks", spied)
     for dims in ((0, 2, 1, 0, 3), (1, 0, 1, 1, 0), (1, 1, 1, 1, 1), (3, 2, 0, 1, 2),
@@ -1014,18 +1018,10 @@ CYCLE_MUTATIONS = [
 ]
 
 
-def _flip_cell(monkeypatch, case, part, i, j):
-    pattern = [list(row) for row in CASE_SPECS[case][part]]
-    letter, coeff = pattern[i][j]
-    pattern[i][j] = (letter, -coeff)
-    mutated = dict(CASE_SPECS[case])
-    mutated[part] = pattern
-    monkeypatch.setitem(CASE_SPECS, case, mutated)
-
-
-# Both routes read CASE_SPECS at call time, so an edit to the table must
-# reach hom_vector's recursion as surely as hom_dim's one matrix.  On the
-# hom_dim route a mutation case keeps its bare id.
+# An edit through case_edit reaches hom_vector's recursion as surely as
+# hom_dim's one matrix: hom_dim reads CASE_SPECS at call time, and
+# hom_vector plans its lists afresh inside the edit.  On the hom_dim route
+# a mutation case keeps its bare id.
 ROUTES = {
     "hom_dim": lambda m, descs: [hom_dim(m, d) for d in descs],
     "hom_vector": hom_vector,
@@ -1039,20 +1035,20 @@ CYCLE_CASES = [
 
 
 @pytest.mark.parametrize("case,part,i,j,route", CYCLE_CASES)
-def test_sign_flip_on_cycle_blocks_is_caught(case, part, i, j, route, monkeypatch):
+def test_sign_flip_on_cycle_blocks_is_caught(case, part, i, j, route):
     lam = GF.coerce(2)
     rng = random.Random(11)
     m = module_direct_sum(cat.build(cat.R(2, lam), GF),
                           random_module(GF, rng, max_dim=2))
     probes = [cat.R(l, lam) for l in (1, 2, 3)]
     truth = [hom_oracle(m, cat.build(p, GF)) for p in probes]
-    _flip_cell(monkeypatch, case, part, i, j)
-    mutated = ROUTES[route](m, probes)
+    with flipped_sign(case, part, i, j):
+        mutated = ROUTES[route](m, probes)
     assert mutated != truth
 
 
 @pytest.mark.parametrize("route", ROUTES)
-def test_sign_flip_on_bridge_blocks_is_invisible(route, monkeypatch):
+def test_sign_flip_on_bridge_blocks_is_invisible(route):
     # the lone A block of the tube case hangs off a leaf column: flipping
     # it rescales away, so agreement must survive (this pins the analysis
     # that motivates the structured verify trials)
@@ -1060,31 +1056,103 @@ def test_sign_flip_on_bridge_blocks_is_invisible(route, monkeypatch):
     mods = [random_module(GF, rng, max_dim=3) for _ in range(4)]
     probe = cat.R(2, GF.coerce(2))
     truth = [hom_oracle(m, cat.build(probe, GF)) for m in mods]
-    _flip_cell(monkeypatch, "R_EVEN", "head", 1, 3)
-    assert [ROUTES[route](m, [probe])[0] for m in mods] == truth
+    with flipped_sign("R_EVEN", "head", 1, 3):
+        assert [ROUTES[route](m, [probe])[0] for m in mods] == truth
 
 
 def test_plan_follows_an_edit_to_case_specs(monkeypatch):
-    # a staircase's plan is compiled once per pattern and sigma, keyed by
-    # the pattern's content: a flipped cell after a cached call compiles a
-    # new plan, and reverting it finds the first one again
+    # a list's staircases are compiled when the list is planned
+    # (_targets), so a warm call reads no CASE_SPECS: an edit through
+    # case_edit reaches a warm list, which is planned afresh inside it; on
+    # exit the unedited plan is served again, as a hit with the old
+    # answers; and a warm call answers with the table emptied, where
+    # hom_dim, which reads it at every call, cannot
     lam = GF.coerce(2)
     m = module_direct_sum(cat.build(cat.R(2, lam), GF),
                           random_module(GF, random.Random(11), max_dim=2))
     probes = [cat.R(l, lam) for l in (1, 2, 3)]
-    homdim._plan.cache_clear()
+    homdim._targets.cache_clear()
     before = hom_vector(m, probes)
     assert before == [hom_dim(m, d) for d in probes]
-    with monkeypatch.context() as patched:
-        _flip_cell(patched, "R_EVEN", "rep", 0, 0)
-        misses = homdim._plan.cache_info().misses
+    with flipped_sign("R_EVEN", "rep", 0, 0):
         flipped = hom_vector(m, probes)
-        assert homdim._plan.cache_info().misses == misses + 1
         assert flipped == [hom_dim(m, d) for d in probes]
         assert flipped != before
-    hits = homdim._plan.cache_info().hits
     assert hom_vector(m, probes) == before
-    assert homdim._plan.cache_info().hits == hits + 1
+    info = homdim._targets.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    monkeypatch.setattr(homdim, "CASE_SPECS", {})
+    assert hom_vector(m, probes) == before
+    with pytest.raises(KeyError):
+        hom_dim(m, probes[0])
+
+
+# the dict methods that change a dict in place
+DICT_WRITES = {"update", "pop", "popitem", "clear", "setdefault"}
+
+
+def case_spec_writes(paths):
+    """["file:line", ...]: each write into CASE_SPECS in the files paths:
+    an item of it, or of one of its entries, assigned or deleted, setitem
+    or delitem on one, or a dict method that changes one.
+
+    A test edits the table through case_edit alone, which also has
+    hom_vector plan afresh: past it, hom_vector would be served a plan
+    compiled before the edit, and a test that an edit leaves the answers
+    alone would pass whatever the edit did.
+    """
+
+    def in_table(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return (isinstance(node, ast.Name) and node.id == "CASE_SPECS"
+                or isinstance(node, ast.Attribute) and node.attr == "CASE_SPECS")
+
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Subscript):
+                hit = isinstance(node.ctx, (ast.Store, ast.Del)) and in_table(node.value)
+            elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else func.attr
+                hit = (name in ("setitem", "delitem") and bool(node.args) and in_table(node.args[0])
+                       or name in DICT_WRITES and isinstance(func, ast.Attribute)
+                       and in_table(func.value))
+            else:
+                continue
+            if hit:
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_tests_edit_case_specs_through_case_edit():
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert any(path.name == "case_edit.py" for path in tests)
+    assert case_spec_writes(path for path in tests if path.name != "case_edit.py") == []
+
+
+def test_case_spec_guard_sees_a_planted_write(tmp_path):
+    planted = tmp_path / "test_planted.py"
+    planted.write_text(
+        "from fourspace import homdim\n"
+        "from fourspace.homdim import CASE_SPECS\n"
+        "\n"
+        "def test_edits(monkeypatch):\n"
+        "    CASE_SPECS['P0'] = dict(CASE_SPECS['P0'])\n"
+        "    homdim.CASE_SPECS['I0'], x = {}, CASE_SPECS['I0']\n"
+        "    monkeypatch.setitem(CASE_SPECS, 'P0', {})\n"
+        "    CASE_SPECS.update(P0={})\n"
+        "    del homdim.CASE_SPECS['R_ODD']\n"
+        "    CASE_SPECS['P0']['head'][0][1] = None\n"
+        "    monkeypatch.delitem(homdim.CASE_SPECS['P0'], 'rep')\n"
+        "    CASE_SPECS['P0'].setdefault('kind', 'M2')\n"
+        "    copied = dict(CASE_SPECS, P0={})\n"
+        "    copied['P0'] = CASE_SPECS.get('P0')\n"
+        "    copied.update(CASE_SPECS)\n"
+        "    monkeypatch.setattr(homdim, 'CASE_SPECS', {})\n"
+    )
+    assert case_spec_writes([planted]) == [f"test_planted.py:{n}" for n in range(5, 13)]
 
 
 def test_one_list_plan_serves_every_module():
@@ -1255,7 +1323,6 @@ def test_sign_flip_on_every_bridge_cell_is_invisible():
     assert len(bridges) == 75
     truth = {key: [hom_vector(m, ds) for m in mods] for key, ds in descs.items()}
     for key, part, i, j in bridges:
-        with pytest.MonkeyPatch.context() as patched:
-            _flip_cell(patched, key, part, i, j)
+        with flipped_sign(key, part, i, j):
             for route in ROUTES.values():
                 assert [route(m, descs[key]) for m in mods] == truth[key], (key, part, i, j)
