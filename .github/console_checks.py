@@ -24,7 +24,9 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
   (homdim._targets.cache_info()), and answer the same;
 - formula against oracle: each DIFFS row writes a module file and runs
   `fourspace homdim` on it with and without --oracle, and the two outputs
-  must be equal and have the expected number of lines;
+  must be equal and have the expected number of lines; t3 is a GF(3) sum
+  with tubes, where the signs of the case matrices show (over GF(2) no
+  sign does);
 - `fourspace decompose` of catalog modules and of a disguised sum;
 - decompose of a QQ and a GF(32003) disguised sum in-process, twice, and
   is_isomorphic against the plain sum: the later calls read the plan the
@@ -136,6 +138,11 @@ DIFFS = [
     # exceptional tubes as summands, an even row among them
     Diff("e7.json", GF7, "R(0,2,0) R(1,4,inf) R(1,2,1) P(3,2) I(2,4)", 5, (14, 7, 6, 7, 8),
          "--all --max-n 5 --max-l 3 --lambda 3", 99),
+    # signs that show over GF(3), which GF(2) cannot have: the "-lam" cells
+    # at lam = 2, where -lam = 1, and the -1 cells the sign-normal form
+    # keeps in P0, I0 and R_EVEN
+    Diff("t3.json", GF3, "R(2,2) R(0,4,0) R(1,3,inf) P(2,0) I(2,0)", 3, (21, 10, 11, 11, 10),
+         "--all --max-n 6 --max-l 4 --lambda 2", 122),
     # an empty vertex
     Diff("z4.json", GF32003, "P(0,0) P(0,0) P(0,1) P(0,2) P(0,3) I(0,1)", 2, (5, 2, 1, 1, 0),
          "--all --max-n 6 --max-l 3", 112),

@@ -33,15 +33,16 @@ leading block of the one with k + 1, so descriptors sharing (case key,
 sigma, lam) differ only in k and share one pass.  What does not depend
 on M is planned once per process, for each descriptor list and field
 (_targets): the closed-form targets, and for each (case key, sigma, lam)
-group its staircase, its integral coefficient table (field.integral),
-the copy counts its members ask for and where each answer goes.  A
-staircase is compiled from the layout coeff_matrix writes (_plan): its
-cells mapped to M's letter slots, the slots that give W's width g, and
-for each fold its kernel keys, kept columns and blocks.  M's letters are
+group its staircase, the copy counts its members ask for and where each
+answer goes, and the list's distinct folds, each with its integral
+coefficient table (field.integral).  A staircase is compiled from the
+layout coeff_matrix writes, in sign-normal form (_plan): its cells
+mapped to M's letter slots, the slots that give W's width g, and for
+each fold its kernel keys, kept columns and blocks.  M's letters are
 made integral once per call, by _sparse_letters's first elimination,
 into the working rows of [A B C D], whose zero rows count [M, P(0,0)];
-a group writes each fold's rows from the call's kernel cache and splits
-them (_Field._split).  From there on
+each distinct fold writes its rows from the call's kernel cache and is
+split (_Field._split) once per call.  From there on
 the pass holds the working rows of the field's elimination, lists of
 Python ints: a fold writes its rows in that form and returns its images
 as those rows, and every step and span test runs on them, so no result
@@ -63,8 +64,8 @@ against them, forming (over GF(p), scaling) only the pivots S reads.
 Most own block columns hold a single cell, +-L in block row i, and ask
 y_i L = 0: y_i = v_i K, K a basis of the left kernel of the single-cell
 letters of row i.  Every group reads the same four letters, so one call
-keeps the working rows of K [A B C D] in a cache keyed by M's letter
-slots (the empty set's K is I, so its rows are [A B C D]'s own), and
+keeps the nonzero working rows of K [A B C D] in a cache keyed by M's
+letter slots (the empty set's K is I, so its rows are [A B C D]'s), and
 makes each letter set's rows once, from its parent's, the set without
 its last letter L: K [A B C D] spans the rows v K' [A B C D] with
 v K' L = 0, K' the parent's kernel, and L's columns are among those of
@@ -88,6 +89,21 @@ and keeps S.  When the head pattern is the rep pattern, the head is the
 step from the empty state.  The "M3" cap is one more W on the last tail
 rows, so it asks exactly y_tail W = 0: a capped staircase's corank is z,
 an uncapped one's z + rank S.
+
+Three savings rest on the corank alone.  Negating a block row or a
+block column of N, the same one in every copy, is D_r N D_c, D_r and
+D_c diagonal of +-1, which keeps the corank; so _plan compiles each
+pattern in a sign-normal form (_signed), periodic flips that leave
+most +-1 cells at +1, while CASE_SPECS, coeff_matrix and hom_dim keep
+the paper's signs.  A "-lam" cell keeps its sign.  A cell at +1 is
+written from its cached row as it stands, with no scaled copy, and
+folds of several groups that differed only in signs become one.  So
+a list's plan numbers its distinct folds, and a call keeps one list of
+their results, each split once.  And the kernel cache holds no zero
+row: the n_0 - rank [A B C D] vectors that [A B C D] kills lie in every
+K, and each would write a zero row into a fold, a kernel vector with
+image 0.  hom_vector counts them once, as [M, P(0,0)], and each fold
+adds that count to its z once per block row, so no split meets them.
 
 Before any pass, hom_vector trades M for an isomorphic copy with sparse
 letters.  dim Hom(M, X) depends on M's isomorphism class alone, and
@@ -116,9 +132,10 @@ from .exactmat import ExactMatrix, hstack
 from .modules import perm_inverse, permute_slots
 
 # descriptor lists planned per process (_targets), one per (list, field).
-# By tracemalloc on CPython 3.11, a plan holds 69 kB besides its descriptors
-# for the 418 of (24, 12, {2, 5}) and 129 kB for the 690 of (40, 20,
-# {2, 5}), 29 kB of each its 32 compiled staircases: eight stay near 1 MB
+# By tracemalloc on CPython 3.11 (memory held once _targets returns), a
+# plan holds 132 kB besides its descriptors for the 418 of (24, 12,
+# {2, 5}) and 202 kB for the 690 of (40, 20, {2, 5}), 61 kB of each the
+# staircases of its 30 (pattern, sigma) pairs: eight stay under 2 MB
 _TARGETS_CACHE_SIZE = 8
 
 # Cell grammar: None is a zero block; (letter, coeff) is coeff * letter with
@@ -358,27 +375,28 @@ def hom_dim(M, desc):
 
 
 def _kernel(field, cuts, kernels, key):
-    """The working rows of K [A B C D], K a basis of the left kernel of
-    the letters in slots key, one row per vector of K: n_0 - rank L_key
-    rows, a zero row for each vector that [A B C D] kills.
+    """The nonzero working rows of K [A B C D], K a basis of the left
+    kernel of the letters in slots key: rank [A B C D] - rank L_key
+    independent rows.  The n_0 - rank [A B C D] vectors of K that
+    [A B C D] kills would be zero rows; the call counts them once
+    (hom_vector) and no entry holds them.
 
     cuts is where each letter starts in [A B C D], then its width, and
     kernels the call's cache of these rows by letter set, the sorted
     slots of its letters; the empty set's K is I, so its entry is
-    [A B C D]'s own rows.  Letter set key is one split of its parent,
-    key without its last slot s, made first and kept: each parent row
-    v K' [A B C D] is written as its L_s columns, then itself, and
-    field._split at L_s's width gives a z and an echelon basis of
-    {v K' [A B C D] : v K' L_s = 0}, which K [A B C D] spans.  The z
-    vectors of the split are the zero rows.  Every group reads the same
-    four letters, so a letter set is split once per call, whatever its
-    case and sigma.
+    [A B C D]'s independent nonzero rows.  Letter set key is one split of
+    its parent, key without its last slot s, made first and kept: each
+    parent row v K' [A B C D] is written as its L_s columns, then itself,
+    and field._split at L_s's width gives an echelon basis of
+    {v K' [A B C D] : v K' L_s = 0}, which K [A B C D] spans.  The
+    parent's rows are independent, so the split's z is 0.  Every group
+    reads the same four letters, so a letter set is split once per call,
+    whatever its case and sigma.
     """
     if key not in kernels:
         a, b = cuts[key[-1]], cuts[key[-1] + 1]
         parent = _kernel(field, cuts, kernels, key[:-1])
-        z, images = field._split([row[a:b] + row for row in parent], b - a)
-        kernels[key] = images + [[0] * cuts[-1] for _ in range(z)]
+        kernels[key] = field._split([row[a:b] + row for row in parent], b - a)[1]
     return kernels[key]
 
 
@@ -424,25 +442,28 @@ def _fold_plan(cells, own):
     )
 
 
-def _kernel_fold(field, plan, scalar, cuts, kernels):
+def _kernel_fold(field, plan, scalar, cuts, kernels, zeros):
     """field._split of a cell grid at its own block columns, by its
     _fold_plan: (z, images).
 
     scalar maps each coefficient to an integral scalar, and cuts and
-    kernels are the call's letter cuts and kernel cache (_kernel).  The
-    folded grid has block rows v_i, as high as row i's kernel K (n_0 if
-    row i has no single-cell letter), and block columns the plan's kept
-    columns; block (i, j) is the scalar times K L_ij.  y <-> v is one to one, so its
-    split at the coupled columns has the z of the grid's split at its own
-    columns, and images of the same span.  Each row of the folded grid is
-    written as a working row from one row of K [A B C D] (_kernel), as
+    kernels are the call's letter cuts and kernel cache (_kernel), zeros
+    the count n_0 - rank [A B C D].  The folded grid has block rows v_i,
+    as high as row i's kernel K (n_0 if row i has no single-cell letter),
+    and block columns the plan's kept columns; block (i, j) is the scalar
+    times K L_ij.  y <-> v is one to one, so its split at the coupled
+    columns has the z of the grid's split at its own columns, and images
+    of the same span.  Each row of the folded grid is written as a
+    working row from one nonzero row of K [A B C D] (_kernel), as
     oracle._nullity writes its rows: each cell's block is the slice of
     L_ij's columns, scaled (field._scaled) where its scalar is not 1, and
-    the rest is zeros.
+    the rest is zeros.  Each K also holds the zeros vectors that
+    [A B C D] kills, which would write zero rows, kernel vectors with
+    image 0: they add zeros to z once per block row, and no row is
+    written for them.
     """
-    col0 = [0]
-    for slot in plan.widths:
-        col0.append(col0[-1] + (0 if slot is None else cuts[slot + 1] - cuts[slot]))
+    col0 = list(accumulate((0 if x is None else cuts[x + 1] - cuts[x] for x in plan.widths),
+                           initial=0))
     rows = []
     for key, blocks in zip(plan.keys, plan.blocks):
         cells = [(col0[jj], cuts[slot], cuts[slot + 1], scalar[c]) for jj, slot, c in blocks]
@@ -451,7 +472,8 @@ def _kernel_fold(field, plan, scalar, cuts, kernels):
             for s, a, b, c in cells:
                 row[s : s + b - a] = kl[a:b] if c == 1 else field._scaled(kl[a:b], c)
             rows.append(row)
-    return field._split(rows, col0[plan.coupled])
+    z, images = field._split(rows, col0[plan.coupled])
+    return z + zeros * len(plan.keys), images
 
 
 def _same_span(field, s, s_next):
@@ -487,19 +509,63 @@ def _step(field, s, t, g):
     return field._split([*map(list, t), *(row + [0] * g for row in s)], g)
 
 
+def _signed(spec):
+    """spec in its sign-normal form: the same cells, each +-1 coefficient
+    times the flips of its block row and block column.
+
+    Flipping block rows and block columns of the case matrix N is
+    D_r N D_c, D_r and D_c diagonal of +-1, which keeps the corank.  The
+    flips are periodic, so the result is again a head, a rep and a W: every
+    copy takes the rep's flips, W's row i those of the head's and the rep's
+    tail row it sits on (which are tied), its column j those of the rep's
+    column j (and so the cap's), and the head's equal the rep's when the
+    two patterns are equal.  A "-lam" cell keeps its sign: its row and
+    column flip alike.  Those ties come first; then each +-1 cell in turn
+    asks for +1, a tie of its row and column that a union-find with parity
+    grants unless the ties so far fix the product.
+    """
+    head, rep, e = spec["head"], spec["rep"], len(spec["overlap"])
+    (a, b), c = (len(head), len(head[0])), len(rep)
+    # nodes: head rows, head columns, rep rows, rep columns; W's rows are rep rows
+    at = {"head": (0, a), "rep": (a + b, a + b + c), "overlap": (a + b + c - e, a + b + c)}
+    cells = [(r0 + i, c0 + j, cell) for part, (r0, c0) in at.items()
+             for i, row in enumerate(spec[part]) for j, cell in enumerate(row) if cell]
+    ties = [(a - e + i, a + b + c - e + i, 0) for i in range(e)]
+    ties += [(x, a + b + x, 0) for x in range(a + b) if head == rep]
+    ties += [(x, y, k == -1) for x, y, (_, k) in sorted(cells, key=lambda t: t[2][1] != "-lam")]
+    up = {}
+
+    def root(x):
+        p = 0
+        while x in up:
+            x, q = up[x]
+            p ^= q
+        return x, p
+
+    for x, y, p in ties:
+        (x, px), (y, py) = root(x), root(y)
+        if x != y:
+            up[x] = (y, px ^ py ^ p)
+    return dict(spec, **{part: [[(x[0], -x[1]) if x and x[1] != "-lam"
+                                 and root(r0 + i)[1] != root(c0 + j)[1] else x
+                                 for j, x in enumerate(row)] for i, row in enumerate(spec[part])]
+                         for part, (r0, c0) in at.items()})
+
+
 class _Plan(NamedTuple):
     """The pattern-only part of one (case pattern, sigma) staircase; see
     _plan."""
 
     g: tuple  # the slots of W's block columns, whose widths add up to g
-    head: _FoldPlan  # [H | E]
-    rep: _FoldPlan  # [R_own | R_W | E]
+    head: _FoldPlan  # [H | E]; in _targets, its fold id or None
+    rep: _FoldPlan  # [R_own | R_W | E]; in _targets, its fold id or None
     head_is_rep: bool
     capped: bool  # kind "M3"
 
 
 def _plan(spec, sigma):
-    """The _Plan of a CASE_SPECS entry read through sigma.
+    """The _Plan of a CASE_SPECS entry read through sigma, in its
+    sign-normal form (_signed).
 
     Letter t of the pattern is M's letter in slot
     permute_slots(range(4), sigma^-1)[t].  Both folds are windows of the
@@ -509,6 +575,7 @@ def _plan(spec, sigma):
     columns first, [R_own | R_W | E], is the next c block rows read at
     columns [b + f, b + d), then [b, b + f), then [b + d, b + d + f).
     """
+    spec = _signed(spec)
     slots = permute_slots(range(4), perm_inverse(sigma))
     slot = {x: slots[i] for x, i in _LETTER_INDEX.items()}
     (a, b), (c, d) = ((len(spec[part]), len(spec[part][0])) for part in ("head", "rep"))
@@ -525,15 +592,15 @@ def _plan(spec, sigma):
     )
 
 
-def _staircase_coranks(field, plan, scalar, wanted, cache):
+def _staircase_coranks(field, plan, wanted, cuts, folds):
     """{reps: corank of the case matrix with reps copies} for reps in wanted.
 
-    cache is the call's (cuts, kernels): where each of M's letters starts
-    in [A B C D], in M's slot order, and the kernel rows _kernel keeps,
-    which the folds cut (_kernel_fold).  plan is the group's compiled
-    staircase (_plan) and scalar the integral coefficient table of its
-    lam (_coefficients), both from the list's _targets.  A group folds
-    and eliminates: nothing else.
+    plan is the group's compiled staircase (_plan) with the ids of the
+    folds it reads in the list's _targets in place of its _FoldPlans, and
+    folds the call's list of fold results: folds[i] is the _kernel_fold
+    of fold i, (z, images).  cuts is where each of M's letters starts in
+    [A B C D], in M's slot order.  A group reads its folds and
+    eliminates: nothing else.
 
     One transfer recursion from the head towards max(wanted) copies; the
     state (z, s) splits the left kernel of the matrix so far by y_tail W,
@@ -568,8 +635,8 @@ def _staircase_coranks(field, plan, scalar, wanted, cache):
     adding that step's increase per copy.  The corank after k copies is
     z + rank s; "M3"'s trailing cap is one more W on the tail rows, which
     asks for image 0, so its corank is z.  When the head pattern is the
-    rep pattern (P_ODD, R_EVEN), the head is the step from the empty
-    state.
+    rep pattern (P_ODD, R_EVEN) and a copy is asked for, the head is the
+    step from the empty state, and the plan holds no head fold (None).
     """
     top = max(wanted)
 
@@ -577,14 +644,13 @@ def _staircase_coranks(field, plan, scalar, wanted, cache):
         return z if plan.capped else z + len(s)
 
     if top:
-        rep_z, t = _kernel_fold(field, plan.rep, scalar, *cache)
-        cuts = cache[0]
+        rep_z, t = folds[plan.rep]
         g = sum(cuts[x + 1] - cuts[x] for x in plan.g)
-    if top and plan.head_is_rep:
+    if plan.head is None:
         z, s = _step(field, [], t, g)
         z += rep_z
     else:
-        z, s = _kernel_fold(field, plan.head, scalar, *cache)
+        z, s = folds[plan.head]
     out = {0: corank(z, s)} if 0 in wanted else {}
     for k in range(1, top + 1):
         dz, s_next = _step(field, s, t, g)
@@ -640,7 +706,8 @@ class _Targets(NamedTuple):
     see _targets."""
 
     closed: tuple  # the indices of the closed-form descriptors
-    groups: tuple  # per (case key, sigma, lam): (plan, scalar, wanted, slots)
+    groups: tuple  # per (case key, sigma, lam): (plan with fold ids, wanted, slots)
+    folds: tuple  # per distinct fold: (_FoldPlan, scalar)
 
 
 @functools.lru_cache(maxsize=_TARGETS_CACHE_SIZE)
@@ -654,24 +721,37 @@ def _targets(descs, field):
     through case, so a lam that reduces to 0 or 1 in field raises
     InvalidParams here, and no plan is kept.  The closed forms are
     listed by index; the others are grouped by (case key, sigma, lam),
-    each group with its staircase compiled from CASE_SPECS[key] (_plan),
-    the integral coefficient table of its lam (_coefficients), the set of
-    copy counts its members ask for (wanted), and (index, copy count) per
-    member (slots).  A plan holds no answer and nothing of M, and a warm
-    call reads neither CASE_SPECS nor a pattern: an edit to CASE_SPECS
-    reaches hom_vector only through a list planned after it.
+    each group with its staircase compiled from CASE_SPECS[key] in
+    sign-normal form (_plan), the set of copy counts its members ask for
+    (wanted), and (index, copy count) per member (slots).  The folds of
+    all groups are numbered once: a fold is its _FoldPlan and lam, lam
+    only if it reads a "-lam" cell, and it keeps the integral
+    coefficient table of that lam (_coefficients); a group holds the ids
+    of its head and rep folds, so equal folds of several groups are
+    split once per call.  A plan holds no answer and nothing of M, and a
+    warm call reads neither CASE_SPECS nor a pattern: an edit to
+    CASE_SPECS reaches hom_vector only through a list planned after it.
     """
-    closed, groups = [], {}
+    closed, groups, folds = [], {}, {}
     for i, d in enumerate(descs):
         key, sigma, param, lam = case(d, field)
         if _is_closed_form(d):
             closed.append(i)
         else:
             groups.setdefault((key, sigma, lam), []).append((i, CASE_SPECS[key]["reps"](param)))
-    return _Targets(tuple(closed), tuple(
-        (_plan(CASE_SPECS[key], sigma), _coefficients(field, lam, integral=True),
-         frozenset(r for _, r in slots), tuple(slots))
-        for (key, sigma, lam), slots in groups.items()))
+
+    def fold(plan, lam):
+        reads = any(c == "-lam" for row in plan.blocks for *_, c in row)
+        return folds.setdefault((plan, lam if reads else None), len(folds))
+
+    staircases = []
+    for (key, sigma, lam), slots in groups.items():
+        plan, wanted = _plan(CASE_SPECS[key], sigma), frozenset(r for _, r in slots)
+        head = None if max(wanted) and plan.head_is_rep else fold(plan.head, lam)
+        rep = fold(plan.rep, lam) if max(wanted) else None
+        staircases.append((plan._replace(head=head, rep=rep), wanted, tuple(slots)))
+    return _Targets(tuple(closed), tuple(staircases), tuple(
+        (plan, _coefficients(field, lam, integral=True)) for plan, lam in folds))
 
 
 def hom_vector(M, descs):
@@ -683,25 +763,28 @@ def hom_vector(M, descs):
     list and the field alone: _targets plans it once per process, and
     any list equal to a planned one reads that plan.  Per call, M's
     letters are made integral and sparse (_sparse_letters) once, each
-    pass runs the staircase its list's plan compiled, and all passes
-    share one kernel cache (_kernel), started with the working rows of
-    [A B C D].  Those rows are U [A B C D] V, U and V invertible, and
-    the echelon passes leave all but rank [A B C D] of them zero, so
-    [M, P(0,0)] = cor([A B C D]) is their count of zero rows, read with
-    no elimination of its own; I(0,j) are the dimensions hom_dim reads.
+    pass runs the staircase its list's plan compiled, all passes share
+    one kernel cache (_kernel), started with the nonzero working rows of
+    [A B C D], and one list of fold results, indexed by the plan's fold
+    ids, so each distinct fold is split once.  Those rows are
+    U [A B C D] V, U and V invertible, and the echelon passes leave all
+    but rank [A B C D] of them zero, so [M, P(0,0)] = cor([A B C D]) is
+    their count of zero rows, read with no elimination of its own; the
+    folds add it to their z (_kernel_fold).  I(0,j) are the dimensions
+    hom_dim reads.
     """
     field = M.field
     descs = tuple(descs)
     plan = _targets(descs, field)
     out = [None] * len(descs)
     cuts, rows = _sparse_letters(field, M.mats())
+    kernels = {(): [row for row in rows if any(row)]}
+    zeros = len(rows) - len(kernels[()])
     for i in plan.closed:
-        d = descs[i]
-        out[i] = (sum(not any(row) for row in rows) if d.family == FAMILY_POSTPROJECTIVE
-                  else hom_dim(M, d))
-    cache = cuts, {(): rows}
-    for staircase, scalar, wanted, slots in plan.groups:
-        values = _staircase_coranks(field, staircase, scalar, wanted, cache)
+        out[i] = zeros if descs[i].family == FAMILY_POSTPROJECTIVE else hom_dim(M, descs[i])
+    folds = [_kernel_fold(field, *fold, cuts, kernels, zeros) for fold in plan.folds]
+    for staircase, wanted, slots in plan.groups:
+        values = _staircase_coranks(field, staircase, wanted, cuts, folds)
         for i, r in slots:
             out[i] = values[r]
     return out

@@ -40,7 +40,12 @@ only, so over GF(q) the (q^2 - q) / 2 tubes at the points of degree 2 have
 no descriptor (over GF(2) one, at x^2 + x + 1), and their first modules
 R(1, f), of dimension (4, 2, 2, 2, 2) and dim End 2, have no
 decomposition into catalog summands.  The count misses exactly those
-orbits, and no other difference is expected.  A module on which
+orbits, and no other difference is expected.  With equal counts, a
+fifth reading makes decompose a bijection: no two modules read
+decompose to one multiset of summands, so decompose tells the orbits
+apart and, the counts being equal, reaches every catalog multiset at
+those sizes.  decompose already runs on every module, so this costs no
+elimination.  A module on which
 decompose raises IncompleteCandidates is counted as incomplete, not as a
 failure, when it is one of those: dimension (4, 2, 2, 2, 2),
 hom_oracle(M, M) = 2, and formula equal to oracle on every descriptor.  Any other raise is a failure, and so is any other
@@ -196,24 +201,25 @@ GAP_DIM, GAP_END = (4, 2, 2, 2, 2), 2
 
 
 def check(bounds, descs, M):
-    """(failures, incomplete): the failures of M's three readings, as
-    text, empty when all hold; and whether M is the catalog's gap, on
-    which decompose raised with no failure (see the module docstring)."""
+    """(failures, incomplete, mu): the failures of M's three readings, as
+    text, empty when all hold; whether M is the catalog's gap, on which
+    decompose raised with no failure (see the module docstring); and the
+    multiset decompose gave, None if it raised."""
     out = [f"{d.label()}: formula {a}, oracle {b}"
            for d, a, b in zip(descs, hom_vector(M, descs), oracle_vector(M, descs)) if a != b]
     try:
         mu = decompose(M, bounds)
     except IncompleteCandidates as e:
         if not out and dim_vector(M) == GAP_DIM and hom_oracle(M, M) == GAP_END:
-            return out, True
-        return out + [f"decompose: {e}"], False
+            return out, True, None
+        return out + [f"decompose: {e}"], False, None
     total = tuple(sum(m * declared_dim(y)[v] for y, m in mu.items()) for v in range(5))
     if total != dim_vector(M):
         out.append(f"decompose: summands of dimension {total}")
     end = sum(a * b * _hom(y, x) for y, a in mu.items() for x, b in mu.items())
     if (oracle := hom_oracle(M, M)) != end:
         out.append(f"dim End: oracle {oracle}, closed form {end}")
-    return out, False
+    return out, False, mu
 
 
 def run(q, n0):
@@ -221,12 +227,15 @@ def run(q, n0):
     incomplete) over GF(q), the descriptors at (n0 + 3, n0 + 3) with every
     lambda of the field but 0 and 1; incomplete names the modules check
     finds to be the catalog's gap, and failures holds count_differences
-    too.  Every 4th orbit at n0 is read again with a zero column appended
-    to one letter, A, B, C, D in turn."""
+    too, and a line for each module that decomposes to the multiset of
+    one read before it.  Every 4th orbit at n0 is read again with a zero
+    column appended to one letter, A, B, C, D in turn: another module, as
+    its summand I(0, j) tells."""
     field = PrimeField(q)
     bounds = EnumerationBounds(n0 + 3, n0 + 3, tuple(range(2, q)))
     descs = enumerate_descriptors(bounds)
     counts, found, failures, incomplete = [], Counter(), [], []
+    named = {}  # the first module read of each multiset decompose gave
     for d in range(n0 + 1):
         spaces, reps = orbits(d, q)
         counts.append(len(reps))
@@ -237,10 +246,14 @@ def run(q, n0):
             for widen in [None, *widened]:
                 tag = "" if widen is None else f", zero column on {'ABCD'[widen]}"
                 name = f"n0={d} orbit {k} {quad}{tag}"
-                lines, gap = check(bounds, descs, module(field, d, bases, widen))
+                lines, gap, mu = check(bounds, descs, module(field, d, bases, widen))
                 failures += [f"{name}: {line}" for line in lines]
                 if gap:
                     incomplete.append(name)
+                if mu is not None:
+                    first = named.setdefault(frozenset(mu.items()), name)
+                    if first != name:
+                        failures.append(f"{name}: decomposes as {first} does")
     failures += count_differences(q, n0, found)
     return counts, len(descs), failures, incomplete
 

@@ -394,27 +394,74 @@ def test_letter_kernels_are_shared_by_the_whole_call(monkeypatch):
 
     groups = []
     caches = []
-    coranks = homdim._staircase_coranks
+    coranks, kernel_fold = homdim._staircase_coranks, homdim._kernel_fold
 
-    def spied(field, *args):
-        groups.append(args[:3])
-        caches.append(args[-1])
-        return coranks(field, *args)
+    def spied(field, plan, *args):
+        groups.append(plan)
+        return coranks(field, plan, *args)
+
+    def spied_fold(field, plan, scalar, *cache):
+        caches.append(cache)
+        return kernel_fold(field, plan, scalar, *cache)
 
     monkeypatch.setattr(GF, "_split", counted)
     monkeypatch.setattr(homdim, "_staircase_coranks", spied)
+    monkeypatch.setattr(homdim, "_kernel_fold", spied_fold)
     assert hom_vector(m, descs) == want
     assert len(groups) == 32
     assert len(missed) == len(set(missed)) == 10 and sorted(splits) == sorted(missed)
-    # one cache serves every group, and each entry holds n_0 - rank L_S
-    # rows of [A B C D]'s width, as lists of Python ints
-    (cuts, kernels), = {id(c): c for c in caches}.values()
+    # one cache serves every fold, and each entry holds the
+    # rank [A B C D] - rank L_S nonzero rows of K_S [A B C D], of
+    # [A B C D]'s width, as lists of Python ints; the n_0 - rank [A B C D]
+    # vectors [A B C D] kills are counted once, beside the cache (killed)
+    (cuts, kernels, killed), = {id(c[1]): c for c in caches}.values()
+    whole = hstack(m.mats()).rank()
+    assert killed == 6 - whole
     assert set(kernels) == {(), *missed}
     for key in missed:
         rank = hstack([m.mats()[s] for s in key]).rank()
         rows = kernels[key]
-        assert len(rows) == 6 - rank and all(len(row) == 12 for row in rows), key
+        assert len(rows) == whole - rank and all(len(row) == 12 for row in rows), key
+        assert all(any(row) for row in rows), key
         assert all(type(x) is int for row in rows for x in row)
+
+
+def test_each_distinct_fold_is_split_once_per_call(monkeypatch):
+    # the 32 groups of (4, 4, {2, 5}) read 52 folds: a head and a rep
+    # each, the rep alone where the head is the step from the empty state,
+    # the head alone at no copies.  In sign-normal form 10 of them repeat
+    # another, as their _FoldPlan and, for a fold with a "-lam" cell, lam:
+    # the plan numbers 42, and a call splits each once, afresh for its M
+    rng = random.Random(4)
+    modules = [LambdaModule(*(random_matrix(GF, 6, 3, rng) for _ in range(4))),
+               disguised_sum(GF, [cat.R(1, 2), cat.P(2, 1), cat.I(1, 0)], rng)]
+    descs = enumerate_descriptors(EnumerationBounds(4, 4, (GF.coerce(2), GF.coerce(5))))
+    plan = homdim._targets(tuple(descs), GF)
+    read = [i for staircase, _, _ in plan.groups for i in (staircase.head, staircase.rep)
+            if i is not None]
+    assert len(plan.groups) == 32 and len(read) == 52
+    assert sorted(set(read)) == list(range(len(plan.folds))) == list(range(42))
+    kernel_fold = homdim._kernel_fold
+    split = []
+
+    def spied(field, fold, scalar, *cache):
+        split.append((fold, tuple(scalar.values())))
+        return kernel_fold(field, fold, scalar, *cache)
+
+    monkeypatch.setattr(homdim, "_kernel_fold", spied)
+    for m in modules:
+        split.clear()
+        assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
+        assert len(split) == len(set(split)) == 42
+
+
+def _kernel_root(field, rows):
+    """(kernels, killed): a kernel cache holding the empty set's entry, as
+    hom_vector starts it from the rows of [A B C D], its independent
+    nonzero working rows, and the count of the others."""
+    _, ech = field.echelon(rows)
+    nonzero = field._start([row for row in ech if any(row)])
+    return {(): nonzero}, len(ech) - len(nonzero)
 
 
 # (n_0, letter widths): n_0 = 0, n_0 = 1 with letters of width 0 and of
@@ -426,12 +473,13 @@ KERNEL_SHAPES = [(0, (2, 0, 1, 3)), (1, (1, 0, 2, 1)), (1, (0, 0, 0, 0)), (3, (2
 @pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
 def test_kernel_rows_span_the_kernel_times_the_letters(field):
     # every non-empty letter set S, the triples and all four too, which no
-    # pattern asks for: its entry has a row for each vector of the left
-    # kernel K of L_S, n_0 - rank L_S of them with a zero row for each
-    # vector [A B C D] kills, and spans K [A B C D], against the reference
-    # eliminator.  Each set is made from a fresh cache, so from its
-    # parents.  Half the draws make D's columns A's and B's, so adding D
-    # to a set holding A and B kills nothing more
+    # pattern asks for: its entry spans K [A B C D], K the left kernel of
+    # L_S, against the reference eliminator, in rank [A B C D] - rank L_S
+    # independent nonzero rows; the n_0 - rank [A B C D] vectors of K that
+    # [A B C D] kills are counted once, beside the cache (killed).  Each
+    # set is made from a fresh cache, so from its parents.  Half the draws
+    # make D's columns A's and B's, so adding D to a set holding A and B
+    # kills nothing more
     rng = random.Random(0x4E7)
     p = getattr(field, "p", None)
     seen = set()
@@ -445,7 +493,7 @@ def test_kernel_rows_span_the_kernel_times_the_letters(field):
             whole = [list(row) for row in stacked]
             for size in range(1, 5):
                 for key in itertools.combinations(range(4), size):
-                    kernels = {(): field._start(stacked)}
+                    kernels, killed = _kernel_root(field, stacked)
                     got = homdim._kernel(field, cuts, kernels, key)
                     assert all(key[:i] in kernels for i in range(size))
                     # K: the rows of the RREF of [L_S | I] with a pivot in I
@@ -456,11 +504,13 @@ def test_kernel_rows_span_the_kernel_times_the_letters(field):
                     k = [row[len(cols):] for row, c in zip(rref, pivots) if c >= len(cols)]
                     want = [[sum(y[i] * whole[i][c] for i in range(n0)) for c in range(cuts[-1])]
                             for y in k]
-                    assert len(got) == len(k) and all(len(row) == cuts[-1] for row in got), key
+                    assert len(got) + killed == len(k), key
+                    assert all(len(row) == cuts[-1] for row in got), key
                     (got_pivots, got_rref), (want_pivots, want_rref) = (
                         reference_rref(x, p) for x in (got, want))
+                    assert len(got_pivots) == len(got), key
                     assert got_rref[: len(got_pivots)] == want_rref[: len(want_pivots)], key
-                    seen.update({"zero rows": any(not any(row) for row in got),
+                    seen.update({"zero rows": killed > 0,
                                  "n0 = 0": not n0, "rank drop": len(k) < n0}.items())
     assert all((name, True) in seen for name in ("zero rows", "n0 = 0", "rank drop")), seen
 
@@ -513,8 +563,8 @@ def test_transfer_basis_spans_what_meets_the_next_copy(field):
             scalar = homdim._coefficients(field, lam, integral=True)
             plan = homdim._fold_plan(by_slot, own)
             cuts = list(accumulate((x.cols for x in letters), initial=0))
-            kernels = {(): field._start(hstack(letters).data)}
-            z, basis = homdim._kernel_fold(field, plan, scalar, cuts, kernels)
+            kernels, killed = _kernel_root(field, hstack(letters).data)
+            z, basis = homdim._kernel_fold(field, plan, scalar, cuts, kernels, killed)
             grid = homdim._write(field, named, cells, lam)
             split = sum(homdim._widths(named, cells)[:own])
             rest = mat(field, [row[split:] for row in grid.data], (grid.rows, grid.cols - split))
@@ -738,20 +788,20 @@ def test_hom_vector_on_degenerate_letters(field, monkeypatch):
     rng = random.Random(0xD6)
     lams = [lam for lam in map(field.coerce, (2, 5)) if lam not in (field.zero, field.one)]
     descs = enumerate_descriptors(EnumerationBounds(8, 4, tuple(dict.fromkeys(lams))))
-    groups = set()
-    coranks = homdim._staircase_coranks
+    folds = set()
+    kernel_fold = homdim._kernel_fold
 
     def spied(field, plan, scalar, *args):
-        lam_cells = any(c == "-lam" for row in plan.rep.blocks for _, _, c in row)
-        groups.add((lam_cells, scalar["-lam"] == 0))
-        return coranks(field, plan, scalar, *args)
+        lam_cells = any(c == "-lam" for row in plan.blocks for _, _, c in row)
+        folds.add((lam_cells, scalar["-lam"] == 0))
+        return kernel_fold(field, plan, scalar, *args)
 
-    monkeypatch.setattr(homdim, "_staircase_coranks", spied)
+    monkeypatch.setattr(homdim, "_kernel_fold", spied)
     for dims in ((0, 2, 1, 0, 3), (1, 0, 1, 1, 0), (1, 1, 1, 1, 1), (3, 2, 0, 1, 2),
                  (4, 0, 3, 0, 2)):
         m = LambdaModule(*(random_matrix(field, dims[0], n, rng) for n in dims[1:]))
         assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs], dims
-    assert (True, True) in groups
+    assert (True, True) in folds
 
 
 def test_hom_vector_shuffled_with_duplicates(field, rng):
@@ -973,14 +1023,14 @@ def test_hom_vector_runs_on_sparse_integer_letters(monkeypatch):
     m = _over_denominators([cat.R(2, 2), cat.P(2, 1), cat.I(2, 0)], random.Random(3))
     dense = sum(x != 0 for a in m.mats() for x in a.entries_rowmajor())
     seen = []
-    coranks = homdim._staircase_coranks
+    kernel_fold = homdim._kernel_fold
 
-    def spied(field, *args):
-        # the cache's (cuts, kernels): the empty set's rows are [A B C D]'s
-        seen.append(args[-1][1][()])
-        return coranks(field, *args)
+    def spied(field, plan, scalar, cuts, kernels, killed):
+        # the empty set's rows are [A B C D]'s nonzero ones
+        seen.append(kernels[()])
+        return kernel_fold(field, plan, scalar, cuts, kernels, killed)
 
-    monkeypatch.setattr(homdim, "_staircase_coranks", spied)
+    monkeypatch.setattr(homdim, "_kernel_fold", spied)
     descs = enumerate_descriptors(EnumerationBounds(4, 2, (Fraction(2),)))
     assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
     assert seen
@@ -1326,3 +1376,143 @@ def test_sign_flip_on_every_bridge_cell_is_invisible():
         with flipped_sign(key, part, i, j):
             for route in ROUTES.values():
                 assert [route(m, descs[key]) for m in mods] == truth[key], (key, part, i, j)
+
+
+# -- sign-normal form ------------------------------------------------------------
+#
+# hom_vector plans each spec in a sign-normal form (homdim._signed): its
+# block rows and columns flipped, the same way in every copy, which is
+# D_r N D_c for every N of the spec and keeps the corank.  hom_dim reads
+# the spec as written, so the two routes agree only if the flips are exact.
+
+SIGN_CELLS = [(key, part, i, j) for key, spec in CASE_SPECS.items()
+              for part in ("head", "rep", "overlap") for i, row in enumerate(spec[part])
+              for j, cell in enumerate(row) if cell and cell[1] != "-lam"]
+
+
+def _periodic_flips(spec, signed):
+    """Whether signed is spec with its block rows and columns flipped the
+    way every layout shares them: one flip per row and column of the head
+    and of the rep (the head's the rep's when the two are equal), W's row
+    i flipped with both the head's and the rep's tail row it sits on, and
+    W's column j with the rep's column j; a "-lam" cell and every letter
+    kept.  Each flip is found by a walk over the cells, then checked on
+    every cell."""
+    a, c, e = len(spec["head"]), len(spec["rep"]), len(spec["overlap"])
+    h = "r" if spec["head"] == spec["rep"] else "h"
+    cells = [((h if part == "head" else "r", i), (h.upper() if part == "head" else "R", j),
+              x, signed[part][i][j])
+             for part in ("head", "rep") for i, row in enumerate(spec[part])
+             for j, x in enumerate(row)]
+    for i, row in enumerate(spec["overlap"]):
+        cells += [(node, ("R", j), x, signed["overlap"][i][j])
+                  for j, x in enumerate(row) for node in ((h, a - e + i), ("r", c - e + i))]
+    edges = {}
+    for u, v, x, y in cells:
+        if (x is None) != (y is None):
+            return False
+        if x is not None:
+            if x[0] != y[0] or "-lam" in (x[1], y[1]) and x != y:
+                return False
+            edges.setdefault(u, []).append((v, x == y))
+            edges.setdefault(v, []).append((u, x == y))
+    flip = {}
+    for start in edges:
+        if start in flip:
+            continue
+        flip[start], todo = True, [start]
+        while todo:
+            u = todo.pop()
+            for v, kept in edges[u]:
+                if v not in flip:
+                    flip[v] = flip[u] == kept
+                    todo.append(v)
+                elif flip[v] != (flip[u] == kept):
+                    return False
+    return True
+
+
+def test_periodic_flips_sees_a_broken_tie():
+    # the check itself: the table is its own signed form (no flip); a
+    # flipped copy of one whole rep column is one, and so is the head's
+    # tail row flipped with W's row; W's row flipped on its own is not,
+    # nor is a "-lam" cell flipped with its row, nor a letter changed
+    spec = CASE_SPECS["P0"]
+    assert _periodic_flips(spec, spec)
+
+    def flipped(part, rows=(), cols=()):
+        return [[x and (x[0], -x[1] if (i in rows) != (j in cols) else x[1])
+                 for j, x in enumerate(row)] for i, row in enumerate(spec[part])]
+
+    assert _periodic_flips(spec, dict(spec, rep=flipped("rep", cols=(0,)),
+                                      overlap=flipped("overlap", cols=(0,))))
+    assert _periodic_flips(spec, dict(spec, head=flipped("head", rows=(1,)),
+                                      rep=flipped("rep", rows=(0,)),
+                                      overlap=flipped("overlap", rows=(0,))))
+    assert not _periodic_flips(spec, dict(spec, overlap=flipped("overlap", rows=(0,))))
+    assert not _periodic_flips(spec, dict(spec, head=flipped("head", rows=(1,))))
+    tube = CASE_SPECS["R_EVEN"]
+    rows = [[x and (x[0], x[1] if x[1] == "-lam" or i == 0 else -x[1]) for x in row]
+            for i, row in enumerate(tube["rep"])]
+    assert _periodic_flips(tube, dict(tube, head=rows, rep=rows)) is False
+    renamed = [list(row) for row in spec["rep"]]
+    renamed[0][1] = ("A", -1)
+    assert not _periodic_flips(spec, dict(spec, rep=renamed))
+
+
+def test_signed_table_has_fewest_minus_signs_where_its_flips_allow():
+    # five patterns end with no -1 cell; P0 and I0 keep 2 (one is the
+    # least their shared flips allow), and R_EVEN keeps its 3, which its
+    # "-lam" cells fix.  CASE_SPECS itself keeps the paper's signs
+    before = copy.deepcopy(CASE_SPECS)
+    minus = {}
+    for key, spec in CASE_SPECS.items():
+        signed = homdim._signed(spec)
+        assert _periodic_flips(spec, signed), key
+        minus[key] = sum(x is not None and x[1] == -1 for part in ("head", "rep", "overlap")
+                         for row in signed[part] for x in row)
+    assert minus == {"P0": 2, "P_ODD": 0, "P_EVEN": 0, "I0": 2, "I_ODD": 0, "I_EVEN": 0,
+                     "R_EVEN": 3, "R_ODD": 0}
+    assert CASE_SPECS == before
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(7), QQ], ids=repr)
+def test_sign_normal_form_is_exact_for_every_flipped_cell(field, monkeypatch):
+    # every +-1 cell of every pattern, flipped through case_edit: inside
+    # the edit hom_vector plans the edited spec in signed form, and it
+    # must answer as hom_dim, which reads the edited spec as written, at
+    # two and three copies, on a random module and a disguised sum that
+    # holds the lam tube.  The signed spec is the edited one with periodic
+    # flips, keeps its letters and "-lam" cells, and keeps head == rep
+    # wherever it held
+    lam = field.coerce(2)
+    rng = random.Random(0x5165)
+    descs = {}
+    for d in enumerate_descriptors(EnumerationBounds(9, 7, (lam,))):
+        if not homdim._is_closed_form(d):
+            key, _, param, _ = cat.case(d, field)
+            if CASE_SPECS[key]["reps"](param) in (2, 3):
+                descs.setdefault(key, []).append(d)
+    assert set(descs) == set(CASE_SPECS)
+    modules = [random_module(field, rng, max_dim=4),
+               disguised_sum(field, [cat.R(2, lam), cat.P(1, 0), cat.I(1, 1)], rng)]
+    truth = {key: [hom_vector(m, ds) for m in modules] for key, ds in descs.items()}
+    signed, seen = homdim._signed, []
+    monkeypatch.setattr(homdim, "_signed", lambda spec: seen.append(spec) or signed(spec))
+    changed = set()
+    for key, part, i, j in SIGN_CELLS:
+        with flipped_sign(key, part, i, j):
+            spec = CASE_SPECS[key]
+            seen.clear()
+            got = [hom_vector(m, descs[key]) for m in modules]
+            assert seen and all(x is spec for x in seen), (key, part, i, j)
+            assert got == [[hom_dim(m, d) for d in descs[key]] for m in modules], (key, part, i, j)
+            out = signed(spec)
+            assert _periodic_flips(spec, out), (key, part, i, j)
+            assert out["head"] == out["rep"] or spec["head"] != spec["rep"], (key, part, i, j)
+            if got != truth[key]:
+                changed.add((key, part, i, j))
+    # some flips move the answers, and hom_vector followed them: those on a
+    # cycle, in the tube's D/C block
+    assert changed and {(key, i, j) for key, _, i, j in changed} <= {
+        ("R_EVEN", i, j) for i in (0, 1) for j in (0, 1)}
