@@ -26,7 +26,8 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
   `fourspace homdim` on it with and without --oracle, and the two outputs
   must be equal and have the expected number of lines; t3 is a GF(3) sum
   with tubes, where the signs of the case matrices show (over GF(2) no
-  sign does);
+  sign does); h3 holds and asks for only members at no copies of a
+  pattern whose head is its rep;
 - `fourspace decompose` of catalog modules and of a disguised sum;
 - decompose of a QQ and a GF(32003) disguised sum in-process, twice, and
   is_isomorphic against the plain sum: the later calls read the plan the
@@ -109,6 +110,7 @@ class Diff(NamedTuple):
 GF2, GF3, GF7, GF32003 = PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003)
 DEEP = " ".join(f"P({n},{j}) I({n},{j})" for n in (8, 10, 12) for j in (1, 2, 3, 4))
 WIDE = "P(4,0) P(5,2) I(5,0) I(6,3) R(1,2) R(2,2) R(1,3,0) R(0,4,1)"
+ZERO_COPY = "P(1,1) P(1,3) R(1,2) R(0,2,inf) R(1,2,1)"
 
 DIFFS = [
     Diff("r.json", QQ, "R(2,7/3)", None, (4, 2, 2, 2, 2),
@@ -143,6 +145,10 @@ DIFFS = [
     # keeps in P0, I0 and R_EVEN
     Diff("t3.json", GF3, "R(2,2) R(0,4,0) R(1,3,inf) P(2,0) I(2,0)", 3, (21, 10, 11, 11, 10),
          "--all --max-n 6 --max-l 4 --lambda 2", 122),
+    # only members at no copies of a pattern whose head is its rep (P_ODD,
+    # R_EVEN): each group's head is the step from the empty state, read
+    # from its rep fold alone
+    Diff("h3.json", GF3, ZERO_COPY, 2, (10, 4, 5, 4, 5), ZERO_COPY, 5, no_zero=True),
     # an empty vertex
     Diff("z4.json", GF32003, "P(0,0) P(0,0) P(0,1) P(0,2) P(0,3) I(0,1)", 2, (5, 2, 1, 1, 0),
          "--all --max-n 6 --max-l 3", 112),

@@ -36,9 +36,10 @@ on M is planned once per process, for each descriptor list and field
 group its staircase, the copy counts its members ask for and where each
 answer goes, and the list's distinct folds, each with its integral
 coefficient table (field.integral).  A staircase is compiled from the
-layout coeff_matrix writes, in sign-normal form (_plan): its cells
-mapped to M's letter slots, the slots that give W's width g, and for
-each fold its kernel keys, kept columns and blocks.  M's letters are
+layout coeff_matrix writes, in sign-normal form (_plan), down to the
+ids of its two folds (the head's, none where the head is the rep, and
+the rep's) and whether it is capped; a fold is its kernel keys, kept
+columns and blocks, its cells mapped to M's letter slots.  M's letters are
 made integral once per call, by _sparse_letters's first elimination,
 into the working rows of [A B C D], whose zero rows count [M, P(0,0)];
 each distinct fold writes its rows from the call's kernel cache and is
@@ -60,6 +61,8 @@ u_tail W both vanish.  A step is then the split of [T; [S 0]] at g
 (_Field._split), copies of T's rows first: T is a forward echelon basis,
 so the loop takes its rows as pivots as they stand and reduces S's rows
 against them, forming (over GF(p), scaling) only the pivots S reads.
+T's rows are [R_W | E], W's columns twice, so a step reads g from them
+(or from S's rows), and the plan holds no width.
 
 Most own block columns hold a single cell, +-L in block row i, and ask
 y_i L = 0: y_i = v_i K, K a basis of the left kernel of the single-cell
@@ -86,9 +89,9 @@ first steps.  A step depends
 on span(S) alone, so the pass stops at the first step that returns the
 span it was given and extrapolates: every later copy adds the same to z
 and keeps S.  When the head pattern is the rep pattern, the head is the
-step from the empty state.  The "M3" cap is one more W on the last tail
-rows, so it asks exactly y_tail W = 0: a capped staircase's corank is z,
-an uncapped one's z + rank S.
+step from the empty state, whatever the copy count.  The "M3" cap is one
+more W on the last tail rows, so it asks exactly y_tail W = 0: a capped
+staircase's corank is z, an uncapped one's z + rank S.
 
 Three savings rest on the corank alone.  Negating a block row or a
 block column of N, the same one in every copy, is D_r N D_c, D_r and
@@ -490,11 +493,15 @@ def _same_span(field, s, s_next):
     return len(field._eliminate([list(x) for x in (*s, *s_next)])) == len(s)
 
 
-def _step(field, s, t, g):
-    """One copy of the staircase: field._split of [T; [s 0]] at g.
+def _step(field, s, t):
+    """One copy of the staircase: field._split of [T; [s 0]] at g, W's
+    width.
 
     s is the state, independent rows g wide, and t the transfer basis T,
-    rows 2g wide, both in the working form of the field's elimination.
+    rows 2g wide ([R_W | E], two copies of W's columns), both in the
+    working form of the field's elimination.  So g is half the width of
+    T's rows, or else the width of s's rows; with neither there is
+    nothing to split, and g = 0.
     T comes from a fold's split, so it is in forward echelon form: each
     row's first nonzero is its pivot and no two share one, but over
     GF(p) a row may lack a leading 1 (the split scales a pivot row only
@@ -506,6 +513,7 @@ def _step(field, s, t, g):
     of T's rows, and one T, never written, serves every step of a group.
     Returns (z, images), as field._split does.
     """
+    g = len(t[0]) // 2 if t else len(s[0]) if s else 0
     return field._split([*map(list, t), *(row + [0] * g for row in s)], g)
 
 
@@ -522,12 +530,15 @@ def _signed(spec):
     two patterns are equal.  A "-lam" cell keeps its sign: its row and
     column flip alike.  Those ties come first; then each +-1 cell in turn
     asks for +1, a tie of its row and column that a union-find with parity
-    grants unless the ties so far fix the product.
+    grants unless the ties so far fix the product.  W's cells ask first:
+    both folds write W (the rep fold twice, as R_W and as E), the rep's
+    own cells only the rep fold, so a -1 left in the rep costs fewer
+    scaled blocks than one left in W.
     """
     head, rep, e = spec["head"], spec["rep"], len(spec["overlap"])
     (a, b), c = (len(head), len(head[0])), len(rep)
     # nodes: head rows, head columns, rep rows, rep columns; W's rows are rep rows
-    at = {"head": (0, a), "rep": (a + b, a + b + c), "overlap": (a + b + c - e, a + b + c)}
+    at = {"overlap": (a + b + c - e, a + b + c), "head": (0, a), "rep": (a + b, a + b + c)}
     cells = [(r0 + i, c0 + j, cell) for part, (r0, c0) in at.items()
              for i, row in enumerate(spec[part]) for j, cell in enumerate(row) if cell]
     ties = [(a - e + i, a + b + c - e + i, 0) for i in range(e)]
@@ -553,19 +564,18 @@ def _signed(spec):
 
 
 class _Plan(NamedTuple):
-    """The pattern-only part of one (case pattern, sigma) staircase; see
-    _plan."""
+    """One compiled staircase, by the ids of its folds in a list's
+    _Targets.folds; see _targets."""
 
-    g: tuple  # the slots of W's block columns, whose widths add up to g
-    head: _FoldPlan  # [H | E]; in _targets, its fold id or None
-    rep: _FoldPlan  # [R_own | R_W | E]; in _targets, its fold id or None
-    head_is_rep: bool
+    head: int | None  # [H | E]'s fold; None where the signed head is the rep
+    rep: int  # [R_own | R_W | E]'s fold
     capped: bool  # kind "M3"
 
 
 def _plan(spec, sigma):
-    """The _Plan of a CASE_SPECS entry read through sigma, in its
-    sign-normal form (_signed).
+    """(head, rep, capped): the _FoldPlans of a CASE_SPECS entry's two
+    folds read through sigma, in its sign-normal form (_signed), and
+    whether its kind is "M3".
 
     Letter t of the pattern is M's letter in slot
     permute_slots(range(4), sigma^-1)[t].  Both folds are windows of the
@@ -574,6 +584,10 @@ def _plan(spec, sigma):
     rows cut to b + f block columns, and the first copy with its own
     columns first, [R_own | R_W | E], is the next c block rows read at
     columns [b + f, b + d), then [b, b + f), then [b + d, b + d + f).
+    So the rep fold's kept columns after its coupled ones are W's twice,
+    and the head fold's W's once: a step reads W's width from its rows.
+    head is None where the signed head is the rep pattern (P_ODD,
+    R_EVEN): the head is then the step from the empty state.
     """
     spec = _signed(spec)
     slots = permute_slots(range(4), perm_inverse(sigma))
@@ -583,24 +597,18 @@ def _plan(spec, sigma):
     cells = [[None if x is None else (slot[x[0]], x[1]) for x in row]
              for row in _layout(spec, 2)]
     keep = [*range(b + f, b + d), *range(b, b + f), *range(b + d, b + d + f)]
-    return _Plan(
-        tuple(slot[x] for x in _columns(spec["overlap"])),
-        _fold_plan([row[: b + f] for row in cells[:a]], b),
-        _fold_plan([[row[j] for j in keep] for row in cells[a : a + c]], d - f),
-        spec["head"] == spec["rep"],
-        spec["kind"] == "M3",
-    )
+    head = None if spec["head"] == spec["rep"] else _fold_plan(
+        [row[: b + f] for row in cells[:a]], b)
+    rep = _fold_plan([[row[j] for j in keep] for row in cells[a : a + c]], d - f)
+    return head, rep, spec["kind"] == "M3"
 
 
-def _staircase_coranks(field, plan, wanted, cuts, folds):
+def _staircase_coranks(field, plan, wanted, folds):
     """{reps: corank of the case matrix with reps copies} for reps in wanted.
 
-    plan is the group's compiled staircase (_plan) with the ids of the
-    folds it reads in the list's _targets in place of its _FoldPlans, and
-    folds the call's list of fold results: folds[i] is the _kernel_fold
-    of fold i, (z, images).  cuts is where each of M's letters starts in
-    [A B C D], in M's slot order.  A group reads its folds and
-    eliminates: nothing else.
+    plan is the group's compiled staircase (_Plan), and folds the call's
+    list of fold results: folds[i] is the _kernel_fold of fold i,
+    (z, images).  A group reads its folds and eliminates: nothing else.
 
     One transfer recursion from the head towards max(wanted) copies; the
     state (z, s) splits the left kernel of the matrix so far by y_tail W,
@@ -621,8 +629,9 @@ def _staircase_coranks(field, plan, wanted, cuts, folds):
     t, the rows of T being independent.  So a step is the left kernel of
     [[s 0], T] split at the width g of W: its z plus rep_z is what the
     copy adds to z, and its images the next s.  A step (_step) is that
-    split, copies of T's rows first; T is echelon, so its rows are
-    pivots as they stand, and one T, never written, serves every step.
+    split, copies of T's rows first, g read from the rows; T is echelon,
+    so its rows are pivots as they stand, and one T, never written,
+    serves every step.
     The letters, kernels and coefficients are integral, so over QQ T and
     s are Python ints and no elimination
     builds Fractions; each divides its rows by their gcds, so s stays as
@@ -635,25 +644,23 @@ def _staircase_coranks(field, plan, wanted, cuts, folds):
     adding that step's increase per copy.  The corank after k copies is
     z + rank s; "M3"'s trailing cap is one more W on the tail rows, which
     asks for image 0, so its corank is z.  When the head pattern is the
-    rep pattern (P_ODD, R_EVEN) and a copy is asked for, the head is the
-    step from the empty state, and the plan holds no head fold (None).
+    rep pattern (P_ODD, R_EVEN), the head is the step from the empty
+    state, at any copy count, and the plan holds no head fold (None).
     """
-    top = max(wanted)
+    rep_z, t = folds[plan.rep]
+    if plan.head is None:
+        z, s = _step(field, [], t)
+        z += rep_z
+    else:
+        z, s = folds[plan.head]
 
     def corank(z, s):
         return z if plan.capped else z + len(s)
 
-    if top:
-        rep_z, t = folds[plan.rep]
-        g = sum(cuts[x + 1] - cuts[x] for x in plan.g)
-    if plan.head is None:
-        z, s = _step(field, [], t, g)
-        z += rep_z
-    else:
-        z, s = folds[plan.head]
+    top = max(wanted)
     out = {0: corank(z, s)} if 0 in wanted else {}
     for k in range(1, top + 1):
-        dz, s_next = _step(field, s, t, g)
+        dz, s_next = _step(field, s, t)
         dz += rep_z
         z += dz
         if k < top and _same_span(field, s, s_next):
@@ -706,7 +713,7 @@ class _Targets(NamedTuple):
     see _targets."""
 
     closed: tuple  # the indices of the closed-form descriptors
-    groups: tuple  # per (case key, sigma, lam): (plan with fold ids, wanted, slots)
+    groups: tuple  # per (case key, sigma, lam): (_Plan, wanted, slots)
     folds: tuple  # per distinct fold: (_FoldPlan, scalar)
 
 
@@ -726,11 +733,14 @@ def _targets(descs, field):
     (wanted), and (index, copy count) per member (slots).  The folds of
     all groups are numbered once: a fold is its _FoldPlan and lam, lam
     only if it reads a "-lam" cell, and it keeps the integral
-    coefficient table of that lam (_coefficients); a group holds the ids
-    of its head and rep folds, so equal folds of several groups are
-    split once per call.  A plan holds no answer and nothing of M, and a
-    warm call reads neither CASE_SPECS nor a pattern: an edit to
-    CASE_SPECS reaches hom_vector only through a list planned after it.
+    coefficient table of that lam (_coefficients).  A group's _Plan holds
+    the id of its rep fold, which every group reads, that of its head
+    fold unless its head is the step from the empty state (None), and
+    its cap, whatever copy counts its members ask for; so equal folds of
+    several groups are split once per call.  A plan holds no answer and
+    nothing of M, and a warm call reads neither CASE_SPECS nor a
+    pattern: an edit to CASE_SPECS reaches hom_vector only through a
+    list planned after it.
     """
     closed, groups, folds = [], {}, {}
     for i, d in enumerate(descs):
@@ -746,10 +756,9 @@ def _targets(descs, field):
 
     staircases = []
     for (key, sigma, lam), slots in groups.items():
-        plan, wanted = _plan(CASE_SPECS[key], sigma), frozenset(r for _, r in slots)
-        head = None if max(wanted) and plan.head_is_rep else fold(plan.head, lam)
-        rep = fold(plan.rep, lam) if max(wanted) else None
-        staircases.append((plan._replace(head=head, rep=rep), wanted, tuple(slots)))
+        head, rep, capped = _plan(CASE_SPECS[key], sigma)
+        plan = _Plan(None if head is None else fold(head, lam), fold(rep, lam), capped)
+        staircases.append((plan, frozenset(r for _, r in slots), tuple(slots)))
     return _Targets(tuple(closed), tuple(staircases), tuple(
         (plan, _coefficients(field, lam, integral=True)) for plan, lam in folds))
 
@@ -784,7 +793,7 @@ def hom_vector(M, descs):
         out[i] = zeros if descs[i].family == FAMILY_POSTPROJECTIVE else hom_dim(M, descs[i])
     folds = [_kernel_fold(field, *fold, cuts, kernels, zeros) for fold in plan.folds]
     for staircase, wanted, slots in plan.groups:
-        values = _staircase_coranks(field, staircase, wanted, cuts, folds)
+        values = _staircase_coranks(field, staircase, wanted, folds)
         for i, r in slots:
             out[i] = values[r]
     return out

@@ -34,11 +34,12 @@ from fourspace.modules import (
     dim_vector,
     module_direct_sum,
     perm_inverse,
+    permute_slots,
     permute_vertices,
     random_module,
 )
 from fourspace.oracle import hom_oracle
-from fourspace.verify import disguised_sum, structured_module
+from fourspace.verify import disguised_sum, oracle_vector, structured_module
 
 from case_edit import flipped_sign
 from reference import reference_rref
@@ -429,7 +430,7 @@ def test_letter_kernels_are_shared_by_the_whole_call(monkeypatch):
 def test_each_distinct_fold_is_split_once_per_call(monkeypatch):
     # the 32 groups of (4, 4, {2, 5}) read 52 folds: a head and a rep
     # each, the rep alone where the head is the step from the empty state,
-    # the head alone at no copies.  In sign-normal form 10 of them repeat
+    # at any copy count.  In sign-normal form 10 of them repeat
     # another, as their _FoldPlan and, for a fold with a "-lam" cell, lam:
     # the plan numbers 42, and a call splits each once, afresh for its M
     rng = random.Random(4)
@@ -629,8 +630,9 @@ def _echelon_rows(field, rng, m, n):
 
 @pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
 def test_step_against_a_fixed_t_is_the_split_of_the_stack(field):
-    # a step splits [T; [S 0]] at g and only reads T's echelon rows; against
-    # the naive RREF of [[S 0]; T] it must count the stack's z and return
+    # a step splits [T; [S 0]] at g, which it reads from T's rows (2g wide)
+    # or S's (g wide), and only reads T's echelon rows; against the naive
+    # RREF of [[S 0]; T] it must count the stack's z and return
     # independent rows whose RREF is that of the stack's rows with a pivot
     # at or past g, cut there (an RREF is canonical, so that is their
     # span), also with S empty, T empty or g = 0
@@ -642,7 +644,7 @@ def test_step_against_a_fixed_t_is_the_split_of_the_stack(field):
         _, s = _echelon_rows(field, rng, rng.randint(0, g + 1), g)
         pivots, t = _echelon_rows(field, rng, rng.randint(0, 2 * g + 2), 2 * g)
         t_before = [list(row) for row in t]
-        z, images = homdim._step(field, s, t, g)
+        z, images = homdim._step(field, s, t)
         assert t == t_before
         stack = [row + [0] * g for row in s] + t
         stack_pivots, rref = reference_rref(stack, p)
@@ -670,11 +672,11 @@ def test_steps_leave_the_transfer_basis_alone(field, monkeypatch):
     steps = []
     step = homdim._step
 
-    def spied(field, s, t, g):
-        # t is T's rows, the images of the rep's fold
-        bases.setdefault(id(t), (t, copy.deepcopy(t), g))
+    def spied(field, s, t):
+        # t is T's rows, the images of the rep's fold, 2g wide
+        bases.setdefault(id(t), (t, copy.deepcopy(t), len(t[0]) // 2 if t else 0))
         steps.append(id(t))
-        return step(field, s, t, g)
+        return step(field, s, t)
 
     monkeypatch.setattr(homdim, "_step", spied)
     assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
@@ -686,6 +688,68 @@ def test_steps_leave_the_transfer_basis_alone(field, monkeypatch):
             for t, _, g in bases.values() for row in t} == {True, False}
     for t, before, _ in bases.values():
         assert t == before
+
+
+def test_compiled_folds_read_w_after_their_coupled_columns():
+    # a step reads W's width g from its rows, so every compiled staircase
+    # must hand it rows laid out as W's letters: the rep fold's kept
+    # columns after its coupled ones are W's letters twice, R_W then E
+    # (T's rows, 2g wide), and the head fold's W's letters once (the head
+    # state's rows, g wide); every pattern, read through every sigma
+    sigmas = {sigma for _, sigma in cat._CLASSES.values()}
+    assert len(sigmas) > 4
+    for key, spec in CASE_SPECS.items():
+        letters = [next(row[j][0] for row in spec["overlap"] if row[j])
+                   for j in range(len(spec["overlap"][0]))]
+        for sigma in sigmas:
+            slots = permute_slots(range(4), perm_inverse(sigma))
+            w = [slots[homdim._LETTER_INDEX[x]] for x in letters]
+            head, rep, capped = homdim._plan(spec, sigma)
+            assert list(rep.widths[rep.coupled:]) == w + w, (key, sigma)
+            assert capped == (spec["kind"] == "M3"), (key, sigma)
+            if key in ("P_ODD", "R_EVEN"):
+                assert head is None, (key, sigma)
+            else:
+                assert list(head.widths[head.coupled:]) == w, (key, sigma)
+
+
+@pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
+def test_a_head_that_is_the_rep_is_a_step_at_no_copies(field, monkeypatch):
+    # P(1, j), R(1, lam) and R(s, 2, lam) ask for no copy of a pattern
+    # whose head is its rep (P_ODD, R_EVEN): their groups still read only
+    # the rep fold, and take the head as the step from the empty state,
+    # each alone in a list and all together; every answer is hom_dim's
+    # and the oracle's
+    rng = random.Random(0x2E0)
+    zero_copy = ([cat.P(1, j) for j in range(1, 5)] + _tubes(field, (1,))
+                 + [cat.R(s, 2, lam) for s in (0, 1) for lam in (0, 1, cat.INF)])
+    assert {cat.case(d, field)[0] for d in zero_copy} <= {"P_ODD", "R_EVEN"}
+    modules = [random_module(field, rng, max_dim=4),
+               disguised_sum(field, [cat.P(1, 1), cat.R(0, 2, 0), cat.I(1, 0),
+                                     *_tubes(field, (1,))[:1]], rng)]
+    kernel_fold = homdim._kernel_fold
+    split = []
+
+    def spied(field, fold, *args):
+        split.append(fold)
+        return kernel_fold(field, fold, *args)
+
+    monkeypatch.setattr(homdim, "_kernel_fold", spied)
+    for descs in [[d] for d in zero_copy] + [zero_copy]:
+        plan = homdim._targets(tuple(descs), field)
+        assert all(staircase.head is None for staircase, _, _ in plan.groups)
+        reps = set()
+        for d in descs:
+            key, sigma, param, _ = cat.case(d, field)
+            assert CASE_SPECS[key]["reps"](param) == 0
+            head, rep, _ = homdim._plan(CASE_SPECS[key], sigma)
+            assert head is None
+            reps.add(rep)
+        for m in modules:
+            split.clear()
+            want = [hom_dim(m, d) for d in descs]
+            assert hom_vector(m, descs) == want == list(oracle_vector(m, descs)), descs
+            assert set(split) == reps, descs
 
 
 # (field, summands, bounds): a deep summand keeps span(S) moving for several
@@ -1463,7 +1527,9 @@ def test_periodic_flips_sees_a_broken_tie():
 def test_signed_table_has_fewest_minus_signs_where_its_flips_allow():
     # five patterns end with no -1 cell; P0 and I0 keep 2 (one is the
     # least their shared flips allow), and R_EVEN keeps its 3, which its
-    # "-lam" cells fix.  CASE_SPECS itself keeps the paper's signs
+    # "-lam" cells fix.  W's cells ask for +1 first, as both folds write
+    # W: no pattern but R_EVEN keeps a -1 cell there.  CASE_SPECS itself
+    # keeps the paper's signs
     before = copy.deepcopy(CASE_SPECS)
     minus = {}
     for key, spec in CASE_SPECS.items():
@@ -1471,6 +1537,8 @@ def test_signed_table_has_fewest_minus_signs_where_its_flips_allow():
         assert _periodic_flips(spec, signed), key
         minus[key] = sum(x is not None and x[1] == -1 for part in ("head", "rep", "overlap")
                          for row in signed[part] for x in row)
+        in_w = any(x is not None and x[1] == -1 for row in signed["overlap"] for x in row)
+        assert in_w == (key == "R_EVEN"), key
     assert minus == {"P0": 2, "P_ODD": 0, "P_EVEN": 0, "I0": 2, "I_ODD": 0, "I_EVEN": 0,
                      "R_EVEN": 3, "R_ODD": 0}
     assert CASE_SPECS == before
