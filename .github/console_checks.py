@@ -27,7 +27,10 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
   must be equal and have the expected number of lines; t3 is a GF(3) sum
   with tubes, where the signs of the case matrices show (over GF(2) no
   sign does); h3 holds and asks for only members at no copies of a
-  pattern whose head is its rep;
+  pattern whose head is its rep; v3 is a GF(3) sum on which hom_vector
+  reads a kernel view whose kernel holds a row with a zero slice at its
+  letter, and steps from a full state (an in-process check holds it to
+  both);
 - `fourspace decompose` of catalog modules and of a disguised sum;
 - decompose of a QQ and a GF(32003) disguised sum in-process, twice, and
   is_isomorphic against the plain sum: the later calls read the plan the
@@ -72,6 +75,7 @@ from fourspace import (
     zero_module,
 )
 from fourspace.exactmat import random_invertible, random_matrix
+from fourspace import homdim
 from fourspace.homdim import _targets
 from fourspace.oracle import _source, hom_system
 from fourspace.verify import _catalog_target, disguised_sum
@@ -111,6 +115,7 @@ GF2, GF3, GF7, GF32003 = PrimeField(2), PrimeField(3), PrimeField(7), PrimeField
 DEEP = " ".join(f"P({n},{j}) I({n},{j})" for n in (8, 10, 12) for j in (1, 2, 3, 4))
 WIDE = "P(4,0) P(5,2) I(5,0) I(6,3) R(1,2) R(2,2) R(1,3,0) R(0,4,1)"
 ZERO_COPY = "P(1,1) P(1,3) R(1,2) R(0,2,inf) R(1,2,1)"
+BOUNDARY = "R(1,2) P(2,0) I(1,3)"
 
 DIFFS = [
     Diff("r.json", QQ, "R(2,7/3)", None, (4, 2, 2, 2, 2),
@@ -149,6 +154,9 @@ DIFFS = [
     # R_EVEN): each group's head is the step from the empty state, read
     # from its rep fold alone
     Diff("h3.json", GF3, ZERO_COPY, 2, (10, 4, 5, 4, 5), ZERO_COPY, 5, no_zero=True),
+    # a view fold whose kernel rows include some with a zero slice at its
+    # letter, and a step from a full state: both read with no stacked split
+    Diff("v3.json", GF3, BOUNDARY, 5, (8, 4, 4, 3, 4), "--all --max-n 8 --max-l 4", 142),
     # an empty vertex
     Diff("z4.json", GF32003, "P(0,0) P(0,0) P(0,1) P(0,2) P(0,3) I(0,1)", 2, (5, 2, 1, 1, 0),
          "--all --max-n 6 --max-l 3", 112),
@@ -236,6 +244,31 @@ def run_diff(row):
     check(name, True)
 
 
+def boundary_reads(m, descs):
+    """(views, full steps) of hom_vector(m, descs): the kernel views
+    (homdim._kernel_fold) whose kernel holds a row with a zero slice at
+    the view's letter, so that z counts it, and the steps (homdim._step)
+    from a state of g rows, g wide."""
+    counts = [0, 0]
+    fold, step = homdim._kernel_fold, homdim._step
+
+    def spied_fold(field, plan, scalar, cuts, kernels, zeros):
+        z, images = fold(field, plan, scalar, cuts, kernels, zeros)
+        counts[0] += plan.view and z > zeros
+        return z, images
+
+    def spied_step(field, s, t):
+        counts[1] += bool(s) and len(s) == len(s[0])
+        return step(field, s, t)
+
+    homdim._kernel_fold, homdim._step = spied_fold, spied_step
+    try:
+        hom_vector(m, descs)
+    finally:
+        homdim._kernel_fold, homdim._step = fold, step
+    return counts
+
+
 def equal_framed_partner(field, framed, rng):
     """A module whose letters in the two framed slots are one invertible
     n_0 x n_0 matrix, 2 <= n_0 <= 4, and whose other two letters are
@@ -319,6 +352,10 @@ def main():
     for row, drawn in zip(rows, partners):
         check_oracle_nullity(row, drawn)
 
+    views, full = boundary_reads(module(GF3, BOUNDARY, 5),
+                                 enumerate_descriptors(EnumerationBounds(8, 4, (GF3.coerce(2),))))
+    check("v3.json reads a kernel view with a zero slice and steps from a full state",
+          views and full, f"{views} such views, {full} such steps")
     for row in DIFFS:
         run_diff(row)
 

@@ -108,6 +108,20 @@ K, and each would write a zero row into a fold, a kernel vector with
 image 0.  hom_vector counts them once, as [M, P(0,0)], and each fold
 adds that count to its z once per block row, so no split meets them.
 
+A call also reads, with no elimination, three results it already holds.
+Every kernel entry but the root's is a split's images, a forward echelon
+basis in [A B C D]'s column order, zero on its letters' columns.  So a
+fold with one block row, no coupled column and one cell, whose letter L
+is the first slot outside a non-empty letter set, is a view of that
+set's entry: the rows with a nonzero slice at L are an echelon basis of
+K L, the others add to z, and nothing is written or split (_kernel_fold).
+T is forward echelon too, so a step from the empty state is z = 0 and
+T's rows whose left half is zero, cut at g, and one from a full state
+(g rows, all of k^g) is the split of T's right halves alone (_step).
+And a pass returns its group's law, the coranks below the fixed point
+k*, then k*, cor(k*) and dz, from which hom_vector reads every copy
+count its members ask for (_staircase_coranks).
+
 Before any pass, hom_vector trades M for an isomorphic copy with sparse
 letters.  dim Hom(M, X) depends on M's isomorphism class alone, and
 U (A, B, C, D) diag(V_1, ..., V_4), U and the V_t invertible, is the
@@ -127,7 +141,7 @@ tests hold hom_vector to.
 from __future__ import annotations
 
 import functools
-from itertools import accumulate, chain
+from itertools import accumulate, chain, takewhile
 from typing import NamedTuple
 
 from .catalog import FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE, InvalidParams, case
@@ -395,6 +409,13 @@ def _kernel(field, cuts, kernels, key):
     parent's rows are independent, so the split's z is 0.  Every group
     reads the same four letters, so a letter set is split once per call,
     whatever its case and sigma.
+
+    So every entry but the root's is a split's images: a forward echelon
+    basis in [A B C D]'s column order (the first nonzeros of its rows
+    strictly increase), and zero on the columns of key's letters, which K
+    kills.  A kernel view reads its entry through that invariant
+    (_kernel_fold).  The root's rows are [A B C D]'s after
+    _sparse_letters's column passes, which leave them no echelon form.
     """
     if key not in kernels:
         a, b = cuts[key[-1]], cuts[key[-1] + 1]
@@ -411,6 +432,7 @@ class _FoldPlan(NamedTuple):
     widths: tuple  # per kept block column, the slot giving its width, or None
     blocks: tuple  # per block row, (kept column, slot, coefficient) of each cell
     coupled: int  # how many kept columns are own columns
+    view: bool  # a view of its kernel entry (_kernel_fold)
 
 
 def _fold_plan(cells, own):
@@ -423,7 +445,10 @@ def _fold_plan(cells, own):
     keyed by their slots); the other own columns stay coupled, and so does
     one whose lone cell is "-lam", since lam may be 0.  The kept columns
     are the coupled ones, then the columns from own on, each as wide as
-    the letter of its first cell (0 if it holds none).
+    the letter of its first cell (0 if it holds none).  The fold is a view
+    (_kernel_fold) when it has one block row, no coupled column and one
+    kept column, whose letter is the first slot outside a non-empty key:
+    the root key's rows are not echelon (_kernel).
     """
     singles = [set() for _ in cells]
     coupled = []
@@ -437,11 +462,17 @@ def _fold_plan(cells, own):
             coupled.append(j)
     keep = coupled + list(range(own, len(cells[0])))
     first = _columns(cells)
+    keys = tuple(tuple(sorted(x)) for x in singles)
+    widths = tuple(first[j] for j in keep)
+    # a view's one kept column is at the first slot outside its key (4, no
+    # slot, where the key holds all four)
+    key = keys[0] if len(keys) == 1 else ()
     return _FoldPlan(
-        tuple(tuple(sorted(x)) for x in singles),
-        tuple(first[j] for j in keep),
+        keys,
+        widths,
         tuple(tuple((jj, *row[j]) for jj, j in enumerate(keep) if row[j]) for row in cells),
         len(coupled),
+        bool(key) and not coupled and widths == (min(set(range(5)) - set(key)),),
     )
 
 
@@ -464,7 +495,20 @@ def _kernel_fold(field, plan, scalar, cuts, kernels, zeros):
     [A B C D] kills, which would write zero rows, kernel vectors with
     image 0: they add zeros to z once per block row, and no row is
     written for them.
+
+    A view (_fold_plan) writes nothing: its one cell is scalar * K L, L
+    the first slot outside its non-empty key, and K [A B C D]'s rows are
+    forward echelon and zero on the key's letters (_kernel), so on the
+    columns before L's.  So the rows with a nonzero slice at L come first,
+    their pivots in L's columns, and those slices are an echelon basis of
+    K L, the images; each other row is a kernel vector with image 0.  The
+    scalar is a nonzero multiple, which leaves the span alone.
     """
+    if plan.view:
+        a, b = cuts[plan.widths[0]], cuts[plan.widths[0] + 1]
+        rows = _kernel(field, cuts, kernels, plan.keys[0])
+        images = list(takewhile(any, (kl[a:b] for kl in rows)))
+        return len(rows) - len(images) + zeros, images
     col0 = list(accumulate((0 if x is None else cuts[x + 1] - cuts[x] for x in plan.widths),
                            initial=0))
     rows = []
@@ -484,13 +528,15 @@ def _same_span(field, s, s_next):
     space.
 
     The rows of each are independent, so equal lengths and a rank of that
-    length for the two stacked decide it exactly.  Comparing the rows
-    would not: a forward echelon form is not canonical, so one span has
-    many.
+    length for the two stacked decide it exactly; with no rows, or as
+    many as they are wide (all of k^g), equal lengths alone do.
+    Comparing the rows would not: a forward echelon form is not
+    canonical, so one span has many.
     """
     if len(s) != len(s_next):
         return False
-    return len(field._eliminate([list(x) for x in (*s, *s_next)])) == len(s)
+    return (not s or len(s) == len(s[0])
+            or len(field._eliminate([list(x) for x in (*s, *s_next)])) == len(s))
 
 
 def _step(field, s, t):
@@ -512,8 +558,20 @@ def _step(field, s, t):
     row in place the first time it reads it.  So the stack holds copies
     of T's rows, and one T, never written, serves every step of a group.
     Returns (z, images), as field._split does.
+
+    Two states need no stack.  From the empty state the split is T's
+    alone: its rows are independent, so z = 0, and the images are the
+    rows with no pivot left of g, those whose left half is zero, cut at
+    g.  From a full state (g rows, so all of k^g) each x has exactly one
+    y with x T_left + y s = 0, so the kernel is x's space, its images the
+    x T_right: z and the images are those of the split of T's right
+    halves at 0, |T| rows g wide in place of |T| + g rows 2g wide.
     """
     g = len(t[0]) // 2 if t else len(s[0]) if s else 0
+    if not s:
+        return 0, [row[g:] for row in t if not any(row[:g])]
+    if len(s) == g:
+        return field._split([row[g:] for row in t], 0)
     return field._split([*map(list, t), *(row + [0] * g for row in s)], g)
 
 
@@ -568,7 +626,7 @@ class _Plan(NamedTuple):
     _Targets.folds; see _targets."""
 
     head: int | None  # [H | E]'s fold; None where the signed head is the rep
-    rep: int  # [R_own | R_W | E]'s fold
+    rep: int | None  # [R_own | R_W | E]'s fold; None where no step reads it
     capped: bool  # kind "M3"
 
 
@@ -603,14 +661,17 @@ def _plan(spec, sigma):
     return head, rep, spec["kind"] == "M3"
 
 
-def _staircase_coranks(field, plan, wanted, folds):
-    """{reps: corank of the case matrix with reps copies} for reps in wanted.
+def _staircase_coranks(field, plan, top, folds):
+    """The law of a group's coranks up to top copies: (coranks, k, cor,
+    dz), the corank with j copies being coranks[j] for j < k and
+    cor + (j - k) dz for j >= k.
 
-    plan is the group's compiled staircase (_Plan), and folds the call's
-    list of fold results: folds[i] is the _kernel_fold of fold i,
-    (z, images).  A group reads its folds and eliminates: nothing else.
+    plan is the group's compiled staircase (_Plan), top the most copies
+    its members ask for, and folds the call's list of fold results:
+    folds[i] is the _kernel_fold of fold i, (z, images).  A group reads
+    its folds and eliminates: nothing else.
 
-    One transfer recursion from the head towards max(wanted) copies; the
+    One transfer recursion from the head towards top copies; the
     state (z, s) splits the left kernel of the matrix so far by y_tail W,
     y_tail the last e block rows, which the next copy's columns meet
     through W: z counts the kernel vectors whose image is zero and s is a
@@ -638,40 +699,39 @@ def _staircase_coranks(field, plan, wanted, folds):
     small deep in the staircase as after its first steps.
 
     A step is a function of span(s) alone: it adds the same to z and maps
-    the span to the next one.  So once a step returns the span it was
-    given (_same_span), every later copy adds the same to z and keeps the
-    span: the recursion stops there, and the deeper coranks follow by
-    adding that step's increase per copy.  The corank after k copies is
-    z + rank s; "M3"'s trailing cap is one more W on the tail rows, which
-    asks for image 0, so its corank is z.  When the head pattern is the
-    rep pattern (P_ODD, R_EVEN), the head is the step from the empty
-    state, at any copy count, and the plan holds no head fold (None).
+    the span to the next one.  So once the step to copy k returns the
+    span it was given (_same_span), every later copy adds that step's dz
+    to z and keeps the span: k is the fixed point k*, and the recursion
+    stops there with the law's coranks below it, k, cor(k) and dz.  Where
+    no step before top does, the law is its coranks up to top alone: k is
+    top + 1, cor and dz None.  The corank after k copies is z + rank s;
+    "M3"'s trailing cap is one more W on the tail rows, which asks for
+    image 0, so its corank is z.  When the head pattern is the rep
+    pattern (P_ODD, R_EVEN), the head is the step from the empty state,
+    at any copy count, and the plan holds no head fold (None).  A group
+    with a head fold that asks for no copies takes no step, and its plan
+    holds no rep fold (None).
     """
-    rep_z, t = folds[plan.rep]
+    def corank(z, s):
+        return z if plan.capped else z + len(s)
+
     if plan.head is None:
+        rep_z, t = folds[plan.rep]
         z, s = _step(field, [], t)
         z += rep_z
     else:
         z, s = folds[plan.head]
-
-    def corank(z, s):
-        return z if plan.capped else z + len(s)
-
-    top = max(wanted)
-    out = {0: corank(z, s)} if 0 in wanted else {}
+    coranks = [corank(z, s)]
     for k in range(1, top + 1):
+        rep_z, t = folds[plan.rep]
         dz, s_next = _step(field, s, t)
         dz += rep_z
         z += dz
         if k < top and _same_span(field, s, s_next):
-            # fixed point: each further copy adds dz to the corank
-            cor = corank(z, s_next)
-            out.update((j, cor + (j - k) * dz) for j in wanted if j >= k)
-            return out
+            return coranks, k, corank(z, s_next), dz
         s = s_next
-        if k in wanted:
-            out[k] = corank(z, s)
-    return out
+        coranks.append(corank(z, s))
+    return coranks, top + 1, None, None
 
 
 def _sparse_letters(field, letters):
@@ -713,7 +773,7 @@ class _Targets(NamedTuple):
     see _targets."""
 
     closed: tuple  # the indices of the closed-form descriptors
-    groups: tuple  # per (case key, sigma, lam): (_Plan, wanted, slots)
+    groups: tuple  # per (case key, sigma, lam): (_Plan, top, slots)
     folds: tuple  # per distinct fold: (_FoldPlan, scalar)
 
 
@@ -729,18 +789,18 @@ def _targets(descs, field):
     InvalidParams here, and no plan is kept.  The closed forms are
     listed by index; the others are grouped by (case key, sigma, lam),
     each group with its staircase compiled from CASE_SPECS[key] in
-    sign-normal form (_plan), the set of copy counts its members ask for
-    (wanted), and (index, copy count) per member (slots).  The folds of
+    sign-normal form (_plan), the most copies its members ask for (top),
+    and (index, copy count) per member (slots).  The folds of
     all groups are numbered once: a fold is its _FoldPlan and lam, lam
     only if it reads a "-lam" cell, and it keeps the integral
     coefficient table of that lam (_coefficients).  A group's _Plan holds
-    the id of its rep fold, which every group reads, that of its head
-    fold unless its head is the step from the empty state (None), and
-    its cap, whatever copy counts its members ask for; so equal folds of
-    several groups are split once per call.  A plan holds no answer and
-    nothing of M, and a warm call reads neither CASE_SPECS nor a
-    pattern: an edit to CASE_SPECS reaches hom_vector only through a
-    list planned after it.
+    the id of its head fold unless its head is the step from the empty
+    state (None), that of its rep fold where a step reads it (a head that
+    is the rep, or top > 0; else None), and its cap; so equal folds of
+    several groups are split once per call, and no fold is numbered that
+    no group reads.  A plan holds no answer and nothing of M, and a warm
+    call reads neither CASE_SPECS nor a pattern: an edit to CASE_SPECS
+    reaches hom_vector only through a list planned after it.
     """
     closed, groups, folds = [], {}, {}
     for i, d in enumerate(descs):
@@ -757,8 +817,10 @@ def _targets(descs, field):
     staircases = []
     for (key, sigma, lam), slots in groups.items():
         head, rep, capped = _plan(CASE_SPECS[key], sigma)
-        plan = _Plan(None if head is None else fold(head, lam), fold(rep, lam), capped)
-        staircases.append((plan, frozenset(r for _, r in slots), tuple(slots)))
+        top = max(r for _, r in slots)
+        head = None if head is None else fold(head, lam)
+        plan = _Plan(head, fold(rep, lam) if top or head is None else None, capped)
+        staircases.append((plan, top, tuple(slots)))
     return _Targets(tuple(closed), tuple(staircases), tuple(
         (plan, _coefficients(field, lam, integral=True)) for plan, lam in folds))
 
@@ -780,7 +842,8 @@ def hom_vector(M, descs):
     but rank [A B C D] of them zero, so [M, P(0,0)] = cor([A B C D]) is
     their count of zero rows, read with no elimination of its own; the
     folds add it to their z (_kernel_fold).  I(0,j) are the dimensions
-    hom_dim reads.
+    hom_dim reads.  A pass returns its group's law (_staircase_coranks),
+    and each member's answer is read from it.
     """
     field = M.field
     descs = tuple(descs)
@@ -792,8 +855,8 @@ def hom_vector(M, descs):
     for i in plan.closed:
         out[i] = zeros if descs[i].family == FAMILY_POSTPROJECTIVE else hom_dim(M, descs[i])
     folds = [_kernel_fold(field, *fold, cuts, kernels, zeros) for fold in plan.folds]
-    for staircase, wanted, slots in plan.groups:
-        values = _staircase_coranks(field, staircase, wanted, folds)
+    for staircase, top, slots in plan.groups:
+        coranks, k, cor, dz = _staircase_coranks(field, staircase, top, folds)
         for i, r in slots:
-            out[i] = values[r]
+            out[i] = coranks[r] if r < k else cor + (r - k) * dz
     return out

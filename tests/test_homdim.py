@@ -254,9 +254,14 @@ SHALLOW_DESCS = [
 HOM_VECTOR_FIELDS = {"GF32003": GF, "GF2": PrimeField(2), "GF3": PrimeField(3), "QQ": QQ}
 
 
+def _lambdas(field):
+    """2 and 5 in field, without repeats and without 0 and 1."""
+    return tuple(dict.fromkeys(x for x in map(field.coerce, (2, 5))
+                               if x not in (field.zero, field.one)))
+
+
 def _tubes(field, depths=(1, 4)):
-    lams = [lam for lam in map(field.coerce, (2, 5)) if lam not in (field.zero, field.one)]
-    return [cat.R(l, lam) for lam in dict.fromkeys(lams) for l in depths]
+    return [cat.R(l, lam) for lam in _lambdas(field) for l in depths]
 
 
 def test_deep_descriptors_cover_every_case():
@@ -456,6 +461,39 @@ def test_each_distinct_fold_is_split_once_per_call(monkeypatch):
         assert len(split) == len(set(split)) == 42
 
 
+# (descriptor list, field, groups, distinct folds planned): the homdim
+# --all list at max_n = max_l = 1 and the lists of the three benchmark
+# workloads (verify-sweep, homdim-large, decompose-qq)
+FOLD_COUNTS = {
+    "all-1-1": ((1, 1), GF, 28, 25),
+    "verify-sweep": ((4, 4), GF, 32, 42),
+    "homdim-large": ((24, 12), GF, 32, 42),
+    "decompose-qq": ((3, 3), QQ, 32, 42),
+}
+
+
+@pytest.mark.parametrize("bounds, field, groups, folds", FOLD_COUNTS.values(), ids=FOLD_COUNTS)
+def test_a_rep_fold_is_planned_only_where_a_step_reads_it(bounds, field, groups, folds):
+    # a group with a head fold that asks only for no copies takes no step,
+    # so its rep fold is neither numbered nor split; a group whose head is
+    # its rep reads the rep fold at every copy count.  At max_n = max_l = 1
+    # most groups ask for no copies: 25 folds, not 38
+    descs = enumerate_descriptors(EnumerationBounds(*bounds, tuple(map(field.coerce, (2, 5)))))
+    plan = homdim._targets(tuple(descs), field)
+    assert (len(plan.groups), len(plan.folds)) == (groups, folds)
+    for staircase, top, slots in plan.groups:
+        assert top == max(r for _, r in slots)
+        assert (staircase.rep is None) == (top == 0 and staircase.head is not None)
+    read = {i for staircase, _, _ in plan.groups for i in (staircase.head, staircase.rep)
+            if i is not None}
+    assert read == set(range(folds))
+    if bounds == (1, 1):
+        rng = random.Random(0x11)
+        for m in (random_module(field, rng, max_dim=4),
+                  disguised_sum(field, [cat.P(1, 0), cat.I(1, 2), cat.R(1, 2)], rng)):
+            assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
+
+
 def _kernel_root(field, rows):
     """(kernels, killed): a kernel cache holding the empty set's entry, as
     hom_vector starts it from the rows of [A B C D], its independent
@@ -588,6 +626,78 @@ def test_transfer_basis_spans_what_meets_the_next_copy(field):
     assert pivots_seen == {0, 1}
 
 
+@pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
+def test_a_view_fold_is_the_split_of_the_rows_it_would_write(field, monkeypatch):
+    # a fold with one block row, no coupled column and one cell, whose
+    # letter L is the first slot outside a non-empty key, is read off that
+    # key's kernel entry: the entry's rows are forward echelon in
+    # [A B C D]'s column order and zero on the key's letters, so those
+    # with a nonzero slice at L are an echelon basis of K L, and the others
+    # count into z.  Both halves of that premise, on the kernel cache of a
+    # hom_vector call: every non-empty key's rows are echelon and zero on
+    # its letters; and every view of the (24, 12, {2, 5}) plan, and every
+    # one-row fold of a single cell whatever its key and letter, answers as
+    # the split of the rows it would write, the same z and independent
+    # images of the same span.  The root key's rows are [A B C D]'s after
+    # _sparse_letters's column passes, which are not echelon: no fold of
+    # the root key is a view
+    rng = random.Random(0x71E)
+    lams = _lambdas(field)
+    small = EnumerationBounds(3, 3, lams)
+    descs = enumerate_descriptors(EnumerationBounds(24, 12, lams))
+    views = [fold for fold in homdim._targets(tuple(descs), field).folds if fold[0].view]
+    assert len(views) == 7
+    one_cell = []
+    for size in range(4):
+        for key in itertools.combinations(range(4), size):
+            for slot in range(4):
+                plan = homdim._fold_plan([[(s, 1) for s in key] + [(slot, -1)]], size)
+                first_out = min(set(range(4)) - set(key))
+                one_cell.append((plan, bool(key) and slot == first_out))
+    one = homdim._coefficients(field, None, integral=True)
+    modules = [LambdaModule(*(random_matrix(field, 6, n, rng) for n in (3, 2, 3, 1)))]
+    modules += [random_module(field, rng, max_dim=6) for _ in range(5)]
+    modules += [structured_module(field, small, rng, enumerate_descriptors(small))
+                for _ in range(3)]
+    modules += [disguised_sum(field, picks, rng) for picks in (
+        [cat.P(2, 1), cat.I(1, 0), cat.P(1, 3)], [cat.I(2, 2), cat.P(3, 0), cat.R(0, 3, 1)],
+        [cat.P(1, 0), cat.I(1, 0), *_tubes(field, (1,))[:1]])]
+    kernel_fold = homdim._kernel_fold
+    caches = []
+
+    def spied(field, plan, scalar, *cache):
+        caches.append(cache)
+        return kernel_fold(field, plan, scalar, *cache)
+
+    seen = set()
+    for m in modules:
+        caches.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(homdim, "_kernel_fold", spied)
+            hom_vector(m, descs)
+        (cuts, kernels, zeros), = {id(c[1]): c for c in caches}.values()
+        for size in range(1, 5):
+            for key in itertools.combinations(range(4), size):
+                rows = homdim._kernel(field, cuts, kernels, key)
+                leads = [next(c for c, x in enumerate(row) if x) for row in rows]
+                assert all(a < b for a, b in zip(leads, leads[1:])), key
+                assert not any(x for row in rows for s in key
+                               for x in row[cuts[s]:cuts[s + 1]]), key
+        for plan, scalar in views + [(plan, one) for plan, _ in one_cell]:
+            z, images = kernel_fold(field, plan, scalar, cuts, kernels, zeros)
+            want_z, want = kernel_fold(field, plan._replace(view=False), scalar, cuts, kernels,
+                                       zeros)
+            assert z == want_z, plan
+            assert field.rank(images) == len(images) and homdim._same_span(field, images, want)
+            if plan.view:
+                slot = plan.widths[0]
+                rows = kernels[plan.keys[0]]
+                seen.add(any(not any(row[cuts[slot]:cuts[slot + 1]]) for row in rows))
+    assert [plan.view for plan, _ in one_cell] == [view for _, view in one_cell]
+    # some view's kernel holds rows with a zero slice at its letter
+    assert True in seen
+
+
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3)], ids=repr)
 def test_hom_vector_clears_the_tail_pivots_of_a_copy(field):
     # a copy's transfer basis T has rows with a pivot in W's columns when
@@ -635,17 +745,26 @@ def test_step_against_a_fixed_t_is_the_split_of_the_stack(field):
     # RREF of [[S 0]; T] it must count the stack's z and return
     # independent rows whose RREF is that of the stack's rows with a pivot
     # at or past g, cut there (an RREF is canonical, so that is their
-    # span), also with S empty, T empty or g = 0
+    # span), also with S empty, T empty or g = 0.  From the empty state a
+    # step reads T's rows whose left half is zero, and from a full one
+    # (g rows: any basis of k^g, drawn as the rows of a random invertible
+    # matrix, not echelon) it splits T's right halves alone: both must
+    # still be the split of the stack, z for z and span for span
     rng = random.Random(0x57E9)
     p = getattr(field, "p", None)
     seen = set()
-    for _ in range(150):
+    for trial in range(240):
         g = rng.randint(0, 4)
-        _, s = _echelon_rows(field, rng, rng.randint(0, g + 1), g)
+        if trial % 3 == 2:
+            s, _ = field.integral(random_invertible(field, g, rng).data)
+            s = field._start(s)
+        else:
+            _, s = _echelon_rows(field, rng, rng.randint(0, g + 1), g)
         pivots, t = _echelon_rows(field, rng, rng.randint(0, 2 * g + 2), 2 * g)
         t_before = [list(row) for row in t]
+        s_before = [list(row) for row in s]
         z, images = homdim._step(field, s, t)
-        assert t == t_before
+        assert t == t_before and s == s_before
         stack = [row + [0] * g for row in s] + t
         stack_pivots, rref = reference_rref(stack, p)
         assert z == len(stack) - len(stack_pivots)
@@ -654,11 +773,18 @@ def test_step_against_a_fixed_t_is_the_split_of_the_stack(field):
         assert len(image_pivots) == len(images)
         assert list(zip(image_pivots, image_rref)) == [
             (c - g, row[g:]) for c, row in zip(stack_pivots, rref) if c >= g]
+        split_z, split = field._split([*map(list, t), *(row + [0] * g for row in s)], g)
+        assert z == split_z and homdim._same_span(field, images, split)
+        full = len(s) == g > 0
         seen.update({"S empty": not s, "T empty": not t, "g = 0": not g,
                      "S reduced": bool(s and t), "z > 0": z > 0, "S meets E": len(images) > len(
-                         [c for c in pivots if c >= g])}.items())
+                         [c for c in pivots if c >= g]), "S full": full,
+                     "S full, not echelon": full and s != field.echelon(s)[1],
+                     "S full, z > 0": full and z > 0,
+                     "S empty, T meets W": not s and len(images) < len(t)}.items())
     assert all((name, True) in seen for name in
-               ("S empty", "T empty", "g = 0", "S reduced", "z > 0", "S meets E")), seen
+               ("S empty", "T empty", "g = 0", "S reduced", "z > 0", "S meets E", "S full",
+                "S full, not echelon", "S full, z > 0", "S empty, T meets W")), seen
 
 
 @pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
@@ -809,8 +935,7 @@ def test_every_staircase_settles_within_n0_plus_two_steps(field, monkeypatch):
     # FAR copies, so it must settle; the spy fails a group at its first
     # step past the bound, so a runaway one fails and does not hang
     rng = random.Random(0x16)
-    lams = tuple(dict.fromkeys(x for x in map(field.coerce, (2, 5))
-                               if x not in (field.zero, field.one)))
+    lams = _lambdas(field)
     descs = [_far(d) for d in enumerate_descriptors(EnumerationBounds(2, 2, lams))]
     # a deep sum's staircases track its deepest summand: n_0 = 30 or 29
     deep = cat.R(15, lams[0]) if lams else cat.I(14, 0)
@@ -844,14 +969,75 @@ def test_every_staircase_settles_within_n0_plus_two_steps(field, monkeypatch):
     assert max(steps) > 10
 
 
+def _at_copies(d, k):
+    """The member of d's (case key, sigma, lam) group with k copies of its
+    rep pattern."""
+    fam, params = d
+    if fam in (cat.FAMILY_POSTPROJECTIVE, cat.FAMILY_PREINJECTIVE):
+        n, j = params
+        if j == 0:
+            return cat.IndecDescriptor(fam, (k + 1, j))
+        # I(2n, j) holds n - 1 copies, every other P(n, j) and I(n, j) n // 2
+        shift = fam == cat.FAMILY_PREINJECTIVE and n % 2 == 0
+        return cat.IndecDescriptor(fam, (2 * (k + shift) + n % 2, j))
+    if fam == cat.FAMILY_REGULAR_HOMOGENEOUS:
+        return cat.R(k + 1, params[1])
+    s, m, lam = params
+    return cat.R(s, 2 * k + 2 - m % 2, lam)
+
+
+@pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
+def test_a_staircase_law_answers_every_copy_count(field, monkeypatch):
+    # a group's law is its coranks below the fixed point k*, then k*,
+    # cor(k*) and dz, the corank at j >= k* being cor(k*) + (j - k*) dz.
+    # One group per CASE_SPECS key, read at about FAR copies so that it
+    # must reach k*: the law must give hom_dim at every copy count up to
+    # k* + 3, below k* and past it, and hom_oracle at k* + 1
+    rng = random.Random(0x1A)
+    lams = _lambdas(field)
+    groups = [cat.P(1, 0), cat.P(1, 3), cat.P(2, 2), cat.I(1, 0), cat.I(1, 2), cat.I(2, 4),
+              cat.R(1, lams[0]) if lams else cat.R(1, 2, 1), cat.R(1, 1, cat.INF)]
+    assert {cat.case(d, field)[0] for d in groups} == set(CASE_SPECS)
+    modules = [random_module(field, rng, max_dim=4),
+               disguised_sum(field, [cat.P(3, 1), cat.I(1, 0), cat.R(0, 3, 0)], rng)]
+    coranks = homdim._staircase_coranks
+    laws = []
+
+    def spied(*args):
+        laws.append(coranks(*args))
+        return laws[-1]
+
+    monkeypatch.setattr(homdim, "_staircase_coranks", spied)
+    fixed_points = []
+    for d in groups:
+        key, sigma, _, lam = cat.case(d, field)
+        far = _far(d)
+        for m in modules:
+            laws.clear()
+            hom_vector(m, [far])
+            (before, k, cor, dz), = laws
+            assert len(before) == k <= m.n0 + 2 and cor is not None, (d.label(), k)
+            fixed_points.append(k)
+            descs = [_at_copies(d, r) for r in range(k + 4)]
+            for r, x in enumerate(descs):
+                x_key, x_sigma, size, x_lam = cat.case(x, field)
+                assert (x_key, x_sigma, x_lam, CASE_SPECS[key]["reps"](size)) == (
+                    key, sigma, lam, r)
+            got = hom_vector(m, [*descs, far])
+            assert got[:-1] == [hom_dim(m, x) for x in descs], (d.label(), k)
+            assert got[: k] == before and got[k] == cor
+            assert got[k + 1] == hom_oracle(m, cat.build(descs[k + 1], field)), (d.label(), k)
+    # some groups settle at once, others only after a few copies
+    assert min(fixed_points) == 1 and max(fixed_points) >= 3, fixed_points
+
+
 @pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
 def test_hom_vector_on_degenerate_letters(field, monkeypatch):
     # a zero-width letter has all of k^{n_0} as its left kernel, and with
     # n_0 in {0, 1} every kernel is all or nothing; the even exceptional
     # tubes run R_EVEN at lam = 0, where its "-lam" cells vanish
     rng = random.Random(0xD6)
-    lams = [lam for lam in map(field.coerce, (2, 5)) if lam not in (field.zero, field.one)]
-    descs = enumerate_descriptors(EnumerationBounds(8, 4, tuple(dict.fromkeys(lams))))
+    descs = enumerate_descriptors(EnumerationBounds(8, 4, _lambdas(field)))
     folds = set()
     kernel_fold = homdim._kernel_fold
 
