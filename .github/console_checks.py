@@ -12,11 +12,12 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
   second reads every target from the cache the first filled, with no
   miss (verify._catalog_target.cache_info());
 - hom_oracle against the nullity of hom_system's full matrix, both ways,
-  between random small modules, one of them with the two letters the
-  oracle frames equal, and six DIFFS modules: w5 and q5 (n_0 = 22), w9
+  between random small modules, one of them with the three letters the
+  oracle frames equal, and seven DIFFS modules: w5 and q5 (n_0 = 22), w9
   (n_0 = 44), z4 (an empty vertex, a letter of rank 1 on 2 columns), e7
-  (exceptional tubes) and c6 (C and D with the largest images, so
-  framed);
+  (exceptional tubes), c6 (A and B with the smallest images, so B, the
+  higher slot, written) and p5 (planes in the frame of its three framed
+  letters);
 - hom_vector of one module over a `homdim --all` list in-process, three
   times: the second call, over an equal list made again, and the third,
   over the first list round-tripped through pickle (equal descriptors,
@@ -111,7 +112,8 @@ class Diff(NamedTuple):
     scale: tuple = (Fraction(1),) * 4
 
 
-GF2, GF3, GF7, GF32003 = PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003)
+GF2, GF3, GF5, GF7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
+GF32003 = PrimeField(32003)
 DEEP = " ".join(f"P({n},{j}) I({n},{j})" for n in (8, 10, 12) for j in (1, 2, 3, 4))
 WIDE = "P(4,0) P(5,2) I(5,0) I(6,3) R(1,2) R(2,2) R(1,3,0) R(0,4,1)"
 ZERO_COPY = "P(1,1) P(1,3) R(1,2) R(0,2,inf) R(1,2,1)"
@@ -160,18 +162,23 @@ DIFFS = [
     # an empty vertex
     Diff("z4.json", GF32003, "P(0,0) P(0,0) P(0,1) P(0,2) P(0,3) I(0,1)", 2, (5, 2, 1, 1, 0),
          "--all --max-n 6 --max-l 3", 112),
-    # letter ranks (5, 5, 6, 6): the oracle frames C and D, not A and B
+    # letter ranks (5, 5, 6, 6): the oracle writes B, the higher slot of
+    # the two smallest images, and frames A, C and D
     Diff("c6.json", GF32003, "I(4,3) I(4,4) R(1,2)", 6, (10, 5, 5, 6, 6),
          "--all --max-n 8 --max-l 4 --lambda 2", 142),
+    # the frame of A, B and D, the oracle writing C, holds five planes (a
+    # pair of lines in A and B whose sum is in D), over a field with signs
+    Diff("p5.json", GF5, "R(2,3) P(2,4) R(1,4,0)", 3, (11, 5, 5, 5, 6),
+         "--all --max-n 5 --max-l 3 --lambda 3", 99),
 ]
 
 # the DIFFS modules check_oracle_nullity holds to the full system: n_0 = 22
 # in w5 and q5; w9, n_0 = 44 over GF(32003), where the reduced frames
 # thin the residual rows the most; z4, whose A has rank 1 on 2 columns, so
 # its oracle source drops a dependent column; e7, exceptional tubes on
-# either side; c6, whose C and D have strictly the largest images, so the
-# oracle frames them
-ORACLE_NULLITY = ("w5.json", "q5.json", "w9.json", "z4.json", "e7.json", "c6.json")
+# either side; c6, whose A and B tie for the smallest image, so the oracle
+# writes B; p5, whose frame holds planes
+ORACLE_NULLITY = ("w5.json", "q5.json", "w9.json", "z4.json", "e7.json", "c6.json", "p5.json")
 
 # decompose in-process: (field, summands, disguise seed, bounds)
 DECOMPOSE_TWICE = [
@@ -270,10 +277,10 @@ def boundary_reads(m, descs):
 
 
 def equal_framed_partner(field, framed, rng):
-    """A module whose letters in the two framed slots are one invertible
-    n_0 x n_0 matrix, 2 <= n_0 <= 4, and whose other two letters are
-    single columns: it frames the equal pair as a source, and is framed
-    there as a target of a source that frames the same slots."""
+    """A module whose letters in the three framed slots are one invertible
+    n_0 x n_0 matrix, 2 <= n_0 <= 4, and whose fourth letter is a single
+    column: it frames the equal three as a source, and is framed there as
+    a target of a source that frames the same slots."""
     n0 = rng.randint(2, 4)
     same = random_invertible(field, n0, rng)
     return LambdaModule(*(same if t in framed else random_matrix(field, n0, 1, rng)
@@ -338,17 +345,20 @@ def main():
           f"{'equal' if third == first else 'different'} through pickle "
           f"({'fresh' if fresh else 'not fresh'} descriptors), {missed} plans made again")
     # 4 random modules of dimension at most 4 per ORACLE_NULLITY module,
-    # then one more each whose two letters in the slots the oracle frames
-    # for that module are equal, so that hom_oracle's frame meets its two
+    # then one more each whose three letters in the slots the oracle frames
+    # for that module are equal, so that hom_oracle's frame meets its three
     # subspaces equal on the partner's side, both ways
     rng = random.Random(0)
     rows = [row for row in DIFFS if row.file in ORACLE_NULLITY]
     partners = [[random_module(row.field, rng, max_dim=4) for _ in range(4)] for row in rows]
     for row, drawn in zip(rows, partners):
-        framed = _source(module(row.field, row.summands, row.seed))[0][:2]
-        drawn.append(equal_framed_partner(row.field, framed, rng))
+        pairing, _, counts, _, _ = _source(module(row.field, row.summands, row.seed))
+        drawn.append(equal_framed_partner(row.field, pairing[:3], rng))
         if row.file == "c6.json":
-            check("oracle frames C and D of c6.json", framed == (2, 3), f"frames {framed}")
+            check("oracle writes B of c6.json", pairing[3] == 1, f"writes slot {pairing[3]}")
+        if row.file == "p5.json":
+            check("oracle frames five planes in p5.json", pairing[3] == 2 and counts[8] == 5,
+                  f"writes slot {pairing[3]}, {counts[8]} planes")
     for row, drawn in zip(rows, partners):
         check_oracle_nullity(row, drawn)
 

@@ -185,7 +185,8 @@ def build_parser():
     p_hom.add_argument("--all", action="store_true",
                        help="sweep every descriptor within the bounds flags")
     p_hom.add_argument("--oracle", action="store_true",
-                       help="use the brute-force relation system instead of the formulas")
+                       help="use the linearized relation system (three relations framed in a "
+                            "three-subspace basis, the fourth ranked) instead of the formulas")
     _add_bounds_flags(p_hom)
     p_hom.set_defaults(func=_cmd_homdim)
 

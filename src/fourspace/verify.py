@@ -40,10 +40,10 @@ from .oracle import _nullity, _source, _target
 MAX_DIM = 6
 
 # targets prepared per process, each holding its kernels and the
-# templates of the pairings its sources asked for, six at most.  verify's
-# default bounds hold 106 descriptors and (24, 12, {2, 5}) 418, whose
-# kernels and six templates each take about 14 MB over GF(32003) and
-# 13 MB over QQ (tracemalloc)
+# templates of the pairings its sources asked for, four at most, one per
+# written relation.  verify's default bounds hold 106 descriptors and
+# (24, 12, {2, 5}) 418, whose kernels and four templates each take about
+# 7.2 MB over GF(32003) and 6.7 MB over QQ (tracemalloc)
 _TARGET_CACHE_SIZE = 1024
 
 
@@ -111,8 +111,10 @@ def _catalog_target(desc, field):
     A target depends on (desc, field) alone, both hashable by value:
     descriptors are checked when they are made, so equal ones name one
     module over every field.  _nullity only reads its kernels, and frames
-    them once per pairing a source asks for, each frame's template kept
-    in the target, so one serves every sweep that asks for it.  A raise (a target too large to build) is not kept.
+    them once per pairing a source asks for (one per relation a source
+    writes), each frame's template kept in the target, so one serves
+    every sweep that asks for it.  A raise (a target too large to build)
+    is not kept.
     """
     return _target(build(desc, field))
 
@@ -120,14 +122,13 @@ def _catalog_target(desc, field):
 def oracle_vector(M, descs):
     """hom_oracle(M, build(d, M.field)) for d in descs, lazily, in order.
 
-    Each side of a pair is prepared once, into the frame that puts two of
-    its relations in coordinate position, the two where M's letters have
-    the largest images: M's here (oracle._source), which picks them, and
-    each target once per process (_catalog_target), framed by _nullity
-    the first time a source asks for that pairing.  Each value is then
-    one _nullity, which writes the other two relations alone.  The
-    values before a target too large to build come out before its
-    MemoryError.
+    Each side of a pair is prepared once, into the three-subspace frame
+    of three of its relations, all but the one where M's letter has the
+    smallest image: M's here (oracle._source), which picks it, and each
+    target once per process (_catalog_target), framed by _nullity the
+    first time a source asks for that pairing.  Each value is then one
+    _nullity, which writes that fourth relation alone.  The values
+    before a target too large to build come out before its MemoryError.
     """
     field, source = M.field, _source(M)
     return (_nullity(field, source, _catalog_target(d, field)) for d in descs)

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
+from operator import mul
 
 import pytest
 
@@ -26,7 +27,6 @@ from fourspace.modules import (
     zero_module,
 )
 from fourspace.oracle import (
-    _covered,
     _framed,
     _nullity,
     _source,
@@ -42,8 +42,9 @@ from reference import reference_rref
 
 GF = PrimeField(32003)
 
-# the six choices of the two relations the oracle frames: the framed two,
-# then the other two, each pair in slot order
+# six pairings (p, q, r, s): p and q each pair of slots, which the frame
+# puts in coordinate position, then the other two in slot order, r framed
+# in lines and planes and s written
 PAIRINGS = [(*f, *(t for t in range(4) if t not in f)) for f in combinations(range(4), 2)]
 
 
@@ -308,7 +309,7 @@ def test_oracle_on_empty_vertices(fld, rng):
         assert (name, True) in seen, seen
 
 
-# -- the two-subspace frame of the two framed relations ----------------------------
+# -- the frame of the three framed relations ------------------------------------
 
 
 def _geometries(d, rng):
@@ -351,18 +352,19 @@ def _framed_pair(field, h, sa, sb, rng):
 def _placed(m, pairing):
     """m's letters A, B, C, D moved to the slots pairing[0], .., pairing[3]:
     with both sides moved alike, hom is unchanged, and the oracle's frame
-    at pairing meets m's A and B."""
+    at pairing meets m's A and B in coordinate position, and C third."""
     letters = m.mats()
     return LambdaModule(*(letters[pairing.index(t)] for t in range(4)))
 
 
-def _reference_covered(m, x):
+def _reference_framed(m, x):
     # the rank of the rows c kron b, c in X's left kernel of letter t and b
-    # in im L_M^t, t = 1, 2, all by the reference eliminator
+    # in im L_M^t, t = 1, 2, 3, all by the reference eliminator: the span
+    # of the three relations the frames at PAIRINGS hold, once moved
     field = m.field
     p = field.p if isinstance(field, PrimeField) else None
     rows = []
-    for lm, lx in list(zip(m.mats(), x.mats()))[:2]:
+    for lm, lx in list(zip(m.mats(), x.mats()))[:3]:
         ident = [[int(i == j) for j in range(lx.rows)] for i in range(lx.rows)]
         pivots, e = reference_rref([[*a, *b] for a, b in zip(lx.data, ident)], p)
         kernel = [row[lx.cols :] for c, row in zip(pivots, e) if c >= lx.cols]
@@ -371,26 +373,39 @@ def _reference_covered(m, x):
     return len(reference_rref(rows, p)[0])
 
 
+def _places(counts):
+    """A frame's nine class counts read in its two-subspace places: the
+    vectors in U_p∩U_q, in U_p alone, in U_q alone and in neither (a
+    plane has a half in each of the middle two)."""
+    return (counts[3] + counts[7], counts[1] + counts[5] + counts[8],
+            counts[2] + counts[6] + counts[8], counts[0] + counts[4])
+
+
 @pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
 def test_oracle_frame_geometry(fld, rng):
-    # the framed relations of each side equal, nested, complementary,
-    # meeting in a line inside a proper subspace, one of them zero or the
-    # whole space; each source against each target, and against m_0 = 0
-    # and n_0 = 0.  At every pairing, the letters A and B are moved to the
-    # two framed slots, so the frame puts them in coordinate position at
-    # once, its counts read the geometry and |P| is their product form;
-    # _nullity must still equal the full system's nullity, and |P| the
-    # rank of the framed relations' rows.  Both are pairing-free: moving
+    # the first two framed relations of each side equal, nested,
+    # complementary, meeting in a line inside a proper subspace, one of
+    # them zero or the whole space; each source against each target, and
+    # against m_0 = 0 and n_0 = 0.  At every pairing, the letters A, B
+    # and C are moved to the three framed slots, so the frame puts A and B
+    # in coordinate position at once, and its places read the geometry.
+    # C lies in B on the source side, and its left kernel holds B's on
+    # the target side, so no plane is framed and no line has r without q
+    # (source) or q without r (target).  _nullity must still equal the
+    # full system's nullity, and m_0 n_0 less the kept width the rank of
+    # the three framed relations' rows.  Both are pairing-free: moving
     # both sides' letters alike leaves hom alone
     for d in (3, 4):
         sources, targets = [], []
         for kind, sa, sb in _geometries(d, rng):
             m, x = _framed_pair(fld, random_invertible(fld, d, rng), sa, sb, rng)
             meet = len(set(sa) & set(sb))
+            want = (meet, len(sa) - meet, len(sb) - meet, d - len(set(sa) | set(sb)))
             for pairing in PAIRINGS:
-                counts = _source(_placed(m, pairing), pairing)[2]
-                assert counts == _framed(fld, _target(_placed(x, pairing)), pairing)[0] \
-                    == (meet, len(sa) - meet, len(sb) - meet), (kind, pairing)
+                b = _source(_placed(m, pairing), pairing)[2]
+                a = _framed(fld, _target(_placed(x, pairing)), pairing)[0]
+                assert _places(b) == _places(a) == want, (kind, pairing)
+                assert b[4] == b[5] == b[8] == a[2] == a[3] == a[8] == 0, (kind, pairing)
             sources.append((m, kind))
             targets.append((x, kind))
         for _ in range(2):
@@ -400,17 +415,118 @@ def test_oracle_frame_geometry(fld, rng):
         for m, source_kind in sources:
             for x, target_kind in targets:
                 want = _reference_nullity(m, x)
-                covered = _reference_covered(m, x)
+                framed = _reference_framed(m, x)
                 assert hom_oracle(m, x) == want, (source_kind, target_kind)
                 for pairing in PAIRINGS:
                     source = _source(_placed(m, pairing), pairing)
                     target = _target(_placed(x, pairing))
                     where = (source_kind, target_kind, pairing)
                     assert _nullity(fld, source, target) == want, where
-                    assert _covered(_framed(fld, target, pairing)[0], source[2]) == covered, where
+                    width = sum(map(mul, _framed(fld, target, pairing)[0], source[3]))
+                    assert m.n0 * x.n0 - width == framed, where
 
 
-# -- the pairing: which two relations are framed ------------------------------------
+# -- the three-subspace normal form ---------------------------------------------
+
+
+def _planted(field, counts, rng):
+    """(d, [U_p, U_q, U_r]): counts[k] copies of each of the nine kinds
+    of indecomposable three subspaces (D4), hidden behind a random base
+    change h.  Kind S < 8 is a line in U_t for each bit t of S (0 for p,
+    1 for q, 2 for r); kind 8 a plane holding three lines, e_a in U_p,
+    e_b in U_q and e_a + e_b in U_r.  Each U_t is its generators times h,
+    as a forward echelon basis of working rows."""
+    d = sum(counts[:8]) + 2 * counts[8]
+    gens, i = [[], [], []], 0
+    for k, count in enumerate(counts):
+        for _ in range(count):
+            if k < 8:
+                for t in range(3):
+                    if k >> t & 1:
+                        gens[t].append({i: 1})
+                i += 1
+            else:
+                for t, v in enumerate(({i: 1}, {i + 1: 1}, {i: 1, i + 1: 1})):
+                    gens[t].append(v)
+                i += 2
+    h = random_invertible(field, d, rng)
+    spaces = []
+    for g in gens:
+        pivots, rows = field.echelon((mat(field, [[v.get(j, 0) for j in range(d)] for v in g],
+                                          shape=(len(g), d)) @ h).data)
+        spaces.append(rows[: len(pivots)])
+    return d, spaces
+
+
+def _planted_module(field, counts, s, rng, kernels, copy):
+    """A module whose letters at the slots other than s, in slot order,
+    hold planted U_p, U_q, U_r (_planted) as their images, or as their
+    left kernels if kernels; its letter at s is a copy of the one of them
+    at index copy (0 to 2), or else random, 1 to 3 columns wide."""
+    d, spaces = _planted(field, counts, rng)
+    letters = []
+    for u in spaces:
+        cols = mat(field, u, shape=(len(u), d)).nullspace() if kernels else u
+        letters.append(mat(field, [[v[i] for v in cols] for i in range(d)], shape=(d, len(cols))))
+    fourth = random_matrix(field, d, rng.randint(1, 3), rng) if copy is None else letters[copy]
+    letters.insert(s, fourth)
+    return LambdaModule(*letters)
+
+
+# each kind once, planes alone, and mixes: d from 4 to 10
+PLANTED = [(1,) * 9, (0, 0, 0, 0, 0, 0, 0, 0, 2), (2, 0, 1, 0, 1, 0, 0, 1, 1),
+           (0, 1, 0, 1, 0, 1, 0, 1, 1), (1, 0, 0, 0, 1, 0, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
+def test_three_subspace_normal_form(fld, rng):
+    # _frame splits three planted subspaces into the nine kinds they were
+    # made of, over GF(2) too, where a plane's three lines are all the
+    # lines it has.  In the frame, U_r is spanned by the unit vectors of
+    # the lines with r and by e_a + e_b for each plane: U_r framed as its
+    # own fourth subspace is those rows, reduced, and nothing else
+    for counts in PLANTED + [tuple(rng.randint(0, 2) for _ in range(8)) + (1,)]:
+        d, (up, uq, ur) = _planted(fld, counts, rng)
+        got, rows = oracle._frame(fld, d, [up, uq, ur, ur])
+        assert got == counts
+        starts = list(accumulate((*counts, counts[8]), initial=0))
+        r_lines = {c for k in (4, 5, 6, 7) for c in range(starts[k], starts[k + 1])}
+        assert len(rows) == len(ur) == len(r_lines) + counts[8]
+        for row in rows:
+            support = [c for c, x in enumerate(row) if x]
+            if len(support) == 1:
+                assert support[0] in r_lines, (counts, row)
+            else:
+                a, b = support
+                assert starts[8] <= a < starts[9] and b == a + counts[8] and row[a] == row[b], row
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
+def test_nullity_on_planted_frames(fld, rng):
+    # modules whose three framed letters are planted with planes and
+    # lines of every kind, M by their images and X by their left kernels,
+    # with the fourth letter at each slot s in turn: random, or a copy of
+    # the letter at r, p or q on both sides, so that K_s kron W_s lies in
+    # the framed span and every kept column must read it as zero.  Both
+    # frames find the planted counts, and _nullity at the pairing that
+    # writes s equals the full system's nullity
+    pairs = [(PLANTED[0], PLANTED[4]), (PLANTED[4], PLANTED[0]), (PLANTED[1], PLANTED[2]),
+             (PLANTED[3], PLANTED[1])]
+    for s in range(4):
+        pairing = (*(t for t in range(4) if t != s), s)
+        for j, (source_counts, target_counts) in enumerate(pairs):
+            copy = (None, 2, 0, 1)[(j + s) % 4]
+            m = _planted_module(fld, source_counts, s, rng, False, copy)
+            x = _planted_module(fld, target_counts, s, rng, True, copy)
+            source, target = _source(m, pairing), _target(x)
+            assert source[2] == source_counts
+            assert _framed(fld, target, pairing)[0] == target_counts
+            want = _reference_nullity(m, x)
+            assert _nullity(fld, source, target) == want, (s, copy, source_counts, target_counts)
+            assert hom_oracle(m, x) == want
+
+
+# -- the pairing: which three relations are framed ------------------------------------
 
 
 def _letter(field, n0, rank, width, rng):
@@ -478,22 +594,23 @@ def test_one_target_serves_every_pairing(fld, rng):
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(3), GF], ids=repr)
-def test_source_frames_the_two_largest_images(fld, rng):
-    # the residual has sum |K_t| |W_t| rows over the two relations left
-    # out of the frame, so the source frames the two letters of M of the
-    # largest rank, ties to the lower slot; equal ranks frame A and B
-    cases = {(2, 2, 2, 2): (0, 1, 2, 3), (1, 3, 2, 0): (1, 2, 0, 3), (1, 2, 2, 2): (1, 2, 0, 3),
-             (3, 1, 1, 3): (0, 3, 1, 2), (0, 0, 1, 1): (2, 3, 0, 1), (0, 0, 0, 0): (0, 1, 2, 3),
-             (1, 1, 3, 1): (0, 2, 1, 3)}
+def test_source_writes_the_smallest_image(fld, rng):
+    # the residual has |K_s| |W_s| rows, s the one relation left out of
+    # the frame, so the source writes the letter of M of the smallest
+    # rank, ties to the higher slot, and frames the other three in slot
+    # order; equal ranks write D
+    cases = {(2, 2, 2, 2): (0, 1, 2, 3), (1, 3, 2, 0): (0, 1, 2, 3), (1, 2, 2, 2): (1, 2, 3, 0),
+             (3, 1, 1, 3): (0, 1, 3, 2), (0, 0, 1, 1): (0, 2, 3, 1), (0, 0, 0, 0): (0, 1, 2, 3),
+             (1, 1, 3, 1): (0, 1, 2, 3), (2, 1, 3, 3): (0, 2, 3, 1)}
     for ranks, pairing in cases.items():
         m = _ranked_module(fld, 3, ranks, rng)
         assert [y.rank() for y in m.mats()] == list(ranks)
         assert _source(m)[0] == pairing, ranks
-        # the other two relations are the two smallest images
-        assert sorted(ranks[t] for t in pairing[2:]) == sorted(ranks)[:2]
+        # the written relation is the smallest image
+        assert ranks[pairing[3]] == min(ranks)
     # zero-width letters, and n_0 = 0
     m = LambdaModule(*(_letter(fld, 2, k, k, rng) for k in (0, 2, 0, 1)))
-    assert _source(m)[0] == (1, 3, 0, 2)
+    assert _source(m)[0] == (0, 1, 3, 2)
     assert _source(LambdaModule(*(zeros(fld, 0, k) for k in (1, 0, 2, 1))))[0] == (0, 1, 2, 3)
 
 
@@ -513,11 +630,11 @@ def _reduced_echelon(field, rows):
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
 def test_frames_are_reduced_and_templates_read_them(fld, rng, monkeypatch):
-    # every U_t' that _frame hands back, on the source side (the W_t') and
-    # on the target side (the K_t'), at every pairing, is in reduced
-    # echelon form, and the target's template lists exactly the nonzeros
-    # of its K_t' rows, each by its block (place) and its index there:
-    # catalog targets, random and disguised modules
+    # every U_s' that _frame hands back, on the source side (W_s') and on
+    # the target side (K_s'), at every pairing, is in reduced echelon
+    # form, and the target's template lists exactly the nonzeros of its
+    # K_s' rows, each by its class and its index there, a plane's two
+    # halves in one entry: catalog targets, random and disguised modules
     framed = []
     frame = oracle._frame
 
@@ -541,21 +658,23 @@ def test_frames_are_reduced_and_templates_read_them(fld, rng, monkeypatch):
             framed.clear()
             source = _source(m, pairing)
             target = _target(m)
-            a, templates = _framed(fld, target, pairing)
-            (_, w_spans), (counts, k_spans) = framed
+            a, template = _framed(fld, target, pairing)
+            (_, w_rows), (counts, k_rows) = framed
             assert counts == a
-            for rows in (*w_spans, *k_spans):
+            for rows in (w_rows, k_rows):
                 assert _reduced_echelon(fld, rows), (dim_vector(m), pairing, rows)
                 sets += bool(rows)
-            # the source cuts its W_t' rows as _frame returned them
-            assert [[cut[3] for cut in span] for span in source[4]] == w_spans
-            starts = [0, a[0], a[0] + a[1], sum(a)]
-            for template, rows in zip(templates, k_spans):
-                assert len(template) == len(rows)
-                for entries, row in zip(template, rows):
-                    u = [0] * len(row)
-                    for i, place, c in entries:
-                        assert c and i >= 0 and (place == 3 or i < a[place])
-                        u[starts[place] + i] = c
-                    assert u == row and len(entries) == sum(map(bool, row))
+            # the source cuts its W_s' rows as _frame returned them: the
+            # cut of the empty letter set keeps every column
+            assert [cut[0] for cut in source[4]] == w_rows
+            starts = list(accumulate((*a, a[8]), initial=0))
+            assert len(template) == len(k_rows)
+            for entries, row in zip(template, k_rows):
+                u = [0] * len(row)
+                for i, k, c, c2 in entries:
+                    assert c and 0 <= i < a[min(k, 8)] and (k == 8 or not c2)
+                    u[starts[k] + i] = c
+                    if c2:
+                        u[starts[9] + i] = c2
+                assert u == row and sum(1 + bool(e[3]) for e in entries) == sum(map(bool, row))
     assert sets > 100

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from itertools import combinations
 
 import pytest
 
@@ -152,8 +151,8 @@ def _cached_frames(descs, field):
 def test_run_sweep_prepares_each_target_once_per_process(monkeypatch):
     # every formula answer off by one, so both lists hold every oracle
     # value.  Each target is prepared once, and framed once per pairing
-    # its sources ask for: the trial modules here frame two different
-    # pairs of letters.  The second sweep frames nothing: every target
+    # its sources ask for: the trial modules here write two different
+    # letters.  The second sweep frames nothing: every target
     # holds the same frame objects
     field = FIELDS["GF32003"]
     hom_vector = verify.hom_vector
@@ -206,20 +205,19 @@ def test_defaults_fit_the_target_caches_at_every_pairing():
     assert len(descs) <= verify._TARGET_CACHE_SIZE
 
 
-def test_the_frame_cache_holds_all_six_pairings_of_its_targets():
-    # six sources, each with its two 2-column letters of rank 2 in another
-    # pair of slots, so each steers another pairing, against the 242
-    # targets of (12, 8, {2, 5}): 242 targets of six frames each.  The
+def test_the_frame_cache_holds_all_four_pairings_of_its_targets():
+    # four sources, each with its one 1-column letter, the smallest image,
+    # in another slot, so each writes another relation, against the 242
+    # targets of (12, 8, {2, 5}): 242 targets of four frames each.  The
     # second pass misses no target and frames nothing: every target holds
-    # the same six frame objects
+    # the same four frame objects
     field = FIELDS["GF32003"]
     descs = cat.enumerate_descriptors(EnumerationBounds(12, 8, (2, 5)))
     assert len(descs) == 242
     wide, narrow = mat(field, [[1, 0], [0, 1], [0, 0]]), mat(field, [[1], [1], [1]])
-    pairs = list(combinations(range(4), 2))
-    modules = [LambdaModule(*(wide if t in pair else narrow for t in range(4))) for pair in pairs]
+    modules = [LambdaModule(*(narrow if t == s else wide for t in range(4))) for s in range(4)]
     pairings = [_source(m)[0] for m in modules]
-    assert [pairing[:2] for pairing in pairings] == pairs
+    assert [pairing[3] for pairing in pairings] == [0, 1, 2, 3]
     verify._catalog_target.cache_clear()
     first = [list(verify.oracle_vector(m, descs)) for m in modules]
     misses = verify._catalog_target.cache_info().misses
