@@ -108,16 +108,10 @@ K, and each would write a zero row into a fold, a kernel vector with
 image 0.  hom_vector counts them once, as [M, P(0,0)], and each fold
 adds that count to its z once per block row, so no split meets them.
 
-A call also reads, with no elimination, three results it already holds.
-Every kernel entry but the root's is a split's images, a forward echelon
-basis in [A B C D]'s column order, zero on its letters' columns.  So a
-fold with one block row, no coupled column and one cell, whose letter L
-is the first slot outside a non-empty letter set, is a view of that
-set's entry: the rows with a nonzero slice at L are an echelon basis of
-K L, the others add to z, and nothing is written or split (_kernel_fold).
-T is forward echelon too, so a step from the empty state is z = 0 and
-T's rows whose left half is zero, cut at g, and one from a full state
-(g rows, all of k^g) is the split of T's right halves alone (_step).
+A call also reads two results with no elimination of their own.  T is
+forward echelon, so a step from the empty state is z = 0 and T's rows
+whose left half is zero, cut at g, and one from a full state (g rows,
+all of k^g) is the split of T's right halves alone (_step).
 And a pass returns its group's law, the coranks below the fixed point
 k*, then k*, cor(k*) and dz, from which hom_vector reads every copy
 count its members ask for (_staircase_coranks).
@@ -141,7 +135,7 @@ tests hold hom_vector to.
 from __future__ import annotations
 
 import functools
-from itertools import accumulate, chain, takewhile
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from .catalog import FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE, InvalidParams, case
@@ -404,18 +398,11 @@ def _kernel(field, cuts, kernels, key):
     [A B C D]'s independent nonzero rows.  Letter set key is one split of
     its parent, key without its last slot s, made first and kept: each
     parent row v K' [A B C D] is written as its L_s columns, then itself,
-    and field._split at L_s's width gives an echelon basis of
+    and field._split at L_s's width gives a basis of
     {v K' [A B C D] : v K' L_s = 0}, which K [A B C D] spans.  The
     parent's rows are independent, so the split's z is 0.  Every group
     reads the same four letters, so a letter set is split once per call,
     whatever its case and sigma.
-
-    So every entry but the root's is a split's images: a forward echelon
-    basis in [A B C D]'s column order (the first nonzeros of its rows
-    strictly increase), and zero on the columns of key's letters, which K
-    kills.  A kernel view reads its entry through that invariant
-    (_kernel_fold).  The root's rows are [A B C D]'s after
-    _sparse_letters's column passes, which leave them no echelon form.
     """
     if key not in kernels:
         a, b = cuts[key[-1]], cuts[key[-1] + 1]
@@ -432,7 +419,6 @@ class _FoldPlan(NamedTuple):
     widths: tuple  # per kept block column, the slot giving its width, or None
     blocks: tuple  # per block row, (kept column, slot, coefficient) of each cell
     coupled: int  # how many kept columns are own columns
-    view: bool  # a view of its kernel entry (_kernel_fold)
 
 
 def _fold_plan(cells, own):
@@ -445,10 +431,7 @@ def _fold_plan(cells, own):
     keyed by their slots); the other own columns stay coupled, and so does
     one whose lone cell is "-lam", since lam may be 0.  The kept columns
     are the coupled ones, then the columns from own on, each as wide as
-    the letter of its first cell (0 if it holds none).  The fold is a view
-    (_kernel_fold) when it has one block row, no coupled column and one
-    kept column, whose letter is the first slot outside a non-empty key:
-    the root key's rows are not echelon (_kernel).
+    the letter of its first cell (0 if it holds none).
     """
     singles = [set() for _ in cells]
     coupled = []
@@ -462,17 +445,11 @@ def _fold_plan(cells, own):
             coupled.append(j)
     keep = coupled + list(range(own, len(cells[0])))
     first = _columns(cells)
-    keys = tuple(tuple(sorted(x)) for x in singles)
-    widths = tuple(first[j] for j in keep)
-    # a view's one kept column is at the first slot outside its key (4, no
-    # slot, where the key holds all four)
-    key = keys[0] if len(keys) == 1 else ()
     return _FoldPlan(
-        keys,
-        widths,
+        tuple(tuple(sorted(x)) for x in singles),
+        tuple(first[j] for j in keep),
         tuple(tuple((jj, *row[j]) for jj, j in enumerate(keep) if row[j]) for row in cells),
         len(coupled),
-        bool(key) and not coupled and widths == (min(set(range(5)) - set(key)),),
     )
 
 
@@ -495,20 +472,7 @@ def _kernel_fold(field, plan, scalar, cuts, kernels, zeros):
     [A B C D] kills, which would write zero rows, kernel vectors with
     image 0: they add zeros to z once per block row, and no row is
     written for them.
-
-    A view (_fold_plan) writes nothing: its one cell is scalar * K L, L
-    the first slot outside its non-empty key, and K [A B C D]'s rows are
-    forward echelon and zero on the key's letters (_kernel), so on the
-    columns before L's.  So the rows with a nonzero slice at L come first,
-    their pivots in L's columns, and those slices are an echelon basis of
-    K L, the images; each other row is a kernel vector with image 0.  The
-    scalar is a nonzero multiple, which leaves the span alone.
     """
-    if plan.view:
-        a, b = cuts[plan.widths[0]], cuts[plan.widths[0] + 1]
-        rows = _kernel(field, cuts, kernels, plan.keys[0])
-        images = list(takewhile(any, (kl[a:b] for kl in rows)))
-        return len(rows) - len(images) + zeros, images
     col0 = list(accumulate((0 if x is None else cuts[x + 1] - cuts[x] for x in plan.widths),
                            initial=0))
     rows = []
