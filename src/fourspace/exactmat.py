@@ -1,4 +1,5 @@
-"""Exact fields and matrices: construction, block assembly, rank/corank.
+"""Exact fields and matrices: construction, block assembly, product,
+rank/corank, null space and inverse.
 
 Scalars are plain Python values (fractions.Fraction over the rationals,
 canonical int residues in [0, p) over a prime field).  A field object owns
@@ -47,7 +48,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, islice
 from numbers import Integral, Rational, Real
-from operator import add, mul, neg
+from operator import mul
 
 
 class DimensionMismatch(ValueError):
@@ -467,7 +468,10 @@ class ExactMatrix:
     data is a tuple of `rows` row tuples, each of `cols` canonical scalars
     of the field (Fractions over QQ, ints in [0, p) over GF(p)); rows and
     cols are stored beside it, so empty matrices retain their dimensions.
-    Indexing and row-major listing return those scalars.
+    Row-major listing returns those scalars.  A matrix offers what the
+    package and its benchmark read: its rows, transpose, product (@),
+    rank, corank, right null space and inverse.  It has no entrywise
+    arithmetic and no indexing; a caller reads an entry as data[i][j].
     """
 
     __slots__ = ("field", "data", "rows", "cols")
@@ -516,10 +520,6 @@ class ExactMatrix:
             return f"ExactMatrix({self.rows}x{self.cols} over {self.field}: {body})"
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field})"
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     # -- structure -------------------------------------------------------
 
     def transpose(self):
@@ -529,32 +529,7 @@ class ExactMatrix:
     def entries_rowmajor(self):
         return list(chain.from_iterable(self.data))
 
-    # -- arithmetic ------------------------------------------------------
-
-    def _map(self, op, *others):
-        # op entry by entry over self and others, reduced
-        r = self.field.reduce
-        data = tuple(tuple(r(op(*xs)) for xs in zip(*rows))
-                     for rows in zip(self.data, *(o.data for o in others)))
-        return ExactMatrix._raw(self.field, data, self.cols)
-
-    def __add__(self, other):
-        _check_same_field(self.field, other.field)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch(
-                f"add: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-        return self._map(add, other)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._map(neg)
-
-    def scale(self, c):
-        c = self.field.coerce(c)
-        return self._map(lambda x: c * x)
+    # -- product ---------------------------------------------------------
 
     def __matmul__(self, other):
         _check_same_field(self.field, other.field)
@@ -620,11 +595,6 @@ def _fits(m, n):
     by row, it would fill memory first."""
     if 8 * m * n > _MEMORY:
         raise MemoryError(f"a {m}x{n} matrix does not fit in memory")
-
-
-def mat(field, rows, shape=None):
-    """Literal matrix from nested sequences; shape needed when rows == []."""
-    return ExactMatrix(field, rows, shape)
 
 
 def zeros(field, m, n):

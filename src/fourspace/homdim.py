@@ -143,10 +143,11 @@ from .exactmat import ExactMatrix, hstack
 from .modules import perm_inverse, permute_slots
 
 # descriptor lists planned per process (_targets), one per (list, field).
-# By tracemalloc on CPython 3.11 (memory held once _targets returns), a
-# plan holds 132 kB besides its descriptors for the 418 of (24, 12,
-# {2, 5}) and 202 kB for the 690 of (40, 20, {2, 5}), 61 kB of each the
-# staircases of its 30 (pattern, sigma) pairs: eight stay under 2 MB
+# A plan holds 78 kB besides its descriptors for the 418 of (24, 12,
+# {2, 5}) and 103 kB for the 690 of (40, 20, {2, 5}), over GF(32003) and
+# QQ alike: eight stay under 2 MB.  Measured by tracemalloc on CPython
+# 3.11 as the memory still held once a cold call returns, gc run, its
+# inputs made before tracing started
 _TARGETS_CACHE_SIZE = 8
 
 # Cell grammar: None is a zero block; (letter, coeff) is coeff * letter with

@@ -72,7 +72,7 @@ from itertools import combinations, product
 
 from fourspace.catalog import I, EnumerationBounds, declared_dim, enumerate_descriptors
 from fourspace.decomp import IncompleteCandidates, _hom, decompose
-from fourspace.exactmat import PrimeField, mat
+from fourspace.exactmat import ExactMatrix, PrimeField
 from fourspace.homdim import hom_vector
 from fourspace.modules import LambdaModule, dim_vector
 from fourspace.oracle import hom_oracle
@@ -190,8 +190,8 @@ def module(field, d, bases, widen=None):
     column appended to letter widen (0 for A to 3 for D), if given."""
     def letter(t, basis):
         extra = [0] if t == widen else []
-        return mat(field, [[v[r] for v in basis] + extra for r in range(d)],
-                   shape=(d, len(basis) + len(extra)))
+        return ExactMatrix(field, [[v[r] for v in basis] + extra for r in range(d)],
+                           shape=(d, len(basis) + len(extra)))
     return LambdaModule(*(letter(t, basis) for t, basis in enumerate(bases)))
 
 

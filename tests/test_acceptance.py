@@ -17,7 +17,7 @@ from itertools import permutations
 from fourspace import catalog as cat
 from fourspace.catalog import EnumerationBounds, declared_dim, enumerate_descriptors
 from fourspace.decomp import IncompleteCandidates, decompose
-from fourspace.exactmat import QQ, PrimeField, block_grid, hstack, mat, zeros
+from fourspace.exactmat import QQ, ExactMatrix, PrimeField, block_grid, hstack, zeros
 from fourspace.homdim import coeff_matrix, hom_dim, hom_vector
 from fourspace.modules import (
     PERM_CYCLE,
@@ -75,27 +75,29 @@ def _master_pairs():
 
 def criterion_1_golden_matrices():
     gf101 = PrimeField(101)
-    a = mat(gf101, [[10], [11]])
-    b = mat(gf101, [[20, 21], [22, 23]])
-    c = mat(gf101, [[30], [31]])
-    d = mat(gf101, [[40, 41], [42, 43]])
+    a = ExactMatrix(gf101, [[10], [11]])
+    b = ExactMatrix(gf101, [[20, 21], [22, 23]])
+    c = ExactMatrix(gf101, [[30], [31]])
+    d = ExactMatrix(gf101, [[40, 41], [42, 43]])
+    nc = ExactMatrix(gf101, [[-30], [-31]])
+    nd = ExactMatrix(gf101, [[-40, -41], [-42, -43]])
     m = LambdaModule(a, b, c, d)
     z = lambda w: zeros(gf101, 2, w)
     za, zb, zc, zd = z(1), z(2), z(1), z(2)
 
     three_by_eight = block_grid([
         [a,  za, b,  zb, c,  d,  zc, zd],
-        [za, za, zb, b,  zc, -d, c,  zd],
-        [za, a,  zb, zb, -c, zd, zc, d ],
+        [za, za, zb, b,  zc, nd, c,  zd],
+        [za, a,  zb, zb, nc, zd, zc, d ],
     ])
     assert coeff_matrix(m, cat.P(1, 0)) == three_by_eight
 
     five_by_twelve = block_grid([
         [a,  za, b,  zb, c,  d,  zc, zd, za, zb, zc, zd],
-        [za, za, zb, b,  zc, -d, c,  zd, za, zb, zc, zd],
-        [za, a,  zb, zb, -c, zd, zc, d,  za, zb, zc, zd],
-        [za, za, zb, zb, zc, zd, zc, -d, za, b,  c,  zd],
-        [za, za, zb, zb, zc, zd, -c, zd, a,  zb, zc, d ],
+        [za, za, zb, b,  zc, nd, c,  zd, za, zb, zc, zd],
+        [za, a,  zb, zb, nc, zd, zc, d,  za, zb, zc, zd],
+        [za, za, zb, zb, zc, zd, zc, nd, za, b,  c,  zd],
+        [za, za, zb, zb, zc, zd, nc, zd, a,  zb, zc, d ],
     ])
     assert coeff_matrix(m, cat.P(2, 0)) == five_by_twelve
 

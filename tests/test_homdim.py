@@ -19,7 +19,6 @@ from fourspace.exactmat import (
     PrimeField,
     block_grid,
     hstack,
-    mat,
     random_invertible,
     random_matrix,
     vstack,
@@ -50,11 +49,16 @@ GF101 = PrimeField(101)
 
 def tagged_module():
     """Module over GF(101) whose letters are distinguishable by entry ranges."""
-    a = mat(GF101, [[10], [11]])
-    b = mat(GF101, [[20, 21], [22, 23]])
-    c = mat(GF101, [[30], [31]])
-    d = mat(GF101, [[40, 41], [42, 43]])
+    a = ExactMatrix(GF101, [[10], [11]])
+    b = ExactMatrix(GF101, [[20, 21], [22, 23]])
+    c = ExactMatrix(GF101, [[30], [31]])
+    d = ExactMatrix(GF101, [[40, 41], [42, 43]])
     return LambdaModule(a, b, c, d)
+
+
+def negated(x):
+    # -x, entry by entry through its field: ExactMatrix has no arithmetic
+    return ExactMatrix(x.field, [[-e for e in row] for row in x.data], (x.rows, x.cols))
 
 
 # -- golden block displays -----------------------------------------------------
@@ -63,12 +67,13 @@ def tagged_module():
 def test_golden_three_by_eight_blocks():
     m = tagged_module()
     a, b, c, d = m.mats()
+    nc, nd = negated(c), negated(d)
     z = lambda w: zeros(GF101, 2, w)
     za, zb, zc, zd = z(1), z(2), z(1), z(2)
     want = block_grid([
         [a,  za, b,  zb, c,  d,  zc, zd],
-        [za, za, zb, b,  zc, -d, c,  zd],
-        [za, a,  zb, zb, -c, zd, zc, d ],
+        [za, za, zb, b,  zc, nd, c,  zd],
+        [za, a,  zb, zb, nc, zd, zc, d ],
     ])
     assert coeff_matrix(m, cat.P(1, 0)) == want
 
@@ -76,14 +81,15 @@ def test_golden_three_by_eight_blocks():
 def test_golden_five_by_twelve_blocks():
     m = tagged_module()
     a, b, c, d = m.mats()
+    nc, nd = negated(c), negated(d)
     z = lambda w: zeros(GF101, 2, w)
     za, zb, zc, zd = z(1), z(2), z(1), z(2)
     want = block_grid([
         [a,  za, b,  zb, c,  d,  zc, zd, za, zb, zc, zd],
-        [za, za, zb, b,  zc, -d, c,  zd, za, zb, zc, zd],
-        [za, a,  zb, zb, -c, zd, zc, d,  za, zb, zc, zd],
-        [za, za, zb, zb, zc, zd, zc, -d, za, b,  c,  zd],
-        [za, za, zb, zb, zc, zd, -c, zd, a,  zb, zc, d ],
+        [za, za, zb, b,  zc, nd, c,  zd, za, zb, zc, zd],
+        [za, a,  zb, zb, nc, zd, zc, d,  za, zb, zc, zd],
+        [za, za, zb, zb, zc, zd, zc, nd, za, b,  c,  zd],
+        [za, za, zb, zb, zc, zd, nc, zd, a,  zb, zc, d ],
     ])
     big = coeff_matrix(m, cat.P(2, 0))
     assert big == want
@@ -95,14 +101,15 @@ def test_golden_even_vertex_postprojective_blocks():
     # P(4, 1): a head, two copies, each with W above it, and the cap W
     m = tagged_module()
     a, b, c, d = m.mats()
+    nc, nd = negated(c), negated(d)
     z = lambda w: zeros(GF101, 2, w)
     za, zb, zc, zd = z(1), z(2), z(1), z(2)
     want = block_grid([
         [b,  c,  d,  zc, za, zb, zd, zc, za, zb, zd],
-        [zb, zc, -d, c,  a,  zb, zd, zc, za, zb, zd],
-        [zb, zc, zd, -c, za, b,  d,  zc, za, zb, zd],
-        [zb, zc, zd, zc, za, zb, -d, c,  a,  zb, zd],
-        [zb, zc, zd, zc, za, zb, zd, -c, za, b,  d ],
+        [zb, zc, nd, c,  a,  zb, zd, zc, za, zb, zd],
+        [zb, zc, zd, nc, za, b,  d,  zc, za, zb, zd],
+        [zb, zc, zd, zc, za, zb, nd, c,  a,  zb, zd],
+        [zb, zc, zd, zc, za, zb, zd, nc, za, b,  d ],
     ])
     assert coeff_matrix(m, cat.P(4, 1)) == want
 
@@ -596,8 +603,8 @@ def test_transfer_basis_spans_what_meets_the_next_copy(field):
             letters = [random_matrix(field, n0, rng.randint(0, 3), rng) for _ in range(4)]
             if trial % 2:
                 # rank-deficient: a repeated column, a zero one, a zero-width letter
-                first = mat(field, [row[:1] for row in letters[0].data],
-                            (n0, min(1, letters[0].cols)))
+                first = ExactMatrix(field, [row[:1] for row in letters[0].data],
+                                    (n0, min(1, letters[0].cols)))
                 letters[0] = hstack([letters[0], first])
                 letters[1] = hstack([letters[1], zeros(field, n0, 1)])
                 letters[rng.randrange(2, 4)] = zeros(field, n0, 0)
@@ -621,11 +628,12 @@ def test_transfer_basis_spans_what_meets_the_next_copy(field):
             z, basis = homdim._kernel_fold(field, plan, scalar, cuts, kernels, killed)
             grid = homdim._write(field, named, cells, lam)
             split = sum(homdim._widths(named, cells)[:own])
-            rest = mat(field, [row[split:] for row in grid.data], (grid.rows, grid.cols - split))
-            own_cols = mat(field, [row[:split] for row in grid.data], (grid.rows, split))
+            rest = ExactMatrix(field, [row[split:] for row in grid.data],
+                               (grid.rows, grid.cols - split))
+            own_cols = ExactMatrix(field, [row[:split] for row in grid.data], (grid.rows, split))
             kernel = own_cols.transpose().nullspace()
-            images = mat(field, [list(y) for y in kernel], (len(kernel), grid.rows)) @ rest
-            got = mat(field, basis, (len(basis), rest.cols))
+            images = ExactMatrix(field, [list(y) for y in kernel], (len(kernel), grid.rows)) @ rest
+            got = ExactMatrix(field, basis, (len(basis), rest.cols))
             assert all(len(row) == rest.cols for row in basis)
             # echelon rows: a step takes each row's first nonzero as its pivot
             leads = [next(c for c, x in enumerate(row) if x) for row in basis]
@@ -1176,7 +1184,7 @@ def _over_denominators(picks, rng):
 
     def invertible(n):
         d = [[Fraction(1, (7, 12797)[j % 2]) if i == j else 0 for j in range(n)] for i in range(n)]
-        return random_invertible(QQ, n, rng) @ mat(QQ, d, (n, n))
+        return random_invertible(QQ, n, rng) @ ExactMatrix(QQ, d, (n, n))
 
     m = cat.build(picks[0], QQ)
     for desc in picks[1:]:
@@ -1280,7 +1288,7 @@ def test_sparse_letters_are_an_isomorphic_module(field):
     )]
     for m in modules:
         cuts, rows = homdim._sparse_letters(field, m.mats())
-        copy = LambdaModule(*(mat(field, [row[a:b] for row in rows], (len(rows), b - a))
+        copy = LambdaModule(*(ExactMatrix(field, [row[a:b] for row in rows], (len(rows), b - a))
                               for a, b in zip(cuts, cuts[1:])))
         assert dim_vector(copy) == dim_vector(m)
         for d in targets:

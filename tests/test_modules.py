@@ -197,4 +197,4 @@ def test_record_rational_entries_canonicalized():
     for s in "BCD":
         rec[s] = {"rows": 1, "cols": 0, "entries": []}
     m = module_from_record(rec)
-    assert m.A[0, 0] == QQ.parse("1/2")
+    assert m.A.data[0][0] == QQ.parse("1/2")

@@ -8,10 +8,10 @@ from fourspace import catalog as cat
 from fourspace import oracle
 from fourspace.exactmat import (
     QQ,
+    ExactMatrix,
     FieldMismatch,
     PrimeField,
     identity,
-    mat,
     random_invertible,
     random_matrix,
     zeros,
@@ -141,7 +141,7 @@ def test_endomorphism_basis_of_smallest_projective():
     basis = hom_basis(m, m)
     assert len(basis) == 1
     f0 = basis[0][0]
-    assert (f0.rows, f0.cols) == (1, 1) and f0[0, 0] != QQ.zero
+    assert (f0.rows, f0.cols) == (1, 1) and f0.data[0][0] != QQ.zero
     assert all(b.cols == 0 for b in basis[0][1:])
 
 
@@ -150,7 +150,7 @@ def test_endomorphism_basis_of_center_injective():
     basis = hom_basis(m, m)
     assert len(basis) == 1
     # yA = s with A = [1] forces every component equal to the same scalar
-    vals = {basis[0][v][0, 0] for v in range(5)}
+    vals = {basis[0][v].data[0][0] for v in range(5)}
     assert len(vals) == 1
 
 
@@ -227,11 +227,11 @@ def test_system_matches_entrywise_relations(field, rng):
                 for j in range(n[t]):
                     row = [field.zero] * off[5]
                     for k in range(n[0]):
-                        row[off[0] + i * n[0] + k] = lm[k, j]
+                        row[off[0] + i * n[0] + k] = lm.data[k][j]
                     for k in range(d[t]):
-                        row[off[t] + k * n[t] + j] = field.reduce(-lx[i, k])
+                        row[off[t] + k * n[t] + j] = field.reduce(-lx.data[i][k])
                     want.append(tuple(row))
-        assert sys_.matrix == mat(field, want, shape=(len(want), off[5]))
+        assert sys_.matrix == ExactMatrix(field, want, shape=(len(want), off[5]))
 
 
 # -- the block step against an independent nullity -------------------------------
@@ -252,7 +252,7 @@ def _redundant_letter(field, n0, rng):
     cols += [rng.choice(cols) for _ in range(n0 - k + rng.randint(1, 3))]
     cols += [[field.zero] * n0] * rng.randint(1, 2)
     rng.shuffle(cols)
-    return mat(field, [list(row) for row in zip(*cols)], shape=(n0, len(cols)))
+    return ExactMatrix(field, [list(row) for row in zip(*cols)], shape=(n0, len(cols)))
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), GF], ids=repr)
@@ -328,8 +328,8 @@ def _geometries(d, rng):
 
 
 def _columns(field, h, cols):
-    return mat(field, [[row[c] for c in cols] for row in h.data],
-               shape=(h.rows, len(cols)))
+    return ExactMatrix(field, [[row[c] for c in cols] for row in h.data],
+                       shape=(h.rows, len(cols)))
 
 
 def _framed_pair(field, h, sa, sb, rng):
@@ -452,8 +452,8 @@ def _planted(field, counts, rng):
     h = random_invertible(field, d, rng)
     spaces = []
     for g in gens:
-        pivots, rows = field.echelon((mat(field, [[v.get(j, 0) for j in range(d)] for v in g],
-                                          shape=(len(g), d)) @ h).data)
+        span = ExactMatrix(field, [[v.get(j, 0) for j in range(d)] for v in g], shape=(len(g), d))
+        pivots, rows = field.echelon((span @ h).data)
         spaces.append(rows[: len(pivots)])
     return d, spaces
 
@@ -466,8 +466,9 @@ def _planted_module(field, counts, s, rng, kernels, copy):
     d, spaces = _planted(field, counts, rng)
     letters = []
     for u in spaces:
-        cols = mat(field, u, shape=(len(u), d)).nullspace() if kernels else u
-        letters.append(mat(field, [[v[i] for v in cols] for i in range(d)], shape=(d, len(cols))))
+        cols = ExactMatrix(field, u, shape=(len(u), d)).nullspace() if kernels else u
+        letters.append(ExactMatrix(field, [[v[i] for v in cols] for i in range(d)],
+                                   shape=(d, len(cols))))
     fourth = random_matrix(field, d, rng.randint(1, 3), rng) if copy is None else letters[copy]
     letters.insert(s, fourth)
     return LambdaModule(*letters)
@@ -535,9 +536,9 @@ def _letter(field, n0, rank, width, rng):
     basis = random_matrix(field, n0, rank, rng)
     while basis.rank() < rank:
         basis = random_matrix(field, n0, rank, rng)
-    return basis @ mat(field, [[rng.choice((0, 1, 2)) if j >= rank else int(i == j)
-                                for j in range(width)] for i in range(rank)],
-                       shape=(rank, width))
+    return basis @ ExactMatrix(field, [[rng.choice((0, 1, 2)) if j >= rank else int(i == j)
+                                        for j in range(width)] for i in range(rank)],
+                               shape=(rank, width))
 
 
 def _ranked_module(field, n0, ranks, rng):

@@ -7,7 +7,7 @@ import pytest
 from fourspace import catalog as cat
 from fourspace import verify
 from fourspace.catalog import EnumerationBounds, InvalidParams, declared_dim, enumerate_descriptors
-from fourspace.exactmat import QQ, PrimeField, mat
+from fourspace.exactmat import QQ, ExactMatrix, PrimeField
 from fourspace.modules import (
     LambdaModule,
     dim_vector,
@@ -214,7 +214,7 @@ def test_the_frame_cache_holds_all_four_pairings_of_its_targets():
     field = FIELDS["GF32003"]
     descs = cat.enumerate_descriptors(EnumerationBounds(12, 8, (2, 5)))
     assert len(descs) == 242
-    wide, narrow = mat(field, [[1, 0], [0, 1], [0, 0]]), mat(field, [[1], [1], [1]])
+    wide, narrow = ExactMatrix(field, [[1, 0], [0, 1], [0, 0]]), ExactMatrix(field, [[1], [1], [1]])
     modules = [LambdaModule(*(narrow if t == s else wide for t in range(4))) for s in range(4)]
     pairings = [_source(m)[0] for m in modules]
     assert [pairing[3] for pairing in pairings] == [0, 1, 2, 3]
