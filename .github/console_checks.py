@@ -95,7 +95,7 @@ class Diff(NamedTuple):
 
     The module is the sum of summands over field, disguised by
     disguised_sum with random.Random(seed) (seed None: the plain sum), its
-    letters A, B, C, D then scaled by the four entries of `scales`; it must
+    letters A, B, C, D then scaled by the four entries of `scale`; it must
     have dimension vector dim.
     """
 
@@ -107,7 +107,7 @@ class Diff(NamedTuple):
     args: str
     lines: int | None  # expected line count, or NON_EMPTY
     no_zero: bool = False  # no line may read 0
-    scales: tuple = (Fraction(1),) * 4
+    scale: tuple = (Fraction(1),) * 4
 
 
 GF2, GF3, GF5, GF7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
@@ -122,14 +122,14 @@ DIFFS = [
          "--all --max-n 3 --max-l 2 --lambda 7/3", NON_EMPTY),
     # scaled by 1/7, s.json's letters hold Fractions
     Diff("s.json", QQ, "R(2,7/3) P(3,1) I(2,0)", 7, (13, 6, 7, 7, 7),
-         "--all --max-n 6 --max-l 3 --lambda 7/3", 109, scales=(Fraction(1, 7),) * 4),
+         "--all --max-n 6 --max-l 3 --lambda 7/3", 109, scale=(Fraction(1, 7),) * 4),
     Diff("s.json", QQ, "R(2,7/3) P(3,1) I(2,0)", 7, (13, 6, 7, 7, 7),
-         DEEP, 24, no_zero=True, scales=(Fraction(1, 7),) * 4),
+         DEEP, 24, no_zero=True, scale=(Fraction(1, 7),) * 4),
     # one scale per letter: d.json's letters hold Fractions of unequal
     # denominators, which hom_vector hands its first elimination unscaled
     Diff("d.json", QQ, "R(2,7/3) P(3,1) I(2,0)", 7, (13, 6, 7, 7, 7),
          "--all --max-n 6 --max-l 3 --lambda 7/3", 109,
-         scales=(Fraction(1, 7), Fraction(1, 12797), Fraction(1), Fraction(2, 3))),
+         scale=(Fraction(1, 7), Fraction(1, 12797), Fraction(1), Fraction(2, 3))),
     Diff("g3.json", GF3, "I(1,0) P(2,1)", 1, (6, 4, 3, 3, 3),
          "P(4,3) P(6,2) I(8,3) P(8,4)", 4),
     Diff("g3.json", GF3, "I(1,0) P(2,1)", 1, (6, 4, 3, 3, 3),
@@ -232,7 +232,7 @@ def scaled(x, c):
 def run_diff(row):
     name = f"homdim {row.file} {row.args}"
     m = module(row.field, row.summands, row.seed)
-    m = LambdaModule(*(scaled(x, c) for x, c in zip(m.mats(), row.scales)))
+    m = LambdaModule(*(scaled(x, c) for x, c in zip(m.mats(), row.scale)))
     if m.dim_vector() != row.dim:
         return check(name, False, f"dimension vector {m.dim_vector()}, expected {row.dim}")
     write_module(row.file, m)

@@ -86,6 +86,11 @@ def unread_exactmat_surface(source, readers):
     string.  A method must be read as one: a local variable of the same
     name does not keep it.  dunders is the set of dunder methods
     ExactMatrix defines.
+
+    Matching is by bare name, whatever object the attribute is read
+    from: any reader's `.rank` or `"invert"` keeps the method of that
+    name.  The guard over-counts, so it catches only a name that nothing
+    outside the tests reads at all.
     """
     attrs, names = set(), set()
     for text in readers:

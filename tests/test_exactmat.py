@@ -853,8 +853,9 @@ def test_integral_stays_in_the_elimination_form(field, rng):
         y, scale = field.integral(x.data)
         assert field.coerce(scale) != field.zero
         assert len(y) == x.rows and all(len(row) == x.cols for row in y)
+        assert ExactMatrix(field, y, (x.rows, x.cols)) == ExactMatrix(
+            field, [[scale * v for v in row] for row in x.data], (x.rows, x.cols))
         if p is None:
-            assert y == [[scale * v for v in row] for row in x.data]
             assert all(type(v) is int for row in y for v in row)
         else:
             assert y is x.data

@@ -56,9 +56,9 @@ def tagged_module():
     return LambdaModule(a, b, c, d)
 
 
-def negated(x):
-    # -x, entry by entry through its field: ExactMatrix has no arithmetic
-    return ExactMatrix(x.field, [[-e for e in row] for row in x.data], (x.rows, x.cols))
+# -C and -D of tagged_module, the signed blocks of its coefficient matrices
+NC = ExactMatrix(GF101, [[-30], [-31]])
+ND = ExactMatrix(GF101, [[-40, -41], [-42, -43]])
 
 
 # -- golden block displays -----------------------------------------------------
@@ -67,7 +67,7 @@ def negated(x):
 def test_golden_three_by_eight_blocks():
     m = tagged_module()
     a, b, c, d = m.mats()
-    nc, nd = negated(c), negated(d)
+    nc, nd = NC, ND
     z = lambda w: zeros(GF101, 2, w)
     za, zb, zc, zd = z(1), z(2), z(1), z(2)
     want = block_grid([
@@ -81,7 +81,7 @@ def test_golden_three_by_eight_blocks():
 def test_golden_five_by_twelve_blocks():
     m = tagged_module()
     a, b, c, d = m.mats()
-    nc, nd = negated(c), negated(d)
+    nc, nd = NC, ND
     z = lambda w: zeros(GF101, 2, w)
     za, zb, zc, zd = z(1), z(2), z(1), z(2)
     want = block_grid([
@@ -101,7 +101,7 @@ def test_golden_even_vertex_postprojective_blocks():
     # P(4, 1): a head, two copies, each with W above it, and the cap W
     m = tagged_module()
     a, b, c, d = m.mats()
-    nc, nd = negated(c), negated(d)
+    nc, nd = NC, ND
     z = lambda w: zeros(GF101, 2, w)
     za, zb, zc, zd = z(1), z(2), z(1), z(2)
     want = block_grid([
