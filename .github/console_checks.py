@@ -29,7 +29,13 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
   with tubes, where the signs of the case matrices show (over GF(2) no
   sign does); h3 holds and asks for only members at no copies of a
   pattern whose head is its rep; v3 is a GF(3) sum on which hom_vector
-  steps from a full state (an in-process check holds it to that);
+  steps from a full state (an in-process check holds it to that); q5's
+  descriptor row also runs with --oracle before its descriptors, which
+  must read as they do after them;
+- `fourspace homdim` of a GF(3) and a QQ disguised sum against FAR,
+  members about 10^9 copies deep of four patterns, held to hom_vector
+  in-process: a staircase stops at its fixed point within g + 1 steps,
+  W's width g, so no copy count runs away;
 - `fourspace decompose` of catalog modules and of a disguised sum;
 - decompose of a QQ and a GF(32003) disguised sum in-process, twice, and
   is_isomorphic against the plain sum: the later calls read the plan the
@@ -108,6 +114,7 @@ class Diff(NamedTuple):
     lines: int | None  # expected line count, or NON_EMPTY
     no_zero: bool = False  # no line may read 0
     scale: tuple = (Fraction(1),) * 4
+    oracle_first: bool = False  # --oracle also before the descriptors
 
 
 GF2, GF3, GF5, GF7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
@@ -116,6 +123,13 @@ DEEP = " ".join(f"P({n},{j}) I({n},{j})" for n in (8, 10, 12) for j in (1, 2, 3,
 WIDE = "P(4,0) P(5,2) I(5,0) I(6,3) R(1,2) R(2,2) R(1,3,0) R(0,4,1)"
 ZERO_COPY = "P(1,1) P(1,3) R(1,2) R(0,2,inf) R(1,2,1)"
 BOUNDARY = "R(1,2) P(2,0) I(1,3)"
+# about 10^9 copies of P0, I_ODD, R_EVEN and R_ODD
+FAR = "P(1000000000,0) I(1000000001,2) R(1000000000,2) R(1,1999999999,inf)"
+# (file, field, summands, disguise seed) that FAR is asked of
+FAR_MODULES = [
+    ("f3.json", GF3, "R(2,2) R(0,3,0) P(3,0) I(2,2)", 3),
+    ("fq.json", QQ, "R(2,2) R(1,3,inf) P(2,0) I(3,2)", 5),
+]
 
 DIFFS = [
     Diff("r.json", QQ, "R(2,7/3)", None, (4, 2, 2, 2, 2),
@@ -138,7 +152,10 @@ DIFFS = [
          "--all --max-n 12 --max-l 4", 178),
     Diff("w5.json", GF32003, "P(4,0) I(5,0) R(1,2)", 4, (22, 11, 11, 11, 11),
          "--all --max-n 8 --max-l 4 --lambda 2", 142),
-    Diff("q5.json", QQ, "P(4,0) I(5,0) R(1,2)", 4, (22, 11, 11, 11, 11), WIDE, 8),
+    # --oracle before the descriptors too: argparse alone would match them,
+    # empty, before the flag
+    Diff("q5.json", QQ, "P(4,0) I(5,0) R(1,2)", 4, (22, 11, 11, 11, 11), WIDE, 8,
+         oracle_first=True),
     # n_0 = 44: hom_vector's folds write rows from K [A B C D] at twice w5's n_0
     Diff("w9.json", GF32003, "R(3,2) P(8,0) I(10,0)", 9, (44, 22, 22, 22, 22),
          "--all --lambda 2", 102),
@@ -246,6 +263,10 @@ def run_diff(row):
     lines = formula.splitlines()
     if formula != oracle:
         return check(name, False, "formula and oracle differ")
+    if row.oracle_first:
+        code, first, err = fourspace(["homdim", row.file, "--oracle", *row.args.split()])
+        if code or first != oracle:
+            return check(name, False, f"--oracle first: {err.strip() or 'output differs'}")
     if row.lines is NON_EMPTY and not lines:
         return check(name, False, "no output")
     if row.lines is not NON_EMPTY and len(lines) != row.lines:
@@ -253,6 +274,17 @@ def run_diff(row):
     if row.no_zero and any(x.endswith("\t0") for x in lines):
         return check(name, False, "a line reads 0")
     check(name, True)
+
+
+def check_far(file, field, summands, seed):
+    """`fourspace homdim file FAR` against hom_vector in-process."""
+    m = module(field, summands, seed)
+    write_module(file, m)
+    descs = [parse_descriptor(x, field) for x in FAR.split()]
+    want = "".join(f"{d.label()}\t{v}\n" for d, v in zip(descs, hom_vector(m, descs)))
+    code, out, err = fourspace(["homdim", file, *FAR.split()])
+    check(f"homdim {file} {FAR}", code == 0 and out == want,
+          err.strip() or f"{out!r}, in-process {want!r}")
 
 
 def full_steps(m, descs):
@@ -365,6 +397,8 @@ def main():
     check("v3.json steps from a full state", full > 0, f"{full} such steps")
     for row in DIFFS:
         run_diff(row)
+    for far in FAR_MODULES:
+        check_far(*far)
 
     for desc, bounds in DECOMPOSE:
         _, record, _ = fourspace(["catalog", desc])

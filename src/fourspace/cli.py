@@ -158,11 +158,31 @@ def _add_bounds_flags(sub):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors are parse-error lines too;
-    add_subparsers makes its subparsers of the same class."""
+    """An ArgumentParser whose usage errors are parse-error lines too."""
 
     def error(self, message):
         raise CliError("parse-error", message)
+
+
+class _Subparser(_Parser):
+    """A subcommand's _Parser, whose positionals may also follow its
+    flags, as in `homdim m.json --oracle P(1,0)`.  parse_known_args alone
+    matches homdim's nargs="*" descriptors, empty, before the first flag
+    and leaves the rest unrecognized.  parse_known_intermixed_args parses
+    the flags first, then the positionals, calling parse_known_args for
+    each pass: those inner calls parse as argparse does.  It refuses a
+    parser with subcommands, so the top-level parser is a plain _Parser."""
+
+    _inner = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._inner:
+            return super().parse_known_args(args, namespace)
+        self._inner = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._inner = False
 
 
 def build_parser():
@@ -170,7 +190,7 @@ def build_parser():
         prog="fourspace",
         description="Exact Hom computations for four subspace quiver representations.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
 
     p_cat = subs.add_parser("catalog", help="print a catalog module as JSON")
     p_cat.add_argument("descriptor")
@@ -180,7 +200,8 @@ def build_parser():
 
     p_hom = subs.add_parser("homdim", help="hom dimensions against descriptors")
     p_hom.add_argument("module_file")
-    # not required: --all stands in for the descriptors
+    # not required: --all stands in for the descriptors; they may follow
+    # the flags (_Subparser)
     p_hom.add_argument("descriptors", nargs="*", default=[])
     p_hom.add_argument("--all", action="store_true",
                        help="sweep every descriptor within the bounds flags")

@@ -46,8 +46,8 @@ each distinct fold writes its rows from the call's kernel cache and is
 split (_Field._split) once per call.  From there on
 the pass holds the working rows of the field's elimination, lists of
 Python ints: a fold writes its rows in that form and returns its images
-as those rows, and every step and span test runs on them, so no result
-goes back into a matrix.  The pass runs
+as those rows, and every step runs on them, so no result goes back
+into a matrix.  The pass runs
 a transfer recursion towards the largest k asked for.  The next copy
 reads a vector y of the left kernel K_k = {y : y N_k = 0} only through
 its image y_tail W, y_tail the last e block rows of y.  So the state is
@@ -86,10 +86,14 @@ elimination stay Python ints from the letters to the last rank, with no
 reduced form and no Fraction; each elimination divides its rows by
 their gcds, so S stays as small deep in the staircase as after its
 first steps.  A step depends
-on span(S) alone, so the pass stops at the first step that returns the
-span it was given and extrapolates: every later copy adds the same to z
-and keeps S.  When the head pattern is the rep pattern, the head is the
-step from the empty state, whatever the copy count.  The "M3" cap is one
+on span(S) alone, through a monotone map of spans, and every pattern's
+first two states are nested, so a pass's spans are nested one way (the
+lemma in _staircase_coranks: P and R passes grow, I passes shrink).  So
+the first step whose images have as many rows as the state it was given
+returned that span, within g + 1 steps: the pass stops there and
+extrapolates, as every later copy adds the same to z and keeps S.  When
+the head pattern is the rep pattern, the head is the step from the
+empty state, whatever the copy count.  The "M3" cap is one
 more W on the last tail rows, so it asks exactly y_tail W = 0: a capped
 staircase's corank is z, an uncapped one's z + rank S.
 
@@ -488,22 +492,6 @@ def _kernel_fold(field, plan, scalar, cuts, kernels, zeros):
     return z + zeros * len(plan.keys), images
 
 
-def _same_span(field, s, s_next):
-    """Whether the bases s and s_next (sequences of rows) span one row
-    space.
-
-    The rows of each are independent, so equal lengths and a rank of that
-    length for the two stacked decide it exactly; with no rows, or as
-    many as they are wide (all of k^g), equal lengths alone do.
-    Comparing the rows would not: a forward echelon form is not
-    canonical, so one span has many.
-    """
-    if len(s) != len(s_next):
-        return False
-    return (not s or len(s) == len(s[0])
-            or len(field._eliminate([list(x) for x in (*s, *s_next)])) == len(s))
-
-
 def _step(field, s, t):
     """One copy of the staircase: field._split of [T; [s 0]] at g, W's
     width.
@@ -663,19 +651,43 @@ def _staircase_coranks(field, plan, top, folds):
     builds Fractions; each divides its rows by their gcds, so s stays as
     small deep in the staircase as after its first steps.
 
-    A step is a function of span(s) alone: it adds the same to z and maps
-    the span to the next one.  So once the step to copy k returns the
-    span it was given (_same_span), every later copy adds that step's dz
-    to z and keeps the span: k is the fixed point k*, and the recursion
-    stops there with the law's coranks below it, k, cor(k) and dz.  Where
-    no step before top does, the law is its coranks up to top alone: k is
-    top + 1, cor and dz None.  The corank after k copies is z + rank s;
-    "M3"'s trailing cap is one more W on the tail rows, which asks for
-    image 0, so its corank is z.  When the head pattern is the rep
-    pattern (P_ODD, R_EVEN), the head is the step from the empty state,
-    at any copy count, and the plan holds no head fold (None).  A group
-    with a head fold that asks for no copies takes no step, and its plan
-    holds no rep fold (None).
+    A step is a function of span(s) alone: it adds the same to z and
+    maps span(S) to f(S) = {u_tail W : u R_own = 0, u R_W in S}.  f is
+    monotone (S in S' gives f(S) in f(S')), so once S_0, the head's
+    state, and S_1 are nested, the whole chain S_0, S_1, ... is nested
+    the same way, and it stops moving exactly where its dimension stops
+    changing.  So the recursion stops at the first step, to copy k,
+    whose images have as many rows as the state it was given (both are
+    independent): it returned that span, and every later copy adds its
+    dz to z and keeps the span.  k is the fixed point k*, at most g + 1
+    for W's width g, as the dimension moves at most g times; the
+    recursion returns the law's coranks below it, k, cor(k) and dz.
+    Where no step before top stops, the law is its coranks up to top
+    alone: k is top + 1, cor and dz None.
+
+    S_0 and S_1 are nested for every pattern.  In CASE_SPECS' letters
+    and signs, with y a row vector over the head's block rows,
+    u = (u_0, u_1) one over the rep's and x one of k^(n_0):
+      P_ODD, R_EVEN  the head is the rep, so S_0 = f(0), in f(S_0);
+      P_EVEN, R_ODD  y in the head's left kernel gives u = (0, y), with
+                     image y W, so S_0 lies in f(0);
+      P0             S_0 = f(T_0), T_0 = {(xC, xD) : xA = xB = 0}, and
+                     y = (x, x, x) puts T_0 in S_0;
+      I_EVEN         S_0 = f(k^g), which holds f(S_0);
+      I_ODD          every f(S) lies in {yC : yA = 0} = S_0;
+      I0             S_0 = f(T_0), T_0 = {(xD, xC)}, and
+                     x' = u_0 + u_1 - x puts S_0 in T_0.
+    So P and R chains grow and I chains shrink.  A sigma only relabels
+    the letters, and the sign-normal form (_signed) scales W's columns
+    by the same +-1 in every copy, one invertible map of k^g: neither
+    changes which chains are nested.
+
+    The corank after k copies is z + rank s; "M3"'s trailing cap is one
+    more W on the tail rows, which asks for image 0, so its corank is z.
+    When the head pattern is the rep pattern (P_ODD, R_EVEN), the head is
+    the step from the empty state, at any copy count, and the plan holds
+    no head fold (None).  A group with a head fold that asks for no
+    copies takes no step, and its plan holds no rep fold (None).
     """
     def corank(z, s):
         return z if plan.capped else z + len(s)
@@ -692,7 +704,7 @@ def _staircase_coranks(field, plan, top, folds):
         dz, s_next = _step(field, s, t)
         dz += rep_z
         z += dz
-        if k < top and _same_span(field, s, s_next):
+        if k < top and len(s_next) == len(s):
             return coranks, k, corank(z, s_next), dz
         s = s_next
         coranks.append(corank(z, s))

@@ -77,10 +77,13 @@ def structured_module(field, bounds, rng, cands):
     """Random direct sum of in-bounds catalog modules, base-changed.
 
     cands is enumerate_descriptors(bounds), which the caller holds:
-    enumerating draws nothing from rng.
+    enumerating draws nothing from rng.  The tube's lam is drawn among
+    the lambdas enumeration keeps: a lam of exactly 0 or 1 names no
+    homogeneous tube, so enumeration skips it and so does the draw.
     """
     budget = [MAX_DIM] * 5
     picks = []
+    lams = [lam for lam in bounds.lambdas if lam not in (0, 1)]
 
     def fits(desc):
         return all(x <= b for x, b in zip(declared_dim(desc), budget))
@@ -90,8 +93,8 @@ def structured_module(field, bounds, rng, cands):
         for v, x in enumerate(declared_dim(desc)):
             budget[v] -= x
 
-    if bounds.lambdas and bounds.max_l >= 1:
-        lam = rng.choice(bounds.lambdas)
+    if lams and bounds.max_l >= 1:
+        lam = rng.choice(lams)
         depth = rng.randint(1, min(bounds.max_l, 2))
         tube = R(depth, lam)
         if fits(tube):

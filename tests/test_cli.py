@@ -122,6 +122,20 @@ def test_homdim_all_matches_hom_dim_on_disguised_sum(capsys, tmp_path):
     assert out.splitlines() == [f"{d.label()}\t{hom_dim(m, d)}" for d in descs]
 
 
+@pytest.mark.parametrize("flags", [["--max-n", "2"], ["--oracle"], ["--oracle", "--max-l", "1"]],
+                         ids=" ".join)
+def test_homdim_descriptors_may_follow_a_flag(capsys, tmp_path, flags):
+    # argparse alone matches the descriptors, empty, before the first flag
+    # and calls the rest unrecognized: the descriptors must read the same
+    # after the flags, before them and around them
+    path = write_module(tmp_path, cat.build(cat.R(1, GF.coerce(2)), GF))
+    descs = ["P(1,0)", "I(2,1)", "R(1,2)"]
+    first = run(capsys, "homdim", path, *descs, *flags)
+    assert first[0] == 0 and len(first[1].splitlines()) == len(descs) and not first[2]
+    assert run(capsys, "homdim", path, *flags, *descs) == first
+    assert run(capsys, "homdim", path, descs[0], *flags, *descs[1:]) == first
+
+
 def test_homdim_requires_descriptors(capsys, tmp_path):
     path = write_module(tmp_path, cat.build(cat.P(0, 0), GF))
     code, _, err = run(capsys, "homdim", path)
@@ -280,6 +294,8 @@ ERROR_CASES = [
     ("parse-error", ["homdim", "{bad_record}", "I(0,0)"]),
     ("parse-error", ["homdim", "{loose_record}", "I(0,0)"]),
     ("parse-error", ["homdim", "{module}", "R(1,3)", "--all"]),
+    ("parse-error", ["homdim", "{module}", "--all", "R(1,3)"]),
+    ("parse-error", ["homdim", "{module}", "--oracle", "--bogus", "R(1,3)"]),
     ("parse-error", ["homdim", "{zero_denominator}", "I(0,0)"]),
     ("parse-error", ["decompose", "{zero_denominator}"]),
     ("parse-error", ["homdim", "{module}", "--all", "--lambda", "x"]),
@@ -314,6 +330,8 @@ ERROR_DETAILS = {
     "homdim {loose_record} I(0,0)": "matrix record A: rows 3.9 is not an integer",
     # the descriptors are not dropped for the sweep
     "homdim {module} R(1,3) --all": "give descriptor arguments or --all, not both",
+    "homdim {module} --all R(1,3)": "give descriptor arguments or --all, not both",
+    "homdim {module} --oracle --bogus R(1,3)": "unrecognized arguments: --bogus R(1,3)",
     # a JSON string is not a characteristic, and 7 is not out of range
     "homdim {prime_string} I(0,0)": "is not an integer",
     # --all stands in for the descriptors, so the line ends naming the file

@@ -664,21 +664,6 @@ def test_hom_vector_clears_the_tail_pivots_of_a_copy(field):
             assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
 
 
-@pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
-def test_same_span_is_exact(field):
-    s = [[1, 0, 2], [0, 1, 3]]
-    # the same rows in another order, another echelon basis of their span
-    # (first row plus second) and that basis scaled: one span, so the
-    # recursion's fixed point
-    for other in ([[0, 1, 3], [1, 0, 2]], [[1, 1, 5], [0, 1, 3]], [[2, 2, 10], [0, 5, 15]]):
-        assert homdim._same_span(field, s, other)
-    # as many rows, another span; and a subspace
-    assert not homdim._same_span(field, s, [[1, 0, 2], [0, 1, 4]])
-    assert not homdim._same_span(field, s, s[:1])
-    empty = s[:0]
-    assert homdim._same_span(field, empty, empty)
-
-
 def _echelon_rows(field, rng, m, n):
     """The nonzero forward echelon rows of a sparse random m x n matrix, in
     the working form of the field's elimination, with their pivots."""
@@ -725,7 +710,7 @@ def test_step_against_a_fixed_t_is_the_split_of_the_stack(field):
         assert list(zip(image_pivots, image_rref)) == [
             (c - g, row[g:]) for c, row in zip(stack_pivots, rref) if c >= g]
         split_z, split = field._split([*map(list, t), *(row + [0] * g for row in s)], g)
-        assert z == split_z and homdim._same_span(field, images, split)
+        assert z == split_z and reference_rref(split, p) == (image_pivots, image_rref)
         full = len(s) == g > 0
         seen.update({"S empty": not s, "T empty": not t, "g = 0": not g,
                      "S reduced": bool(s and t), "z > 0": z > 0, "S meets E": len(images) > len(
@@ -846,19 +831,19 @@ def test_hom_vector_extrapolates_past_a_late_fixed_point(field, picks, bounds, m
     descs = [d for d in enumerate_descriptors(EnumerationBounds(*bounds, (field.coerce(2),)))
              if not homdim._is_closed_form(d) and cat.case(d, field)[1] == PERM_IDENTITY]
     groups = {(key, lam) for key, _, _, lam in (cat.case(d, field) for d in descs)}
-    checks = []
-    same_span = homdim._same_span
+    coranks = homdim._staircase_coranks
+    laws = []
 
     def spied(*args):
-        checks.append(same_span(*args))
-        return checks[-1]
+        laws.append(coranks(*args))
+        return laws[-1]
 
-    monkeypatch.setattr(homdim, "_same_span", spied)
+    monkeypatch.setattr(homdim, "_staircase_coranks", spied)
     assert hom_vector(m, descs) == [hom_dim(m, d) for d in descs]
-    # every staircase stopped inside the bounds, after as many copies as it
-    # took checks; some only after several
-    depths = [len(run) + 1 for run in "".join(".T"[c] for c in checks).split("T")[:-1]]
-    assert len(depths) == len(groups) and max(depths) >= 4, depths
+    # every staircase reached its fixed point k* inside the bounds (its law
+    # holds cor(k*)); some only after several copies
+    fixed_points = [k for _, k, cor, _ in laws if cor is not None]
+    assert len(laws) == len(fixed_points) == len(groups) and max(fixed_points) >= 4, laws
 
 
 # a copy count no staircase reaches: a group asked for it must settle first
@@ -880,11 +865,14 @@ def _far(d):
 
 
 @pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
-def test_every_staircase_settles_within_n0_plus_two_steps(field, monkeypatch):
-    # a measured bound, not a proven one: every group reaches its fixed
-    # point within n_0 + 2 steps of _step.  Each group is asked for about
-    # FAR copies, so it must settle; the spy fails a group at its first
-    # step past the bound, so a runaway one fails and does not hang
+def test_every_staircase_settles_within_g_plus_one_steps(field, monkeypatch):
+    # the proven bound: a group's spans are nested one way (the lemma in
+    # _staircase_coranks), so it reaches its fixed point within g + 1
+    # steps of _step past the head's state, g the width of W, read from
+    # T's rows (2g wide; with no rows, the head state's, else 0).  Each
+    # group is asked for about FAR copies, so it must settle; the spy fails
+    # a group at its first step past the bound, so a runaway one fails and
+    # does not hang
     rng = random.Random(0x16)
     lams = _lambdas(field)
     descs = [_far(d) for d in enumerate_descriptors(EnumerationBounds(2, 2, lams))]
@@ -899,9 +887,15 @@ def test_every_staircase_settles_within_n0_plus_two_steps(field, monkeypatch):
     steps = []
     bound = None
 
-    def spied_coranks(*args):
+    def spied_coranks(field, plan, top, folds):
+        nonlocal bound
+        _, t = folds[plan.rep]
+        s = [] if plan.head is None else folds[plan.head][1]
+        g = len(t[0]) // 2 if t else len(s[0]) if s else 0
+        # a head that is the rep is one step more, from the empty state
+        bound = g + 1 + (plan.head is None)
         steps.append(0)
-        return coranks(*args)
+        return coranks(field, plan, top, folds)
 
     def spied_step(*args):
         steps[-1] += 1
@@ -912,7 +906,6 @@ def test_every_staircase_settles_within_n0_plus_two_steps(field, monkeypatch):
     monkeypatch.setattr(homdim, "_step", spied_step)
     groups = {(key, sigma, lam) for key, sigma, _, lam in (cat.case(d, field) for d in descs)}
     for m in modules:
-        bound = m.n0 + 2
         steps.clear()
         assert all(x >= 0 for x in hom_vector(m, descs))
         assert len(steps) == len(groups)
@@ -953,15 +946,23 @@ def test_chain_direction_sees_a_planted_chain():
         assert _chain_direction(p, [[e1, e2], [e1], [e2]]) is None
 
 
+# how each pattern's span chains move when they move, by the lemma in
+# _staircase_coranks: "<" grows, ">" shrinks
+CHAIN_MOVES = {"P0": "<", "P_ODD": "<", "P_EVEN": "<", "R_EVEN": "<", "R_ODD": "<",
+               "I0": ">", "I_ODD": ">", "I_EVEN": ">"}
+
+
 @pytest.mark.parametrize("field", HOM_VECTOR_FIELDS.values(), ids=HOM_VECTOR_FIELDS)
 def test_every_staircase_span_chain_is_nested_one_way(field, monkeypatch):
     # a step maps span(S) to f(S) = E (R_W^-1(S) ∩ ker R_own), and f is
     # monotone, so where span(S_0) and span(S_1) are nested the whole
-    # chain S_0, S_1, ... is nested the same way (that the first two are
-    # nested is measured, not yet proven per pattern).  Every group of a small list is replayed with
-    # _step from the head's state, on the folds hom_vector hands it, for
-    # g + 2 steps: with the chain nested one way that passes its fixed
-    # point, as the dimension moves at most g times
+    # chain S_0, S_1, ... is nested the same way; the lemma in
+    # _staircase_coranks nests the first two per pattern, growing for P
+    # and R, shrinking for I.  Every group of a small list is replayed
+    # with _step from the head's state, on the folds hom_vector hands it,
+    # for g + 2 steps: with the chain nested one way that passes its
+    # fixed point, as the dimension moves at most g times.  Each chain
+    # must be nested the way its case key's lemma says, or be one span
     rng = random.Random(0x29)
     lams = _lambdas(field)
     p = getattr(field, "p", None)
@@ -980,12 +981,16 @@ def test_every_staircase_span_chain_is_nested_one_way(field, monkeypatch):
         return coranks(field, plan, top, folds)
 
     monkeypatch.setattr(homdim, "_staircase_coranks", spied)
+    # a group's case key, in the order hom_vector runs the groups
+    keys = [cat.case(descs[slots[0][0]], field)[0]
+            for _, _, slots in homdim._targets(tuple(descs), field).groups]
+    assert set(keys) == set(CASE_SPECS) == set(CHAIN_MOVES)
     seen = set()
     for m in modules:
         groups.clear()
         hom_vector(m, descs)
-        assert groups
-        for plan, folds in groups:
+        assert len(groups) == len(keys)
+        for (plan, folds), key in zip(groups, keys):
             _, t = folds[plan.rep]
             s = homdim._step(field, [], t)[1] if plan.head is None else folds[plan.head][1]
             g = len(t[0]) // 2 if t else len(s[0]) if s else 0
@@ -993,9 +998,10 @@ def test_every_staircase_span_chain_is_nested_one_way(field, monkeypatch):
             for _ in range(g + 2):
                 chain.append(homdim._step(field, chain[-1], t)[1])
             direction = _chain_direction(p, chain)
-            assert direction is not None, (plan, [len(x) for x in chain])
-            seen.add(direction)
-    assert seen == {"=", "<", ">"}, seen
+            assert direction in ("=", CHAIN_MOVES[key]), (key, plan, [len(x) for x in chain])
+            seen.add((key, direction))
+    # every key's chains both stay and move, the way its lemma says
+    assert seen == {(key, x) for key, move in CHAIN_MOVES.items() for x in ("=", move)}, seen
 
 
 def _at_copies(d, k):

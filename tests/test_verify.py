@@ -49,6 +49,29 @@ def test_a_float_lambda_is_rejected_cold_and_warm():
     assert str(cold.value) == str(warm.value) == "R(1, 2.0): lam must be exact, not a float"
 
 
+# bounds with a lambda that names no homogeneous tube: exactly 0 or 1,
+# which enumeration skips, 8, which is 1 in GF(7), and a float; a sweep's
+# structured trials draw their tube's lam, so every seed must read alike,
+# each running (None) or each raising the one error the bounds raise
+SEEDED = {
+    "QQ 1 3": (QQ, (1, 3), None),
+    "QQ 0 1": (QQ, (0, 1), None),
+    "GF7 8 3": (PrimeField(7), (8, 3), "lambda 8 reduces to 1 in GF(7); no homogeneous tube"),
+    "QQ 2.0": (QQ, (2.0,), "R(1, 2.0): lam must be exact, not a float"),
+}
+
+
+@pytest.mark.parametrize("field, lambdas, error", SEEDED.values(), ids=SEEDED)
+def test_a_sweep_reads_alike_at_every_seed(field, lambdas, error):
+    outcomes = []
+    for seed in range(6):
+        try:
+            outcomes.append(run_sweep(field, EnumerationBounds(2, 2, lambdas), 4, seed))
+        except InvalidParams as exc:
+            outcomes.append(str(exc))
+    assert outcomes == [[] if error is None else error] * 6
+
+
 def _lambdas(field):
     return tuple(x for x in map(field.coerce, (2, 5)) if x not in (field.zero, field.one))
 
