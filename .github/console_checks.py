@@ -22,7 +22,9 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
   times: the second call, over an equal list made again, and the third,
   over the first list round-tripped through pickle (equal descriptors,
   not the same objects), read the plan the first made, with no miss
-  (homdim._targets.cache_info()), and answer the same;
+  (homdim._targets.cache_info()), and answer the same; so does a fourth,
+  on the module read back from its JSON record, over a fresh
+  PrimeField(32003) equal to the first by value;
 - formula against oracle: each DIFFS row writes a module file and runs
   `fourspace homdim` on it with and without --oracle, and the two outputs
   must be equal and have the expected number of lines; t3 is a GF(3) sum
@@ -73,6 +75,7 @@ from fourspace import (
     hom_vector,
     is_isomorphic,
     module_direct_sum,
+    module_from_record,
     module_to_record,
     parse_descriptor,
     random_module,
@@ -374,6 +377,15 @@ def main():
           f"{len(first)} answers, {'equal' if again == first else 'different'} again, "
           f"{'equal' if third == first else 'different'} through pickle "
           f"({'fresh' if fresh else 'not fresh'} descriptors), {missed} plans made again")
+    # the same module through its JSON record, whose field is a new
+    # PrimeField(32003): equal by value, it reads the same plan
+    back = module_from_record(module_to_record(m))
+    misses = _targets.cache_info().misses
+    fourth = hom_vector(back, descs)
+    missed = _targets.cache_info().misses - misses
+    check("hom_vector GF(32003) --all through a JSON record, plan cached",
+          back.field is not m.field and fourth == first and not missed,
+          f"{'equal' if fourth == first else 'different'} answers, {missed} plans made again")
     # 4 random modules of dimension at most 4 per ORACLE_NULLITY module,
     # then one more each whose three letters in the slots the oracle frames
     # for that module are equal, so that hom_oracle's frame meets its three

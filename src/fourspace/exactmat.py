@@ -70,15 +70,30 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _text_refused(field, s):
-    """The one error coerce raises for a string, on both fields: text
-    reaches a field through parse alone."""
-    return TypeError(f"{field!r}.coerce takes no text, got {s!r}; use {field!r}.parse")
-
-
 class _Field:
-    """What both fields share: elimination on list-row copies of a
-    matrix's rows."""
+    """What both fields share: the input rules of coerce, value semantics
+    (equality and hashing by _key), format, and elimination on list-row
+    copies of a matrix's rows.  A field writes its arithmetic, its name
+    (__repr__), _key, _exact and _coerce."""
+
+    def coerce(self, x):
+        """x as a canonical scalar of this field.  Text reaches a field
+        through parse alone, and floating point not at all; every other
+        input goes to the field's _coerce."""
+        if isinstance(x, str):
+            raise TypeError(f"{self!r}.coerce takes no text, got {x!r}; use {self!r}.parse")
+        if isinstance(x, Real) and not isinstance(x, Rational):
+            raise TypeError("floating point is not allowed; " + self._exact)
+        return self._coerce(x)
+
+    def format(self, x):
+        return str(x)
+
+    def __eq__(self, other):
+        return isinstance(other, _Field) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def _eliminate(self, rows, reduced=False):
         """The one pivot loop, in place on working rows (_start's form):
@@ -182,8 +197,10 @@ class Rationals(_Field):
 
     zero = Fraction(0)
     one = Fraction(1)
+    _key = "rationals"
+    _exact = "use Fraction or int"
 
-    def coerce(self, x):
+    def _coerce(self, x):
         # a fixed-width integer from outside may wrap at 2^63, bare or as
         # a Fraction's parts: each is made a Python int
         if isinstance(x, Fraction):
@@ -191,10 +208,6 @@ class Rationals(_Field):
             return x if type(n) is int and type(d) is int else Fraction(int(n), int(d))
         if isinstance(x, Integral):
             return Fraction(int(x))
-        if isinstance(x, Real) and not isinstance(x, Rational):
-            raise TypeError("floating point is not allowed; use Fraction or int")
-        if isinstance(x, str):
-            raise _text_refused(self, x)
         return Fraction(x)
 
     def reduce(self, x):
@@ -291,21 +304,12 @@ class Rationals(_Field):
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {s!r}") from None
 
-    def format(self, x):
-        return str(x)
-
     def rand(self, rng):
         # small integers keep hand inspection and Fraction growth sane
         return Fraction(rng.randint(-9, 9))
 
     def spec(self):
         return "rationals"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("rationals")
 
     def __repr__(self):
         return "QQ"
@@ -328,6 +332,8 @@ class PrimeField(_Field):
     """GF(p) for prime p <= 2^31 - 1; scalars are canonical ints in
     [0, p)."""
 
+    _exact = "use int residues"
+
     def __init__(self, p):
         # type, not isinstance: a JSON true is a bool, which isinstance
         # counts as an int; a "7" or 7.0 is no characteristic either
@@ -340,16 +346,13 @@ class PrimeField(_Field):
         self.p = p
         self.zero = 0
         self.one = 1 % p
+        self._key = ("gf", p)
 
-    def coerce(self, x):
+    def _coerce(self, x):
         if isinstance(x, Integral):
             return int(x) % self.p
         if isinstance(x, Fraction):
             return int(x.numerator) % self.p * self.inv(int(x.denominator)) % self.p
-        if isinstance(x, Real) and not isinstance(x, Rational):
-            raise TypeError("floating point is not allowed; use int residues")
-        if isinstance(x, str):
-            raise _text_refused(self, x)
         raise TypeError(f"cannot coerce {type(x).__name__} into GF({self.p})")
 
     def reduce(self, x):
@@ -431,20 +434,11 @@ class PrimeField(_Field):
     def parse(self, s):
         return int(s.strip(), 10) % self.p
 
-    def format(self, x):
-        return str(x)
-
     def rand(self, rng):
         return rng.randrange(self.p)
 
     def spec(self):
         return {"prime": self.p}
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("gf", self.p))
 
     def __repr__(self):
         return f"GF({self.p})"

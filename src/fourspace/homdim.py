@@ -579,7 +579,7 @@ class _Plan(NamedTuple):
     _Targets.folds; see _targets."""
 
     head: int | None  # [H | E]'s fold; None where the signed head is the rep
-    rep: int | None  # [R_own | R_W | E]'s fold; None where no step reads it
+    rep: int  # [R_own | R_W | E]'s fold
     capped: bool  # kind "M3"
 
 
@@ -686,21 +686,20 @@ def _staircase_coranks(field, plan, top, folds):
     more W on the tail rows, which asks for image 0, so its corank is z.
     When the head pattern is the rep pattern (P_ODD, R_EVEN), the head is
     the step from the empty state, at any copy count, and the plan holds
-    no head fold (None).  A group with a head fold that asks for no
-    copies takes no step, and its plan holds no rep fold (None).
+    no head fold (None).  Every plan holds its rep fold, which a group
+    with a head fold that asks for no copies does not read.
     """
     def corank(z, s):
         return z if plan.capped else z + len(s)
 
+    rep_z, t = folds[plan.rep]
     if plan.head is None:
-        rep_z, t = folds[plan.rep]
         z, s = _step(field, [], t)
         z += rep_z
     else:
         z, s = folds[plan.head]
     coranks = [corank(z, s)]
     for k in range(1, top + 1):
-        rep_z, t = folds[plan.rep]
         dz, s_next = _step(field, s, t)
         dz += rep_z
         z += dz
@@ -772,12 +771,11 @@ def _targets(descs, field):
     only if it reads a "-lam" cell, and it keeps the integral
     coefficient table of that lam (_coefficients).  A group's _Plan holds
     the id of its head fold unless its head is the step from the empty
-    state (None), that of its rep fold where a step reads it (a head that
-    is the rep, or top > 0; else None), and its cap; so equal folds of
-    several groups are split once per call, and no fold is numbered that
-    no group reads.  A plan holds no answer and nothing of M, and a warm
-    call reads neither CASE_SPECS nor a pattern: an edit to CASE_SPECS
-    reaches hom_vector only through a list planned after it.
+    state (None), that of its rep fold, and its cap; so equal folds of
+    several groups are split once per call.  A plan holds no answer and
+    nothing of M, and a warm call reads neither CASE_SPECS nor a pattern:
+    an edit to CASE_SPECS reaches hom_vector only through a list planned
+    after it.
     """
     closed, groups, folds = [], {}, {}
     for i, d in enumerate(descs):
@@ -796,7 +794,7 @@ def _targets(descs, field):
         head, rep, capped = _plan(CASE_SPECS[key], sigma)
         top = max(r for _, r in slots)
         head = None if head is None else fold(head, lam)
-        plan = _Plan(head, fold(rep, lam) if top or head is None else None, capped)
+        plan = _Plan(head, fold(rep, lam), capped)
         staircases.append((plan, top, tuple(slots)))
     return _Targets(tuple(closed), tuple(staircases), tuple(
         (plan, _coefficients(field, lam, integral=True)) for plan, lam in folds))

@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 import re
 from fractions import Fraction
 
@@ -9,12 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fourspace import catalog as cat
+from fourspace import homdim, verify
+from fourspace.catalog import EnumerationBounds, enumerate_descriptors
 from fourspace.exactmat import (
     QQ,
     DimensionMismatch,
     ExactMatrix,
     FieldMismatch,
     PrimeField,
+    Rationals,
+    _Field,
     anti_identity,
     block_grid,
     direct_sum,
@@ -29,10 +34,10 @@ from fourspace.exactmat import (
     vstack,
     zeros,
 )
-from fourspace.homdim import coeff_matrix
-from fourspace.modules import LambdaModule
+from fourspace.homdim import coeff_matrix, hom_vector
+from fourspace.modules import LambdaModule, module_from_record, module_to_record
 from fourspace.oracle import hom_basis, hom_system
-from fourspace.verify import disguised_sum
+from fourspace.verify import disguised_sum, oracle_vector
 
 from reference import reference_rref
 
@@ -144,6 +149,70 @@ def test_field_from_spec_roundtrip():
     for bad in ("reals", {"prime": 7, "x": 1}):
         with pytest.raises(ValueError, match="unrecognized field spec"):
             field_from_spec(bad)
+
+
+class Mod5(_Field):
+    """The least a field writes beside its arithmetic: its key, what its
+    float refusal asks for, its own coerce and its name."""
+
+    _key = ("mod", 5)
+    _exact = "use ints"
+
+    def _coerce(self, x):
+        return int(x) % 5
+
+    def __repr__(self):
+        return "Mod5"
+
+
+def test_a_field_writes_only_its_arithmetic():
+    # the shell refuses text and floating point with the messages both
+    # fields give, formats with str, and compares and hashes by _key
+    f = Mod5()
+    with pytest.raises(TypeError, match=re.escape("Mod5.coerce takes no text, got '3'; "
+                                                  "use Mod5.parse")):
+        f.coerce("3")
+    for bad in (0.5, np.float64(2.0)):
+        with pytest.raises(TypeError, match="^floating point is not allowed; use ints$"):
+            f.coerce(bad)
+    assert (f.coerce(7), f.coerce(True), f.coerce(Fraction(10, 1))) == (2, 1, 0)
+    assert f.format(3) == "3"
+    assert f == Mod5() and hash(f) == hash(Mod5()) == hash(("mod", 5))
+    assert f != PrimeField(5) and f != QQ and f != ("mod", 5)
+
+
+def test_fields_compare_and_hash_by_value():
+    seven = PrimeField(7)
+    for same in (PrimeField(7), pickle.loads(pickle.dumps(seven))):
+        assert same is not seven and same == seven and hash(same) == hash(seven)
+    for same in (Rationals(), pickle.loads(pickle.dumps(QQ))):
+        assert same == QQ and hash(same) == hash(QQ)
+    primes = [PrimeField(p) for p in (2, 3, 7, 32003)]
+    for i, f in enumerate(primes):
+        assert [f == g for g in primes] == [j == i for j in range(len(primes))]
+        assert f != QQ and QQ != f
+    # a field equals no value but a field, not even its own key
+    assert QQ != "rationals" and seven != ("gf", 7)
+
+
+def test_a_fresh_field_reads_the_caches_another_instance_filled():
+    # a module read back from its JSON record lives over a new
+    # PrimeField(32003); equal to the first by value, it reads the
+    # hom_vector plan and the oracle targets made over the first
+    field = PrimeField(32003)
+    lam = field.coerce(2)
+    m = disguised_sum(field, [cat.P(2, 0), cat.I(1, 2), cat.R(1, lam)], random.Random(5))
+    back = module_from_record(module_to_record(m))
+    assert back.field == field and back.field is not field
+    descs = tuple(enumerate_descriptors(EnumerationBounds(3, 2, (lam,))))
+    answers = hom_vector(m, descs)
+    assert list(oracle_vector(m, descs)) == answers
+    plans = homdim._targets.cache_info().misses
+    targets = verify._catalog_target.cache_info().misses
+    assert hom_vector(back, descs) == answers
+    assert list(oracle_vector(back, descs)) == answers
+    assert homdim._targets.cache_info().misses == plans
+    assert verify._catalog_target.cache_info().misses == targets
 
 
 # -- construction and shape errors ---------------------------------------

@@ -487,7 +487,7 @@ def test_each_distinct_fold_is_split_once_per_call(monkeypatch):
 # --all list at max_n = max_l = 1 and the lists of the three benchmark
 # workloads (verify-sweep, homdim-large, decompose-qq)
 FOLD_COUNTS = {
-    "all-1-1": ((1, 1), GF, 28, 25),
+    "all-1-1": ((1, 1), GF, 28, 38),
     "verify-sweep": ((4, 4), GF, 32, 42),
     "homdim-large": ((24, 12), GF, 32, 42),
     "decompose-qq": ((3, 3), QQ, 32, 42),
@@ -495,17 +495,18 @@ FOLD_COUNTS = {
 
 
 @pytest.mark.parametrize("bounds, field, groups, folds", FOLD_COUNTS.values(), ids=FOLD_COUNTS)
-def test_a_rep_fold_is_planned_only_where_a_step_reads_it(bounds, field, groups, folds):
-    # a group with a head fold that asks only for no copies takes no step,
-    # so its rep fold is neither numbered nor split; a group whose head is
-    # its rep reads the rep fold at every copy count.  At max_n = max_l = 1
-    # most groups ask for no copies: 25 folds, not 38
+def test_every_staircase_plan_holds_its_rep_fold(bounds, field, groups, folds):
+    # every group's plan names its rep fold, and its head fold unless the
+    # head is the step from the empty state, and the folds numbered are
+    # exactly those.  At max_n = max_l = 1 most groups ask for no copies;
+    # one with a head fold then takes no step, yet its plan names its rep
+    # fold too: 38 folds
     descs = enumerate_descriptors(EnumerationBounds(*bounds, tuple(map(field.coerce, (2, 5)))))
     plan = homdim._targets(tuple(descs), field)
     assert (len(plan.groups), len(plan.folds)) == (groups, folds)
     for staircase, top, slots in plan.groups:
         assert top == max(r for _, r in slots)
-        assert (staircase.rep is None) == (top == 0 and staircase.head is not None)
+        assert staircase.rep is not None
     read = {i for staircase, _, _ in plan.groups for i in (staircase.head, staircase.rep)
             if i is not None}
     assert read == set(range(folds))
