@@ -12,12 +12,13 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
   second reads every target from the cache the first filled, with no
   miss (verify._catalog_target.cache_info());
 - hom_oracle against the nullity of hom_system's full matrix, both ways,
-  between random small modules, one of them with the three letters the
-  oracle frames equal, and seven DIFFS modules: w5 and q5 (n_0 = 22), w9
-  (n_0 = 44), z4 (an empty vertex, a letter of rank 1 on 2 columns), e7
-  (exceptional tubes), c6 (A and B with the smallest images, so B, the
-  higher slot, written) and p5 (planes in the frame of its three framed
-  letters);
+  and hom_basis, as many maps as that nullity and each one a
+  homomorphism (check_hom), between random small modules, one of them
+  with the three letters the oracle frames equal, and seven DIFFS
+  modules: w5 and q5 (n_0 = 22), w9 (n_0 = 44), z4 (an empty vertex, a
+  letter of rank 1 on 2 columns), e7 (exceptional tubes), c6 (A and B
+  with the smallest images, so B, the higher slot, written) and p5
+  (planes in the frame of its three framed letters);
 - hom_vector of one module over a `homdim --all` list in-process, three
   times: the second call, over an equal list made again, and the third,
   over the first list round-tripped through pickle (equal descriptors,
@@ -69,8 +70,10 @@ from fourspace import (
     LambdaModule,
     PrimeField,
     build,
+    check_hom,
     decompose,
     enumerate_descriptors,
+    hom_basis,
     hom_oracle,
     hom_vector,
     is_isomorphic,
@@ -323,15 +326,19 @@ def equal_framed_partner(field, framed, rng):
 def check_oracle_nullity(row, partners):
     """hom_oracle, which ranks only what is left after each F_t is
     eliminated, against the nullity of hom_system's full matrix: between
-    row's module and each partner, both ways."""
+    row's module and each partner, both ways.  hom_basis, the split of
+    that matrix's [N^T | I], must give as many homomorphisms, each one
+    passing check_hom."""
     m = module(row.field, row.summands, row.seed)
     for x in partners:
         for a, b in ((m, x), (x, m)):
             full = hom_system(a, b).matrix
             got, want = hom_oracle(a, b), full.cols - full.rank()
-            if got != want:
+            basis = hom_basis(a, b)
+            if got != want or len(basis) != want or not all(check_hom(a, b, f) for f in basis):
                 return check(f"oracle nullity {row.file}", False,
-                             f"{a.dim_vector()} -> {b.dim_vector()}: {got}, nullity {want}")
+                             f"{a.dim_vector()} -> {b.dim_vector()}: {got}, nullity {want}, "
+                             f"{len(basis)} basis maps")
     check(f"oracle nullity {row.file}", True)
 
 

@@ -8,31 +8,32 @@ canonical form.  Every matrix is one tuple of row tuples of those
 scalars, its shape stored beside it, so zero-row / zero-column shapes are
 first-class and cor(1x0) = 1 works.  The same rows serve storage and
 elimination: nothing is converted between them.  One Gaussian
-elimination loop serves both fields, with three exits: ``field.echelon``
-returns the pivots and the echelon rows, from which null space and
-inverse follow; ``field.rank`` the pivot count alone; and ``_split`` a
-kernel count and the rows past a column, for homdim and the oracle.  The
-last two finish no rows.  The loop (``_eliminate``) takes the rows one
-at a time: each is reduced against the pivots found so far
+elimination loop serves both fields, with three exits: ``_split``, a
+kernel count and the rows past a column, takes every kernel the package
+reads (the null space as the split of [A^T | I], and homdim's and the
+oracle's); ``field.echelon`` returns the pivots and the echelon rows,
+from which the inverse follows; and ``field.rank`` the pivot count
+alone.  Split and rank finish no rows.  The loop (``_eliminate``) takes
+the rows one at a time: each is reduced against the pivots found so far
 (``_reduce``), and its first entry left becomes a new pivot.  A pivot's
 form (``_pivot``) is what later rows are reduced with; over GF(p) it is
 made, and its row scaled to a leading 1, the first time a later row
 reduces against it, so a forward pivot no row reads is never scaled,
 while the reduced loop leaves every pivot row with its leading 1; pivot
 forms never leave this module.  Once every column holds a pivot, the
-rows left are in their span and the loop reads no more of them.  The working copy (``_start``,
-of any sequence of rows), the loop and the split are also called on
-their own: homdim's folds and the oracle's residual write their rows
-from slices of working rows prepared once (``_scaled``: a row times a
-scalar), and split and eliminate them, and homdim's staircase keeps
-working rows from its first fold to its last step.
+rows left are in their span and the loop reads no more of them.  Rows
+enter the loop through one working copy (``_start``, of any sequence of
+rows); the loop and the split are also called on their own: homdim
+eliminates M's letters in place, its folds and the oracle's residual
+write their rows from slices of working rows prepared once (``_scaled``:
+a row times a scalar), and split and eliminate them, and homdim's
+staircase keeps working rows from its first fold to its last step.
 The loop runs on a list of Python-int rows, so a reduction costs only
 the entries it changes: residues over GF(p), and over QQ fraction-free
-primitive rows, one gcd pass per updated row.  QQ rows that hold Python
-ints are taken as they are; rows with a Fraction in them are scaled to
-ints first.
-Fractions come back only in the reduced form, which serves nullspace
-and invert alone.  ``field.integral`` scales rows by one nonzero
+primitive rows, one gcd pass per updated row.  QQ rows of Fractions,
+Python ints or both are scaled to ints by the lcm of their denominators.
+Fractions come back only in the reduced form, which serves invert
+alone.  ``field.integral`` scales rows by one nonzero
 scalar into the form elimination runs on (Python ints over QQ, the
 residues themselves over GF(p)).  Each field has one matrix product,
 ``field.dot``, on Python ints, and ``ExactMatrix @`` calls it: residues
@@ -166,8 +167,10 @@ class _Field:
         both fields on list rows of Python ints, one row at a time; each
         field's _start (that working copy), _reduce (a row against the
         pivots so far), _pivot (a pivot's form, over GF(p)) and _finish
-        hold the arithmetic.  echelon and rank are its two exits: echelon
-        finishes the rows, rank counts the pivots.
+        hold the arithmetic.  echelon, rank and _split are its three
+        exits: echelon finishes the rows, rank counts the pivots, and
+        _split cuts them at a column, which gives every kernel the package
+        takes, nullspace's too.
 
         Over GF(p) each pivot row is scaled to a leading 1 (a row that has
         one is only read): the first time a later row reads it, or else
@@ -175,11 +178,11 @@ class _Field:
         changes a row only in the columns where the pivot row is nonzero.
 
         Over QQ the elimination is fraction-free on primitive rows of
-        Python ints (Rationals._reduce): rows of Python ints as they are,
-        rows holding a Fraction times the lcm of their denominators.
-        Forward elimination returns those integer rows; reduced=True
-        divides each row by its pivot, which gives the reduced row echelon
-        form in Fractions.
+        Python ints (Rationals._reduce): the rows times the lcm of their
+        denominators, 1 for rows of Python ints.  Forward elimination
+        returns those integer rows; reduced=True divides each row by its
+        pivot, which gives the reduced row echelon form in Fractions, the
+        form invert reads.
         """
         work = self._start(rows)
         pivots = self._eliminate(work, reduced)
@@ -215,12 +218,9 @@ class Rationals(_Field):
 
     def _start(self, rows):
         # primitive integer rows of the same row space: the same pivots and
-        # rank.  Python-int rows are taken as they are; a Fraction anywhere
-        # makes math.gcd raise, and integral scales the rows first
-        try:
-            return [_primitive(list(row)) for row in rows]
-        except TypeError:
-            return [_primitive(row) for row in self.integral(rows)[0]]
+        # rank.  integral scales rows of Fractions, Python ints or both by
+        # the lcm of their denominators (1 for an int)
+        return [_primitive(row) for row in self.integral(rows)[0]]
 
     def _reduce(self, row, lead, start=None):
         """Reduce row, a working row (_start's form), in place and left to
@@ -544,25 +544,21 @@ class ExactMatrix:
         return self.rows - self.rank()
 
     def nullspace(self):
-        """Deterministic basis of the right null space {x : A x = 0}.
+        """Deterministic basis of the right null space {x : A x = 0}: the
+        images of the split of [A^T | I] at A's row count (_Field._split),
+        as tuples of cols field scalars.
 
-        Returns a list of length-cols tuples of field scalars, one per free
-        column of the reduced row echelon form, in ascending column order.
+        Row i of [A^T | I] is column i of A, then the unit vector e_i, so
+        a combination y of the rows reads (A y)^T on the left and y itself
+        on the right: the images are an echelon basis of the y with
+        A y = 0, their leading columns strictly increasing.  Over QQ
+        _start scales each row, unit tail included, to a primitive
+        integer row.
         """
-        f = self.field
-        n = self.cols
-        pivots, rref = f.echelon(self.data, reduced=True)
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(n):
-            if free in pivot_set:
-                continue
-            v = [f.zero] * n
-            v[free] = f.one
-            for i, pc in enumerate(pivots):
-                v[pc] = f.reduce(-rref[i][free])
-            basis.append(tuple(v))
-        return basis
+        f, unit = self.field, [self.field.zero] * self.cols
+        rows = f._start([[*col, *unit[:i], f.one, *unit[i + 1 :]]
+                         for i, col in enumerate(self.transpose().data)])
+        return [tuple(map(f.coerce, row)) for row in f._split(rows, self.rows)[1]]
 
     def invert(self):
         """Exact inverse of a square matrix; raises on singular input."""

@@ -39,11 +39,12 @@ coefficient table (field.integral).  A staircase is compiled from the
 layout coeff_matrix writes, in sign-normal form (_plan), down to the
 ids of its two folds (the head's, none where the head is the rep, and
 the rep's) and whether it is capped; a fold is its kernel keys, kept
-columns and blocks, its cells mapped to M's letter slots.  M's letters are
-made integral once per call, by _sparse_letters's first elimination,
-into the working rows of [A B C D], whose zero rows count [M, P(0,0)];
-each distinct fold writes its rows from the call's kernel cache and is
-split (_Field._split) once per call.  From there on
+columns and blocks, its cells mapped to M's letter slots.  M's letters
+enter elimination once per call, as one working copy (_start) of
+[A B C D], which _sparse_letters eliminates in place and whose zero rows
+then count [M, P(0,0)]; each distinct fold writes its rows from the
+call's kernel cache and is split (_Field._split) once per call.  From
+there on
 the pass holds the working rows of the field's elimination, lists of
 Python ints: a fold writes its rows in that form and returns its images
 as those rows, and every step runs on them, so no result goes back
@@ -715,33 +716,36 @@ def _sparse_letters(field, letters):
     U L_t V_t of a module isomorphic to the one of letters, and the column
     where each letter starts in it, then its width.
 
-    letters are M's four letters.  A two-way echelon is a's forward
-    echelon form, then the forward echelon form of that read backwards
-    (rows and columns reversed), turned back: the second pass clears most
-    entries above the first one's pivots.  Reversing the rows is a row
-    permutation and the column reversal is undone, so it is U a for an
-    invertible U; both reversals are list slices.  The row pass takes the
-    two-way echelon of [A B C D]'s rows (U, a base change of the vertex-0
-    space); the column pass writes that of each letter's transpose, a zip
-    of the rows' slices at its cuts, back into those slices (V_t, one of
-    vertex t).  Hom dimensions depend on the isomorphism class alone.
-    Over QQ the first elimination's working copy (_start) scales
-    [A B C D] by the lcm of its denominators, and both passes eliminate
-    forward only, so the rows are Python ints over their gcds, with no
-    Fraction.
+    letters are M's four letters.  flip eliminates working rows in
+    place (_Field._eliminate, forward) and reads them backwards, rows and
+    columns reversed, and a two-way echelon is flip(flip(a)): the second
+    elimination clears most entries above the first one's pivots.
+    Reversing the rows is a row permutation and the column reversal is
+    undone, so it is U a for an invertible U; both reversals are list
+    slices.  The row pass takes the two-way echelon of [A B C D]'s rows
+    (U, a base change of the vertex-0 space); the column pass writes that
+    of each letter's transpose, a zip of the rows' slices at its cuts
+    made lists, back into those slices (V_t, one of vertex t).  Hom
+    dimensions depend on the isomorphism class alone.  The rows enter
+    elimination once, as the working copy (_start) of [A B C D], which
+    over QQ scales it by the lcm of its denominators to primitive rows,
+    and every pass eliminates forward only, so the rows stay Python ints,
+    with no Fraction; a is returned as the passes leave it.  A column
+    pass makes its columns primitive, not the rows they are written back
+    into, so a row may keep a common factor, which changes no kernel.
     """
 
-    def two_way(rows):
-        _, ech = field.echelon(rows)
-        return [row[::-1] for row in field.echelon([row[::-1] for row in ech[::-1]])[1][::-1]]
+    def flip(rows):
+        field._eliminate(rows)
+        return [row[::-1] for row in rows[::-1]]
 
     cuts = list(accumulate((x.cols for x in letters), initial=0))
-    a = two_way(hstack(letters).data)
+    a = flip(flip(field._start(hstack(letters).data)))
     for c0, c1 in zip(cuts, cuts[1:]):
-        columns = two_way(list(zip(*(row[c0:c1] for row in a))))
+        columns = flip(flip([list(col) for col in zip(*(row[c0:c1] for row in a))]))
         for row, new in zip(a, zip(*columns)):
             row[c0:c1] = new
-    return cuts, field._start(a)
+    return cuts, a
 
 
 class _Targets(NamedTuple):
@@ -767,9 +771,10 @@ def _targets(descs, field):
     each group with its staircase compiled from CASE_SPECS[key] in
     sign-normal form (_plan), the most copies its members ask for (top),
     and (index, copy count) per member (slots).  The folds of
-    all groups are numbered once: a fold is its _FoldPlan and lam, lam
-    only if it reads a "-lam" cell, and it keeps the integral
-    coefficient table of that lam (_coefficients).  A group's _Plan holds
+    all groups are numbered once: a fold is its _FoldPlan and its
+    group's lam (None but in R_EVEN groups, every fold of which writes a
+    "-lam" block), and it keeps the integral coefficient table of that
+    lam (_coefficients).  A group's _Plan holds
     the id of its head fold unless its head is the step from the empty
     state (None), that of its rep fold, and its cap; so equal folds of
     several groups are split once per call.  A plan holds no answer and
@@ -786,8 +791,7 @@ def _targets(descs, field):
             groups.setdefault((key, sigma, lam), []).append((i, CASE_SPECS[key]["reps"](param)))
 
     def fold(plan, lam):
-        reads = any(c == "-lam" for row in plan.blocks for *_, c in row)
-        return folds.setdefault((plan, lam if reads else None), len(folds))
+        return folds.setdefault((plan, lam), len(folds))
 
     staircases = []
     for (key, sigma, lam), slots in groups.items():

@@ -324,18 +324,53 @@ def test_rank_laws(rows, cols, data):
 
 @given(st.integers(0, 4), st.integers(0, 4), st.data())
 def test_nullspace_is_a_kernel_basis(rows, cols, data):
+    # as many vectors as the reference eliminator's nullity, each a kernel
+    # vector of canonical scalars, in echelon form: leading columns
+    # strictly increase, so the vectors are independent
     for field in (QQ, GF):
+        p = field.p if isinstance(field, PrimeField) else None
+        scalar = int if p else Fraction
         a = small_matrix(field, lambda: data.draw(entries), rows, cols)
         basis = a.nullspace()
-        assert len(basis) == a.cols - a.rank()
+        assert len(basis) == a.cols - len(reference_rref(a.data, p)[0])
         zero_col = zeros(field, a.rows, 1)
         for vec in basis:
+            assert len(vec) == a.cols and all(field.coerce(x) == x for x in vec)
+            assert all(type(x) is scalar for x in vec)
             col = ExactMatrix(field, [[x] for x in vec], shape=(a.cols, 1))
             assert a @ col == zero_col
-        if basis:
-            stacked = ExactMatrix(field, [list(v) for v in basis],
-                                  shape=(len(basis), a.cols))
-            assert stacked.rank() == len(basis)
+        leads = [next(j for j, x in enumerate(vec) if x) for vec in basis]
+        assert leads == sorted(set(leads))
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+def test_every_kernel_is_a_split(field, monkeypatch):
+    # nullspace, and hom_basis through it, take their kernel as the split
+    # of [A^T | I]: neither echelon nor the reduced loop runs
+    calls = []
+    split, eliminate = field._split, field._eliminate
+
+    def spied_split(rows, n):
+        calls.append("_split")
+        return split(rows, n)
+
+    def spied_eliminate(rows, reduced=False):
+        assert not reduced
+        return eliminate(rows)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("echelon")
+
+    rng = random.Random(3)
+    module = LambdaModule(*(random_matrix(field, 3, 2, rng) for _ in range(4)))
+    a = random_matrix(field, 3, 5, random.Random(4))
+    monkeypatch.setattr(field, "_split", spied_split)
+    monkeypatch.setattr(field, "_eliminate", spied_eliminate)
+    monkeypatch.setattr(field, "echelon", refused)
+    assert len(a.nullspace()) == 5 - len(reference_rref(a.data, getattr(field, "p", None))[0])
+    assert calls == ["_split"]
+    basis = hom_basis(module, module)
+    assert basis and "_split" in calls[1:]
 
 
 def test_nullspace_is_deterministic(field, rng):
@@ -814,14 +849,18 @@ def _results(a):
 
 
 def test_qq_takes_int_rows_as_their_fractions(rng):
-    # Python-int rows skip integral and go straight to the primitive rows;
-    # the same values held as Fractions must give the same pivots, forward
-    # rows, reduced form and rank.  Rows that mix ints and Fractions must
-    # still be scaled as a whole
+    # integral reads a Python int as a Fraction over 1, so int rows, the
+    # same values held as Fractions and a mix of the two start as the same
+    # primitive rows, and give the same pivots, forward rows, reduced form
+    # and rank.  Rows that mix ints and Fractions are scaled as a whole
     for a in _int_inputs(rng):
         assert all(type(x) is int for row in a for x in row)
         assert _results(a) == _results(_as_fractions(a))
+        assert QQ._start(a) == QQ._start(_as_fractions(a))
         if a and a[0]:
+            half = [row if i % 2 else _as_fractions([row])[0] for i, row in enumerate(a)]
+            assert QQ._start(half) == QQ._start(a)
+            assert all(type(x) is int for row in QQ._start(half) for x in row)
             # one entry over 3 in the last row, one integral Fraction in
             # the first
             mixed = [list(row) for row in a]
@@ -832,8 +871,8 @@ def test_qq_takes_int_rows_as_their_fractions(rng):
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
 def test_echelon_leaves_a_writable_input_alone(field, rng):
-    # homdim hands echelon list rows (the two-way echelons of its letters):
-    # they come back unchanged, and no echelon row is one of them
+    # list rows handed to echelon come back unchanged, and no echelon row
+    # is one of them
     inputs = [zeros(field, 0, 3), zeros(field, 3, 0), zeros(field, 3, 4),
               random_invertible(field, 4, rng), random_matrix(field, 3, 5, rng)]
     for m in inputs:

@@ -443,8 +443,8 @@ def test_each_distinct_fold_is_split_once_per_call(monkeypatch):
     # the 32 groups of (4, 4, {2, 5}) read 52 folds: a head and a rep
     # each, the rep alone where the head is the step from the empty state,
     # at any copy count.  In sign-normal form 10 of them repeat
-    # another, as their _FoldPlan and, for a fold with a "-lam" cell, lam:
-    # the plan numbers 42, and a call splits each once, afresh for its M:
+    # another, as their _FoldPlan and their group's lam: the plan
+    # numbers 42, and a call splits each once, afresh for its M:
     # every fold writes its rows and makes one field._split of its own,
     # besides the splits that make its kernel entries (_kernel)
     rng = random.Random(4)
@@ -510,6 +510,16 @@ def test_every_staircase_plan_holds_its_rep_fold(bounds, field, groups, folds):
     read = {i for staircase, _, _ in plan.groups for i in (staircase.head, staircase.rep)
             if i is not None}
     assert read == set(range(folds))
+    # a fold is keyed by its _FoldPlan and its group's lam, with no test
+    # of its cells: only R_EVEN groups have a lam, and each of their folds
+    # writes a "-lam" block, so a lam never keys apart equal folds that
+    # would not read it
+    for staircase, _, slots in plan.groups:
+        key, _, _, lam = cat.case(descs[slots[0][0]], field)
+        assert (lam is not None) == (key == "R_EVEN"), key
+        for i in (staircase.head, staircase.rep):
+            if i is not None and lam is not None:
+                assert any(c == "-lam" for row in plan.folds[i][0].blocks for *_, c in row)
     if bounds == (1, 1):
         rng = random.Random(0x11)
         for m in (random_module(field, rng, max_dim=4),
@@ -1222,28 +1232,33 @@ def test_hom_vector_eliminates_forward_only(field, monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
 def test_staircases_stay_in_elimination_rows(field, monkeypatch):
-    # from the first fold to the last step a staircase holds the working
-    # rows of the field's elimination, so echelon, which finishes its
-    # rows, runs only in _sparse_letters: the two-way echelons of
-    # [A B C D] and of the four letters, 10 calls whatever is asked
+    # rows enter elimination once per call, as the working rows of
+    # [A B C D] that _sparse_letters eliminates in place; from there to
+    # the last step every elimination runs on working rows, so echelon,
+    # which copies and finishes its rows, never runs, whatever is asked
     lams = (field.coerce(2), field.coerce(Fraction(7, 3)))
     m = disguised_sum(field, [cat.R(1, lams[1]), cat.P(2, 1), cat.I(1, 0)], random.Random(5))
     deep = enumerate_descriptors(EnumerationBounds(6, 3, lams))
     assert len(deep) == 112
     calls = []
-    echelon = field.echelon
+    echelon, start = field.echelon, field._start
 
     def spied(a, reduced=False):
-        calls.append(len(a))
+        calls.append("echelon")
         return echelon(a, reduced)
+
+    def started(rows):
+        calls.append("_start")
+        return start(rows)
 
     for descs in ([], [cat.P(0, 0), cat.I(0, 2)], [cat.R(0, 7, 0)], deep):
         want = [hom_dim(m, d) for d in descs]
         calls.clear()
         with monkeypatch.context() as patched:
             patched.setattr(field, "echelon", spied)
+            patched.setattr(field, "_start", started)
             assert hom_vector(m, descs) == want
-        assert len(calls) == 10, calls
+        assert calls == ["_start"], calls
 
 
 def test_hom_vector_reads_the_letters_once(monkeypatch):
