@@ -39,7 +39,8 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
   members about 10^9 copies deep of four patterns, held to hom_vector
   in-process: a staircase stops at its fixed point within g + 1 steps,
   W's width g, so no copy count runs away;
-- `fourspace decompose` of catalog modules and of a disguised sum;
+- `fourspace decompose` of a catalog member of each of the 31 classes
+  (catalog.case's key and sigma, per family) and of a disguised sum;
 - decompose of a QQ and a GF(32003) disguised sum in-process, twice, and
   is_isomorphic against the plain sum: the later calls read the plan the
   first filled;
@@ -207,11 +208,15 @@ DECOMPOSE_TWICE = [
     (PrimeField(32003), "P(4,0) I(5,0) R(1,2)", 4, EnumerationBounds(6, 3, (2,))),
 ]
 
-# `fourspace decompose` of a module written by `fourspace catalog` names it
+# `fourspace decompose` of a module written by `fourspace catalog` names
+# it: one member of each of the 31 classes catalog.case tells apart, P/I at
+# the center, P/I at each vertex j by the parity of n, the homogeneous
+# tubes, and each exceptional row (s, lam) by the parity of m
 DECOMPOSE = [("R(2,7/3)", "--max-n 2 --max-l 2 --lambda 7/3")] + [
     (d, "--max-n 3 --max-l 2")
-    for d in ("R(0,3,0)", "R(1,3,0)", "R(0,3,1)", "R(1,3,1)", "R(0,3,inf)", "R(1,4,inf)",
-              "P(3,4)", "I(2,3)")
+    for d in ("P(2,0)", "I(2,0)",
+              *(f"{fam}({n},{j})" for fam in "PI" for n in (2, 3) for j in range(1, 5)),
+              *(f"R({s},{m},{lam})" for s in (0, 1) for m in (3, 4) for lam in ("0", "1", "inf")))
 ]
 
 failures = []

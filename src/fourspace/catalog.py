@@ -11,13 +11,10 @@ blocks.  Two tables state the one placement: each
 subspace-vertex member (j = 1..4) of the P/I families, and each exceptional
 row, is a representative (the j = 1 member, R(0, m, 0)) with its slots
 permuted by a vertex permutation sigma, from _CYCLE_POWERS and
-_EXCEPTIONAL_SIGMA.  A pattern depends only on a descriptor's class: its
-family, its vertex or exceptional row, and the parity of its size.
-_CLASSES holds the 31 classes, each with its key (one of eight: the
-family, then that parity) and its sigma from the two tables, which
-canonical_form reads too.  case is the one dispatch per descriptor: it
-reads its class's entry and works out only its size and lam.  build reads
-the slot builder of case's key, and homdim the staircase of that key.
+_EXCEPTIONAL_SIGMA.  case is the one dispatch per descriptor: it reads
+sigma from those tables, writes the key from the family and the parity
+of the size, and works out the size and lam.  build reads the slot
+builder of case's key, and homdim the staircase of that key.
 """
 
 from __future__ import annotations
@@ -319,14 +316,14 @@ def _r_odd_blocks(field, l):
 
 
 # the 4-cycle applied 0, 1, 2 and 3 times: sigma of the vertex-j P/I
-# members, j = 1..4, read by canonical_form and _CLASSES
+# members, j = 1..4, read by case and canonical_form
 _CYCLE_POWERS = tuple(
     accumulate(range(3), lambda sigma, _: perm_compose(PERM_CYCLE, sigma), initial=PERM_IDENTITY)
 )
 
 # sigma with build(R(s, m, lam)) == permute_vertices(build(R(0, m, 0)), sigma),
 # the same for the even and odd rows of each (s, lam): the one table that
-# places the exceptional rows, read by canonical_form and _CLASSES
+# places the exceptional rows, read by case and canonical_form
 _EXCEPTIONAL_SIGMA = {
     (0, 0): PERM_IDENTITY,
     (1, 0): (2, 1, 4, 3),
@@ -334,23 +331,6 @@ _EXCEPTIONAL_SIGMA = {
     (1, 1): (1, 3, 2, 4),
     (0, INF): (2, 1, 3, 4),
     (1, INF): (1, 2, 4, 3),
-}
-
-# class -> (key, sigma), read by case: P/I at the center, P/I at vertex j
-# by size parity, the homogeneous tubes, an exceptional row (s, lam) by the
-# parity of m.  The key is the family, then that parity; sigma is the tables'
-_PARITY = ("EVEN", "ODD")
-_CLASSES = {
-    **{(fam, 0, 0): (f"{fam}0", PERM_IDENTITY)
-       for fam in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE)},
-    **{(fam, j, parity): (f"{fam}_{_PARITY[parity]}", sigma)
-       for fam in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE)
-       for j, sigma in enumerate(_CYCLE_POWERS, start=1)
-       for parity in (0, 1)},
-    FAMILY_REGULAR_HOMOGENEOUS: ("R_EVEN", PERM_IDENTITY),
-    **{(FAMILY_REGULAR_EXCEPTIONAL, s, lam, parity): (f"R_{_PARITY[parity]}", sigma)
-       for (s, lam), sigma in _EXCEPTIONAL_SIGMA.items()
-       for parity in (0, 1)},
 }
 
 
@@ -389,27 +369,30 @@ _SLOTS = {
 def case(desc, field):
     """(key, sigma, size, lam): the one choice of pattern for desc.
 
-    (key, sigma) is desc's class entry in _CLASSES: one of eight keys, each
-    naming one slot builder here and one staircase pattern in
-    homdim.CASE_SPECS, and the sigma of _CYCLE_POWERS or _EXCEPTIONAL_SIGMA
-    that carries desc to its representative.  Only size and lam are read
-    off desc itself: size is the builder's block size, lam the tube
-    parameter in field (0 for the even exceptional rows, which are R_EVEN
-    at lam = 0), None where the pattern has none.
+    key names one slot builder here and one staircase pattern in
+    homdim.CASE_SPECS: the family and 0 at the center ("P0", "I0"), else
+    the family and the parity of the size ("P_EVEN", "I_ODD", ...), with
+    the homogeneous tubes and the even exceptional rows "R_EVEN".  sigma
+    is the permutation of _CYCLE_POWERS or _EXCEPTIONAL_SIGMA that carries
+    desc to its representative, the identity where desc is its own.  size
+    is the builder's block size, lam the tube parameter in field (0 for
+    the even exceptional rows, which are R_EVEN at lam = 0), None where
+    the pattern has none.
     """
     fam, params = desc
     if fam == FAMILY_POSTPROJECTIVE or fam == FAMILY_PREINJECTIVE:
         n, j = params
         if j == 0:
-            return (*_CLASSES[fam, 0, 0], n, None)
-        return (*_CLASSES[fam, j, n % 2], n // 2, None)
+            return f"{fam}0", PERM_IDENTITY, n, None
+        return f"{fam}_ODD" if n % 2 else f"{fam}_EVEN", _CYCLE_POWERS[j - 1], n // 2, None
     if fam == FAMILY_REGULAR_HOMOGENEOUS:
         l, lam = params
-        return (*_CLASSES[fam], l, tube_lambda(field, lam))
+        return "R_EVEN", PERM_IDENTITY, l, tube_lambda(field, lam)
     s, m, lam = params  # FAMILY_REGULAR_EXCEPTIONAL
+    sigma = _EXCEPTIONAL_SIGMA[s, lam]
     if m % 2 == 0:
-        return (*_CLASSES[fam, s, lam, 0], m // 2, field.zero)
-    return (*_CLASSES[fam, s, lam, 1], (m + 1) // 2, None)
+        return "R_EVEN", sigma, m // 2, field.zero
+    return "R_ODD", sigma, (m + 1) // 2, None
 
 
 def build(desc, field):
@@ -427,7 +410,6 @@ def canonical_form(desc):
     member, and sigma the 4-cycle applied j - 1 times; that of an
     exceptional row R(s, m, lam) is R(0, m, 0), with sigma from
     _EXCEPTIONAL_SIGMA.  Every other module is its own representative.
-    case reads the same placement through _CLASSES, never through here.
     """
     fam, params = desc
     if fam in (FAMILY_POSTPROJECTIVE, FAMILY_PREINJECTIVE):

@@ -517,6 +517,7 @@ class ExactMatrix:
     # -- structure -------------------------------------------------------
 
     def transpose(self):
+        _fits(self.cols, self.rows)
         data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
         return ExactMatrix._raw(self.field, data, self.rows)
 
@@ -581,9 +582,10 @@ _MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(o
 
 def _fits(m, n):
     """MemoryError, before any row is built, when an m x n matrix cannot
-    fit in physical memory at one 8-byte reference per entry: built row
-    by row, it would fill memory first."""
-    if 8 * m * n > _MEMORY:
+    fit in physical memory at one 8-byte reference per entry and 48 bytes
+    per row (a tuple header and the reference to it), so an m x 0 matrix
+    is charged too: built row by row, it would fill memory first."""
+    if 8 * m * n + 48 * m > _MEMORY:
         raise MemoryError(f"a {m}x{n} matrix does not fit in memory")
 
 

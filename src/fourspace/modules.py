@@ -13,6 +13,7 @@ from .exactmat import (
     DimensionMismatch,
     ExactMatrix,
     FieldMismatch,
+    _fits,
     direct_sum,
     field_from_spec,
     random_matrix,
@@ -186,6 +187,7 @@ def matrix_from_record(field, rec, slot=""):
         raise ValueError(
             f"matrix record {slot}: {len(entries)} entries for a {rows}x{cols} matrix"
         )
+    _fits(rows, cols)
     try:
         vals = [field.parse(str(x)) for x in entries]
     except ValueError as exc:

@@ -11,9 +11,10 @@ letters is not quotiented, so every sigma of the catalog's patterns is
 met.  A letter with a kernel adds a summand I(0, t), which every 4th
 orbit at the top n_0 covers with a zero column appended to one letter.
 
-The subspaces are enumerated as reduced echelon bases, with mod-q
-arithmetic of this file's own: no elimination of the package is used to
-name a subspace.  GL(d, q) is generated by a primitive scalar on the
+The subspaces are enumerated as reduced echelon bases, with the naive
+reference_rref of reference.py, which cross-checks the package's
+eliminator in the tests: no elimination of the package is used to name
+a subspace.  GL(d, q) is generated by a primitive scalar on the
 first coordinate, the transvection e_0 += e_1 and the cyclic shift (the
 shift conjugates the transvection to every e_i += e_{i+1}, whose
 commutators give every elementary transvection, so they generate
@@ -78,23 +79,13 @@ from fourspace.modules import LambdaModule, dim_vector
 from fourspace.oracle import hom_oracle
 from fourspace.verify import oracle_vector
 
+from reference import reference_rref
+
 
 def rref(rows, q):
     """The reduced echelon basis of span(rows) mod q, a tuple of rows."""
-    rows = [list(row) for row in rows]
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], q - 2, q)
-        rows[r] = [x * inv % q for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                rows[i] = [(x - row[c] * y) % q for x, y in zip(row, rows[r])]
-        r += 1
-    return tuple(map(tuple, rows[:r]))
+    pivots, rows = reference_rref(rows, q)
+    return tuple(map(tuple, rows[:len(pivots)]))
 
 
 def subspaces(d, q):

@@ -137,9 +137,16 @@ def test_case_table_matches_the_per_descriptor_derivation(fld):
     descs = enumerate_descriptors(EnumerationBounds(24, 12, (2, 5)))
     descs += [fam(n, j) for fam in (cat.P, cat.I) for n in (10**9, 10**9 + 1) for j in range(5)]
     descs += [cat.R(s, m, lam) for s in (0, 1) for m in range(1, 9) for lam in (0, 1, INF)]
-    assert len(cat._CLASSES) == 31
+    classes = set()
     for d in descs:
-        assert _answer(cat.case, d, fld) == _answer(_reference_case, d, fld), d
+        answer = _answer(cat.case, d, fld)
+        assert answer == _answer(_reference_case, d, fld), d
+        if answer is not InvalidParams:
+            classes.add((d.family, *answer[:2]))
+    # the 31 classes: P/I at the center, P/I at each vertex j by parity,
+    # the homogeneous tubes, and each exceptional row by parity; over GF(2)
+    # neither 2 nor 5 names a tube
+    assert len(classes) == (30 if fld == PrimeField(2) else 31)
     # an unknown family is refused when made, by position, by keyword and
     # through _replace, so no per-descriptor reading meets one and falls
     # through to a branch that reads its params as another family's
@@ -296,6 +303,9 @@ def test_invalid_parameters_rejected():
         lambda: cat.R(True, 2, 0),
         lambda: cat.R(0, 2, 0.0),
         lambda: cat.P("2", 1),
+        # R reads its family off its parameter count
+        lambda: cat.R(1),
+        lambda: cat.R(1, 2, 3, 4),
     ]:
         with pytest.raises(InvalidParams):
             bad()

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fourspace import catalog as cat
+from fourspace import exactmat
 from fourspace.cli import main
 from fourspace.exactmat import QQ, PrimeField
 from fourspace.homdim import CASE_SPECS, hom_dim, hom_vector
@@ -110,6 +111,18 @@ def test_homdim_oracle_too_large_target_is_one_line_each_time(capsys, tmp_path):
         code, out, err = run(capsys, "homdim", path, "P(1,1)", "P(100000000,0)", "--oracle")
         assert code == 1 and out == small
         assert len(err.splitlines()) == 1 and err.startswith("error: too-large:")
+
+
+def test_homdim_too_tall_module_file_is_one_line(capsys, tmp_path, monkeypatch):
+    # letters of 10^5 rows and no columns hold no entry, yet each row is
+    # built: the record is refused for its rows before any is
+    monkeypatch.setattr(exactmat, "_MEMORY", 10**6)
+    tall = {"rows": 10**5, "cols": 0, "entries": []}
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps({"field_spec": QQ.spec(), **dict.fromkeys("ABCD", tall)}))
+    code, out, err = run(capsys, "homdim", str(path), "I(0,0)")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: too-large:")
 
 
 def test_homdim_all_matches_hom_dim_on_disguised_sum(capsys, tmp_path):
@@ -289,6 +302,7 @@ ERROR_CASES = [
     ("invalid-params", ["homdim", "{module}", "R(1,inf)"]),
     ("parse-error", ["catalog", "P(0,0)", "--field", "prime:6"]),
     ("parse-error", ["catalog", "P(0,0)", "--field", "reals"]),
+    ("parse-error", ["catalog", "P(0,0)", "--field", "prime:x"]),
     ("parse-error", ["homdim", "{module}"]),
     ("parse-error", ["homdim", "{bad_json}", "I(0,0)"]),
     ("parse-error", ["homdim", "{bad_record}", "I(0,0)"]),
@@ -332,6 +346,7 @@ ERROR_DETAILS = {
     "homdim {module} R(1,3) --all": "give descriptor arguments or --all, not both",
     "homdim {module} --all R(1,3)": "give descriptor arguments or --all, not both",
     "homdim {module} --oracle --bogus R(1,3)": "unrecognized arguments: --bogus R(1,3)",
+    "catalog P(0,0) --field prime:x": "is not an integer",
     # a JSON string is not a characteristic, and 7 is not out of range
     "homdim {prime_string} I(0,0)": "is not an integer",
     # --all stands in for the descriptors, so the line ends naming the file

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fourspace import catalog as cat
-from fourspace import homdim, verify
+from fourspace import exactmat, homdim, verify
 from fourspace.catalog import EnumerationBounds, enumerate_descriptors
 from fourspace.exactmat import (
     QQ,
@@ -140,6 +140,8 @@ def test_prime_field_validation():
     for bad in (1.5, "3"):
         with pytest.raises(TypeError):
             GF.coerce(bad)
+    with pytest.raises(TypeError, match=re.escape("cannot coerce object into GF(7)")):
+        f.coerce(object())
 
 
 def test_field_from_spec_roundtrip():
@@ -224,6 +226,13 @@ def test_matrix_is_immutable_and_hashable(field):
         m.rows = 3
     assert hash(m) == hash(identity(field, 2))
     assert m.data[0] == (field.one, field.zero)
+    # a matrix equals no value but a matrix
+    assert (m == 5) is False and m != 5
+
+
+def test_repr_lists_the_entries_of_a_small_matrix_alone(field):
+    assert repr(identity(field, 2)) == f"ExactMatrix(2x2 over {field}: [1 0], [0 1])"
+    assert repr(zeros(field, 3, 6)) == f"ExactMatrix(3x6 over {field})"
 
 
 def test_matrix_pickles_whole(field):
@@ -232,6 +241,14 @@ def test_matrix_pickles_whole(field):
         back = pickle.loads(pickle.dumps(m))
         assert back == m and (back.rows, back.cols) == (m.rows, m.cols)
         assert back.field == field and type(back.data) is tuple
+
+
+def test_a_transpose_too_large_for_memory_raises_before_building(field, monkeypatch):
+    # a 0 x n matrix holds no entry, but its transpose is n rows
+    monkeypatch.setattr(exactmat, "_MEMORY", 10**6)
+    with pytest.raises(MemoryError):
+        zeros(field, 0, 10**5).transpose()
+    assert zeros(field, 0, 10).transpose() == zeros(field, 10, 0)
 
 
 def test_zero_size_matrices(field):
@@ -247,6 +264,10 @@ def test_vstack_names_offending_block(field):
         vstack([identity(field, 2), identity(field, 3)])
     with pytest.raises(DimensionMismatch, match="block 2"):
         hstack([zeros(field, 1, 1), zeros(field, 1, 4), zeros(field, 2, 1)])
+    # no blocks leave the other side's size unknown
+    for stack in (hstack, vstack):
+        with pytest.raises(DimensionMismatch, match=f"{stack.__name__} of no blocks"):
+            stack([])
 
 
 def test_block_grid_names_offending_block(field):

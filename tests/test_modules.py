@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fourspace import exactmat
 from fourspace.exactmat import (
     QQ,
     DimensionMismatch,
@@ -53,6 +54,8 @@ def test_field_mismatch_names_slot():
                   lambda: LambdaModule(good, good, good, good)._replace(B=other)):
         with pytest.raises(FieldMismatch, match=r"slot B: GF\(32003\) differs from QQ"):
             build()
+    with pytest.raises(FieldMismatch, match=r"direct sum over QQ vs GF\(7\)"):
+        module_direct_sum(zero_module(QQ), zero_module(PrimeField(7)))
 
 
 def test_dim_vector(field):
@@ -83,6 +86,8 @@ def test_cycle_moves_slot_contents(field):
     m = permute_vertices(LambdaModule(a, b, c, d), PERM_CYCLE)
     # sigma(i) = i + 1 cyclically, so slot 1 of the result held slot 4 before
     assert dim_vector(m) == (1, 4, 1, 2, 3)
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.4: \(1, 1, 2, 3\)"):
+        permute_vertices(m, (1, 1, 2, 3))
 
 
 @given(perms, perms)
@@ -114,6 +119,8 @@ def test_base_change_identity_is_noop(field, rng):
     u = identity(field, m.n0)
     vs = [identity(field, w.cols) for w in m.mats()]
     assert base_change(m, u, vs) == m
+    with pytest.raises(ValueError, match="need exactly four column-side matrices"):
+        base_change(m, u, vs[:3])
 
 
 # -- euler form -------------------------------------------------------------
@@ -135,6 +142,8 @@ def test_euler_form_against_all_ones(d):
 
 def test_euler_form_explicit():
     assert euler_form((2, 1, 1, 1, 1), (2, 1, 1, 1, 1)) == 2 * 2 + 4 - 4 * 2
+    with pytest.raises(ValueError, match="dimension vectors have five entries"):
+        euler_form((1, 1, 1, 1), (2, 1, 1, 1, 1))
 
 
 # -- serialization -----------------------------------------------------------
@@ -188,6 +197,15 @@ def test_record_rejects_loose_types(key, value, message):
     assert module_from_record(rec).B.rows == 2
     rec["B"] = {k: v for k, v in dict(rec["B"], **{key: value}).items() if v is not None}
     with pytest.raises(ValueError, match=f"matrix record B: {message}"):
+        module_from_record(rec)
+
+
+def test_a_record_too_large_for_memory_raises_before_building(monkeypatch):
+    # 10^5 rows of no entries: each row is a tuple all the same
+    monkeypatch.setattr(exactmat, "_MEMORY", 10**6)
+    rec = module_to_record(zero_module(QQ))
+    rec["A"] = {"rows": 10**5, "cols": 0, "entries": []}
+    with pytest.raises(MemoryError):
         module_from_record(rec)
 
 
