@@ -46,7 +46,10 @@ prints one line, "ok <check>" or "FAIL <check>: <why>".  The script exits
   first filled;
 - error paths that must print one `error:` line and no traceback;
 - `fourspace homdim --oracle` before a target too large to build: the
-  lines before it are printed, then one `error: too-large:` line.
+  lines before it are printed, then one `error: too-large:` line;
+- `fourspace catalog` of a module whose blocks each fit in memory but
+  whose [A B C D] does not: one `error: too-large:` line, before any
+  letter is built.
 
 A new formula/oracle scenario is one DIFFS row.
 """
@@ -472,6 +475,9 @@ def main():
           code == 1 and out == small and re.fullmatch(r"P\(1,1\)\t\d+\n", small)
           and len(err.splitlines()) == 1 and err.startswith("error: too-large:"),
           f"exit {code}, stdout {out!r}, stderr {err.strip()!r}")
+    # P(28000,0)'s [A B C D] is 56,001 x 112,000: 50 GB at 8 bytes an entry
+    one_error_line("catalog P(28000,0) --field prime:7",
+                   ["catalog", "P(28000,0)", "--field", "prime:7"], "^error: too-large:")
 
     if failures:
         print(f"{len(failures)} failed: {'; '.join(failures)}")

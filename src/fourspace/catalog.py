@@ -26,6 +26,7 @@ from itertools import accumulate
 from numbers import Rational
 
 from .exactmat import (
+    _fits,
     anti_identity,
     identity,
     jordan,
@@ -397,7 +398,11 @@ def case(desc, field):
 
 def build(desc, field):
     """Assemble the catalog module for desc over the given field: the slots
-    of case's key, permuted by its sigma."""
+    of case's key, permuted by its sigma.  MemoryError before any letter is
+    built if the module's [A B C D] cannot fit (exactmat._fits), though
+    each block alone might."""
+    d = declared_dim(desc)
+    _fits(d[0], sum(d[1:]))
     key, sigma, size, lam = case(desc, field)
     args = (field, size) if lam is None else (field, size, lam)
     return LambdaModule(*permute_slots(_SLOTS[key](*args), sigma))

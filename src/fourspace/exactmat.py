@@ -4,9 +4,12 @@ rank/corank, null space and inverse.
 Scalars are plain Python values (fractions.Fraction over the rationals,
 canonical int residues in [0, p) over a prime field).  A field object owns
 the arithmetic, and ``field.reduce`` brings a scalar expression back to
-canonical form.  Every matrix is one tuple of row tuples of those
-scalars, its shape stored beside it, so zero-row / zero-column shapes are
-first-class and cor(1x0) = 1 works.  The same rows serve storage and
+canonical form.  Both fields share one shell (_Field): ``coerce`` refuses
+text and floating point (a float, a Decimal), reads every other exact
+input, a numbers.Rational, once as the ratio of two Python ints n / d,
+and hands that ratio to the field's ``_coerce(n, d)``.  Every matrix is
+one tuple of row tuples of those scalars, its shape stored beside it,
+so zero-row / zero-column shapes are first-class and cor(1x0) = 1 works.  The same rows serve storage and
 elimination: nothing is converted between them.  One Gaussian
 elimination loop serves both fields, with three exits: ``_split``, a
 kernel count and the rows past a column, takes every kernel the package
@@ -46,9 +49,10 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, islice
-from numbers import Integral, Rational, Real
+from numbers import Rational, Real
 from operator import mul
 
 
@@ -75,17 +79,24 @@ class _Field:
     """What both fields share: the input rules of coerce, value semantics
     (equality and hashing by _key), format, and elimination on list-row
     copies of a matrix's rows.  A field writes its arithmetic, its name
-    (__repr__), _key, _exact and _coerce."""
+    (__repr__), _key, _exact and _coerce(n, d): the scalar n / d, for
+    Python ints n and d, d > 0."""
 
     def coerce(self, x):
         """x as a canonical scalar of this field.  Text reaches a field
-        through parse alone, and floating point not at all; every other
-        input goes to the field's _coerce."""
+        through parse alone, and floating point (a Real that is not
+        Rational, or a Decimal) not at all; any other value that is not a
+        numbers.Rational cannot be coerced.  A Rational goes to the
+        field's _coerce as the ratio of two Python ints, so a fixed-width
+        integer from outside, bare or as a Fraction's parts, cannot
+        wrap."""
         if isinstance(x, str):
             raise TypeError(f"{self!r}.coerce takes no text, got {x!r}; use {self!r}.parse")
-        if isinstance(x, Real) and not isinstance(x, Rational):
+        if isinstance(x, (Real, Decimal)) and not isinstance(x, Rational):
             raise TypeError("floating point is not allowed; " + self._exact)
-        return self._coerce(x)
+        if not isinstance(x, Rational):
+            raise TypeError(f"cannot coerce {type(x).__name__} into {self!r}")
+        return self._coerce(int(x.numerator), int(x.denominator))
 
     def format(self, x):
         return str(x)
@@ -203,15 +214,8 @@ class Rationals(_Field):
     _key = "rationals"
     _exact = "use Fraction or int"
 
-    def _coerce(self, x):
-        # a fixed-width integer from outside may wrap at 2^63, bare or as
-        # a Fraction's parts: each is made a Python int
-        if isinstance(x, Fraction):
-            n, d = x.numerator, x.denominator
-            return x if type(n) is int and type(d) is int else Fraction(int(n), int(d))
-        if isinstance(x, Integral):
-            return Fraction(int(x))
-        return Fraction(x)
+    def _coerce(self, n, d):
+        return Fraction(n, d)
 
     def reduce(self, x):
         return x
@@ -348,12 +352,8 @@ class PrimeField(_Field):
         self.one = 1 % p
         self._key = ("gf", p)
 
-    def _coerce(self, x):
-        if isinstance(x, Integral):
-            return int(x) % self.p
-        if isinstance(x, Fraction):
-            return int(x.numerator) % self.p * self.inv(int(x.denominator)) % self.p
-        raise TypeError(f"cannot coerce {type(x).__name__} into GF({self.p})")
+    def _coerce(self, n, d):
+        return n * self.inv(d) % self.p
 
     def reduce(self, x):
         return x % self.p

@@ -188,12 +188,13 @@ def matrix_from_record(field, rec, slot=""):
             f"matrix record {slot}: {len(entries)} entries for a {rows}x{cols} matrix"
         )
     _fits(rows, cols)
+    # parse makes each entry canonical, and the checks above fix the
+    # grid: the matrix is built from them as they are
     try:
-        vals = [field.parse(str(x)) for x in entries]
+        vals = tuple(field.parse(str(x)) for x in entries)
     except ValueError as exc:
         raise ValueError(f"matrix record {slot}: {exc}") from None
-    grid = [vals[i * cols : (i + 1) * cols] for i in range(rows)]
-    return ExactMatrix(field, grid, shape=(rows, cols))
+    return ExactMatrix._raw(field, tuple(vals[i * cols : (i + 1) * cols] for i in range(rows)), cols)
 
 
 def module_to_record(m):

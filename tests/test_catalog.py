@@ -5,6 +5,7 @@ import pytest
 
 from fourspace import catalog as cat
 from fourspace import decompose, hom_vector
+from fourspace import exactmat
 from fourspace.catalog import (
     INF,
     EnumerationBounds,
@@ -309,6 +310,19 @@ def test_invalid_parameters_rejected():
     ]:
         with pytest.raises(InvalidParams):
             bad()
+
+
+def test_build_refuses_a_module_too_large_for_memory_before_any_letter(monkeypatch):
+    # each block of P(200,0), (401, 200, 200, 200, 200), fits in 10^6
+    # bytes, but its [A B C D], 401 x 800, does not; hom_vector builds no
+    # target, so it still answers for P(200,0) and P(10^9,0)
+    monkeypatch.setattr(exactmat, "_MEMORY", 10**6)
+    field = PrimeField(7)
+    with pytest.raises(MemoryError, match="a 401x800 matrix does not fit"):
+        build(cat.P(200, 0), field)
+    assert dim_vector(build(cat.P(100, 0), field)) == (201, 100, 100, 100, 100)
+    m = build(cat.P(1, 1), field)
+    assert hom_vector(m, [cat.P(200, 0), cat.P(10**9, 0)]) == [199, 10**9 - 1]
 
 
 def test_homogeneous_lambda_reduction_checked_at_build():

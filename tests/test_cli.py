@@ -113,6 +113,20 @@ def test_homdim_oracle_too_large_target_is_one_line_each_time(capsys, tmp_path):
         assert len(err.splitlines()) == 1 and err.startswith("error: too-large:")
 
 
+def test_a_module_too_large_to_build_is_one_line(capsys, tmp_path, monkeypatch):
+    # each block of P(200,0) fits in 10^6 bytes, its [A B C D] does not:
+    # catalog prints no entry of it, and --oracle prints the lines before it
+    path = write_module(tmp_path, cat.build(cat.R(1, GF.coerce(2)), GF))
+    _, small, _ = run(capsys, "homdim", path, "P(1,1)")
+    monkeypatch.setattr(exactmat, "_MEMORY", 10**6)
+    code, out, err = run(capsys, "catalog", "P(200,0)", "--field", "prime:7")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: too-large:")
+    code, out, err = run(capsys, "homdim", path, "P(1,1)", "P(200,0)", "--oracle")
+    assert code == 1 and out == small
+    assert len(err.splitlines()) == 1 and err.startswith("error: too-large:")
+
+
 def test_homdim_too_tall_module_file_is_one_line(capsys, tmp_path, monkeypatch):
     # letters of 10^5 rows and no columns hold no entry, yet each row is
     # built: the record is refused for its rows before any is

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -271,15 +272,19 @@ def test_list_lambdas_decompose_cold_and_warm():
 
 
 def test_a_float_lambda_is_rejected_cold_and_warm():
-    # 2.0 == 2 and hashes alike, but only 2 is a lambda: a warm plan for
-    # (2,) must not answer for (2.0,)
-    decomp._plan.cache_clear()
+    # 2.0 and Decimal("2") == 2 and hash alike, but only 2 is a lambda: a
+    # warm plan for (2,) must not answer for either
     m = cat.build(cat.R(1, 2), QQ)
-    with pytest.raises(TypeError, match="floating point"):
-        decompose(m, EnumerationBounds(1, 1, (2.0,)))
-    assert decompose(m, EnumerationBounds(1, 1, (2,))) == {cat.R(1, 2): 1}
-    with pytest.raises(TypeError, match="floating point"):
-        decompose(m, EnumerationBounds(1, 1, (2.0,)))
+    for lam in (2.0, Decimal("2")):
+        decomp._plan.cache_clear()
+        with pytest.raises(TypeError, match="floating point"):
+            decompose(m, EnumerationBounds(1, 1, (lam,)))
+        assert decompose(m, EnumerationBounds(1, 1, (2,))) == {cat.R(1, 2): 1}
+        with pytest.raises(TypeError, match="floating point"):
+            decompose(m, EnumerationBounds(1, 1, (lam,)))
+        for field in (QQ, PrimeField(7)):
+            with pytest.raises(TypeError, match="floating point"):
+                tube_lambda(field, lam)
 
 
 def _answer(m, bounds):

@@ -2,7 +2,9 @@ import math
 import pickle
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -82,23 +84,44 @@ def test_rational_numpy_integers_do_not_wrap():
     assert QQ.coerce(Fraction(np.int64(14), np.int64(6))) == Fraction(7, 3)
 
 
+class FiveHalves:
+    """The least a numbers.Rational from outside the standard library
+    offers coerce: its numerator and denominator."""
+
+    numerator, denominator = 5, 2
+
+
+Rational.register(FiveHalves)
+
+
 def test_outside_scalars_coerce_exactly_or_not_at_all():
     # integers of any fixed width from outside coerce through int(),
-    # exactly, into Python ints; floating point is refused by both fields,
-    # a float subclass such as np.float64 or not, and so is a string over
-    # GF(p)
+    # exactly, into Python ints, and so does any numbers.Rational, as its
+    # numerator over its denominator; floating point is refused by both
+    # fields, a float subclass such as np.float64, a Decimal or neither,
+    # and every other value that is not Rational cannot be coerced
     for x in (np.int8(-7), np.int32(40000), np.uint64(2**64 - 1), np.int64(-2**63), True):
         q, r = QQ.coerce(x), GF.coerce(x)
         assert q == Fraction(int(x)) and type(q.numerator) is int
         assert r == int(x) % GF.p and type(r) is int
     half = Fraction(np.int64(1), np.int64(2))
     assert GF.coerce(half) == GF.inv(2) and type(GF.coerce(half)) is int
-    for bad in (np.float64(2.0), np.float32(0.5), np.float16(1.0), 2.0):
+    assert (QQ.coerce(FiveHalves()), PrimeField(7).coerce(FiveHalves())) == (Fraction(5, 2), 6)
+    assert type(QQ.coerce(FiveHalves()).numerator) is int
+    for bad in (np.float64(2.0), np.float32(0.5), np.float16(1.0), 2.0,
+                Decimal("0.1"), Decimal("2.5"), Decimal("Infinity"), Decimal("NaN")):
         for f in (QQ, GF):
-            with pytest.raises(TypeError, match="floating point"):
+            with pytest.raises(TypeError, match="^floating point is not allowed; "):
                 f.coerce(bad)
-        with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match="floating point"):
+                cat.tube_lambda(f, bad)
+        with pytest.raises(TypeError, match="floating point"):
             ExactMatrix(QQ, [[1, bad]])
+    for bad in (1 + 2j, object()):
+        for f in (QQ, GF):
+            with pytest.raises(TypeError, match=re.escape(
+                    f"cannot coerce {type(bad).__name__} into {f!r}")):
+                f.coerce(bad)
     with pytest.raises(TypeError):
         GF.coerce("3")
 
@@ -160,8 +183,8 @@ class Mod5(_Field):
     _key = ("mod", 5)
     _exact = "use ints"
 
-    def _coerce(self, x):
-        return int(x) % 5
+    def _coerce(self, n, d):
+        return n * pow(d, -1, 5) % 5
 
     def __repr__(self):
         return "Mod5"

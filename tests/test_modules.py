@@ -150,9 +150,15 @@ def test_euler_form_explicit():
 
 
 def test_record_roundtrip(field, rng):
+    # the letters read back are built from the scalars parse made, with no
+    # second coerce: equal to those written, fractions (over QQ, from an
+    # inverse) and zero-width letters included, and hashed alike
     for _ in range(5):
         m = random_module(field, rng, max_dim=3)
-        assert module_from_record(module_to_record(m)) == m
+        inv = random_invertible(field, 3, rng).invert()
+        for x in (m, LambdaModule(inv, zeros(field, 3, 0), inv @ inv, inv)):
+            back = module_from_record(module_to_record(x))
+            assert back == x and hash(back) == hash(x)
 
 
 def test_record_roundtrip_zero_sizes(field):
